@@ -90,9 +90,9 @@ evalSuite(std::vector<App> &apps, const std::vector<std::string> &specs,
             const auto bus_width =
                 static_cast<unsigned>(apps[a].txBytes == 64 ? 64 : 32);
             CodecPtr codec = makeCodec(specs[s], bus_width / 8);
-            // Workers drive the batch hot path; its BusStats are
-            // field-identical to the scalar loop (see channel_eval.h), so
-            // the sweep results and golden figures are unchanged.
+            // Workers drive the batch hot path; BusStats are
+            // field-identical for every batch size (see channel_eval.h),
+            // so the sweep results and golden figures do not depend on it.
             job_stats[j] = evalCodecOnStream(*codec, traces[a], bus_width,
                                              0.3, kDefaultEvalBatchTx)
                                .stats;

@@ -16,12 +16,12 @@
 #            ctest; BXT_FUZZ_SECONDS scales the budget (default 60) and
 #            BXT_FUZZ_FRAMES the wire-frame parser pass (default 100000)
 #   batch    Release build + batch/simd-labeled ctest (batch kernels vs
-#            the scalar reference, SIMD tables vs the scalar table) + an
+#            the reference codecs, SIMD tables vs the scalar table) + an
 #            ASan/UBSan pass of the same tests forced through every
 #            dispatch level (BXT_SIMD=scalar/word/avx2/avx512) + the
 #            bench_codec_throughput sweep with its speedup gates
-#            (BXT_BATCH_MIN_SPEEDUP, default 1.5, over scalar at
-#            batch >= 512; BXT_SIMD_MIN_SPEEDUP, default 2.0, best SIMD
+#            (BXT_BATCH_MIN_SPEEDUP, default 1.5, best batch >= 512
+#            over batch 1; BXT_SIMD_MIN_SPEEDUP, default 2.0, best SIMD
 #            level over word for xor4+zdr encode at batch 512, enforced
 #            only on AVX2-capable runners) + per-level bench JSONs for
 #            bxt_report --diff
@@ -31,7 +31,7 @@
 #            BXT_METRICS_OVERHEAD_PCT (default 2) percent versus a
 #            -DBXT_TELEMETRY=OFF baseline build of the same sources
 #   serve    Release build + server-labeled ctest + live bxtd smoke: boot
-#            a 4-thread bxtd on a Unix socket, ping it, round-trip a
+#            a 4-shard bxtd on a Unix socket, ping it, round-trip a
 #            captured trace through it, drive a closed-loop bxt_loadgen
 #            burst (asserting >= BXT_SERVE_MIN_TX_RATE encoded tx/s,
 #            default 100000, into BENCH_server_loadgen.json), re-run the
@@ -115,8 +115,9 @@ run_fuzz() {
     # any failure into tests/corpus/ (uploaded as a CI artifact). The
     # --frames pass also fuzzes the bxtd wire-frame parser (clean frames
     # must round-trip; corrupted ones must yield typed errors, never UB),
-    # and --batch differentially checks the batch kernels against the
-    # scalar path under the sanitizers (BXT_FUZZ_BATCH_STREAMS scales it).
+    # and --batch differentially checks batched encoding against
+    # per-transaction encoding under the sanitizers
+    # (BXT_FUZZ_BATCH_STREAMS scales it).
     ./build-ci-asan/tools/bxt_fuzz \
         --seconds "${BXT_FUZZ_SECONDS:-60}" \
         --frames "${BXT_FUZZ_FRAMES:-100000}" \
@@ -127,7 +128,7 @@ run_fuzz() {
 }
 
 run_batch() {
-    echo "=== CI job: batch kernels vs scalar reference ==="
+    echo "=== CI job: batch kernels vs per-transaction encoding ==="
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-ci-release -j "${jobs}" \
         --target test_batch test_simd bench_codec_throughput
@@ -146,9 +147,9 @@ run_batch() {
     done
     # Differential coverage first (golden corpus through the batch
     # kernels, split-invariance, the short fuzz campaign), then the
-    # throughput smoke: the batch path must beat the scalar loop by the
-    # gate factor at batch >= 512 on at least one spec, and the sweep
-    # itself asserts BusStats field-identity at every batch size.
+    # throughput smoke: a batch >= 512 round trip must beat batch 1 (the
+    # per-transaction path) by the gate factor on at least one spec, and
+    # the sweep itself asserts BusStats field-identity at every batch size.
     ctest --test-dir build-ci-release --output-on-failure -j "${jobs}" \
         -L 'batch|simd'
     # The SIMD floor only binds on hosts whose CPU can beat the word
@@ -241,7 +242,7 @@ run_serve() {
     # Plain background command (no subshell) so $! is bxtd itself and the
     # SIGTERM below reaches the daemon, not a wrapper. --trace-spans
     # makes the drain write the merged Chrome span trace artifact.
-    ./build-ci-release/tools/bxtd --unix "${sock}" --threads 4 \
+    ./build-ci-release/tools/bxtd --unix "${sock}" --shards 4 \
         --trace-spans "${out}/server_spans.json" \
         > "${out}/bxtd.log" 2>&1 &
     local bxtd_pid=$!
@@ -266,7 +267,7 @@ run_serve() {
         --spec universal3+zdr --mode roundtrip "${out}/smoke.bxtrace"
 
     # Closed-loop load: every request is one batch of 32-byte encodes;
-    # the tx-rate floor is the acceptance bar for a 4-thread server.
+    # the tx-rate floor is the acceptance bar for a 4-shard server.
     ./build-ci-release/tools/bxt_loadgen --unix "${sock}" \
         --closed-loop --spec baseline --tx-bytes 32 --batch 64 \
         --requests 4000 --json BENCH_server_loadgen.json \
@@ -343,7 +344,7 @@ run_scenario() {
     # Metrics on, so the per-tenant stream counters are live and land in
     # the bench documents' embedded snapshots.
     BXT_METRICS=1 ./build-ci-release/tools/bxtd --unix "${sock}" \
-        --threads 4 > "${out}/bxtd.log" 2>&1 &
+        --shards 4 > "${out}/bxtd.log" 2>&1 &
     local bxtd_pid=$!
     local i
     for i in $(seq 1 100); do
@@ -453,7 +454,7 @@ run_adaptive() {
     rm -f "${sock}"
 
     BXT_METRICS=1 ./build-ci-release/tools/bxtd --unix "${sock}" \
-        --threads 4 > "${out}/bxtd.log" 2>&1 &
+        --shards 4 > "${out}/bxtd.log" 2>&1 &
     local bxtd_pid=$!
     local i
     for i in $(seq 1 100); do

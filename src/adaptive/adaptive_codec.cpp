@@ -22,35 +22,6 @@ AdaptiveCodec::make(const Config &config, std::string &err)
         new AdaptiveCodec(std::move(controller), std::move(name)));
 }
 
-Encoded
-AdaptiveCodec::encode(const Transaction &tx)
-{
-    Encoded out;
-    encodeInto(tx, out);
-    return out;
-}
-
-Transaction
-AdaptiveCodec::decode(const Encoded &enc)
-{
-    return controller_->activeCodec().decode(enc);
-}
-
-void
-AdaptiveCodec::encodeInto(const Transaction &tx, Encoded &out)
-{
-    // Each scalar transaction is its own batch boundary.
-    controller_->maybeEvaluate();
-    controller_->activeCodec().encodeInto(tx, out);
-    controller_->observe(tx.data(), tx.size());
-}
-
-void
-AdaptiveCodec::decodeInto(const Encoded &enc, Transaction &out)
-{
-    controller_->activeCodec().decodeInto(enc, out);
-}
-
 void
 AdaptiveCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * AdaptiveCodec: the Codec face of the adaptive Controller. Every
- * encode entry point re-evaluates the choice at the batch boundary,
+ * encoded batch re-evaluates the choice at the batch boundary,
  * delegates to the active concrete codec's own batch path (so the
  * output is byte-identical to that codec run standalone), then feeds
  * the batch into the controller's sampling window. Decode never
@@ -30,11 +30,6 @@ class AdaptiveCodec : public Codec
 
     /** The canonical adaptive spec (knobs included), not the choice. */
     std::string name() const override { return name_; }
-
-    Encoded encode(const Transaction &tx) override;
-    Transaction decode(const Encoded &enc) override;
-    void encodeInto(const Transaction &tx, Encoded &out) override;
-    void decodeInto(const Encoded &enc, Transaction &out) override;
 
     /** Uniform across candidates — enforced at construction. */
     unsigned metaWiresPerBeat() const override { return meta_wires_; }

@@ -258,26 +258,6 @@ Controller::observe(const TxBatch &batch)
     sinceEval_ += batch.size();
 }
 
-void
-Controller::observe(const std::uint8_t *tx, std::size_t tx_bytes)
-{
-    if (tx_bytes == 0)
-        return;
-    if (ring_.txBytes() != tx_bytes) {
-        ring_.reset(tx_bytes);
-        ring_.reserve(config_.window);
-        ringNext_ = 0;
-    }
-    if (ring_.size() < config_.window) {
-        ring_.append(tx, 1);
-    } else {
-        std::memcpy(ring_.tx(ringNext_).data(), tx, tx_bytes);
-    }
-    ringNext_ = (ringNext_ + 1) % config_.window;
-    ++observed_;
-    ++sinceEval_;
-}
-
 bool
 Controller::evaluate()
 {

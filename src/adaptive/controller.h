@@ -161,9 +161,6 @@ class Controller
      *  so a huge batch costs at most `window` copies). */
     void observe(const TxBatch &batch);
 
-    /** Feed one scalar transaction into the sampled window. */
-    void observe(const std::uint8_t *tx, std::size_t tx_bytes);
-
     /** Compute the windowed value statistics (walks the window). */
     Sensors sensors() const;
 

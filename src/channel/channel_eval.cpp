@@ -51,45 +51,27 @@ ChannelEvalResult::onesPerTransaction() const
            static_cast<double>(stats.transactions);
 }
 
-namespace {
-
-/** Scalar reference loop: one transaction at a time. */
-void
-evalScalar(Codec &codec, const std::vector<Transaction> &stream, Bus &bus,
-           ChannelEvalResult &result, std::size_t &stream_bytes)
+ChannelEvalResult
+evalCodecOnStream(Codec &codec, const std::vector<Transaction> &stream,
+                  unsigned data_wires, double idle_fraction,
+                  std::size_t batch_tx)
 {
-    // One scratch Encoded/Transaction reused across the stream keeps the
-    // inner loop allocation-free (the metadata vector retains capacity).
-    Encoded enc;
-    Transaction back;
-    for (const Transaction &tx : stream) {
-        result.rawOnes += tx.ones();
-        stream_bytes += tx.size();
-        codec.encodeInto(tx, enc);
-        bus.transmit(enc);
-        // Losslessness is non-negotiable: encoded data is what gets stored
-        // in DRAM, so any mismatch here would be silent data corruption.
-        codec.decodeInto(enc, back);
-        if (!(back == tx))
-            panic("codec " + codec.name() + " failed to round-trip " +
-                  tx.toHex());
-    }
-}
+    BXT_ASSERT(batch_tx > 0);
+    codec.reset();
+    Bus bus(data_wires, codec.metaWiresPerBeat(), idle_fraction);
 
-/**
- * Batch hot path: the stream is chunked into TxBatches of at most
- * @p batch_tx transactions. A chunk also ends where the transaction size
- * changes, so mixed-size streams stay legal (TxBatch geometry is uniform).
- * Chunks are additionally capped at batchTileTx(tx_bytes) so the encode
- * plane, its encoded copy, and the bus accounting sweep all stay within
- * one L1/L2-resident tile; BusStats is batch-split invariant, so tiling
- * does not change any count.
- */
-void
-evalBatched(Codec &codec, const std::vector<Transaction> &stream, Bus &bus,
-            std::size_t batch_tx, ChannelEvalResult &result,
-            std::size_t &stream_bytes)
-{
+    telemetry::ScopedSpan span("eval " + codec.name(), "channel");
+    ChannelEvalResult result;
+    result.codec = codec.name();
+    std::size_t stream_bytes = 0;
+
+    // The stream is chunked into TxBatches of at most batch_tx
+    // transactions. A chunk also ends where the transaction size changes,
+    // so mixed-size streams stay legal (TxBatch geometry is uniform).
+    // Chunks are additionally capped at batchTileTx(tx_bytes) so the
+    // encode plane, its encoded copy, and the bus accounting sweep all
+    // stay within one L1/L2-resident tile; BusStats is batch-split
+    // invariant, so tiling does not change any count.
     TxBatch batch;
     EncodedBatch enc;
     TxBatch back;
@@ -109,6 +91,9 @@ evalBatched(Codec &codec, const std::vector<Transaction> &stream, Bus &bus,
         }
         codec.encodeBatch(batch, enc);
         bus.transmitBatch(enc);
+        // Losslessness is non-negotiable: encoded data is what gets
+        // stored in DRAM, so any mismatch here would be silent data
+        // corruption.
         codec.decodeBatch(enc, back);
         if (!(back == batch)) {
             for (std::size_t j = 0; j < batch.size(); ++j) {
@@ -124,26 +109,7 @@ evalBatched(Codec &codec, const std::vector<Transaction> &stream, Bus &bus,
                   " corrupted the batch geometry on round-trip");
         }
     }
-}
 
-} // namespace
-
-ChannelEvalResult
-evalCodecOnStream(Codec &codec, const std::vector<Transaction> &stream,
-                  unsigned data_wires, double idle_fraction,
-                  std::size_t batch_tx)
-{
-    codec.reset();
-    Bus bus(data_wires, codec.metaWiresPerBeat(), idle_fraction);
-
-    telemetry::ScopedSpan span("eval " + codec.name(), "channel");
-    ChannelEvalResult result;
-    result.codec = codec.name();
-    std::size_t stream_bytes = 0;
-    if (batch_tx == 0)
-        evalScalar(codec, stream, bus, result, stream_bytes);
-    else
-        evalBatched(codec, stream, bus, batch_tx, result, stream_bytes);
     result.stats = bus.stats();
     if (telemetry::metricsEnabled())
         recordEvalStream(result, stream_bytes);

@@ -31,6 +31,9 @@ struct ChannelEvalResult
     double onesPerTransaction() const;
 };
 
+/** Default transactions per codec/bus batch in evalCodecOnStream. */
+inline constexpr std::size_t kDefaultEvalBatchTx = 512;
+
 /**
  * Encode every transaction in @p stream with @p codec, transmit over a bus
  * of @p data_wires data wires, and verify decode(encode(x)) == x for each
@@ -39,23 +42,19 @@ struct ChannelEvalResult
  *
  * @param idle_fraction Bus idle-gap fraction passed to the Bus model; the
  *        default matches the paper's 70 % bandwidth utilization.
- * @param batch_tx Transactions per codec/bus batch. 0 runs the scalar
- *        reference loop (encodeInto / transmit / decodeInto per
- *        transaction); any other value chunks the stream into TxBatches of
- *        at most this many same-size transactions and drives the batch hot
- *        path (encodeBatch / transmitBatch / decodeBatch). Both paths
- *        produce field-identical BusStats — the bus carries wire state and
- *        its idle accumulator across batch boundaries, and every batch
- *        kernel is bit-identical to the scalar codec.
+ * @param batch_tx Transactions per codec/bus batch (> 0): the stream is
+ *        chunked into TxBatches of at most this many same-size
+ *        transactions (encodeBatch / transmitBatch / decodeBatch). Every
+ *        batch size produces field-identical BusStats — the bus carries
+ *        wire state and its idle accumulator across batch boundaries, and
+ *        stateful codecs advance per transaction in stream order.
  */
 ChannelEvalResult evalCodecOnStream(Codec &codec,
                                     const std::vector<Transaction> &stream,
                                     unsigned data_wires = 32,
                                     double idle_fraction = 0.3,
-                                    std::size_t batch_tx = 0);
-
-/** Default transactions-per-batch used by the suite sweep workers. */
-inline constexpr std::size_t kDefaultEvalBatchTx = 512;
+                                    std::size_t batch_tx =
+                                        kDefaultEvalBatchTx);
 
 /**
  * Fraction of transactions in @p stream that contain *mixed data*: at least

@@ -85,76 +85,6 @@ BaseXorCodec::requireTxSize(std::size_t tx_bytes) const
     }
 }
 
-Encoded
-BaseXorCodec::encode(const Transaction &tx)
-{
-    Encoded enc;
-    encodeInto(tx, enc);
-    return enc;
-}
-
-Transaction
-BaseXorCodec::decode(const Encoded &enc)
-{
-    Transaction tx(enc.payload.size());
-    decodeInto(enc, tx);
-    return tx;
-}
-
-void
-BaseXorCodec::encodeInto(const Transaction &tx, Encoded &enc)
-{
-    requireTxSize(tx.size());
-    enc.payload = Transaction(tx.size());
-    enc.meta.clear();
-    enc.metaWiresPerBeat = 0;
-
-    const std::uint8_t *in = tx.data();
-    std::uint8_t *out = enc.payload.data();
-    const std::size_t elements = tx.size() / base_size_;
-
-    // Base element passes through unchanged.
-    std::memcpy(out, in, base_size_);
-
-    for (std::size_t e = 1; e < elements; ++e) {
-        const std::uint8_t *element = in + e * base_size_;
-        const std::uint8_t *base =
-            adjacent_base_ ? in + (e - 1) * base_size_ : in;
-        std::uint8_t *dst = out + e * base_size_;
-        if (zdr_)
-            zdrLaneEncode(dst, element, base, base_size_);
-        else
-            xorLaneEncode(dst, element, base, base_size_);
-    }
-}
-
-void
-BaseXorCodec::decodeInto(const Encoded &enc, Transaction &tx)
-{
-    const Transaction &payload = enc.payload;
-    requireTxSize(payload.size());
-    tx = Transaction(payload.size());
-
-    const std::uint8_t *in = payload.data();
-    std::uint8_t *out = tx.data();
-    const std::size_t elements = payload.size() / base_size_;
-
-    std::memcpy(out, in, base_size_);
-
-    // Decode left to right: each element's base is the already-decoded
-    // original value of its neighbour (or element 0 in fixed-base mode).
-    for (std::size_t e = 1; e < elements; ++e) {
-        const std::uint8_t *encoded = in + e * base_size_;
-        const std::uint8_t *base =
-            adjacent_base_ ? out + (e - 1) * base_size_ : out;
-        std::uint8_t *dst = out + e * base_size_;
-        if (zdr_)
-            zdrLaneDecode(dst, encoded, base, base_size_);
-        else
-            xorLaneEncode(dst, encoded, base, base_size_);
-    }
-}
-
 void
 BaseXorCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
 {

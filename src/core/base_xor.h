@@ -39,10 +39,6 @@ class BaseXorCodec : public Codec
                           bool adjacent_base = true);
 
     std::string name() const override;
-    Encoded encode(const Transaction &tx) override;
-    Transaction decode(const Encoded &enc) override;
-    void encodeInto(const Transaction &tx, Encoded &out) override;
-    void decodeInto(const Encoded &enc, Transaction &out) override;
 
     /** Element size in bytes. */
     std::size_t baseSize() const { return base_size_; }

@@ -7,8 +7,8 @@
  * byte per metadata bit, beat-major per transaction, transactions
  * concatenated). The batch kernels (Codec::encodeBatch / decodeBatch,
  * Bus::transmitBatch) stream whole planes instead of paying per-
- * transaction virtual dispatch and buffer bookkeeping — the scalar
- * Transaction/Encoded API remains the reference implementation.
+ * transaction virtual dispatch and buffer bookkeeping; the one-
+ * transaction Codec::encode/decode wrappers run on them too.
  */
 
 #ifndef BXT_CORE_BATCH_H

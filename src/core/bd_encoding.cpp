@@ -59,61 +59,79 @@ BdEncodingCodec::metaWiresPerBeat() const
     return static_cast<unsigned>(bus_bytes_);
 }
 
-Encoded
-BdEncodingCodec::encode(const Transaction &tx)
+void
+BdEncodingCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
 {
-    BXT_ASSERT(tx.size() % 8 == 0);
-    Encoded enc;
-    enc.payload = Transaction(tx.size());
-
-    const std::size_t words = tx.size() / 8;
+    const std::size_t tx_bytes = in.txBytes();
+    BXT_ASSERT(tx_bytes % 8 == 0);
+    const std::size_t words = tx_bytes / 8;
     // Metadata layout: each 8-byte word owns 8 metadata bits spread over
     // the beats it occupies — one metadata wire per byte lane, so the flat
     // index w*8+bit is already beat-major for any bus width.
-    enc.metaWiresPerBeat = metaWiresPerBeat();
-    enc.meta.assign(words * 8, 0);
+    out.configure(tx_bytes, metaWiresPerBeat(), words * 8);
+    out.resizeForOverwrite(in.size());
 
-    for (std::size_t w = 0; w < words; ++w) {
-        const std::uint64_t word = tx.word64(w * 8);
-        const std::size_t match = findBestMatch(encode_repo_, word);
-        std::uint8_t meta = 0;
-        std::uint64_t sent = word;
-        if (match != npos) {
-            sent = word ^ encode_repo_.words[match];
-            meta = static_cast<std::uint8_t>(0x80u | match);
+    // Transactions in batch order: the repository advances exactly as
+    // it would over the same stream one transaction at a time.
+    for (std::size_t t = 0; t < in.size(); ++t) {
+        const std::uint8_t *src = in.tx(t).data();
+        std::uint8_t *dst = out.payload(t).data();
+        std::uint8_t *meta_bits = out.meta(t).data();
+        for (std::size_t w = 0; w < words; ++w) {
+            const std::uint64_t word = loadWord64(src + w * 8);
+            const std::size_t match = findBestMatch(encode_repo_, word);
+            std::uint8_t meta = 0;
+            std::uint64_t sent = word;
+            if (match != npos) {
+                sent = word ^ encode_repo_.words[match];
+                meta = static_cast<std::uint8_t>(0x80u | match);
+            }
+            storeWord64(dst + w * 8, sent);
+            for (unsigned bit = 0; bit < 8; ++bit)
+                meta_bits[w * 8 + bit] = (meta >> bit) & 1u;
+            encode_repo_.insert(word, entries_);
         }
-        enc.payload.setWord64(w * 8, sent);
-        for (unsigned bit = 0; bit < 8; ++bit)
-            enc.meta[w * 8 + bit] = (meta >> bit) & 1u;
-        encode_repo_.insert(word, entries_);
     }
-    return enc;
 }
 
-Transaction
-BdEncodingCodec::decode(const Encoded &enc)
+void
+BdEncodingCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
 {
-    const Transaction &payload = enc.payload;
-    BXT_ASSERT(payload.size() % 8 == 0);
-    const std::size_t words = payload.size() / 8;
-    BXT_ASSERT(enc.meta.size() == words * 8);
+    const std::size_t tx_bytes = in.txBytes();
+    BXT_ASSERT(tx_bytes % 8 == 0);
+    const std::size_t words = tx_bytes / 8;
+    BXT_ASSERT(in.metaBitsPerTx() == words * 8);
+    out.reset(tx_bytes);
+    out.resizeForOverwrite(in.size());
 
-    Transaction tx(payload.size());
-    for (std::size_t w = 0; w < words; ++w) {
-        std::uint8_t meta = 0;
-        for (unsigned bit = 0; bit < 8; ++bit)
-            meta |= static_cast<std::uint8_t>(enc.meta[w * 8 + bit] << bit);
+    for (std::size_t t = 0; t < in.size(); ++t) {
+        const std::uint8_t *payload = in.payload(t).data();
+        const std::uint8_t *meta_bits = in.meta(t).data();
+        std::uint8_t *dst = out.tx(t).data();
+        for (std::size_t w = 0; w < words; ++w) {
+            std::uint8_t meta = 0;
+            for (unsigned bit = 0; bit < 8; ++bit)
+                meta |= static_cast<std::uint8_t>(meta_bits[w * 8 + bit]
+                                                  << bit);
 
-        std::uint64_t word = payload.word64(w * 8);
-        if (meta & 0x80u) {
-            const std::size_t index = meta & 0x3fu;
-            BXT_ASSERT(index < decode_repo_.valid);
-            word ^= decode_repo_.words[index];
+            std::uint64_t word = loadWord64(payload + w * 8);
+            if (meta & 0x80u) {
+                // The index arrives with the encoding (bxtd decode
+                // requests), so an unfilled entry is bad input, not a bug.
+                const std::size_t index = meta & 0x3fu;
+                if (index >= decode_repo_.valid) {
+                    throw CodecSizeError(
+                        name() + ": metadata names repository entry " +
+                        std::to_string(index) + " but only " +
+                        std::to_string(decode_repo_.valid) +
+                        " are filled");
+                }
+                word ^= decode_repo_.words[index];
+            }
+            storeWord64(dst + w * 8, word);
+            decode_repo_.insert(word, entries_);
         }
-        tx.setWord64(w * 8, word);
-        decode_repo_.insert(word, entries_);
     }
-    return tx;
 }
 
 } // namespace bxt

@@ -43,11 +43,13 @@ class BdEncodingCodec : public Codec
                              std::size_t bus_bytes = 4);
 
     std::string name() const override { return "bd-encoding"; }
-    Encoded encode(const Transaction &tx) override;
-    Transaction decode(const Encoded &enc) override;
     unsigned metaWiresPerBeat() const override;
     void reset() override;
     bool stateless() const override { return false; }
+
+  protected:
+    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;
+    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override;
 
   private:
     /** FIFO repository of recently transferred 8-byte words. */

@@ -35,16 +35,31 @@ Encoded::metaOnes() const
     return count;
 }
 
-void
-Codec::encodeInto(const Transaction &tx, Encoded &out)
+Encoded
+Codec::encode(const Transaction &tx)
 {
-    out = encode(tx);
+    TxBatch in(tx.size(), 1);
+    in.push(tx);
+    EncodedBatch out;
+    encodeBatch(in, out);
+    Encoded enc;
+    enc.payload = Transaction(out.payload(0));
+    enc.meta.assign(out.meta(0).begin(), out.meta(0).end());
+    enc.metaWiresPerBeat = out.metaWiresPerBeat();
+    return enc;
 }
 
-void
-Codec::decodeInto(const Encoded &enc, Transaction &out)
+Transaction
+Codec::decode(const Encoded &enc)
 {
-    out = decode(enc);
+    EncodedBatch in;
+    in.configure(enc.payload.size(), enc.metaWiresPerBeat, enc.meta.size());
+    in.resizeForOverwrite(1);
+    std::memcpy(in.payloadData(), enc.payload.data(), enc.payload.size());
+    std::copy(enc.meta.begin(), enc.meta.end(), in.meta(0).begin());
+    TxBatch out;
+    decodeBatch(in, out);
+    return out.transaction(0);
 }
 
 void
@@ -76,90 +91,6 @@ Codec::decodeBatch(const EncodedBatch &in, TxBatch &out)
     }
     decodeBatchKernel(in, out);
     BXT_ASSERT(out.size() == in.size() && out.txBytes() == in.txBytes());
-}
-
-void
-Codec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
-{
-    // Correct-by-construction shim: loop the scalar hot path, learning
-    // the metadata geometry from the first encoding (stateful and
-    // third-party codecs need no batch-specific code to stay correct).
-    const std::size_t tx_bytes = in.txBytes();
-    if (in.empty()) {
-        out.configure(tx_bytes, metaWiresPerBeat(), 0);
-        out.resize(0);
-        return;
-    }
-    Encoded scratch;
-    Transaction tx(tx_bytes);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-        std::memcpy(tx.data(), in.tx(i).data(), tx_bytes);
-        encodeInto(tx, scratch);
-        if (i == 0) {
-            out.configure(tx_bytes, scratch.metaWiresPerBeat,
-                          scratch.meta.size());
-            out.resizeForOverwrite(in.size());
-        }
-        if (scratch.payload.size() != tx_bytes ||
-            scratch.meta.size() != out.metaBitsPerTx() ||
-            scratch.metaWiresPerBeat != out.metaWiresPerBeat()) {
-            throw CodecSizeError("encodeBatch: codec " + name() +
-                                 " produced inconsistent encoding "
-                                 "geometry within one batch");
-        }
-        copyBytes(out.payload(i).data(), scratch.payload.data(), tx_bytes);
-        std::copy(scratch.meta.begin(), scratch.meta.end(),
-                  out.meta(i).begin());
-    }
-}
-
-void
-Codec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
-{
-    const std::size_t tx_bytes = in.txBytes();
-    out.reset(tx_bytes);
-    out.resizeForOverwrite(in.size());
-    Encoded scratch;
-    scratch.metaWiresPerBeat = in.metaWiresPerBeat();
-    Transaction back(tx_bytes);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-        scratch.payload = Transaction(in.payload(i));
-        scratch.meta.assign(in.meta(i).begin(), in.meta(i).end());
-        decodeInto(scratch, back);
-        if (back.size() != tx_bytes) {
-            throw CodecSizeError("decodeBatch: codec " + name() +
-                                 " changed the transaction size");
-        }
-        std::memcpy(out.tx(i).data(), back.data(), tx_bytes);
-    }
-}
-
-Encoded
-IdentityCodec::encode(const Transaction &tx)
-{
-    Encoded enc;
-    encodeInto(tx, enc);
-    return enc;
-}
-
-Transaction
-IdentityCodec::decode(const Encoded &enc)
-{
-    return enc.payload;
-}
-
-void
-IdentityCodec::encodeInto(const Transaction &tx, Encoded &out)
-{
-    out.payload = tx;
-    out.meta.clear();
-    out.metaWiresPerBeat = 0;
-}
-
-void
-IdentityCodec::decodeInto(const Encoded &enc, Transaction &out)
-{
-    out = enc.payload;
 }
 
 void

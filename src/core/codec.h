@@ -54,10 +54,15 @@ struct Encoded
 /**
  * A transaction encoder/decoder.
  *
+ * Each codec implements its per-transaction mapping once, as the
+ * protected encodeBatchKernel()/decodeBatchKernel() pair; every public
+ * entry point (encodeBatch/decodeBatch and the one-transaction
+ * encode/decode wrappers) runs through those kernels.
+ *
  * Codecs may be stateful (BD-Encoding keeps a repository of recent words on
- * each side of the channel); encode() and decode() therefore take the
- * transaction stream in transmission order. Stateless codecs (everything
- * the paper proposes) give identical results in any order.
+ * each side of the channel); the kernels therefore take the transaction
+ * stream in transmission order. Stateless codecs (everything the paper
+ * proposes) give identical results in any order.
  */
 class Codec
 {
@@ -67,49 +72,35 @@ class Codec
     /** Human-readable scheme name, e.g. "universal3+zdr". */
     virtual std::string name() const = 0;
 
-    /** Encode one transaction for transmission / encoded storage. */
-    virtual Encoded encode(const Transaction &tx) = 0;
-
-    /** Recover the original transaction from an encoding. */
-    virtual Transaction decode(const Encoded &enc) = 0;
-
     /**
-     * Allocation-free encode: write the encoding of @p tx into @p out,
-     * reusing its buffers (the metadata vector's capacity is kept across
-     * calls). Semantically identical to `out = encode(tx)`; the default
-     * implementation is exactly that shim. Hot loops (evalCodecOnStream,
-     * the suite sweep workers) keep one scratch Encoded per worker and
-     * call this instead of encode(). @p out must not alias @p tx.
+     * Encode one transaction: a one-transaction encodeBatch(), copied
+     * out into an Encoded. Convenient for tests and tools; hot loops
+     * batch their transactions and call encodeBatch() directly.
      */
-    virtual void encodeInto(const Transaction &tx, Encoded &out);
+    Encoded encode(const Transaction &tx);
 
-    /**
-     * Allocation-free decode: write the decoded transaction into @p out.
-     * Semantically identical to `out = decode(enc)` (the default shim).
-     * @p out must not alias @p enc.payload.
-     */
-    virtual void decodeInto(const Encoded &enc, Transaction &out);
+    /** Recover one transaction from @p enc: a one-transaction
+     *  decodeBatch(), with the same geometry validation. */
+    Transaction decode(const Encoded &enc);
 
     /**
      * Batch encode: encode every transaction of @p in into @p out, which
-     * is (re)configured to the batch's geometry. This is the hot path:
-     * the non-virtual entry point validates the batch geometry (throwing
-     * CodecSizeError on a mismatch), records the
-     * `bxt.codec.<spec>.batch_size` histogram, and dispatches to
-     * encodeBatchKernel(). The result is bit-identical to looping
-     * encodeInto per transaction — the default kernel is exactly that
-     * shim, and the hand-written kernels are differentially verified
-     * against it (src/verify/batch_check.h).
+     * is (re)configured to the batch's geometry. The non-virtual entry
+     * point validates the batch geometry (throwing CodecSizeError on a
+     * mismatch), records the `bxt.codec.<spec>.batch_size` histogram,
+     * and dispatches to encodeBatchKernel(). The kernels of the paper's
+     * schemes are differentially verified against the naive reference
+     * codecs in src/verify/ (src/verify/batch_check.h).
      *
      * Stateful codecs advance their channel state per transaction in
-     * batch order, exactly as a scalar loop would.
+     * batch order, so any split of a stream into batches encodes it
+     * identically.
      */
     void encodeBatch(const TxBatch &in, EncodedBatch &out);
 
     /**
      * Batch decode: recover every original transaction of @p in into
-     * @p out. Inverse of encodeBatch; same validation, dispatch, and
-     * bit-identity contract as encodeBatch.
+     * @p out. Inverse of encodeBatch; same validation and dispatch.
      */
     void decodeBatch(const EncodedBatch &in, TxBatch &out);
 
@@ -134,16 +125,17 @@ class Codec
 
   protected:
     /**
-     * Batch-encode kernel. The default implementation is the correct
-     * shim: it loops encodeInto over the batch, discovering the metadata
-     * geometry from the first encoding. Word-wide overrides exist for
-     * Identity, BaseXor(+ZDR), Universal(+ZDR), DBI-DC, and Pipeline;
-     * every override must be bit-identical to the shim.
+     * Batch-encode kernel: the codec's one implementation of its
+     * encoding. Configures @p out to the batch geometry (payload size,
+     * metadata wires, metadata bits per transaction) and fills every
+     * slice. @p in has a geometry (encodeBatch checked it) but may hold
+     * no transactions.
      */
-    virtual void encodeBatchKernel(const TxBatch &in, EncodedBatch &out);
+    virtual void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) = 0;
 
-    /** Batch-decode kernel; default shim loops decodeInto. */
-    virtual void decodeBatchKernel(const EncodedBatch &in, TxBatch &out);
+    /** Batch-decode kernel: resets @p out to the batch geometry and
+     *  fills every transaction (inverse of encodeBatchKernel). */
+    virtual void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) = 0;
 };
 
 /** Owning codec handle. */
@@ -157,10 +149,6 @@ class IdentityCodec : public Codec
 {
   public:
     std::string name() const override { return "baseline"; }
-    Encoded encode(const Transaction &tx) override;
-    Transaction decode(const Encoded &enc) override;
-    void encodeInto(const Transaction &tx, Encoded &out) override;
-    void decodeInto(const Encoded &enc, Transaction &out) override;
 
   protected:
     void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;

@@ -1,5 +1,6 @@
 #include "core/dbi.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -37,78 +38,6 @@ DbiCodec::requireTxSize(std::size_t tx_bytes) const
             name() + ": " + std::to_string(tx_bytes) +
             "-byte transaction is not a whole number of " +
             std::to_string(bus_bytes_) + "-byte beats");
-    }
-}
-
-Encoded
-DbiCodec::encode(const Transaction &tx)
-{
-    Encoded enc;
-    encodeInto(tx, enc);
-    return enc;
-}
-
-Transaction
-DbiCodec::decode(const Encoded &enc)
-{
-    Transaction tx(enc.payload.size());
-    decodeInto(enc, tx);
-    return tx;
-}
-
-void
-DbiCodec::encodeInto(const Transaction &tx, Encoded &enc)
-{
-    requireTxSize(tx.size());
-    enc.payload = tx;
-    enc.metaWiresPerBeat =
-        static_cast<unsigned>(bus_bytes_ / group_bytes_);
-
-    std::uint8_t *data = enc.payload.data();
-    const std::size_t beats = tx.size() / bus_bytes_;
-    const std::size_t half_bits = group_bytes_ * 8 / 2;
-    enc.meta.clear();
-    enc.meta.reserve(beats * enc.metaWiresPerBeat);
-
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
-            std::uint8_t *group = data + beat * bus_bytes_ + g;
-            const std::size_t ones =
-                popcountBytes({group, group_bytes_});
-            const bool invert = ones > half_bits;
-            if (invert) {
-                for (std::size_t i = 0; i < group_bytes_; ++i)
-                    group[i] = static_cast<std::uint8_t>(~group[i]);
-            }
-            enc.meta.push_back(invert ? 1 : 0);
-        }
-    }
-}
-
-void
-DbiCodec::decodeInto(const Encoded &enc, Transaction &tx)
-{
-    tx = enc.payload;
-    requireTxSize(tx.size());
-    const std::size_t beats = tx.size() / bus_bytes_;
-    const std::size_t groups_per_beat = bus_bytes_ / group_bytes_;
-    if (enc.meta.size() != beats * groups_per_beat) {
-        throw CodecSizeError(name() + ": encoding carries " +
-                             std::to_string(enc.meta.size()) +
-                             " metadata bits, expected " +
-                             std::to_string(beats * groups_per_beat));
-    }
-
-    std::uint8_t *data = tx.data();
-    std::size_t meta_index = 0;
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
-            if (enc.meta[meta_index++]) {
-                std::uint8_t *group = data + beat * bus_bytes_ + g;
-                for (std::size_t i = 0; i < group_bytes_; ++i)
-                    group[i] = static_cast<std::uint8_t>(~group[i]);
-            }
-        }
     }
 }
 
@@ -180,79 +109,92 @@ DbiAcCodec::metaWiresPerBeat() const
     return static_cast<unsigned>(bus_bytes_ / group_bytes_);
 }
 
-Encoded
-DbiAcCodec::encode(const Transaction &tx)
+void
+DbiAcCodec::requireTxSize(std::size_t tx_bytes) const
 {
-    if (tx.size() % bus_bytes_ != 0) {
+    if (tx_bytes % bus_bytes_ != 0) {
         throw CodecSizeError(
-            name() + ": " + std::to_string(tx.size()) +
+            name() + ": " + std::to_string(tx_bytes) +
             "-byte transaction is not a whole number of " +
             std::to_string(bus_bytes_) + "-byte beats");
     }
-    Encoded enc;
-    enc.payload = tx;
-    enc.metaWiresPerBeat = metaWiresPerBeat();
-
-    std::uint8_t *data = enc.payload.data();
-    const std::size_t beats = tx.size() / bus_bytes_;
-    const std::size_t half_bits = group_bytes_ * 8 / 2;
-    enc.meta.reserve(beats * enc.metaWiresPerBeat);
-
-    // prev holds the *encoded* previous beat (what the wires carried);
-    // the bus idles at zero before beat 0.
-    std::vector<std::uint8_t> prev(bus_bytes_, 0);
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
-            std::uint8_t *group = data + beat * bus_bytes_ + g;
-            std::size_t transitions = 0;
-            for (std::size_t i = 0; i < group_bytes_; ++i) {
-                transitions += static_cast<std::size_t>(popcount64(
-                    static_cast<std::uint8_t>(group[i] ^ prev[g + i])));
-            }
-            const bool invert = transitions > half_bits;
-            if (invert) {
-                for (std::size_t i = 0; i < group_bytes_; ++i)
-                    group[i] = static_cast<std::uint8_t>(~group[i]);
-            }
-            enc.meta.push_back(invert ? 1 : 0);
-            for (std::size_t i = 0; i < group_bytes_; ++i)
-                prev[g + i] = group[i];
-        }
-    }
-    return enc;
 }
 
-Transaction
-DbiAcCodec::decode(const Encoded &enc)
+void
+DbiAcCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
 {
-    Transaction tx = enc.payload;
-    if (tx.size() % bus_bytes_ != 0) {
-        throw CodecSizeError(
-            name() + ": " + std::to_string(tx.size()) +
-            "-byte payload is not a whole number of " +
-            std::to_string(bus_bytes_) + "-byte beats");
-    }
-    const std::size_t beats = tx.size() / bus_bytes_;
-    const std::size_t groups_per_beat = bus_bytes_ / group_bytes_;
-    if (enc.meta.size() != beats * groups_per_beat) {
-        throw CodecSizeError(name() + ": encoding carries " +
-                             std::to_string(enc.meta.size()) +
-                             " metadata bits, expected " +
-                             std::to_string(beats * groups_per_beat));
-    }
+    requireTxSize(in.txBytes());
+    const std::size_t tx_bytes = in.txBytes();
+    const std::size_t beats = tx_bytes / bus_bytes_;
+    const unsigned wires = metaWiresPerBeat();
+    out.configure(tx_bytes, wires, beats * wires);
+    out.resizeForOverwrite(in.size());
+    if (in.empty())
+        return;
+    std::memcpy(out.payloadData(), in.data(), in.planeBytes());
 
-    std::uint8_t *data = tx.data();
-    std::size_t meta_index = 0;
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
-            if (enc.meta[meta_index++]) {
+    const std::size_t half_bits = group_bytes_ * 8 / 2;
+    std::vector<std::uint8_t> prev(bus_bytes_);
+    for (std::size_t t = 0; t < in.size(); ++t) {
+        std::uint8_t *data = out.payload(t).data();
+        std::uint8_t *meta = out.meta(t).data();
+
+        // prev holds the *encoded* previous beat (what the wires carried);
+        // the bus idles at zero before beat 0 of every transaction.
+        std::fill(prev.begin(), prev.end(), 0);
+        for (std::size_t beat = 0; beat < beats; ++beat) {
+            for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
                 std::uint8_t *group = data + beat * bus_bytes_ + g;
+                std::size_t transitions = 0;
+                for (std::size_t i = 0; i < group_bytes_; ++i) {
+                    transitions += static_cast<std::size_t>(popcount64(
+                        static_cast<std::uint8_t>(group[i] ^ prev[g + i])));
+                }
+                const bool invert = transitions > half_bits;
+                if (invert) {
+                    for (std::size_t i = 0; i < group_bytes_; ++i)
+                        group[i] = static_cast<std::uint8_t>(~group[i]);
+                }
+                *meta++ = invert ? 1 : 0;
                 for (std::size_t i = 0; i < group_bytes_; ++i)
-                    group[i] = static_cast<std::uint8_t>(~group[i]);
+                    prev[g + i] = group[i];
             }
         }
     }
-    return tx;
+}
+
+void
+DbiAcCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
+{
+    requireTxSize(in.txBytes());
+    const std::size_t tx_bytes = in.txBytes();
+    const std::size_t beats = tx_bytes / bus_bytes_;
+    const std::size_t groups_per_beat = bus_bytes_ / group_bytes_;
+    if (in.metaBitsPerTx() != beats * groups_per_beat) {
+        throw CodecSizeError(name() + ": batch carries " +
+                             std::to_string(in.metaBitsPerTx()) +
+                             " metadata bits per transaction, expected " +
+                             std::to_string(beats * groups_per_beat));
+    }
+    out.reset(tx_bytes);
+    out.resizeForOverwrite(in.size());
+    if (in.size() == 0)
+        return;
+    std::memcpy(out.data(), in.payloadData(), in.payloadBytes());
+
+    for (std::size_t t = 0; t < in.size(); ++t) {
+        std::uint8_t *data = out.tx(t).data();
+        const std::uint8_t *meta = in.meta(t).data();
+        for (std::size_t beat = 0; beat < beats; ++beat) {
+            for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
+                if (*meta++) {
+                    std::uint8_t *group = data + beat * bus_bytes_ + g;
+                    for (std::size_t i = 0; i < group_bytes_; ++i)
+                        group[i] = static_cast<std::uint8_t>(~group[i]);
+                }
+            }
+        }
+    }
 }
 
 } // namespace bxt

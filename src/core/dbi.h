@@ -36,10 +36,6 @@ class DbiCodec : public Codec
     explicit DbiCodec(std::size_t group_bytes, std::size_t bus_bytes = 4);
 
     std::string name() const override;
-    Encoded encode(const Transaction &tx) override;
-    Transaction decode(const Encoded &enc) override;
-    void encodeInto(const Transaction &tx, Encoded &out) override;
-    void decodeInto(const Encoded &enc, Transaction &out) override;
     unsigned metaWiresPerBeat() const override;
 
     /** Inversion group size in bytes. */
@@ -76,11 +72,16 @@ class DbiAcCodec : public Codec
     explicit DbiAcCodec(std::size_t group_bytes, std::size_t bus_bytes = 4);
 
     std::string name() const override;
-    Encoded encode(const Transaction &tx) override;
-    Transaction decode(const Encoded &enc) override;
     unsigned metaWiresPerBeat() const override;
 
+  protected:
+    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;
+    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override;
+
   private:
+    /** Throw CodecSizeError unless @p tx_bytes is a whole number of beats. */
+    void requireTxSize(std::size_t tx_bytes) const;
+
     std::size_t group_bytes_;
     std::size_t bus_bytes_;
 };

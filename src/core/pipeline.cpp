@@ -43,69 +43,6 @@ PipelineCodec::metaWiresPerBeat() const
     return wires;
 }
 
-Encoded
-PipelineCodec::encode(const Transaction &tx)
-{
-    Encoded result;
-    encodeInto(tx, result);
-    return result;
-}
-
-Transaction
-PipelineCodec::decode(const Encoded &enc)
-{
-    Transaction payload(enc.payload.size());
-    decodeInto(enc, payload);
-    return payload;
-}
-
-void
-PipelineCodec::encodeInto(const Transaction &tx, Encoded &result)
-{
-    // Each stage encodes the previous stage's payload; metadata streams are
-    // interleaved per beat in stage order when the bus serializes them, so
-    // here we simply concatenate per-beat blocks. Stage outputs land in the
-    // per-stage scratch slots, whose buffers persist across calls.
-    scratch_.resize(stages_.size());
-    const Transaction *payload = &tx;
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-        stages_[s]->encodeInto(*payload, scratch_[s]);
-        payload = &scratch_[s].payload;
-    }
-    result.payload = *payload;
-    result.meta.clear();
-
-    if (telemetry::metricsEnabled())
-        recordStageMetrics(tx);
-
-    unsigned total_meta_wires = 0;
-    for (const Encoded &enc : scratch_)
-        total_meta_wires += enc.metaWiresPerBeat;
-    result.metaWiresPerBeat = total_meta_wires;
-    if (total_meta_wires == 0)
-        return;
-
-    // All stages see the same beat count (payload size is preserved).
-    std::size_t beats = 0;
-    for (const Encoded &enc : scratch_) {
-        if (enc.metaWiresPerBeat > 0) {
-            const std::size_t stage_beats =
-                enc.meta.size() / enc.metaWiresPerBeat;
-            BXT_ASSERT(beats == 0 || beats == stage_beats);
-            beats = stage_beats;
-        }
-    }
-
-    result.meta.reserve(beats * total_meta_wires);
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        for (const Encoded &enc : scratch_) {
-            for (unsigned w = 0; w < enc.metaWiresPerBeat; ++w)
-                result.meta.push_back(
-                    enc.meta[beat * enc.metaWiresPerBeat + w]);
-        }
-    }
-}
-
 void
 PipelineCodec::bindStageCounters()
 {
@@ -123,69 +60,6 @@ PipelineCodec::bindStageCounters()
         c.metaOnes = &telemetry::counter(prefix + "meta_ones");
         c.bytes = &telemetry::counter(prefix + "bytes");
         stage_counters_.push_back(c);
-    }
-}
-
-void
-PipelineCodec::recordStageMetrics(const Transaction &tx)
-{
-    bindStageCounters();
-
-    std::size_t ones_in = tx.ones();
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-        const std::size_t payload_ones = scratch_[s].payload.ones();
-        const std::size_t meta_ones = scratch_[s].metaOnes();
-        const StageCounters &c = stage_counters_[s];
-        c.onesIn->add(ones_in);
-        c.onesOut->add(payload_ones + meta_ones);
-        c.metaOnes->add(meta_ones);
-        c.bytes->add(tx.size());
-        ones_in = payload_ones;
-    }
-}
-
-void
-PipelineCodec::decodeInto(const Encoded &enc, Transaction &out)
-{
-    // Split the concatenated per-beat metadata back into per-stage streams
-    // using each stage's configuration-static wire count.
-    scratch_.resize(stages_.size());
-    unsigned total = 0;
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-        scratch_[s].metaWiresPerBeat = stages_[s]->metaWiresPerBeat();
-        scratch_[s].meta.clear();
-        total += scratch_[s].metaWiresPerBeat;
-    }
-    if (total != enc.metaWiresPerBeat) {
-        throw CodecSizeError(
-            name() + ": encoding carries " +
-            std::to_string(enc.metaWiresPerBeat) +
-            " metadata wires/beat but the pipeline stages expect " +
-            std::to_string(total));
-    }
-
-    const std::size_t beats =
-        total == 0 ? 0 : enc.meta.size() / total;
-    for (std::size_t s = 0; s < stages_.size(); ++s)
-        scratch_[s].meta.reserve(beats * scratch_[s].metaWiresPerBeat);
-    for (std::size_t beat = 0; beat < beats; ++beat) {
-        std::size_t offset = beat * total;
-        for (std::size_t s = 0; s < stages_.size(); ++s) {
-            const unsigned wires = scratch_[s].metaWiresPerBeat;
-            for (unsigned w = 0; w < wires; ++w)
-                scratch_[s].meta.push_back(enc.meta[offset + w]);
-            offset += wires;
-        }
-    }
-
-    // Decode stages in reverse order. A scratch Transaction ping-pongs
-    // through the stages; each stage's decodeInto writes a fresh output.
-    out = enc.payload;
-    Transaction tmp;
-    for (std::size_t s = stages_.size(); s-- > 0;) {
-        scratch_[s].payload = out;
-        stages_[s]->decodeInto(scratch_[s], tmp);
-        out = tmp;
     }
 }
 
@@ -254,8 +128,8 @@ PipelineCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
     if (total_wires == 0)
         return;
 
-    // Interleave stage metadata per beat in stage order, exactly as the
-    // scalar encodeInto concatenates per-beat blocks.
+    // Stage metadata streams are interleaved per beat in stage order:
+    // each beat carries every stage's wires, first stage first.
     for (std::size_t i = 0; i < in.size(); ++i) {
         std::uint8_t *dst = out.metaData() + i * out.metaBitsPerTx();
         for (std::size_t beat = 0; beat < beats; ++beat) {

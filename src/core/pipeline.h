@@ -34,10 +34,6 @@ class PipelineCodec : public Codec
     PipelineCodec(CodecPtr first, CodecPtr second);
 
     std::string name() const override;
-    Encoded encode(const Transaction &tx) override;
-    Transaction decode(const Encoded &enc) override;
-    void encodeInto(const Transaction &tx, Encoded &out) override;
-    void decodeInto(const Encoded &enc, Transaction &out) override;
     unsigned metaWiresPerBeat() const override;
     void reset() override;
     bool stateless() const override;
@@ -68,25 +64,20 @@ class PipelineCodec : public Codec
     /** Bind (once) the counter set above; no-op when already bound. */
     void bindStageCounters();
 
-    /** Record per-stage attribution for one encoded transaction. */
-    void recordStageMetrics(const Transaction &tx);
-
     /**
      * Record per-stage attribution for a whole encoded batch. Counters are
      * additive, so adding the batch aggregates (summed input ones, summed
-     * stage output ones, total bytes) leaves every counter with exactly the
-     * value a scalar encode loop would have produced — the telescoping
-     * invariant checked by test_telemetry holds on either path.
+     * stage output ones, total bytes) leaves every counter with the same
+     * value however the stream was split into batches — the telescoping
+     * invariant checked by test_telemetry.
      */
     void recordStageMetricsBatch(const TxBatch &in);
 
     std::vector<CodecPtr> stages_;
-    /** Per-stage scratch encodings reused across encodeInto/decodeInto
-     *  calls (one slot per stage; capacities persist). Makes the codec
-     *  non-reentrant, like any stateful codec — workers own their codec. */
-    std::vector<Encoded> scratch_;
-    /** Batch counterpart of scratch_: stage output batches plus the
-     *  ping-pong input batch that feeds each stage after the first. */
+    /** Stage output batches plus the ping-pong input batch that feeds
+     *  each stage after the first; capacities persist across calls.
+     *  Makes the codec non-reentrant, like any stateful codec — workers
+     *  own their codec. */
     std::vector<EncodedBatch> batch_scratch_;
     TxBatch batch_stage_in_;
     /** Lazily bound counter set; empty until first enabled encode. */

@@ -44,77 +44,6 @@ UniversalXorCodec::effectiveBaseBytes(std::size_t tx_bytes) const
     return tx_bytes >> clampedStages(tx_bytes);
 }
 
-void
-UniversalXorCodec::foldInPlace(std::uint8_t *data, std::size_t size) const
-{
-    std::size_t half = size / 2;
-    const unsigned stages = clampedStages(size);
-    for (unsigned s = 0; s < stages; ++s, half /= 2) {
-        const std::uint8_t *left = data;
-        std::uint8_t *right = data + half;
-        if (!zdr_) {
-            xorBytes(right, left, half);
-            continue;
-        }
-        const std::size_t lane = std::min(zdr_lane_, half);
-        for (std::size_t off = 0; off < half; off += lane)
-            zdrLaneEncode(right + off, right + off, left + off, lane);
-    }
-}
-
-void
-UniversalXorCodec::unfoldInPlace(std::uint8_t *data, std::size_t size) const
-{
-    // Undo stages in reverse: each stage only read the (untouched) left
-    // half, so once inner stages have restored that prefix the right half
-    // can be decoded against it.
-    const unsigned stages = clampedStages(size);
-    for (unsigned s = stages; s-- > 0;) {
-        const std::size_t half = size >> (s + 1);
-        const std::uint8_t *left = data;
-        std::uint8_t *right = data + half;
-        if (!zdr_) {
-            xorBytes(right, left, half);
-            continue;
-        }
-        const std::size_t lane = std::min(zdr_lane_, half);
-        for (std::size_t off = 0; off < half; off += lane)
-            zdrLaneDecode(right + off, right + off, left + off, lane);
-    }
-}
-
-Encoded
-UniversalXorCodec::encode(const Transaction &tx)
-{
-    Encoded enc;
-    encodeInto(tx, enc);
-    return enc;
-}
-
-Transaction
-UniversalXorCodec::decode(const Encoded &enc)
-{
-    Transaction tx = enc.payload;
-    unfoldInPlace(tx.data(), tx.size());
-    return tx;
-}
-
-void
-UniversalXorCodec::encodeInto(const Transaction &tx, Encoded &enc)
-{
-    enc.payload = tx;
-    enc.meta.clear();
-    enc.metaWiresPerBeat = 0;
-    foldInPlace(enc.payload.data(), enc.payload.size());
-}
-
-void
-UniversalXorCodec::decodeInto(const Encoded &enc, Transaction &tx)
-{
-    tx = enc.payload;
-    unfoldInPlace(tx.data(), tx.size());
-}
-
 namespace {
 
 /** Halves narrower than one vector register pay more in dispatch call

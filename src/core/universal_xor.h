@@ -46,10 +46,6 @@ class UniversalXorCodec : public Codec
                                std::size_t zdr_lane = 4);
 
     std::string name() const override;
-    Encoded encode(const Transaction &tx) override;
-    Transaction decode(const Encoded &enc) override;
-    void encodeInto(const Transaction &tx, Encoded &out) override;
-    void decodeInto(const Encoded &enc, Transaction &out) override;
 
     /** Configured stage count. */
     unsigned stages() const { return stages_; }
@@ -64,12 +60,6 @@ class UniversalXorCodec : public Codec
   private:
     /** Stage count clamped so the base never folds below 2 bytes. */
     unsigned clampedStages(std::size_t tx_bytes) const;
-
-    /** Apply the fold cascade in place over @p size bytes at @p data. */
-    void foldInPlace(std::uint8_t *data, std::size_t size) const;
-
-    /** Invert the fold cascade in place (stages in reverse order). */
-    void unfoldInPlace(std::uint8_t *data, std::size_t size) const;
 
     unsigned stages_;
     bool zdr_;

@@ -1,5 +1,7 @@
 #include "gpusim/memctrl.h"
 
+#include <cstring>
+
 #include "common/error.h"
 #include "core/codec_factory.h"
 #include "telemetry/metrics.h"
@@ -112,19 +114,24 @@ MemoryController::readSector(std::uint64_t sector_addr)
         }
     }
 
-    Encoded enc;
     const Transaction &stored = channel.storage.at(sector_addr);
     if (channel.encodedStorage) {
         // The DRAM array holds the encoded form; the wire carries it as-is
         // and the controller decodes after the transfer.
-        enc.payload = stored;
+        channel.wire.configure(stored.size(), 0, 0);
+        channel.wire.resizeForOverwrite(1);
+        std::memcpy(channel.wire.payloadData(), stored.data(),
+                    stored.size());
     } else {
         // Link-layer codec: the device-side encoder processes the raw
         // array data onto the wire.
-        enc = channel.codec->encode(stored);
+        channel.raw.reset(stored.size());
+        channel.raw.push(stored);
+        channel.codec->encodeBatch(channel.raw, channel.wire);
     }
-    channel.bus->transmit(enc);
-    const Transaction decoded = channel.codec->decode(enc);
+    channel.bus->transmitBatch(channel.wire);
+    channel.codec->decodeBatch(channel.wire, channel.decoded);
+    const Transaction decoded = channel.decoded.transaction(0);
     if (!(decoded == shadow_it->second))
         panic("memory controller read corruption at address " +
               std::to_string(sector_addr));
@@ -146,17 +153,19 @@ MemoryController::writeSector(std::uint64_t sector_addr,
         mm.bytes.add(config_.sectorBytes);
     }
 
-    const Encoded enc = channel.codec->encode(data);
-    channel.bus->transmit(enc);
+    channel.raw.reset(data.size());
+    channel.raw.push(data);
+    channel.codec->encodeBatch(channel.raw, channel.wire);
+    channel.bus->transmitBatch(channel.wire);
     // The device-side decoder runs on every write (it keeps stateful link
     // codecs' repositories coherent); verify the round trip.
-    const Transaction decoded = channel.codec->decode(enc);
-    if (!(decoded == data))
+    channel.codec->decodeBatch(channel.wire, channel.decoded);
+    if (!(channel.decoded == channel.raw))
         panic("memory controller write corruption at address " +
               std::to_string(sector_addr));
 
     channel.storage[sector_addr] =
-        channel.encodedStorage ? enc.payload : data;
+        channel.encodedStorage ? Transaction(channel.wire.payload(0)) : data;
     channel.shadow[sector_addr] = data;
 }
 

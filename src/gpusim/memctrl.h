@@ -81,6 +81,11 @@ class MemoryController : public MemoryBackend
         /** Shadow of the original data, for end-to-end verification. */
         std::unordered_map<std::uint64_t, Transaction> shadow;
         bool encodedStorage = false;
+        /** One-transaction batches reused by every access: raw data,
+         *  its wire encoding, and the controller-side decode. */
+        TxBatch raw;
+        EncodedBatch wire;
+        TxBatch decoded;
     };
 
     /** Channel index for @p sector_addr. */

@@ -80,10 +80,7 @@ Server::start(std::string &err)
     stop_write_ = net::UniqueFd(fds[1]);
 
     const unsigned shard_count =
-        options_.shards != 0
-            ? options_.shards
-            : (options_.threads != 0 ? options_.threads
-                                     : defaultThreadCount());
+        options_.shards != 0 ? options_.shards : defaultThreadCount();
     shards_.reserve(shard_count);
     for (unsigned i = 0; i < shard_count; ++i)
         shards_.push_back(std::make_unique<Shard>(i, options_));
@@ -176,8 +173,17 @@ Server::unixAcceptLoop()
             continue;
         net::UniqueFd conn(::accept(unix_listener_.get(), nullptr,
                                     nullptr));
-        if (!conn.valid())
-            continue; // Transient (ECONNABORTED, EINTR); keep going.
+        if (!conn.valid()) {
+            // Out of descriptors: the connection stays queued and the
+            // listener readable, so back off instead of spinning (a stop
+            // request still interrupts the wait). Anything else is
+            // transient (ECONNABORTED, EINTR); keep going.
+            if ((errno == EMFILE || errno == ENFILE) &&
+                net::pollIn(-1, stop_read_.get(), kAcceptBackoffMs) ==
+                    net::PollResult::Aux)
+                break;
+            continue;
+        }
         if (stopping_.load(std::memory_order_relaxed)) {
             sendFrameBestEffort(
                 conn.get(),

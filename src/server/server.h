@@ -55,17 +55,8 @@ struct ServerOptions
     /** Unix-domain socket path; empty disables the Unix listener. */
     std::string unixPath;
 
-    /**
-     * Worker shards (0 = defer to `threads`, then
-     * defaultThreadCount()). Kept distinct from `threads` so callers
-     * that sized a worker pool keep the same parallelism as a shard
-     * count.
-     */
+    /** Worker shards (0 = defaultThreadCount()). */
     unsigned shards = 0;
-
-    /** Legacy worker-thread count; used as the shard count when
-     *  `shards` is 0 (0 = defaultThreadCount()). */
-    unsigned threads = 0;
 
     /** Max frames coalesced per connection read pass. */
     std::size_t maxBatch = 64;

@@ -195,8 +195,15 @@ Shard::acceptReady()
     for (;;) {
         net::UniqueFd conn(::accept(listener_.get(), nullptr, nullptr));
         if (!conn.valid()) {
-            // EAGAIN: slice drained. Anything else is transient
-            // (ECONNABORTED, EINTR); keep accepting next loop.
+            // Out of descriptors: stop polling the listener until a
+            // connection closes or the back-off passes (see
+            // acceptPausedUntilUs_). EAGAIN: slice drained. Anything
+            // else is transient (ECONNABORTED, EINTR); keep accepting
+            // next loop.
+            if (errno == EMFILE || errno == ENFILE)
+                acceptPausedUntilUs_ =
+                    telemetry::nowMicros() +
+                    static_cast<std::uint64_t>(kAcceptBackoffMs) * 1000;
             break;
         }
         adoptConnection(std::move(conn));
@@ -426,6 +433,7 @@ void
 Shard::closeConn(std::size_t at)
 {
     conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(at));
+    acceptPausedUntilUs_ = 0; // A descriptor just came free.
     refreshGauges();
 }
 
@@ -444,11 +452,25 @@ Shard::run()
         if (stopping_.load(std::memory_order_relaxed))
             break;
 
+        // An accept pause ends at its deadline (or earlier, when
+        // closeConn frees a descriptor).
+        int accept_resume_ms = -1;
+        if (acceptPausedUntilUs_ != 0) {
+            const std::uint64_t now = telemetry::nowMicros();
+            if (now >= acceptPausedUntilUs_)
+                acceptPausedUntilUs_ = 0;
+            else
+                accept_resume_ms = static_cast<int>(
+                                       (acceptPausedUntilUs_ - now) / 1000) +
+                                   1;
+        }
+
         fds.clear();
         conn_slots.clear();
         fds.push_back({wake_read_.get(), POLLIN, 0});
         const std::size_t listener_slot = fds.size();
-        const bool poll_listener = listener_.valid();
+        const bool poll_listener =
+            listener_.valid() && acceptPausedUntilUs_ == 0;
         if (poll_listener)
             fds.push_back({listener_.get(), POLLIN, 0});
         for (std::size_t i = 0; i < conns_.size(); ++i) {
@@ -474,6 +496,12 @@ Shard::run()
                 idle_us >= limit_us
                     ? 0
                     : static_cast<int>((limit_us - idle_us) / 1000) + 1;
+        }
+        // ...and the end of an accept pause.
+        if (accept_resume_ms >= 0) {
+            timeout_ms = timeout_ms < 0
+                             ? accept_resume_ms
+                             : std::min(timeout_ms, accept_resume_ms);
         }
 
         const int r =

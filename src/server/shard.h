@@ -47,6 +47,13 @@ namespace bxt::server {
 struct ServerOptions;
 
 /**
+ * Pause after accept() runs out of descriptors (EMFILE/ENFILE), ms. The
+ * pending connection stays queued and the level-triggered listener stays
+ * readable, so polling it again at once would spin a CPU.
+ */
+inline constexpr int kAcceptBackoffMs = 100;
+
+/**
  * One worker shard. Lifecycle: construct, optionally adopt a TCP
  * listener (start()), then run() on a dedicated thread until
  * requestStop(); run() returns after the shard's graceful drain.
@@ -126,6 +133,14 @@ class Shard
     telemetry::Histo &requestUs_;
 
     net::UniqueFd listener_;
+    /**
+     * Nonzero while accepting is paused after accept() ran out of
+     * descriptors (EMFILE/ENFILE): the pending connection stays queued,
+     * so the level-triggered listener stays readable and polling it
+     * would spin. Accepting resumes at this nowMicros() instant or when
+     * the shard closes a connection, whichever comes first.
+     */
+    std::uint64_t acceptPausedUntilUs_ = 0;
     net::UniqueFd wake_read_;
     net::UniqueFd wake_write_;
     std::atomic<bool> stopping_{false};

@@ -13,6 +13,7 @@
 #include "telemetry/trace.h"
 #include "verify/differential.h"
 #include "verify/generators.h"
+#include "verify/reference_codecs.h"
 
 namespace bxt::verify {
 namespace {
@@ -75,26 +76,38 @@ checkBatchAgainstScalar(const std::string &spec,
     if (stream.empty())
         return std::nullopt;
 
-    CodecPtr scalar_codec = makeCodec(spec, data_wires / 8);
     CodecPtr batch_codec = makeCodec(spec, data_wires / 8);
-    const unsigned meta_wires = scalar_codec->metaWiresPerBeat();
+    const unsigned meta_wires = batch_codec->metaWiresPerBeat();
 
     // Two independent bus models; wire state and the idle accumulator
     // advance across the whole stream on both, so any divergence in the
     // cumulative counters is a batch-path bug, not a modelling artefact.
-    Bus scalar_bus(data_wires, meta_wires, idle_fraction);
+    Bus expected_bus(data_wires, meta_wires, idle_fraction);
     Bus batch_bus(data_wires, meta_wires, idle_fraction);
 
-    // Scalar reference pass over the entire stream first: stateful codecs
-    // advance per transaction in stream order on both codec instances, so
-    // slice i of every batch must equal scalar encoding i.
+    // Expected encodings, one transaction at a time over the entire
+    // stream first: from the naive reference model when the spec has
+    // one, else from a second core instance fed one-transaction batches
+    // (stateful codecs advance per transaction in stream order on both
+    // instances, so slice i of every batch must equal encoding i).
+    const RefCodecPtr ref = makeRefCodec(spec, data_wires / 8);
+    const CodecPtr single_codec =
+        ref ? nullptr : makeCodec(spec, data_wires / 8);
     std::vector<Encoded> expected;
     expected.reserve(stream.size());
-    Encoded scratch;
     for (const Transaction &tx : stream) {
-        scalar_codec->encodeInto(tx, scratch);
-        scalar_bus.transmit(scratch);
-        expected.push_back(scratch);
+        Encoded want;
+        if (ref) {
+            const RefEncoded ref_enc =
+                ref->encode({tx.data(), tx.data() + tx.size()});
+            want.payload = Transaction(ref_enc.payload);
+            want.meta = ref_enc.meta;
+            want.metaWiresPerBeat = ref_enc.metaWiresPerBeat;
+        } else {
+            want = single_codec->encode(tx);
+        }
+        expected_bus.transmit(want);
+        expected.push_back(std::move(want));
     }
 
     TxBatch batch;
@@ -131,21 +144,21 @@ checkBatchAgainstScalar(const std::string &spec,
                     "batch-vs-scalar-meta-wires",
                     where + ": batch " +
                         std::to_string(enc.metaWiresPerBeat()) +
-                        " wires/beat, scalar " +
+                        " wires/beat, expected " +
                         std::to_string(want.metaWiresPerBeat)};
             if (enc.txBytes() != want.payload.size() ||
                 !bytesEqual(enc.payload(j).data(), want.payload.data(),
                             want.payload.size()))
                 return Violation{"batch-vs-scalar-payload",
                                  where + ": batch " + hexOf(enc.payload(j)) +
-                                     " scalar " + want.payload.toHex()};
+                                     " expected " + want.payload.toHex()};
             const std::span<const std::uint8_t> got_meta = enc.meta(j);
             if (got_meta.size() != want.meta.size() ||
                 !std::equal(got_meta.begin(), got_meta.end(),
                             want.meta.begin()))
                 return Violation{"batch-vs-scalar-meta",
                                  where + ": batch " + bitsOf(got_meta) +
-                                     " scalar " +
+                                     " expected " +
                                      bitsOf({want.meta.data(),
                                              want.meta.size()})};
         }
@@ -176,12 +189,12 @@ checkBatchAgainstScalar(const std::string &spec,
         i += chunk;
     }
 
-    if (!(batch_bus.stats() == scalar_bus.stats()))
+    if (!(batch_bus.stats() == expected_bus.stats()))
         return Violation{"batch-vs-scalar-bus",
                          spec + " after " + std::to_string(stream.size()) +
                              " tx: batch [" + formatStats(batch_bus.stats()) +
-                             "] scalar [" +
-                             formatStats(scalar_bus.stats()) + "]"};
+                             "] expected [" +
+                             formatStats(expected_bus.stats()) + "]"};
 
     return std::nullopt;
 }

@@ -1,12 +1,14 @@
 /**
  * @file
- * Batch-vs-scalar differential verification: the batch kernels
- * (Codec::encodeBatch / decodeBatch, Bus::transmitBatch) claim bit-identity
- * with the scalar reference path (encodeInto / decodeInto / transmit).
- * This module checks that claim the same way differential.h checks the
- * core codecs against the naive reference models — structured generator
- * streams, every canonical spec, and a campaign driver shared by
- * `bxt_fuzz --batch`, CI's batch mode, and tests/test_batch.cpp.
+ * Batch differential verification: the batch kernels
+ * (Codec::encodeBatch / decodeBatch, Bus::transmitBatch) must encode a
+ * stream split into batches of any size exactly as it is encoded one
+ * transaction at a time — by the naive reference codec where the spec has
+ * one, by one-transaction batches where it does not. This module checks
+ * that claim the same way differential.h checks the core codecs against
+ * the reference models — structured generator streams, every canonical
+ * spec, and a campaign driver shared by `bxt_fuzz --batch`, CI's batch
+ * mode, and tests/test_batch.cpp.
  */
 
 #ifndef BXT_VERIFY_BATCH_CHECK_H
@@ -24,15 +26,18 @@
 namespace bxt::verify {
 
 /**
- * Run @p stream through two fresh instances of @p spec — one down the
- * scalar reference path, one chunked into TxBatches of at most
- * @p batch_tx transactions — and compare bit-for-bit:
+ * Encode @p stream one transaction at a time — through the naive
+ * reference codec (makeRefCodec) when @p spec has one, else through a
+ * fresh core instance fed one-transaction batches — and through a second
+ * fresh instance chunked into TxBatches of at most @p batch_tx
+ * transactions, then compare bit-for-bit:
  *
- *  - every encoded payload slice against the scalar Encoded payload;
+ *  - every encoded payload slice against the expected payload;
  *  - every metadata slice and the metadata wire count;
  *  - decodeBatch's output against the original transactions;
- *  - the cumulative BusStats of transmit() vs transmitBatch(), wire
- *    state and idle accumulator carried across batch boundaries alike.
+ *  - the cumulative BusStats of transmit() over the expected encodings
+ *    vs transmitBatch() over the batches, wire state and idle
+ *    accumulator carried across batch boundaries alike.
  *
  * @p batch_tx == 0 means one batch spanning the whole stream. Returns
  * nullopt when every comparison holds.
@@ -43,7 +48,8 @@ checkBatchAgainstScalar(const std::string &spec,
                         unsigned data_wires = 32, std::size_t batch_tx = 0,
                         double idle_fraction = 0.3);
 
-/** Batch campaign parameters (see FuzzOptions for the scalar analogue). */
+/** Batch campaign parameters (see FuzzOptions for the per-transaction
+ *  analogue). */
 struct BatchFuzzOptions
 {
     /** Specs to sweep; empty selects canonicalSpecs(). */
@@ -72,7 +78,7 @@ struct BatchFuzzOptions
     std::function<void(const std::string &)> progress;
 };
 
-/** One batch-vs-scalar mismatch found by the campaign. */
+/** One batch mismatch found by the campaign. */
 struct BatchFuzzFailure
 {
     std::string spec;
@@ -90,7 +96,7 @@ struct BatchFuzzReport
     bool ok() const { return failures.empty(); }
 };
 
-/** Sweep the canonical specs' batch kernels against the scalar path. */
+/** Sweep the canonical specs' batch kernels (see checkBatchAgainstScalar). */
 BatchFuzzReport runBatchDifferentialFuzz(const BatchFuzzOptions &options);
 
 } // namespace bxt::verify

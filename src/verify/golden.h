@@ -80,7 +80,7 @@ std::vector<std::string> checkGoldenFile(const std::string &path);
  * payload/metadata are compared against its batch slice, the pinned bus
  * counters against a fresh single-transaction transmitBatch, and the
  * whole batch must decodeBatch back to the inputs. Any diff line means a
- * batch kernel has drifted from the scalar reference the files pin.
+ * batch kernel has drifted from the encodings the files pin.
  */
 std::vector<std::string> checkGoldenFileBatch(const std::string &path);
 

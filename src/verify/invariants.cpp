@@ -108,21 +108,22 @@ DifferentialChecker::check(const Transaction &tx)
         "spec " + spec_ + " wires " + std::to_string(data_wires_) + " tx " +
         bytesHex(tx.data(), tx.size());
 
-    // 1. The optimized encode path, then size preservation (codes, not
-    //    compressors: DRAM stores the encoded form in place).
-    core_->encodeInto(tx, enc_);
-    if (enc_.payload.size() != tx.size()) {
+    // 1. The optimized encode path (a one-transaction batch through the
+    //    codec's kernel), then size preservation (codes, not compressors:
+    //    DRAM stores the encoded form in place).
+    const Encoded enc = core_->encode(tx);
+    if (enc.payload.size() != tx.size()) {
         return Violation{"payload-size",
                          context + " encoded size " +
-                             std::to_string(enc_.payload.size())};
+                             std::to_string(enc.payload.size())};
     }
 
     // 2. Core bijectivity: decode must restore the exact input.
-    core_->decodeInto(enc_, decoded_);
-    if (!(decoded_ == tx)) {
+    const Transaction decoded = core_->decode(enc);
+    if (!(decoded == tx)) {
         return Violation{"core-roundtrip",
                          context + " decoded " +
-                             bytesHex(decoded_.data(), decoded_.size())};
+                             bytesHex(decoded.data(), decoded.size())};
     }
 
     // 3. Core vs reference equality of the full encoding.
@@ -131,19 +132,19 @@ DifferentialChecker::check(const Transaction &tx)
                                               tx.data() + tx.size());
         const RefEncoded ref_enc = ref_->encode(input);
         if (!std::equal(ref_enc.payload.begin(), ref_enc.payload.end(),
-                        enc_.payload.data(),
-                        enc_.payload.data() + enc_.payload.size())) {
+                        enc.payload.data(),
+                        enc.payload.data() + enc.payload.size())) {
             return Violation{"core-vs-ref-payload",
                              context + " core " +
-                                 bytesHex(enc_.payload.data(),
-                                          enc_.payload.size()) +
+                                 bytesHex(enc.payload.data(),
+                                          enc.payload.size()) +
                                  " ref " + bytesHex(ref_enc.payload)};
         }
-        if (ref_enc.meta != enc_.meta ||
-            ref_enc.metaWiresPerBeat != enc_.metaWiresPerBeat) {
+        if (ref_enc.meta != enc.meta ||
+            ref_enc.metaWiresPerBeat != enc.metaWiresPerBeat) {
             return Violation{"core-vs-ref-meta",
-                             context + " core " + bitsString(enc_.meta) +
-                                 "/" + std::to_string(enc_.metaWiresPerBeat) +
+                             context + " core " + bitsString(enc.meta) +
+                                 "/" + std::to_string(enc.metaWiresPerBeat) +
                                  " ref " + bitsString(ref_enc.meta) + "/" +
                                  std::to_string(ref_enc.metaWiresPerBeat)};
         }
@@ -157,10 +158,10 @@ DifferentialChecker::check(const Transaction &tx)
     // 4. DBI-DC weight bound on the transmitted payload.
     if (tail_dbi_group_ > 0) {
         const std::size_t half_bits = tail_dbi_group_ * 8 / 2;
-        for (std::size_t off = 0; off + tail_dbi_group_ <= enc_.payload.size();
+        for (std::size_t off = 0; off + tail_dbi_group_ <= enc.payload.size();
              off += tail_dbi_group_) {
             const std::size_t ones =
-                naiveOnes(enc_.payload.data() + off, tail_dbi_group_);
+                naiveOnes(enc.payload.data() + off, tail_dbi_group_);
             if (ones > half_bits) {
                 return Violation{"dbi-weight-bound",
                                  context + " group at byte " +
@@ -172,11 +173,11 @@ DifferentialChecker::check(const Transaction &tx)
     }
 
     // 5. Word-wide Bus vs bit-level RefBus, per-delta and cumulative.
-    const BusStats core_delta = bus_.transmit(enc_);
+    const BusStats core_delta = bus_.transmit(enc);
     const std::vector<std::uint8_t> payload(
-        enc_.payload.data(), enc_.payload.data() + enc_.payload.size());
+        enc.payload.data(), enc.payload.data() + enc.payload.size());
     const BusStats ref_delta =
-        ref_bus_.transmit(payload, enc_.meta, enc_.metaWiresPerBeat);
+        ref_bus_.transmit(payload, enc.meta, enc.metaWiresPerBeat);
     if (!(core_delta == ref_delta)) {
         return Violation{"bus-vs-ref-delta",
                          context + " core [" + statsString(core_delta) +

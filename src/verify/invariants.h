@@ -85,8 +85,6 @@ class DifferentialChecker
     Bus bus_;
     RefBus ref_bus_;
     std::size_t tail_dbi_group_ = 0; ///< Group bytes when last stage is dbiN.
-    Encoded enc_;                    ///< Scratch for the hot encodeInto path.
-    Transaction decoded_{Transaction::minBytes};
     std::uint64_t checked_ = 0;
 };
 

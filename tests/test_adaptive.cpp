@@ -394,7 +394,7 @@ TEST(AdaptiveLoopback, AnnouncedSpecFollowsDataFamilyMigration)
 {
     server::ServerOptions options;
     options.tcpPort = 0; // Ephemeral.
-    options.threads = 2;
+    options.shards = 2;
     LiveServer live(options);
     ASSERT_TRUE(live.started());
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "core/bd_encoding.h"
 
@@ -147,6 +148,23 @@ TEST(BdEncoding, StatefulAndMetadataProperties)
     EXPECT_EQ(codec.metaWiresPerBeat(), 4u);
     EXPECT_EQ(BdEncodingCodec(64, 12, 8).metaWiresPerBeat(), 8u);
     EXPECT_EQ(codec.name(), "bd-encoding");
+}
+
+/**
+ * The repository index travels with the encoding (a bxtd Decode request
+ * carries it), so an index naming an entry the decoder has not filled is
+ * bad input: a typed CodecSizeError, not an abort.
+ */
+TEST(BdEncoding, DecodeRejectsUnfilledRepositoryIndex)
+{
+    BdEncodingCodec codec;
+    Encoded enc;
+    enc.payload = Transaction(32);
+    enc.metaWiresPerBeat = codec.metaWiresPerBeat();
+    enc.meta.assign(32, 0);
+    enc.meta[5] = 1; // Word 0 names entry 32...
+    enc.meta[7] = 1; // ...and sets the valid bit; the repository is empty.
+    EXPECT_THROW(codec.decode(enc), CodecSizeError);
 }
 
 TEST(BdEncoding, RandomRoundTripStress)

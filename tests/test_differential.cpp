@@ -224,25 +224,20 @@ class BuggyCodec : public Codec
     {
         return inner_->metaWiresPerBeat();
     }
-    Encoded encode(const Transaction &tx) override
+
+  protected:
+    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override
     {
-        Encoded out;
-        encodeInto(tx, out);
-        return out;
+        inner_->encodeBatch(in, out);
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            std::uint8_t *payload = out.payload(i).data();
+            if (out.txBytes() > 5 && payload[5] == 0x40)
+                payload[5] = 0x41; // The injected bug.
+        }
     }
-    Transaction decode(const Encoded &enc) override
+    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override
     {
-        return inner_->decode(enc);
-    }
-    void encodeInto(const Transaction &tx, Encoded &out) override
-    {
-        inner_->encodeInto(tx, out);
-        if (out.payload.size() > 5 && out.payload.data()[5] == 0x40)
-            out.payload.data()[5] = 0x41; // The injected bug.
-    }
-    void decodeInto(const Encoded &enc, Transaction &out) override
-    {
-        inner_->decodeInto(enc, out);
+        inner_->decodeBatch(in, out);
     }
 
   private:

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/codec_factory.h"
@@ -112,40 +114,58 @@ TEST(FuzzRoundTrip, MetadataFreeSchemesStayMetadataFree)
 }
 
 /**
- * Differential fuzz of the allocation-free hot paths: encodeInto /
- * decodeInto must produce exactly what encode / decode produce, for every
- * factory spec, with a *dirty* scratch reused across calls. Stateful
- * codecs (bd) advance their repository per encode, so each form gets its
- * own codec instance fed the identical stream.
+ * Differential fuzz of the batch entry points: encodeBatch over N
+ * transactions must produce exactly what encode produces one transaction
+ * at a time, and decodeBatch must invert it, for every factory spec. The
+ * stream goes through in two batches sharing one *dirty* scratch
+ * EncodedBatch/TxBatch pair. Stateful codecs (bd) advance their
+ * repository per transaction, so each form gets its own codec instance
+ * fed the identical stream.
  */
 void
-fuzzIntoMatchesAllocating(const std::string &spec, std::size_t tx_bytes,
-                          std::size_t bus_bytes, Rng &rng)
+fuzzBatchMatchesSingle(const std::string &spec, std::size_t tx_bytes,
+                       std::size_t bus_bytes, Rng &rng)
 {
-    CodecPtr allocating = makeCodec(spec, bus_bytes);
-    CodecPtr into = makeCodec(spec, bus_bytes);
+    CodecPtr single = makeCodec(spec, bus_bytes);
+    CodecPtr batched = makeCodec(spec, bus_bytes);
 
-    Encoded scratch_enc;
-    Transaction scratch_back;
-    for (int i = 0; i < 40; ++i) {
-        const Transaction tx = randomTransaction(rng, tx_bytes);
-
-        const Encoded enc = allocating->encode(tx);
-        into->encodeInto(tx, scratch_enc);
-        ASSERT_EQ(scratch_enc.payload, enc.payload)
-            << "spec " << spec << " tx " << tx.toHex();
-        ASSERT_EQ(scratch_enc.meta, enc.meta) << "spec " << spec;
-        ASSERT_EQ(scratch_enc.metaWiresPerBeat, enc.metaWiresPerBeat)
+    constexpr std::size_t kTx = 40;
+    constexpr std::size_t kBatchTx = kTx / 2;
+    std::vector<Transaction> stream;
+    std::vector<Encoded> want;
+    for (std::size_t i = 0; i < kTx; ++i) {
+        stream.push_back(randomTransaction(rng, tx_bytes));
+        want.push_back(single->encode(stream.back()));
+        ASSERT_EQ(single->decode(want.back()), stream.back())
             << "spec " << spec;
+    }
 
-        const Transaction back = allocating->decode(enc);
-        into->decodeInto(scratch_enc, scratch_back);
-        ASSERT_EQ(scratch_back, back) << "spec " << spec;
-        ASSERT_EQ(scratch_back, tx) << "spec " << spec;
+    TxBatch batch(tx_bytes);
+    EncodedBatch enc;
+    TxBatch back;
+    for (std::size_t first = 0; first < kTx; first += kBatchTx) {
+        batch.clear();
+        for (std::size_t i = first; i < first + kBatchTx; ++i)
+            batch.push(stream[i]);
+        batched->encodeBatch(batch, enc);
+        ASSERT_EQ(enc.size(), kBatchTx) << "spec " << spec;
+        for (std::size_t j = 0; j < kBatchTx; ++j) {
+            const Encoded &w = want[first + j];
+            ASSERT_EQ(Transaction(enc.payload(j)), w.payload)
+                << "spec " << spec << " tx " << stream[first + j].toHex();
+            ASSERT_EQ(std::vector<std::uint8_t>(enc.meta(j).begin(),
+                                                enc.meta(j).end()),
+                      w.meta)
+                << "spec " << spec;
+            ASSERT_EQ(enc.metaWiresPerBeat(), w.metaWiresPerBeat)
+                << "spec " << spec;
+        }
+        batched->decodeBatch(enc, back);
+        ASSERT_EQ(back, batch) << "spec " << spec;
     }
 }
 
-TEST(FuzzRoundTrip, EncodeIntoMatchesEncodeForEveryFactorySpec)
+TEST(FuzzRoundTrip, EncodeBatchMatchesEncodeForEveryFactorySpec)
 {
     std::vector<std::string> specs = paperSchemeSpecs();
     for (const char *stage : stage_pool)
@@ -153,10 +173,10 @@ TEST(FuzzRoundTrip, EncodeIntoMatchesEncodeForEveryFactorySpec)
 
     Rng rng(0x1207);
     for (const std::string &spec : specs)
-        fuzzIntoMatchesAllocating(spec, 32, 4, rng);
+        fuzzBatchMatchesSingle(spec, 32, 4, rng);
 }
 
-TEST(FuzzRoundTrip, EncodeIntoMatchesEncodeOn64ByteCpuTransactions)
+TEST(FuzzRoundTrip, EncodeBatchMatchesEncodeOn64ByteCpuTransactions)
 {
     std::vector<std::string> specs = paperSchemeSpecs();
     for (const char *stage : stage_pool)
@@ -164,14 +184,14 @@ TEST(FuzzRoundTrip, EncodeIntoMatchesEncodeOn64ByteCpuTransactions)
 
     Rng rng(0x6464);
     for (const std::string &spec : specs)
-        fuzzIntoMatchesAllocating(spec, 64, 8, rng);
+        fuzzBatchMatchesSingle(spec, 64, 8, rng);
 }
 
-TEST(FuzzRoundTrip, EncodeIntoMatchesEncodeForRandomPipelines)
+TEST(FuzzRoundTrip, EncodeBatchMatchesEncodeForRandomPipelines)
 {
     Rng rng(0x77aa);
     for (int pipeline = 0; pipeline < 25; ++pipeline)
-        fuzzIntoMatchesAllocating(randomSpec(rng), 32, 4, rng);
+        fuzzBatchMatchesSingle(randomSpec(rng), 32, 4, rng);
 }
 
 TEST(FuzzRoundTrip, EncodedSizeAlwaysEqualsInputSize)

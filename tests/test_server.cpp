@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -639,7 +642,7 @@ ephemeralTcpOptions()
 {
     server::ServerOptions options;
     options.tcpPort = 0; // Ephemeral.
-    options.threads = 2;
+    options.shards = 2;
     return options;
 }
 
@@ -783,7 +786,7 @@ TEST(Loopback, GoldenCorpusRoundTripsOverUnixSocket)
     const std::string path = uniqueSocketPath("unix");
     server::ServerOptions options;
     options.unixPath = path;
-    options.threads = 2;
+    options.shards = 2;
     LiveServer live(options);
     ASSERT_TRUE(live.started());
 
@@ -1392,6 +1395,176 @@ TEST(Sharded, AdaptiveStreamSurvivesReconnectsAcrossShards)
     EXPECT_EQ(counters.at("bxt.server.stream.5.tx_encoded"),
               kReconnects * kEncodesPerConn * 16);
     EXPECT_EQ(counters.at("bxt.server.errors"), 0u);
+}
+
+/** utime + stime of process @p pid from /proc, in microseconds. */
+std::uint64_t
+processCpuMicros(pid_t pid)
+{
+    std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+    std::string stat((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    // Fields after the parenthesised command name; utime and stime are
+    // the 14th and 15th fields overall (the 12th and 13th after it).
+    std::istringstream fields(stat.substr(stat.rfind(')') + 2));
+    std::string field;
+    std::uint64_t ticks = 0;
+    for (int i = 1; i <= 13 && fields >> field; ++i) {
+        if (i >= 12)
+            ticks += std::stoull(field);
+    }
+    return ticks * 1000000 / static_cast<std::uint64_t>(::sysconf(_SC_CLK_TCK));
+}
+
+/** Send a Ping on @p fd; true when its reply arrives within @p timeout_ms. */
+bool
+pingAnswered(int fd, int timeout_ms)
+{
+    const std::vector<std::uint8_t> ping = wire::serializeFrame(pingFrame());
+    std::string err;
+    if (!net::writeAll(fd, ping.data(), ping.size(), err))
+        return false;
+    wire::FrameParser parser;
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    for (;;) {
+        const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+        if (left.count() <= 0 ||
+            net::pollIn(fd, -1, static_cast<int>(left.count())) !=
+                net::PollResult::Readable)
+            return false;
+        std::uint8_t buf[256];
+        const long n = net::readSome(fd, buf, sizeof(buf), err);
+        if (n <= 0)
+            return false;
+        parser.feed(buf, static_cast<std::size_t>(n));
+        wire::Frame reply;
+        wire::WireError wire_err;
+        if (parser.next(reply, wire_err) == wire::FrameParser::Status::Ready)
+            return reply.opcode == wire::Opcode::Ping;
+    }
+}
+
+/** Kills and reaps a forked child when the test leaves scope. */
+struct ChildGuard
+{
+    pid_t pid = -1;
+    ~ChildGuard()
+    {
+        if (pid > 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, nullptr, 0);
+        }
+    }
+};
+
+/**
+ * fd exhaustion: once accept() fails with EMFILE the pending connection
+ * stays queued and the listener stays readable, so an acceptor that keeps
+ * polling it spins a CPU. The server runs in a child process with a low
+ * RLIMIT_NOFILE, listening on TCP or (when @p unix_path is set) a Unix
+ * socket; the check fills its descriptor table with connections, asserts
+ * the server stays nearly idle while accept keeps failing, then frees one
+ * descriptor and asserts a new connection is served.
+ */
+void
+expectAcceptBackoff(const std::string &unix_path)
+{
+    // The child inherits this process's descriptors; leave it room for
+    // the server's own pipes and listener plus a few connections.
+    int highest_fd = 2;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        highest_fd = std::max(
+            highest_fd, std::stoi(entry.path().filename().string()));
+    const rlim_t fd_limit = static_cast<rlim_t>(highest_fd) + 1 + 16;
+
+    int port_pipe[2];
+    ASSERT_EQ(::pipe(port_pipe), 0);
+    ChildGuard child;
+    child.pid = ::fork();
+    ASSERT_GE(child.pid, 0);
+    if (child.pid == 0) {
+        ::close(port_pipe[0]);
+        const rlimit limit{fd_limit, fd_limit};
+        if (::setrlimit(RLIMIT_NOFILE, &limit) != 0)
+            ::_exit(2);
+        server::ServerOptions options;
+        if (unix_path.empty())
+            options.tcpPort = 0;
+        else
+            options.unixPath = unix_path;
+        options.shards = 1;
+        options.idleTimeoutMs = -1;
+        server::Server server(options);
+        std::string err;
+        if (!server.start(err))
+            ::_exit(3);
+        const int port = server.tcpPort();
+        if (::write(port_pipe[1], &port, sizeof(port)) != sizeof(port))
+            ::_exit(4);
+        ::close(port_pipe[1]);
+        server.serve();
+        ::_exit(0);
+    }
+    ::close(port_pipe[1]);
+    int port = -1;
+    ASSERT_EQ(::read(port_pipe[0], &port, sizeof(port)),
+              static_cast<ssize_t>(sizeof(port)));
+    ::close(port_pipe[0]);
+
+    std::string err;
+    const auto connect = [&] {
+        return unix_path.empty() ? net::connectTcp("127.0.0.1", port, err)
+                                 : net::connectUnix(unix_path, err);
+    };
+
+    // Connect until the server stops answering: that connection waits
+    // in the accept queue because accept() fails with EMFILE.
+    std::vector<net::UniqueFd> served;
+    net::UniqueFd stalled;
+    for (int i = 0; i < 64 && !stalled.valid(); ++i) {
+        net::UniqueFd conn = connect();
+        ASSERT_TRUE(conn.valid()) << err;
+        if (pingAnswered(conn.get(), 500))
+            served.push_back(std::move(conn));
+        else
+            stalled = std::move(conn);
+    }
+    ASSERT_TRUE(stalled.valid()) << "the server never ran out of fds";
+    ASSERT_FALSE(served.empty());
+
+    // Hold the exhausted state: a spinning acceptor would burn the
+    // whole window on one CPU.
+    constexpr std::uint64_t kWindowUs = 500000;
+    const std::uint64_t cpu_before = processCpuMicros(child.pid);
+    std::this_thread::sleep_for(std::chrono::microseconds(kWindowUs));
+    const std::uint64_t cpu_used = processCpuMicros(child.pid) - cpu_before;
+    EXPECT_LT(cpu_used, kWindowUs / 4)
+        << "server used " << cpu_used << " us of CPU in a " << kWindowUs
+        << " us window with accept() failing";
+
+    // Free one server-side descriptor: drop the stalled connection (the
+    // server accepts it, reads EOF and closes it), then close a served
+    // one. A new connection must be accepted and answered.
+    stalled.reset();
+    served.pop_back();
+    net::UniqueFd fresh = connect();
+    ASSERT_TRUE(fresh.valid()) << err;
+    EXPECT_TRUE(pingAnswered(fresh.get(), 5000));
+}
+
+TEST(Sharded, AcceptBacksOffWhenDescriptorsRunOut)
+{
+    expectAcceptBackoff("");
+}
+
+TEST(Sharded, UnixAcceptBacksOffWhenDescriptorsRunOut)
+{
+    const std::string path = uniqueSocketPath("emfile");
+    expectAcceptBackoff(path);
+    std::filesystem::remove(path);
 }
 
 } // namespace

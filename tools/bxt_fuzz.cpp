@@ -72,7 +72,7 @@ main(int argc, char **argv)
     bool batch_mode = false;
     BatchFuzzOptions batch_options;
     cli.addFlag("--batch",
-                "also fuzz the batch kernels against the scalar path",
+                "also fuzz batched encoding against per-transaction encoding",
                 [&] { batch_mode = true; });
     cli.add("--batch-streams", "N",
             "generator streams per (spec, wires, batch) unit (default 12)",
@@ -118,8 +118,8 @@ main(int argc, char **argv)
             batch_options.dataWires = wires;
         batch_options.progress = options.progress;
         const BatchFuzzReport batch = runBatchDifferentialFuzz(batch_options);
-        std::printf("batch kernels: %llu transactions checked against the "
-                    "scalar path, %zu failure(s)\n",
+        std::printf("batch kernels: %llu transactions checked against "
+                    "per-transaction encoding, %zu failure(s)\n",
                     static_cast<unsigned long long>(
                         batch.transactionsChecked),
                     batch.failures.size());

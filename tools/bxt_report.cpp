@@ -344,8 +344,8 @@ using BenchDiffKey = std::pair<std::string, double>;
 
 /**
  * Fold one document's codec rows into @p merged. simd_codec rows carry
- * separate encode/decode rates; batch_codec / scalar_codec rows carry a
- * single round-trip rate, stored in the encode slot.
+ * separate encode/decode rates; batch_codec rows carry a single
+ * round-trip rate, stored in the encode slot.
  */
 void
 collectBenchRows(const JsonValue &doc, bool is_b,
@@ -376,8 +376,7 @@ collectBenchRows(const JsonValue &doc, bool is_b,
                 slot_level = level != nullptr ? level->string : "?";
                 (is_b ? out.inB : out.inA) = true;
             }
-        } else if (mode->string == "batch_codec" ||
-                   mode->string == "scalar_codec") {
+        } else if (mode->string == "batch_codec") {
             BenchDiffRow &out = batch_rows[key];
             const JsonValue *rate = row.find("tx_per_s");
             if (rate != nullptr) {
@@ -516,8 +515,7 @@ diffFiles(const std::string &path_a, const std::string &path_b)
             const JsonValue *mode = row.find("mode");
             if (mode != nullptr &&
                 (mode->string == "simd_codec" ||
-                 mode->string == "batch_codec" ||
-                 mode->string == "scalar_codec"))
+                 mode->string == "batch_codec"))
                 return true;
         }
         return false;

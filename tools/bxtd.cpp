@@ -5,7 +5,7 @@
  * SIGTERM/SIGINT, then drains gracefully and exits 0.
  *
  * Usage:
- *   bxtd [--listen HOST:PORT] [--unix PATH] [--shards N] [--threads N]
+ *   bxtd [--listen HOST:PORT] [--unix PATH] [--shards N]
  *        [--max-batch K] [--idle-timeout MS] [--max-pending N]
  *        [--trace-spans PATH]
  *
@@ -72,12 +72,6 @@ main(int argc, char **argv)
             "shared-nothing worker shards (default: hardware count)",
             [&](const std::string &v) {
                 options.shards = static_cast<unsigned>(
-                    std::strtoul(v.c_str(), nullptr, 0));
-            });
-    cli.add("--threads", "N",
-            "alias for --shards, kept for older scripts",
-            [&](const std::string &v) {
-                options.threads = static_cast<unsigned>(
                     std::strtoul(v.c_str(), nullptr, 0));
             });
     cli.add("--max-batch", "K",
