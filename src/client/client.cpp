@@ -132,12 +132,11 @@ Client::encode(const std::string &spec, std::uint32_t tx_bytes,
     wire::Frame request;
     request.opcode = wire::Opcode::Encode;
     request.spec = spec;
-    wire::BodyWriter body;
+    wire::BodyWriter body(request.body);
     body.u32(tx_bytes);
     body.u32(bus_bits);
     body.u64(count);
     body.bytes(raw.data(), raw.size());
-    request.body = body.take();
 
     wire::Frame response;
     if (!roundTrip(request, response, err))
@@ -173,7 +172,7 @@ Client::decode(const std::string &spec, const EncodeResult &enc,
     wire::Frame request;
     request.opcode = wire::Opcode::Decode;
     request.spec = spec;
-    wire::BodyWriter body;
+    wire::BodyWriter body(request.body);
     body.u32(enc.txBytes);
     body.u32(enc.busBits);
     body.u32(enc.metaWiresPerBeat);
@@ -181,7 +180,6 @@ Client::decode(const std::string &spec, const EncodeResult &enc,
     body.u64(enc.count);
     body.bytes(enc.payloads.data(), enc.payloads.size());
     body.bytes(enc.meta.data(), enc.meta.size());
-    request.body = body.take();
 
     wire::Frame response;
     if (!roundTrip(request, response, err))

@@ -70,10 +70,12 @@ Codec::encodeBatch(const TxBatch &in, EncodedBatch &out)
     encodeBatchKernel(in, out);
     BXT_ASSERT(out.size() == in.size() && out.txBytes() == in.txBytes());
     if (telemetry::metricsEnabled()) {
-        telemetry::histogram("bxt.codec." +
-                             telemetry::sanitizeMetricName(name()) +
-                             ".batch_size")
-            .record(in.size());
+        if (batch_size_histo_ == nullptr) {
+            batch_size_histo_ = &telemetry::histogram(
+                "bxt.codec." + telemetry::sanitizeMetricName(name()) +
+                ".batch_size");
+        }
+        batch_size_histo_->record(in.size());
     }
 }
 

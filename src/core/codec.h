@@ -18,6 +18,10 @@
 
 namespace bxt {
 
+namespace telemetry {
+class Histo;
+} // namespace telemetry
+
 /**
  * The result of encoding one transaction: the (same-sized) payload that
  * travels on the data wires plus any metadata bits that travel on dedicated
@@ -87,10 +91,12 @@ class Codec
      * Batch encode: encode every transaction of @p in into @p out, which
      * is (re)configured to the batch's geometry. The non-virtual entry
      * point validates the batch geometry (throwing CodecSizeError on a
-     * mismatch), records the `bxt.codec.<spec>.batch_size` histogram,
-     * and dispatches to encodeBatchKernel(). The kernels of the paper's
-     * schemes are differentially verified against the naive reference
-     * codecs in src/verify/ (src/verify/batch_check.h).
+     * mismatch), records the `bxt.codec.<spec>.batch_size` histogram
+     * (looked up in the calling thread's registry on the first batch
+     * recorded, then cached), and dispatches to encodeBatchKernel().
+     * The kernels of the paper's schemes are differentially verified
+     * against the naive reference codecs in src/verify/
+     * (src/verify/batch_check.h).
      *
      * Stateful codecs advance their channel state per transaction in
      * batch order, so any split of a stream into batches encodes it
@@ -136,6 +142,11 @@ class Codec
     /** Batch-decode kernel: resets @p out to the batch geometry and
      *  fills every transaction (inverse of encodeBatchKernel). */
     virtual void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) = 0;
+
+  private:
+    /** `bxt.codec.<spec>.batch_size`, bound by the first encodeBatch
+     *  that records it (null until then). */
+    telemetry::Histo *batch_size_histo_ = nullptr;
 };
 
 /** Owning codec handle. */

@@ -75,18 +75,23 @@ metaBitsPerTx(std::uint32_t tx_bytes, std::uint32_t bus_bits,
     return beats * meta_wires_per_beat;
 }
 
-/** Pack beat-major 0/1 metadata values LSB-first into @p writer. */
+/** Pack beat-major 0/1 metadata values LSB-first into @p packed. */
 void
-packMeta(wire::BodyWriter &writer, std::span<const std::uint8_t> meta,
+packMeta(std::uint8_t *packed, std::span<const std::uint8_t> meta,
          std::size_t packed_bytes)
 {
-    std::vector<std::uint8_t> packed(packed_bytes, 0);
+    std::memset(packed, 0, packed_bytes);
     for (std::size_t j = 0; j < meta.size(); ++j) {
         if (meta[j] != 0)
             packed[j / 8] |= static_cast<std::uint8_t>(1u << (j % 8));
     }
-    writer.bytes(packed.data(), packed.size());
 }
+
+/** Encode reply body bytes before the payload plane (wire.h table). */
+constexpr std::size_t encodeReplyHeaderBytes = 4 * 4 + 4 * 8;
+
+/** Decode reply body bytes before the raw plane (wire.h table). */
+constexpr std::size_t decodeReplyHeaderBytes = 4 + 8;
 
 /** Unpack LSB-first packed metadata into @p bits 0/1 values. */
 void
@@ -151,11 +156,12 @@ Service::streamCounters(std::uint16_t stream_id)
     return *it->second;
 }
 
-wire::Frame
-Service::errorResponse(wire::ErrorCode code, const std::string &detail)
+void
+Service::errorResponse(wire::ErrorCode code, const std::string &detail,
+                       wire::Frame &response)
 {
     errors_.add(1);
-    return wire::makeErrorFrame(code, detail);
+    response = wire::makeErrorFrame(code, detail);
 }
 
 std::string
@@ -187,9 +193,8 @@ Service::entryFor(const std::string &spec, std::uint32_t tx_bytes,
     // Concrete codecs are shared across streams; adaptive entries are
     // keyed per stream so each stream runs its own controller.
     const bool is_adaptive = adaptive::isAdaptiveSpec(spec);
-    const Key key{spec, tx_bytes, bus_bits,
-                  is_adaptive ? stream_id : std::uint16_t{0}};
-    auto it = codecs_.find(key);
+    const std::uint16_t key_stream = is_adaptive ? stream_id : 0;
+    auto it = codecs_.find(KeyView{spec, tx_bytes, bus_bits, key_stream});
     if (it != codecs_.end())
         return &it->second;
 
@@ -198,10 +203,29 @@ Service::entryFor(const std::string &spec, std::uint32_t tx_bytes,
         return nullptr;
     Entry entry;
     entry.codec = std::move(codec);
-    if (is_adaptive)
+    // Every instrument a request on this entry records is resolved here,
+    // once, so the request path never builds a metric name or takes the
+    // registry mutex.
+    const std::string base =
+        "bxt.server." + telemetry::sanitizeMetricName(spec);
+    entry.onesInCounter = &reg_.counter(base + ".ones_in");
+    entry.onesOutCounter = &reg_.counter(base + ".ones_out");
+    entry.onesRemovedCounter = &reg_.counter(base + ".ones_removed");
+    if (is_adaptive) {
         entry.adaptive =
             dynamic_cast<adaptive::AdaptiveCodec *>(entry.codec.get());
-    return &codecs_.emplace(key, std::move(entry)).first->second;
+        if (stream_id != 0) {
+            const std::string stream_base = "bxt.server.stream." +
+                                            std::to_string(stream_id) +
+                                            ".adaptive";
+            entry.epochGauge = &reg_.gauge(stream_base + ".epoch");
+            entry.switchesCounter = &reg_.counter(stream_base + ".switches");
+        }
+    }
+    return &codecs_
+                .emplace(Key{spec, tx_bytes, bus_bits, key_stream},
+                         std::move(entry))
+                .first->second;
 }
 
 void
@@ -214,33 +238,33 @@ Service::announceAdaptive(Entry &entry, std::uint16_t stream_id,
     // cross-epoch payloads with the right codec and watch the choice
     // migrate. ';' cannot appear in the spec grammar, so old clients
     // that echo the field verbatim stay unambiguous.
-    response.spec = controller.activeSpec() + ";epoch=" +
-                    std::to_string(controller.epoch());
+    response.spec = controller.activeSpec();
+    response.spec += ";epoch=";
+    response.spec += std::to_string(controller.epoch());
 
     if (!telemetry::metricsEnabled() || stream_id == 0)
         return;
-    const std::string base = "bxt.server.stream." +
-                             std::to_string(stream_id) + ".adaptive";
-    reg_.gauge(base + ".epoch")
-        .set(static_cast<double>(controller.epoch()));
+    entry.epochGauge->set(static_cast<double>(controller.epoch()));
     if (controller.epoch() > entry.lastEpoch) {
-        reg_.counter(base + ".switches")
-            .add(controller.epoch() - entry.lastEpoch);
+        entry.switchesCounter->add(controller.epoch() - entry.lastEpoch);
         entry.lastEpoch = controller.epoch();
     }
-    const std::string choice =
-        base + ".choice." +
-        telemetry::sanitizeMetricName(controller.activeSpec());
-    if (choice != entry.lastChoiceMetric) {
-        if (!entry.lastChoiceMetric.empty())
-            reg_.gauge(entry.lastChoiceMetric).set(0.0);
-        reg_.gauge(choice).set(1.0);
-        entry.lastChoiceMetric = choice;
+    if (entry.choiceGauge == nullptr ||
+        controller.activeSpec() != entry.choiceSpec) {
+        // The choice moves only at a switch, so this lookup is rare.
+        if (entry.choiceGauge != nullptr)
+            entry.choiceGauge->set(0.0);
+        entry.choiceSpec = controller.activeSpec();
+        entry.choiceGauge = &reg_.gauge(
+            "bxt.server.stream." + std::to_string(stream_id) +
+            ".adaptive.choice." +
+            telemetry::sanitizeMetricName(entry.choiceSpec));
+        entry.choiceGauge->set(1.0);
     }
 }
 
-wire::Frame
-Service::handleEncode(const wire::Frame &request)
+void
+Service::handleEncode(const wire::Frame &request, wire::Frame &response)
 {
     wire::BodyReader reader(request.body);
     std::uint32_t tx_bytes = 0;
@@ -249,42 +273,36 @@ Service::handleEncode(const wire::Frame &request)
     if (!reader.u32(tx_bytes) || !reader.u32(bus_bits) ||
         !reader.u64(count)) {
         return errorResponse(wire::ErrorCode::Malformed,
-                             "encode: truncated request header");
+                             "encode: truncated request header", response);
     }
     const std::string geometry = validateGeometry(tx_bytes, bus_bits);
-    if (!geometry.empty())
-        return errorResponse(wire::ErrorCode::Malformed, "encode: " + geometry);
+    if (!geometry.empty()) {
+        return errorResponse(wire::ErrorCode::Malformed,
+                             "encode: " + geometry, response);
+    }
     if (count > wire::maxTxPerRequest) {
         return errorResponse(wire::ErrorCode::Malformed,
                              "encode: count " + std::to_string(count) +
                                  " exceeds " +
-                                 std::to_string(wire::maxTxPerRequest));
+                                 std::to_string(wire::maxTxPerRequest),
+                             response);
     }
     if (reader.remaining() != count * tx_bytes) {
         return errorResponse(wire::ErrorCode::Malformed,
-                             "encode: body size does not match count");
+                             "encode: body size does not match count",
+                             response);
     }
 
     std::string err;
     Entry *entry =
         entryFor(request.spec, tx_bytes, bus_bits, request.streamId, err);
     if (entry == nullptr)
-        return errorResponse(wire::ErrorCode::BadSpec, err);
+        return errorResponse(wire::ErrorCode::BadSpec, err, response);
 
     const unsigned meta_wires = entry->codec->metaWiresPerBeat();
     const std::size_t meta_bits =
         metaBitsPerTx(tx_bytes, bus_bits, meta_wires);
     const std::size_t meta_bytes = (meta_bits + 7) / 8;
-
-    wire::Frame response;
-    response.opcode = wire::Opcode::Encode;
-    response.spec = request.spec;
-    wire::BodyWriter writer;
-    writer.u32(tx_bytes);
-    writer.u32(bus_bits);
-    writer.u32(meta_wires);
-    writer.u32(static_cast<std::uint32_t>(meta_bytes));
-    writer.u64(count);
 
     // The whole request body becomes one TxBatch (a single plane copy)
     // and one encodeBatch call — the codec's batch kernel does the rest.
@@ -301,7 +319,8 @@ Service::handleEncode(const wire::Frame &request)
             "encode: codec produced " +
                 std::to_string(enc.metaBitsPerTx()) +
                 " metadata bits/tx, geometry expects " +
-                std::to_string(meta_bits));
+                std::to_string(meta_bits),
+            response);
     }
 
     // The ones tallies travel in the response so clients can print
@@ -309,26 +328,34 @@ Service::handleEncode(const wire::Frame &request)
     const std::uint64_t input_ones = batch.ones();
     const std::uint64_t payload_ones = enc.payloadOnes();
     const std::uint64_t meta_ones = enc.metaOnes();
+    const std::uint64_t ones_out = payload_ones + meta_ones;
+
+    response.opcode = wire::Opcode::Encode;
+    response.spec = request.spec;
+    wire::BodyWriter writer(response.body,
+                            encodeReplyHeaderBytes +
+                                count * (tx_bytes + meta_bytes));
+    writer.u32(tx_bytes);
+    writer.u32(bus_bits);
+    writer.u32(meta_wires);
+    writer.u32(static_cast<std::uint32_t>(meta_bytes));
+    writer.u64(count);
     writer.u64(input_ones);
     writer.u64(payload_ones);
     writer.u64(meta_ones);
     writer.bytes(enc.payloadData(), enc.payloadBytes());
-    wire::BodyWriter meta_writer;
-    for (std::uint64_t i = 0; i < count; ++i)
-        packMeta(meta_writer, enc.meta(i), meta_bytes);
-    const std::vector<std::uint8_t> meta_packed = meta_writer.take();
-    writer.bytes(meta_packed.data(), meta_packed.size());
-    response.body = writer.take();
+    std::uint8_t *packed = writer.claim(count * meta_bytes);
+    if (meta_bytes != 0) {
+        for (std::uint64_t i = 0; i < count; ++i)
+            packMeta(packed + i * meta_bytes, enc.meta(i), meta_bytes);
+    }
 
     if (telemetry::metricsEnabled()) {
         txEncoded_.add(count);
-        const std::string base =
-            "bxt.server." + telemetry::sanitizeMetricName(request.spec);
-        reg_.counter(base + ".ones_in").add(input_ones);
-        reg_.counter(base + ".ones_out").add(payload_ones + meta_ones);
-        const std::uint64_t out = payload_ones + meta_ones;
-        reg_.counter(base + ".ones_removed")
-            .add(input_ones > out ? input_ones - out : 0);
+        entry->onesInCounter->add(input_ones);
+        entry->onesOutCounter->add(ones_out);
+        entry->onesRemovedCounter->add(
+            input_ones > ones_out ? input_ones - ones_out : 0);
         // Per-tenant accounting: stream-tagged encodes telescope to the
         // aggregate counters (sum over streams == bxt.server.tx_encoded
         // when every request carries a tag).
@@ -336,7 +363,7 @@ Service::handleEncode(const wire::Frame &request)
             StreamCounters &stream = streamCounters(request.streamId);
             stream.txEncoded.add(count);
             stream.onesIn.add(input_ones);
-            stream.onesOut.add(payload_ones + meta_ones);
+            stream.onesOut.add(ones_out);
             // Windowed value statistics over the raw input plane — the
             // adaptive-codec sensor (see StreamCounters).
             stream.observe(
@@ -345,14 +372,13 @@ Service::handleEncode(const wire::Frame &request)
         }
     }
     entry->onesIn += input_ones;
-    entry->onesOut += payload_ones + meta_ones;
+    entry->onesOut += ones_out;
     if (entry->adaptive != nullptr)
         announceAdaptive(*entry, request.streamId, response);
-    return response;
 }
 
-wire::Frame
-Service::handleDecode(const wire::Frame &request)
+void
+Service::handleDecode(const wire::Frame &request, wire::Frame &response)
 {
     wire::BodyReader reader(request.body);
     std::uint32_t tx_bytes = 0;
@@ -364,23 +390,26 @@ Service::handleDecode(const wire::Frame &request)
         !reader.u32(meta_wires) || !reader.u32(meta_bytes) ||
         !reader.u64(count)) {
         return errorResponse(wire::ErrorCode::Malformed,
-                             "decode: truncated request header");
+                             "decode: truncated request header", response);
     }
     const std::string geometry = validateGeometry(tx_bytes, bus_bits);
-    if (!geometry.empty())
-        return errorResponse(wire::ErrorCode::Malformed, "decode: " + geometry);
+    if (!geometry.empty()) {
+        return errorResponse(wire::ErrorCode::Malformed,
+                             "decode: " + geometry, response);
+    }
     if (count > wire::maxTxPerRequest) {
         return errorResponse(wire::ErrorCode::Malformed,
                              "decode: count " + std::to_string(count) +
                                  " exceeds " +
-                                 std::to_string(wire::maxTxPerRequest));
+                                 std::to_string(wire::maxTxPerRequest),
+                             response);
     }
 
     std::string err;
     Entry *entry =
         entryFor(request.spec, tx_bytes, bus_bits, request.streamId, err);
     if (entry == nullptr)
-        return errorResponse(wire::ErrorCode::BadSpec, err);
+        return errorResponse(wire::ErrorCode::BadSpec, err, response);
 
     const unsigned codec_meta_wires = entry->codec->metaWiresPerBeat();
     const std::size_t meta_bits =
@@ -392,20 +421,15 @@ Service::handleDecode(const wire::Frame &request)
             wire::ErrorCode::Malformed,
             "decode: metadata geometry does not match codec '" +
                 request.spec + "' (expects " +
-                std::to_string(codec_meta_wires) + " wires/beat)");
+                std::to_string(codec_meta_wires) + " wires/beat)",
+            response);
     }
     if (reader.remaining() !=
         count * (static_cast<std::uint64_t>(tx_bytes) + meta_bytes)) {
         return errorResponse(wire::ErrorCode::Malformed,
-                             "decode: body size does not match count");
+                             "decode: body size does not match count",
+                             response);
     }
-
-    wire::Frame response;
-    response.opcode = wire::Opcode::Decode;
-    response.spec = request.spec;
-    wire::BodyWriter writer;
-    writer.u32(tx_bytes);
-    writer.u64(count);
 
     const std::uint8_t *payloads = nullptr;
     const std::uint8_t *metas = nullptr;
@@ -423,38 +447,42 @@ Service::handleDecode(const wire::Frame &request)
         unpackMeta(metas + i * meta_bytes, enc.meta(i));
     TxBatch &decoded = entry->scratchOut;
     entry->codec->decodeBatch(enc, decoded);
+
+    response.opcode = wire::Opcode::Decode;
+    response.spec = request.spec;
+    wire::BodyWriter writer(response.body,
+                            decodeReplyHeaderBytes + decoded.planeBytes());
+    writer.u32(tx_bytes);
+    writer.u64(count);
     writer.bytes(decoded.data(), decoded.planeBytes());
-    response.body = writer.take();
 
     if (telemetry::metricsEnabled())
         txDecoded_.add(count);
     if (entry->adaptive != nullptr)
         announceAdaptive(*entry, request.streamId, response);
-    return response;
 }
 
-wire::Frame
-Service::handleStats()
+void
+Service::handleStats(wire::Frame &response)
 {
-    wire::Frame response;
     response.opcode = wire::Opcode::Stats;
+    response.spec.clear();
     // The provider is the fleet-wide merged view when sharded; a bare
     // Service answers from its own registry.
     const std::string snapshot = stats_provider_
                                      ? stats_provider_()
                                      : telemetry::snapshotJson(reg_, false);
     response.body.assign(snapshot.begin(), snapshot.end());
-    return response;
 }
 
-wire::Frame
-Service::handleSnapshot()
+void
+Service::handleSnapshot(wire::Frame &response)
 {
     // The live-introspection op (bxt_top): the full schema-2 telemetry
     // document plus the server clock, so pollers can compute rates from
     // counter deltas without trusting their own timestamps.
-    wire::Frame response;
     response.opcode = wire::Opcode::Snapshot;
+    response.spec.clear();
     JsonWriter w(false);
     w.beginObject();
     w.kv("uptime_us", telemetry::nowMicros());
@@ -464,55 +492,56 @@ Service::handleSnapshot()
     w.endObject();
     const std::string body = w.str();
     response.body.assign(body.begin(), body.end());
-    return response;
 }
 
-wire::Frame
-Service::handle(const wire::Frame &request)
+void
+Service::handle(const wire::Frame &request, wire::Frame &response)
 {
     requests_.add(1);
     const bool metrics_on = telemetry::metricsEnabled();
     if (metrics_on && request.streamId != 0)
         streamCounters(request.streamId).requests.add(1);
 
-    wire::Frame response;
     try {
         switch (request.opcode) {
         case wire::Opcode::Ping:
             response.opcode = wire::Opcode::Ping;
+            response.spec.clear();
+            response.body.clear();
             break;
         case wire::Opcode::Encode:
-            response = handleEncode(request);
+            handleEncode(request, response);
             break;
         case wire::Opcode::Decode:
-            response = handleDecode(request);
+            handleDecode(request, response);
             break;
         case wire::Opcode::Stats:
-            response = handleStats();
+            handleStats(response);
             break;
         case wire::Opcode::Snapshot:
-            response = handleSnapshot();
+            handleSnapshot(response);
             break;
         case wire::Opcode::Error:
-            response = errorResponse(wire::ErrorCode::Malformed,
-                                     "error frames are response-only");
+            errorResponse(wire::ErrorCode::Malformed,
+                          "error frames are response-only", response);
             break;
         default:
-            response = errorResponse(
+            errorResponse(
                 wire::ErrorCode::UnknownOpcode,
                 "unknown opcode " +
-                    std::to_string(static_cast<unsigned>(request.opcode)));
+                    std::to_string(static_cast<unsigned>(request.opcode)),
+                response);
             break;
         }
     } catch (const CodecSizeError &e) {
         // Geometry the codec rejects (e.g. xor8 on an 8-byte transaction)
         // is a client mistake, not a server fault.
-        response = errorResponse(wire::ErrorCode::Malformed, e.what());
+        errorResponse(wire::ErrorCode::Malformed, e.what(), response);
     } catch (const std::exception &e) {
-        response = errorResponse(wire::ErrorCode::Internal, e.what());
+        errorResponse(wire::ErrorCode::Internal, e.what(), response);
     } catch (...) {
-        response = errorResponse(wire::ErrorCode::Internal,
-                                 "unknown exception");
+        errorResponse(wire::ErrorCode::Internal, "unknown exception",
+                      response);
     }
 
     // Echo the stream tag so pipelining clients can demux responses,
@@ -522,6 +551,13 @@ Service::handle(const wire::Frame &request)
     response.traceId = request.traceId;
     response.spanId = request.spanId;
     response.traceSampled = request.traceSampled;
+}
+
+wire::Frame
+Service::handle(const wire::Frame &request)
+{
+    wire::Frame response;
+    handle(request, response);
     return response;
 }
 

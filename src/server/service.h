@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include "adaptive/adaptive_codec.h"
@@ -47,6 +48,14 @@ class Service
   public:
     /** Bind instruments to @p registry (null = currentRegistry()). */
     explicit Service(telemetry::Registry *registry = nullptr);
+
+    /**
+     * Process one request frame into @p response, overwriting every
+     * field. The body and spec reuse @p response's capacity, so a caller
+     * that keeps one response frame serves concrete-spec Encode/Decode
+     * requests without heap allocation once its buffers have grown.
+     */
+    void handle(const wire::Frame &request, wire::Frame &response);
 
     /** Process one request frame; returns the response frame. */
     wire::Frame handle(const wire::Frame &request);
@@ -80,8 +89,20 @@ class Service
         TxBatch scratchOut;      ///< decodeBatch target, reused.
         std::uint64_t onesIn = 0; ///< Per-connection running tallies.
         std::uint64_t onesOut = 0;
+        /** `bxt.server.<spec>.ones_{in,out,removed}`, bound by entryFor. */
+        telemetry::Counter *onesInCounter = nullptr;
+        telemetry::Counter *onesOutCounter = nullptr;
+        telemetry::Counter *onesRemovedCounter = nullptr;
+        /** Adaptive entries of a tagged stream: the stream's
+         *  `.adaptive.epoch` gauge and `.adaptive.switches` counter,
+         *  bound by entryFor (null otherwise). */
+        telemetry::Gauge *epochGauge = nullptr;
+        telemetry::Counter *switchesCounter = nullptr;
         std::uint64_t lastEpoch = 0; ///< Last exported switch count.
-        std::string lastChoiceMetric; ///< One-hot gauge currently at 1.
+        /** The `.adaptive.choice.<spec>` one-hot gauge currently at 1,
+         *  and the concrete spec it names. */
+        telemetry::Gauge *choiceGauge = nullptr;
+        std::string choiceSpec;
     };
 
     /**
@@ -92,6 +113,9 @@ class Service
      */
     using Key = std::tuple<std::string, std::uint32_t, std::uint32_t,
                            std::uint16_t>;
+    /** Allocation-free lookup form of Key (std::less<> compares both). */
+    using KeyView = std::tuple<std::string_view, std::uint32_t,
+                               std::uint32_t, std::uint16_t>;
 
     /**
      * Per-stream (tenant) instruments, keyed by the frame's streamId.
@@ -124,12 +148,12 @@ class Service
         void observe(double zero_frac, double xor_weight);
     };
 
-    wire::Frame handleEncode(const wire::Frame &request);
-    wire::Frame handleDecode(const wire::Frame &request);
-    wire::Frame handleStats();
-    wire::Frame handleSnapshot();
-    wire::Frame errorResponse(wire::ErrorCode code,
-                              const std::string &detail);
+    void handleEncode(const wire::Frame &request, wire::Frame &response);
+    void handleDecode(const wire::Frame &request, wire::Frame &response);
+    void handleStats(wire::Frame &response);
+    void handleSnapshot(wire::Frame &response);
+    void errorResponse(wire::ErrorCode code, const std::string &detail,
+                       wire::Frame &response);
     StreamCounters &streamCounters(std::uint16_t stream_id);
 
     /**
@@ -155,7 +179,7 @@ class Service
     // Note: bxt.server.request_us lives in the connection layer
     // (shard.cpp) so its samples cover the whole lifecycle — feed to
     // reply write — and include busy/parse-error responses.
-    std::map<Key, Entry> codecs_;
+    std::map<Key, Entry, std::less<>> codecs_;
     std::map<std::uint16_t, std::unique_ptr<StreamCounters>> streams_;
     std::function<std::string()> stats_provider_;
 };

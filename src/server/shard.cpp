@@ -61,7 +61,13 @@ struct Shard::Conn
 
     net::UniqueFd fd;
     wire::FrameParser parser;
-    /** Response bytes not yet accepted by the socket. */
+    /** The frame being served and its reply, reused request after
+     *  request so their spec and body buffers stop allocating once they
+     *  have grown to the connection's largest frame. */
+    wire::Frame request;
+    wire::Frame response;
+    /** Response bytes not yet accepted by the socket; replies are
+     *  serialized straight onto its end. */
     std::vector<std::uint8_t> out;
     std::size_t outPos = 0;
     bool closeAfterFlush = false;
@@ -251,6 +257,15 @@ Shard::flushOut(Conn &conn)
     if (conn.outPos == conn.out.size()) {
         conn.out.clear();
         conn.outPos = 0;
+    } else if (conn.outPos >= kOutHighWaterBytes) {
+        // A peer that reads, but never fast enough to drain the buffer,
+        // would otherwise keep the sent prefix forever: reclaim it, so
+        // the buffer stays within twice the mark plus one read's
+        // replies.
+        conn.out.erase(conn.out.begin(),
+                       conn.out.begin() +
+                           static_cast<std::ptrdiff_t>(conn.outPos));
+        conn.outPos = 0;
     }
     return true;
 }
@@ -267,10 +282,9 @@ Shard::processFrames(Conn &conn)
         while (batch < options_.maxBatch) {
             const std::uint64_t t_parse_start =
                 metrics_on ? telemetry::nowMicros() : 0;
-            wire::Frame request;
             wire::WireError parse_err;
             const wire::FrameParser::Status st =
-                conn.parser.next(request, parse_err);
+                conn.parser.next(conn.request, parse_err);
             if (st == wire::FrameParser::Status::NeedMore)
                 break;
             if (st == wire::FrameParser::Status::Bad) {
@@ -278,11 +292,9 @@ Shard::processFrames(Conn &conn)
                 // answer with the typed error, then drop the stream.
                 // The reply still charges request_us (an unparseable
                 // frame has no trace context, so no phase spans).
-                const std::vector<std::uint8_t> reply =
-                    wire::serializeFrame(wire::makeErrorFrame(
-                        parse_err.code, parse_err.detail));
-                conn.out.insert(conn.out.end(), reply.begin(),
-                                reply.end());
+                wire::appendFrame(conn.out,
+                                  wire::makeErrorFrame(parse_err.code,
+                                                       parse_err.detail));
                 conn.closeAfterFlush = true;
                 bad_stream = true;
                 if (metrics_on) {
@@ -296,12 +308,11 @@ Shard::processFrames(Conn &conn)
             }
             const std::uint64_t t_parse_end =
                 metrics_on ? telemetry::nowMicros() : 0;
-            const wire::Frame response = service_.handle(request);
+            const wire::Frame &request = conn.request;
+            service_.handle(request, conn.response);
             const std::uint64_t t_handle_end =
                 metrics_on ? telemetry::nowMicros() : 0;
-            const std::vector<std::uint8_t> reply =
-                wire::serializeFrame(response);
-            conn.out.insert(conn.out.end(), reply.begin(), reply.end());
+            wire::appendFrame(conn.out, conn.response);
             ++batch;
             if (metrics_on) {
                 Conn::PendingSpan pending;
@@ -474,8 +485,13 @@ Shard::run()
         if (poll_listener)
             fds.push_back({listener_.get(), POLLIN, 0});
         for (std::size_t i = 0; i < conns_.size(); ++i) {
-            short events = POLLIN;
-            if (conns_[i]->pendingOut() > 0)
+            // A peer that sends but does not read stops being read at
+            // the high-water mark, so its replies cannot grow the
+            // out-buffer without bound; the socket buffers then fill
+            // and the peer's writes block.
+            const std::size_t pending = conns_[i]->pendingOut();
+            short events = pending < kOutHighWaterBytes ? POLLIN : 0;
+            if (pending > 0)
                 events |= POLLOUT;
             conn_slots.push_back(fds.size());
             fds.push_back({conns_[i]->fd.get(), events, 0});

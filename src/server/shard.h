@@ -54,6 +54,17 @@ struct ServerOptions;
 inline constexpr int kAcceptBackoffMs = 100;
 
 /**
+ * Per-connection out-buffer high-water mark, bytes. While a connection
+ * has this much reply data the peer has not taken, the shard stops
+ * reading its requests. The read that crosses the mark is still answered
+ * in full, so the unsent part stays within the mark plus the replies to
+ * one read (64 KiB, or the one frame it completes). The sent prefix is
+ * dropped once it reaches the mark, so the whole buffer stays within
+ * twice that.
+ */
+inline constexpr std::size_t kOutHighWaterBytes = std::size_t{4} << 20;
+
+/**
  * One worker shard. Lifecycle: construct, optionally adopt a TCP
  * listener (start()), then run() on a dedicated thread until
  * requestStop(); run() returns after the shard's graceful drain.

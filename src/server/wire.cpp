@@ -43,8 +43,8 @@ errorCodeName(ErrorCode code)
            std::to_string(static_cast<std::uint32_t>(code));
 }
 
-std::vector<std::uint8_t>
-serializeFrame(const Frame &frame)
+void
+appendFrame(std::vector<std::uint8_t> &out, const Frame &frame)
 {
     const std::size_t spec_len = frame.spec.size();
     const std::size_t body_len = frame.body.size();
@@ -52,32 +52,37 @@ serializeFrame(const Frame &frame)
     // that never sets a trace context interoperates with pre-trace
     // servers (and vice versa).
     const std::size_t trace_len = frame.traced() ? traceBlockBytes : 0;
-    std::vector<std::uint8_t> out(headerBytes + trace_len + spec_len +
-                                  body_len + crcBytes);
+    const std::size_t start = out.size();
+    out.resize(start + headerBytes + trace_len + spec_len + body_len +
+               crcBytes);
+    std::uint8_t *p = out.data() + start;
 
-    storeWord32(out.data(), frameMagic);
-    out[4] = frame.traced() ? wireVersionTraced : wireVersion;
-    out[5] = static_cast<std::uint8_t>(frame.opcode);
-    out[6] = static_cast<std::uint8_t>(frame.streamId & 0xff);
-    out[7] = static_cast<std::uint8_t>(frame.streamId >> 8);
-    storeWord32(out.data() + 8, static_cast<std::uint32_t>(spec_len));
-    storeWord32(out.data() + 12, static_cast<std::uint32_t>(body_len));
+    storeWord32(p, frameMagic);
+    p[4] = frame.traced() ? wireVersionTraced : wireVersion;
+    p[5] = static_cast<std::uint8_t>(frame.opcode);
+    p[6] = static_cast<std::uint8_t>(frame.streamId & 0xff);
+    p[7] = static_cast<std::uint8_t>(frame.streamId >> 8);
+    storeWord32(p + 8, static_cast<std::uint32_t>(spec_len));
+    storeWord32(p + 12, static_cast<std::uint32_t>(body_len));
     if (frame.traced()) {
-        storeWord64(out.data() + 16, frame.traceId);
-        storeWord64(out.data() + 24, frame.spanId);
-        storeWord32(out.data() + 32,
-                    frame.traceSampled ? traceFlagSampled : 0u);
+        storeWord64(p + 16, frame.traceId);
+        storeWord64(p + 24, frame.spanId);
+        storeWord32(p + 32, frame.traceSampled ? traceFlagSampled : 0u);
     }
     const std::size_t payload_off = headerBytes + trace_len;
     if (spec_len > 0)
-        std::memcpy(out.data() + payload_off, frame.spec.data(), spec_len);
-    if (body_len > 0) {
-        std::memcpy(out.data() + payload_off + spec_len, frame.body.data(),
-                    body_len);
-    }
+        std::memcpy(p + payload_off, frame.spec.data(), spec_len);
+    if (body_len > 0)
+        std::memcpy(p + payload_off + spec_len, frame.body.data(), body_len);
     const std::size_t crc_off = payload_off + spec_len + body_len;
-    storeWord32(out.data() + crc_off,
-                crc32({out.data(), crc_off}));
+    storeWord32(p + crc_off, crc32({p, crc_off}));
+}
+
+std::vector<std::uint8_t>
+serializeFrame(const Frame &frame)
+{
+    std::vector<std::uint8_t> out;
+    appendFrame(out, frame);
     return out;
 }
 
@@ -86,11 +91,10 @@ makeErrorFrame(ErrorCode code, const std::string &message)
 {
     Frame frame;
     frame.opcode = Opcode::Error;
-    BodyWriter body;
+    BodyWriter body(frame.body, 4 + message.size());
     body.u32(static_cast<std::uint32_t>(code));
     body.bytes(reinterpret_cast<const std::uint8_t *>(message.data()),
                message.size());
-    frame.body = body.take();
     return frame;
 }
 
@@ -210,27 +214,41 @@ FrameParser::next(Frame &out, WireError &err)
     return Status::Ready;
 }
 
+BodyWriter::BodyWriter(std::vector<std::uint8_t> &body, std::size_t size)
+    : body_(body)
+{
+    body_.resize(size);
+}
+
+std::uint8_t *
+BodyWriter::claim(std::size_t n)
+{
+    const std::size_t at = at_;
+    at_ += n;
+    if (at_ > body_.size())
+        body_.resize(at_);
+    return body_.data() + at;
+}
+
 void
 BodyWriter::u32(std::uint32_t v)
 {
-    const std::size_t at = out_.size();
-    out_.resize(at + 4);
-    storeWord32(out_.data() + at, v);
+    storeWord32(claim(4), v);
 }
 
 void
 BodyWriter::u64(std::uint64_t v)
 {
-    const std::size_t at = out_.size();
-    out_.resize(at + 8);
-    storeWord64(out_.data() + at, v);
+    storeWord64(claim(8), v);
 }
 
 void
 BodyWriter::bytes(const std::uint8_t *data, std::size_t n)
 {
+    // n == 0 must not reach memcpy: an empty source vector hands us a
+    // null `data`, and memcpy's arguments are declared nonnull.
     if (n > 0)
-        out_.insert(out_.end(), data, data + n);
+        std::memcpy(claim(n), data, n);
 }
 
 bool
@@ -307,7 +325,12 @@ randomFrame(Rng &rng)
         "abcdefghijklmnopqrstuvwxyz0123456789+|";
     for (std::size_t i = 0; i < spec_len; ++i)
         frame.spec += charset[rng.nextBounded(sizeof(charset) - 1)];
-    const std::size_t body_len = rng.nextBounded(65);
+    // Bodies up to 4 KiB, a quarter of them at least 1 KiB, so the
+    // CRC's eight-byte loop runs over long frames as well as its
+    // bytewise tail over short ones.
+    const std::size_t body_len = rng.nextBounded(4) == 0
+                                     ? 1024 + rng.nextBounded(3073)
+                                     : rng.nextBounded(1024);
     frame.body.resize(body_len);
     for (std::size_t i = 0; i < body_len; ++i)
         frame.body[i] = static_cast<std::uint8_t>(rng.nextBounded(256));
@@ -347,14 +370,22 @@ fuzzFrameParser(std::uint64_t seed, std::uint64_t iterations)
             else
                 ++report.framesParsed;
         } else if (mode == 1) {
-            // Random chunk boundaries: same result as one feed.
+            // Random chunk boundaries: same result as one feed, and a
+            // CRC updated chunk by chunk equals the one-shot CRC.
             std::size_t fed = 0;
             bool done = false;
+            std::uint32_t running = crc32Init;
+            const std::size_t crc_len = bytes.size() - crcBytes;
             while (fed < bytes.size()) {
-                const std::size_t chunk = 1 + rng.nextBounded(7);
+                const std::size_t chunk = 1 + rng.nextBounded(64);
                 const std::size_t n =
                     std::min(chunk, bytes.size() - fed);
                 parser.feed(bytes.data() + fed, n);
+                if (fed < crc_len) {
+                    running = crc32Update(
+                        running,
+                        {bytes.data() + fed, std::min(n, crc_len - fed)});
+                }
                 fed += n;
                 const FrameParser::Status st = parser.next(parsed, err);
                 if (st == FrameParser::Status::Bad) {
@@ -376,6 +407,9 @@ fuzzFrameParser(std::uint64_t seed, std::uint64_t iterations)
             }
             if (!done)
                 record("chunked clean frame never completed");
+            if (fed == bytes.size() &&
+                crc32Final(running) != crc32({bytes.data(), crc_len}))
+                record("chunked CRC32 differs from the one-shot CRC32");
         } else if (mode == 2) {
             // Truncation: a clean prefix must only ever ask for more.
             const std::size_t keep = rng.nextBounded(bytes.size());

@@ -168,7 +168,15 @@ struct WireError
     std::string detail;
 };
 
-/** Serialize @p frame (header + spec + body + CRC32). */
+/**
+ * Append @p frame (header + spec + body + CRC32) to @p out. The frame is
+ * written in place after out's existing bytes and its CRC computed
+ * there, so a connection serializes replies straight into its output
+ * buffer; reusing that buffer makes this allocation-free.
+ */
+void appendFrame(std::vector<std::uint8_t> &out, const Frame &frame);
+
+/** Serialize @p frame into a fresh buffer (appendFrame on an empty one). */
 std::vector<std::uint8_t> serializeFrame(const Frame &frame);
 
 /** Build an Error response frame for @p code. */
@@ -201,8 +209,11 @@ class FrameParser
     void feed(const std::uint8_t *data, std::size_t n);
 
     /**
-     * Try to extract the next complete frame into @p out. On Bad, @p err
-     * carries the typed error; every later call repeats it.
+     * Try to extract the next complete frame into @p out. Every field of
+     * @p out is assigned, and spec/body reuse its capacity, so a caller
+     * that passes the same Frame each time parses without allocating.
+     * On Bad, @p err carries the typed error; every later call repeats
+     * it.
      */
     Status next(Frame &out, WireError &err);
 
@@ -222,19 +233,28 @@ class FrameParser
 
 /**
  * Little-endian body serializer (u32/u64/raw bytes), shared by the
- * service, the client library, and the tests.
+ * service, the client library, and the tests. It writes a caller-owned
+ * body from its start. A writer that knows the body's size passes it, so
+ * the body is sized once up front and every write is a store into it;
+ * otherwise each write grows the body. Either way the body ends as long
+ * as the larger of @p size and the bytes written, and a reused body
+ * keeps its capacity.
  */
 class BodyWriter
 {
   public:
+    explicit BodyWriter(std::vector<std::uint8_t> &body,
+                        std::size_t size = 0);
+
     void u32(std::uint32_t v);
     void u64(std::uint64_t v);
     void bytes(const std::uint8_t *data, std::size_t n);
-
-    std::vector<std::uint8_t> take() { return std::move(out_); }
+    /** The next @p n bytes, for the caller to fill in place. */
+    std::uint8_t *claim(std::size_t n);
 
   private:
-    std::vector<std::uint8_t> out_;
+    std::vector<std::uint8_t> &body_;
+    std::size_t at_ = 0;
 };
 
 /**

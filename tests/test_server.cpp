@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -29,7 +32,9 @@
 #include "common/bitops.h"
 #include "common/checksum.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "core/codec_factory.h"
+#include "server/net.h"
 #include "server/server.h"
 #include "server/service.h"
 #include "server/wire.h"
@@ -194,6 +199,57 @@ TEST(FrameParser, TraceContextRoundTrips)
     EXPECT_FALSE(out.traceSampled);
 }
 
+TEST(FrameParser, TracedEncodeFrameBytesArePinned)
+{
+    // Every header field, the trace block and the CRC32 of one traced
+    // Encode frame, byte for byte. The CRC (0xb2502272) is the standard
+    // IEEE CRC-32 of the first 76 bytes, computed outside this code base
+    // (zlib), so a CRC that is wrong the same way on both ends fails
+    // here even though it would round-trip.
+    const std::vector<std::uint8_t> pinned = {
+        0x42, 0x58, 0x54, 0x50, 0x02, 0x02, 0x02, 0x01, // BXTP v2 Encode
+        0x08, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, // spec/body len
+        0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, // traceId
+        0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // spanId
+        0x01, 0x00, 0x00, 0x00, 0x78, 0x6f, 0x72, 0x34, // flags, spec
+        0x2b, 0x7a, 0x64, 0x72, 0x08, 0x00, 0x00, 0x00, // spec, txBytes
+        0x20, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // busBits, count
+        0x00, 0x00, 0x00, 0x00, 0x20, 0x21, 0x22, 0x23, // count, raw
+        0x24, 0x25, 0x26, 0x27, 0x28, 0x29, 0x2a, 0x2b, // raw
+        0x2c, 0x2d, 0x2e, 0x2f, 0x72, 0x22, 0x50, 0xb2, // raw, CRC32
+    };
+    wire::Frame frame;
+    frame.opcode = wire::Opcode::Encode;
+    frame.streamId = 0x0102;
+    frame.traceId = 0x0807060504030201ull;
+    frame.spanId = 0x1112131415161718ull;
+    frame.traceSampled = true;
+    frame.spec = "xor4+zdr";
+    wire::BodyWriter body(frame.body);
+    body.u32(8);
+    body.u32(32);
+    body.u64(2);
+    for (std::uint8_t b = 0x20; b < 0x30; ++b)
+        body.bytes(&b, 1);
+
+    EXPECT_EQ(wire::serializeFrame(frame), pinned);
+    EXPECT_EQ(crc32({pinned.data(), pinned.size() - wire::crcBytes}),
+              0xb2502272u);
+
+    // appendFrame writes the same bytes after whatever the buffer holds.
+    std::vector<std::uint8_t> out = {0xaa, 0xbb, 0xcc};
+    wire::appendFrame(out, frame);
+    ASSERT_EQ(out.size(), 3 + pinned.size());
+    EXPECT_TRUE(std::equal(pinned.begin(), pinned.end(), out.begin() + 3));
+
+    wire::FrameParser parser;
+    parser.feed(pinned.data(), pinned.size());
+    wire::Frame parsed;
+    wire::WireError err;
+    ASSERT_EQ(parser.next(parsed, err), wire::FrameParser::Status::Ready);
+    EXPECT_EQ(parsed, frame);
+}
+
 TEST(FrameParser, UntracedFramesStayVersionOne)
 {
     // Pre-trace clients must see byte-identical framing: an untraced
@@ -356,12 +412,11 @@ makeEncodeRequest(const std::string &spec, std::uint32_t tx_bytes,
     wire::Frame request;
     request.opcode = wire::Opcode::Encode;
     request.spec = spec;
-    wire::BodyWriter body;
+    wire::BodyWriter body(request.body);
     body.u32(tx_bytes);
     body.u32(bus_bits);
     body.u64(raw.size() / tx_bytes);
     body.bytes(raw.data(), raw.size());
-    request.body = body.take();
     return request;
 }
 
@@ -422,11 +477,10 @@ TEST(Service, OversizedCountIsMalformed)
     wire::Frame request;
     request.opcode = wire::Opcode::Encode;
     request.spec = "baseline";
-    wire::BodyWriter body;
+    wire::BodyWriter body(request.body);
     body.u32(32);
     body.u32(32);
     body.u64(wire::maxTxPerRequest + 1);
-    request.body = body.take();
     EXPECT_EQ(errorCodeOf(service.handle(request)),
               wire::ErrorCode::Malformed);
 }
@@ -438,7 +492,7 @@ TEST(Service, DecodeGeometryMismatchIsMalformed)
     wire::Frame request;
     request.opcode = wire::Opcode::Decode;
     request.spec = "dbi1";
-    wire::BodyWriter body;
+    wire::BodyWriter body(request.body);
     body.u32(32);
     body.u32(32);
     body.u32(1); // Wrong metaWiresPerBeat.
@@ -446,7 +500,6 @@ TEST(Service, DecodeGeometryMismatchIsMalformed)
     body.u64(1);
     const std::vector<std::uint8_t> payload(33, 0);
     body.bytes(payload.data(), payload.size());
-    request.body = body.take();
     EXPECT_EQ(errorCodeOf(service.handle(request)),
               wire::ErrorCode::Malformed);
 }
@@ -579,11 +632,10 @@ TEST(Service, RequestTxCountReadsBodyHeaders)
     wire::Frame absurd;
     absurd.opcode = wire::Opcode::Encode;
     absurd.spec = "baseline";
-    wire::BodyWriter body;
+    wire::BodyWriter body(absurd.body);
     body.u32(32);
     body.u32(32);
     body.u64(~std::uint64_t{0});
-    absurd.body = body.take();
     EXPECT_EQ(server::requestTxCount(absurd), wire::maxTxPerRequest);
 }
 
@@ -1177,6 +1229,126 @@ TEST(Loopback, ScenarioHotFloodBackpressureStaysClean)
     EXPECT_GT(static_cast<double>(hot_req),
               0.8 * static_cast<double>(want_req));
     EXPECT_EQ(counters.at(streamCounterName(0, "requests")), hot_req);
+}
+
+TEST(Loopback, PeerThatNeverReadsIsBoundedByOutBufferHighWaterMark)
+{
+    server::ServerOptions options;
+    options.unixPath = uniqueSocketPath("hwm");
+    options.shards = 1;
+    LiveServer live(options);
+    ASSERT_TRUE(live.started());
+    std::string err;
+    net::UniqueFd fd = net::connectUnix(options.unixPath, err);
+    ASSERT_TRUE(fd.valid()) << err;
+    ASSERT_TRUE(net::setNonBlocking(fd.get(), err)) << err;
+
+    // Pipelined 64-transaction Encodes, each tagged with its sequence
+    // number (mod 251) as streamId so replies can be matched in order.
+    Rng rng(5);
+    std::vector<std::uint8_t> raw(64 * 32);
+    for (std::uint8_t &b : raw)
+        b = static_cast<std::uint8_t>(rng.nextBounded(256));
+    wire::Frame request = makeEncodeRequest("xor4+zdr", 32, 32, raw);
+    const auto tagOf = [](std::size_t seq) {
+        return static_cast<std::uint16_t>(1 + seq % 251);
+    };
+    std::vector<std::uint8_t> frame_bytes;
+    std::size_t frame_pos = 0;
+    std::size_t sent_frames = 0; ///< Frames written in full.
+    std::size_t written = 0;
+    // Write until the socket stops taking bytes or @p limit is reached.
+    const auto writeUntilFull = [&](std::size_t limit) {
+        while (written < limit) {
+            if (frame_pos == frame_bytes.size()) {
+                request.streamId = tagOf(sent_frames);
+                frame_bytes = wire::serializeFrame(request);
+                frame_pos = 0;
+            }
+            bool would_block = false;
+            const long n = net::tryWrite(
+                fd.get(), frame_bytes.data() + frame_pos,
+                frame_bytes.size() - frame_pos, would_block, err);
+            if (n < 0)
+                return false;
+            frame_pos += static_cast<std::size_t>(n);
+            written += static_cast<std::size_t>(n);
+            if (frame_pos == frame_bytes.size())
+                ++sent_frames;
+            if (would_block)
+                break;
+        }
+        return true;
+    };
+    wire::FrameParser parser;
+    std::size_t replies = 0;
+    std::size_t wrong = 0;
+    std::vector<std::uint8_t> buf(64 * 1024);
+    // Read once (at most @p max bytes); false on EOF, error or a stall.
+    const auto readSome = [&](std::size_t max) {
+        pollfd pfd{fd.get(), POLLIN, 0};
+        if (::poll(&pfd, 1, 10000) != 1)
+            return false;
+        bool would_block = false;
+        const long n = net::tryRead(fd.get(), buf.data(),
+                                    std::min(max, buf.size()), would_block,
+                                    err);
+        if (would_block)
+            return true;
+        if (n <= 0)
+            return false;
+        parser.feed(buf.data(), static_cast<std::size_t>(n));
+        wire::Frame reply;
+        wire::WireError wire_err;
+        while (parser.next(reply, wire_err) ==
+               wire::FrameParser::Status::Ready) {
+            if (reply.opcode != wire::Opcode::Encode ||
+                reply.streamId != tagOf(replies))
+                ++wrong;
+            ++replies;
+        }
+        return !parser.failed();
+    };
+
+    // Write without reading until the writes block. The server stops
+    // reading at its out-buffer high-water mark, so what the peer can
+    // push is the mark (in replies, about as large as their requests)
+    // plus one read and the socket buffers: well under the budget.
+    // Without the mark the server reads on and buffers every reply, and
+    // the writes never block.
+    constexpr std::size_t kBudget = std::size_t{8} << 20;
+    constexpr std::size_t kGiveUp = std::size_t{32} << 20;
+    bool blocked = false;
+    while (written < kGiveUp) {
+        ASSERT_TRUE(writeUntilFull(kGiveUp)) << err;
+        pollfd pfd{fd.get(), POLLOUT, 0};
+        if (::poll(&pfd, 1, 500) == 0) {
+            blocked = true;
+            break;
+        }
+    }
+    EXPECT_TRUE(blocked) << written << " bytes written without blocking";
+    EXPECT_LE(written, kBudget);
+
+    // Read slower than the server answers while keeping the pipeline
+    // full, so its out-buffer stays near the mark and never drains while
+    // it sends several times the mark from it.
+    const std::size_t slow_until = written + (std::size_t{16} << 20);
+    while (written < slow_until) {
+        ASSERT_TRUE(readSome(16 * 1024)) << "reply stream stalled " << err;
+        ASSERT_TRUE(writeUntilFull(slow_until)) << err;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+
+    // Half-close (a partly written last frame never completes), then
+    // read: every complete request is answered exactly once, in order.
+    ASSERT_EQ(::shutdown(fd.get(), SHUT_WR), 0);
+    while (readSome(buf.size())) {
+    }
+    EXPECT_EQ(replies, sent_frames);
+    EXPECT_EQ(wrong, 0u);
+    EXPECT_FALSE(parser.failed());
+    EXPECT_EQ(parser.buffered(), 0u);
 }
 
 TEST(Loopback, GracefulDrainClosesIdleConnections)

@@ -240,12 +240,11 @@ runOpenLoop(const Args &args, int fd, ConnResult &out, std::string &err)
     bxt::wire::Frame request;
     request.opcode = bxt::wire::Opcode::Encode;
     request.spec = args.spec;
-    bxt::wire::BodyWriter body;
+    bxt::wire::BodyWriter body(request.body);
     body.u32(args.txBytes);
     body.u32(args.wires);
     body.u64(args.batch);
     body.bytes(raw.data(), raw.size());
-    request.body = body.take();
     const std::vector<std::uint8_t> frame_bytes =
         bxt::wire::serializeFrame(request);
 
