@@ -37,8 +37,8 @@
 #            default 100000, into BENCH_server_loadgen.json), re-run the
 #            burst with --trace-sample 0.01 and assert the traced tx rate
 #            stays within BXT_TRACE_OVERHEAD_PCT (default 2) percent of
-#            the untraced one, upload the merged Chrome span trace
-#            (bxtd --trace-spans) and a schema-2 Snapshot-opcode
+#            the untraced one, upload the Chrome span trace bxtd
+#            writes at exit (BXT_TRACE) and a schema-2 Snapshot-opcode
 #            document, then SIGTERM it and assert a clean drain (exit 0)
 #   scenario Release build + scenario-labeled ctest + multi-tenant traffic
 #            smoke: boot a metrics-enabled bxtd, replay the zipf-0.99 and
@@ -240,10 +240,10 @@ run_serve() {
     rm -f "${sock}"
 
     # Plain background command (no subshell) so $! is bxtd itself and the
-    # SIGTERM below reaches the daemon, not a wrapper. --trace-spans
-    # makes the drain write the merged Chrome span trace artifact.
-    ./build-ci-release/tools/bxtd --unix "${sock}" --shards 4 \
-        --trace-spans "${out}/server_spans.json" \
+    # SIGTERM below reaches the daemon, not a wrapper. BXT_TRACE makes
+    # the exit after the drain write the Chrome span trace artifact.
+    BXT_TRACE="${out}/server_spans.json" \
+        ./build-ci-release/tools/bxtd --unix "${sock}" --shards 4 \
         > "${out}/bxtd.log" 2>&1 &
     local bxtd_pid=$!
     local i
@@ -320,8 +320,8 @@ run_serve() {
         return 1
     fi
     grep -q "drained, exiting" "${out}/bxtd.log"
-    # The drain wrote the merged span trace (the traced burst sampled
-    # ~1 % of 4000 requests, so it cannot be empty).
+    # The exit wrote the span trace (the traced burst sampled ~1 % of
+    # 4000 requests, so it cannot be empty).
     ./build-ci-release/tools/bxt_report --validate-trace \
         "${out}/server_spans.json"
     echo "serve: clean drain; BENCH_server_loadgen.json, trace-overhead" \

@@ -14,15 +14,6 @@
 namespace bxt::server {
 namespace {
 
-/** Best-effort: send one frame and ignore failures (peer may be gone). */
-void
-sendFrameBestEffort(int fd, const wire::Frame &frame)
-{
-    const std::vector<std::uint8_t> bytes = wire::serializeFrame(frame);
-    std::string err;
-    net::writeAll(fd, bytes.data(), bytes.size(), err);
-}
-
 /**
  * Rename hook for the per-shard breakdown merge. Only the
  * connection-layer instruments the shard event loop itself owns are

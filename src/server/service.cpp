@@ -1,12 +1,9 @@
 #include "server/service.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstring>
 #include <exception>
 #include <map>
-#include <mutex>
 #include <span>
 
 #include "common/error.h"
@@ -19,52 +16,10 @@
 namespace bxt::server {
 namespace {
 
-/** Fraction of zero 32-bit words in @p data (1.0 for an empty plane). */
-double
-zeroWordFraction(const std::uint8_t *data, std::size_t bytes)
-{
-    const std::size_t words = bytes / 4;
-    if (words == 0)
-        return 1.0;
-    std::size_t zeros = 0;
-    for (std::size_t i = 0; i < words; ++i) {
-        std::uint32_t word;
-        std::memcpy(&word, data + i * 4, 4);
-        zeros += word == 0 ? 1 : 0;
-    }
-    return static_cast<double>(zeros) / static_cast<double>(words);
-}
-
-/**
- * Mean fraction of bits toggling between adjacent transactions of the
- * request (popcount(tx_i XOR tx_{i-1}) / bits). 0 when the request
- * carries fewer than two transactions.
- */
-double
-xorToggleWeight(const std::uint8_t *data, std::size_t count,
-                std::size_t tx_bytes)
-{
-    if (count < 2 || tx_bytes == 0)
-        return 0.0;
-    std::uint64_t toggled = 0;
-    for (std::size_t i = 1; i < count; ++i) {
-        const std::uint8_t *prev = data + (i - 1) * tx_bytes;
-        const std::uint8_t *cur = data + i * tx_bytes;
-        std::size_t at = 0;
-        for (; at + 8 <= tx_bytes; at += 8) {
-            std::uint64_t a, b;
-            std::memcpy(&a, prev + at, 8);
-            std::memcpy(&b, cur + at, 8);
-            toggled += static_cast<std::uint64_t>(std::popcount(a ^ b));
-        }
-        for (; at < tx_bytes; ++at) {
-            toggled += static_cast<std::uint64_t>(
-                std::popcount(static_cast<unsigned>(prev[at] ^ cur[at])));
-        }
-    }
-    return static_cast<double>(toggled) /
-           static_cast<double>((count - 1) * tx_bytes * 8);
-}
+/** Index of the 4-byte element granularity in Sensors::toggleWeight:
+ *  the `.adaptive.xor_weight` gauge exports the xor4 sensor. */
+constexpr std::size_t kXorWeightGranularity = 1;
+static_assert(adaptive::kToggleGranularities[kXorWeightGranularity] == 4);
 
 /** Bits of metadata one transaction carries for this geometry. */
 std::size_t
@@ -117,28 +72,8 @@ Service::StreamCounters::StreamCounters(telemetry::Registry &reg,
     : requests(reg.counter(base + ".requests")),
       txEncoded(reg.counter(base + ".tx_encoded")),
       onesIn(reg.counter(base + ".ones_in")),
-      onesOut(reg.counter(base + ".ones_out")),
-      windowZeroFrac(reg.gauge(base + ".window_zero_frac")),
-      windowXorWeight(reg.gauge(base + ".window_xor_weight"))
+      onesOut(reg.counter(base + ".ones_out"))
 {
-}
-
-void
-Service::StreamCounters::observe(double zero_frac, double xor_weight)
-{
-    zeroFrac[windowNext] = zero_frac;
-    xorWeight[windowNext] = xor_weight;
-    windowNext = (windowNext + 1) % windowSize;
-    windowCount = std::min(windowCount + 1, windowSize);
-    double zero_sum = 0.0;
-    double xor_sum = 0.0;
-    for (std::size_t i = 0; i < windowCount; ++i) {
-        zero_sum += zeroFrac[i];
-        xor_sum += xorWeight[i];
-    }
-    const double n = static_cast<double>(windowCount);
-    windowZeroFrac.set(zero_sum / n);
-    windowXorWeight.set(xor_sum / n);
 }
 
 Service::StreamCounters &
@@ -220,6 +155,8 @@ Service::entryFor(const std::string &spec, std::uint32_t tx_bytes,
                                             ".adaptive";
             entry.epochGauge = &reg_.gauge(stream_base + ".epoch");
             entry.switchesCounter = &reg_.counter(stream_base + ".switches");
+            entry.zeroFracGauge = &reg_.gauge(stream_base + ".zero_frac");
+            entry.xorWeightGauge = &reg_.gauge(stream_base + ".xor_weight");
         }
     }
     return &codecs_
@@ -248,6 +185,15 @@ Service::announceAdaptive(Entry &entry, std::uint16_t stream_id,
     if (controller.epoch() > entry.lastEpoch) {
         entry.switchesCounter->add(controller.epoch() - entry.lastEpoch);
         entry.lastEpoch = controller.epoch();
+    }
+    if (controller.evaluations() != entry.lastEvaluations) {
+        // The sensors walk the controller's window, so export them once
+        // per evaluation (every period transactions), not per request.
+        entry.lastEvaluations = controller.evaluations();
+        const adaptive::Sensors sensors = controller.sensors();
+        entry.zeroFracGauge->set(sensors.zeroWordFrac);
+        entry.xorWeightGauge->set(
+            sensors.toggleWeight[kXorWeightGranularity]);
     }
     if (entry.choiceGauge == nullptr ||
         controller.activeSpec() != entry.choiceSpec) {
@@ -364,11 +310,6 @@ Service::handleEncode(const wire::Frame &request, wire::Frame &response)
             stream.txEncoded.add(count);
             stream.onesIn.add(input_ones);
             stream.onesOut.add(ones_out);
-            // Windowed value statistics over the raw input plane — the
-            // adaptive-codec sensor (see StreamCounters).
-            stream.observe(
-                zeroWordFraction(raw, count * tx_bytes),
-                xorToggleWeight(raw, count, tx_bytes));
         }
     }
     entry->onesIn += input_ones;

@@ -22,7 +22,6 @@
 #ifndef BXT_SERVER_SERVICE_H
 #define BXT_SERVER_SERVICE_H
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -99,6 +98,12 @@ class Service
         telemetry::Gauge *epochGauge = nullptr;
         telemetry::Counter *switchesCounter = nullptr;
         std::uint64_t lastEpoch = 0; ///< Last exported switch count.
+        /** The stream's `.adaptive.zero_frac` / `.adaptive.xor_weight`
+         *  gauges: the controller's zeroWordFrac and 4-byte toggleWeight
+         *  sensors, refreshed once per evaluation. */
+        telemetry::Gauge *zeroFracGauge = nullptr;
+        telemetry::Gauge *xorWeightGauge = nullptr;
+        std::uint64_t lastEvaluations = 0; ///< Evaluations last exported.
         /** The `.adaptive.choice.<spec>` one-hot gauge currently at 1,
          *  and the concrete spec it names. */
         telemetry::Gauge *choiceGauge = nullptr;
@@ -118,34 +123,20 @@ class Service
                                std::uint32_t, std::uint16_t>;
 
     /**
-     * Per-stream (tenant) instruments, keyed by the frame's streamId.
-     * Beyond the telescoping counters, each stream keeps a sliding
-     * window of per-request value statistics — the zero-word fraction
-     * of the raw input plane and the adjacent-transaction XOR toggle
-     * weight — exported as gauges: the sensors the adaptive controller
-     * cost model reads (DESIGN.md §13).
+     * Per-stream (tenant) counters, keyed by the frame's streamId. They
+     * telescope: summed over streams they equal the aggregate counters
+     * when every request carries a tag. The value statistics of a
+     * stream's traffic come from its adaptive controller's sensors
+     * (`.adaptive.zero_frac` / `.adaptive.xor_weight`, see Entry).
      */
     struct StreamCounters
     {
-        /** Per-request samples retained in the sliding window. */
-        static constexpr std::size_t windowSize = 64;
-
         telemetry::Counter &requests;
         telemetry::Counter &txEncoded;
         telemetry::Counter &onesIn;
         telemetry::Counter &onesOut;
-        telemetry::Gauge &windowZeroFrac;
-        telemetry::Gauge &windowXorWeight;
 
         StreamCounters(telemetry::Registry &reg, const std::string &base);
-
-        std::array<double, windowSize> zeroFrac{};
-        std::array<double, windowSize> xorWeight{};
-        std::size_t windowNext = 0;
-        std::size_t windowCount = 0;
-
-        /** Push one request's samples; refresh the windowed gauges. */
-        void observe(double zero_frac, double xor_weight);
     };
 
     void handleEncode(const wire::Frame &request, wire::Frame &response);

@@ -14,15 +14,6 @@
 namespace bxt::server {
 namespace {
 
-/** Best-effort: send one frame and ignore failures (peer may be gone). */
-void
-sendFrameBestEffort(int fd, const wire::Frame &frame)
-{
-    const std::vector<std::uint8_t> bytes = wire::serializeFrame(frame);
-    std::string err;
-    net::writeAll(fd, bytes.data(), bytes.size(), err);
-}
-
 /** Cap on the final read sweep during drain (per connection). */
 constexpr std::size_t drainSweepReads = 256;
 
@@ -30,6 +21,14 @@ constexpr std::size_t drainSweepReads = 256;
 constexpr int drainFlushTimeoutMs = 5000;
 
 } // namespace
+
+void
+sendFrameBestEffort(int fd, const wire::Frame &frame)
+{
+    const std::vector<std::uint8_t> bytes = wire::serializeFrame(frame);
+    std::string err;
+    net::writeAll(fd, bytes.data(), bytes.size(), err);
+}
 
 /**
  * One nonblocking connection: socket, frame parser, and the output

@@ -64,6 +64,9 @@ inline constexpr int kAcceptBackoffMs = 100;
  */
 inline constexpr std::size_t kOutHighWaterBytes = std::size_t{4} << 20;
 
+/** Best-effort: send one frame and ignore failures (peer may be gone). */
+void sendFrameBestEffort(int fd, const wire::Frame &frame);
+
 /**
  * One worker shard. Lifecycle: construct, optionally adopt a TCP
  * listener (start()), then run() on a dedicated thread until

@@ -126,8 +126,9 @@ class Gauge
 
     /**
      * Ungated accumulate for registry merging: shard gauges add on
-     * merge (active connections sum to fleet totals; see DESIGN.md §14
-     * for the stale-per-stream-gauge caveat).
+     * merge (active connections sum to fleet totals; per-stream
+     * adaptive gauges sum over the shards serving the stream, see
+     * DESIGN.md §14 "Mergeable stats").
      */
     void mergeAdd(double v)
     {

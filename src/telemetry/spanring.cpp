@@ -1,13 +1,9 @@
 #include "telemetry/spanring.h"
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <mutex>
 
-#include "common/json.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 
 namespace bxt::telemetry {
 
@@ -134,13 +130,7 @@ struct RingRegistry
 {
     std::mutex mutex;
     std::vector<std::unique_ptr<SpanRing>> rings;
-    /** Accumulated merged spans for writeServerSpanTrace. */
-    std::vector<ServerSpan> merged;
-    std::uint64_t mergedOverflow = 0;
 };
-
-/** Bound on the merged export buffer (matches traceBufferCap). */
-constexpr std::size_t mergedCap = 1u << 20;
 
 RingRegistry &
 ringRegistry()
@@ -227,85 +217,6 @@ clearServerSpans()
     std::lock_guard<std::mutex> lock(reg.mutex);
     for (const auto &ring : reg.rings)
         ring->reset();
-    reg.merged.clear();
-    reg.mergedOverflow = 0;
-}
-
-bool
-writeServerSpanTrace(const std::string &path)
-{
-    if (path.empty())
-        return false;
-
-    RingRegistry &reg = ringRegistry();
-    std::uint64_t dropped_total = 0;
-    std::vector<ServerSpan> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        std::vector<ServerSpan> fresh;
-        for (const auto &ring : reg.rings) {
-            ring->drainInto(fresh);
-            dropped_total += ring->dropped();
-        }
-        for (ServerSpan &span : fresh) {
-            if (reg.merged.size() >= mergedCap) {
-                ++reg.mergedOverflow;
-                continue;
-            }
-            reg.merged.push_back(span);
-        }
-        dropped_total += reg.mergedOverflow;
-        snapshot = reg.merged;
-    }
-
-    JsonWriter w(/*pretty=*/false);
-    w.beginObject();
-    w.beginArray("traceEvents");
-    for (const ServerSpan &span : snapshot) {
-        char trace_hex[20];
-        std::snprintf(trace_hex, sizeof(trace_hex), "%016llx",
-                      static_cast<unsigned long long>(span.traceId));
-        w.beginObject();
-        w.kv("name", serverPhaseName(span.phase));
-        w.kv("cat", "bxt.server");
-        w.kv("ph", "X");
-        w.kv("ts", span.startUs);
-        w.kv("dur", span.durUs);
-        w.kv("pid", 1);
-        w.kv("tid", static_cast<std::uint64_t>(span.tid));
-        w.beginObject("args");
-        w.kv("trace_id", trace_hex);
-        w.kv("span_id", span.spanId);
-        w.kv("stream", static_cast<std::uint64_t>(span.streamId));
-        w.kv("op", static_cast<std::uint64_t>(span.opcode));
-        w.kv("txs", static_cast<std::uint64_t>(span.txCount));
-        w.endObject();
-        w.endObject();
-    }
-    w.endArray();
-    w.kv("displayTimeUnit", "ms");
-    w.beginObject("otherData");
-    w.kv("droppedSpans", dropped_total);
-    w.kv("tool", "bxt");
-    w.endObject();
-    w.endObject();
-
-    // Atomic publish: a SIGTERM-time flush interrupted mid-write must
-    // not leave a truncated trace behind the final rename.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return false;
-        out << w.str() << '\n';
-        if (!out.good())
-            return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
 }
 
 } // namespace bxt::telemetry

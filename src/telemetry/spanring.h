@@ -11,7 +11,10 @@
  * seqlock-versioned slot write, all on atomics (ThreadSanitizer-clean).
  * Collection (`collectServerSpans`) merges every ring on demand under a
  * registry mutex, validating each slot's sequence number so a span being
- * overwritten mid-read is discarded and counted, never torn.
+ * overwritten mid-read is discarded and counted, never torn. The rings
+ * are only the producer stage: telemetry::writeTrace drains them into
+ * the one trace buffer and exports server spans next to the ScopedSpan
+ * events (trace.h).
  *
  * Spans are recorded only for requests whose wire trace context carries
  * the sampled bit, so an untraced workload pays nothing on this path.
@@ -135,15 +138,6 @@ std::uint64_t serverSpansDropped();
 
 /** Test-only: drop all buffered spans and zero the counters. */
 void clearServerSpans();
-
-/**
- * Drain the rings and append the collected spans to the merged export
- * buffer, then write the whole buffer as a Chrome trace-event JSON file
- * (same shape as telemetry::writeTrace: complete "X" events with
- * trace/span/stream ids in args, droppedSpans in otherData). The write
- * is atomic (`.tmp` + rename). Returns false on I/O failure.
- */
-bool writeServerSpanTrace(const std::string &path);
 
 } // namespace bxt::telemetry
 

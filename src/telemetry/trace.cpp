@@ -137,13 +137,14 @@ recordSpan(const std::string &name, const std::string &category,
         return;
     }
     ts.events.push_back(
-        {name, category, currentThreadId(), start_us, duration_us});
+        {name, category, currentThreadId(), start_us, duration_us, {}});
 }
 
 std::uint64_t
 droppedSpans()
 {
-    return state().dropped.load(std::memory_order_relaxed);
+    return state().dropped.load(std::memory_order_relaxed) +
+           serverSpansDropped();
 }
 
 std::vector<TraceEvent>
@@ -169,7 +170,23 @@ writeTrace(const std::string &path)
     if (!traceEnabled() || path.empty())
         return false;
 
-    const std::vector<TraceEvent> events = traceEvents();
+    const std::vector<ServerSpan> spans = collectServerSpans();
+    TraceState &ts = state();
+    std::vector<TraceEvent> events;
+    {
+        std::lock_guard<std::mutex> lock(ts.mutex);
+        for (const ServerSpan &span : spans) {
+            if (ts.events.size() >= traceBufferCap) {
+                ts.dropped.fetch_add(1, std::memory_order_relaxed);
+                continue;
+            }
+            ts.events.push_back({serverPhaseName(span.phase), "bxt.server",
+                                 span.tid, span.startUs, span.durUs,
+                                 span});
+        }
+        events = ts.events;
+    }
+
     JsonWriter w(/*pretty=*/false);
     w.beginObject();
     w.beginArray("traceEvents");
@@ -182,6 +199,19 @@ writeTrace(const std::string &path)
         w.kv("dur", event.durationUs);
         w.kv("pid", 1);
         w.kv("tid", static_cast<std::uint64_t>(event.tid));
+        if (event.server) {
+            const ServerSpan &span = *event.server;
+            char trace_hex[20];
+            std::snprintf(trace_hex, sizeof(trace_hex), "%016llx",
+                          static_cast<unsigned long long>(span.traceId));
+            w.beginObject("args");
+            w.kv("trace_id", trace_hex);
+            w.kv("span_id", span.spanId);
+            w.kv("stream", static_cast<std::uint64_t>(span.streamId));
+            w.kv("op", static_cast<std::uint64_t>(span.opcode));
+            w.kv("txs", static_cast<std::uint64_t>(span.txCount));
+            w.endObject();
+        }
         w.endObject();
     }
     w.endArray();
@@ -192,11 +222,17 @@ writeTrace(const std::string &path)
     w.endObject();
     w.endObject();
 
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return false;
+    // Atomic publish: an exit-time flush interrupted mid-write must not
+    // leave a truncated trace behind the final rename.
+    const std::string tmp = path + ".tmp";
+    std::ofstream out(tmp, std::ios::trunc);
     out << w.str() << '\n';
-    return out.good();
+    out.close();
+    if (out.fail() || std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        return false;
+    }
+    return true;
 }
 
 } // namespace bxt::telemetry

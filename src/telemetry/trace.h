@@ -1,9 +1,11 @@
 /**
  * @file
  * Scoped-timer spans and the Chrome trace-event exporter. Spans are
- * recorded into a bounded process-wide buffer and written as a
- * `chrome://tracing` / Perfetto-loadable `trace.json` (complete "X"
- * events, microsecond timestamps anchored at process start).
+ * recorded into a bounded, mutex-guarded process-wide buffer and written
+ * as a `chrome://tracing` / Perfetto-loadable `trace.json` (complete "X"
+ * events, microsecond timestamps anchored at process start). The
+ * writer also drains the server's per-thread span rings (spanring.h)
+ * into the same buffer, so one file holds both kinds of span.
  *
  * Gating mirrors the metrics registry: tracing is off unless the
  * `BXT_TRACE=<path>` environment variable is set (which also installs an
@@ -18,8 +20,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "telemetry/spanring.h"
 
 namespace bxt::telemetry {
 
@@ -61,6 +66,9 @@ struct TraceEvent
     std::uint32_t tid = 0;
     std::uint64_t startUs = 0;
     std::uint64_t durationUs = 0;
+    /** Set on server spans drained from the span rings; exported as the
+     *  event's args (trace_id, span_id, stream, op, txs). */
+    std::optional<ServerSpan> server;
 };
 
 /**
@@ -74,19 +82,25 @@ void recordSpan(const std::string &name, const std::string &category,
 /** Span buffer capacity. */
 constexpr std::size_t traceBufferCap = 1u << 20;
 
-/** Spans discarded because the buffer was full. */
+/** Spans lost before export: those discarded because the buffer was
+ *  full plus server spans their ring overwrote before a drain. */
 std::uint64_t droppedSpans();
 
-/** Copy of the recorded spans (tests / custom exporters). */
+/** Copy of the buffered spans (tests / custom exporters). Server spans
+ *  appear once writeTrace has drained them from the rings. */
 std::vector<TraceEvent> traceEvents();
 
-/** Drop every recorded span and zero the dropped count. */
+/** Drop every buffered span and zero the buffer-overflow count (ring
+ *  drops reset with clearServerSpans). */
 void clearTraceBuffer();
 
 /**
- * Write the buffered spans as a Chrome trace-event JSON object
- * (`{"traceEvents": [...], ...}`). Returns false (writing nothing) when
- * tracing is disabled or the file cannot be created.
+ * Drain the server span rings into the buffer (category `bxt.server`,
+ * named after the phase), then write every buffered span as a Chrome
+ * trace-event JSON object (`{"traceEvents": [...], ...}`). The buffer
+ * keeps what it exported, so each write holds every span so far. The
+ * file is published atomically (`.tmp` + rename). Returns false
+ * (writing nothing) when tracing is disabled or the write fails.
  */
 bool writeTrace(const std::string &path);
 

@@ -41,6 +41,7 @@
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
 #include "telemetry/spanring.h"
+#include "telemetry/trace.h"
 #include "verify/golden.h"
 #include "workloads/scenario.h"
 
@@ -992,7 +993,7 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     EXPECT_GE(telemetry::serverSpansRecorded(), 5u);
     EXPECT_EQ(telemetry::serverSpansDropped(), 0u);
 
-    // A second traced request feeds the merged Chrome-trace export.
+    // A second traced request feeds the Chrome-trace export.
     // Wait for its five spans to be pushed (pushes are counted at
     // record time, independent of collection).
     client.setTrace(trace_id + 1, /*span_id=*/78, /*sampled=*/true);
@@ -1006,7 +1007,10 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
         (std::filesystem::temp_directory_path() /
          ("bxt_spans_" + std::to_string(::getpid()) + ".json"))
             .string();
-    ASSERT_TRUE(telemetry::writeServerSpanTrace(path));
+    telemetry::setTraceEnabled(true);
+    const bool written = telemetry::writeTrace(path);
+    telemetry::setTraceEnabled(false);
+    ASSERT_TRUE(written);
     std::ifstream in(path);
     std::stringstream buffer;
     buffer << in.rdbuf();
@@ -1567,6 +1571,76 @@ TEST(Sharded, AdaptiveStreamSurvivesReconnectsAcrossShards)
     EXPECT_EQ(counters.at("bxt.server.stream.5.tx_encoded"),
               kReconnects * kEncodesPerConn * 16);
     EXPECT_EQ(counters.at("bxt.server.errors"), 0u);
+}
+
+TEST(Loopback, AdaptiveSensorGaugesMergeAcrossShards)
+{
+    telemetry::resetForTest();
+    telemetry::setMetricsEnabled(true);
+    server::ServerOptions options;
+    options.unixPath = uniqueSocketPath("sensors");
+    options.shards = 2;
+    LiveServer live(options);
+    ASSERT_TRUE(live.started());
+
+    // Stream 7 on two connections: the Unix acceptor's round-robin puts
+    // one on each shard, so each shard runs its own stream-7 controller.
+    // All-zero transactions make every sensor exact: zero_frac 1,
+    // xor_weight 0. Four 256-tx requests per connection span several
+    // evaluation periods (the default window fills on the first, the
+    // period is 256 tx).
+    constexpr std::size_t kRequests = 4;
+    constexpr std::size_t kTxPerRequest = 256;
+    const std::vector<std::uint8_t> raw(kTxPerRequest * 32, 0x00);
+    std::string err;
+    std::vector<client::Client> clients;
+    for (int c = 0; c < 2; ++c) {
+        clients.push_back(client::Client::connectUnix(options.unixPath, err));
+        ASSERT_TRUE(clients.back().connected()) << err;
+        clients.back().setStreamId(7);
+    }
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        for (client::Client &client : clients) {
+            client::EncodeResult enc;
+            ASSERT_TRUE(client.encode("adaptive", 32, 32, raw, enc, err))
+                << err;
+        }
+    }
+
+    std::string json;
+    ASSERT_TRUE(clients.front().stats(json, err)) << err;
+    telemetry::setMetricsEnabled(false);
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(json, doc, &err)) << err;
+    const JsonValue *counters = doc.find("counters");
+    const JsonValue *gauges = doc.find("gauges");
+    ASSERT_NE(counters, nullptr);
+    ASSERT_NE(gauges, nullptr);
+    for (const char *shard : {"0", "1"}) {
+        const JsonValue *conns = counters->find(
+            std::string("bxt.server.shard.") + shard + ".connections");
+        ASSERT_NE(conns, nullptr);
+        EXPECT_EQ(conns->number, 1.0) << "shard " << shard;
+    }
+
+    // Gauges add on the fleet merge: each shard contributes its own
+    // controller's sensor value and one set choice gauge, so dividing
+    // by the summed one-hot choice gauges recovers the per-controller
+    // value.
+    const std::string base = "bxt.server.stream.7.adaptive.";
+    double controllers = 0.0;
+    for (const auto &[name, value] : gauges->object) {
+        EXPECT_EQ(name.find("window_"), std::string::npos) << name;
+        if (name.rfind(base + "choice.", 0) == 0)
+            controllers += value.number;
+    }
+    EXPECT_EQ(controllers, 2.0);
+    const JsonValue *zero_frac = gauges->find(base + "zero_frac");
+    const JsonValue *xor_weight = gauges->find(base + "xor_weight");
+    ASSERT_NE(zero_frac, nullptr);
+    ASSERT_NE(xor_weight, nullptr);
+    EXPECT_EQ(zero_frac->number / controllers, 1.0);
+    EXPECT_EQ(xor_weight->number / controllers, 0.0);
 }
 
 /** utime + stime of process @p pid from /proc, in microseconds. */

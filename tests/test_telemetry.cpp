@@ -450,12 +450,13 @@ TEST_F(TelemetryTest, RecordServerSpanFeedsRegistryAndCounters)
 
 TEST_F(TelemetryTest, ServerSpanTraceExportsChromeJson)
 {
+    tm::setTraceEnabled(true);
     tm::recordServerSpan(makeSpan(3));
     tm::recordServerSpan(makeSpan(4));
     const std::string path =
         (std::filesystem::temp_directory_path() / "bxt_spans_test.json")
             .string();
-    ASSERT_TRUE(tm::writeServerSpanTrace(path));
+    ASSERT_TRUE(tm::writeTrace(path));
 
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
@@ -485,12 +486,55 @@ TEST_F(TelemetryTest, ServerSpanTraceExportsChromeJson)
     // new records contains all four.
     tm::recordServerSpan(makeSpan(5));
     tm::recordServerSpan(makeSpan(6));
-    ASSERT_TRUE(tm::writeServerSpanTrace(path));
+    ASSERT_TRUE(tm::writeTrace(path));
     std::ifstream again(path);
     const std::string text2((std::istreambuf_iterator<char>(again)),
                             std::istreambuf_iterator<char>());
     ASSERT_TRUE(parseJson(text2, doc, &error)) << error;
     EXPECT_EQ(member(doc, "traceEvents").array.size(), 4u);
+    std::filesystem::remove(path);
+}
+
+TEST_F(TelemetryTest, OneTraceFileHoldsScopedAndServerSpans)
+{
+    tm::setTraceEnabled(true);
+    {
+        tm::ScopedSpan span("offline.run", "test");
+    }
+    tm::recordServerSpan(makeSpan(8));
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "bxt_mixed_trace.json")
+            .string();
+    ASSERT_TRUE(tm::writeTrace(path));
+    // Published by rename: the temporary never outlives the write.
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(text, doc, &error)) << error;
+    const JsonValue &events = member(doc, "traceEvents");
+    ASSERT_EQ(events.array.size(), 2u);
+    const JsonValue &scoped = events.array[0];
+    EXPECT_EQ(member(scoped, "name").string, "offline.run");
+    EXPECT_EQ(member(scoped, "cat").string, "test");
+    EXPECT_EQ(scoped.find("args"), nullptr);
+    const JsonValue &server = events.array[1];
+    EXPECT_EQ(member(server, "name").string, "codec");
+    EXPECT_EQ(member(server, "cat").string, "bxt.server");
+    EXPECT_EQ(member(server, "ts").number, 1008.0);
+    EXPECT_EQ(member(server, "dur").number, 8.0);
+    EXPECT_EQ(member(server, "tid").number, 7.0);
+    const JsonValue &args = member(server, "args");
+    EXPECT_EQ(member(args, "trace_id").string, "0000000000000009");
+    EXPECT_EQ(member(args, "span_id").number, 17.0);
+    EXPECT_EQ(member(args, "stream").number, 3.0);
+    EXPECT_EQ(member(args, "op").number, 2.0);
+    EXPECT_EQ(member(args, "txs").number, 8.0);
+    EXPECT_EQ(member(member(doc, "otherData"), "droppedSpans").number,
+              0.0);
     std::filesystem::remove(path);
 }
 

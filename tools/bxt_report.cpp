@@ -51,6 +51,7 @@
  */
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -203,7 +204,22 @@ validateSnapshot(const std::string &path, const JsonValue &snapshot)
     return true;
 }
 
-/** Validate the shape of a Chrome trace-event file. */
+/** True when @p text is exactly 16 hexadecimal digits. */
+bool
+isTraceIdHex(const std::string &text)
+{
+    return text.size() == 16 &&
+           std::all_of(text.begin(), text.end(), [](unsigned char c) {
+               return std::isxdigit(c) != 0;
+           });
+}
+
+/**
+ * Validate a Chrome trace-event file against what telemetry::writeTrace
+ * emits: every event has a string name/cat/ph and numeric ts/dur/tid,
+ * and server spans (cat `bxt.server`) carry a 16-hex-digit
+ * args.trace_id.
+ */
 bool
 validateTrace(const std::string &path)
 {
@@ -222,14 +238,34 @@ validateTrace(const std::string &path)
                      "trace"))
         return false;
     for (const JsonValue &event : doc.find("traceEvents")->array) {
-        if (!event.isObject() ||
-            !checkMember(path, event, "name", JsonValue::Kind::String,
-                         "trace event") ||
-            !checkMember(path, event, "ph", JsonValue::Kind::String,
-                         "trace event") ||
-            !checkMember(path, event, "ts", JsonValue::Kind::Number,
-                         "trace event"))
+        if (!event.isObject()) {
+            std::fprintf(stderr, "bxt_report: %s: trace event is not an "
+                                 "object\n",
+                         path.c_str());
             return false;
+        }
+        for (const char *key : {"name", "cat", "ph"}) {
+            if (!checkMember(path, event, key, JsonValue::Kind::String,
+                             "trace event"))
+                return false;
+        }
+        for (const char *key : {"ts", "dur", "tid"}) {
+            if (!checkMember(path, event, key, JsonValue::Kind::Number,
+                             "trace event"))
+                return false;
+        }
+        if (event.find("cat")->string != "bxt.server")
+            continue;
+        const JsonValue *args = event.find("args");
+        const JsonValue *trace_id =
+            args != nullptr ? args->find("trace_id") : nullptr;
+        if (trace_id == nullptr || !trace_id->isString() ||
+            !isTraceIdHex(trace_id->string)) {
+            std::fprintf(stderr, "bxt_report: %s: bxt.server event \"%s\" "
+                                 "lacks a 16-hex-digit args.trace_id\n",
+                         path.c_str(), event.find("name")->string.c_str());
+            return false;
+        }
     }
     std::printf("%s: valid trace, %zu event(s)\n", path.c_str(),
                 doc.find("traceEvents")->array.size());

@@ -15,10 +15,10 @@
  *    the HDR histogram's sparse bucket deltas (the same log-bucket
  *    geometry as telemetry::Histo, so no raw samples cross the wire);
  *  - per-stream (tenant) request/transaction rates, ones-on-bus
- *    removal, the windowed value statistics (zero-word fraction,
- *    XOR toggle weight) the adaptive-codec sensors export, and — for
- *    streams running the `adaptive` spec — the concrete codec the
- *    per-stream controller currently selects plus its switch count;
+ *    removal, and — for streams running the `adaptive` spec — the
+ *    controller's sensors at its last evaluation (zero-word fraction,
+ *    4-byte XOR toggle weight), the concrete codec it currently
+ *    selects, and its switch count;
  *  - per-spec ones-on-bus deltas;
  *  - span-ring health (recorded/dropped) for the tracing pipeline.
  *
@@ -277,6 +277,31 @@ adaptiveChoiceOf(const Sample &sample, const std::string &stream_base)
     return "-";
 }
 
+/**
+ * Stream @p stream_base's adaptive sensor gauge `.adaptive.<leaf>` per
+ * controller, "-" when the stream has none. Gauges add on the shard
+ * merge, so the sum is divided by the controller count: the sum of the
+ * stream's one-hot `.adaptive.choice.*` gauges.
+ */
+std::string
+adaptiveSensorOf(const Sample &sample, const std::string &stream_base,
+                 const char *leaf)
+{
+    const std::string prefix = stream_base + ".adaptive.choice.";
+    double controllers = 0.0;
+    for (auto it = sample.gauges.lower_bound(prefix);
+         it != sample.gauges.end() && it->first.rfind(prefix, 0) == 0;
+         ++it)
+        controllers += it->second;
+    if (controllers <= 0.0)
+        return "-";
+    char cell[32];
+    std::snprintf(cell, sizeof(cell), "%.3f",
+                  gaugeOf(sample, stream_base + ".adaptive." + leaf) /
+                      controllers);
+    return cell;
+}
+
 void
 render(const Args &args, const Sample &cur, const Sample &prev,
        bool clear)
@@ -389,13 +414,13 @@ render(const Args &args, const Sample &cur, const Sample &prev,
                                           dt_s);
             const double out_rate = rateOf(cur, prev, b + ".ones_out",
                                            dt_s);
-            std::printf("%-7ld %8.1f %9.1f %11.0f %6.2f %10.3f %8.3f "
+            std::printf("%-7ld %8.1f %9.1f %11.0f %6.2f %10s %8s "
                         "%-20s %4.0f\n",
                         id, rateOf(cur, prev, b + ".requests", dt_s),
                         rateOf(cur, prev, b + ".tx_encoded", dt_s),
                         in_rate, removedPct(in_rate, out_rate),
-                        gaugeOf(cur, b + ".window_zero_frac"),
-                        gaugeOf(cur, b + ".window_xor_weight"),
+                        adaptiveSensorOf(cur, b, "zero_frac").c_str(),
+                        adaptiveSensorOf(cur, b, "xor_weight").c_str(),
                         adaptiveChoiceOf(cur, b).c_str(),
                         counterOf(cur, b + ".adaptive.switches"));
         }

@@ -7,11 +7,12 @@
  * Usage:
  *   bxtd [--listen HOST:PORT] [--unix PATH] [--shards N]
  *        [--max-batch K] [--idle-timeout MS] [--max-pending N]
- *        [--trace-spans PATH]
  *
- * --trace-spans drains the per-worker span rings on shutdown and writes
- * the sampled request lifecycles as a Chrome trace-event JSON file
- * (load it in chrome://tracing or Perfetto).
+ * With BXT_TRACE=PATH set (`%p` expands to the pid), the exit-time
+ * trace flush runs after the drain and writes the sampled request
+ * lifecycles from every shard's span ring as a Chrome trace-event JSON
+ * file (load it in chrome://tracing or Perfetto), like every other bxt
+ * binary's trace.
  */
 
 #include <csignal>
@@ -22,7 +23,6 @@
 #include "common/cli.h"
 #include "server/server.h"
 #include "telemetry/metrics.h"
-#include "telemetry/spanring.h"
 
 namespace {
 
@@ -59,7 +59,6 @@ main(int argc, char **argv)
 {
     bxt::server::ServerOptions options;
     std::string listen_spec;
-    std::string trace_spans_path;
 
     bxt::Cli cli("bxtd",
                  "batched encode/decode server for the bxt wire protocol");
@@ -90,9 +89,6 @@ main(int argc, char **argv)
             [&](const std::string &v) {
                 options.maxPending = std::strtoul(v.c_str(), nullptr, 0);
             });
-    cli.add("--trace-spans", "PATH",
-            "write sampled request spans as Chrome trace JSON on exit",
-            [&](const std::string &v) { trace_spans_path = v; });
     if (!cli.parse(argc, argv))
         return cli.exitCode();
 
@@ -143,20 +139,6 @@ main(int argc, char **argv)
     server.serve();
 
     g_server = nullptr;
-    if (!trace_spans_path.empty()) {
-        if (bxt::telemetry::writeServerSpanTrace(trace_spans_path)) {
-            std::printf("bxtd: wrote request spans to %s "
-                        "(%llu recorded, %llu dropped)\n",
-                        trace_spans_path.c_str(),
-                        static_cast<unsigned long long>(
-                            bxt::telemetry::serverSpansRecorded()),
-                        static_cast<unsigned long long>(
-                            bxt::telemetry::serverSpansDropped()));
-        } else {
-            std::fprintf(stderr, "bxtd: failed to write spans to %s\n",
-                         trace_spans_path.c_str());
-        }
-    }
     std::printf("bxtd: drained, exiting\n");
     return 0;
 }
