@@ -16,7 +16,8 @@
 #            ctest; BXT_FUZZ_SECONDS scales the budget (default 60) and
 #            BXT_FUZZ_FRAMES the wire-frame parser pass (default 100000)
 #   batch    Release build + batch/simd-labeled ctest (batch kernels vs
-#            the reference codecs, SIMD tables vs the scalar table) + an
+#            the reference codecs, SIMD tables vs the scalar table, the
+#            wire CRC32 at every level vs a bitwise reference) + an
 #            ASan/UBSan pass of the same tests forced through every
 #            dispatch level (BXT_SIMD=scalar/word/avx2/avx512) + the
 #            bench_codec_throughput sweep with its speedup gates
@@ -131,14 +132,15 @@ run_batch() {
     echo "=== CI job: batch kernels vs per-transaction encoding ==="
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-ci-release -j "${jobs}" \
-        --target test_batch test_simd bench_codec_throughput
+        --target test_batch test_simd test_checksum bench_codec_throughput
     # SIMD intrinsics under ASan/UBSan: force each dispatch level in
     # turn so every kernel tier's loads/stores and tail masks run
     # sanitized, not just the level CPUID would pick. Unsupported levels
     # clamp down (with a warning) rather than fail, so the loop is safe
     # on any host.
     configure_asan
-    cmake --build build-ci-asan -j "${jobs}" --target test_batch test_simd
+    cmake --build build-ci-asan -j "${jobs}" \
+        --target test_batch test_simd test_checksum
     local level
     for level in scalar word avx2 avx512; do
         echo "--- batch/simd ctest (ASan, BXT_SIMD=${level}) ---"
@@ -332,7 +334,8 @@ run_scenario() {
     echo "=== CI job: multi-tenant scenario traffic + per-tenant gates ==="
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-ci-release -j "${jobs}" \
-        --target bxtd bxt_loadgen bxt_report test_scenario test_server
+        --target bxtd bxt_client bxt_loadgen bxt_report test_scenario \
+        test_server
     ctest --test-dir build-ci-release --output-on-failure -j "${jobs}" \
         -L scenario
 

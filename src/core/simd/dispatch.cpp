@@ -1,7 +1,7 @@
 /**
  * @file
- * Runtime SIMD dispatch: CPU feature detection (CPUID leaf 7 plus the
- * XGETBV/XCR0 OS-state check for AVX register saving), BXT_SIMD
+ * Runtime SIMD dispatch: CPU feature detection (CPUID leaves 1 and 7
+ * plus the XGETBV/XCR0 OS-state check for AVX register saving), BXT_SIMD
  * environment resolution, and the atomic active-table pointer the hot
  * kernels read through ops().
  */
@@ -50,7 +50,11 @@ detectCpu()
     if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0)
         return features;
     const bool osxsave = (ecx & (1u << 27)) != 0;
-    if (!osxsave)
+    // Both x86 tiers compute CRC32 with PCLMULQDQ + SSE4.1
+    // (kernels_clmul.cpp).
+    const bool pclmul = (ecx & (1u << 1)) != 0;
+    const bool sse41 = (ecx & (1u << 19)) != 0;
+    if (!osxsave || !pclmul || !sse41)
         return features;
     const std::uint64_t xcr0 = readXcr0();
     const bool ymm_saved = (xcr0 & 0x6) == 0x6;         // XMM + YMM

@@ -12,6 +12,7 @@
 #ifndef BXT_CORE_SIMD_KERNEL_COMMON_H
 #define BXT_CORE_SIMD_KERNEL_COMMON_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -198,6 +199,65 @@ popcountXorWordRange(const std::uint8_t *a, const std::uint8_t *b,
         count += static_cast<std::uint64_t>(
             popcount64(static_cast<std::uint64_t>(a[i] ^ b[i])));
     return count;
+}
+
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/**
+ * CRC32 lookup tables for the reflected IEEE polynomial 0xEDB88320.
+ * tables[0] is the classic bytewise table; tables[k][i] is the CRC
+ * contribution of byte i followed by k zero bytes, so eight table
+ * lookups advance the CRC over eight bytes at once. Built at compile
+ * time, so there is no init-order dependency.
+ */
+constexpr Crc32Tables
+makeCrc32Tables()
+{
+    Crc32Tables tables{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t crc = i;
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
+        tables[0][i] = crc;
+    }
+    for (std::size_t k = 1; k < tables.size(); ++k) {
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            const std::uint32_t prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+        }
+    }
+    return tables;
+}
+
+inline constexpr Crc32Tables crc32Tables = makeCrc32Tables();
+
+/** One byte per step through tables[0]. */
+inline std::uint32_t
+crc32BytewiseRange(std::uint32_t crc, const std::uint8_t *p, std::size_t n)
+{
+    for (; n > 0; ++p, --n)
+        crc = (crc >> 8) ^ crc32Tables[0][(crc ^ *p) & 0xffu];
+    return crc;
+}
+
+/** Slicing-by-8: eight bytes per step, then the bytewise loop for the
+ *  last 0-7 bytes. */
+inline std::uint32_t
+crc32SliceBy8Range(std::uint32_t crc, const std::uint8_t *p, std::size_t n)
+{
+    const auto &t = crc32Tables;
+    for (; n >= 8; p += 8, n -= 8) {
+        // Little-endian load: byte 0 of the step sits in the low bits,
+        // where the reflected CRC consumes it first.
+        const std::uint64_t word = loadWord64(p) ^ crc;
+        const auto lo = static_cast<std::uint32_t>(word);
+        const auto hi = static_cast<std::uint32_t>(word >> 32);
+        crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+              t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+              t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    return crc32BytewiseRange(crc, p, n);
 }
 
 } // namespace bxt::simd::detail

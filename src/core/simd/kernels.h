@@ -25,6 +25,14 @@ const KernelTable *avx2TableOrNull();
 const KernelTable *avx512TableOrNull();
 const KernelTable *neonTableOrNull();
 
+/**
+ * CRC32 by PCLMULQDQ folding (kernels_clmul.cpp), the crc32Update entry
+ * of both x86 tiers. Defined only in builds whose Avx2/Avx512 tables are
+ * real; the dispatcher installs those only on CPUs with PCLMULQDQ.
+ */
+std::uint32_t crc32UpdateClmul(std::uint32_t crc, const std::uint8_t *p,
+                               std::size_t n);
+
 /** Runtime CPU support for the x86 tiers (always false off-x86). */
 bool cpuHasAvx2();
 bool cpuHasAvx512();

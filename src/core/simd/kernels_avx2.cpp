@@ -325,6 +325,7 @@ avx2TableOrNull()
         dbiDecodePlaneAvx2,
         popcountRangeAvx2,
         popcountXorRangeAvx2,
+        crc32UpdateClmul,
     };
     return &table;
 }

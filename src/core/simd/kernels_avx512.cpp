@@ -399,6 +399,7 @@ avx512TableOrNull()
         dbiDecodePlaneAvx512,
         popcountRangeAvx512,
         popcountXorRangeAvx512,
+        crc32UpdateClmul,
     };
     return &table;
 }

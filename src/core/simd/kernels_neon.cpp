@@ -276,6 +276,7 @@ neonTableOrNull()
         dbiDecodePlaneNeon,
         popcountRangeNeon,
         popcountXorRangeNeon,
+        crc32SliceBy8Range,
     };
     return &table;
 }

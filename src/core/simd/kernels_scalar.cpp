@@ -2,9 +2,13 @@
  * @file
  * Scalar tier: strict byte-at-a-time loops. This is the reference every
  * other tier must match bit for bit; it deliberately avoids word loads
- * so a bug in the word/vector paths cannot hide in shared code.
+ * so a bug in the word/vector paths cannot hide in shared code. Its
+ * CRC32 is the bytewise table loop from kernel_common.h, which the other
+ * tiers reach only for their last few bytes; tests/test_checksum.cpp
+ * checks it against the table-free bitwise definition.
  */
 
+#include "core/simd/kernel_common.h"
 #include "core/simd/kernels.h"
 
 namespace bxt::simd::detail {
@@ -175,6 +179,7 @@ scalarTable()
         dbiDecodePlaneScalar,
         popcountRangeScalar,
         popcountXorRangeScalar,
+        crc32BytewiseRange,
     };
     return table;
 }

@@ -26,6 +26,7 @@ wordTable()
         dbiDecodePlaneWord,
         popcountWordRange,
         popcountXorWordRange,
+        crc32SliceBy8Range,
     };
     return table;
 }

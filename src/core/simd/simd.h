@@ -1,18 +1,28 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernel layer for the batch codec core.
+ * Runtime-dispatched SIMD kernel layer for the batch codec core and the
+ * wire checksum.
  *
  * The batch kernels (Base+XOR cascade, ZDR word remap, Universal fold,
  * DBI popcount-and-invert) and the bus ones/toggle accounting all reduce
- * to a small set of plane-level primitives. This module provides those
- * primitives behind a function-pointer table selected once at runtime:
+ * to a small set of plane-level primitives (xor, ZDR encode/decode per
+ * lane width, DBI plane encode/decode, popcount, xor-popcount). The
+ * bxtd frame CRC32 (common/checksum.h) is one more primitive. This
+ * module provides them behind a function-pointer table selected once at
+ * runtime:
  *
- *   Level::Scalar  byte-at-a-time loops (the differential reference)
- *   Level::Word    64-bit word loops (the PR 5 hand-written kernels)
- *   Level::Neon    128-bit NEON (aarch64 builds only)
- *   Level::Avx2    256-bit AVX2 (x86-64, detected via CPUID + XGETBV)
- *   Level::Avx512  512-bit AVX-512 F+BW+VL+VPOPCNTDQ
+ *   Level::Scalar  byte-at-a-time loops (the differential reference);
+ *                  CRC32 by the bytewise table loop
+ *   Level::Word    64-bit word loops (the PR 5 hand-written kernels);
+ *                  CRC32 by slicing-by-8
+ *   Level::Neon    128-bit NEON (aarch64 builds only); CRC32 by
+ *                  slicing-by-8
+ *   Level::Avx2    256-bit AVX2 (x86-64, detected via CPUID + XGETBV);
+ *                  CRC32 by a 4x128-bit PCLMULQDQ fold
+ *   Level::Avx512  512-bit AVX-512 F+BW+VL+VPOPCNTDQ; CRC32 by the same
+ *                  PCLMULQDQ fold as Avx2
  *
+ * Both x86 levels also require PCLMULQDQ and SSE4.1 (CPUID leaf 1).
  * One binary carries every level its compiler could build (the vector
  * translation units get per-file -m flags; see src/core/CMakeLists.txt)
  * and picks the best one the running CPU supports. The `BXT_SIMD`
@@ -98,6 +108,14 @@ struct KernelTable
     /** Total `1` bits in a[i] ^ b[i] (the toggle count of two beats). */
     std::uint64_t (*popcountXorRange)(const std::uint8_t *a,
                                       const std::uint8_t *b, std::size_t n);
+
+    /**
+     * Advance a running IEEE CRC32 (reflected polynomial 0xEDB88320,
+     * pre- and post-inversion left to the caller as in common/checksum.h)
+     * over @p n bytes at @p p.
+     */
+    std::uint32_t (*crc32Update)(std::uint32_t crc, const std::uint8_t *p,
+                                 std::size_t n);
 };
 
 /**

@@ -325,12 +325,27 @@ randomFrame(Rng &rng)
         "abcdefghijklmnopqrstuvwxyz0123456789+|";
     for (std::size_t i = 0; i < spec_len; ++i)
         frame.spec += charset[rng.nextBounded(sizeof(charset) - 1)];
-    // Bodies up to 4 KiB, a quarter of them at least 1 KiB, so the
-    // CRC's eight-byte loop runs over long frames as well as its
-    // bytewise tail over short ones.
-    const std::size_t body_len = rng.nextBounded(4) == 0
-                                     ? 1024 + rng.nextBounded(3073)
-                                     : rng.nextBounded(1024);
+    // Bodies up to 4 KiB. A quarter are at least 1 KiB, so the CRC's
+    // PCLMULQDQ fold runs its loops over long frames. A quarter put the
+    // CRC'd bytes (the frame less its CRC) within five bytes of 64 or
+    // 128, so both they and the frame sit just below, at or just above
+    // the fold's 64-byte entry and its second 64-byte step, with short
+    // tails after the last 16-byte block. The rest stay under 1 KiB.
+    const std::size_t prefix_len =
+        headerBytes + (frame.traced() ? traceBlockBytes : 0) + spec_len;
+    std::size_t body_len = 0;
+    switch (rng.nextBounded(4)) {
+    case 0:
+        body_len = 1024 + rng.nextBounded(3073);
+        break;
+    case 1: {
+        const std::size_t edge = rng.nextBounded(2) == 0 ? 64 : 128;
+        body_len = edge - 5 + rng.nextBounded(10) - prefix_len;
+        break;
+    }
+    default:
+        body_len = rng.nextBounded(1024);
+    }
     frame.body.resize(body_len);
     for (std::size_t i = 0; i < body_len; ++i)
         frame.body[i] = static_cast<std::uint8_t>(rng.nextBounded(256));
