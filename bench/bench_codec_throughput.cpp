@@ -19,9 +19,9 @@
  *  4. A SIMD dispatch-level sweep: per spec and batch size, encode-only
  *     and decode-only throughput at every available kernel level (word
  *     and up; a forced BXT_SIMD pins the sweep to that single level).
- *     `--simd-min-speedup F` gates the xor4+zdr encode batch-512 speedup
- *     of the best SIMD level over the word baseline, and skips with a
- *     note on hosts with no vector level.
+ *     `--simd-min-speedup F` gates the xor4+zdr encode and decode
+ *     batch-512 speedups of the best SIMD level over the word baseline,
+ *     and skips with a note on hosts with no vector level.
  *
  * Not a paper artifact — it documents that the library is fast enough to
  * sit in a simulator's memory-controller path.
@@ -386,6 +386,14 @@ struct SimdRow
     double decodeSpeedupVsWord = 1.0;
 };
 
+/** Best SIMD-over-word xor4+zdr batch-512 speedups; -1 when the host
+ *  has no vector level to compare. */
+struct SimdGate
+{
+    double encode = -1.0;
+    double decode = -1.0;
+};
+
 /**
  * Dispatch levels the SIMD sweep visits. A forced BXT_SIMD pins the
  * sweep to the single level it resolved to; otherwise every supported
@@ -408,17 +416,17 @@ simdSweepLevels()
  * The per-level sweep: encode-only and decode-only throughput for every
  * spec x dispatch level x batch size. Word rows come first per spec and
  * anchor the speedup columns. @p gate_out receives the xor4+zdr encode
- * batch-512 speedup of the best SIMD level over word, or -1 when the
- * host has no vector level to compare (the gate then skips).
+ * and decode batch-512 speedups of the best SIMD level over word, or -1
+ * when the host has no vector level to compare (the gate then skips).
  */
 std::vector<SimdRow>
-runSimdSweep(double *gate_out)
+runSimdSweep(SimdGate *gate_out)
 {
     const simd::Level saved = simd::activeLevel();
     const std::vector<simd::Level> levels = simdSweepLevels();
     const std::vector<Transaction> stream = makeInput(false, simdSweepTx);
     std::vector<SimdRow> rows;
-    double gate = -1.0;
+    SimdGate gate;
 
     std::printf("\n--- SIMD dispatch levels: ");
     for (std::size_t i = 0; i < levels.size(); ++i)
@@ -455,8 +463,12 @@ runSimdSweep(double *gate_out)
                 if (word_dec[s] > 0.0)
                     row.decodeSpeedupVsWord = word_dec[s] / dec_s;
                 if (spec == "xor4+zdr" && batch_tx == 512 &&
-                    level != simd::Level::Word && word_enc[s] > 0.0)
-                    gate = std::max(gate, row.encodeSpeedupVsWord);
+                    level != simd::Level::Word && word_enc[s] > 0.0) {
+                    gate.encode =
+                        std::max(gate.encode, row.encodeSpeedupVsWord);
+                    gate.decode =
+                        std::max(gate.decode, row.decodeSpeedupVsWord);
+                }
                 std::printf("%-22s %-7s batch %-5zu enc %9.0f ktx/s "
                             "%5.2fx  dec %9.0f ktx/s %5.2fx\n",
                             spec.c_str(), simd::levelName(level),
@@ -470,10 +482,10 @@ runSimdSweep(double *gate_out)
     }
     simd::setActiveLevel(saved);
 
-    if (gate >= 0.0)
-        std::printf("xor4+zdr encode batch-512 SIMD-over-word speedup: "
-                    "%.2fx\n",
-                    gate);
+    if (gate.encode >= 0.0)
+        std::printf("xor4+zdr batch-512 SIMD-over-word speedup: "
+                    "encode %.2fx, decode %.2fx\n",
+                    gate.encode, gate.decode);
     else
         std::printf("no vector dispatch level available; SIMD speedup "
                     "gate not applicable on this host\n");
@@ -515,7 +527,7 @@ runSuiteSweep(const std::string &json_path, double batch_min_speedup,
     const std::vector<BatchRow> batch_rows =
         runBatchSweep(&best_batch_speedup);
 
-    double simd_gate = -1.0;
+    SimdGate simd_gate;
     const std::vector<SimdRow> simd_rows = runSimdSweep(&simd_gate);
     const std::vector<simd::Level> simd_levels = simdSweepLevels();
 
@@ -591,15 +603,17 @@ runSuiteSweep(const std::string &json_path, double batch_min_speedup,
         return 1;
     }
     if (simd_min_speedup > 0.0) {
-        if (simd_gate < 0.0) {
+        if (simd_gate.encode < 0.0) {
             std::printf("--simd-min-speedup skipped: no vector dispatch "
                         "level on this host\n");
-        } else if (simd_gate < simd_min_speedup) {
+        } else if (std::min(simd_gate.encode, simd_gate.decode) <
+                   simd_min_speedup) {
             std::fprintf(stderr,
-                         "FAIL: xor4+zdr encode batch-512 SIMD speedup "
-                         "%.2fx is below the --simd-min-speedup gate "
-                         "%.2fx\n",
-                         simd_gate, simd_min_speedup);
+                         "FAIL: xor4+zdr batch-512 SIMD speedup (encode "
+                         "%.2fx, decode %.2fx) is below the "
+                         "--simd-min-speedup gate %.2fx\n",
+                         simd_gate.encode, simd_gate.decode,
+                         simd_min_speedup);
             return 1;
         }
     }
@@ -629,8 +643,8 @@ main(int argc, char **argv)
     // --batch-min-speedup F fails the run when the best batch>=512
     // codec speedup over batch 1 falls below F (the `ci.sh batch` gate);
     // --simd-min-speedup F fails the run when the best SIMD level's
-    // xor4+zdr encode batch-512 speedup over word falls below F (skips
-    // with a note on hosts without a vector level).
+    // xor4+zdr encode or decode batch-512 speedup over word falls below
+    // F (skips with a note on hosts without a vector level).
     bool sweep_only = false;
     std::string json_path = "BENCH_codec_throughput.json";
     double batch_min_speedup = 0.0;

@@ -17,14 +17,16 @@
 #            BXT_FUZZ_FRAMES the wire-frame parser pass (default 100000)
 #   batch    Release build + batch/simd-labeled ctest (batch kernels vs
 #            the reference codecs, SIMD tables vs the scalar table, the
-#            wire CRC32 at every level vs a bitwise reference) + an
+#            Base+XOR/Universal/pipeline codec suites, the wire CRC32 at
+#            every level vs a bitwise reference) + an
 #            ASan/UBSan pass of the same tests forced through every
 #            dispatch level (BXT_SIMD=scalar/word/avx2/avx512) + the
 #            bench_codec_throughput sweep with its speedup gates
 #            (BXT_BATCH_MIN_SPEEDUP, default 1.5, best batch >= 512
 #            over batch 1; BXT_SIMD_MIN_SPEEDUP, default 2.0, best SIMD
-#            level over word for xor4+zdr encode at batch 512, enforced
-#            only on AVX2-capable runners) + per-level bench JSONs for
+#            level over word for xor4+zdr encode and for xor4+zdr
+#            decode at batch 512, enforced only on AVX2-capable runners)
+#            + per-level bench JSONs for
 #            bxt_report --diff
 #   metrics  Release build + telemetry-enabled run: validates the metrics
 #            snapshot and trace with bxt_report, then asserts the
@@ -132,7 +134,8 @@ run_batch() {
     echo "=== CI job: batch kernels vs per-transaction encoding ==="
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-ci-release -j "${jobs}" \
-        --target test_batch test_simd test_checksum bench_codec_throughput
+        --target test_batch test_simd test_checksum test_base_xor \
+        test_universal test_pipeline bench_codec_throughput
     # SIMD intrinsics under ASan/UBSan: force each dispatch level in
     # turn so every kernel tier's loads/stores and tail masks run
     # sanitized, not just the level CPUID would pick. Unsupported levels
@@ -140,7 +143,8 @@ run_batch() {
     # on any host.
     configure_asan
     cmake --build build-ci-asan -j "${jobs}" \
-        --target test_batch test_simd test_checksum
+        --target test_batch test_simd test_checksum test_base_xor \
+        test_universal test_pipeline
     local level
     for level in scalar word avx2 avx512; do
         echo "--- batch/simd ctest (ASan, BXT_SIMD=${level}) ---"

@@ -1,7 +1,6 @@
 #include "adaptive/controller.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -331,11 +330,8 @@ Controller::sensors() const
                 continue;
             for (std::size_t off = gran; off + gran <= tx_bytes;
                  off += gran) {
-                std::uint64_t toggles = 0;
-                for (std::size_t b = 0; b < gran; ++b)
-                    toggles += static_cast<std::uint64_t>(
-                        std::popcount(static_cast<unsigned>(
-                            tx[off + b] ^ tx[off - gran + b])));
+                const std::size_t toggles =
+                    hammingDistance(tx + off, tx + off - gran, gran);
                 toggle_sum[g] += static_cast<double>(toggles) /
                                  static_cast<double>(gran * 8);
                 ++toggle_n[g];

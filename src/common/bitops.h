@@ -16,11 +16,24 @@
 
 namespace bxt {
 
-/** Number of set bits in a 64-bit word. */
+/**
+ * Number of set bits in a 64-bit word. std::popcount is a single POPCNT
+ * only when the translation unit may use that instruction; otherwise
+ * GCC and Clang lower it to an out-of-line libgcc call per word, so
+ * builds without -mpopcnt count with the inline SWAR reduction instead.
+ */
 constexpr int
 popcount64(std::uint64_t value)
 {
+#if defined(__POPCNT__)
     return std::popcount(value);
+#else
+    value -= (value >> 1) & 0x5555555555555555ull;
+    value = (value & 0x3333333333333333ull) +
+            ((value >> 2) & 0x3333333333333333ull);
+    value = (value + (value >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return static_cast<int>((value * 0x0101010101010101ull) >> 56);
+#endif
 }
 
 /** Number of set bits in a byte range. */
@@ -32,10 +45,10 @@ popcountBytes(std::span<const std::uint8_t> bytes)
     for (; i + 8 <= bytes.size(); i += 8) {
         std::uint64_t word;
         std::memcpy(&word, bytes.data() + i, 8);
-        count += static_cast<std::size_t>(std::popcount(word));
+        count += static_cast<std::size_t>(popcount64(word));
     }
     for (; i < bytes.size(); ++i)
-        count += static_cast<std::size_t>(std::popcount(bytes[i]));
+        count += static_cast<std::size_t>(popcount64(bytes[i]));
     return count;
 }
 
@@ -130,11 +143,11 @@ hammingDistance(const std::uint8_t *a, const std::uint8_t *b, std::size_t n)
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         count += static_cast<std::size_t>(
-            std::popcount(loadWord64(a + i) ^ loadWord64(b + i)));
+            popcount64(loadWord64(a + i) ^ loadWord64(b + i)));
     }
     for (; i < n; ++i) {
         count += static_cast<std::size_t>(
-            std::popcount(static_cast<unsigned>(a[i] ^ b[i])));
+            popcount64(static_cast<std::uint64_t>(a[i] ^ b[i])));
     }
     return count;
 }

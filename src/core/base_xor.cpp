@@ -4,53 +4,29 @@
 
 #include "common/bitops.h"
 #include "common/error.h"
+#include "core/simd/kernel_common.h"
 #include "core/simd/simd.h"
-#include "core/zdr.h"
 
 namespace bxt {
 
 namespace {
 
-/** ZDR constant C as a little-endian word: zdrConstantByte in byte n-1. */
-constexpr std::uint32_t zdrConst32 = 0x40000000u;
-constexpr std::uint64_t zdrConst64 = 0x4000000000000000ull;
-
-/** Word-wide ZDR encode of one 4-byte lane. */
-inline std::uint32_t
-zdrEncode32(std::uint32_t in, std::uint32_t base)
+/**
+ * Fixed-base Base+XOR in place: every element remaps against element 0,
+ * which passes through, so both directions are elementwise within a
+ * transaction.
+ */
+void
+fixedBaseRemap(std::uint8_t *plane, std::size_t count, std::size_t tx_bytes,
+               std::size_t base_size, bool zdr, bool encode)
 {
-    const std::uint32_t x = in ^ base;
-    if (in == 0)
-        return zdrConst32;
-    return x == zdrConst32 ? base : x;
-}
-
-/** Word-wide ZDR decode of one 4-byte lane. */
-inline std::uint32_t
-zdrDecode32(std::uint32_t enc, std::uint32_t base)
-{
-    if (enc == zdrConst32)
-        return 0;
-    return enc == base ? (base ^ zdrConst32) : (enc ^ base);
-}
-
-/** Word-wide ZDR encode of one 8-byte lane. */
-inline std::uint64_t
-zdrEncode64(std::uint64_t in, std::uint64_t base)
-{
-    const std::uint64_t x = in ^ base;
-    if (in == 0)
-        return zdrConst64;
-    return x == zdrConst64 ? base : x;
-}
-
-/** Word-wide ZDR decode of one 8-byte lane. */
-inline std::uint64_t
-zdrDecode64(std::uint64_t enc, std::uint64_t base)
-{
-    if (enc == zdrConst64)
-        return 0;
-    return enc == base ? (base ^ zdrConst64) : (enc ^ base);
+    const std::size_t lane = zdr ? base_size : 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint8_t *tx = plane + i * tx_bytes;
+        for (std::size_t off = base_size; off < tx_bytes; off += base_size)
+            simd::detail::WordLanes::remap(tx + off, tx + off, tx,
+                                           base_size, lane, encode);
+    }
 }
 
 } // namespace
@@ -95,10 +71,16 @@ BaseXorCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
         return;
 
     const std::size_t tx_bytes = in.txBytes();
-    const std::size_t elements = tx_bytes / base_size_;
     const std::uint8_t *src = in.data();
     std::uint8_t *dst = out.payloadData();
     const simd::KernelTable &ops = simd::ops();
+
+    if (!adjacent_base_) {
+        std::memcpy(dst, src, in.planeBytes());
+        fixedBaseRemap(dst, in.size(), tx_bytes, base_size_, zdr_,
+                       /*encode=*/true);
+        return;
+    }
 
     // Adjacent-base encode is elementwise out[e] = f(in[e], in[e-1]), so
     // the entire plane vectorizes as one shifted range op: the output at
@@ -107,63 +89,33 @@ BaseXorCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
     // boundary compute garbage and are fixed up below by the per-
     // transaction base-element passthrough copy, which together with the
     // range op covers every output byte (no seeding plane memcpy).
-    if (adjacent_base_ && (!zdr_ || base_size_ <= 8)) {
-        const std::size_t shifted = in.planeBytes() - base_size_;
-        if (!zdr_)
-            ops.xorRange(dst + base_size_, src + base_size_, src, shifted);
-        else if (base_size_ == 2)
-            ops.zdrEncode16(dst + base_size_, src + base_size_, src,
-                            shifted);
-        else if (base_size_ == 4)
-            ops.zdrEncode32(dst + base_size_, src + base_size_, src,
-                            shifted);
-        else
-            ops.zdrEncode64(dst + base_size_, src + base_size_, src,
-                            shifted);
-        // Fixed-width word copies: base_size_ is 2/4/8 here, and a
-        // variable-length memcpy per transaction would cost a libc call
-        // for every 32-byte row.
-        if (base_size_ == 2) {
-            for (std::size_t i = 0; i < in.size(); ++i)
-                std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 2);
-        } else if (base_size_ == 4) {
-            for (std::size_t i = 0; i < in.size(); ++i)
-                std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 4);
-        } else if (base_size_ == 8) {
-            for (std::size_t i = 0; i < in.size(); ++i)
-                std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 8);
-        } else {
-            for (std::size_t i = 0; i < in.size(); ++i)
-                std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 16);
-        }
-        return;
-    }
-
-    // Fixed-base (and 16-byte-lane ZDR) forms keep the word path: the
-    // base repeats per transaction, which the flat range primitives do
-    // not express.
-    std::memcpy(dst, src, in.planeBytes());
-    for (std::size_t i = 0; i < in.size();
-         ++i, src += tx_bytes, dst += tx_bytes) {
-        for (std::size_t e = 1; e < elements; ++e) {
-            const std::size_t off = e * base_size_;
-            const std::size_t base_off =
-                adjacent_base_ ? off - base_size_ : 0;
-            if (!zdr_) {
-                xorBytes(dst + off, src + base_off, base_size_);
-            } else if (base_size_ == 4) {
-                storeWord32(dst + off,
-                            zdrEncode32(loadWord32(src + off),
-                                        loadWord32(src + base_off)));
-            } else if (base_size_ == 8) {
-                storeWord64(dst + off,
-                            zdrEncode64(loadWord64(src + off),
-                                        loadWord64(src + base_off)));
-            } else {
-                zdrLaneEncode(dst + off, src + off, src + base_off,
-                              base_size_);
-            }
-        }
+    const std::size_t shifted = in.planeBytes() - base_size_;
+    if (!zdr_)
+        ops.xorRange(dst + base_size_, src + base_size_, src, shifted);
+    else if (base_size_ == 2)
+        ops.zdrEncode16(dst + base_size_, src + base_size_, src, shifted);
+    else if (base_size_ == 4)
+        ops.zdrEncode32(dst + base_size_, src + base_size_, src, shifted);
+    else if (base_size_ == 8)
+        ops.zdrEncode64(dst + base_size_, src + base_size_, src, shifted);
+    else
+        simd::detail::WordLanes::remap(dst + base_size_, src + base_size_,
+                                       src, shifted, base_size_,
+                                       /*encode=*/true);
+    // Fixed-width word copies: a variable-length memcpy per transaction
+    // would cost a libc call for every 32-byte row.
+    if (base_size_ == 2) {
+        for (std::size_t i = 0; i < in.size(); ++i)
+            std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 2);
+    } else if (base_size_ == 4) {
+        for (std::size_t i = 0; i < in.size(); ++i)
+            std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 4);
+    } else if (base_size_ == 8) {
+        for (std::size_t i = 0; i < in.size(); ++i)
+            std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 8);
+    } else {
+        for (std::size_t i = 0; i < in.size(); ++i)
+            std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 16);
     }
 }
 
@@ -176,37 +128,17 @@ BaseXorCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
     if (in.size() == 0)
         return;
 
-    const std::size_t tx_bytes = in.txBytes();
-    const std::size_t elements = tx_bytes / base_size_;
-    std::memcpy(out.data(), in.payloadData(), in.payloadBytes());
-
-    const std::uint8_t *src = in.payloadData();
-    std::uint8_t *dst = out.data();
-    for (std::size_t i = 0; i < in.size();
-         ++i, src += tx_bytes, dst += tx_bytes) {
-        // Left to right: bases come from the already-decoded output.
-        // This serial dependency (element e needs the decoded e-1) is
-        // why decode stays on the word path at every dispatch level.
-        for (std::size_t e = 1; e < elements; ++e) {
-            const std::size_t off = e * base_size_;
-            const std::size_t base_off =
-                adjacent_base_ ? off - base_size_ : 0;
-            if (!zdr_) {
-                xorBytes(dst + off, dst + base_off, base_size_);
-            } else if (base_size_ == 4) {
-                storeWord32(dst + off,
-                            zdrDecode32(loadWord32(src + off),
-                                        loadWord32(dst + base_off)));
-            } else if (base_size_ == 8) {
-                storeWord64(dst + off,
-                            zdrDecode64(loadWord64(src + off),
-                                        loadWord64(dst + base_off)));
-            } else {
-                zdrLaneDecode(dst + off, src + off, dst + base_off,
-                              base_size_);
-            }
-        }
+    // Adjacent bases chain left to right (element e needs the decoded
+    // e-1), which the dispatched kernel runs one transaction per vector
+    // lane; fixed bases are elementwise.
+    if (adjacent_base_) {
+        simd::ops().baseXorDecode(out.data(), in.payloadData(), in.size(),
+                                  in.txBytes(), base_size_, zdr_);
+        return;
     }
+    std::memcpy(out.data(), in.payloadData(), in.payloadBytes());
+    fixedBaseRemap(out.data(), in.size(), in.txBytes(), base_size_, zdr_,
+                   /*encode=*/false);
 }
 
 } // namespace bxt

@@ -4,6 +4,7 @@
 
 #include "common/bitops.h"
 #include "common/error.h"
+#include "core/simd/simd.h"
 
 namespace bxt {
 
@@ -76,7 +77,7 @@ TxBatch::append(const std::uint8_t *data, std::size_t count)
 std::uint64_t
 TxBatch::ones() const
 {
-    return popcountBytes({plane_.data(), plane_.size()});
+    return simd::ops().popcountRange(plane_.data(), plane_.size());
 }
 
 void
@@ -117,14 +118,14 @@ EncodedBatch::resizeForOverwrite(std::size_t count)
 std::uint64_t
 EncodedBatch::payloadOnes() const
 {
-    return popcountBytes({payload_.data(), payload_.size()});
+    return simd::ops().popcountRange(payload_.data(), payload_.size());
 }
 
 std::uint64_t
 EncodedBatch::metaOnes() const
 {
     // Metadata bytes are 0/1, so the popcount is the sum.
-    return popcountBytes({meta_.data(), meta_.size()});
+    return simd::ops().popcountRange(meta_.data(), meta_.size());
 }
 
 } // namespace bxt

@@ -1,6 +1,5 @@
 #include "core/bd_encoding.h"
 
-#include <bit>
 
 #include "common/bitops.h"
 #include "common/error.h"
@@ -43,7 +42,7 @@ BdEncodingCodec::findBestMatch(const Repository &repo,
     unsigned best_distance = threshold_;
     for (std::size_t i = 0; i < repo.valid; ++i) {
         const auto distance = static_cast<unsigned>(
-            std::popcount(repo.words[i] ^ word));
+            popcount64(repo.words[i] ^ word));
         if (distance < best_distance) {
             best_distance = distance;
             best = i;

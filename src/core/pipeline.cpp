@@ -7,6 +7,32 @@
 
 namespace bxt {
 
+namespace {
+
+/**
+ * Copy @p rows rows of @p width metadata bytes between row strides: one
+ * stage's plane into or out of the per-beat interleaved layout. A stage
+ * that carries every wire is the whole layout, so its plane moves as one
+ * copy; otherwise the copy runs column by column, strided on both sides,
+ * so no inner loop is a short contiguous run the compiler would turn into
+ * a libc memcpy call per beat.
+ */
+void
+copyMetaRows(std::uint8_t *dst, std::size_t dst_stride,
+             const std::uint8_t *src, std::size_t src_stride,
+             std::size_t rows, std::size_t width)
+{
+    if (dst_stride == width && src_stride == width) {
+        std::memcpy(dst, src, rows * width);
+        return;
+    }
+    for (std::size_t w = 0; w < width; ++w)
+        for (std::size_t r = 0; r < rows; ++r)
+            dst[r * dst_stride + w] = src[r * src_stride + w];
+}
+
+} // namespace
+
 PipelineCodec::PipelineCodec(std::vector<CodecPtr> stages)
     : stages_(std::move(stages))
 {
@@ -129,21 +155,17 @@ PipelineCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
         return;
 
     // Stage metadata streams are interleaved per beat in stage order:
-    // each beat carries every stage's wires, first stage first.
-    for (std::size_t i = 0; i < in.size(); ++i) {
-        std::uint8_t *dst = out.metaData() + i * out.metaBitsPerTx();
-        for (std::size_t beat = 0; beat < beats; ++beat) {
-            for (const EncodedBatch &eb : batch_scratch_) {
-                const unsigned wires = eb.metaWiresPerBeat();
-                if (wires == 0)
-                    continue;
-                std::memcpy(dst,
-                            eb.metaData() + i * eb.metaBitsPerTx() +
-                                beat * wires,
-                            wires);
-                dst += wires;
-            }
-        }
+    // each beat carries every stage's wires, first stage first. Every
+    // plane is rows of (transaction, beat) in the same order.
+    const std::size_t rows = in.size() * beats;
+    unsigned offset = 0;
+    for (const EncodedBatch &eb : batch_scratch_) {
+        const unsigned wires = eb.metaWiresPerBeat();
+        if (wires == 0)
+            continue;
+        copyMetaRows(out.metaData() + offset, total_wires, eb.metaData(),
+                     wires, rows, wires);
+        offset += wires;
     }
 }
 
@@ -152,7 +174,6 @@ PipelineCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
 {
     const std::size_t tx_bytes = in.txBytes();
     out.reset(tx_bytes);
-    out.resize(in.size());
     if (in.size() == 0)
         return;
 
@@ -174,16 +195,9 @@ PipelineCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
         eb.configure(tx_bytes, wires, beats * wires);
         eb.resizeForOverwrite(in.size());
         std::memcpy(eb.payloadData(), payload, payload_bytes);
-        if (wires > 0) {
-            for (std::size_t i = 0; i < in.size(); ++i) {
-                const std::uint8_t *src =
-                    in.metaData() + i * in.metaBitsPerTx() + stage_offset;
-                std::uint8_t *dst = eb.metaData() + i * eb.metaBitsPerTx();
-                for (std::size_t beat = 0; beat < beats; ++beat)
-                    std::memcpy(dst + beat * wires, src + beat * total,
-                                wires);
-            }
-        }
+        if (wires > 0)
+            copyMetaRows(eb.metaData(), wires, in.metaData() + stage_offset,
+                         total, in.size() * beats, wires);
         stages_[s]->decodeBatch(eb, s == 0 ? out : batch_stage_in_);
         if (s != 0) {
             payload = batch_stage_in_.data();

@@ -12,11 +12,14 @@
 #ifndef BXT_CORE_SIMD_KERNEL_COMMON_H
 #define BXT_CORE_SIMD_KERNEL_COMMON_H
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/bitops.h"
+#include "core/zdr.h"
 
 namespace bxt::simd::detail {
 
@@ -199,6 +202,184 @@ popcountXorWordRange(const std::uint8_t *a, const std::uint8_t *b,
         count += static_cast<std::uint64_t>(
             popcount64(static_cast<std::uint64_t>(a[i] ^ b[i])));
     return count;
+}
+
+/**
+ * Word-width lane remaps for the shape-generic codec-level kernels
+ * below: @p lane is the ZDR lane width in bytes (2/4/8/16), or 0 for
+ * plain XOR. @p out may alias @p in but not @p base.
+ */
+struct WordLanes
+{
+    static void remap(std::uint8_t *out, const std::uint8_t *in,
+                      const std::uint8_t *base, std::size_t n,
+                      std::size_t lane, bool encode)
+    {
+        switch (lane) {
+        case 0:
+            xorWordRange(out, in, base, n);
+            return;
+        case 2:
+            (encode ? zdrEncode16WordRange : zdrDecode16WordRange)(
+                out, in, base, n);
+            return;
+        case 4:
+            (encode ? zdrEncode32WordRange : zdrDecode32WordRange)(
+                out, in, base, n);
+            return;
+        case 8:
+            (encode ? zdrEncode64WordRange : zdrDecode64WordRange)(
+                out, in, base, n);
+            return;
+        default:
+            for (std::size_t off = 0; off < n; off += lane)
+                (encode ? zdrLaneEncode : zdrLaneDecode)(
+                    out + off, in + off, base + off, lane);
+        }
+    }
+};
+
+/**
+ * Universal fold (@p encode) or unfold of any geometry, one transaction
+ * and one stage at a time over Lanes::remap. The stage-by-stage form of
+ * KernelTable::universalFold; the vector levels reach it for the shapes
+ * they do not hold in registers.
+ */
+template <typename Lanes>
+void
+universalFoldGeneric(std::uint8_t *out, const std::uint8_t *in,
+                     std::size_t count, std::size_t tx_bytes,
+                     unsigned stages, std::size_t zdr_lane, bool encode)
+{
+    if (count == 0)
+        return;
+    if (out != in)
+        std::memcpy(out, in, count * tx_bytes);
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint8_t *slice = out + i * tx_bytes;
+        for (unsigned k = 0; k < stages; ++k) {
+            // Encode folds outermost first; decode restores the
+            // innermost prefix first, since every outer stage's base is
+            // that prefix.
+            const unsigned s = encode ? k : stages - 1 - k;
+            const std::size_t half = tx_bytes >> (s + 1);
+            const std::size_t lane =
+                zdr_lane == 0 ? 0 : std::min(zdr_lane, half);
+            Lanes::remap(slice + half, slice + half, slice, half, lane,
+                         encode);
+        }
+    }
+}
+
+/** Adjacent-base Base+XOR decode, one element at a time per
+ *  transaction (the serial form of KernelTable::baseXorDecode). */
+template <typename Lanes>
+void
+baseXorDecodeGeneric(std::uint8_t *out, const std::uint8_t *in,
+                     std::size_t count, std::size_t tx_bytes,
+                     std::size_t base_bytes, bool zdr)
+{
+    if (count == 0)
+        return;
+    if (out != in)
+        std::memcpy(out, in, count * tx_bytes);
+    const std::size_t lane = zdr ? base_bytes : 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint8_t *tx = out + i * tx_bytes;
+        for (std::size_t off = base_bytes; off < tx_bytes; off += base_bytes)
+            Lanes::remap(tx + off, tx + off, tx + off - base_bytes,
+                         base_bytes, lane, /*encode=*/false);
+    }
+}
+
+inline void
+universalFoldWord(std::uint8_t *out, const std::uint8_t *in,
+                  std::size_t count, std::size_t tx_bytes, unsigned stages,
+                  std::size_t zdr_lane)
+{
+    universalFoldGeneric<WordLanes>(out, in, count, tx_bytes, stages,
+                                    zdr_lane, /*encode=*/true);
+}
+
+inline void
+universalUnfoldWord(std::uint8_t *out, const std::uint8_t *in,
+                    std::size_t count, std::size_t tx_bytes,
+                    unsigned stages, std::size_t zdr_lane)
+{
+    universalFoldGeneric<WordLanes>(out, in, count, tx_bytes, stages,
+                                    zdr_lane, /*encode=*/false);
+}
+
+inline void
+baseXorDecodeWord(std::uint8_t *out, const std::uint8_t *in,
+                  std::size_t count, std::size_t tx_bytes,
+                  std::size_t base_bytes, bool zdr)
+{
+    baseXorDecodeGeneric<WordLanes>(out, in, count, tx_bytes, base_bytes,
+                                    zdr);
+}
+
+/**
+ * Universal fold geometry in 32-bit lanes, for the vector levels that
+ * hold a whole 32- or 64-byte transaction in registers. The 16 entries
+ * cover one 64-byte register: one 64-byte transaction, or two 32-byte
+ * ones back to back.
+ */
+struct FoldLanes
+{
+    /** Lane each lane is remapped against: j ^ msb(j) within its
+     *  transaction (j itself for lane 0). */
+    std::array<std::uint32_t, 16> base{};
+    /** Lanes at or past the effective base (the ones a fold rewrites). */
+    std::uint16_t rewrite = 0;
+    /** Lanes of stage s's right half. */
+    std::array<std::uint16_t, 5> stage{};
+};
+
+constexpr FoldLanes
+makeFoldLanes(std::size_t tx_bytes, unsigned stages)
+{
+    FoldLanes plan;
+    const std::size_t per_tx = tx_bytes / 4;
+    for (std::size_t l = 0; l < 16; ++l) {
+        const std::size_t j = l % per_tx;
+        const std::size_t first = l - j;
+        const std::size_t msb = j == 0 ? 0 : std::size_t{1} << log2Floor(j);
+        plan.base[l] = static_cast<std::uint32_t>(first + (j ^ msb));
+        const auto bit = static_cast<std::uint16_t>(1u << l);
+        if (4 * j >= (tx_bytes >> stages))
+            plan.rewrite = static_cast<std::uint16_t>(plan.rewrite | bit);
+        for (unsigned s = 0; s < stages; ++s)
+            if (j >= (per_tx >> (s + 1)) && j < (per_tx >> s))
+                plan.stage[s] = static_cast<std::uint16_t>(plan.stage[s] | bit);
+    }
+    return plan;
+}
+
+/** True when the vector levels hold this Universal geometry in
+ *  registers: 32- or 64-byte transactions, an effective base of at least
+ *  one 32-bit lane, and ZDR lane 4 or plain XOR. */
+constexpr bool
+foldInRegisters(std::size_t tx_bytes, unsigned stages, std::size_t zdr_lane)
+{
+    return (tx_bytes == 32 || tx_bytes == 64) && stages >= 1 &&
+           stages <= 5 && (tx_bytes >> stages) >= 4 &&
+           (zdr_lane == 0 || zdr_lane == 4);
+}
+
+/** FoldLanes for a geometry foldInRegisters accepts. */
+inline const FoldLanes &
+foldLanes(std::size_t tx_bytes, unsigned stages)
+{
+    static constexpr auto plans = [] {
+        std::array<std::array<FoldLanes, 5>, 2> all{};
+        for (unsigned s = 1; s <= 5; ++s) {
+            all[0][s - 1] = makeFoldLanes(32, s);
+            all[1][s - 1] = makeFoldLanes(64, s);
+        }
+        return all;
+    }();
+    return plans[tx_bytes == 64 ? 1 : 0][stages - 1];
 }
 
 using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;

@@ -92,24 +92,49 @@ zdrEncode16Avx2(std::uint8_t *out, const std::uint8_t *in,
     zdrEncode16WordRange(out + i, in + i, base + i, n - i);
 }
 
+/** zdrEncodeWord over every 32-bit lane of @p v against @p b. */
+inline __m256i
+zdrEncode32Vec(__m256i v, __m256i b, __m256i c)
+{
+    const __m256i x = _mm256_xor_si256(v, b);
+    const __m256i is_zero = _mm256_cmpeq_epi32(v, _mm256_setzero_si256());
+    const __m256i is_c = _mm256_cmpeq_epi32(x, c);
+    const __m256i r = _mm256_blendv_epi8(x, b, is_c);
+    return _mm256_blendv_epi8(r, c, is_zero);
+}
+
+/** zdrDecodeWord over every 32-bit lane of @p v against @p b. */
+inline __m256i
+zdrDecode32Vec(__m256i v, __m256i b, __m256i c)
+{
+    const __m256i is_c = _mm256_cmpeq_epi32(v, c);
+    const __m256i is_b = _mm256_cmpeq_epi32(v, b);
+    const __m256i r = _mm256_blendv_epi8(_mm256_xor_si256(v, b),
+                                         _mm256_xor_si256(b, c), is_b);
+    return _mm256_blendv_epi8(r, _mm256_setzero_si256(), is_c);
+}
+
+/** zdrDecodeWord over every 64-bit lane of @p v against @p b. */
+inline __m256i
+zdrDecode64Vec(__m256i v, __m256i b, __m256i c)
+{
+    const __m256i is_c = _mm256_cmpeq_epi64(v, c);
+    const __m256i is_b = _mm256_cmpeq_epi64(v, b);
+    const __m256i r = _mm256_blendv_epi8(_mm256_xor_si256(v, b),
+                                         _mm256_xor_si256(b, c), is_b);
+    return _mm256_blendv_epi8(r, _mm256_setzero_si256(), is_c);
+}
+
 void
 zdrEncode32Avx2(std::uint8_t *out, const std::uint8_t *in,
                 const std::uint8_t *base, std::size_t n)
 {
-    const __m256i zero = _mm256_setzero_si256();
     const __m256i c =
         _mm256_set1_epi32(static_cast<int>(zdrConst32));
     std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i v = load256(in + i);
-        const __m256i b = load256(base + i);
-        const __m256i x = _mm256_xor_si256(v, b);
-        const __m256i is_zero = _mm256_cmpeq_epi32(v, zero);
-        const __m256i is_c = _mm256_cmpeq_epi32(x, c);
-        __m256i r = _mm256_blendv_epi8(x, b, is_c);
-        r = _mm256_blendv_epi8(r, c, is_zero);
-        store256(out + i, r);
-    }
+    for (; i + 32 <= n; i += 32)
+        store256(out + i,
+                 zdrEncode32Vec(load256(in + i), load256(base + i), c));
     zdrEncode32WordRange(out + i, in + i, base + i, n - i);
 }
 
@@ -159,20 +184,12 @@ void
 zdrDecode32Avx2(std::uint8_t *out, const std::uint8_t *in,
                 const std::uint8_t *base, std::size_t n)
 {
-    const __m256i zero = _mm256_setzero_si256();
     const __m256i c =
         _mm256_set1_epi32(static_cast<int>(zdrConst32));
     std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i v = load256(in + i);
-        const __m256i b = load256(base + i);
-        const __m256i x = _mm256_xor_si256(v, b);
-        const __m256i is_c = _mm256_cmpeq_epi32(v, c);
-        const __m256i is_b = _mm256_cmpeq_epi32(v, b);
-        __m256i r = _mm256_blendv_epi8(x, _mm256_xor_si256(b, c), is_b);
-        r = _mm256_blendv_epi8(r, zero, is_c);
-        store256(out + i, r);
-    }
+    for (; i + 32 <= n; i += 32)
+        store256(out + i,
+                 zdrDecode32Vec(load256(in + i), load256(base + i), c));
     zdrDecode32WordRange(out + i, in + i, base + i, n - i);
 }
 
@@ -180,20 +197,12 @@ void
 zdrDecode64Avx2(std::uint8_t *out, const std::uint8_t *in,
                 const std::uint8_t *base, std::size_t n)
 {
-    const __m256i zero = _mm256_setzero_si256();
     const __m256i c = _mm256_set1_epi64x(
         static_cast<long long>(zdrConst64));
     std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i v = load256(in + i);
-        const __m256i b = load256(base + i);
-        const __m256i x = _mm256_xor_si256(v, b);
-        const __m256i is_c = _mm256_cmpeq_epi64(v, c);
-        const __m256i is_b = _mm256_cmpeq_epi64(v, b);
-        __m256i r = _mm256_blendv_epi8(x, _mm256_xor_si256(b, c), is_b);
-        r = _mm256_blendv_epi8(r, zero, is_c);
-        store256(out + i, r);
-    }
+    for (; i + 32 <= n; i += 32)
+        store256(out + i,
+                 zdrDecode64Vec(load256(in + i), load256(base + i), c));
     zdrDecode64WordRange(out + i, in + i, base + i, n - i);
 }
 
@@ -307,6 +316,236 @@ popcountXorRangeAvx2(const std::uint8_t *a, const std::uint8_t *b,
     return reduceAdd64(acc) + popcountXorWordRange(a + i, b + i, n - i);
 }
 
+// ---- Codec-level kernels: each transaction held in registers ----
+
+/** All-ones 32-bit lanes where bit l of @p bits (l < 8) is set. */
+inline __m256i
+laneMask256(unsigned bits)
+{
+    const __m256i pick = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i set =
+        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(bits)), pick);
+    return _mm256_cmpeq_epi32(set, pick);
+}
+
+/**
+ * Universal fold/unfold with each transaction's first 32 bytes in one
+ * register. A 64-byte transaction's right 32 bytes are stage 0's right
+ * half, remapped against the whole first register.
+ */
+template <bool Zdr, bool Encode>
+void
+universalLanes256(std::uint8_t *out, const std::uint8_t *in,
+                  std::size_t count, std::size_t tx_bytes, unsigned stages)
+{
+    const FoldLanes &plan = foldLanes(tx_bytes, stages);
+    const __m256i idx = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(plan.base.data()));
+    const __m256i c = _mm256_set1_epi32(static_cast<int>(zdrConst32));
+    const __m256i rewrite = laneMask256(plan.rewrite & 0xffu);
+    __m256i stage[5];
+    for (unsigned s = 0; s < 5; ++s)
+        stage[s] = laneMask256(plan.stage[s] & 0xffu);
+    const bool wide = tx_bytes == 64;
+    for (std::size_t t = 0; t < count; ++t) {
+        const std::uint8_t *src = in + t * tx_bytes;
+        std::uint8_t *dst = out + t * tx_bytes;
+        __m256i lo = load256(src);
+        if constexpr (Encode) {
+            // Every base is an original lane: one remap against the
+            // permuted register, keeping the effective-base lanes.
+            if (wide) {
+                const __m256i hi = load256(src + 32);
+                store256(dst + 32, Zdr ? zdrEncode32Vec(hi, lo, c)
+                                       : _mm256_xor_si256(hi, lo));
+            }
+            const __m256i b = _mm256_permutevar8x32_epi32(lo, idx);
+            const __m256i r =
+                Zdr ? zdrEncode32Vec(lo, b, c) : _mm256_xor_si256(lo, b);
+            store256(dst, _mm256_blendv_epi8(lo, r, rewrite));
+        } else {
+            // Innermost stage first, each against the restored prefix.
+            for (unsigned s = stages; s-- > 0;) {
+                if ((plan.stage[s] & 0xffu) == 0)
+                    continue; // stage 0 of a 64-byte transaction
+                const __m256i b = _mm256_permutevar8x32_epi32(lo, idx);
+                const __m256i r =
+                    Zdr ? zdrDecode32Vec(lo, b, c) : _mm256_xor_si256(lo, b);
+                lo = _mm256_blendv_epi8(lo, r, stage[s]);
+            }
+            store256(dst, lo);
+            if (wide) {
+                const __m256i hi = load256(src + 32);
+                store256(dst + 32, Zdr ? zdrDecode32Vec(hi, lo, c)
+                                       : _mm256_xor_si256(hi, lo));
+            }
+        }
+    }
+}
+
+void
+universalFoldAvx2(std::uint8_t *out, const std::uint8_t *in,
+                  std::size_t count, std::size_t tx_bytes, unsigned stages,
+                  std::size_t zdr_lane)
+{
+    if (!foldInRegisters(tx_bytes, stages, zdr_lane))
+        universalFoldWord(out, in, count, tx_bytes, stages, zdr_lane);
+    else if (zdr_lane != 0)
+        universalLanes256<true, true>(out, in, count, tx_bytes, stages);
+    else
+        universalLanes256<false, true>(out, in, count, tx_bytes, stages);
+}
+
+void
+universalUnfoldAvx2(std::uint8_t *out, const std::uint8_t *in,
+                    std::size_t count, std::size_t tx_bytes,
+                    unsigned stages, std::size_t zdr_lane)
+{
+    if (!foldInRegisters(tx_bytes, stages, zdr_lane))
+        universalUnfoldWord(out, in, count, tx_bytes, stages, zdr_lane);
+    else if (zdr_lane != 0)
+        universalLanes256<true, false>(out, in, count, tx_bytes, stages);
+    else
+        universalLanes256<false, false>(out, in, count, tx_bytes, stages);
+}
+
+/** Base+XOR decode chain over W-byte elements: rows of 32-byte chunks,
+ *  one transaction's chunk per register. */
+template <std::size_t W>
+struct Chain256;
+
+template <>
+struct Chain256<4>
+{
+    static __m256i constant()
+    {
+        return _mm256_set1_epi32(static_cast<int>(zdrConst32));
+    }
+    static __m256i decode(__m256i v, __m256i b, __m256i c)
+    {
+        return zdrDecode32Vec(v, b, c);
+    }
+    /** Transposes the 8x8 32-bit matrix r[0..7] (an involution: the
+     *  same call transposes back). */
+    static void transpose(__m256i *r)
+    {
+        __m256i t[8];
+        for (int k = 0; k < 8; k += 2) {
+            t[k] = _mm256_unpacklo_epi32(r[k], r[k + 1]);
+            t[k + 1] = _mm256_unpackhi_epi32(r[k], r[k + 1]);
+        }
+        __m256i u[8];
+        for (int k = 0; k < 8; k += 4) {
+            u[k] = _mm256_unpacklo_epi64(t[k], t[k + 2]);
+            u[k + 1] = _mm256_unpackhi_epi64(t[k], t[k + 2]);
+            u[k + 2] = _mm256_unpacklo_epi64(t[k + 1], t[k + 3]);
+            u[k + 3] = _mm256_unpackhi_epi64(t[k + 1], t[k + 3]);
+        }
+        // u[k] (k < 4) holds columns k and k+4 of rows 0-3; u[k+4] the
+        // same columns of rows 4-7.
+        for (int k = 0; k < 4; ++k) {
+            r[k] = _mm256_permute2x128_si256(u[k], u[k + 4], 0x20);
+            r[k + 4] = _mm256_permute2x128_si256(u[k], u[k + 4], 0x31);
+        }
+    }
+};
+
+template <>
+struct Chain256<8>
+{
+    static __m256i constant()
+    {
+        return _mm256_set1_epi64x(static_cast<long long>(zdrConst64));
+    }
+    static __m256i decode(__m256i v, __m256i b, __m256i c)
+    {
+        return zdrDecode64Vec(v, b, c);
+    }
+    /** Transposes the 4x4 64-bit matrix r[0..3]. */
+    static void transpose(__m256i *r)
+    {
+        const __m256i t0 = _mm256_unpacklo_epi64(r[0], r[1]);
+        const __m256i t1 = _mm256_unpackhi_epi64(r[0], r[1]);
+        const __m256i t2 = _mm256_unpacklo_epi64(r[2], r[3]);
+        const __m256i t3 = _mm256_unpackhi_epi64(r[2], r[3]);
+        r[0] = _mm256_permute2x128_si256(t0, t2, 0x20);
+        r[1] = _mm256_permute2x128_si256(t1, t3, 0x20);
+        r[2] = _mm256_permute2x128_si256(t0, t2, 0x31);
+        r[3] = _mm256_permute2x128_si256(t1, t3, 0x31);
+    }
+};
+
+/**
+ * Decodes 32 / W transactions of @p tx_bytes (32 or 64): per 32-byte
+ * chunk, the transpose puts element e of every transaction in one
+ * register, so the serial e-1 -> e chain runs as whole-register steps;
+ * a chunk's last element carries into the next chunk.
+ */
+template <std::size_t W, bool Zdr>
+void
+baseXorDecodeBlock256(std::uint8_t *out, const std::uint8_t *in,
+                      std::size_t tx_bytes)
+{
+    using Chain = Chain256<W>;
+    constexpr std::size_t rows = 32 / W;
+    const __m256i c = Chain::constant();
+    __m256i carry = _mm256_setzero_si256();
+    for (std::size_t off = 0; off < tx_bytes; off += 32) {
+        __m256i r[rows];
+        for (std::size_t k = 0; k < rows; ++k)
+            r[k] = load256(in + k * tx_bytes + off);
+        Chain::transpose(r);
+        for (std::size_t e = off == 0 ? 1 : 0; e < rows; ++e) {
+            const __m256i base = e == 0 ? carry : r[e - 1];
+            r[e] = Zdr ? Chain::decode(r[e], base, c)
+                       : _mm256_xor_si256(r[e], base);
+        }
+        carry = r[rows - 1];
+        Chain::transpose(r);
+        for (std::size_t k = 0; k < rows; ++k)
+            store256(out + k * tx_bytes + off, r[k]);
+    }
+}
+
+template <std::size_t W, bool Zdr>
+void
+baseXorDecodeLanes256(std::uint8_t *out, const std::uint8_t *in,
+                      std::size_t count, std::size_t tx_bytes)
+{
+    constexpr std::size_t block = 32 / W;
+    std::size_t t = 0;
+    for (; t + block <= count; t += block)
+        baseXorDecodeBlock256<W, Zdr>(out + t * tx_bytes, in + t * tx_bytes,
+                                      tx_bytes);
+    if (t == count)
+        return;
+    // The last partial block runs through a zero-padded tile.
+    alignas(32) std::uint8_t tile[block * 64];
+    const std::size_t bytes = (count - t) * tx_bytes;
+    std::memcpy(tile, in + t * tx_bytes, bytes);
+    std::memset(tile + bytes, 0, block * tx_bytes - bytes);
+    baseXorDecodeBlock256<W, Zdr>(tile, tile, tx_bytes);
+    std::memcpy(out + t * tx_bytes, tile, bytes);
+}
+
+void
+baseXorDecodeAvx2(std::uint8_t *out, const std::uint8_t *in,
+                  std::size_t count, std::size_t tx_bytes,
+                  std::size_t base_bytes, bool zdr)
+{
+    const bool lanes = tx_bytes == 32 || tx_bytes == 64;
+    if (lanes && base_bytes == 4 && zdr)
+        baseXorDecodeLanes256<4, true>(out, in, count, tx_bytes);
+    else if (lanes && base_bytes == 4)
+        baseXorDecodeLanes256<4, false>(out, in, count, tx_bytes);
+    else if (lanes && base_bytes == 8 && zdr)
+        baseXorDecodeLanes256<8, true>(out, in, count, tx_bytes);
+    else if (lanes && base_bytes == 8)
+        baseXorDecodeLanes256<8, false>(out, in, count, tx_bytes);
+    else
+        baseXorDecodeWord(out, in, count, tx_bytes, base_bytes, zdr);
+}
+
 } // namespace
 
 const KernelTable *
@@ -325,6 +564,9 @@ avx2TableOrNull()
         dbiDecodePlaneAvx2,
         popcountRangeAvx2,
         popcountXorRangeAvx2,
+        universalFoldAvx2,
+        universalUnfoldAvx2,
+        baseXorDecodeAvx2,
         crc32UpdateClmul,
     };
     return &table;

@@ -115,18 +115,47 @@ zdrEncode16Avx512(std::uint8_t *out, const std::uint8_t *in,
                           static_cast<__mmask32>((1u << lanes) - 1u), c);
 }
 
+/** zdrEncodeWord over every 32-bit lane of @p v against @p b. */
+inline __m512i
+zdrEncode32Vec(__m512i v, __m512i b, __m512i c)
+{
+    const __m512i x = _mm512_xor_si512(v, b);
+    const __mmask16 mz = _mm512_cmpeq_epi32_mask(v, _mm512_setzero_si512());
+    const __mmask16 mc = _mm512_cmpeq_epi32_mask(x, c);
+    const __m512i r = _mm512_mask_blend_epi32(mc, x, b);
+    return _mm512_mask_blend_epi32(mz, r, c);
+}
+
+/** zdrDecodeWord over every 32-bit lane of @p v against @p b. */
+inline __m512i
+zdrDecode32Vec(__m512i v, __m512i b, __m512i c)
+{
+    const __mmask16 mc = _mm512_cmpeq_epi32_mask(v, c);
+    const __mmask16 mb = _mm512_cmpeq_epi32_mask(v, b);
+    const __m512i r = _mm512_mask_blend_epi32(mb, _mm512_xor_si512(v, b),
+                                              _mm512_xor_si512(b, c));
+    return _mm512_mask_blend_epi32(mc, r, _mm512_setzero_si512());
+}
+
+/** zdrDecodeWord over every 64-bit lane of @p v against @p b. */
+inline __m512i
+zdrDecode64Vec(__m512i v, __m512i b, __m512i c)
+{
+    const __mmask8 mc = _mm512_cmpeq_epi64_mask(v, c);
+    const __mmask8 mb = _mm512_cmpeq_epi64_mask(v, b);
+    const __m512i r = _mm512_mask_blend_epi64(mb, _mm512_xor_si512(v, b),
+                                              _mm512_xor_si512(b, c));
+    return _mm512_mask_blend_epi64(mc, r, _mm512_setzero_si512());
+}
+
 inline void
 zdrEncode32Masked(std::uint8_t *out, const std::uint8_t *in,
                   const std::uint8_t *base, __mmask16 k, __m512i c)
 {
-    const __m512i v = _mm512_maskz_loadu_epi32(k, in);
-    const __m512i b = _mm512_maskz_loadu_epi32(k, base);
-    const __m512i x = _mm512_xor_si512(v, b);
-    const __mmask16 mz = _mm512_cmpeq_epi32_mask(v, _mm512_setzero_si512());
-    const __mmask16 mc = _mm512_cmpeq_epi32_mask(x, c);
-    __m512i r = _mm512_mask_blend_epi32(mc, x, b);
-    r = _mm512_mask_blend_epi32(mz, r, c);
-    _mm512_mask_storeu_epi32(out, k, r);
+    _mm512_mask_storeu_epi32(
+        out, k,
+        zdrEncode32Vec(_mm512_maskz_loadu_epi32(k, in),
+                       _mm512_maskz_loadu_epi32(k, base), c));
 }
 
 void
@@ -207,14 +236,10 @@ inline void
 zdrDecode32Masked(std::uint8_t *out, const std::uint8_t *in,
                   const std::uint8_t *base, __mmask16 k, __m512i c)
 {
-    const __m512i v = _mm512_maskz_loadu_epi32(k, in);
-    const __m512i b = _mm512_maskz_loadu_epi32(k, base);
-    const __m512i x = _mm512_xor_si512(v, b);
-    const __mmask16 mc = _mm512_cmpeq_epi32_mask(v, c);
-    const __mmask16 mb = _mm512_cmpeq_epi32_mask(v, b);
-    __m512i r = _mm512_mask_blend_epi32(mb, x, _mm512_xor_si512(b, c));
-    r = _mm512_mask_blend_epi32(mc, r, _mm512_setzero_si512());
-    _mm512_mask_storeu_epi32(out, k, r);
+    _mm512_mask_storeu_epi32(
+        out, k,
+        zdrDecode32Vec(_mm512_maskz_loadu_epi32(k, in),
+                       _mm512_maskz_loadu_epi32(k, base), c));
 }
 
 void
@@ -236,14 +261,10 @@ inline void
 zdrDecode64Masked(std::uint8_t *out, const std::uint8_t *in,
                   const std::uint8_t *base, __mmask8 k, __m512i c)
 {
-    const __m512i v = _mm512_maskz_loadu_epi64(k, in);
-    const __m512i b = _mm512_maskz_loadu_epi64(k, base);
-    const __m512i x = _mm512_xor_si512(v, b);
-    const __mmask8 mc = _mm512_cmpeq_epi64_mask(v, c);
-    const __mmask8 mb = _mm512_cmpeq_epi64_mask(v, b);
-    __m512i r = _mm512_mask_blend_epi64(mb, x, _mm512_xor_si512(b, c));
-    r = _mm512_mask_blend_epi64(mc, r, _mm512_setzero_si512());
-    _mm512_mask_storeu_epi64(out, k, r);
+    _mm512_mask_storeu_epi64(
+        out, k,
+        zdrDecode64Vec(_mm512_maskz_loadu_epi64(k, in),
+                       _mm512_maskz_loadu_epi64(k, base), c));
 }
 
 void
@@ -381,6 +402,295 @@ popcountXorRangeAvx512(const std::uint8_t *a, const std::uint8_t *b,
     return reduceAdd64(acc);
 }
 
+// ---- Codec-level kernels: each transaction held in registers ----
+
+template <bool Zdr, bool Encode>
+inline __m512i
+foldRegister512(__m512i v, const FoldLanes &plan, __m512i idx,
+                unsigned stages, __m512i c)
+{
+    if constexpr (Encode) {
+        // Every base is an original lane: one remap against the permuted
+        // register, keeping the effective-base lanes.
+        const __m512i b = _mm512_permutexvar_epi32(idx, v);
+        const __m512i r =
+            Zdr ? zdrEncode32Vec(v, b, c) : _mm512_xor_si512(v, b);
+        return _mm512_mask_blend_epi32(plan.rewrite, v, r);
+    } else {
+        // Innermost stage first: each restores its right half from the
+        // prefix the stages before it restored.
+        for (unsigned s = stages; s-- > 0;) {
+            const __m512i b = _mm512_permutexvar_epi32(idx, v);
+            const __m512i r =
+                Zdr ? zdrDecode32Vec(v, b, c) : _mm512_xor_si512(v, b);
+            v = _mm512_mask_blend_epi32(plan.stage[s], v, r);
+        }
+        return v;
+    }
+}
+
+/** Universal fold/unfold with one 64-byte transaction, or two 32-byte
+ *  ones, per register. */
+template <bool Zdr, bool Encode>
+void
+universalLanes512(std::uint8_t *out, const std::uint8_t *in,
+                  std::size_t count, std::size_t tx_bytes, unsigned stages)
+{
+    const FoldLanes &plan = foldLanes(tx_bytes, stages);
+    const __m512i idx = _mm512_loadu_si512(plan.base.data());
+    const __m512i c = _mm512_set1_epi32(static_cast<int>(zdrConst32));
+    const std::size_t bytes = count * tx_bytes;
+    std::size_t i = 0;
+    for (; i + 64 <= bytes; i += 64)
+        store512(out + i, foldRegister512<Zdr, Encode>(load512(in + i), plan,
+                                                       idx, stages, c));
+    if (i < bytes) {
+        // An odd 32-byte transaction: the low half of one register.
+        const __mmask16 k = 0x00ff;
+        _mm512_mask_storeu_epi32(
+            out + i, k,
+            foldRegister512<Zdr, Encode>(_mm512_maskz_loadu_epi32(k, in + i),
+                                         plan, idx, stages, c));
+    }
+}
+
+void
+universalFoldAvx512(std::uint8_t *out, const std::uint8_t *in,
+                    std::size_t count, std::size_t tx_bytes, unsigned stages,
+                    std::size_t zdr_lane)
+{
+    if (!foldInRegisters(tx_bytes, stages, zdr_lane))
+        universalFoldWord(out, in, count, tx_bytes, stages, zdr_lane);
+    else if (zdr_lane != 0)
+        universalLanes512<true, true>(out, in, count, tx_bytes, stages);
+    else
+        universalLanes512<false, true>(out, in, count, tx_bytes, stages);
+}
+
+void
+universalUnfoldAvx512(std::uint8_t *out, const std::uint8_t *in,
+                      std::size_t count, std::size_t tx_bytes,
+                      unsigned stages, std::size_t zdr_lane)
+{
+    if (!foldInRegisters(tx_bytes, stages, zdr_lane))
+        universalUnfoldWord(out, in, count, tx_bytes, stages, zdr_lane);
+    else if (zdr_lane != 0)
+        universalLanes512<true, false>(out, in, count, tx_bytes, stages);
+    else
+        universalLanes512<false, false>(out, in, count, tx_bytes, stages);
+}
+
+// GCC 12 spells the plain unpack intrinsics, and the 256/512-bit casts,
+// inserts and extracts, through _mm512_undefined_* sources, then rejects
+// its own idiom under -Werror=uninitialized once they inline into the
+// chain loops (GCC bug 105593). The helpers below use the masked forms of
+// the same instructions, whose every source is defined.
+
+inline __m512i
+unpackLo32(__m512i a, __m512i b)
+{
+    return _mm512_mask_unpacklo_epi32(a, 0xffff, a, b);
+}
+
+inline __m512i
+unpackHi32(__m512i a, __m512i b)
+{
+    return _mm512_mask_unpackhi_epi32(a, 0xffff, a, b);
+}
+
+inline __m512i
+unpackLo64(__m512i a, __m512i b)
+{
+    return _mm512_mask_unpacklo_epi64(a, 0xff, a, b);
+}
+
+inline __m512i
+unpackHi64(__m512i a, __m512i b)
+{
+    return _mm512_mask_unpackhi_epi64(a, 0xff, a, b);
+}
+
+/** The 32-byte chunks at @p lo and @p hi (at least 32 bytes into the
+ *  plane) as one register, by two half-masked loads. */
+inline __m512i
+loadPair512(const std::uint8_t *lo, const std::uint8_t *hi)
+{
+    const __m512i low = _mm512_maskz_loadu_epi64(0x0f, lo);
+    return _mm512_mask_loadu_epi64(low, 0xf0, hi - 32);
+}
+
+inline void
+storePair512(std::uint8_t *lo, std::uint8_t *hi, __m512i v)
+{
+    _mm512_mask_storeu_epi64(lo, 0x0f, v);
+    _mm512_mask_storeu_epi64(hi - 32, 0xf0, v);
+}
+
+/** Per 256-bit half, the low (Hi = false) or high 128 bits of @p a then
+ *  of @p b: _mm256_permute2x128_si256 0x20 / 0x31 on both halves. */
+template <bool Hi>
+inline __m512i
+pairHalves512(__m512i a, __m512i b)
+{
+    const __m512i idx = Hi ? _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15)
+                           : _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+    return _mm512_permutex2var_epi64(a, idx, b);
+}
+
+/** Base+XOR decode chain over W-byte elements: rows of 32-byte chunks,
+ *  each register holding the same chunk of two transactions. */
+template <std::size_t W>
+struct Chain512;
+
+template <>
+struct Chain512<4>
+{
+    static __m512i constant()
+    {
+        return _mm512_set1_epi32(static_cast<int>(zdrConst32));
+    }
+    static __m512i decode(__m512i v, __m512i b, __m512i c)
+    {
+        return zdrDecode32Vec(v, b, c);
+    }
+    /** Transposes the 8x8 32-bit matrix in each 256-bit half of r[0..7]
+     *  (an involution: the same call transposes back). */
+    static void transpose(__m512i *r)
+    {
+        __m512i t[8];
+        for (int k = 0; k < 8; k += 2) {
+            t[k] = unpackLo32(r[k], r[k + 1]);
+            t[k + 1] = unpackHi32(r[k], r[k + 1]);
+        }
+        __m512i u[8];
+        for (int k = 0; k < 8; k += 4) {
+            u[k] = unpackLo64(t[k], t[k + 2]);
+            u[k + 1] = unpackHi64(t[k], t[k + 2]);
+            u[k + 2] = unpackLo64(t[k + 1], t[k + 3]);
+            u[k + 3] = unpackHi64(t[k + 1], t[k + 3]);
+        }
+        // u[k] (k < 4) holds columns k and k+4 of rows 0-3; u[k+4] the
+        // same columns of rows 4-7.
+        for (int k = 0; k < 4; ++k) {
+            r[k] = pairHalves512<false>(u[k], u[k + 4]);
+            r[k + 4] = pairHalves512<true>(u[k], u[k + 4]);
+        }
+    }
+};
+
+template <>
+struct Chain512<8>
+{
+    static __m512i constant()
+    {
+        return _mm512_set1_epi64(static_cast<long long>(zdrConst64));
+    }
+    static __m512i decode(__m512i v, __m512i b, __m512i c)
+    {
+        return zdrDecode64Vec(v, b, c);
+    }
+    /** Transposes the 4x4 64-bit matrix in each 256-bit half of r[0..3]. */
+    static void transpose(__m512i *r)
+    {
+        const __m512i t0 = unpackLo64(r[0], r[1]);
+        const __m512i t1 = unpackHi64(r[0], r[1]);
+        const __m512i t2 = unpackLo64(r[2], r[3]);
+        const __m512i t3 = unpackHi64(r[2], r[3]);
+        r[0] = pairHalves512<false>(t0, t2);
+        r[1] = pairHalves512<false>(t1, t3);
+        r[2] = pairHalves512<true>(t0, t2);
+        r[3] = pairHalves512<true>(t1, t3);
+    }
+};
+
+/**
+ * Decodes 64 / W transactions of Tx bytes (32 or 64): per 32-byte chunk,
+ * the transpose puts element e of every transaction in one register, so
+ * the serial e-1 -> e chain runs as whole-register steps; a chunk's last
+ * element carries into the next chunk.
+ */
+template <std::size_t W, bool Zdr, std::size_t Tx>
+void
+baseXorDecodeBlock512(std::uint8_t *out, const std::uint8_t *in)
+{
+    using Chain = Chain512<W>;
+    constexpr std::size_t rows = 32 / W;
+    const __m512i c = Chain::constant();
+    __m512i carry = _mm512_setzero_si512();
+    for (std::size_t off = 0; off < Tx; off += 32) {
+        __m512i r[rows];
+        // Two 32-byte transactions are one contiguous register.
+        for (std::size_t k = 0; k < rows; ++k)
+            r[k] = Tx == 32 ? load512(in + 64 * k)
+                            : loadPair512(in + 2 * k * Tx + off,
+                                          in + (2 * k + 1) * Tx + off);
+        Chain::transpose(r);
+        for (std::size_t e = off == 0 ? 1 : 0; e < rows; ++e) {
+            const __m512i base = e == 0 ? carry : r[e - 1];
+            r[e] = Zdr ? Chain::decode(r[e], base, c)
+                       : _mm512_xor_si512(r[e], base);
+        }
+        carry = r[rows - 1];
+        Chain::transpose(r);
+        for (std::size_t k = 0; k < rows; ++k) {
+            if (Tx == 32)
+                store512(out + 64 * k, r[k]);
+            else
+                storePair512(out + 2 * k * Tx + off,
+                             out + (2 * k + 1) * Tx + off, r[k]);
+        }
+    }
+}
+
+template <std::size_t W, bool Zdr, std::size_t Tx>
+void
+baseXorDecodeLanes512(std::uint8_t *out, const std::uint8_t *in,
+                      std::size_t count)
+{
+    constexpr std::size_t block = 64 / W;
+    std::size_t t = 0;
+    for (; t + block <= count; t += block)
+        baseXorDecodeBlock512<W, Zdr, Tx>(out + t * Tx, in + t * Tx);
+    if (t == count)
+        return;
+    // The last partial block runs through a zero-padded tile.
+    alignas(64) std::uint8_t tile[block * Tx];
+    const std::size_t bytes = (count - t) * Tx;
+    std::memcpy(tile, in + t * Tx, bytes);
+    std::memset(tile + bytes, 0, sizeof(tile) - bytes);
+    baseXorDecodeBlock512<W, Zdr, Tx>(tile, tile);
+    std::memcpy(out + t * Tx, tile, bytes);
+}
+
+template <std::size_t W, bool Zdr>
+void
+baseXorDecodeLanes512(std::uint8_t *out, const std::uint8_t *in,
+                      std::size_t count, std::size_t tx_bytes)
+{
+    if (tx_bytes == 32)
+        baseXorDecodeLanes512<W, Zdr, 32>(out, in, count);
+    else
+        baseXorDecodeLanes512<W, Zdr, 64>(out, in, count);
+}
+
+void
+baseXorDecodeAvx512(std::uint8_t *out, const std::uint8_t *in,
+                    std::size_t count, std::size_t tx_bytes,
+                    std::size_t base_bytes, bool zdr)
+{
+    const bool lanes = tx_bytes == 32 || tx_bytes == 64;
+    if (lanes && base_bytes == 4 && zdr)
+        baseXorDecodeLanes512<4, true>(out, in, count, tx_bytes);
+    else if (lanes && base_bytes == 4)
+        baseXorDecodeLanes512<4, false>(out, in, count, tx_bytes);
+    else if (lanes && base_bytes == 8 && zdr)
+        baseXorDecodeLanes512<8, true>(out, in, count, tx_bytes);
+    else if (lanes && base_bytes == 8)
+        baseXorDecodeLanes512<8, false>(out, in, count, tx_bytes);
+    else
+        baseXorDecodeWord(out, in, count, tx_bytes, base_bytes, zdr);
+}
+
 } // namespace
 
 const KernelTable *
@@ -399,6 +709,9 @@ avx512TableOrNull()
         dbiDecodePlaneAvx512,
         popcountRangeAvx512,
         popcountXorRangeAvx512,
+        universalFoldAvx512,
+        universalUnfoldAvx512,
+        baseXorDecodeAvx512,
         crc32UpdateClmul,
     };
     return &table;

@@ -276,6 +276,9 @@ neonTableOrNull()
         dbiDecodePlaneNeon,
         popcountRangeNeon,
         popcountXorRangeNeon,
+        universalFoldWord,
+        universalUnfoldWord,
+        baseXorDecodeWord,
         crc32SliceBy8Range,
     };
     return &table;

@@ -161,6 +161,64 @@ popcountXorRangeScalar(const std::uint8_t *a, const std::uint8_t *b,
     return count;
 }
 
+/** Byte-loop lane remaps: the reference the codec-level primitives of
+ *  every level are diffed against. */
+struct ScalarLanes
+{
+    static void remap(std::uint8_t *out, const std::uint8_t *in,
+                      const std::uint8_t *base, std::size_t n,
+                      std::size_t lane, bool encode)
+    {
+        switch (lane) {
+        case 0:
+            xorRangeScalar(out, in, base, n);
+            return;
+        case 2:
+            (encode ? zdrEncodeScalar<2> : zdrDecodeScalar<2>)(out, in,
+                                                               base, n);
+            return;
+        case 4:
+            (encode ? zdrEncodeScalar<4> : zdrDecodeScalar<4>)(out, in,
+                                                               base, n);
+            return;
+        case 8:
+            (encode ? zdrEncodeScalar<8> : zdrDecodeScalar<8>)(out, in,
+                                                               base, n);
+            return;
+        default:
+            (encode ? zdrEncodeScalar<16> : zdrDecodeScalar<16>)(out, in,
+                                                                 base, n);
+        }
+    }
+};
+
+void
+universalFoldScalar(std::uint8_t *out, const std::uint8_t *in,
+                    std::size_t count, std::size_t tx_bytes,
+                    unsigned stages, std::size_t zdr_lane)
+{
+    universalFoldGeneric<ScalarLanes>(out, in, count, tx_bytes, stages,
+                                      zdr_lane, /*encode=*/true);
+}
+
+void
+universalUnfoldScalar(std::uint8_t *out, const std::uint8_t *in,
+                      std::size_t count, std::size_t tx_bytes,
+                      unsigned stages, std::size_t zdr_lane)
+{
+    universalFoldGeneric<ScalarLanes>(out, in, count, tx_bytes, stages,
+                                      zdr_lane, /*encode=*/false);
+}
+
+void
+baseXorDecodeScalar(std::uint8_t *out, const std::uint8_t *in,
+                    std::size_t count, std::size_t tx_bytes,
+                    std::size_t base_bytes, bool zdr)
+{
+    baseXorDecodeGeneric<ScalarLanes>(out, in, count, tx_bytes, base_bytes,
+                                      zdr);
+}
+
 } // namespace
 
 const KernelTable &
@@ -179,6 +237,9 @@ scalarTable()
         dbiDecodePlaneScalar,
         popcountRangeScalar,
         popcountXorRangeScalar,
+        universalFoldScalar,
+        universalUnfoldScalar,
+        baseXorDecodeScalar,
         crc32BytewiseRange,
     };
     return table;

@@ -1,8 +1,9 @@
 /**
  * @file
- * Word tier: the 64-bit-word formulations the batch kernels used before
- * runtime dispatch existed (PR 5). Always available; serves as the
- * baseline the bench level sweep measures the vector tiers against.
+ * Word tier: 64-bit-word formulations of every primitive, the codec-level
+ * ones one transaction and stage at a time. Always available; serves as
+ * the baseline the bench level sweep measures the vector tiers against,
+ * and as the entry the vector tiers hand unsupported shapes to.
  */
 
 #include "core/simd/kernel_common.h"
@@ -26,6 +27,9 @@ wordTable()
         dbiDecodePlaneWord,
         popcountWordRange,
         popcountXorWordRange,
+        universalFoldWord,
+        universalUnfoldWord,
+        baseXorDecodeWord,
         crc32SliceBy8Range,
     };
     return table;

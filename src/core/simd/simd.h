@@ -3,18 +3,25 @@
  * Runtime-dispatched SIMD kernel layer for the batch codec core and the
  * wire checksum.
  *
- * The batch kernels (Base+XOR cascade, ZDR word remap, Universal fold,
- * DBI popcount-and-invert) and the bus ones/toggle accounting all reduce
- * to a small set of plane-level primitives (xor, ZDR encode/decode per
- * lane width, DBI plane encode/decode, popcount, xor-popcount). The
- * bxtd frame CRC32 (common/checksum.h) is one more primitive. This
- * module provides them behind a function-pointer table selected once at
- * runtime:
+ * The batch kernels and the bus and reply ones/toggle accounting reduce
+ * to a small set of primitives:
+ *
+ *   plane level    xor, ZDR encode/decode per lane width, DBI plane
+ *                  encode/decode, popcount, xor-popcount
+ *   codec level    Universal fold/unfold and adjacent-base Base+XOR
+ *                  decode over whole batches, where the vector levels
+ *                  hold each transaction in registers (the fold as one
+ *                  permute + remap, the decode chain one transaction
+ *                  per lane after a transpose)
+ *   checksum       the bxtd frame CRC32 (common/checksum.h)
+ *
+ * This module provides them behind a function-pointer table selected
+ * once at runtime:
  *
  *   Level::Scalar  byte-at-a-time loops (the differential reference);
- *                  CRC32 by the bytewise table loop
- *   Level::Word    64-bit word loops (the PR 5 hand-written kernels);
- *                  CRC32 by slicing-by-8
+ *                  the codec-level primitives run per transaction and
+ *                  stage over them; CRC32 by the bytewise table loop
+ *   Level::Word    64-bit word loops; CRC32 by slicing-by-8
  *   Level::Neon    128-bit NEON (aarch64 builds only); CRC32 by
  *                  slicing-by-8
  *   Level::Avx2    256-bit AVX2 (x86-64, detected via CPUID + XGETBV);
@@ -22,7 +29,10 @@
  *   Level::Avx512  512-bit AVX-512 F+BW+VL+VPOPCNTDQ; CRC32 by the same
  *                  PCLMULQDQ fold as Avx2
  *
- * Both x86 levels also require PCLMULQDQ and SSE4.1 (CPUID leaf 1).
+ * The x86 vector levels cover the codec-level shapes the serving traffic
+ * uses (32- and 64-byte transactions, 4- and 8-byte bases, ZDR lane 4 or
+ * plain XOR) and hand any other shape to the Word entry. Both x86 levels
+ * also require PCLMULQDQ and SSE4.1 (CPUID leaf 1).
  * One binary carries every level its compiler could build (the vector
  * translation units get per-file -m flags; see src/core/CMakeLists.txt)
  * and picks the best one the running CPU supports. The `BXT_SIMD`
@@ -108,6 +118,39 @@ struct KernelTable
     /** Total `1` bits in a[i] ^ b[i] (the toggle count of two beats). */
     std::uint64_t (*popcountXorRange)(const std::uint8_t *a,
                                       const std::uint8_t *b, std::size_t n);
+
+    /**
+     * Universal Base+XOR fold (paper §IV-C) of @p count transactions of
+     * @p tx_bytes bytes each: stage s remaps the right half
+     * [tx>>(s+1), tx>>s) of every transaction against its left half, for
+     * @p stages stages (already clamped so tx_bytes >> stages >= 2).
+     * @p zdr_lane is the ZDR lane width (2/4/8/16 bytes, clamped to the
+     * half width per stage) or 0 for plain XOR. No stage writes a byte a
+     * later stage reads as a base, so byte b's base is b ^ msb(b) in
+     * effective-base units and the whole fold is one remap against a
+     * permuted copy. @p out may alias @p in.
+     */
+    void (*universalFold)(std::uint8_t *out, const std::uint8_t *in,
+                          std::size_t count, std::size_t tx_bytes,
+                          unsigned stages, std::size_t zdr_lane);
+
+    /** Inverse of universalFold with the same geometry: the stages run
+     *  innermost first, each against the prefix already restored. */
+    void (*universalUnfold)(std::uint8_t *out, const std::uint8_t *in,
+                            std::size_t count, std::size_t tx_bytes,
+                            unsigned stages, std::size_t zdr_lane);
+
+    /**
+     * Adjacent-base Base+XOR decode (paper §III-B) of @p count
+     * transactions of @p tx_bytes bytes: element 0 passes through and
+     * element e (@p base_bytes wide, 2/4/8/16) is decoded against the
+     * decoded element e-1, by ZDR at element width when @p zdr is set,
+     * else by XOR. The chain is serial inside a transaction, so vector
+     * levels run one transaction per lane. @p out may alias @p in.
+     */
+    void (*baseXorDecode)(std::uint8_t *out, const std::uint8_t *in,
+                          std::size_t count, std::size_t tx_bytes,
+                          std::size_t base_bytes, bool zdr);
 
     /**
      * Advance a running IEEE CRC32 (reflected polynomial 0xEDB88320,

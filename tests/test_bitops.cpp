@@ -21,6 +21,37 @@ TEST(Popcount64, Basics)
     EXPECT_EQ(popcount64(0x5555555555555555ull), 32);
 }
 
+/** Bit-at-a-time reference, independent of popcount64's reduction. */
+int
+bitLoopCount(std::uint64_t value)
+{
+    int count = 0;
+    for (; value != 0; value >>= 1)
+        count += static_cast<int>(value & 1u);
+    return count;
+}
+
+TEST(Popcount64, MatchesBitLoopOnKnownAndRandomWords)
+{
+    EXPECT_EQ(popcount64(0), bitLoopCount(0));
+    EXPECT_EQ(popcount64(~std::uint64_t{0}), bitLoopCount(~std::uint64_t{0}));
+    for (unsigned bit = 0; bit < 64; ++bit) {
+        const std::uint64_t single = std::uint64_t{1} << bit;
+        EXPECT_EQ(popcount64(single), 1) << "bit " << bit;
+        EXPECT_EQ(popcount64(~single), 63) << "all but bit " << bit;
+    }
+    // splitmix64 stream: dense, sparse and mixed words alike.
+    std::uint64_t state = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 4096; ++i) {
+        std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        z ^= z >> 31;
+        for (const std::uint64_t word : {z, z & (z >> 7), z | (z << 3)})
+            EXPECT_EQ(popcount64(word), bitLoopCount(word)) << word;
+    }
+}
+
 TEST(PopcountBytes, EmptyIsZero)
 {
     EXPECT_EQ(popcountBytes({}), 0u);

@@ -10,13 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/bitops.h"
 #include "common/rng.h"
+#include "core/batch.h"
 #include "core/simd/kernels.h"
 #include "core/simd/simd.h"
+#include "core/zdr.h"
 #include "verify/batch_check.h"
 #include "verify/golden.h"
 
@@ -273,6 +277,246 @@ TEST(SimdKernels, DbiPlanePrimitivesMatchScalarAtEveryLevel)
     }
 }
 
+/**
+ * @p count transactions of @p tx_bytes whose @p unit-byte words hit every
+ * ZDR corner against both base choices the codec-level primitives use
+ * (the previous word, and the Universal fold's word j ^ msb(j)): zero,
+ * C, base, base ^ C, plus random filler. Encoding such a plane puts
+ * enc == C and enc == base words into the decoders' inputs.
+ */
+std::vector<std::uint8_t>
+makeCodecPlane(std::size_t count, std::size_t tx_bytes, std::size_t unit,
+               std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::uint8_t> plane(count * tx_bytes);
+    for (std::uint8_t &byte : plane)
+        byte = static_cast<std::uint8_t>(rng.next64());
+    const std::size_t words = tx_bytes / unit;
+    for (std::size_t t = 0; t < count; ++t) {
+        std::uint8_t *tx = plane.data() + t * tx_bytes;
+        for (std::size_t j = 1; j < words; ++j) {
+            std::uint8_t *word = tx + j * unit;
+            const std::size_t fold = j ^ (std::size_t{1} << log2Floor(j));
+            const std::uint8_t *base =
+                tx + (rng.nextBounded(2) == 0 ? j - 1 : fold) * unit;
+            switch (rng.nextBounded(6)) {
+            case 0:
+                std::fill(word, word + unit, std::uint8_t{0});
+                break;
+            case 1: // C: 0x40 in the word's top byte
+                std::fill(word, word + unit, std::uint8_t{0});
+                word[unit - 1] = 0x40;
+                break;
+            case 2:
+                std::copy(base, base + unit, word);
+                break;
+            case 3:
+                std::copy(base, base + unit, word);
+                word[unit - 1] ^= 0x40;
+                break;
+            default:
+                break; // random
+            }
+        }
+    }
+    return plane;
+}
+
+/** Adjacent-base Base+XOR encode through core/zdr.h's lane helpers: the
+ *  input the chain decoders are diffed on. */
+std::vector<std::uint8_t>
+encodeAdjacent(const std::vector<std::uint8_t> &plane, std::size_t tx_bytes,
+               std::size_t base_bytes, bool zdr)
+{
+    std::vector<std::uint8_t> out = plane;
+    for (std::size_t t = 0; t * tx_bytes < plane.size(); ++t) {
+        const std::uint8_t *src = plane.data() + t * tx_bytes;
+        std::uint8_t *dst = out.data() + t * tx_bytes;
+        for (std::size_t off = base_bytes; off < tx_bytes; off += base_bytes)
+            (zdr ? zdrLaneEncode : xorLaneEncode)(
+                dst + off, src + off, src + off - base_bytes, base_bytes);
+    }
+    return out;
+}
+
+/** Transaction sizes and counts the codec-level primitives are diffed
+ *  at: every size from 8 to 256 bytes, and counts that leave tails in
+ *  blocks of both 8 and 16 lanes. */
+const std::vector<std::size_t> codecTxSizes = {8, 16, 32, 64, 128, 256};
+constexpr std::size_t codecMaxCount = 40;
+
+/** Run @p op out of place and in place; both must equal @p want. */
+template <typename Op>
+void
+expectBothPlacements(const std::vector<std::uint8_t> &in,
+                     const std::vector<std::uint8_t> &want, Op op,
+                     const std::string &what)
+{
+    std::vector<std::uint8_t> got(in.size(), 0xa5);
+    op(got.data(), in.data());
+    EXPECT_EQ(got, want) << what << " (out of place)";
+    std::vector<std::uint8_t> inplace = in;
+    op(inplace.data(), inplace.data());
+    EXPECT_EQ(inplace, want) << what << " (in place)";
+}
+
+TEST(SimdKernels, UniversalFoldMatchesScalarAtEveryLevel)
+{
+    ScopedLevel guard;
+    const simd::KernelTable &ref = simd::detail::scalarTable();
+    for (Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        ASSERT_EQ(simd::setActiveLevel(level), level);
+        const simd::KernelTable &ops = simd::ops();
+        std::uint64_t seed = 0xF01D + static_cast<std::uint64_t>(level);
+        for (std::size_t tx_bytes : codecTxSizes) {
+            for (unsigned stages = 1; (tx_bytes >> stages) >= 2; ++stages) {
+                if (stages > 5)
+                    break;
+                for (std::size_t lane : {std::size_t{0}, std::size_t{2},
+                                         std::size_t{4}, std::size_t{8},
+                                         std::size_t{16}}) {
+                    for (std::size_t count = 0; count <= codecMaxCount;
+                         ++count) {
+                        const std::string what =
+                            "tx=" + std::to_string(tx_bytes) +
+                            " stages=" + std::to_string(stages) +
+                            " lane=" + std::to_string(lane) +
+                            " count=" + std::to_string(count);
+                        const std::size_t unit = std::max<std::size_t>(
+                            lane == 0 ? 4 : lane, tx_bytes >> stages);
+                        const std::vector<std::uint8_t> plane =
+                            makeCodecPlane(count, tx_bytes,
+                                           std::min(unit, tx_bytes / 2),
+                                           seed++);
+
+                        std::vector<std::uint8_t> enc(plane.size());
+                        ref.universalFold(enc.data(), plane.data(), count,
+                                          tx_bytes, stages, lane);
+                        expectBothPlacements(
+                            plane, enc,
+                            [&](std::uint8_t *o, const std::uint8_t *i) {
+                                ops.universalFold(o, i, count, tx_bytes,
+                                                  stages, lane);
+                            },
+                            "fold " + what);
+                        expectBothPlacements(
+                            enc, plane,
+                            [&](std::uint8_t *o, const std::uint8_t *i) {
+                                ops.universalUnfold(o, i, count, tx_bytes,
+                                                    stages, lane);
+                            },
+                            "unfold round trip " + what);
+
+                        // Arbitrary words decode exactly as the reference
+                        // does too, not only the encoder's outputs.
+                        std::vector<std::uint8_t> dec(plane.size());
+                        ref.universalUnfold(dec.data(), plane.data(), count,
+                                            tx_bytes, stages, lane);
+                        expectBothPlacements(
+                            plane, dec,
+                            [&](std::uint8_t *o, const std::uint8_t *i) {
+                                ops.universalUnfold(o, i, count, tx_bytes,
+                                                    stages, lane);
+                            },
+                            "unfold " + what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, BaseXorDecodeMatchesScalarAtEveryLevel)
+{
+    ScopedLevel guard;
+    const simd::KernelTable &ref = simd::detail::scalarTable();
+    for (Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        ASSERT_EQ(simd::setActiveLevel(level), level);
+        const simd::KernelTable &ops = simd::ops();
+        std::uint64_t seed = 0xBA5E + static_cast<std::uint64_t>(level);
+        for (std::size_t tx_bytes : codecTxSizes) {
+            for (std::size_t base : {std::size_t{2}, std::size_t{4},
+                                     std::size_t{8}, std::size_t{16}}) {
+                if (base >= tx_bytes)
+                    continue;
+                for (bool zdr : {false, true}) {
+                    for (std::size_t count = 0; count <= codecMaxCount;
+                         ++count) {
+                        const std::string what =
+                            "tx=" + std::to_string(tx_bytes) +
+                            " base=" + std::to_string(base) +
+                            " zdr=" + std::to_string(zdr) +
+                            " count=" + std::to_string(count);
+                        const std::vector<std::uint8_t> plane =
+                            makeCodecPlane(count, tx_bytes, base, seed++);
+                        const std::vector<std::uint8_t> enc =
+                            encodeAdjacent(plane, tx_bytes, base, zdr);
+                        expectBothPlacements(
+                            enc, plane,
+                            [&](std::uint8_t *o, const std::uint8_t *i) {
+                                ops.baseXorDecode(o, i, count, tx_bytes,
+                                                  base, zdr);
+                            },
+                            "round trip " + what);
+
+                        std::vector<std::uint8_t> dec(plane.size());
+                        ref.baseXorDecode(dec.data(), plane.data(), count,
+                                          tx_bytes, base, zdr);
+                        expectBothPlacements(
+                            plane, dec,
+                            [&](std::uint8_t *o, const std::uint8_t *i) {
+                                ops.baseXorDecode(o, i, count, tx_bytes,
+                                                  base, zdr);
+                            },
+                            "decode " + what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, BatchTalliesMatchPopcountBytesAtEveryLevel)
+{
+    ScopedLevel guard;
+    for (Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        ASSERT_EQ(simd::setActiveLevel(level), level);
+        std::uint64_t seed = 0x7A11 + static_cast<std::uint64_t>(level);
+        for (std::size_t count : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{7}, std::size_t{17},
+                                  std::size_t{136}}) {
+            const std::vector<std::uint8_t> plane =
+                randomBytes(count * 32, seed++);
+            TxBatch batch(32, count);
+            batch.append(plane.data(), count);
+            EXPECT_EQ(batch.ones(), popcountBytes(plane))
+                << "count=" << count;
+
+            // Meta bits of 0/1 bytes on a 3-wire, 5-beat geometry so the
+            // plane length is not a multiple of any vector width.
+            EncodedBatch enc;
+            enc.configure(32, 3, 15);
+            enc.resizeForOverwrite(count);
+            const std::vector<std::uint8_t> payload =
+                randomBytes(enc.payloadBytes(), seed++);
+            std::copy(payload.begin(), payload.end(), enc.payloadData());
+            std::vector<std::uint8_t> meta(count * 15);
+            Rng rng(seed++);
+            for (std::uint8_t &bit : meta)
+                bit = static_cast<std::uint8_t>(rng.nextBounded(2));
+            std::copy(meta.begin(), meta.end(), enc.metaData());
+            EXPECT_EQ(enc.payloadOnes(), popcountBytes(payload))
+                << "count=" << count;
+            EXPECT_EQ(enc.metaOnes(), popcountBytes(meta))
+                << "count=" << count;
+        }
+    }
+}
+
 TEST(SimdGolden, CorpusIsBitIdenticalAtEveryLevel)
 {
     ScopedLevel guard;
@@ -306,7 +550,7 @@ TEST(SimdFuzz, BatchDifferentialHoldsAtEveryLevel)
         verify::BatchFuzzOptions options;
         options.streamsPerSpec = 4;
         options.txPerStream = 64;
-        options.batchSizes = {1, 7, 64};
+        options.batchSizes = {1, 7, 9, 17, 64};
         options.seed = 0x51D0F00D + static_cast<std::uint64_t>(level);
 
         const verify::BatchFuzzReport report =
