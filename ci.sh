@@ -18,7 +18,8 @@
 #   batch    Release build + batch/simd-labeled ctest (batch kernels vs
 #            the reference codecs, SIMD tables vs the scalar table, the
 #            Base+XOR/Universal/pipeline codec suites, the wire CRC32 at
-#            every level vs a bitwise reference) + an
+#            every level vs a bitwise reference, the allocation-free
+#            in-place reply path with its metadata packing) + an
 #            ASan/UBSan pass of the same tests forced through every
 #            dispatch level (BXT_SIMD=scalar/word/avx2/avx512) + the
 #            bench_codec_throughput sweep with its speedup gates
@@ -135,7 +136,8 @@ run_batch() {
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-ci-release -j "${jobs}" \
         --target test_batch test_simd test_checksum test_base_xor \
-        test_universal test_pipeline bench_codec_throughput
+        test_universal test_pipeline test_server_allocs \
+        bench_codec_throughput
     # SIMD intrinsics under ASan/UBSan: force each dispatch level in
     # turn so every kernel tier's loads/stores and tail masks run
     # sanitized, not just the level CPUID would pick. Unsupported levels
@@ -144,7 +146,7 @@ run_batch() {
     configure_asan
     cmake --build build-ci-asan -j "${jobs}" \
         --target test_batch test_simd test_checksum test_base_xor \
-        test_universal test_pipeline
+        test_universal test_pipeline test_server_allocs
     local level
     for level in scalar word avx2 avx512; do
         echo "--- batch/simd ctest (ASan, BXT_SIMD=${level}) ---"

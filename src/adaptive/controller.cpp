@@ -70,9 +70,9 @@ defaultConfig(std::size_t bus_bytes)
 }
 
 bool
-isAdaptiveSpec(const std::string &spec)
+isAdaptiveSpec(std::string_view spec)
 {
-    return spec == "adaptive" || spec.rfind("adaptive:", 0) == 0;
+    return spec == "adaptive" || spec.starts_with("adaptive:");
 }
 
 bool

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/codec.h"
@@ -67,7 +68,7 @@ Config defaultConfig(std::size_t bus_bytes = 4);
 
 /** True when @p spec names the adaptive meta-codec ("adaptive" or
  *  "adaptive:..."); such specs bypass the '|' pipeline grammar. */
-bool isAdaptiveSpec(const std::string &spec);
+bool isAdaptiveSpec(std::string_view spec);
 
 /**
  * Parse `adaptive[:item,item,...]` where each item is a knob (`w=N`,

@@ -204,6 +204,98 @@ popcountXorWordRange(const std::uint8_t *a, const std::uint8_t *b,
     return count;
 }
 
+/** Eight one-byte values (any nonzero byte = 1) packed into one byte,
+ *  value j in bit j. */
+inline std::uint8_t
+packByteWord(std::uint64_t values)
+{
+    // OR every byte's bits down into its bit 0 (no shift here reaches
+    // the bit 0 of the byte below), then gather bit 0 of byte j at bit
+    // 56 + j with one multiply: the partial products never collide.
+    std::uint64_t x = values | (values >> 4);
+    x |= x >> 2;
+    x |= x >> 1;
+    x &= 0x0101010101010101ull;
+    return static_cast<std::uint8_t>((x * 0x0102040810204080ull) >> 56);
+}
+
+/** One packed byte spread into eight 0/1 bytes, bit j into byte j. */
+inline std::uint64_t
+unpackByteWord(std::uint8_t packed)
+{
+    const std::uint64_t picked =
+        (packed * 0x0101010101010101ull) & 0x8040201008040201ull;
+    // Adding 0x7f carries a byte's one set bit (at most 0x80) into its
+    // bit 7 without overflowing into the next byte.
+    return ((picked + 0x7f7f7f7f7f7f7f7full) >> 7) & 0x0101010101010101ull;
+}
+
+/** Pack @p n values into ceil(n / 8) bytes, LSB-first; the unused high
+ *  bits of a partial last byte are zero. */
+inline void
+packBitsRunWord(std::uint8_t *packed, const std::uint8_t *bits,
+                std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        packed[i / 8] = packByteWord(loadWord64(bits + i));
+    if (i < n) {
+        unsigned last = 0;
+        for (std::size_t j = 0; i + j < n; ++j)
+            last |= (bits[i + j] != 0 ? 1u : 0u) << j;
+        packed[i / 8] = static_cast<std::uint8_t>(last);
+    }
+}
+
+/** Unpack @p n LSB-first bits into @p n 0/1 bytes. */
+inline void
+unpackBitsRunWord(std::uint8_t *bits, const std::uint8_t *packed,
+                  std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        storeWord64(bits + i, unpackByteWord(packed[i / 8]));
+    for (; i < n; ++i)
+        bits[i] = static_cast<std::uint8_t>((packed[i / 8] >> (i % 8)) & 1u);
+}
+
+/**
+ * KernelTable::packBits over a level's run packer: rows that tile a
+ * contiguous bit plane (whole bytes, no padding) pack in one call,
+ * others one row at a time with their padding bytes zeroed.
+ */
+template <auto Run>
+void
+packRows(std::uint8_t *packed, const std::uint8_t *bits, std::size_t count,
+         std::size_t bits_per_row, std::size_t row_bytes)
+{
+    const std::size_t used = (bits_per_row + 7) / 8;
+    if (bits_per_row % 8 == 0 && row_bytes == used) {
+        Run(packed, bits, count * bits_per_row);
+        return;
+    }
+    for (std::size_t r = 0; r < count; ++r) {
+        std::uint8_t *row = packed + r * row_bytes;
+        Run(row, bits + r * bits_per_row, bits_per_row);
+        std::memset(row + used, 0, row_bytes - used);
+    }
+}
+
+/** KernelTable::unpackBits over a level's run unpacker (see packRows). */
+template <auto Run>
+void
+unpackRows(std::uint8_t *bits, const std::uint8_t *packed,
+           std::size_t count, std::size_t bits_per_row,
+           std::size_t row_bytes)
+{
+    if (bits_per_row % 8 == 0 && row_bytes == bits_per_row / 8) {
+        Run(bits, packed, count * bits_per_row);
+        return;
+    }
+    for (std::size_t r = 0; r < count; ++r)
+        Run(bits + r * bits_per_row, packed + r * row_bytes, bits_per_row);
+}
+
 /**
  * Word-width lane remaps for the shape-generic codec-level kernels
  * below: @p lane is the ZDR lane width in bytes (2/4/8/16), or 0 for

@@ -280,6 +280,8 @@ neonTableOrNull()
         universalUnfoldWord,
         baseXorDecodeWord,
         crc32SliceBy8Range,
+        packRows<packBitsRunWord>,
+        unpackRows<unpackBitsRunWord>,
     };
     return &table;
 }

@@ -219,6 +219,37 @@ baseXorDecodeScalar(std::uint8_t *out, const std::uint8_t *in,
                                       zdr);
 }
 
+void
+packBitsScalar(std::uint8_t *packed, const std::uint8_t *bits,
+               std::size_t count, std::size_t bits_per_row,
+               std::size_t row_bytes)
+{
+    for (std::size_t r = 0; r < count; ++r) {
+        std::uint8_t *row = packed + r * row_bytes;
+        const std::uint8_t *values = bits + r * bits_per_row;
+        for (std::size_t b = 0; b < row_bytes; ++b)
+            row[b] = 0;
+        for (std::size_t j = 0; j < bits_per_row; ++j) {
+            if (values[j] != 0)
+                row[j / 8] |= static_cast<std::uint8_t>(1u << (j % 8));
+        }
+    }
+}
+
+void
+unpackBitsScalar(std::uint8_t *bits, const std::uint8_t *packed,
+                 std::size_t count, std::size_t bits_per_row,
+                 std::size_t row_bytes)
+{
+    for (std::size_t r = 0; r < count; ++r) {
+        const std::uint8_t *row = packed + r * row_bytes;
+        std::uint8_t *values = bits + r * bits_per_row;
+        for (std::size_t j = 0; j < bits_per_row; ++j)
+            values[j] =
+                static_cast<std::uint8_t>((row[j / 8] >> (j % 8)) & 1u);
+    }
+}
+
 } // namespace
 
 const KernelTable &
@@ -241,6 +272,8 @@ scalarTable()
         universalUnfoldScalar,
         baseXorDecodeScalar,
         crc32BytewiseRange,
+        packBitsScalar,
+        unpackBitsScalar,
     };
     return table;
 }

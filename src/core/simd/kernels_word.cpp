@@ -31,6 +31,8 @@ wordTable()
         universalUnfoldWord,
         baseXorDecodeWord,
         crc32SliceBy8Range,
+        packRows<packBitsRunWord>,
+        unpackRows<unpackBitsRunWord>,
     };
     return table;
 }

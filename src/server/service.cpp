@@ -4,11 +4,11 @@
 #include <cstring>
 #include <exception>
 #include <map>
-#include <span>
 
 #include "common/error.h"
 #include "common/json.h"
 #include "core/codec_factory.h"
+#include "core/simd/simd.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
 #include "telemetry/trace.h"
@@ -30,33 +30,62 @@ metaBitsPerTx(std::uint32_t tx_bytes, std::uint32_t bus_bits,
     return beats * meta_wires_per_beat;
 }
 
-/** Pack beat-major 0/1 metadata values LSB-first into @p packed. */
-void
-packMeta(std::uint8_t *packed, std::span<const std::uint8_t> meta,
-         std::size_t packed_bytes)
-{
-    std::memset(packed, 0, packed_bytes);
-    for (std::size_t j = 0; j < meta.size(); ++j) {
-        if (meta[j] != 0)
-            packed[j / 8] |= static_cast<std::uint8_t>(1u << (j % 8));
-    }
-}
-
 /** Encode reply body bytes before the payload plane (wire.h table). */
 constexpr std::size_t encodeReplyHeaderBytes = 4 * 4 + 4 * 8;
 
 /** Decode reply body bytes before the raw plane (wire.h table). */
 constexpr std::size_t decodeReplyHeaderBytes = 4 + 8;
 
-/** Unpack LSB-first packed metadata into @p bits 0/1 values. */
-void
-unpackMeta(const std::uint8_t *packed, std::span<std::uint8_t> bits)
-{
-    for (std::size_t j = 0; j < bits.size(); ++j)
-        bits[j] = (packed[j / 8] >> (j % 8)) & 1u;
-}
-
 } // namespace
+
+class Service::Reply
+{
+  public:
+    /** Fill @p frame's opcode, spec and body. */
+    explicit Reply(wire::Frame &frame) : frame_(&frame) {}
+
+    /** Append one frame to @p out that echoes @p request's stream tag
+     *  and trace context. */
+    Reply(std::vector<std::uint8_t> &out, const wire::FrameView &request)
+        : out_(&out), request_(&request), start_(out.size())
+    {
+    }
+
+    /**
+     * Start the reply, dropping whatever an earlier begin() wrote, and
+     * return the writer for its @p body_bytes body. @p spec is copied
+     * before the body is written, so it may not point into it.
+     */
+    wire::BodyWriter begin(wire::Opcode opcode, std::string_view spec,
+                           std::size_t body_bytes)
+    {
+        if (frame_ != nullptr) {
+            frame_->opcode = opcode;
+            frame_->spec.assign(spec);
+            return wire::BodyWriter(frame_->body, 0, body_bytes);
+        }
+        out_->resize(start_);
+        wire::FrameView head = *request_;
+        head.opcode = opcode;
+        head.spec = spec;
+        wire::beginFrame(*out_, head, body_bytes);
+        return wire::BodyWriter(*out_, out_->size(), body_bytes);
+    }
+
+    /** Close the reply begun last: in a wire buffer, patch its length
+     *  and CRC32. */
+    void finish()
+    {
+        if (out_ != nullptr && out_->size() > start_)
+            wire::finishFrame(*out_, start_);
+    }
+
+  private:
+    wire::Frame *frame_ = nullptr;
+    std::vector<std::uint8_t> *out_ = nullptr;
+    const wire::FrameView *request_ = nullptr;
+    std::size_t start_ = 0;
+};
 
 Service::Service(telemetry::Registry *registry)
     : reg_(registry != nullptr ? *registry : telemetry::currentRegistry()),
@@ -93,10 +122,14 @@ Service::streamCounters(std::uint16_t stream_id)
 
 void
 Service::errorResponse(wire::ErrorCode code, const std::string &detail,
-                       wire::Frame &response)
+                       Reply &reply)
 {
     errors_.add(1);
-    response = wire::makeErrorFrame(code, detail);
+    wire::BodyWriter writer =
+        reply.begin(wire::Opcode::Error, {}, 4 + detail.size());
+    writer.u32(static_cast<std::uint32_t>(code));
+    writer.bytes(reinterpret_cast<const std::uint8_t *>(detail.data()),
+                 detail.size());
 }
 
 std::string
@@ -121,7 +154,7 @@ validateGeometry(std::uint32_t tx_bytes, std::uint32_t bus_bits)
 }
 
 Service::Entry *
-Service::entryFor(const std::string &spec, std::uint32_t tx_bytes,
+Service::entryFor(std::string_view spec, std::uint32_t tx_bytes,
                   std::uint32_t bus_bits, std::uint16_t stream_id,
                   std::string &err)
 {
@@ -133,7 +166,8 @@ Service::entryFor(const std::string &spec, std::uint32_t tx_bytes,
     if (it != codecs_.end())
         return &it->second;
 
-    CodecPtr codec = tryMakeCodec(spec, bus_bits / 8u, err);
+    const std::string spec_name(spec);
+    CodecPtr codec = tryMakeCodec(spec_name, bus_bits / 8u, err);
     if (!codec)
         return nullptr;
     Entry entry;
@@ -142,7 +176,7 @@ Service::entryFor(const std::string &spec, std::uint32_t tx_bytes,
     // once, so the request path never builds a metric name or takes the
     // registry mutex.
     const std::string base =
-        "bxt.server." + telemetry::sanitizeMetricName(spec);
+        "bxt.server." + telemetry::sanitizeMetricName(spec_name);
     entry.onesInCounter = &reg_.counter(base + ".ones_in");
     entry.onesOutCounter = &reg_.counter(base + ".ones_out");
     entry.onesRemovedCounter = &reg_.counter(base + ".ones_removed");
@@ -160,14 +194,13 @@ Service::entryFor(const std::string &spec, std::uint32_t tx_bytes,
         }
     }
     return &codecs_
-                .emplace(Key{spec, tx_bytes, bus_bits, key_stream},
+                .emplace(Key{spec_name, tx_bytes, bus_bits, key_stream},
                          std::move(entry))
                 .first->second;
 }
 
-void
-Service::announceAdaptive(Entry &entry, std::uint16_t stream_id,
-                          wire::Frame &response)
+std::string_view
+Service::announceAdaptive(Entry &entry, std::uint16_t stream_id)
 {
     const adaptive::Controller &controller = entry.adaptive->controller();
     // The reply's spec field doubles as stream metadata: the concrete
@@ -175,12 +208,12 @@ Service::announceAdaptive(Entry &entry, std::uint16_t stream_id,
     // cross-epoch payloads with the right codec and watch the choice
     // migrate. ';' cannot appear in the spec grammar, so old clients
     // that echo the field verbatim stay unambiguous.
-    response.spec = controller.activeSpec();
-    response.spec += ";epoch=";
-    response.spec += std::to_string(controller.epoch());
+    announced_ = controller.activeSpec();
+    announced_ += ";epoch=";
+    announced_ += std::to_string(controller.epoch());
 
     if (!telemetry::metricsEnabled() || stream_id == 0)
-        return;
+        return announced_;
     entry.epochGauge->set(static_cast<double>(controller.epoch()));
     if (controller.epoch() > entry.lastEpoch) {
         entry.switchesCounter->add(controller.epoch() - entry.lastEpoch);
@@ -207,43 +240,45 @@ Service::announceAdaptive(Entry &entry, std::uint16_t stream_id,
             telemetry::sanitizeMetricName(entry.choiceSpec));
         entry.choiceGauge->set(1.0);
     }
+    return announced_;
 }
 
 void
-Service::handleEncode(const wire::Frame &request, wire::Frame &response)
+Service::handleEncode(const wire::FrameView &request, Reply &reply,
+                      StreamCounters *stream)
 {
-    wire::BodyReader reader(request.body);
+    wire::BodyReader reader(request.body.data(), request.body.size());
     std::uint32_t tx_bytes = 0;
     std::uint32_t bus_bits = 0;
     std::uint64_t count = 0;
     if (!reader.u32(tx_bytes) || !reader.u32(bus_bits) ||
         !reader.u64(count)) {
         return errorResponse(wire::ErrorCode::Malformed,
-                             "encode: truncated request header", response);
+                             "encode: truncated request header", reply);
     }
     const std::string geometry = validateGeometry(tx_bytes, bus_bits);
     if (!geometry.empty()) {
         return errorResponse(wire::ErrorCode::Malformed,
-                             "encode: " + geometry, response);
+                             "encode: " + geometry, reply);
     }
     if (count > wire::maxTxPerRequest) {
         return errorResponse(wire::ErrorCode::Malformed,
                              "encode: count " + std::to_string(count) +
                                  " exceeds " +
                                  std::to_string(wire::maxTxPerRequest),
-                             response);
+                             reply);
     }
     if (reader.remaining() != count * tx_bytes) {
         return errorResponse(wire::ErrorCode::Malformed,
                              "encode: body size does not match count",
-                             response);
+                             reply);
     }
 
     std::string err;
     Entry *entry =
         entryFor(request.spec, tx_bytes, bus_bits, request.streamId, err);
     if (entry == nullptr)
-        return errorResponse(wire::ErrorCode::BadSpec, err, response);
+        return errorResponse(wire::ErrorCode::BadSpec, err, reply);
 
     const unsigned meta_wires = entry->codec->metaWiresPerBeat();
     const std::size_t meta_bits =
@@ -266,7 +301,7 @@ Service::handleEncode(const wire::Frame &request, wire::Frame &response)
                 std::to_string(enc.metaBitsPerTx()) +
                 " metadata bits/tx, geometry expects " +
                 std::to_string(meta_bits),
-            response);
+            reply);
     }
 
     // The ones tallies travel in the response so clients can print
@@ -276,11 +311,14 @@ Service::handleEncode(const wire::Frame &request, wire::Frame &response)
     const std::uint64_t meta_ones = enc.metaOnes();
     const std::uint64_t ones_out = payload_ones + meta_ones;
 
-    response.opcode = wire::Opcode::Encode;
-    response.spec = request.spec;
-    wire::BodyWriter writer(response.body,
-                            encodeReplyHeaderBytes +
-                                count * (tx_bytes + meta_bytes));
+    const std::string_view spec =
+        entry->adaptive != nullptr
+            ? announceAdaptive(*entry, request.streamId)
+            : request.spec;
+    wire::BodyWriter writer =
+        reply.begin(wire::Opcode::Encode, spec,
+                    encodeReplyHeaderBytes +
+                        count * (tx_bytes + meta_bytes));
     writer.u32(tx_bytes);
     writer.u32(bus_bits);
     writer.u32(meta_wires);
@@ -290,10 +328,9 @@ Service::handleEncode(const wire::Frame &request, wire::Frame &response)
     writer.u64(payload_ones);
     writer.u64(meta_ones);
     writer.bytes(enc.payloadData(), enc.payloadBytes());
-    std::uint8_t *packed = writer.claim(count * meta_bytes);
     if (meta_bytes != 0) {
-        for (std::uint64_t i = 0; i < count; ++i)
-            packMeta(packed + i * meta_bytes, enc.meta(i), meta_bytes);
+        simd::ops().packBits(writer.claim(count * meta_bytes),
+                             enc.metaData(), count, meta_bits, meta_bytes);
     }
 
     if (telemetry::metricsEnabled()) {
@@ -305,23 +342,20 @@ Service::handleEncode(const wire::Frame &request, wire::Frame &response)
         // Per-tenant accounting: stream-tagged encodes telescope to the
         // aggregate counters (sum over streams == bxt.server.tx_encoded
         // when every request carries a tag).
-        if (request.streamId != 0) {
-            StreamCounters &stream = streamCounters(request.streamId);
-            stream.txEncoded.add(count);
-            stream.onesIn.add(input_ones);
-            stream.onesOut.add(ones_out);
+        if (stream != nullptr) {
+            stream->txEncoded.add(count);
+            stream->onesIn.add(input_ones);
+            stream->onesOut.add(ones_out);
         }
     }
     entry->onesIn += input_ones;
     entry->onesOut += ones_out;
-    if (entry->adaptive != nullptr)
-        announceAdaptive(*entry, request.streamId, response);
 }
 
 void
-Service::handleDecode(const wire::Frame &request, wire::Frame &response)
+Service::handleDecode(const wire::FrameView &request, Reply &reply)
 {
-    wire::BodyReader reader(request.body);
+    wire::BodyReader reader(request.body.data(), request.body.size());
     std::uint32_t tx_bytes = 0;
     std::uint32_t bus_bits = 0;
     std::uint32_t meta_wires = 0;
@@ -331,26 +365,26 @@ Service::handleDecode(const wire::Frame &request, wire::Frame &response)
         !reader.u32(meta_wires) || !reader.u32(meta_bytes) ||
         !reader.u64(count)) {
         return errorResponse(wire::ErrorCode::Malformed,
-                             "decode: truncated request header", response);
+                             "decode: truncated request header", reply);
     }
     const std::string geometry = validateGeometry(tx_bytes, bus_bits);
     if (!geometry.empty()) {
         return errorResponse(wire::ErrorCode::Malformed,
-                             "decode: " + geometry, response);
+                             "decode: " + geometry, reply);
     }
     if (count > wire::maxTxPerRequest) {
         return errorResponse(wire::ErrorCode::Malformed,
                              "decode: count " + std::to_string(count) +
                                  " exceeds " +
                                  std::to_string(wire::maxTxPerRequest),
-                             response);
+                             reply);
     }
 
     std::string err;
     Entry *entry =
         entryFor(request.spec, tx_bytes, bus_bits, request.streamId, err);
     if (entry == nullptr)
-        return errorResponse(wire::ErrorCode::BadSpec, err, response);
+        return errorResponse(wire::ErrorCode::BadSpec, err, reply);
 
     const unsigned codec_meta_wires = entry->codec->metaWiresPerBeat();
     const std::size_t meta_bits =
@@ -361,15 +395,15 @@ Service::handleDecode(const wire::Frame &request, wire::Frame &response)
         return errorResponse(
             wire::ErrorCode::Malformed,
             "decode: metadata geometry does not match codec '" +
-                request.spec + "' (expects " +
+                std::string(request.spec) + "' (expects " +
                 std::to_string(codec_meta_wires) + " wires/beat)",
-            response);
+            reply);
     }
     if (reader.remaining() !=
         count * (static_cast<std::uint64_t>(tx_bytes) + meta_bytes)) {
         return errorResponse(wire::ErrorCode::Malformed,
                              "decode: body size does not match count",
-                             response);
+                             reply);
     }
 
     const std::uint8_t *payloads = nullptr;
@@ -377,53 +411,55 @@ Service::handleDecode(const wire::Frame &request, wire::Frame &response)
     reader.view(payloads, count * tx_bytes); // Sizes pre-validated above.
     reader.view(metas, count * meta_bytes);
 
-    // Rebuild the encoded batch (payload plane copy + per-transaction
-    // metadata unpack) and decode it with one decodeBatch call.
+    // Rebuild the encoded batch (payload plane copy + one metadata plane
+    // unpack, both overwriting every byte) and decode it with one
+    // decodeBatch call.
     EncodedBatch &enc = entry->scratchEnc;
     enc.configure(tx_bytes, codec_meta_wires, meta_bits);
-    enc.resize(count);
+    enc.resizeForOverwrite(count);
     if (count != 0)
         std::memcpy(enc.payloadData(), payloads, count * tx_bytes);
-    for (std::uint64_t i = 0; i < count; ++i)
-        unpackMeta(metas + i * meta_bytes, enc.meta(i));
+    if (meta_bytes != 0) {
+        simd::ops().unpackBits(enc.metaData(), metas, count, meta_bits,
+                               meta_bytes);
+    }
     TxBatch &decoded = entry->scratchOut;
     entry->codec->decodeBatch(enc, decoded);
 
-    response.opcode = wire::Opcode::Decode;
-    response.spec = request.spec;
-    wire::BodyWriter writer(response.body,
-                            decodeReplyHeaderBytes + decoded.planeBytes());
+    const std::string_view spec =
+        entry->adaptive != nullptr
+            ? announceAdaptive(*entry, request.streamId)
+            : request.spec;
+    wire::BodyWriter writer =
+        reply.begin(wire::Opcode::Decode, spec,
+                    decodeReplyHeaderBytes + decoded.planeBytes());
     writer.u32(tx_bytes);
     writer.u64(count);
     writer.bytes(decoded.data(), decoded.planeBytes());
 
     if (telemetry::metricsEnabled())
         txDecoded_.add(count);
-    if (entry->adaptive != nullptr)
-        announceAdaptive(*entry, request.streamId, response);
 }
 
 void
-Service::handleStats(wire::Frame &response)
+Service::handleStats(Reply &reply)
 {
-    response.opcode = wire::Opcode::Stats;
-    response.spec.clear();
     // The provider is the fleet-wide merged view when sharded; a bare
     // Service answers from its own registry.
     const std::string snapshot = stats_provider_
                                      ? stats_provider_()
                                      : telemetry::snapshotJson(reg_, false);
-    response.body.assign(snapshot.begin(), snapshot.end());
+    reply.begin(wire::Opcode::Stats, {}, snapshot.size())
+        .bytes(reinterpret_cast<const std::uint8_t *>(snapshot.data()),
+               snapshot.size());
 }
 
 void
-Service::handleSnapshot(wire::Frame &response)
+Service::handleSnapshot(Reply &reply)
 {
     // The live-introspection op (bxt_top): the full schema-2 telemetry
     // document plus the server clock, so pollers can compute rates from
     // counter deltas without trusting their own timestamps.
-    response.opcode = wire::Opcode::Snapshot;
-    response.spec.clear();
     JsonWriter w(false);
     w.beginObject();
     w.kv("uptime_us", telemetry::nowMicros());
@@ -432,62 +468,83 @@ Service::handleSnapshot(wire::Frame &response)
                            : telemetry::snapshotJson(reg_, false));
     w.endObject();
     const std::string body = w.str();
-    response.body.assign(body.begin(), body.end());
+    reply.begin(wire::Opcode::Snapshot, {}, body.size())
+        .bytes(reinterpret_cast<const std::uint8_t *>(body.data()),
+               body.size());
 }
 
 void
-Service::handle(const wire::Frame &request, wire::Frame &response)
+Service::serve(const wire::FrameView &request, Reply &reply)
 {
     requests_.add(1);
-    const bool metrics_on = telemetry::metricsEnabled();
-    if (metrics_on && request.streamId != 0)
-        streamCounters(request.streamId).requests.add(1);
+    // The request's tenant counters, looked up once for the whole
+    // request.
+    StreamCounters *stream =
+        telemetry::metricsEnabled() && request.streamId != 0
+            ? &streamCounters(request.streamId)
+            : nullptr;
+    if (stream != nullptr)
+        stream->requests.add(1);
 
     try {
         switch (request.opcode) {
         case wire::Opcode::Ping:
-            response.opcode = wire::Opcode::Ping;
-            response.spec.clear();
-            response.body.clear();
+            reply.begin(wire::Opcode::Ping, {}, 0);
             break;
         case wire::Opcode::Encode:
-            handleEncode(request, response);
+            handleEncode(request, reply, stream);
             break;
         case wire::Opcode::Decode:
-            handleDecode(request, response);
+            handleDecode(request, reply);
             break;
         case wire::Opcode::Stats:
-            handleStats(response);
+            handleStats(reply);
             break;
         case wire::Opcode::Snapshot:
-            handleSnapshot(response);
+            handleSnapshot(reply);
             break;
         case wire::Opcode::Error:
             errorResponse(wire::ErrorCode::Malformed,
-                          "error frames are response-only", response);
+                          "error frames are response-only", reply);
             break;
         default:
             errorResponse(
                 wire::ErrorCode::UnknownOpcode,
                 "unknown opcode " +
                     std::to_string(static_cast<unsigned>(request.opcode)),
-                response);
+                reply);
             break;
         }
     } catch (const CodecSizeError &e) {
         // Geometry the codec rejects (e.g. xor8 on an 8-byte transaction)
         // is a client mistake, not a server fault.
-        errorResponse(wire::ErrorCode::Malformed, e.what(), response);
+        errorResponse(wire::ErrorCode::Malformed, e.what(), reply);
     } catch (const std::exception &e) {
-        errorResponse(wire::ErrorCode::Internal, e.what(), response);
+        errorResponse(wire::ErrorCode::Internal, e.what(), reply);
     } catch (...) {
         errorResponse(wire::ErrorCode::Internal, "unknown exception",
-                      response);
+                      reply);
     }
+    reply.finish();
+}
 
+void
+Service::handle(const wire::FrameView &request,
+                std::vector<std::uint8_t> &out)
+{
+    Reply reply(out, request);
+    serve(request, reply);
+}
+
+void
+Service::handle(const wire::Frame &request, wire::Frame &response)
+{
+    Reply reply(response);
+    serve(request.view(), reply);
     // Echo the stream tag so pipelining clients can demux responses,
     // and the trace context so traced clients can stitch client-side
-    // spans onto the same trace.
+    // spans onto the same trace. (The in-place form echoes them in the
+    // header it writes.)
     response.streamId = request.streamId;
     response.traceId = request.traceId;
     response.spanId = request.spanId;
@@ -503,7 +560,7 @@ Service::handle(const wire::Frame &request)
 }
 
 std::uint32_t
-requestTxCount(const wire::Frame &request)
+requestTxCount(const wire::FrameView &request)
 {
     // Encode bodies lead with u32 txBytes, u32 busBits; Decode bodies
     // add u32 metaWires, u32 metaBytes. Both are followed by the u64
@@ -519,7 +576,7 @@ requestTxCount(const wire::Frame &request)
     default:
         return 0;
     }
-    wire::BodyReader reader(request.body);
+    wire::BodyReader reader(request.body.data(), request.body.size());
     std::uint32_t skipped = 0;
     for (std::size_t i = 0; i < lead_u32s; ++i) {
         if (!reader.u32(skipped))

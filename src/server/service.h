@@ -2,7 +2,10 @@
  * @file
  * The bxtd request service: maps one parsed wire frame to one response
  * frame, independent of any socket, so the loopback tests and the frame
- * fuzzer can drive the full dispatch path in-process.
+ * fuzzer can drive the full dispatch path in-process. A shard hands it
+ * the parser's view of each request and has the reply written in place
+ * into the connection's output buffer; the Frame form serves callers
+ * that own their frames.
  *
  * A Service instance is per-shard state (DESIGN.md §14): it caches one
  * codec (plus allocation-free scratch batches) per (spec, txBytes,
@@ -30,6 +33,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <vector>
 
 #include "adaptive/adaptive_codec.h"
 #include "core/codec.h"
@@ -47,6 +51,18 @@ class Service
   public:
     /** Bind instruments to @p registry (null = currentRegistry()). */
     explicit Service(telemetry::Registry *registry = nullptr);
+
+    /**
+     * Serve one request, appending exactly one reply frame to @p out.
+     * The reply is built in place: header and spec, then the body
+     * written straight after them, then the body length and CRC32
+     * patched in. A connection passes the parser's view of the request
+     * and its output buffer, so neither body is copied on the way in or
+     * out; once @p out has grown, concrete-spec Encode/Decode requests
+     * are served without heap allocation.
+     */
+    void handle(const wire::FrameView &request,
+                std::vector<std::uint8_t> &out);
 
     /**
      * Process one request frame into @p response, overwriting every
@@ -139,12 +155,21 @@ class Service
         StreamCounters(telemetry::Registry &reg, const std::string &base);
     };
 
-    void handleEncode(const wire::Frame &request, wire::Frame &response);
-    void handleDecode(const wire::Frame &request, wire::Frame &response);
-    void handleStats(wire::Frame &response);
-    void handleSnapshot(wire::Frame &response);
+    /** Where a handler writes its reply: a Frame's fields, or one
+     *  whole frame in place at the end of a wire buffer. */
+    class Reply;
+
+    /** Dispatch @p request and finish its reply (both handle forms). */
+    void serve(const wire::FrameView &request, Reply &reply);
+    /** @p stream is the request's per-tenant counters, resolved once
+     *  by serve() (null when untagged or metrics are off). */
+    void handleEncode(const wire::FrameView &request, Reply &reply,
+                      StreamCounters *stream);
+    void handleDecode(const wire::FrameView &request, Reply &reply);
+    void handleStats(Reply &reply);
+    void handleSnapshot(Reply &reply);
     void errorResponse(wire::ErrorCode code, const std::string &detail,
-                       wire::Frame &response);
+                       Reply &reply);
     StreamCounters &streamCounters(std::uint16_t stream_id);
 
     /**
@@ -153,14 +178,15 @@ class Service
      * @p err filled (BadSpec detail) when the spec or the geometry is
      * invalid.
      */
-    Entry *entryFor(const std::string &spec, std::uint32_t tx_bytes,
+    Entry *entryFor(std::string_view spec, std::uint32_t tx_bytes,
                     std::uint32_t bus_bits, std::uint16_t stream_id,
                     std::string &err);
 
-    /** Stamp the adaptive announcement (`spec;epoch=N`) on @p response
-     *  and refresh the per-stream choice/switch telemetry. */
-    void announceAdaptive(Entry &entry, std::uint16_t stream_id,
-                          wire::Frame &response);
+    /** The adaptive announcement (`spec;epoch=N`) for a reply's spec
+     *  field, valid until the next call; refreshes the per-stream
+     *  choice/switch telemetry. A reply takes it before its body. */
+    std::string_view announceAdaptive(Entry &entry,
+                                      std::uint16_t stream_id);
 
     telemetry::Registry &reg_;
     telemetry::Counter &requests_;
@@ -173,6 +199,7 @@ class Service
     std::map<Key, Entry, std::less<>> codecs_;
     std::map<std::uint16_t, std::unique_ptr<StreamCounters>> streams_;
     std::function<std::string()> stats_provider_;
+    std::string announced_; ///< announceAdaptive's buffer, reused.
 };
 
 /**
@@ -188,7 +215,7 @@ std::string validateGeometry(std::uint32_t tx_bytes, std::uint32_t bus_bits);
  * truncated body. Used by the connection layer to annotate spans
  * without re-parsing the body.
  */
-std::uint32_t requestTxCount(const wire::Frame &request);
+std::uint32_t requestTxCount(const wire::FrameView &request);
 
 } // namespace bxt::server
 

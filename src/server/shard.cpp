@@ -20,6 +20,25 @@ constexpr std::size_t drainSweepReads = 256;
 /** Cap on waiting for a slow peer to take its drain flush, ms. */
 constexpr int drainFlushTimeoutMs = 5000;
 
+/** Most bytes one read takes from a socket into its parser. */
+constexpr std::size_t readChunkBytes = 64 * 1024;
+
+/**
+ * One bounded read from socket @p fd straight into @p parser's buffer.
+ * Returns net::tryRead's result: bytes read, 0 at EOF, or -1 (with
+ * @p would_block set when the socket has no data).
+ */
+long
+readIntoParser(int fd, wire::FrameParser &parser, bool &would_block)
+{
+    std::string err;
+    const long n = net::tryRead(fd, parser.prepareRead(readChunkBytes),
+                                readChunkBytes, would_block, err);
+    if (n > 0)
+        parser.commitRead(static_cast<std::size_t>(n));
+    return n;
+}
+
 } // namespace
 
 void
@@ -59,14 +78,11 @@ struct Shard::Conn
     };
 
     net::UniqueFd fd;
+    /** Socket reads land in its buffer; requests are served as views
+     *  into it. */
     wire::FrameParser parser;
-    /** The frame being served and its reply, reused request after
-     *  request so their spec and body buffers stop allocating once they
-     *  have grown to the connection's largest frame. */
-    wire::Frame request;
-    wire::Frame response;
     /** Response bytes not yet accepted by the socket; replies are
-     *  serialized straight onto its end. */
+     *  written in place onto its end. */
     std::vector<std::uint8_t> out;
     std::size_t outPos = 0;
     bool closeAfterFlush = false;
@@ -282,8 +298,9 @@ Shard::processFrames(Conn &conn)
             const std::uint64_t t_parse_start =
                 metrics_on ? telemetry::nowMicros() : 0;
             wire::WireError parse_err;
+            wire::FrameView request;
             const wire::FrameParser::Status st =
-                conn.parser.next(conn.request, parse_err);
+                conn.parser.next(request, parse_err);
             if (st == wire::FrameParser::Status::NeedMore)
                 break;
             if (st == wire::FrameParser::Status::Bad) {
@@ -307,11 +324,9 @@ Shard::processFrames(Conn &conn)
             }
             const std::uint64_t t_parse_end =
                 metrics_on ? telemetry::nowMicros() : 0;
-            const wire::Frame &request = conn.request;
-            service_.handle(request, conn.response);
+            service_.handle(request, conn.out);
             const std::uint64_t t_handle_end =
                 metrics_on ? telemetry::nowMicros() : 0;
-            wire::appendFrame(conn.out, conn.response);
             ++batch;
             if (metrics_on) {
                 Conn::PendingSpan pending;
@@ -383,16 +398,12 @@ Shard::readReady(Conn &conn)
     // One bounded read per readiness event: a hot connection with a
     // full socket buffer re-reports readable on the next poll pass, so
     // its shard-mates still interleave.
-    std::uint8_t buf[64 * 1024];
     bool would_block = false;
-    std::string err;
-    const long n =
-        net::tryRead(conn.fd.get(), buf, sizeof(buf), would_block, err);
+    const long n = readIntoParser(conn.fd.get(), conn.parser, would_block);
     if (would_block)
         return true;
     if (n <= 0)
         return false; // EOF or socket error.
-    conn.parser.feed(buf, static_cast<std::size_t>(n));
     conn.tFeed = telemetry::nowMicros(); // Request clock starts here.
     conn.lastActivityUs = conn.tFeed;
     return processFrames(conn);
@@ -405,14 +416,9 @@ Shard::drainAndClose(Conn &conn)
     // deserves an answer. Bounded so an endless producer cannot wedge
     // the drain barrier.
     for (std::size_t pass = 0; pass < drainSweepReads; ++pass) {
-        std::uint8_t buf[64 * 1024];
         bool would_block = false;
-        std::string err;
-        const long n = net::tryRead(conn.fd.get(), buf, sizeof(buf),
-                                    would_block, err);
-        if (would_block || n <= 0)
+        if (readIntoParser(conn.fd.get(), conn.parser, would_block) <= 0)
             break;
-        conn.parser.feed(buf, static_cast<std::size_t>(n));
         conn.tFeed = telemetry::nowMicros();
     }
     if (!processFrames(conn))

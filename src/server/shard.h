@@ -7,10 +7,11 @@
  *    of connections handed off round-robin by the server's Unix-domain
  *    acceptor;
  *  - a poll()-based event loop driving every connection it accepted as
- *    a nonblocking socket — reads feed a per-connection FrameParser,
- *    responses queue in a per-connection output buffer flushed under
- *    POLLOUT, so a slow client stalls only its own buffer, never the
- *    shard;
+ *    a nonblocking socket — reads land in a per-connection
+ *    FrameParser's buffer, requests are served as views into it, and
+ *    replies are written in place into a per-connection output buffer
+ *    flushed under POLLOUT, so a slow client stalls only its own
+ *    buffer, never the shard;
  *  - one Service (codec + adaptive-controller cache keyed by spec,
  *    geometry, and streamId) shared by the shard's connections;
  *  - a private telemetry::Registry the event-loop thread installs via

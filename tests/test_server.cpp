@@ -23,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -106,6 +107,56 @@ TEST(FrameParser, CleanFrameRoundTrips)
     EXPECT_EQ(out, frame);
     EXPECT_EQ(parser.buffered(), 0u);
     EXPECT_EQ(parser.next(out, err), wire::FrameParser::Status::NeedMore);
+}
+
+TEST(FrameParser, ViewsStayUnchangedWhileLaterFramesParse)
+{
+    // Three frames in one read, the last cut short: every view the read
+    // yields borrows the parser's buffer and keeps its bytes while the
+    // frames after it are parsed, up to the next read.
+    std::vector<wire::Frame> frames;
+    std::vector<std::uint8_t> stream;
+    for (std::uint8_t i = 0; i < 3; ++i) {
+        wire::Frame frame = encodeFrameWithSpec("xor4+zdr");
+        frame.streamId = static_cast<std::uint16_t>(10 + i);
+        frame.body.assign(40 + i, static_cast<std::uint8_t>(0x30 + i));
+        frames.push_back(frame);
+        wire::appendFrame(stream, frame);
+    }
+    const std::size_t cut = stream.size() - 5;
+
+    wire::FrameParser parser;
+    std::memcpy(parser.prepareRead(cut), stream.data(), cut);
+    parser.commitRead(cut);
+    wire::WireError err;
+    std::vector<wire::FrameView> views(2);
+    ASSERT_EQ(parser.next(views[0], err), wire::FrameParser::Status::Ready);
+    const wire::FrameView first = views[0];
+    ASSERT_EQ(parser.next(views[1], err), wire::FrameParser::Status::Ready);
+    wire::FrameView partial;
+    EXPECT_EQ(parser.next(partial, err),
+              wire::FrameParser::Status::NeedMore);
+    for (std::size_t i = 0; i < views.size(); ++i) {
+        EXPECT_EQ(views[i].streamId, frames[i].streamId);
+        EXPECT_EQ(views[i].spec, frames[i].spec);
+        EXPECT_TRUE(std::equal(views[i].body.begin(), views[i].body.end(),
+                               frames[i].body.begin(),
+                               frames[i].body.end()))
+            << "view " << i << " changed before the next read";
+    }
+    // Views, not copies: the first body sits in the buffer right before
+    // the second frame's header.
+    EXPECT_EQ(first.body.data() + first.body.size() + wire::crcBytes +
+                  wire::headerBytes + first.spec.size(),
+              views[1].body.data());
+
+    // The next read completes the third frame.
+    std::memcpy(parser.prepareRead(5), stream.data() + cut, 5);
+    parser.commitRead(5);
+    wire::Frame last;
+    ASSERT_EQ(parser.next(last, err), wire::FrameParser::Status::Ready);
+    EXPECT_EQ(last, frames[2]);
+    EXPECT_EQ(parser.buffered(), 0u);
 }
 
 TEST(FrameParser, TruncatedFrameNeedsMore)
@@ -557,6 +608,164 @@ TEST(Service, EncodeMatchesDirectCodecAndCachesIt)
     EXPECT_EQ(service.cachedCodecs(), 1u);
 }
 
+// Pinned reply frames: whole serialized Encode/Decode replies, byte for
+// byte. They were produced by a Frame-only reply path that packed
+// metadata one bit per step, so they pin that in-place replies and the
+// dispatched bit-plane kernels change no wire byte. Each is checked
+// through both handle forms: the Frame one, serialized, and the in-place
+// one, written after bytes already in the output buffer.
+
+constexpr std::string_view kDbi4EncodeReply =
+    "4258545001020000040000009300000064626934200000002000000001000000"
+    "010000000300000000000000cd01000000000000250100000000000015000000"
+    "0000000000cfaa85600016f1cca7005d3813ee005b80a5ca00ebc6a17c00320d"
+    "e8c30079542f0a00c09b76510007e2bd98004e2904df0095704b260023486d92"
+    "0023fed9b4006a4520fb00b18c674200072c5176003f1af5d00086613c1700cd"
+    "a8835e00efbff7e8712ccb";
+
+constexpr std::string_view kDbi4DecodeReply =
+    "4258545001030000040000006c00000064626934200000000300000000000000"
+    "ff30557a9fffe90e3358ffa2c7ec11ff5b80a5caff14395e83ffcdf2173cff86"
+    "abd0f5ff3f6489aefff81d4267ffb1d6fb20ff6a8fb4d9ff23486d92ffdc0126"
+    "4bff95badf04ff4e7398bdff072c5176ffc0e50a2fff799ec3e8ff32577ca1ff"
+    "be61f17e";
+
+constexpr std::string_view kDbi4Tx8EncodeReply =
+    "4258545001020000040000005d00000064626934080000002000000001000000"
+    "010000000500000000000000bf000000000000007d0000000000000009000000"
+    "0000000000cfaa85600016f1cca7005d3813ee005b80a5ca00ebc6a17c00320d"
+    "e8c30079542f0a00c09b765103030203034da863d6";
+
+constexpr std::string_view kDbi4Tx8DecodeReply =
+    "4258545001030000040000003400000064626934080000000500000000000000"
+    "ff30557a9fffe90e3358ffa2c7ec11ff5b80a5caff14395e83ffcdf2173cff86"
+    "abd0f5ff3f6489ae96c05489";
+
+constexpr std::string_view kAdaptiveEncodeReply =
+    "425854500102070016000000b0000000756e6976657273616c332b7a64723b65"
+    "706f63683d302000000020000000000000000000000004000000000000006402"
+    "000000000000e4010000000000000000000000000000ff30557a60cfbc74cc68"
+    "aad85813f8f1a4b0f0b060ebd050b0a73250d0d0ee79abd0f5ff94b47c515428"
+    "e8bd589b387850f00a95b0d05051dcb070d09823b0f04bff95ba94fb6af43867"
+    "2845d828ae38b43f70b0f0fb86d0b07042cd5050f089eb10355a14b4fcb4f8ef"
+    "68d8586836f8d070b0a53050d0d0ec77f0505033be70764185a7";
+
+std::vector<std::uint8_t>
+fromHex(std::string_view hex)
+{
+    std::vector<std::uint8_t> bytes(hex.size() / 2);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(
+            std::stoi(std::string(hex.substr(2 * i, 2)), nullptr, 16));
+    return bytes;
+}
+
+/** The pinned requests' raw plane: every fifth byte 0xff, so DBI
+ *  inverts some groups and not others. */
+std::vector<std::uint8_t>
+pinnedRaw(std::size_t n)
+{
+    std::vector<std::uint8_t> raw(n);
+    for (std::size_t i = 0; i < n; ++i)
+        raw[i] = i % 5 == 0 ? 0xff : static_cast<std::uint8_t>(i * 37 + 11);
+    return raw;
+}
+
+/** The Decode request that reads an Encode reply back: its body without
+ *  the three ones tallies. */
+wire::Frame
+decodeRequestFor(const wire::Frame &encode_reply)
+{
+    constexpr std::size_t kGeometry = 4 * 4 + 8;
+    constexpr std::size_t kTallies = 3 * 8;
+    wire::Frame request;
+    request.opcode = wire::Opcode::Decode;
+    request.streamId = encode_reply.streamId;
+    request.spec = encode_reply.spec;
+    request.body.assign(encode_reply.body.begin(),
+                        encode_reply.body.begin() + kGeometry);
+    request.body.insert(request.body.end(),
+                        encode_reply.body.begin() + kGeometry + kTallies,
+                        encode_reply.body.end());
+    return request;
+}
+
+/**
+ * Serve @p request through both handle forms, each on its own service,
+ * expect the @p pinned frame from each, and return the parsed reply.
+ */
+wire::Frame
+expectPinnedReply(server::Service &frame_service,
+                  server::Service &wire_service, const wire::Frame &request,
+                  std::string_view pinned_hex)
+{
+    const std::vector<std::uint8_t> pinned = fromHex(pinned_hex);
+    const wire::Frame reply = frame_service.handle(request);
+    EXPECT_EQ(wire::serializeFrame(reply), pinned);
+
+    std::vector<std::uint8_t> out = {0xaa, 0xbb};
+    wire_service.handle(request.view(), out);
+    EXPECT_EQ(out.size(), 2 + pinned.size());
+    EXPECT_TRUE(out.size() == 2 + pinned.size() &&
+                std::equal(pinned.begin(), pinned.end(), out.begin() + 2))
+        << "in-place reply differs from the pinned frame";
+    return reply;
+}
+
+/** Encode pinnedRaw under @p spec, decode the reply, and check both
+ *  replies against their pins and the decode against the raw plane. */
+void
+expectPinnedRoundTrip(const std::string &spec, std::uint32_t tx_bytes,
+                      std::size_t count, std::string_view encode_hex,
+                      std::string_view decode_hex)
+{
+    server::Service frame_service, wire_service;
+    const std::vector<std::uint8_t> raw = pinnedRaw(count * tx_bytes);
+    const wire::Frame encoded =
+        expectPinnedReply(frame_service, wire_service,
+                          makeEncodeRequest(spec, tx_bytes, 32, raw),
+                          encode_hex);
+    ASSERT_EQ(encoded.opcode, wire::Opcode::Encode);
+    const wire::Frame decoded =
+        expectPinnedReply(frame_service, wire_service,
+                          decodeRequestFor(encoded), decode_hex);
+    ASSERT_EQ(decoded.opcode, wire::Opcode::Decode);
+    constexpr std::size_t kDecodeHeader = 4 + 8;
+    ASSERT_EQ(decoded.body.size(), kDecodeHeader + raw.size());
+    EXPECT_TRUE(std::equal(raw.begin(), raw.end(),
+                           decoded.body.begin() + kDecodeHeader));
+}
+
+TEST(Service, Dbi4RepliesArePinned)
+{
+    // 32-byte transactions on a 32-bit bus: 8 beats of one DBI wire, so
+    // each transaction's metadata is one whole packed byte.
+    expectPinnedRoundTrip("dbi4", 32, 3, kDbi4EncodeReply,
+                          kDbi4DecodeReply);
+}
+
+TEST(Service, PaddedMetadataRowRepliesArePinned)
+{
+    // 8-byte transactions: 2 metadata bits per transaction, so every
+    // packed row carries 6 padding bits.
+    expectPinnedRoundTrip("dbi4", 8, 5, kDbi4Tx8EncodeReply,
+                          kDbi4Tx8DecodeReply);
+}
+
+TEST(Service, AdaptiveEncodeReplyIsPinned)
+{
+    // The reply's spec is the `<concrete>;epoch=N` announcement, which
+    // the in-place form writes before the body.
+    server::Service frame_service, wire_service;
+    wire::Frame request =
+        makeEncodeRequest("adaptive", 32, 32, pinnedRaw(4 * 32));
+    request.streamId = 7;
+    const wire::Frame reply = expectPinnedReply(
+        frame_service, wire_service, request, kAdaptiveEncodeReply);
+    EXPECT_EQ(reply.spec, "universal3+zdr;epoch=0");
+    EXPECT_EQ(reply.streamId, 7u);
+}
+
 TEST(Service, StatsReturnsSnapshotJson)
 {
     server::Service service;
@@ -624,9 +833,9 @@ TEST(Service, RequestTxCountReadsBodyHeaders)
 {
     const std::vector<std::uint8_t> raw(3 * 32, 0);
     EXPECT_EQ(server::requestTxCount(
-                  makeEncodeRequest("baseline", 32, 32, raw)),
+                  makeEncodeRequest("baseline", 32, 32, raw).view()),
               3u);
-    EXPECT_EQ(server::requestTxCount(pingFrame()), 0u);
+    EXPECT_EQ(server::requestTxCount(pingFrame().view()), 0u);
 
     // An absurd count field is clamped (the span field is advisory; the
     // real bounds check rejects the request later).
@@ -637,7 +846,8 @@ TEST(Service, RequestTxCountReadsBodyHeaders)
     body.u32(32);
     body.u32(32);
     body.u64(~std::uint64_t{0});
-    EXPECT_EQ(server::requestTxCount(absurd), wire::maxTxPerRequest);
+    EXPECT_EQ(server::requestTxCount(absurd.view()),
+              wire::maxTxPerRequest);
 }
 
 TEST(Service, ValidateGeometryAcceptsAndRejects)

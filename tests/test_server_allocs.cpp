@@ -1,11 +1,14 @@
 /**
  * @file
  * Steady-state allocation test for the bxtd request path. A shard serves
- * each request as FrameParser::next -> Service::handle -> appendFrame
- * into buffers its connection keeps; once those buffers have grown to
- * the largest request, serving a concrete-spec Encode or Decode must not
- * touch the heap. The global operator new below counts every
- * allocation, which is why this test is its own executable.
+ * each request as a FrameParser view handed to Service::handle, which
+ * writes the reply in place into the connection's output buffer; the
+ * Frame API (FrameParser::next into a Frame -> Service::handle ->
+ * appendFrame) serves in-process callers. Once the buffers involved have
+ * grown to the largest request, serving a concrete-spec Encode or Decode
+ * either way must not touch the heap, metadata packing included. The
+ * global operator new below counts every allocation, which is why this
+ * test is its own executable.
  */
 
 #include <gtest/gtest.h>
@@ -81,7 +84,7 @@ namespace {
 constexpr std::uint32_t kTxBytes = 32;
 constexpr std::uint32_t kBusBits = 32;
 
-/** A stream-tagged xor4+zdr Encode request and its raw plane. */
+/** A stream-tagged Encode request and its raw plane. */
 struct EncodeRequest
 {
     std::vector<std::uint8_t> raw;
@@ -89,7 +92,8 @@ struct EncodeRequest
 };
 
 EncodeRequest
-makeEncodeRequest(Rng &rng, std::uint64_t count, std::uint16_t stream)
+makeEncodeRequest(Rng &rng, const char *spec, std::uint64_t count,
+                  std::uint16_t stream)
 {
     EncodeRequest req;
     req.raw.resize(count * kTxBytes);
@@ -106,7 +110,7 @@ makeEncodeRequest(Rng &rng, std::uint64_t count, std::uint16_t stream)
     wire::Frame frame;
     frame.opcode = wire::Opcode::Encode;
     frame.streamId = stream;
-    frame.spec = "xor4+zdr";
+    frame.spec = spec;
     wire::BodyWriter body(frame.body);
     body.u32(kTxBytes);
     body.u32(kBusBits);
@@ -123,61 +127,86 @@ struct Served
     std::uint64_t wrong = 0;
 };
 
+/** Everything a connection and its peer reuse from request to request. */
+struct Buffers
+{
+    wire::FrameParser serverParser;
+    wire::FrameParser clientParser;
+    wire::Frame request, response, reply, decode;
+    std::vector<std::uint8_t> wireBytes, out;
+};
+
 /**
- * Serve one Encode, then a Decode of its reply, through reused buffers
- * only, the way a shard connection does.
+ * Serve the serialized request @p bytes and parse its reply into
+ * buf.reply: in place (@p in_place; the shard's path) or through the
+ * Frame API. False when either side fails to parse.
  */
-void
-serveRoundTrip(const EncodeRequest &req, wire::FrameParser &parser,
-               server::Service &service, wire::Frame &request,
-               wire::Frame &response, wire::Frame &decode,
-               std::vector<std::uint8_t> &wire_bytes,
-               std::vector<std::uint8_t> &out, Served &served)
+bool
+serveOne(const std::vector<std::uint8_t> &bytes, server::Service &service,
+         Buffers &buf, bool in_place)
 {
     wire::WireError err;
-    parser.feed(req.bytes.data(), req.bytes.size());
-    if (parser.next(request, err) != wire::FrameParser::Status::Ready) {
+    buf.serverParser.feed(bytes.data(), bytes.size());
+    buf.out.clear();
+    if (in_place) {
+        wire::FrameView view;
+        if (buf.serverParser.next(view, err) !=
+            wire::FrameParser::Status::Ready)
+            return false;
+        service.handle(view, buf.out);
+    } else {
+        if (buf.serverParser.next(buf.request, err) !=
+            wire::FrameParser::Status::Ready)
+            return false;
+        service.handle(buf.request, buf.response);
+        wire::appendFrame(buf.out, buf.response);
+    }
+    buf.clientParser.feed(buf.out.data(), buf.out.size());
+    return buf.clientParser.next(buf.reply, err) ==
+           wire::FrameParser::Status::Ready;
+}
+
+/** Serve one Encode, then a Decode of its reply, through reused buffers
+ *  only, the way a shard connection does. */
+void
+serveRoundTrip(const EncodeRequest &req, server::Service &service,
+               Buffers &buf, bool in_place, Served &served)
+{
+    if (!serveOne(req.bytes, service, buf, in_place)) {
         ++served.wrong;
         return;
     }
-    service.handle(request, response);
-    out.clear();
-    wire::appendFrame(out, response);
     ++served.requests;
     // Encode reply: 4 u32 geometry fields, u64 count, 3 u64 ones tallies,
     // then payload and packed meta. The Decode request is the same body
     // without the tallies.
     constexpr std::size_t kGeometry = 4 * 4 + 8;
     constexpr std::size_t kTallies = 3 * 8;
-    if (response.opcode != wire::Opcode::Encode ||
-        response.body.size() < kGeometry + kTallies) {
+    const wire::Frame &reply = buf.reply;
+    if (reply.opcode != wire::Opcode::Encode ||
+        reply.body.size() < kGeometry + kTallies) {
         ++served.wrong;
         return;
     }
 
-    decode.opcode = wire::Opcode::Decode;
-    decode.streamId = request.streamId;
-    decode.spec = request.spec;
-    wire::BodyWriter body(decode.body,
-                          response.body.size() - kTallies);
-    body.bytes(response.body.data(), kGeometry);
-    body.bytes(response.body.data() + kGeometry + kTallies,
-               response.body.size() - kGeometry - kTallies);
-    wire_bytes.clear();
-    wire::appendFrame(wire_bytes, decode);
-    parser.feed(wire_bytes.data(), wire_bytes.size());
-    if (parser.next(request, err) != wire::FrameParser::Status::Ready) {
+    buf.decode.opcode = wire::Opcode::Decode;
+    buf.decode.streamId = reply.streamId;
+    buf.decode.spec = reply.spec;
+    wire::BodyWriter body(buf.decode.body, reply.body.size() - kTallies);
+    body.bytes(reply.body.data(), kGeometry);
+    body.bytes(reply.body.data() + kGeometry + kTallies,
+               reply.body.size() - kGeometry - kTallies);
+    buf.wireBytes.clear();
+    wire::appendFrame(buf.wireBytes, buf.decode);
+    if (!serveOne(buf.wireBytes, service, buf, in_place)) {
         ++served.wrong;
         return;
     }
-    service.handle(request, response);
-    out.clear();
-    wire::appendFrame(out, response);
     ++served.requests;
     constexpr std::size_t kDecodeHeader = 4 + 8;
-    if (response.opcode != wire::Opcode::Decode ||
-        response.body.size() != kDecodeHeader + req.raw.size() ||
-        std::memcmp(response.body.data() + kDecodeHeader, req.raw.data(),
+    if (buf.reply.opcode != wire::Opcode::Decode ||
+        buf.reply.body.size() != kDecodeHeader + req.raw.size() ||
+        std::memcmp(buf.reply.body.data() + kDecodeHeader, req.raw.data(),
                     req.raw.size()) != 0)
         ++served.wrong;
 }
@@ -186,43 +215,47 @@ TEST(ServerAllocs, SteadyStateEncodeDecodeIsAllocationFree)
 {
     telemetry::setMetricsEnabled(true);
     Rng rng(42);
-    // 64-256 transactions per request over three tagged streams; the
-    // largest request comes first so the warm-up reaches every buffer's
-    // final size.
+    // 64-256 transactions per request over three tagged streams and
+    // three specs: one without metadata, plain DBI, and Universal XOR+ZDR
+    // composed with DBI (the paper's best configuration), so metadata is
+    // packed and unpacked on every request of the last two. The largest
+    // request of each spec comes first so the warm-up reaches every
+    // buffer's final size.
     std::vector<EncodeRequest> requests;
-    requests.push_back(makeEncodeRequest(rng, 256, 1));
+    const char *const specs[] = {"xor4+zdr", "dbi4", "universal3+zdr|dbi4"};
+    for (const char *spec : specs)
+        requests.push_back(makeEncodeRequest(rng, spec, 256, 1));
     for (int i = 0; i < 15; ++i) {
         requests.push_back(makeEncodeRequest(
-            rng, 64 + rng.nextBounded(193),
+            rng, specs[i % 3], 64 + rng.nextBounded(193),
             static_cast<std::uint16_t>(1 + i % 3)));
     }
 
-    server::Service service;
-    wire::FrameParser parser;
-    wire::Frame request, response, decode;
-    std::vector<std::uint8_t> wire_bytes, out;
-    Served warm;
-    for (const EncodeRequest &req : requests) {
-        serveRoundTrip(req, parser, service, request, response, decode,
-                       wire_bytes, out, warm);
-    }
-    ASSERT_EQ(warm.wrong, 0u);
+    for (const bool in_place : {true, false}) {
+        SCOPED_TRACE(in_place ? "in place" : "Frame API");
+        server::Service service;
+        Buffers buf;
+        Served warm;
+        for (const EncodeRequest &req : requests)
+            serveRoundTrip(req, service, buf, in_place, warm);
+        ASSERT_EQ(warm.wrong, 0u);
 
-    Served served;
-    const std::uint64_t before = g_allocs.load();
-    for (std::size_t i = 0; served.requests < 1000; ++i) {
-        serveRoundTrip(requests[i % requests.size()], parser, service,
-                       request, response, decode, wire_bytes, out, served);
-        if (served.wrong != 0)
-            break;
+        Served served;
+        const std::uint64_t before = g_allocs.load();
+        for (std::size_t i = 0; served.requests < 1200; ++i) {
+            serveRoundTrip(requests[i % requests.size()], service, buf,
+                           in_place, served);
+            if (served.wrong != 0)
+                break;
+        }
+        const std::uint64_t allocs = g_allocs.load() - before;
+
+        EXPECT_EQ(served.wrong, 0u);
+        EXPECT_EQ(served.requests, 1200u);
+        EXPECT_EQ(allocs, 0u) << "heap allocations over " << served.requests
+                              << " steady-state requests";
     }
-    const std::uint64_t allocs = g_allocs.load() - before;
     telemetry::setMetricsEnabled(false);
-
-    EXPECT_EQ(served.wrong, 0u);
-    EXPECT_EQ(served.requests, 1000u);
-    EXPECT_EQ(allocs, 0u) << "heap allocations over " << served.requests
-                          << " steady-state requests";
 }
 
 } // namespace

@@ -517,6 +517,136 @@ TEST(SimdKernels, BatchTalliesMatchPopcountBytesAtEveryLevel)
     }
 }
 
+/** Bytes past a bit-plane primitive's output, which it must not touch. */
+constexpr std::size_t kGuardBytes = 16;
+constexpr std::uint8_t kGuard = 0xcc;
+
+/**
+ * Packed-row widths the bit-plane primitives are diffed at: the tight
+ * ceil(bits / 8) bytes (one contiguous plane when bits % 8 == 0) and
+ * rows padded by one and by three bytes.
+ */
+std::vector<std::size_t>
+bitRowBytes(std::size_t bits)
+{
+    const std::size_t tight = (bits + 7) / 8;
+    return {tight, tight + 1, tight + 3};
+}
+
+/** @p n metadata values: about half zero, the rest any nonzero byte, so
+ *  values that are nonzero but not 1 must still pack as 1. */
+std::vector<std::uint8_t>
+metaValues(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::uint8_t> values(n);
+    for (std::uint8_t &value : values) {
+        const std::uint64_t r = rng.next64();
+        const auto nonzero = static_cast<std::uint8_t>(r >> 8);
+        value = (r & 1) == 0 ? 0 : nonzero != 0 ? nonzero : 0x80;
+    }
+    return values;
+}
+
+TEST(SimdKernels, PackBitsMatchesScalarAtEveryLevel)
+{
+    ScopedLevel guard;
+    const simd::KernelTable &ref = simd::detail::scalarTable();
+    for (Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        ASSERT_EQ(simd::setActiveLevel(level), level);
+        const simd::KernelTable &ops = simd::ops();
+        std::uint64_t seed = 0xB175 + static_cast<std::uint64_t>(level);
+        for (std::size_t bits = 1; bits <= 64; ++bits) {
+            for (std::size_t row_bytes : bitRowBytes(bits)) {
+                for (std::size_t count = 0; count <= 40; ++count) {
+                    const std::vector<std::uint8_t> values =
+                        metaValues(count * bits, seed++);
+                    const std::size_t plane = count * row_bytes;
+                    std::vector<std::uint8_t> got(plane + kGuardBytes,
+                                                  kGuard);
+                    std::vector<std::uint8_t> want = got;
+                    ops.packBits(got.data(), values.data(), count, bits,
+                                 row_bytes);
+                    ref.packBits(want.data(), values.data(), count, bits,
+                                 row_bytes);
+                    ASSERT_EQ(got, want)
+                        << "bits=" << bits << " row_bytes=" << row_bytes
+                        << " count=" << count;
+                    // The reference itself (checked once): value j of row
+                    // r in bit j % 8 of byte j / 8, padding zero, the
+                    // guard untouched.
+                    if (level != Level::Scalar)
+                        continue;
+                    for (std::size_t r = 0; r < count; ++r) {
+                        for (std::size_t j = 0; j < row_bytes * 8; ++j) {
+                            const bool set =
+                                (want[r * row_bytes + j / 8] >> (j % 8)) & 1u;
+                            const bool value =
+                                j < bits && values[r * bits + j] != 0;
+                            ASSERT_EQ(set, value)
+                                << "bits=" << bits << " row=" << r
+                                << " bit=" << j;
+                        }
+                    }
+                    for (std::size_t g = plane; g < want.size(); ++g)
+                        ASSERT_EQ(want[g], kGuard);
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, UnpackBitsMatchesScalarAtEveryLevel)
+{
+    ScopedLevel guard;
+    const simd::KernelTable &ref = simd::detail::scalarTable();
+    for (Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        ASSERT_EQ(simd::setActiveLevel(level), level);
+        const simd::KernelTable &ops = simd::ops();
+        std::uint64_t seed = 0x0B17 + static_cast<std::uint64_t>(level);
+        for (std::size_t bits = 1; bits <= 64; ++bits) {
+            for (std::size_t row_bytes : bitRowBytes(bits)) {
+                for (std::size_t count = 0; count <= 40; ++count) {
+                    // Random packed rows, padding bits included: unpack
+                    // must ignore them.
+                    const std::vector<std::uint8_t> packed =
+                        randomBytes(count * row_bytes, seed++);
+                    const std::size_t plane = count * bits;
+                    std::vector<std::uint8_t> got(plane + kGuardBytes,
+                                                  kGuard);
+                    std::vector<std::uint8_t> want = got;
+                    ops.unpackBits(got.data(), packed.data(), count, bits,
+                                   row_bytes);
+                    ref.unpackBits(want.data(), packed.data(), count, bits,
+                                   row_bytes);
+                    ASSERT_EQ(got, want)
+                        << "bits=" << bits << " row_bytes=" << row_bytes
+                        << " count=" << count;
+                    for (std::size_t i = 0; i < plane; ++i)
+                        ASSERT_LE(got[i], 1u) << "value " << i;
+                    for (std::size_t g = plane; g < got.size(); ++g)
+                        ASSERT_EQ(got[g], kGuard) << "wrote past the plane";
+
+                    // Round trip: unpack(pack(v)) is v != 0.
+                    const std::vector<std::uint8_t> values =
+                        metaValues(plane, seed++);
+                    std::vector<std::uint8_t> rows(count * row_bytes);
+                    std::vector<std::uint8_t> back(plane);
+                    ops.packBits(rows.data(), values.data(), count, bits,
+                                 row_bytes);
+                    ops.unpackBits(back.data(), rows.data(), count, bits,
+                                   row_bytes);
+                    for (std::size_t i = 0; i < plane; ++i)
+                        ASSERT_EQ(back[i], values[i] != 0 ? 1u : 0u)
+                            << "round trip value " << i;
+                }
+            }
+        }
+    }
+}
+
 TEST(SimdGolden, CorpusIsBitIdenticalAtEveryLevel)
 {
     ScopedLevel guard;
