@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/stats.h"
 #include "common/table.h"
 #include "suite_eval.h"
 #include "verify/golden.h"

@@ -35,13 +35,14 @@
 #            BXT_METRICS_OVERHEAD_PCT (default 2) percent versus a
 #            -DBXT_TELEMETRY=OFF baseline build of the same sources
 #   serve    Release build + server-labeled ctest + live bxtd smoke: boot
-#            a 4-shard bxtd on a Unix socket, ping it, round-trip a
-#            captured trace through it, drive a closed-loop bxt_loadgen
-#            burst (asserting >= BXT_SERVE_MIN_TX_RATE encoded tx/s,
-#            default 100000, into BENCH_server_loadgen.json), re-run the
-#            burst with --trace-sample 0.01 and assert the traced tx rate
-#            stays within BXT_TRACE_OVERHEAD_PCT (default 2) percent of
-#            the untraced one, upload the Chrome span trace bxtd
+#            a 4-shard bxtd on a Unix socket and a TCP port, ping it and
+#            round-trip a captured trace through it over each, drive a
+#            closed-loop bxt_loadgen burst (asserting >=
+#            BXT_SERVE_MIN_TX_RATE encoded tx/s, default 100000, into
+#            BENCH_server_loadgen.json), re-run the burst with
+#            --trace-sample 0.01 and assert the traced tx rate stays
+#            within BXT_TRACE_OVERHEAD_PCT (default 2) percent of the
+#            untraced one, upload the Chrome span trace bxtd
 #            writes at exit (BXT_TRACE) and a schema-2 Snapshot-opcode
 #            document, then SIGTERM it and assert a clean drain (exit 0)
 #   scenario Release build + scenario-labeled ctest + multi-tenant traffic
@@ -250,28 +251,35 @@ run_serve() {
     # Plain background command (no subshell) so $! is bxtd itself and the
     # SIGTERM below reaches the daemon, not a wrapper. BXT_TRACE makes
     # the exit after the drain write the Chrome span trace artifact.
+    # Both listeners are up, so the drain below covers the acceptor
+    # with TCP and Unix connections behind it.
     BXT_TRACE="${out}/server_spans.json" \
-        ./build-ci-release/tools/bxtd --unix "${sock}" --shards 4 \
-        > "${out}/bxtd.log" 2>&1 &
+        ./build-ci-release/tools/bxtd --listen 127.0.0.1:0 \
+        --unix "${sock}" --shards 4 > "${out}/bxtd.log" 2>&1 &
     local bxtd_pid=$!
-    local i
+    local i tcp=""
     for i in $(seq 1 100); do
-        [ -S "${sock}" ] && break
+        tcp=$(sed -n 's|^bxtd: listening on tcp://||p' "${out}/bxtd.log")
+        [ -S "${sock}" ] && [ -n "${tcp}" ] && break
         sleep 0.1
     done
-    if ! [ -S "${sock}" ]; then
-        echo "bxtd never created ${sock}" >&2
+    if ! [ -S "${sock}" ] || [ -z "${tcp}" ]; then
+        echo "bxtd never created ${sock} or never printed its TCP port" >&2
         cat "${out}/bxtd.log" >&2
         kill "${bxtd_pid}" 2>/dev/null || true
         return 1
     fi
 
-    # Loopback smoke: ping, then round-trip a captured workload trace
-    # through a paper-representative pipeline and confirm bit-identity.
+    # Loopback smoke over both socket families: ping, then round-trip a
+    # captured workload trace through a paper-representative pipeline
+    # and confirm bit-identity.
     ./build-ci-release/tools/bxt_client --unix "${sock}" --mode ping
+    ./build-ci-release/tools/bxt_client --tcp "${tcp}" --mode ping
     ./build-ci-release/examples/trace_tool gen rodinia-bfs \
         "${out}/smoke.bxtrace" 512
     ./build-ci-release/tools/bxt_client --unix "${sock}" \
+        --spec universal3+zdr --mode roundtrip "${out}/smoke.bxtrace"
+    ./build-ci-release/tools/bxt_client --tcp "${tcp}" \
         --spec universal3+zdr --mode roundtrip "${out}/smoke.bxtrace"
 
     # Closed-loop load: every request is one batch of 32-byte encodes;

@@ -31,11 +31,7 @@ class Histogram
     /** Add a sample (clamped into range). */
     void add(double sample);
 
-    /**
-     * Bucket a sample falls into (clamped into range). Exposed so the
-     * telemetry histograms can reuse the exact edge/clamp math while
-     * keeping their own atomic counts.
-     */
+    /** Bucket a sample falls into (clamped into range). */
     std::size_t bucketIndex(double sample) const;
 
     /** Count in bucket @p index. */

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-
-#include "common/error.h"
 
 namespace bxt {
 
@@ -36,65 +33,6 @@ double
 RunningStat::stddev() const
 {
     return std::sqrt(variance());
-}
-
-double
-mean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double v : values)
-        sum += v;
-    return sum / static_cast<double>(values.size());
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    BXT_ASSERT(!values.empty());
-    double log_sum = 0.0;
-    for (double v : values) {
-        BXT_ASSERT(v > 0.0);
-        log_sum += std::log(v);
-    }
-    return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-double
-median(std::vector<double> values)
-{
-    if (values.empty())
-        return 0.0;
-    std::sort(values.begin(), values.end());
-    const std::size_t n = values.size();
-    if (n % 2 == 1)
-        return values[n / 2];
-    return 0.5 * (values[n / 2 - 1] + values[n / 2]);
-}
-
-double
-percentile(std::vector<double> values, double p)
-{
-    if (values.empty())
-        return 0.0;
-    std::sort(values.begin(), values.end());
-    p = std::clamp(p, 0.0, 100.0);
-    const double rank =
-        p / 100.0 * static_cast<double>(values.size() - 1);
-    const auto below = static_cast<std::size_t>(rank);
-    if (below + 1 >= values.size())
-        return values.back();
-    const double frac = rank - static_cast<double>(below);
-    return values[below] + frac * (values[below + 1] - values[below]);
-}
-
-std::string
-formatPercent(double fraction, int decimals)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, fraction * 100.0);
-    return std::string(buffer);
 }
 
 } // namespace bxt

@@ -1,16 +1,13 @@
 /**
  * @file
- * Small statistics helpers used by the evaluation harness: running
- * mean/min/max/stddev accumulation, arithmetic and geometric means over
- * vectors, and percentage formatting.
+ * Running mean/min/max/stddev accumulation for the evaluation harness.
+ * Latency quantiles live in telemetry::Histo.
  */
 
 #ifndef BXT_COMMON_STATS_H
 #define BXT_COMMON_STATS_H
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace bxt {
 
@@ -49,25 +46,6 @@ class RunningStat
     double min_ = 0.0;
     double max_ = 0.0;
 };
-
-/** Arithmetic mean of @p values (0 if empty). */
-double mean(const std::vector<double> &values);
-
-/** Geometric mean of @p values; all entries must be positive. */
-double geomean(const std::vector<double> &values);
-
-/** Median (interpolated for even counts; 0 if empty). */
-double median(std::vector<double> values);
-
-/**
- * Linearly interpolated @p p-th percentile of @p values, p in [0, 100]
- * (clamped); 0 if empty. percentile(v, 50) == median(v). Used by the
- * bxt_loadgen latency report.
- */
-double percentile(std::vector<double> values, double p);
-
-/** Format @p fraction (e.g. 0.353) as a percent string like "35.3". */
-std::string formatPercent(double fraction, int decimals = 1);
 
 } // namespace bxt
 

@@ -32,8 +32,7 @@ UniqueFd::reset()
 }
 
 UniqueFd
-listenTcp(const std::string &host, int port, std::string &err,
-          bool reuse_port)
+listenTcp(const std::string &host, int port, std::string &err)
 {
     UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
     if (!fd.valid()) {
@@ -42,12 +41,6 @@ listenTcp(const std::string &host, int port, std::string &err,
     }
     const int one = 1;
     ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (reuse_port &&
-        ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof(one)) != 0) {
-        err = errnoString("setsockopt SO_REUSEPORT");
-        return {};
-    }
 
     sockaddr_in addr{};
     addr.sin_family = AF_INET;

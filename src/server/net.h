@@ -53,13 +53,9 @@ class UniqueFd
 /**
  * Create a listening TCP socket bound to @p host (an IPv4 literal such as
  * "127.0.0.1" or "0.0.0.0") and @p port (0 picks an ephemeral port).
- * With @p reuse_port the socket also sets SO_REUSEPORT, so N listeners
- * (one per bxtd shard) can bind the same address and let the kernel
- * load-balance accepts across them. Returns an invalid fd and fills
- * @p err on failure.
+ * Returns an invalid fd and fills @p err on failure.
  */
-UniqueFd listenTcp(const std::string &host, int port, std::string &err,
-                   bool reuse_port = false);
+UniqueFd listenTcp(const std::string &host, int port, std::string &err);
 
 /**
  * Create a listening Unix-domain socket at @p path. A stale socket file
@@ -90,7 +86,7 @@ bool writeAll(int fd, const void *data, std::size_t n, std::string &err);
  */
 long readSome(int fd, void *data, std::size_t n, std::string &err);
 
-/** Put @p fd into nonblocking mode (the shard event-loop sockets). */
+/** Put @p fd into nonblocking mode (listeners, shard sockets). */
 bool setNonBlocking(int fd, std::string &err);
 
 /**

@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,6 +14,13 @@
 
 namespace bxt::server {
 namespace {
+
+/**
+ * Pause after accept() runs out of descriptors (EMFILE/ENFILE), ms. The
+ * pending connection stays queued and the level-triggered listener stays
+ * readable, so polling it again at once would spin a CPU.
+ */
+constexpr int kAcceptBackoffMs = 100;
 
 /**
  * Rename hook for the per-shard breakdown merge. Only the
@@ -73,31 +81,31 @@ Server::start(std::string &err)
     const unsigned shard_count =
         options_.shards != 0 ? options_.shards : defaultThreadCount();
     shards_.reserve(shard_count);
-    for (unsigned i = 0; i < shard_count; ++i)
+    for (unsigned i = 0; i < shard_count; ++i) {
         shards_.push_back(std::make_unique<Shard>(i, options_));
-
-    // TCP: shard 0 binds first (resolving port 0 to a concrete
-    // ephemeral port), then every other shard binds the resolved port —
-    // SO_REUSEPORT turns the set of listeners into the kernel-load-
-    // balanced accept slice.
-    int tcp_port = options_.tcpPort;
-    for (auto &shard : shards_) {
-        if (!shard->start(options_.tcpHost, tcp_port, err))
+        if (!shards_.back()->start(err))
             return false;
-        if (tcp_port == 0) {
-            tcp_port = shard->tcpPort();
-            if (tcp_port <= 0) {
-                err = "getsockname: failed to resolve ephemeral port";
-                return false;
-            }
+    }
+
+    // Both listeners are nonblocking: the acceptor takes connections
+    // until EAGAIN, so one that vanishes between poll() and accept()
+    // cannot block it (and with it a stop request).
+    if (options_.tcpPort >= 0) {
+        tcp_listener_ =
+            net::listenTcp(options_.tcpHost, options_.tcpPort, err);
+        if (!tcp_listener_.valid() ||
+            !net::setNonBlocking(tcp_listener_.get(), err))
+            return false;
+        resolved_tcp_port_ = net::boundTcpPort(tcp_listener_.get());
+        if (resolved_tcp_port_ <= 0) {
+            err = "getsockname: failed to resolve ephemeral port";
+            return false;
         }
     }
-    if (tcp_port >= 0)
-        resolved_tcp_port_ = tcp_port;
-
     if (!options_.unixPath.empty()) {
         unix_listener_ = net::listenUnix(options_.unixPath, err);
-        if (!unix_listener_.valid())
+        if (!unix_listener_.valid() ||
+            !net::setNonBlocking(unix_listener_.get(), err))
             return false;
     }
 
@@ -151,49 +159,63 @@ Server::mergedSnapshotJson() const
 }
 
 void
-Server::unixAcceptLoop()
+Server::acceptLoop()
 {
+    pollfd fds[3];
+    nfds_t count = 0;
+    fds[count++] = {stop_read_.get(), POLLIN, 0};
+    for (const net::UniqueFd *listener : {&tcp_listener_, &unix_listener_}) {
+        if (listener->valid())
+            fds[count++] = {listener->get(), POLLIN, 0};
+    }
     std::size_t next = 0;
     for (;;) {
-        const net::PollResult ready = net::pollIn(
-            unix_listener_.get(), stop_read_.get(), -1);
-        if (ready == net::PollResult::Aux ||
-            ready == net::PollResult::Error)
+        if (::poll(fds, count, -1) < 0) {
+            if (errno == EINTR)
+                continue;
+            break; // Pathological poll failure.
+        }
+        if (fds[0].revents != 0)
+            break; // Stop request.
+        bool out_of_fds = false;
+        for (nfds_t i = 1; i < count; ++i) {
+            if (fds[i].revents == 0)
+                continue;
+            for (;;) {
+                net::UniqueFd conn(::accept(fds[i].fd, nullptr, nullptr));
+                if (!conn.valid()) {
+                    // EAGAIN: drained. ECONNABORTED, EINTR: the next
+                    // poll() retries. EMFILE/ENFILE: back off below.
+                    out_of_fds |= errno == EMFILE || errno == ENFILE;
+                    break;
+                }
+                if (stopping_.load(std::memory_order_relaxed)) {
+                    sendFrameBestEffort(
+                        conn.get(),
+                        wire::makeErrorFrame(wire::ErrorCode::ShuttingDown,
+                                             "server is draining"));
+                    continue;
+                }
+                // Round-robin handoff: the acceptor never serves, so a
+                // stalled shard delays only its own inbox.
+                shards_[next % shards_.size()]->enqueue(std::move(conn));
+                ++next;
+            }
+        }
+        // Out of descriptors: the connection stays queued and the
+        // listener readable, so back off instead of spinning (a stop
+        // request still interrupts the wait).
+        if (out_of_fds &&
+            net::pollIn(-1, stop_read_.get(), kAcceptBackoffMs) ==
+                net::PollResult::Aux)
             break;
-        if (ready != net::PollResult::Readable)
-            continue;
-        net::UniqueFd conn(::accept(unix_listener_.get(), nullptr,
-                                    nullptr));
-        if (!conn.valid()) {
-            // Out of descriptors: the connection stays queued and the
-            // listener readable, so back off instead of spinning (a stop
-            // request still interrupts the wait). Anything else is
-            // transient (ECONNABORTED, EINTR); keep going.
-            if ((errno == EMFILE || errno == ENFILE) &&
-                net::pollIn(-1, stop_read_.get(), kAcceptBackoffMs) ==
-                    net::PollResult::Aux)
-                break;
-            continue;
-        }
-        if (stopping_.load(std::memory_order_relaxed)) {
-            sendFrameBestEffort(
-                conn.get(),
-                wire::makeErrorFrame(wire::ErrorCode::ShuttingDown,
-                                     "server is draining"));
-            continue;
-        }
-        // Round-robin handoff: the acceptor never serves, so a stalled
-        // shard delays only its own inbox.
-        shards_[next % shards_.size()]->enqueue(std::move(conn));
-        ++next;
     }
 }
 
 void
 Server::serve()
 {
-    if (unix_listener_.valid())
-        unix_acceptor_ = std::thread([this] { unixAcceptLoop(); });
+    acceptor_ = std::thread([this] { acceptLoop(); });
 
     // Shards 1..N-1 on dedicated threads; shard 0 on the calling
     // thread, so serve() blocks until the stop request.
@@ -209,8 +231,8 @@ Server::serve()
     for (std::thread &t : shard_threads_)
         t.join();
     shard_threads_.clear();
-    if (unix_acceptor_.joinable())
-        unix_acceptor_.join();
+    acceptor_.join();
+    tcp_listener_.reset();
 
     // The drain is complete; remove the Unix socket path now so a caller
     // that observes serve() returning sees no stale socket file. The

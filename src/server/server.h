@@ -5,23 +5,23 @@
  *
  * Threading model:
  *  - `shards` worker shards (see shard.h), each a single-threaded
- *    poll() event loop with its own accept slice, Service (codec +
- *    adaptive-controller cache), and private telemetry::Registry.
- *    Shard 0 runs on the thread that calls serve(); the rest get a
- *    dedicated std::thread each.
- *  - TCP: every shard binds the same address with SO_REUSEPORT, so the
- *    kernel spreads connections across shard listeners with no shared
- *    accept lock.
- *  - Unix-domain: one Server-owned acceptor thread hands accepted fds
- *    to shards round-robin through each shard's inbox (mutex + wake
- *    pipe — the only cross-shard handoff, off the request path).
+ *    poll() event loop with its own Service (codec + adaptive-
+ *    controller cache) and private telemetry::Registry. Shard 0 runs
+ *    on the thread that calls serve(); the rest get a dedicated
+ *    std::thread each.
+ *  - One Server-owned acceptor thread polls the TCP and Unix-domain
+ *    listeners and hands every accepted fd, of either family, to the
+ *    shards round-robin through each shard's inbox (mutex + wake pipe
+ *    — the only cross-shard handoff, off the request path). It is the
+ *    only place that calls accept(), and after EMFILE/ENFILE it backs
+ *    off instead of spinning on the still-readable listener.
  *  - Stats/Snapshot requests are answered by whichever shard owns the
  *    connection, but the response is fleet-wide: the shard merges every
  *    shard registry (plus the process-default registry) into totals and
  *    `bxt.server.shard.<i>.*` breakdowns.
  *  - requestStop() is async-signal-safe (atomic stores + pipe writes),
  *    so a SIGTERM handler may call it directly. Shutdown drains
- *    gracefully on every shard: listeners close first, queued-but-
+ *    gracefully on every shard: the acceptor stops first, queued-but-
  *    unserved connections get a ShuttingDown error, in-flight
  *    connections have their already-sent frames answered and flushed,
  *    then serve() joins all shards and returns — the drain barrier.
@@ -86,8 +86,8 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Create the shards and bind their listeners plus the stop pipe.
-     * False + @p err on failure (port in use, bad path, no listener
+     * Create the shards, the stop pipe and the listeners. False +
+     * @p err on failure (port in use, bad path, no listener
      * configured). Does not serve yet.
      */
     bool start(std::string &err);
@@ -128,9 +128,10 @@ class Server
     std::string mergedSnapshotJson() const;
 
   private:
-    void unixAcceptLoop();
+    void acceptLoop();
 
     ServerOptions options_;
+    net::UniqueFd tcp_listener_;
     net::UniqueFd unix_listener_;
     int resolved_tcp_port_ = -1;
 
@@ -140,7 +141,7 @@ class Server
 
     std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<std::thread> shard_threads_;
-    std::thread unix_acceptor_;
+    std::thread acceptor_;
 };
 
 } // namespace bxt::server

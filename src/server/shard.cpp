@@ -1,7 +1,6 @@
 #include "server/shard.h"
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -109,7 +108,7 @@ Shard::Shard(std::size_t index, const ServerOptions &options)
 Shard::~Shard() = default;
 
 bool
-Shard::start(const std::string &tcp_host, int tcp_port, std::string &err)
+Shard::start(std::string &err)
 {
     int fds[2];
     if (::pipe(fds) != 0) {
@@ -118,25 +117,7 @@ Shard::start(const std::string &tcp_host, int tcp_port, std::string &err)
     }
     wake_read_ = net::UniqueFd(fds[0]);
     wake_write_ = net::UniqueFd(fds[1]);
-
-    if (tcp_port >= 0) {
-        // Every shard binds the same resolved address; SO_REUSEPORT
-        // makes the kernel spread incoming connections across the
-        // shard listeners (the accept slice).
-        listener_ = net::listenTcp(tcp_host, tcp_port, err,
-                                   /*reuse_port=*/true);
-        if (!listener_.valid())
-            return false;
-        if (!net::setNonBlocking(listener_.get(), err))
-            return false;
-    }
     return true;
-}
-
-int
-Shard::tcpPort() const
-{
-    return listener_.valid() ? net::boundTcpPort(listener_.get()) : -1;
 }
 
 void
@@ -208,27 +189,6 @@ Shard::adoptConnection(net::UniqueFd fd)
     conns_.push_back(std::move(conn));
     connections_.add(1);
     refreshGauges();
-}
-
-void
-Shard::acceptReady()
-{
-    for (;;) {
-        net::UniqueFd conn(::accept(listener_.get(), nullptr, nullptr));
-        if (!conn.valid()) {
-            // Out of descriptors: stop polling the listener until a
-            // connection closes or the back-off passes (see
-            // acceptPausedUntilUs_). EAGAIN: slice drained. Anything
-            // else is transient (ECONNABORTED, EINTR); keep accepting
-            // next loop.
-            if (errno == EMFILE || errno == ENFILE)
-                acceptPausedUntilUs_ =
-                    telemetry::nowMicros() +
-                    static_cast<std::uint64_t>(kAcceptBackoffMs) * 1000;
-            break;
-        }
-        adoptConnection(std::move(conn));
-    }
 }
 
 void
@@ -449,7 +409,6 @@ void
 Shard::closeConn(std::size_t at)
 {
     conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(at));
-    acceptPausedUntilUs_ = 0; // A descriptor just came free.
     refreshGauges();
 }
 
@@ -468,27 +427,9 @@ Shard::run()
         if (stopping_.load(std::memory_order_relaxed))
             break;
 
-        // An accept pause ends at its deadline (or earlier, when
-        // closeConn frees a descriptor).
-        int accept_resume_ms = -1;
-        if (acceptPausedUntilUs_ != 0) {
-            const std::uint64_t now = telemetry::nowMicros();
-            if (now >= acceptPausedUntilUs_)
-                acceptPausedUntilUs_ = 0;
-            else
-                accept_resume_ms = static_cast<int>(
-                                       (acceptPausedUntilUs_ - now) / 1000) +
-                                   1;
-        }
-
         fds.clear();
         conn_slots.clear();
         fds.push_back({wake_read_.get(), POLLIN, 0});
-        const std::size_t listener_slot = fds.size();
-        const bool poll_listener =
-            listener_.valid() && acceptPausedUntilUs_ == 0;
-        if (poll_listener)
-            fds.push_back({listener_.get(), POLLIN, 0});
         for (std::size_t i = 0; i < conns_.size(); ++i) {
             // A peer that sends but does not read stops being read at
             // the high-water mark, so its replies cannot grow the
@@ -518,12 +459,6 @@ Shard::run()
                     ? 0
                     : static_cast<int>((limit_us - idle_us) / 1000) + 1;
         }
-        // ...and the end of an accept pause.
-        if (accept_resume_ms >= 0) {
-            timeout_ms = timeout_ms < 0
-                             ? accept_resume_ms
-                             : std::min(timeout_ms, accept_resume_ms);
-        }
 
         const int r =
             ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
@@ -544,8 +479,6 @@ Shard::run()
                 break;
             drainInbox(/*shutting_down=*/false);
         }
-        if (poll_listener && (fds[listener_slot].revents & POLLIN) != 0)
-            acceptReady();
 
         // Serve readiness back-to-front so closes keep earlier indices
         // valid.
@@ -587,12 +520,10 @@ Shard::run()
         }
     }
 
-    // Graceful drain: close the accept slice first (no new work), turn
-    // away queued handoffs, then give every live connection one final
-    // read sweep and answer everything complete before closing. The
-    // Server's serve() joins every shard, forming the cross-shard
-    // drain barrier.
-    listener_.reset();
+    // Graceful drain: turn away queued handoffs (no new work), then
+    // give every live connection one final read sweep and answer
+    // everything complete before closing. The Server's serve() joins
+    // every shard, forming the cross-shard drain barrier.
     drainInbox(/*shutting_down=*/true);
     for (const auto &conn : conns_)
         drainAndClose(*conn);

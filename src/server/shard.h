@@ -2,11 +2,9 @@
  * @file
  * One shared-nothing bxtd worker shard (DESIGN.md §14). A shard owns:
  *
- *  - an accept slice: its own SO_REUSEPORT TCP listener (the kernel
- *    load-balances connections across shard listeners) and/or an inbox
- *    of connections handed off round-robin by the server's Unix-domain
- *    acceptor;
- *  - a poll()-based event loop driving every connection it accepted as
+ *  - an inbox of connections the server's acceptor hands off
+ *    round-robin (a shard only serves; it never accepts);
+ *  - a poll()-based event loop driving every connection it adopted as
  *    a nonblocking socket — reads land in a per-connection
  *    FrameParser's buffer, requests are served as views into it, and
  *    replies are written in place into a per-connection output buffer
@@ -48,13 +46,6 @@ namespace bxt::server {
 struct ServerOptions;
 
 /**
- * Pause after accept() runs out of descriptors (EMFILE/ENFILE), ms. The
- * pending connection stays queued and the level-triggered listener stays
- * readable, so polling it again at once would spin a CPU.
- */
-inline constexpr int kAcceptBackoffMs = 100;
-
-/**
  * Per-connection out-buffer high-water mark, bytes. While a connection
  * has this much reply data the peer has not taken, the shard stops
  * reading its requests. The read that crosses the mark is still answered
@@ -69,9 +60,9 @@ inline constexpr std::size_t kOutHighWaterBytes = std::size_t{4} << 20;
 void sendFrameBestEffort(int fd, const wire::Frame &frame);
 
 /**
- * One worker shard. Lifecycle: construct, optionally adopt a TCP
- * listener (start()), then run() on a dedicated thread until
- * requestStop(); run() returns after the shard's graceful drain.
+ * One worker shard. Lifecycle: construct, start() (wake pipe), then
+ * run() on a dedicated thread until requestStop(); run() returns after
+ * the shard's graceful drain.
  */
 class Shard
 {
@@ -83,18 +74,15 @@ class Shard
     Shard(const Shard &) = delete;
     Shard &operator=(const Shard &) = delete;
 
-    /**
-     * Create the wake pipe and, when @p tcp_port >= 0, bind this
-     * shard's SO_REUSEPORT accept slice on @p tcp_host:@p tcp_port.
-     */
-    bool start(const std::string &tcp_host, int tcp_port,
-               std::string &err);
+    /** Create the wake pipe. */
+    bool start(std::string &err);
 
     /**
-     * The event loop: accepts, reads, serves, and flushes until
-     * requestStop(), then drains — listener closed first, in-flight
-     * connections get one final read sweep, every complete buffered
-     * frame is answered and flushed, then everything closes.
+     * The event loop: adopts handed-off connections, reads, serves, and
+     * flushes until requestStop(), then drains — queued handoffs are
+     * turned away first, in-flight connections get one final read
+     * sweep, every complete buffered frame is answered and flushed,
+     * then everything closes.
      */
     void run();
 
@@ -102,8 +90,9 @@ class Shard
     void requestStop();
 
     /**
-     * Hand off an accepted connection (round-robin Unix accepts).
-     * Thread-safe; never blocks the acceptor on shard progress.
+     * Hand off an accepted connection (the server's round-robin
+     * acceptor). Thread-safe; never blocks the acceptor on shard
+     * progress.
      */
     void enqueue(net::UniqueFd fd);
 
@@ -112,14 +101,10 @@ class Shard
     const telemetry::Registry &registry() const { return registry_; }
     Service &service() { return service_; }
 
-    /** Resolved port of this shard's TCP listener (-1 when none). */
-    int tcpPort() const;
-
   private:
     struct Conn;
 
     void adoptConnection(net::UniqueFd fd);
-    void acceptReady();
     void drainInbox(bool shutting_down);
     /** Read until EAGAIN/EOF; false = connection is gone. */
     bool readReady(Conn &conn);
@@ -147,15 +132,6 @@ class Shard
     telemetry::Histo &batchSize_;
     telemetry::Histo &requestUs_;
 
-    net::UniqueFd listener_;
-    /**
-     * Nonzero while accepting is paused after accept() ran out of
-     * descriptors (EMFILE/ENFILE): the pending connection stays queued,
-     * so the level-triggered listener stays readable and polling it
-     * would spin. Accepting resumes at this nowMicros() instant or when
-     * the shard closes a connection, whichever comes first.
-     */
-    std::uint64_t acceptPausedUntilUs_ = 0;
     net::UniqueFd wake_read_;
     net::UniqueFd wake_write_;
     std::atomic<bool> stopping_{false};

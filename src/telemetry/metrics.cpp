@@ -75,35 +75,42 @@ Histo::Histo(std::string name)
 }
 
 double
-Histo::quantile(double q) const
+bucketQuantile(std::span<const BucketCount> buckets, double q)
 {
-    const std::uint64_t n = total();
+    std::uint64_t n = 0;
+    for (const auto &[index, count] : buckets)
+        n += count;
     if (n == 0)
         return 0.0;
-    double target = q * static_cast<double>(n);
-    if (target < 1.0)
-        target = 1.0;
+    const double target =
+        std::clamp(q * static_cast<double>(n), 1.0, static_cast<double>(n));
     std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < numBuckets; ++i) {
-        const std::uint64_t c = bucketCount(i);
-        if (c > 0 && static_cast<double>(cum + c) >= target) {
-            const double lo =
-                static_cast<double>(bucketLowerBound(i));
-            const double width = static_cast<double>(bucketWidth(i));
-            // target lands on the k-th sample of this bucket (1-based);
-            // interpolate from the bucket's lower edge so an exact hit
-            // on a single-sample bucket returns that sample's value.
-            const double frac =
-                (target - static_cast<double>(cum) - 1.0) /
-                static_cast<double>(c);
-            double value = lo + width * frac;
-            value = std::min(value, static_cast<double>(max()));
-            value = std::max(value, static_cast<double>(min()));
-            return value;
+    for (const auto &[index, count] : buckets) {
+        if (count > 0 && static_cast<double>(cum + count) >= target) {
+            // target is the k-th sample of this bucket (1-based);
+            // interpolate from the bucket's lower edge.
+            const double frac = (target - static_cast<double>(cum) - 1.0) /
+                                static_cast<double>(count);
+            return static_cast<double>(Histo::bucketLowerBound(index)) +
+                   static_cast<double>(Histo::bucketWidth(index)) * frac;
         }
-        cum += c;
+        cum += count;
     }
-    return static_cast<double>(max());
+    return 0.0; // Unreachable: target <= n.
+}
+
+double
+Histo::quantile(double q) const
+{
+    std::vector<BucketCount> buckets;
+    for (std::size_t i = 0; i < numBuckets; ++i) {
+        if (const std::uint64_t c = bucketCount(i); c > 0)
+            buckets.emplace_back(i, c);
+    }
+    // Clamp to the recorded [min, max] (both 0 when empty).
+    const double value = std::min(bucketQuantile(buckets, q),
+                                  static_cast<double>(max()));
+    return std::max(value, static_cast<double>(min()));
 }
 
 void

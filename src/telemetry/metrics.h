@@ -34,7 +34,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace bxt::telemetry {
@@ -294,6 +296,19 @@ class Histo
     std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
     std::atomic<std::uint64_t> max_{0};
 };
+
+/** One non-empty Histo bucket: (bucket index, sample count). */
+using BucketCount = std::pair<std::size_t, std::uint64_t>;
+
+/**
+ * q-quantile (q in [0,1]) of the samples in @p buckets, non-empty Histo
+ * buckets in ascending index order. The target rank max(1, q·n) lands on
+ * the k-th of the c samples in its bucket, which is placed at
+ * lower + width·(k−1)/c, so a sample alone in a unit-width bucket reads
+ * back exactly. 0 when @p buckets holds no samples. Histo::quantile and
+ * bxt_top's windowed quantiles (from snapshot bucket deltas) share it.
+ */
+double bucketQuantile(std::span<const BucketCount> buckets, double q);
 
 /**
  * One instrument set: name-sorted maps of counters, gauges, and

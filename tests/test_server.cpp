@@ -1604,15 +1604,17 @@ TEST(Sharded, FleetTotalsTelescopeToShardBreakdown)
 {
     telemetry::resetForTest();
     telemetry::setMetricsEnabled(true);
+    constexpr std::size_t kShards = 4;
     server::ServerOptions options;
     options.tcpPort = 0;
-    options.shards = 4;
+    options.shards = kShards;
     LiveServer live(options);
     ASSERT_TRUE(live.started());
 
-    // Spread traffic across reconnecting clients so SO_REUSEPORT lands
-    // work on multiple shards (which shard gets which connection is the
-    // kernel's choice — the accounting must hold regardless).
+    // Spread traffic across reconnecting clients. The acceptor hands
+    // connections to shards round-robin, and each client is served
+    // before the next one connects, so connection c lands on shard
+    // c % kShards.
     constexpr std::size_t kConns = 12;
     constexpr std::size_t kRequestsPerConn = 5;
     const std::vector<std::uint8_t> raw(8 * 32, 0xa5);
@@ -1645,7 +1647,7 @@ TEST(Sharded, FleetTotalsTelescopeToShardBreakdown)
         ASSERT_NE(counters.find(total_name), counters.end()) << leaf;
         std::uint64_t shard_sum = 0;
         std::size_t shards_seen = 0;
-        for (std::size_t s = 0; s < 4; ++s) {
+        for (std::size_t s = 0; s < kShards; ++s) {
             const auto it = counters.find("bxt.server.shard." +
                                           std::to_string(s) + "." + leaf);
             if (it != counters.end()) {
@@ -1654,7 +1656,7 @@ TEST(Sharded, FleetTotalsTelescopeToShardBreakdown)
             }
         }
         EXPECT_EQ(counters.at(total_name), shard_sum) << leaf;
-        EXPECT_EQ(shards_seen, 4u) << leaf;
+        EXPECT_EQ(shards_seen, kShards) << leaf;
     }
     // All the work really happened (the +1s are the Stats fetches).
     EXPECT_EQ(counters.at("bxt.server.requests"),
@@ -1662,6 +1664,16 @@ TEST(Sharded, FleetTotalsTelescopeToShardBreakdown)
     EXPECT_EQ(counters.at("bxt.server.tx_encoded"),
               kConns * kRequestsPerConn * 8);
     EXPECT_EQ(counters.at("bxt.server.errors"), 0u);
+
+    // Placement is the round robin: each shard got its kConns / kShards
+    // share, and the Stats connection (number kConns) went to shard 0.
+    for (std::size_t s = 0; s < kShards; ++s) {
+        const std::uint64_t share = kConns / kShards + (s == 0 ? 1 : 0);
+        EXPECT_EQ(counters.at("bxt.server.shard." + std::to_string(s) +
+                              ".connections"),
+                  share)
+            << "shard " << s;
+    }
 }
 
 TEST(Sharded, GracefulDrainAnswersInFlightFramesOnEveryShard)

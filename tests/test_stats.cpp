@@ -55,33 +55,5 @@ TEST(RunningStat, MatchesDirectComputation)
     EXPECT_DOUBLE_EQ(s.max(), 7.5);
 }
 
-TEST(Mean, Basics)
-{
-    EXPECT_DOUBLE_EQ(mean({}), 0.0);
-    EXPECT_DOUBLE_EQ(mean({2.0}), 2.0);
-    EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
-}
-
-TEST(Geomean, Basics)
-{
-    EXPECT_NEAR(geomean({4.0, 9.0}), 6.0, 1e-12);
-    EXPECT_NEAR(geomean({1.0, 1.0, 8.0}), 2.0, 1e-12);
-}
-
-TEST(Median, OddAndEven)
-{
-    EXPECT_DOUBLE_EQ(median({}), 0.0);
-    EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
-    EXPECT_DOUBLE_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
-}
-
-TEST(FormatPercent, Rounds)
-{
-    EXPECT_EQ(formatPercent(0.353), "35.3");
-    EXPECT_EQ(formatPercent(0.0), "0.0");
-    EXPECT_EQ(formatPercent(1.0, 0), "100");
-    EXPECT_EQ(formatPercent(0.0714, 2), "7.14");
-}
-
 } // namespace
 } // namespace bxt

@@ -171,6 +171,24 @@ TEST_F(TelemetryTest, HdrQuantilesTrackUniformSamples)
     EXPECT_EQ(single.quantile(0.999), 42.0);
 }
 
+TEST_F(TelemetryTest, BucketQuantileReadsUnitWidthBucketsExactly)
+{
+    // Values below 32 have unit-width buckets, so bucket index == value.
+    const std::vector<tm::BucketCount> one = {{10, 1}};
+    EXPECT_EQ(tm::bucketQuantile(one, 0.50), 10.0);
+    // Rank 1.5 of {10, 20, 30} sits half a sample below the 20 bucket.
+    const std::vector<tm::BucketCount> three = {{10, 1}, {20, 1}, {30, 1}};
+    EXPECT_EQ(tm::bucketQuantile(three, 0.50), 19.5);
+    EXPECT_EQ(tm::bucketQuantile(three, 1.00), 30.0);
+    EXPECT_EQ(tm::bucketQuantile({}, 0.50), 0.0);
+
+    // Histo::quantile is the same walk, clamped to [min, max].
+    tm::Histo &histo = tm::histogram("bxt.test.bucket_quantile");
+    for (std::uint64_t v : {10u, 20u, 30u})
+        histo.record(v);
+    EXPECT_EQ(histo.quantile(0.50), 19.5);
+}
+
 TEST_F(TelemetryTest, SanitizeMetricName)
 {
     EXPECT_EQ(tm::sanitizeMetricName("universal3+zdr|dbi4"),

@@ -24,7 +24,9 @@
  * or the scenario's per-request count, so the transaction rate is the
  * request rate times the batch size. Results go to stdout and, with
  * --json, into the unified bench JSON schema (BENCH_server_loadgen.json
- * / BENCH_server_scenarios.json in CI).
+ * / BENCH_server_scenarios.json in CI). Latencies are recorded into
+ * telemetry::Histo (per connection and per tenant, merged bucket-wise),
+ * so every reported quantile carries its <= 1/32 relative bucket error.
  *
  * Usage:
  *   bxt_loadgen (--tcp HOST:PORT | --unix PATH) [--spec S] [--wires W]
@@ -56,12 +58,14 @@
 #include "client/client.h"
 #include "common/cli.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "suite_eval.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "workloads/scenario.h"
 
 namespace {
+
+using bxt::telemetry::Histo;
 
 struct Args
 {
@@ -113,10 +117,11 @@ applyTraceSampling(bxt::client::Client &client, const Args &args,
         client.clearTrace();
 }
 
-/** Per-connection closed-loop result. */
+/** Per-connection closed/open-loop result. */
 struct ConnResult
 {
-    std::vector<double> latenciesUs; ///< One sample per request frame.
+    std::size_t requests = 0;
+    Histo latencyUs{"latency_us"}; ///< Post-warm-up samples only.
     bool ok = true;
     std::string err;
 };
@@ -128,8 +133,19 @@ struct TenantStats
     std::uint64_t txs = 0;
     std::uint64_t onesIn = 0;
     std::uint64_t onesOut = 0; ///< Encoded payload + metadata ones.
-    std::vector<double> latenciesUs;
+    Histo latencyUs{"latency_us"};
 };
+
+/**
+ * Index of a connection's first recorded latency among its @p n: the
+ * first min(--warmup, n-1) are dropped so codec-construction and
+ * cold-cache spikes do not blend into steady-state p99.
+ */
+std::size_t
+firstSteadySample(std::size_t warmup, std::size_t n)
+{
+    return n == 0 ? 0 : std::min(warmup, n - 1);
+}
 
 bxt::client::Client
 connectOnce(const Args &args, std::string &err)
@@ -149,8 +165,8 @@ connectOnce(const Args &args, std::string &err)
 }
 
 /**
- * A connect failure worth retrying: the server is booting or its accept
- * slice momentarily lagged (ECONNREFUSED / EAGAIN strerror text). A bad
+ * A connect failure worth retrying: the server is booting or its
+ * acceptor momentarily lagged (ECONNREFUSED / EAGAIN strerror text). A bad
  * address or a missing Unix path fails fast.
  */
 bool
@@ -164,7 +180,7 @@ isTransientConnectError(const std::string &err)
 
 /**
  * Connect with bounded backoff: a fleet of worker connections arriving
- * while bxtd is still binding its shard listeners (or while a shard's
+ * while bxtd is still binding its listeners (or while the listen
  * backlog briefly fills) should ride through rather than fail the run.
  * Backoff doubles 5 ms → 80 ms within a ~2 s total budget.
  */
@@ -211,7 +227,7 @@ runClosedLoopConn(const Args &args, std::size_t conn, std::size_t requests,
     }
     bxt::Rng rng(args.seed + conn);
     const std::vector<std::uint8_t> raw = randomPayload(args, rng);
-    out.latenciesUs.reserve(requests);
+    const std::size_t steady_from = firstSteadySample(args.warmup, requests);
     for (std::size_t i = 0; i < requests; ++i) {
         applyTraceSampling(client, args, rng);
         bxt::client::EncodeResult enc;
@@ -222,8 +238,9 @@ runClosedLoopConn(const Args &args, std::size_t conn, std::size_t requests,
             out.err = err;
             return;
         }
-        out.latenciesUs.push_back(
-            static_cast<double>(bxt::telemetry::nowMicros() - t0));
+        if (i >= steady_from)
+            out.latencyUs.record(bxt::telemetry::nowMicros() - t0);
+        ++out.requests;
     }
 }
 
@@ -253,7 +270,8 @@ runOpenLoop(const Args &args, int fd, ConnResult &out, std::string &err)
     std::deque<std::uint64_t> send_times;
     std::size_t sent = 0;
     std::size_t received = 0;
-    out.latenciesUs.reserve(args.requests);
+    const std::size_t steady_from =
+        firstSteadySample(args.warmup, args.requests);
 
     while (received < args.requests) {
         while (sent < args.requests && send_times.size() < args.depth) {
@@ -303,26 +321,13 @@ runOpenLoop(const Args &args, int fd, ConnResult &out, std::string &err)
             err = bxt::wire::errorCodeName(code) + ": " + message;
             return false;
         }
-        out.latenciesUs.push_back(static_cast<double>(
-            bxt::telemetry::nowMicros() - send_times.front()));
+        if (received >= steady_from)
+            out.latencyUs.record(bxt::telemetry::nowMicros() -
+                                 send_times.front());
         send_times.pop_front();
-        ++received;
+        out.requests = ++received;
     }
     return true;
-}
-
-/**
- * Post-warm-up latency samples of one connection: the first
- * min(--warmup, n-1) samples are excluded so codec-construction and
- * cold-cache spikes do not blend into steady-state p99.
- */
-std::vector<double>
-steadySamples(const std::vector<double> &samples, std::size_t warmup)
-{
-    const std::size_t drop =
-        samples.empty() ? 0 : std::min(warmup, samples.size() - 1);
-    return {samples.begin() + static_cast<std::ptrdiff_t>(drop),
-            samples.end()};
 }
 
 /** One scenario worker: replays its round-robin share of the stream. */
@@ -375,14 +380,13 @@ runScenarioConn(const Args &args,
                       "): " + err;
             return;
         }
-        const double lat_us =
-            static_cast<double>(bxt::telemetry::nowMicros() - t0);
+        const std::uint64_t lat_us = bxt::telemetry::nowMicros() - t0;
         TenantStats &slot = out.tenants[req.tenant];
         slot.requests += 1;
         slot.txs += enc.count;
         slot.onesIn += enc.inputOnes;
         slot.onesOut += enc.payloadOnes + enc.metaOnes;
-        slot.latenciesUs.push_back(lat_us);
+        slot.latencyUs.record(lat_us);
     }
 }
 
@@ -429,7 +433,7 @@ runScenario(const Args &args)
                             double &seconds, std::string &replay_err) {
         std::vector<ScenarioWorker> workers(conns);
         for (ScenarioWorker &w : workers)
-            w.tenants.resize(config.tenants);
+            w.tenants = std::vector<TenantStats>(config.tenants);
         const std::uint64_t start_us = bxt::telemetry::nowMicros();
         std::vector<std::thread> threads;
         threads.reserve(conns);
@@ -450,7 +454,7 @@ runScenario(const Args &args)
                 return false;
             }
         }
-        tenants.assign(config.tenants, TenantStats{});
+        tenants = std::vector<TenantStats>(config.tenants);
         for (const ScenarioWorker &w : workers) {
             for (std::uint32_t t = 0; t < config.tenants; ++t) {
                 const TenantStats &src = w.tenants[t];
@@ -459,9 +463,7 @@ runScenario(const Args &args)
                 dst.txs += src.txs;
                 dst.onesIn += src.onesIn;
                 dst.onesOut += src.onesOut;
-                dst.latenciesUs.insert(dst.latenciesUs.end(),
-                                       src.latenciesUs.begin(),
-                                       src.latenciesUs.end());
+                dst.latencyUs.mergeFrom(src.latencyUs);
             }
         }
         return true;
@@ -479,15 +481,14 @@ runScenario(const Args &args)
         return 1;
     }
 
-    std::vector<double> all_lat;
+    Histo all_lat("latency_us");
     std::uint64_t total_req = 0, total_tx = 0, total_in = 0, total_out = 0;
     for (const TenantStats &t : tenants) {
         total_req += t.requests;
         total_tx += t.txs;
         total_in += t.onesIn;
         total_out += t.onesOut;
-        all_lat.insert(all_lat.end(), t.latenciesUs.begin(),
-                       t.latenciesUs.end());
+        all_lat.mergeFrom(t.latencyUs);
     }
 
     /** One spec's totals over the identical stream (scope:"spec" row). */
@@ -555,9 +556,9 @@ runScenario(const Args &args)
         seconds > 0.0 ? static_cast<double>(total_req) / seconds : 0.0;
     const double tx_rate =
         seconds > 0.0 ? static_cast<double>(total_tx) / seconds : 0.0;
-    const double p50 = bxt::percentile(all_lat, 50.0);
-    const double p95 = bxt::percentile(all_lat, 95.0);
-    const double p99 = bxt::percentile(all_lat, 99.0);
+    const double p50 = all_lat.quantile(0.50);
+    const double p95 = all_lat.quantile(0.95);
+    const double p99 = all_lat.quantile(0.99);
 
     std::printf("scenario: %s  seed: %llu  tenants: %u  alpha: %.2f  "
                 "connections: %zu  paced: %s\n",
@@ -596,9 +597,8 @@ runScenario(const Args &args)
                     engine.tenantTxBytes(t),
                     static_cast<unsigned long long>(s.requests),
                     static_cast<unsigned long long>(s.txs),
-                    bxt::percentile(s.latenciesUs, 50.0),
-                    bxt::percentile(s.latenciesUs, 95.0),
-                    bxt::percentile(s.latenciesUs, 99.0),
+                    s.latencyUs.quantile(0.50), s.latencyUs.quantile(0.95),
+                    s.latencyUs.quantile(0.99),
                     removedPct(s.onesIn, s.onesOut));
     }
     if (shown < order.size())
@@ -657,9 +657,9 @@ runScenario(const Args &args)
                     w.kv("weight", engine.tenantWeight(t));
                     w.kv("requests", s.requests);
                     w.kv("txs", s.txs);
-                    w.kv("p50_us", bxt::percentile(s.latenciesUs, 50.0));
-                    w.kv("p95_us", bxt::percentile(s.latenciesUs, 95.0));
-                    w.kv("p99_us", bxt::percentile(s.latenciesUs, 99.0));
+                    w.kv("p50_us", s.latencyUs.quantile(0.50));
+                    w.kv("p95_us", s.latencyUs.quantile(0.95));
+                    w.kv("p99_us", s.latencyUs.quantile(0.99));
                     w.kv("ones_in", s.onesIn);
                     w.kv("ones_out", s.onesOut);
                     w.kv("ones_removed_pct",
@@ -779,6 +779,8 @@ main(int argc, char **argv)
             });
     if (!cli.parse(argc, argv))
         return cli.exitCode();
+    // Histo::record only counts while metrics are on.
+    bxt::telemetry::setMetricsEnabled(true);
 
     if (args.tcp.empty() && args.unixPath.empty()) {
         std::fprintf(stderr, "bxt_loadgen: need --tcp or --unix\n");
@@ -859,21 +861,19 @@ main(int argc, char **argv)
     }
 
     std::size_t total_requests = 0;
-    std::vector<double> steady;
+    Histo steady("latency_us");
     for (const ConnResult &r : results) {
-        total_requests += r.latenciesUs.size();
-        const std::vector<double> post =
-            steadySamples(r.latenciesUs, args.warmup);
-        steady.insert(steady.end(), post.begin(), post.end());
+        total_requests += r.requests;
+        steady.mergeFrom(r.latencyUs);
     }
 
     const double req_rate =
         seconds > 0.0 ? static_cast<double>(total_requests) / seconds
                       : 0.0;
     const double tx_rate = req_rate * static_cast<double>(args.batch);
-    const double p50 = bxt::percentile(steady, 50.0);
-    const double p95 = bxt::percentile(steady, 95.0);
-    const double p99 = bxt::percentile(steady, 99.0);
+    const double p50 = steady.quantile(0.50);
+    const double p95 = steady.quantile(0.95);
+    const double p99 = steady.quantile(0.99);
 
     std::printf("mode: %s  spec: %s  tx: %u B  batch: %zu  requests: %zu"
                 "  connections: %zu\n",
@@ -886,12 +886,10 @@ main(int argc, char **argv)
                 p50, p95, p99);
     if (conns > 1) {
         for (std::size_t c = 0; c < conns; ++c) {
-            const std::vector<double> post =
-                steadySamples(results[c].latenciesUs, args.warmup);
+            const Histo &lat = results[c].latencyUs;
             std::printf("  conn %zu: p50 %.1f  p95 %.1f  p99 %.1f\n", c,
-                        bxt::percentile(post, 50.0),
-                        bxt::percentile(post, 95.0),
-                        bxt::percentile(post, 99.0));
+                        lat.quantile(0.50), lat.quantile(0.95),
+                        lat.quantile(0.99));
         }
     }
 
@@ -920,18 +918,16 @@ main(int argc, char **argv)
                 w.endObject();
                 if (conns > 1) {
                     for (std::size_t c = 0; c < conns; ++c) {
-                        const std::vector<double> post = steadySamples(
-                            results[c].latenciesUs, args.warmup);
+                        const Histo &lat = results[c].latencyUs;
                         w.beginObject();
                         w.kv("scope", "connection");
                         w.kv("connection",
                              static_cast<std::uint64_t>(c));
-                        w.kv("requests",
-                             static_cast<std::uint64_t>(
-                                 results[c].latenciesUs.size()));
-                        w.kv("p50_us", bxt::percentile(post, 50.0));
-                        w.kv("p95_us", bxt::percentile(post, 95.0));
-                        w.kv("p99_us", bxt::percentile(post, 99.0));
+                        w.kv("requests", static_cast<std::uint64_t>(
+                                             results[c].requests));
+                        w.kv("p50_us", lat.quantile(0.50));
+                        w.kv("p95_us", lat.quantile(0.95));
+                        w.kv("p99_us", lat.quantile(0.99));
                         w.endObject();
                     }
                 }

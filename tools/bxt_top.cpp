@@ -8,12 +8,12 @@
  *  - aggregate request/error rates, queue depth, worker shards;
  *  - per-shard rows (active connections, request/transaction rates,
  *    output backlog, busy rejects) from the `bxt.server.shard.<i>.*`
- *    breakdown the sharded server publishes — the kernel's
- *    SO_REUSEPORT load balance made visible (--no-shards collapses the
+ *    breakdown the sharded server publishes — the acceptor's
+ *    round-robin placement made visible (--no-shards collapses the
  *    table back to the aggregate line);
  *  - request_us p50/p95/p99 over the poll window, reconstructed from
- *    the HDR histogram's sparse bucket deltas (the same log-bucket
- *    geometry as telemetry::Histo, so no raw samples cross the wire);
+ *    the HDR histogram's sparse bucket deltas by telemetry's own
+ *    bucketQuantile (so no raw samples cross the wire);
  *  - per-stream (tenant) request/transaction rates, ones-on-bus
  *    removal, and — for streams running the `adaptive` spec — the
  *    controller's sensors at its last evaluation (zero-word fraction,
@@ -32,7 +32,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -66,7 +65,7 @@ struct Sample
     std::map<std::string, double> counters;
     std::map<std::string, double> gauges;
     /** Histogram name -> sparse bucket index -> count. */
-    std::map<std::string, std::map<std::size_t, double>> histograms;
+    std::map<std::string, std::map<std::size_t, std::uint64_t>> histograms;
 };
 
 bool
@@ -100,12 +99,19 @@ parseSample(const std::string &json, Sample &out, std::string &err)
             const bxt::JsonValue *buckets = histo.find("buckets");
             if (buckets == nullptr || !buckets->isArray())
                 continue;
-            std::map<std::size_t, double> &dst = out.histograms[name];
+            std::map<std::size_t, std::uint64_t> &dst =
+                out.histograms[name];
             for (const bxt::JsonValue &pair : buckets->array) {
+                // An index outside Histo's geometry would shift its
+                // bucket bounds out of range; skip it.
                 if (pair.isArray() && pair.array.size() == 2 &&
-                    pair.array[0].isNumber() && pair.array[1].isNumber()) {
+                    pair.array[0].isNumber() && pair.array[1].isNumber() &&
+                    pair.array[0].number >= 0.0 &&
+                    pair.array[0].number <
+                        static_cast<double>(
+                            bxt::telemetry::Histo::numBuckets)) {
                     dst[static_cast<std::size_t>(pair.array[0].number)] =
-                        pair.array[1].number;
+                        static_cast<std::uint64_t>(pair.array[1].number);
                 }
             }
         }
@@ -139,57 +145,35 @@ rateOf(const Sample &cur, const Sample &prev, const std::string &name,
 }
 
 /**
- * q-quantile of the samples a histogram gained between two polls,
- * reconstructed from its sparse bucket deltas with the shared
- * telemetry::Histo bucket geometry (linear interpolation within the
- * holding bucket, exactly like Histo::quantile). Returns 0 with
- * @p total_out = 0 when the window saw no samples.
+ * q-quantile of the samples a histogram gained between two polls: its
+ * sparse bucket deltas through telemetry::bucketQuantile, the walk
+ * Histo::quantile uses. Returns 0 with @p total_out = 0 when the window
+ * saw no samples.
  */
 double
 windowedQuantile(const Sample &cur, const Sample &prev,
                  const std::string &name, double q, double &total_out)
 {
-    using bxt::telemetry::Histo;
     const auto cur_it = cur.histograms.find(name);
     total_out = 0.0;
     if (cur_it == cur.histograms.end())
         return 0.0;
     const auto prev_it = prev.histograms.find(name);
-    std::vector<std::pair<std::size_t, double>> delta;
+    std::vector<bxt::telemetry::BucketCount> delta;
     delta.reserve(cur_it->second.size());
     for (const auto &[index, count] : cur_it->second) {
-        double base = 0.0;
+        std::uint64_t base = 0;
         if (prev_it != prev.histograms.end()) {
             const auto p = prev_it->second.find(index);
             if (p != prev_it->second.end())
                 base = p->second;
         }
-        if (count - base > 0.0)
+        if (count > base) {
             delta.emplace_back(index, count - base);
-    }
-    double total = 0.0;
-    for (const auto &[index, count] : delta)
-        total += count;
-    total_out = total;
-    if (total <= 0.0)
-        return 0.0;
-    const double target =
-        std::max(1.0, std::ceil(q * total));
-    double cum = 0.0;
-    for (const auto &[index, count] : delta) {
-        cum += count;
-        if (cum >= target) {
-            const double lo =
-                static_cast<double>(Histo::bucketLowerBound(index));
-            const double width =
-                static_cast<double>(Histo::bucketWidth(index));
-            const double frac = (target - (cum - count)) / count;
-            return lo + width * frac;
+            total_out += static_cast<double>(count - base);
         }
     }
-    const std::size_t last = delta.back().first;
-    return static_cast<double>(Histo::bucketLowerBound(last) +
-                               Histo::bucketWidth(last));
+    return bxt::telemetry::bucketQuantile(delta, q);
 }
 
 double
@@ -346,7 +330,7 @@ render(const Args &args, const Sample &cur, const Sample &prev,
                 counterOf(cur, "bxt.server.spans_dropped"),
                 rateOf(cur, prev, "bxt.server.spans_dropped", dt_s));
 
-    // Per-shard table: the SO_REUSEPORT load balance made visible.
+    // Per-shard table: the round-robin placement made visible.
     if (!args.noShards) {
         std::set<long> shard_ids;
         for (const auto &[name, value] : cur.counters) {
