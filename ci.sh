@@ -19,7 +19,9 @@
 #            the reference codecs, SIMD tables vs the scalar table, the
 #            Base+XOR/Universal/pipeline codec suites, the wire CRC32 at
 #            every level vs a bitwise reference, the allocation-free
-#            in-place reply path with its metadata packing) + an
+#            in-place reply path with its metadata packing) + a check
+#            that no kernels_*.o exports a weak bxt::simd::detail
+#            symbol (kernel_common.h has internal linkage) + an
 #            ASan/UBSan pass of the same tests forced through every
 #            dispatch level (BXT_SIMD=scalar/word/avx2/avx512) + the
 #            bench_codec_throughput sweep with its speedup gates
@@ -139,6 +141,17 @@ run_batch() {
         --target test_batch test_simd test_checksum test_base_xor \
         test_universal test_pipeline test_server_allocs \
         bench_codec_throughput
+    # The kernel_common.h helpers have internal linkage. A weak
+    # bxt::simd::detail symbol in a kernels_*.o would let the linker keep
+    # one TU's copy (maybe built with -mavx2/-mavx512*) for every tier.
+    local weak
+    weak="$(nm -C build-ci-release/src/core/CMakeFiles/bxt_core.dir/simd/kernels_*.o |
+        grep -E ' [WVu] .*bxt::simd::detail' || true)"
+    if [[ -n "${weak}" ]]; then
+        echo "weak bxt::simd::detail symbols in kernel objects:" >&2
+        echo "${weak}" >&2
+        exit 1
+    fi
     # SIMD intrinsics under ASan/UBSan: force each dispatch level in
     # turn so every kernel tier's loads/stores and tail masks run
     # sanitized, not just the level CPUID would pick. Unsupported levels

@@ -23,7 +23,8 @@ AdaptiveCodec::make(const Config &config, std::string &err)
 }
 
 void
-AdaptiveCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
+AdaptiveCodec::encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                                 std::uint8_t *meta)
 {
     // Evaluate before encoding so a switch lands exactly on the batch
     // boundary; observe after encoding so a batch can never influence
@@ -31,12 +32,12 @@ AdaptiveCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
     // encodeBatch runs, making the output byte-identical to the chosen
     // concrete codec encoding this batch standalone.
     controller_->maybeEvaluate();
-    controller_->activeCodec().encodeBatch(in, out);
+    controller_->activeCodec().encodeBatch(in, payload, meta);
     controller_->observe(in);
 }
 
 void
-AdaptiveCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
+AdaptiveCodec::decodeBatchKernel(const EncodedView &in, std::uint8_t *out)
 {
     controller_->activeCodec().decodeBatch(in, out);
 }

@@ -34,6 +34,17 @@ class AdaptiveCodec : public Codec
     /** Uniform across candidates — enforced at construction. */
     unsigned metaWiresPerBeat() const override { return meta_wires_; }
 
+    /** The active candidate's; uniform like the wires. */
+    std::size_t metaBitsPerTx(std::size_t tx_bytes) const override
+    {
+        return controller_->activeCodec().metaBitsPerTx(tx_bytes);
+    }
+
+    /** No: the controller observes each input batch after encoding it,
+     *  and the candidate that encodes the next batch may be one that
+     *  cannot run in place. */
+    bool allowsInPlace() const override { return false; }
+
     /** Choice depends on observed history, so encodings do too. */
     bool stateless() const override { return false; }
 
@@ -45,8 +56,10 @@ class AdaptiveCodec : public Codec
     const Controller &controller() const { return *controller_; }
 
   protected:
-    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;
-    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override;
+    void encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                           std::uint8_t *meta) override;
+    void decodeBatchKernel(const EncodedView &in,
+                           std::uint8_t *out) override;
 
   private:
     AdaptiveCodec(std::unique_ptr<Controller> controller,

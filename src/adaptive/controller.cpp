@@ -232,29 +232,27 @@ Controller::maybeEvaluate()
 }
 
 void
-Controller::observe(const TxBatch &batch)
+Controller::observe(const TxView &batch)
 {
-    if (batch.empty() || batch.txBytes() == 0)
+    if (batch.count == 0 || batch.txBytes == 0)
         return;
-    if (ring_.txBytes() != batch.txBytes()) {
-        ring_.reset(batch.txBytes());
+    if (ring_.txBytes() != batch.txBytes) {
+        ring_.reset(batch.txBytes);
         ring_.reserve(config_.window);
         ringNext_ = 0;
     }
     const std::size_t stride =
-        std::max<std::size_t>(1, batch.size() / config_.window);
-    for (std::size_t i = 0; i < batch.size(); i += stride) {
-        const std::span<const std::uint8_t> src = batch.tx(i);
-        if (ring_.size() < config_.window) {
-            ring_.append(src.data(), 1);
-        } else {
-            std::memcpy(ring_.tx(ringNext_).data(), src.data(),
-                        src.size());
-        }
+        std::max<std::size_t>(1, batch.count / config_.window);
+    for (std::size_t i = 0; i < batch.count; i += stride) {
+        const std::uint8_t *src = batch.data + i * batch.txBytes;
+        if (ring_.size() < config_.window)
+            ring_.append(src, 1);
+        else
+            std::memcpy(ring_.tx(ringNext_).data(), src, batch.txBytes);
         ringNext_ = (ringNext_ + 1) % config_.window;
     }
-    observed_ += batch.size();
-    sinceEval_ += batch.size();
+    observed_ += batch.count;
+    sinceEval_ += batch.count;
 }
 
 bool

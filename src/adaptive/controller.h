@@ -160,7 +160,7 @@ class Controller
 
     /** Feed a completed batch into the sampled window (stride-sampled
      *  so a huge batch costs at most `window` copies). */
-    void observe(const TxBatch &batch);
+    void observe(const TxView &batch);
 
     /** Compute the windowed value statistics (walks the window). */
     Sensors sensors() const;

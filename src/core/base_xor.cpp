@@ -62,22 +62,22 @@ BaseXorCodec::requireTxSize(std::size_t tx_bytes) const
 }
 
 void
-BaseXorCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
+BaseXorCodec::encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                                std::uint8_t *)
 {
-    requireTxSize(in.txBytes());
-    out.configure(in.txBytes(), 0, 0);
-    out.resizeForOverwrite(in.size());
-    if (in.empty())
+    requireTxSize(in.txBytes);
+    if (in.count == 0)
         return;
 
-    const std::size_t tx_bytes = in.txBytes();
-    const std::uint8_t *src = in.data();
-    std::uint8_t *dst = out.payloadData();
+    const std::size_t tx_bytes = in.txBytes;
+    const std::uint8_t *src = in.data;
+    std::uint8_t *dst = payload;
     const simd::KernelTable &ops = simd::ops();
 
     if (!adjacent_base_) {
-        std::memcpy(dst, src, in.planeBytes());
-        fixedBaseRemap(dst, in.size(), tx_bytes, base_size_, zdr_,
+        if (dst != src)
+            std::memcpy(dst, src, in.bytes());
+        fixedBaseRemap(dst, in.count, tx_bytes, base_size_, zdr_,
                        /*encode=*/true);
         return;
     }
@@ -89,7 +89,7 @@ BaseXorCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
     // boundary compute garbage and are fixed up below by the per-
     // transaction base-element passthrough copy, which together with the
     // range op covers every output byte (no seeding plane memcpy).
-    const std::size_t shifted = in.planeBytes() - base_size_;
+    const std::size_t shifted = in.bytes() - base_size_;
     if (!zdr_)
         ops.xorRange(dst + base_size_, src + base_size_, src, shifted);
     else if (base_size_ == 2)
@@ -105,39 +105,38 @@ BaseXorCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
     // Fixed-width word copies: a variable-length memcpy per transaction
     // would cost a libc call for every 32-byte row.
     if (base_size_ == 2) {
-        for (std::size_t i = 0; i < in.size(); ++i)
+        for (std::size_t i = 0; i < in.count; ++i)
             std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 2);
     } else if (base_size_ == 4) {
-        for (std::size_t i = 0; i < in.size(); ++i)
+        for (std::size_t i = 0; i < in.count; ++i)
             std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 4);
     } else if (base_size_ == 8) {
-        for (std::size_t i = 0; i < in.size(); ++i)
+        for (std::size_t i = 0; i < in.count; ++i)
             std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 8);
     } else {
-        for (std::size_t i = 0; i < in.size(); ++i)
+        for (std::size_t i = 0; i < in.count; ++i)
             std::memcpy(dst + i * tx_bytes, src + i * tx_bytes, 16);
     }
 }
 
 void
-BaseXorCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
+BaseXorCodec::decodeBatchKernel(const EncodedView &in, std::uint8_t *out)
 {
-    requireTxSize(in.txBytes());
-    out.reset(in.txBytes());
-    out.resizeForOverwrite(in.size());
-    if (in.size() == 0)
+    requireTxSize(in.txBytes);
+    if (in.count == 0)
         return;
 
     // Adjacent bases chain left to right (element e needs the decoded
     // e-1), which the dispatched kernel runs one transaction per vector
     // lane; fixed bases are elementwise.
     if (adjacent_base_) {
-        simd::ops().baseXorDecode(out.data(), in.payloadData(), in.size(),
-                                  in.txBytes(), base_size_, zdr_);
+        simd::ops().baseXorDecode(out, in.payload, in.count, in.txBytes,
+                                  base_size_, zdr_);
         return;
     }
-    std::memcpy(out.data(), in.payloadData(), in.payloadBytes());
-    fixedBaseRemap(out.data(), in.size(), in.txBytes(), base_size_, zdr_,
+    if (out != in.payload)
+        std::memcpy(out, in.payload, in.count * in.txBytes);
+    fixedBaseRemap(out, in.count, in.txBytes, base_size_, zdr_,
                    /*encode=*/false);
 }
 

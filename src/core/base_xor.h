@@ -46,9 +46,19 @@ class BaseXorCodec : public Codec
     /** Whether Zero Data Remapping is applied. */
     bool zdrEnabled() const { return zdr_; }
 
+    /**
+     * Fixed-base: yes, both directions remap in place against element 0.
+     * Adjacent-base: no. Encode runs as one shifted range op over the
+     * whole plane, which reads element e-1 after an in-place pass would
+     * have rewritten it.
+     */
+    bool allowsInPlace() const override { return !adjacent_base_; }
+
   protected:
-    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;
-    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override;
+    void encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                           std::uint8_t *meta) override;
+    void decodeBatchKernel(const EncodedView &in,
+                           std::uint8_t *out) override;
 
   private:
     /** Throw CodecSizeError unless @p tx_bytes fits this configuration. */

@@ -1,14 +1,20 @@
 /**
  * @file
- * Flat batch containers for the batch-first codec core.
+ * Flat batch planes for the batch-first codec core.
  *
  * TxBatch holds N same-size transactions in one contiguous byte plane;
  * EncodedBatch pairs a payload plane with a shared metadata plane (one
  * byte per metadata bit, beat-major per transaction, transactions
  * concatenated). The batch kernels (Codec::encodeBatch / decodeBatch,
  * Bus::transmitBatch) stream whole planes instead of paying per-
- * transaction virtual dispatch and buffer bookkeeping; the one-
- * transaction Codec::encode/decode wrappers run on them too.
+ * transaction virtual dispatch and buffer bookkeeping.
+ *
+ * The codec kernels themselves run on borrowed views of those planes
+ * (TxView, EncodedView, plus raw output pointers), so a caller that
+ * already holds the bytes somewhere else — bxtd's request and reply
+ * buffers — encodes and decodes in place without copying them into a
+ * batch first. TxBatch and EncodedBatch are the owning buffers that hand
+ * such views out.
  */
 
 #ifndef BXT_CORE_BATCH_H
@@ -43,6 +49,36 @@ batchTileTx(std::size_t tx_bytes)
     const std::size_t tiles = kBatchTileBytes / tx_bytes;
     return tiles == 0 ? 1 : tiles;
 }
+
+/**
+ * A borrowed read-only plane of @p count transactions of @p txBytes
+ * bytes each, back to back: transaction i occupies bytes
+ * [i * txBytes, (i + 1) * txBytes) from @p data. Valid while the bytes
+ * it points at live.
+ */
+struct TxView
+{
+    const std::uint8_t *data = nullptr;
+    std::size_t count = 0;
+    std::size_t txBytes = 0;
+
+    /** Plane bytes (count * txBytes). */
+    std::size_t bytes() const { return count * txBytes; }
+};
+
+/**
+ * A borrowed read-only encoded batch: a payload plane in TxView layout
+ * and a metadata plane of one 0/1 byte per bit, the codec's
+ * metaBitsPerTx(txBytes) bits per transaction back to back (EncodedBatch
+ * layout). @p meta is unused by metadata-free codecs.
+ */
+struct EncodedView
+{
+    const std::uint8_t *payload = nullptr;
+    const std::uint8_t *meta = nullptr;
+    std::size_t count = 0;
+    std::size_t txBytes = 0;
+};
 
 /**
  * One contiguous plane of N transactions, all of the same byte size.
@@ -123,6 +159,9 @@ class TxBatch
     {
         return Transaction(tx(i));
     }
+
+    /** A borrowed view of the whole plane. */
+    TxView view() const { return {plane_.data(), count_, tx_bytes_}; }
 
     /** Total `1` bits across the plane. */
     std::uint64_t ones() const;
@@ -208,6 +247,12 @@ class EncodedBatch
 
     /** Total payload plane bytes. */
     std::size_t payloadBytes() const { return payload_.size(); }
+
+    /** A borrowed view of both planes. */
+    EncodedView view() const
+    {
+        return {payload_.data(), meta_.data(), count_, tx_bytes_};
+    }
 
     /** `1` bits across the payload plane. */
     std::uint64_t payloadOnes() const;

@@ -44,12 +44,20 @@ class BdEncodingCodec : public Codec
 
     std::string name() const override { return "bd-encoding"; }
     unsigned metaWiresPerBeat() const override;
+    std::size_t metaBitsPerTx(std::size_t tx_bytes) const override;
     void reset() override;
     bool stateless() const override { return false; }
 
+    /** Yes: each 8-byte word is read whole before its encoding or
+     *  decoding is stored over it, and the repositories keep their own
+     *  copies; transactions still run in stream order. */
+    bool allowsInPlace() const override { return true; }
+
   protected:
-    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;
-    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override;
+    void encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                           std::uint8_t *meta) override;
+    void decodeBatchKernel(const EncodedView &in,
+                           std::uint8_t *out) override;
 
   private:
     /** FIFO repository of recently transferred 8-byte words. */

@@ -59,14 +59,20 @@ struct Encoded
  * A transaction encoder/decoder.
  *
  * Each codec implements its per-transaction mapping once, as the
- * protected encodeBatchKernel()/decodeBatchKernel() pair; every public
- * entry point (encodeBatch/decodeBatch and the one-transaction
- * encode/decode wrappers) runs through those kernels.
+ * protected encodeBatchKernel()/decodeBatchKernel() pair over borrowed
+ * planes; every public entry point (encodeBatch/decodeBatch in their
+ * batch and view forms, and the one-transaction encode/decode wrappers)
+ * runs through those kernels.
  *
  * Codecs may be stateful (BD-Encoding keeps a repository of recent words on
  * each side of the channel); the kernels therefore take the transaction
  * stream in transmission order. Stateless codecs (everything the paper
  * proposes) give identical results in any order.
+ *
+ * Aliasing: an output plane either does not overlap the input plane it
+ * is computed from, or, when allowsInPlace() is true, is exactly that
+ * plane (in == out). Partial overlap is never allowed, and the metadata
+ * planes never overlap a payload plane. The view entry points check this.
  */
 class Codec
 {
@@ -77,9 +83,9 @@ class Codec
     virtual std::string name() const = 0;
 
     /**
-     * Encode one transaction: a one-transaction encodeBatch(), copied
-     * out into an Encoded. Convenient for tests and tools; hot loops
-     * batch their transactions and call encodeBatch() directly.
+     * Encode one transaction: a one-transaction encodeBatch() into an
+     * Encoded. Convenient for tests and tools; hot loops batch their
+     * transactions and call encodeBatch() directly.
      */
     Encoded encode(const Transaction &tx);
 
@@ -89,13 +95,11 @@ class Codec
 
     /**
      * Batch encode: encode every transaction of @p in into @p out, which
-     * is (re)configured to the batch's geometry. The non-virtual entry
-     * point validates the batch geometry (throwing CodecSizeError on a
-     * mismatch), records the `bxt.codec.<spec>.batch_size` histogram
-     * (looked up in the calling thread's registry on the first batch
-     * recorded, then cached), and dispatches to encodeBatchKernel().
-     * The kernels of the paper's schemes are differentially verified
-     * against the naive reference codecs in src/verify/
+     * is (re)configured to the batch's geometry, then runs the view form
+     * below over the two batches' planes. Throws CodecSizeError when the
+     * batch has no geometry or the codec cannot encode its transaction
+     * size. The kernels of the paper's schemes are differentially
+     * verified against the naive reference codecs in src/verify/
      * (src/verify/batch_check.h).
      *
      * Stateful codecs advance their channel state per transaction in
@@ -105,10 +109,32 @@ class Codec
     void encodeBatch(const TxBatch &in, EncodedBatch &out);
 
     /**
+     * Encode the borrowed plane @p in into caller-owned planes: @p payload
+     * receives in.bytes() bytes and @p meta in.count *
+     * metaBitsPerTx(in.txBytes) 0/1 bytes (it may be null when that is
+     * zero). Validates the geometry and the aliasing rule (see the class
+     * comment), records the `bxt.codec.<spec>.batch_size` histogram
+     * (looked up in the calling thread's registry on the first batch
+     * recorded, then cached), and dispatches to encodeBatchKernel().
+     */
+    void encodeBatch(const TxView &in, std::uint8_t *payload,
+                     std::uint8_t *meta);
+
+    /**
      * Batch decode: recover every original transaction of @p in into
-     * @p out. Inverse of encodeBatch; same validation and dispatch.
+     * @p out (reset to the batch geometry). Inverse of encodeBatch;
+     * throws CodecSizeError when the batch's metadata wires or bits per
+     * transaction do not match this codec.
      */
     void decodeBatch(const EncodedBatch &in, TxBatch &out);
+
+    /**
+     * Decode the borrowed planes @p in (metadata laid out as
+     * metaBitsPerTx(in.txBytes) bits per transaction) into @p out, which
+     * receives in.count * in.txBytes bytes. Same geometry and aliasing
+     * checks as the encode view form.
+     */
+    void decodeBatch(const EncodedView &in, std::uint8_t *out);
 
     /**
      * Number of dedicated metadata wires this codec drives per beat. This
@@ -117,6 +143,21 @@ class Codec
      * bus before any data flows.
      */
     virtual unsigned metaWiresPerBeat() const { return 0; }
+
+    /**
+     * Metadata bits one @p tx_bytes transaction carries (beats times
+     * metaWiresPerBeat(); 0 for metadata-free codecs). Throws
+     * CodecSizeError when the size is not a whole number of this codec's
+     * bus beats.
+     */
+    virtual std::size_t metaBitsPerTx(std::size_t) const { return 0; }
+
+    /**
+     * True when encode and decode accept an output payload plane that is
+     * exactly the input plane (in == out). Each codec states its rule
+     * next to its override; a codec that does not override it says no.
+     */
+    virtual bool allowsInPlace() const { return false; }
 
     /** Reset any channel-history state (repositories); default no-op. */
     virtual void reset() {}
@@ -132,18 +173,26 @@ class Codec
   protected:
     /**
      * Batch-encode kernel: the codec's one implementation of its
-     * encoding. Configures @p out to the batch geometry (payload size,
-     * metadata wires, metadata bits per transaction) and fills every
-     * slice. @p in has a geometry (encodeBatch checked it) but may hold
-     * no transactions.
+     * encoding. Writes every byte of @p payload (in.bytes()) and of
+     * @p meta (in.count * metaBitsPerTx(in.txBytes)). @p in has a valid
+     * transaction size (encodeBatch checked it) but may hold no
+     * transactions, and the planes obey the aliasing rule.
      */
-    virtual void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) = 0;
+    virtual void encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                                   std::uint8_t *meta) = 0;
 
-    /** Batch-decode kernel: resets @p out to the batch geometry and
-     *  fills every transaction (inverse of encodeBatchKernel). */
-    virtual void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) = 0;
+    /** Batch-decode kernel: writes every byte of @p out (in.count *
+     *  in.txBytes); the inverse of encodeBatchKernel. */
+    virtual void decodeBatchKernel(const EncodedView &in,
+                                   std::uint8_t *out) = 0;
 
   private:
+    /** Throw CodecSizeError unless an encoding of @p tx_bytes
+     *  transactions with @p wires wires and @p meta_bits bits per
+     *  transaction is what this codec decodes. */
+    void requireEncodedGeometry(std::size_t tx_bytes, unsigned wires,
+                                std::size_t meta_bits) const;
+
     /** `bxt.codec.<spec>.batch_size`, bound by the first encodeBatch
      *  that records it (null until then). */
     telemetry::Histo *batch_size_histo_ = nullptr;
@@ -161,9 +210,14 @@ class IdentityCodec : public Codec
   public:
     std::string name() const override { return "baseline"; }
 
+    /** Yes: in place, both directions copy nothing. */
+    bool allowsInPlace() const override { return true; }
+
   protected:
-    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;
-    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override;
+    void encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                           std::uint8_t *meta) override;
+    void decodeBatchKernel(const EncodedView &in,
+                           std::uint8_t *out) override;
 };
 
 } // namespace bxt

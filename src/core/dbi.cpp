@@ -41,16 +41,19 @@ DbiCodec::requireTxSize(std::size_t tx_bytes) const
     }
 }
 
-void
-DbiCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
+std::size_t
+DbiCodec::metaBitsPerTx(std::size_t tx_bytes) const
 {
-    requireTxSize(in.txBytes());
-    const std::size_t tx_bytes = in.txBytes();
-    const std::size_t beats = tx_bytes / bus_bytes_;
-    const unsigned wires = metaWiresPerBeat();
-    out.configure(tx_bytes, wires, beats * wires);
-    out.resizeForOverwrite(in.size());
-    if (in.empty())
+    requireTxSize(tx_bytes);
+    return tx_bytes / bus_bytes_ * metaWiresPerBeat();
+}
+
+void
+DbiCodec::encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                            std::uint8_t *meta)
+{
+    requireTxSize(in.txBytes);
+    if (in.count == 0)
         return;
 
     // Payload plane starts as a copy; the group tiling is contiguous
@@ -58,34 +61,23 @@ DbiCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
     // beats, beats a whole number of groups) and the meta plane lays its
     // polarity bytes out in exactly that group order, so the entire
     // batch is one dispatched plane call.
-    std::memcpy(out.payloadData(), in.data(), in.planeBytes());
-    const std::size_t total_groups =
-        in.planeBytes() / group_bytes_;
-    simd::ops().dbiEncodePlane(out.payloadData(), out.metaData(),
-                               total_groups, group_bytes_);
+    if (payload != in.data)
+        std::memcpy(payload, in.data, in.bytes());
+    simd::ops().dbiEncodePlane(payload, meta, in.bytes() / group_bytes_,
+                               group_bytes_);
 }
 
 void
-DbiCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
+DbiCodec::decodeBatchKernel(const EncodedView &in, std::uint8_t *out)
 {
-    requireTxSize(in.txBytes());
-    const std::size_t tx_bytes = in.txBytes();
-    const std::size_t beats = tx_bytes / bus_bytes_;
-    const std::size_t groups_per_beat = bus_bytes_ / group_bytes_;
-    if (in.metaBitsPerTx() != beats * groups_per_beat) {
-        throw CodecSizeError(name() + ": batch carries " +
-                             std::to_string(in.metaBitsPerTx()) +
-                             " metadata bits per transaction, expected " +
-                             std::to_string(beats * groups_per_beat));
-    }
-    out.reset(tx_bytes);
-    out.resizeForOverwrite(in.size());
-    if (in.size() == 0)
+    requireTxSize(in.txBytes);
+    if (in.count == 0)
         return;
 
-    std::memcpy(out.data(), in.payloadData(), in.payloadBytes());
-    const std::size_t total_groups = in.payloadBytes() / group_bytes_;
-    simd::ops().dbiDecodePlane(out.data(), in.metaData(), total_groups,
+    const std::size_t bytes = in.count * in.txBytes;
+    if (out != in.payload)
+        std::memcpy(out, in.payload, bytes);
+    simd::ops().dbiDecodePlane(out, in.meta, bytes / group_bytes_,
                                group_bytes_);
 }
 
@@ -120,24 +112,28 @@ DbiAcCodec::requireTxSize(std::size_t tx_bytes) const
     }
 }
 
-void
-DbiAcCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
+std::size_t
+DbiAcCodec::metaBitsPerTx(std::size_t tx_bytes) const
 {
-    requireTxSize(in.txBytes());
-    const std::size_t tx_bytes = in.txBytes();
-    const std::size_t beats = tx_bytes / bus_bytes_;
-    const unsigned wires = metaWiresPerBeat();
-    out.configure(tx_bytes, wires, beats * wires);
-    out.resizeForOverwrite(in.size());
-    if (in.empty())
-        return;
-    std::memcpy(out.payloadData(), in.data(), in.planeBytes());
+    requireTxSize(tx_bytes);
+    return tx_bytes / bus_bytes_ * metaWiresPerBeat();
+}
 
+void
+DbiAcCodec::encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                              std::uint8_t *meta)
+{
+    requireTxSize(in.txBytes);
+    if (in.count == 0)
+        return;
+    if (payload != in.data)
+        std::memcpy(payload, in.data, in.bytes());
+
+    const std::size_t beats = in.txBytes / bus_bytes_;
     const std::size_t half_bits = group_bytes_ * 8 / 2;
     std::vector<std::uint8_t> prev(bus_bytes_);
-    for (std::size_t t = 0; t < in.size(); ++t) {
-        std::uint8_t *data = out.payload(t).data();
-        std::uint8_t *meta = out.meta(t).data();
+    for (std::size_t t = 0; t < in.count; ++t) {
+        std::uint8_t *data = payload + t * in.txBytes;
 
         // prev holds the *encoded* previous beat (what the wires carried);
         // the bus idles at zero before beat 0 of every transaction.
@@ -164,35 +160,22 @@ DbiAcCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
 }
 
 void
-DbiAcCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
+DbiAcCodec::decodeBatchKernel(const EncodedView &in, std::uint8_t *out)
 {
-    requireTxSize(in.txBytes());
-    const std::size_t tx_bytes = in.txBytes();
-    const std::size_t beats = tx_bytes / bus_bytes_;
-    const std::size_t groups_per_beat = bus_bytes_ / group_bytes_;
-    if (in.metaBitsPerTx() != beats * groups_per_beat) {
-        throw CodecSizeError(name() + ": batch carries " +
-                             std::to_string(in.metaBitsPerTx()) +
-                             " metadata bits per transaction, expected " +
-                             std::to_string(beats * groups_per_beat));
-    }
-    out.reset(tx_bytes);
-    out.resizeForOverwrite(in.size());
-    if (in.size() == 0)
+    requireTxSize(in.txBytes);
+    if (in.count == 0)
         return;
-    std::memcpy(out.data(), in.payloadData(), in.payloadBytes());
+    if (out != in.payload)
+        std::memcpy(out, in.payload, in.count * in.txBytes);
 
-    for (std::size_t t = 0; t < in.size(); ++t) {
-        std::uint8_t *data = out.tx(t).data();
-        const std::uint8_t *meta = in.meta(t).data();
-        for (std::size_t beat = 0; beat < beats; ++beat) {
-            for (std::size_t g = 0; g < bus_bytes_; g += group_bytes_) {
-                if (*meta++) {
-                    std::uint8_t *group = data + beat * bus_bytes_ + g;
-                    for (std::size_t i = 0; i < group_bytes_; ++i)
-                        group[i] = static_cast<std::uint8_t>(~group[i]);
-                }
-            }
+    // Polarity bytes run group by group across beats and transactions,
+    // the payload's own order.
+    const std::size_t groups = in.count * in.txBytes / group_bytes_;
+    for (std::size_t g = 0; g < groups; ++g) {
+        if (in.meta[g] != 0) {
+            std::uint8_t *group = out + g * group_bytes_;
+            for (std::size_t i = 0; i < group_bytes_; ++i)
+                group[i] = static_cast<std::uint8_t>(~group[i]);
         }
     }
 }

@@ -37,13 +37,20 @@ class DbiCodec : public Codec
 
     std::string name() const override;
     unsigned metaWiresPerBeat() const override;
+    std::size_t metaBitsPerTx(std::size_t tx_bytes) const override;
+
+    /** Yes: the payload starts as a copy of the input (skipped in
+     *  place) and every group inverts where it lies. */
+    bool allowsInPlace() const override { return true; }
 
     /** Inversion group size in bytes. */
     std::size_t groupBytes() const { return group_bytes_; }
 
   protected:
-    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;
-    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override;
+    void encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                           std::uint8_t *meta) override;
+    void decodeBatchKernel(const EncodedView &in,
+                           std::uint8_t *out) override;
 
   private:
     /** Throw CodecSizeError unless @p tx_bytes is a whole number of beats. */
@@ -73,10 +80,17 @@ class DbiAcCodec : public Codec
 
     std::string name() const override;
     unsigned metaWiresPerBeat() const override;
+    std::size_t metaBitsPerTx(std::size_t tx_bytes) const override;
+
+    /** Yes, as for DbiCodec; the previous beat is kept aside as it was
+     *  sent. */
+    bool allowsInPlace() const override { return true; }
 
   protected:
-    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;
-    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override;
+    void encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                           std::uint8_t *meta) override;
+    void decodeBatchKernel(const EncodedView &in,
+                           std::uint8_t *out) override;
 
   private:
     /** Throw CodecSizeError unless @p tx_bytes is a whole number of beats. */

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "core/simd/simd.h"
 #include "telemetry/metrics.h"
 
 namespace bxt {
@@ -29,6 +30,14 @@ copyMetaRows(std::uint8_t *dst, std::size_t dst_stride,
     for (std::size_t w = 0; w < width; ++w)
         for (std::size_t r = 0; r < rows; ++r)
             dst[r * dst_stride + w] = src[r * src_stride + w];
+}
+
+/** @p buffer grown (never zeroed) to @p bytes; its data pointer. */
+std::uint8_t *
+sized(ByteBuffer &buffer, std::size_t bytes)
+{
+    buffer.resizeForOverwrite(bytes);
+    return buffer.data();
 }
 
 } // namespace
@@ -69,6 +78,23 @@ PipelineCodec::metaWiresPerBeat() const
     return wires;
 }
 
+std::size_t
+PipelineCodec::metaBitsPerTx(std::size_t tx_bytes) const
+{
+    // Every stage sees the same beats (payload size is preserved), so
+    // the stages' bits add up to beats * total wires.
+    std::size_t bits = 0;
+    for (const auto &stage : stages_)
+        bits += stage->metaBitsPerTx(tx_bytes);
+    return bits;
+}
+
+bool
+PipelineCodec::allowsInPlace() const
+{
+    return stages_.size() > 1 || stages_[0]->allowsInPlace();
+}
+
 void
 PipelineCodec::bindStageCounters()
 {
@@ -90,119 +116,103 @@ PipelineCodec::bindStageCounters()
 }
 
 void
-PipelineCodec::recordStageMetricsBatch(const TxBatch &in)
+PipelineCodec::encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                                 std::uint8_t *meta)
 {
-    bindStageCounters();
+    if (in.count == 0)
+        return;
+    const std::size_t bytes = in.bytes();
+    const unsigned total_wires = metaWiresPerBeat();
+    const std::size_t rows =
+        total_wires == 0
+            ? 0
+            : in.count * (metaBitsPerTx(in.txBytes) / total_wires);
+    stage_meta_.resize(stages_.size());
 
-    std::size_t ones_in = in.ones();
-    const std::size_t bytes = in.planeBytes();
+    // Per-stage attribution adds each batch's aggregates, so every
+    // counter ends the same however the stream was split into batches —
+    // the telescoping invariant checked by test_telemetry.
+    const bool metrics = telemetry::metricsEnabled();
+    std::uint64_t ones_in = 0;
+    if (metrics) {
+        bindStageCounters();
+        ones_in = simd::ops().popcountRange(in.data, bytes);
+    }
+
+    TxView stage_in = in;
     for (std::size_t s = 0; s < stages_.size(); ++s) {
-        const std::size_t payload_ones = batch_scratch_[s].payloadOnes();
-        const std::size_t meta_ones = batch_scratch_[s].metaOnes();
-        const StageCounters &c = stage_counters_[s];
-        c.onesIn->add(ones_in);
-        c.onesOut->add(payload_ones + meta_ones);
-        c.metaOnes->add(meta_ones);
-        c.bytes->add(bytes);
-        ones_in = payload_ones;
-    }
-}
-
-void
-PipelineCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
-{
-    const std::size_t tx_bytes = in.txBytes();
-    if (in.empty()) {
-        out.configure(tx_bytes, metaWiresPerBeat(), 0);
-        out.resize(0);
-        return;
-    }
-
-    // Stage 0 encodes the input plane; every later stage encodes the
-    // previous stage's payload plane via the ping-pong input batch.
-    batch_scratch_.resize(stages_.size());
-    stages_[0]->encodeBatch(in, batch_scratch_[0]);
-    for (std::size_t s = 1; s < stages_.size(); ++s) {
-        batch_stage_in_.reset(tx_bytes);
-        batch_stage_in_.resizeForOverwrite(in.size());
-        std::memcpy(batch_stage_in_.data(),
-                    batch_scratch_[s - 1].payloadData(),
-                    batch_scratch_[s - 1].payloadBytes());
-        stages_[s]->encodeBatch(batch_stage_in_, batch_scratch_[s]);
-    }
-
-    if (telemetry::metricsEnabled())
-        recordStageMetricsBatch(in);
-
-    // All stages see the same beat count (payload size is preserved).
-    unsigned total_wires = 0;
-    std::size_t beats = 0;
-    for (const EncodedBatch &eb : batch_scratch_) {
-        total_wires += eb.metaWiresPerBeat();
-        if (eb.metaWiresPerBeat() > 0) {
-            const std::size_t stage_beats =
-                eb.metaBitsPerTx() / eb.metaWiresPerBeat();
-            BXT_ASSERT(beats == 0 || beats == stage_beats);
-            beats = stage_beats;
+        const unsigned wires = stages_[s]->metaWiresPerBeat();
+        std::uint8_t *stage_out = s + 1 == stages_.size()
+                                      ? payload
+                                      : sized(planes_[s % 2], bytes);
+        std::uint8_t *stage_meta =
+            wires == 0 || wires == total_wires
+                ? meta
+                : sized(stage_meta_[s], rows * wires);
+        stages_[s]->encodeBatch(stage_in, stage_out, stage_meta);
+        if (metrics) {
+            const simd::KernelTable &ops = simd::ops();
+            const std::uint64_t payload_ones =
+                ops.popcountRange(stage_out, bytes);
+            // Metadata bytes are 0/1, so the popcount is the sum.
+            const std::uint64_t meta_ones =
+                ops.popcountRange(stage_meta, rows * wires);
+            const StageCounters &c = stage_counters_[s];
+            c.onesIn->add(ones_in);
+            c.onesOut->add(payload_ones + meta_ones);
+            c.metaOnes->add(meta_ones);
+            c.bytes->add(bytes);
+            ones_in = payload_ones;
         }
+        stage_in = TxView{stage_out, in.count, in.txBytes};
     }
-
-    out.configure(tx_bytes, total_wires, beats * total_wires);
-    out.resizeForOverwrite(in.size());
-    std::memcpy(out.payloadData(), batch_scratch_.back().payloadData(),
-                out.payloadBytes());
-    if (total_wires == 0)
-        return;
 
     // Stage metadata streams are interleaved per beat in stage order:
     // each beat carries every stage's wires, first stage first. Every
     // plane is rows of (transaction, beat) in the same order.
-    const std::size_t rows = in.size() * beats;
     unsigned offset = 0;
-    for (const EncodedBatch &eb : batch_scratch_) {
-        const unsigned wires = eb.metaWiresPerBeat();
-        if (wires == 0)
-            continue;
-        copyMetaRows(out.metaData() + offset, total_wires, eb.metaData(),
-                     wires, rows, wires);
+    for (std::size_t s = 0; s < stages_.size(); ++s) {
+        const unsigned wires = stages_[s]->metaWiresPerBeat();
+        if (wires != 0 && wires != total_wires)
+            copyMetaRows(meta + offset, total_wires, stage_meta_[s].data(),
+                         wires, rows, wires);
         offset += wires;
     }
 }
 
 void
-PipelineCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
+PipelineCodec::decodeBatchKernel(const EncodedView &in, std::uint8_t *out)
 {
-    const std::size_t tx_bytes = in.txBytes();
-    out.reset(tx_bytes);
-    if (in.size() == 0)
+    if (in.count == 0)
         return;
-
-    // decodeBatch() already verified the total wire count matches.
-    const unsigned total = in.metaWiresPerBeat();
-    const std::size_t beats =
-        total == 0 ? 0 : in.metaBitsPerTx() / total;
+    const std::size_t bytes = in.count * in.txBytes;
+    const unsigned total_wires = metaWiresPerBeat();
+    const std::size_t rows =
+        total_wires == 0
+            ? 0
+            : in.count * (metaBitsPerTx(in.txBytes) / total_wires);
+    stage_meta_.resize(stages_.size());
 
     // Decode stages in reverse, splitting each stage's metadata wires
     // back out of the interleaved beat blocks.
-    batch_scratch_.resize(stages_.size());
-    const std::uint8_t *payload = in.payloadData();
-    std::size_t payload_bytes = in.payloadBytes();
-    unsigned stage_offset = total;
+    const std::uint8_t *payload = in.payload;
+    unsigned offset = total_wires;
     for (std::size_t s = stages_.size(); s-- > 0;) {
-        EncodedBatch &eb = batch_scratch_[s];
         const unsigned wires = stages_[s]->metaWiresPerBeat();
-        stage_offset -= wires;
-        eb.configure(tx_bytes, wires, beats * wires);
-        eb.resizeForOverwrite(in.size());
-        std::memcpy(eb.payloadData(), payload, payload_bytes);
-        if (wires > 0)
-            copyMetaRows(eb.metaData(), wires, in.metaData() + stage_offset,
-                         total, in.size() * beats, wires);
-        stages_[s]->decodeBatch(eb, s == 0 ? out : batch_stage_in_);
-        if (s != 0) {
-            payload = batch_stage_in_.data();
-            payload_bytes = batch_stage_in_.planeBytes();
+        offset -= wires;
+        const std::uint8_t *stage_meta = in.meta;
+        if (wires != 0 && wires != total_wires) {
+            std::uint8_t *plane = sized(stage_meta_[s], rows * wires);
+            copyMetaRows(plane, wires, in.meta + offset, total_wires, rows,
+                         wires);
+            stage_meta = plane;
         }
+        std::uint8_t *stage_out =
+            s == 0 ? out : sized(planes_[s % 2], bytes);
+        stages_[s]->decodeBatch(
+            EncodedView{payload, stage_meta, in.count, in.txBytes},
+            stage_out);
+        payload = stage_out;
     }
 }
 

@@ -35,12 +35,20 @@ class PipelineCodec : public Codec
 
     std::string name() const override;
     unsigned metaWiresPerBeat() const override;
+    std::size_t metaBitsPerTx(std::size_t tx_bytes) const override;
     void reset() override;
     bool stateless() const override;
 
+    /** With two or more stages, yes: every stage but the last writes a
+     *  scratch plane and the last reads one, so the caller's planes are
+     *  never read after the first stage. One stage follows its rule. */
+    bool allowsInPlace() const override;
+
   protected:
-    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;
-    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override;
+    void encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                           std::uint8_t *meta) override;
+    void decodeBatchKernel(const EncodedView &in,
+                           std::uint8_t *out) override;
 
   private:
     /**
@@ -64,22 +72,19 @@ class PipelineCodec : public Codec
     /** Bind (once) the counter set above; no-op when already bound. */
     void bindStageCounters();
 
-    /**
-     * Record per-stage attribution for a whole encoded batch. Counters are
-     * additive, so adding the batch aggregates (summed input ones, summed
-     * stage output ones, total bytes) leaves every counter with the same
-     * value however the stream was split into batches — the telescoping
-     * invariant checked by test_telemetry.
-     */
-    void recordStageMetricsBatch(const TxBatch &in);
-
     std::vector<CodecPtr> stages_;
-    /** Stage output batches plus the ping-pong input batch that feeds
-     *  each stage after the first; capacities persist across calls.
-     *  Makes the codec non-reentrant, like any stateful codec — workers
-     *  own their codec. */
-    std::vector<EncodedBatch> batch_scratch_;
-    TxBatch batch_stage_in_;
+    /**
+     * The two payload planes the stages ping-pong between: stage s writes
+     * plane s % 2 and stage s + 1 reads it, except that the first stage
+     * reads the caller's input and the last writes the caller's output.
+     * Capacities persist across calls, which makes the codec
+     * non-reentrant, like any stateful codec — workers own their codec.
+     */
+    ByteBuffer planes_[2];
+    /** Per-stage metadata planes, used only by stages that share the
+     *  metadata wires with another stage (a stage that drives all of
+     *  them reads and writes the caller's metadata plane directly). */
+    std::vector<ByteBuffer> stage_meta_;
     /** Lazily bound counter set; empty until first enabled encode. */
     std::vector<StageCounters> stage_counters_;
 };

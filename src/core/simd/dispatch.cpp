@@ -69,7 +69,10 @@ detectCpu()
     const bool bw = (ebx & (1u << 30)) != 0;
     const bool vl = (ebx & (1u << 31)) != 0;
     const bool vpopcntdq = (ecx & (1u << 14)) != 0;
-    features.avx512 = zmm_saved && f && bw && vl && vpopcntdq;
+    // The Avx512 frame CRC folds with 512-bit carry-less multiplies.
+    const bool vpclmulqdq = (ecx & (1u << 10)) != 0;
+    features.avx512 =
+        zmm_saved && f && bw && vl && vpopcntdq && vpclmulqdq;
     return features;
 }
 
@@ -91,14 +94,28 @@ tableFor(Level level)
         return &scalarTable();
     case Level::Word:
         return &wordTable();
-    case Level::Neon:
-        return neonTableOrNull();
     case Level::Avx2:
         return cpuHasAvx2() ? avx2TableOrNull() : nullptr;
     case Level::Avx512:
         return cpuHasAvx512() ? avx512TableOrNull() : nullptr;
     }
     return nullptr;
+}
+
+/** Every level, lowest rank first. */
+constexpr Level allLevels[] = {Level::Scalar, Level::Word, Level::Avx2,
+                               Level::Avx512};
+
+/** The best supported level ranked at or below @p level. */
+Level
+clampToSupported(Level level)
+{
+    Level best = Level::Scalar;
+    for (Level candidate : allLevels)
+        if (static_cast<int>(candidate) <= static_cast<int>(level) &&
+            tableFor(candidate) != nullptr)
+            best = candidate;
+    return best;
 }
 
 std::atomic<const KernelTable *> active_table{nullptr};
@@ -176,9 +193,7 @@ setActiveLevel(Level level)
 {
     // Clamp an unsupported request to the best supported level ranked at
     // or below it (mirrors resolveRequestedLevel's env semantics).
-    while (detail::tableFor(level) == nullptr &&
-           level != Level::Scalar)
-        level = static_cast<Level>(static_cast<int>(level) - 1);
+    level = detail::clampToSupported(level);
     detail::install(level);
     return level;
 }
@@ -186,11 +201,7 @@ setActiveLevel(Level level)
 Level
 bestLevel()
 {
-    for (Level level : {Level::Avx512, Level::Avx2, Level::Neon,
-                        Level::Word})
-        if (detail::tableFor(level) != nullptr)
-            return level;
-    return Level::Scalar;
+    return detail::clampToSupported(Level::Avx512);
 }
 
 bool
@@ -203,8 +214,7 @@ std::vector<Level>
 supportedLevels()
 {
     std::vector<Level> levels;
-    for (Level level : {Level::Scalar, Level::Word, Level::Neon,
-                        Level::Avx2, Level::Avx512})
+    for (Level level : detail::allLevels)
         if (detail::tableFor(level) != nullptr)
             levels.push_back(level);
     return levels;
@@ -218,8 +228,6 @@ levelName(Level level)
         return "scalar";
     case Level::Word:
         return "word";
-    case Level::Neon:
-        return "neon";
     case Level::Avx2:
         return "avx2";
     case Level::Avx512:
@@ -235,8 +243,7 @@ parseLevel(std::string_view name)
     for (char &ch : lowered)
         ch = static_cast<char>(
             ch >= 'A' && ch <= 'Z' ? ch - 'A' + 'a' : ch);
-    for (Level level : {Level::Scalar, Level::Word, Level::Neon,
-                        Level::Avx2, Level::Avx512})
+    for (Level level : detail::allLevels)
         if (lowered == levelName(level))
             return level;
     return std::nullopt;
@@ -254,13 +261,11 @@ resolveRequestedLevel(const char *value, std::string *warning)
         if (warning != nullptr)
             *warning = std::string("BXT_SIMD=") + value +
                        " is not a recognized level "
-                       "(scalar/word/neon/avx2/avx512); "
+                       "(scalar/word/avx2/avx512); "
                        "falling back to scalar";
         return Level::Scalar;
     }
-    Level level = *requested;
-    while (detail::tableFor(level) == nullptr && level != Level::Scalar)
-        level = static_cast<Level>(static_cast<int>(level) - 1);
+    const Level level = detail::clampToSupported(*requested);
     if (level != *requested && warning != nullptr)
         *warning = std::string("BXT_SIMD=") + value +
                    " is not supported on this CPU/build; using " +

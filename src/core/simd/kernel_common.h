@@ -7,6 +7,14 @@
  * tier's table is built entirely from them. They are the single source
  * of truth for the ZDR lane algebra at word width — the vector code
  * must match them bit for bit.
+ *
+ * Everything here has internal linkage (an unnamed namespace). The
+ * header is included by translation units built with different -m
+ * flags, so an inline function with external linkage would leave one
+ * weak copy per TU, some compiled with AVX instructions, and the linker
+ * would keep whichever came first: the Word table could run an AVX
+ * copy. With internal linkage each TU calls its own. `ci.sh batch`
+ * fails if a kernels_*.o exports a weak bxt::simd::detail symbol.
  */
 
 #ifndef BXT_CORE_SIMD_KERNEL_COMMON_H
@@ -22,6 +30,7 @@
 #include "core/zdr.h"
 
 namespace bxt::simd::detail {
+namespace {
 
 /** ZDR constant C as a little-endian lane word (core/zdr.h: the single
  *  zdrConstantByte = 0x40 sits in the lane's most-significant byte). */
@@ -533,6 +542,7 @@ crc32SliceBy8Range(std::uint32_t crc, const std::uint8_t *p, std::size_t n)
     return crc32BytewiseRange(crc, p, n);
 }
 
+} // namespace
 } // namespace bxt::simd::detail
 
 #endif // BXT_CORE_SIMD_KERNEL_COMMON_H

@@ -1,21 +1,23 @@
 /**
  * @file
- * AVX-512 tier (F + BW + VL + VPOPCNTDQ together; the dispatcher treats
- * the quartet as one feature). Compiled with per-file -mavx512* flags;
- * degrades to a nullptr stub when the toolchain cannot build it.
+ * AVX-512 tier (F + BW + VL + VPOPCNTDQ + VPCLMULQDQ together; the
+ * dispatcher treats the set as one feature). Compiled with per-file
+ * -mavx512* -mvpclmulqdq -mpclmul flags; degrades to a nullptr stub when
+ * the toolchain cannot build it.
  *
  * Dword/qword popcounts use VPOPCNTDQ directly; byte/word group sums
  * fall back to the pshufb nibble LUT (BW). Lane selection runs on
  * kmask registers: compare-to-mask, maskz_set1 to materialize invert
  * masks, and masked loads/stores to handle range tails without a
- * scalar loop.
+ * scalar loop. The frame CRC32 folds 256 bytes per step with 512-bit
+ * carry-less multiplies (VPCLMULQDQ).
  */
 
 #include "core/simd/kernels.h"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && \
     defined(__AVX512VL__) && defined(__AVX512VPOPCNTDQ__) && \
-    defined(__x86_64__)
+    defined(__VPCLMULQDQ__) && defined(__PCLMUL__) && defined(__x86_64__)
 
 #include <immintrin.h>
 
@@ -691,6 +693,66 @@ baseXorDecodeAvx512(std::uint8_t *out, const std::uint8_t *in,
         baseXorDecodeWord(out, in, count, tx_bytes, base_bytes, zdr);
 }
 
+// ---- Frame CRC32: the PCLMULQDQ fold four 512-bit registers wide ----
+
+/** acc * x^(fold distance) mod P in every 128-bit lane, XORed with the
+ *  next block (the 512-bit form of kernels_clmul.cpp's fold). */
+inline __m512i
+crcFold512(__m512i acc, __m512i constants, __m512i next)
+{
+    const __m512i lo = _mm512_clmulepi64_epi128(acc, constants, 0x00);
+    const __m512i hi = _mm512_clmulepi64_epi128(acc, constants, 0x11);
+    // 0x96: three-way XOR.
+    return _mm512_ternarylogic_epi64(lo, hi, next, 0x96);
+}
+
+/**
+ * Four zmm accumulators take 256 bytes per step, every 128-bit lane
+ * shifted 2048 bits ahead by x^(2048+32) and x^(2048-32) mod P
+ * (reflected, low qword for the low half). They fold into one zmm with
+ * the 512-bit-distance pair, which also takes any further 64-byte
+ * blocks, and the 128-bit closing steps of crc32FinishClmul take it
+ * from there. Inputs under 256 bytes run the 128-bit fold alone.
+ */
+std::uint32_t
+crc32UpdateAvx512(std::uint32_t crc, const std::uint8_t *p, std::size_t n)
+{
+    if (n < 256)
+        return crc32UpdateClmul(crc, p, n);
+    __m512i x0 = _mm512_xor_si512(
+        load512(p), _mm512_maskz_set1_epi32(1, static_cast<int>(crc)));
+    __m512i x1 = load512(p + 64);
+    __m512i x2 = load512(p + 128);
+    __m512i x3 = load512(p + 192);
+    p += 256;
+    n -= 256;
+
+    const __m512i k2048 =
+        _mm512_set_epi64(0x01322d1430, 0x011542778a, 0x01322d1430,
+                         0x011542778a, 0x01322d1430, 0x011542778a,
+                         0x01322d1430, 0x011542778a);
+    for (; n >= 256; p += 256, n -= 256) {
+        x0 = crcFold512(x0, k2048, load512(p));
+        x1 = crcFold512(x1, k2048, load512(p + 64));
+        x2 = crcFold512(x2, k2048, load512(p + 128));
+        x3 = crcFold512(x3, k2048, load512(p + 192));
+    }
+
+    const __m512i k512 =
+        _mm512_set_epi64(0x01c6e41596, 0x0154442bd4, 0x01c6e41596,
+                         0x0154442bd4, 0x01c6e41596, 0x0154442bd4,
+                         0x01c6e41596, 0x0154442bd4);
+    x0 = crcFold512(x0, k512, x1);
+    x0 = crcFold512(x0, k512, x2);
+    x0 = crcFold512(x0, k512, x3);
+    for (; n >= 64; p += 64, n -= 64)
+        x0 = crcFold512(x0, k512, load512(p));
+
+    alignas(64) std::uint8_t folded[64];
+    _mm512_store_si512(folded, x0);
+    return crc32FinishClmul(folded, p, n);
+}
+
 } // namespace
 
 const KernelTable *
@@ -712,7 +774,7 @@ avx512TableOrNull()
         universalFoldAvx512,
         universalUnfoldAvx512,
         baseXorDecodeAvx512,
-        crc32UpdateClmul,
+        crc32UpdateAvx512,
         packRows<packBitsRunWord>,
         unpackRows<unpackBitsRunWord>,
     };

@@ -1,7 +1,8 @@
 /**
  * @file
  * CRC32 by carry-less multiplication: the crc32Update primitive of the
- * Avx2 and Avx512 tiers. Compiled with -mpclmul -msse4.1 via a per-file
+ * Avx2 tier, and the short-input path and closing steps of the Avx512
+ * one. Compiled with -mpclmul -msse4.1 via a per-file
  * flag (see src/core/CMakeLists.txt); the dispatcher installs the x86
  * tiers only when CPUID reports PCLMULQDQ and SSE4.1 as well.
  *
@@ -47,29 +48,14 @@ fold(__m128i acc, __m128i constants, __m128i next)
     return _mm_xor_si128(_mm_xor_si128(lo, hi), next);
 }
 
-/** CRC over @p n bytes, n >= 64 and a multiple of 16. */
+/**
+ * The CRC, from a zero register, of the 64 bytes held in x0..x3 (lane i
+ * standing for bytes 16i..16i+15) followed by @p n bytes at @p p.
+ */
 std::uint32_t
-crc32FoldBlocks(std::uint32_t crc, const std::uint8_t *p, std::size_t n)
+crc32FoldFinish(__m128i x0, __m128i x1, __m128i x2, __m128i x3,
+                const std::uint8_t *p, std::size_t n)
 {
-    __m128i x0 = _mm_xor_si128(load128(p),
-                               _mm_cvtsi32_si128(static_cast<int>(crc)));
-    __m128i x1 = load128(p + 16);
-    __m128i x2 = load128(p + 32);
-    __m128i x3 = load128(p + 48);
-    p += 64;
-    n -= 64;
-
-    // Reflected constants for 0x04C11DB7 from the paper's appendix. In
-    // each pair the low qword multiplies an accumulator's low half and
-    // the high qword its high half.
-    const __m128i k4 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
-    for (; n >= 64; p += 64, n -= 64) {
-        x0 = fold(x0, k4, load128(p));
-        x1 = fold(x1, k4, load128(p + 16));
-        x2 = fold(x2, k4, load128(p + 32));
-        x3 = fold(x3, k4, load128(p + 48));
-    }
-
     const __m128i k1 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
     x0 = fold(x0, k1, x1);
     x0 = fold(x0, k1, x2);
@@ -92,8 +78,9 @@ crc32FoldBlocks(std::uint32_t crc, const std::uint8_t *p, std::size_t n)
     __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett,
                                      0x10);
     q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
-    return static_cast<std::uint32_t>(
+    const auto crc = static_cast<std::uint32_t>(
         _mm_extract_epi32(_mm_xor_si128(x0, q), 1));
+    return crc32SliceBy8Range(crc, p, n);
 }
 
 } // namespace
@@ -103,9 +90,33 @@ crc32UpdateClmul(std::uint32_t crc, const std::uint8_t *p, std::size_t n)
 {
     if (n < 64)
         return crc32SliceBy8Range(crc, p, n);
-    const std::size_t folded = n & ~std::size_t{15};
-    crc = crc32FoldBlocks(crc, p, folded);
-    return crc32SliceBy8Range(crc, p + folded, n - folded);
+    __m128i x0 = _mm_xor_si128(load128(p),
+                               _mm_cvtsi32_si128(static_cast<int>(crc)));
+    __m128i x1 = load128(p + 16);
+    __m128i x2 = load128(p + 32);
+    __m128i x3 = load128(p + 48);
+    p += 64;
+    n -= 64;
+
+    // Reflected constants for 0x04C11DB7 from the paper's appendix. In
+    // each pair the low qword multiplies an accumulator's low half and
+    // the high qword its high half.
+    const __m128i k4 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+    for (; n >= 64; p += 64, n -= 64) {
+        x0 = fold(x0, k4, load128(p));
+        x1 = fold(x1, k4, load128(p + 16));
+        x2 = fold(x2, k4, load128(p + 32));
+        x3 = fold(x3, k4, load128(p + 48));
+    }
+    return crc32FoldFinish(x0, x1, x2, x3, p, n);
+}
+
+std::uint32_t
+crc32FinishClmul(const std::uint8_t *folded, const std::uint8_t *p,
+                 std::size_t n)
+{
+    return crc32FoldFinish(load128(folded), load128(folded + 16),
+                           load128(folded + 32), load128(folded + 48), p, n);
 }
 
 } // namespace bxt::simd::detail

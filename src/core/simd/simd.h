@@ -25,24 +25,27 @@
  *                  stage over them; CRC32 by the bytewise table loop;
  *                  bit planes one bit per step
  *   Level::Word    64-bit word loops; CRC32 by slicing-by-8; bit planes
- *                  eight values per multiply/shift step
- *   Level::Neon    128-bit NEON (aarch64 builds only); CRC32 by
- *                  slicing-by-8, bit planes by the Word steps
+ *                  eight values per multiply/shift step. The portable
+ *                  tier: non-x86 builds (aarch64 included) dispatch it
  *   Level::Avx2    256-bit AVX2 (x86-64, detected via CPUID + XGETBV);
  *                  CRC32 by a 4x128-bit PCLMULQDQ fold; bit planes by
  *                  the Word steps
- *   Level::Avx512  512-bit AVX-512 F+BW+VL+VPOPCNTDQ; CRC32 by the same
- *                  PCLMULQDQ fold as Avx2; bit planes by the Word steps
+ *   Level::Avx512  512-bit AVX-512 F+BW+VL+VPOPCNTDQ plus VPCLMULQDQ;
+ *                  CRC32 by a 4x512-bit VPCLMULQDQ fold (inputs under
+ *                  256 bytes by the Avx2 fold); bit planes by the Word
+ *                  steps
  *
  * The x86 vector levels cover the codec-level shapes the serving traffic
  * uses (32- and 64-byte transactions, 4- and 8-byte bases, ZDR lane 4 or
  * plain XOR) and hand any other shape to the Word entry. Both x86 levels
- * also require PCLMULQDQ and SSE4.1 (CPUID leaf 1).
+ * also require PCLMULQDQ and SSE4.1 (CPUID leaf 1); Avx512 also requires
+ * VPCLMULQDQ (CPUID leaf 7, ECX bit 10), which every CPU with VPOPCNTDQ
+ * has.
  * One binary carries every level its compiler could build (the vector
  * translation units get per-file -m flags; see src/core/CMakeLists.txt)
  * and picks the best one the running CPU supports. The `BXT_SIMD`
- * environment variable forces a level by name ("scalar", "word", "neon",
- * "avx2", "avx512"); an unsupported request clamps down to the best
+ * environment variable forces a level by name ("scalar", "word", "avx2",
+ * "avx512"); an unsupported request clamps down to the best
  * supported level at or below it, and an unrecognized value falls back
  * to Scalar — both with a one-line warning on stderr, never an abort.
  *
@@ -63,14 +66,17 @@
 
 namespace bxt::simd {
 
-/** Kernel implementation tiers, in dispatch-preference order. */
+/**
+ * Kernel implementation tiers, in dispatch-preference order. The values
+ * are what the `bxt.simd.level` gauge reports, so they stay fixed: 2 was
+ * the retired 128-bit NEON tier and is never installed.
+ */
 enum class Level : int
 {
     Scalar = 0, ///< Byte loops; always available, the reference tier.
     Word = 1,   ///< 64-bit word loops; always available.
-    Neon = 2,   ///< 128-bit NEON (aarch64 builds).
     Avx2 = 3,   ///< 256-bit AVX2.
-    Avx512 = 4, ///< 512-bit AVX-512 (F+BW+VL+VPOPCNTDQ).
+    Avx512 = 4, ///< 512-bit AVX-512 (F+BW+VL+VPOPCNTDQ+VPCLMULQDQ).
 };
 
 /**
@@ -212,7 +218,7 @@ bool levelSupported(Level level);
 /** Every supported level, Scalar first. */
 std::vector<Level> supportedLevels();
 
-/** Lower-case level name ("scalar", "word", "neon", "avx2", "avx512"). */
+/** Lower-case level name ("scalar", "word", "avx2", "avx512"). */
 const char *levelName(Level level);
 
 /** Parse a level name (case-insensitive); nullopt when unrecognized. */

@@ -41,24 +41,21 @@ UniversalXorCodec::effectiveBaseBytes(std::size_t tx_bytes) const
     return tx_bytes >> clampedStages(tx_bytes);
 }
 
-
 void
-UniversalXorCodec::encodeBatchKernel(const TxBatch &in, EncodedBatch &out)
+UniversalXorCodec::encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                                     std::uint8_t *)
 {
-    out.configure(in.txBytes(), 0, 0);
-    out.resizeForOverwrite(in.size());
-    simd::ops().universalFold(out.payloadData(), in.data(), in.size(),
-                              in.txBytes(), clampedStages(in.txBytes()),
+    simd::ops().universalFold(payload, in.data, in.count, in.txBytes,
+                              clampedStages(in.txBytes),
                               zdr_ ? zdr_lane_ : 0);
 }
 
 void
-UniversalXorCodec::decodeBatchKernel(const EncodedBatch &in, TxBatch &out)
+UniversalXorCodec::decodeBatchKernel(const EncodedView &in,
+                                     std::uint8_t *out)
 {
-    out.reset(in.txBytes());
-    out.resizeForOverwrite(in.size());
-    simd::ops().universalUnfold(out.data(), in.payloadData(), in.size(),
-                                in.txBytes(), clampedStages(in.txBytes()),
+    simd::ops().universalUnfold(out, in.payload, in.count, in.txBytes,
+                                clampedStages(in.txBytes),
                                 zdr_ ? zdr_lane_ : 0);
 }
 

@@ -53,9 +53,15 @@ class UniversalXorCodec : public Codec
     /** Effective base size for a transaction of @p tx_bytes bytes. */
     std::size_t effectiveBaseBytes(std::size_t tx_bytes) const;
 
+    /** Yes: the dispatched fold and unfold kernels take out == in
+     *  (KernelTable::universalFold). */
+    bool allowsInPlace() const override { return true; }
+
   protected:
-    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override;
-    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override;
+    void encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                           std::uint8_t *meta) override;
+    void decodeBatchKernel(const EncodedView &in,
+                           std::uint8_t *out) override;
 
   private:
     /** Stage count clamped so the base never folds below 2 bytes. */

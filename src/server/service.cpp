@@ -1,10 +1,10 @@
 #include "server/service.h"
 
 #include <algorithm>
-#include <cstring>
 #include <exception>
 #include <map>
 
+#include "common/bitops.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "core/codec_factory.h"
@@ -200,7 +200,7 @@ Service::entryFor(std::string_view spec, std::uint32_t tx_bytes,
 }
 
 std::string_view
-Service::announceAdaptive(Entry &entry, std::uint16_t stream_id)
+Service::announceAdaptive(Entry &entry)
 {
     const adaptive::Controller &controller = entry.adaptive->controller();
     // The reply's spec field doubles as stream metadata: the concrete
@@ -211,9 +211,15 @@ Service::announceAdaptive(Entry &entry, std::uint16_t stream_id)
     announced_ = controller.activeSpec();
     announced_ += ";epoch=";
     announced_ += std::to_string(controller.epoch());
+    return announced_;
+}
 
+void
+Service::exportAdaptive(Entry &entry, std::uint16_t stream_id)
+{
+    const adaptive::Controller &controller = entry.adaptive->controller();
     if (!telemetry::metricsEnabled() || stream_id == 0)
-        return announced_;
+        return;
     entry.epochGauge->set(static_cast<double>(controller.epoch()));
     if (controller.epoch() > entry.lastEpoch) {
         entry.switchesCounter->add(controller.epoch() - entry.lastEpoch);
@@ -240,7 +246,6 @@ Service::announceAdaptive(Entry &entry, std::uint16_t stream_id)
             telemetry::sanitizeMetricName(entry.choiceSpec));
         entry.choiceGauge->set(1.0);
     }
-    return announced_;
 }
 
 void
@@ -284,54 +289,65 @@ Service::handleEncode(const wire::FrameView &request, Reply &reply,
     const std::size_t meta_bits =
         metaBitsPerTx(tx_bytes, bus_bits, meta_wires);
     const std::size_t meta_bytes = (meta_bits + 7) / 8;
+    const std::size_t codec_meta_bits = entry->codec->metaBitsPerTx(tx_bytes);
+    if (codec_meta_bits != meta_bits) {
+        return errorResponse(wire::ErrorCode::Internal,
+                             "encode: codec produces " +
+                                 std::to_string(codec_meta_bits) +
+                                 " metadata bits/tx, geometry expects " +
+                                 std::to_string(meta_bits),
+                             reply);
+    }
 
-    // The whole request body becomes one TxBatch (a single plane copy)
-    // and one encodeBatch call — the codec's batch kernel does the rest.
+    // An adaptive codec picks the candidate for this batch before it
+    // encodes it; evaluating here first lets the reply announce that
+    // choice ahead of the body (the codec's own evaluation then finds
+    // nothing due).
+    if (entry->adaptive != nullptr)
+        entry->adaptive->controller().maybeEvaluate();
+    const std::string_view spec =
+        entry->adaptive != nullptr ? announceAdaptive(*entry)
+                                   : request.spec;
+
+    // The codec reads the request body where the parser left it and
+    // writes its payload straight into the reply; only the metadata
+    // passes through a scratch plane, on its way to packBits.
+    const std::size_t plane_bytes = count * tx_bytes;
+    const std::size_t body_bytes =
+        encodeReplyHeaderBytes + count * (tx_bytes + meta_bytes);
+    std::uint8_t *body =
+        reply.begin(wire::Opcode::Encode, spec, body_bytes).claim(body_bytes);
+    std::uint8_t *payload = body + encodeReplyHeaderBytes;
     const std::uint8_t *raw = nullptr;
-    reader.view(raw, count * tx_bytes); // Size pre-validated above.
-    TxBatch &batch = entry->scratchIn;
-    batch.reset(tx_bytes);
-    batch.append(raw, count);
-    EncodedBatch &enc = entry->scratchEnc;
-    entry->codec->encodeBatch(batch, enc);
-    if (count != 0 && enc.metaBitsPerTx() != meta_bits) {
-        return errorResponse(
-            wire::ErrorCode::Internal,
-            "encode: codec produced " +
-                std::to_string(enc.metaBitsPerTx()) +
-                " metadata bits/tx, geometry expects " +
-                std::to_string(meta_bits),
-            reply);
+    reader.view(raw, plane_bytes); // Size pre-validated above.
+    entry->scratchMeta.resizeForOverwrite(count * meta_bits);
+    std::uint8_t *meta = entry->scratchMeta.data();
+    entry->codec->encodeBatch(TxView{raw, count, tx_bytes}, payload, meta);
+    const simd::KernelTable &ops = simd::ops();
+    if (meta_bytes != 0) {
+        ops.packBits(payload + plane_bytes, meta, count, meta_bits,
+                     meta_bytes);
     }
 
     // The ones tallies travel in the response so clients can print
-    // ones-on-bus deltas without re-popcounting payloads.
-    const std::uint64_t input_ones = batch.ones();
-    const std::uint64_t payload_ones = enc.payloadOnes();
-    const std::uint64_t meta_ones = enc.metaOnes();
+    // ones-on-bus deltas without re-popcounting payloads. Metadata bytes
+    // are 0/1, so their popcount is their sum.
+    const std::uint64_t input_ones = ops.popcountRange(raw, plane_bytes);
+    const std::uint64_t payload_ones =
+        ops.popcountRange(payload, plane_bytes);
+    const std::uint64_t meta_ones =
+        ops.popcountRange(meta, count * meta_bits);
     const std::uint64_t ones_out = payload_ones + meta_ones;
-
-    const std::string_view spec =
-        entry->adaptive != nullptr
-            ? announceAdaptive(*entry, request.streamId)
-            : request.spec;
-    wire::BodyWriter writer =
-        reply.begin(wire::Opcode::Encode, spec,
-                    encodeReplyHeaderBytes +
-                        count * (tx_bytes + meta_bytes));
-    writer.u32(tx_bytes);
-    writer.u32(bus_bits);
-    writer.u32(meta_wires);
-    writer.u32(static_cast<std::uint32_t>(meta_bytes));
-    writer.u64(count);
-    writer.u64(input_ones);
-    writer.u64(payload_ones);
-    writer.u64(meta_ones);
-    writer.bytes(enc.payloadData(), enc.payloadBytes());
-    if (meta_bytes != 0) {
-        simd::ops().packBits(writer.claim(count * meta_bytes),
-                             enc.metaData(), count, meta_bits, meta_bytes);
-    }
+    storeWord32(body, tx_bytes);
+    storeWord32(body + 4, bus_bits);
+    storeWord32(body + 8, meta_wires);
+    storeWord32(body + 12, static_cast<std::uint32_t>(meta_bytes));
+    storeWord64(body + 16, count);
+    storeWord64(body + 24, input_ones);
+    storeWord64(body + 32, payload_ones);
+    storeWord64(body + 40, meta_ones);
+    if (entry->adaptive != nullptr)
+        exportAdaptive(*entry, request.streamId);
 
     if (telemetry::metricsEnabled()) {
         txEncoded_.add(count);
@@ -390,8 +406,11 @@ Service::handleDecode(const wire::FrameView &request, Reply &reply)
     const std::size_t meta_bits =
         metaBitsPerTx(tx_bytes, bus_bits, codec_meta_wires);
     const std::size_t expected_meta_bytes = (meta_bits + 7) / 8;
+    // The codec reads metaBitsPerTx bits per transaction from the plane
+    // sized below, so that must be the geometry's count too.
     if (meta_wires != codec_meta_wires ||
-        meta_bytes != expected_meta_bytes) {
+        meta_bytes != expected_meta_bytes ||
+        entry->codec->metaBitsPerTx(tx_bytes) != meta_bits) {
         return errorResponse(
             wire::ErrorCode::Malformed,
             "decode: metadata geometry does not match codec '" +
@@ -411,31 +430,25 @@ Service::handleDecode(const wire::FrameView &request, Reply &reply)
     reader.view(payloads, count * tx_bytes); // Sizes pre-validated above.
     reader.view(metas, count * meta_bytes);
 
-    // Rebuild the encoded batch (payload plane copy + one metadata plane
-    // unpack, both overwriting every byte) and decode it with one
-    // decodeBatch call.
-    EncodedBatch &enc = entry->scratchEnc;
-    enc.configure(tx_bytes, codec_meta_wires, meta_bits);
-    enc.resizeForOverwrite(count);
-    if (count != 0)
-        std::memcpy(enc.payloadData(), payloads, count * tx_bytes);
-    if (meta_bytes != 0) {
-        simd::ops().unpackBits(enc.metaData(), metas, count, meta_bits,
-                               meta_bytes);
-    }
-    TxBatch &decoded = entry->scratchOut;
-    entry->codec->decodeBatch(enc, decoded);
-
+    // The metadata unpacks into a scratch plane; the codec reads the
+    // payloads where the parser left them and writes the decoded plane
+    // straight into the reply.
+    entry->scratchMeta.resizeForOverwrite(count * meta_bits);
+    std::uint8_t *meta = entry->scratchMeta.data();
+    if (meta_bytes != 0)
+        simd::ops().unpackBits(meta, metas, count, meta_bits, meta_bytes);
     const std::string_view spec =
-        entry->adaptive != nullptr
-            ? announceAdaptive(*entry, request.streamId)
-            : request.spec;
-    wire::BodyWriter writer =
-        reply.begin(wire::Opcode::Decode, spec,
-                    decodeReplyHeaderBytes + decoded.planeBytes());
-    writer.u32(tx_bytes);
-    writer.u64(count);
-    writer.bytes(decoded.data(), decoded.planeBytes());
+        entry->adaptive != nullptr ? announceAdaptive(*entry)
+                                   : request.spec;
+    const std::size_t body_bytes = decodeReplyHeaderBytes + count * tx_bytes;
+    std::uint8_t *body =
+        reply.begin(wire::Opcode::Decode, spec, body_bytes).claim(body_bytes);
+    storeWord32(body, tx_bytes);
+    storeWord64(body + 4, count);
+    entry->codec->decodeBatch(EncodedView{payloads, meta, count, tx_bytes},
+                              body + decodeReplyHeaderBytes);
+    if (entry->adaptive != nullptr)
+        exportAdaptive(*entry, request.streamId);
 
     if (telemetry::metricsEnabled())
         txDecoded_.add(count);

@@ -8,11 +8,12 @@
  * that own their frames.
  *
  * A Service instance is per-shard state (DESIGN.md §14): it caches one
- * codec (plus allocation-free scratch batches) per (spec, txBytes,
+ * codec (plus a reused metadata scratch plane) per (spec, txBytes,
  * busBits) it has seen, so a shard streaming one spec pays codec
  * construction once and every request body runs through the batch hot
- * path — the frame's transactions become one TxBatch and one
- * encodeBatch/decodeBatch call. Adaptive specs key their entry by
+ * path — one encodeBatch/decodeBatch call that reads the frame's
+ * transactions where they lie and writes the reply's payload plane in
+ * place (core/batch.h views). Adaptive specs key their entry by
  * streamId as well, so every stream runs its own controller. A Service
  * is single-threaded: one shard event loop (or one test) drives it.
  *
@@ -58,15 +59,18 @@ class Service
      * written straight after them, then the body length and CRC32
      * patched in. A connection passes the parser's view of the request
      * and its output buffer, so neither body is copied on the way in or
-     * out; once @p out has grown, concrete-spec Encode/Decode requests
-     * are served without heap allocation.
+     * out: the codec reads the request body and writes the reply body.
+     * The request must therefore not lie inside @p out. Once @p out has
+     * grown, concrete-spec Encode/Decode requests are served without
+     * heap allocation.
      */
     void handle(const wire::FrameView &request,
                 std::vector<std::uint8_t> &out);
 
     /**
-     * Process one request frame into @p response, overwriting every
-     * field. The body and spec reuse @p response's capacity, so a caller
+     * Process one request frame into @p response (a different frame),
+     * overwriting every field. The body and spec reuse @p response's
+     * capacity, so a caller
      * that keeps one response frame serves concrete-spec Encode/Decode
      * requests without heap allocation once its buffers have grown.
      */
@@ -99,9 +103,10 @@ class Service
          *  named `adaptive[:...]`); the view used to announce the
          *  active concrete choice + epoch and export choice telemetry. */
         adaptive::AdaptiveCodec *adaptive = nullptr;
-        TxBatch scratchIn;       ///< Request-body plane, reused.
-        EncodedBatch scratchEnc; ///< encodeBatch target / decode input.
-        TxBatch scratchOut;      ///< decodeBatch target, reused.
+        /** Metadata plane (one 0/1 byte per bit) between the codec and
+         *  packBits / unpackBits, reused. Payloads need no scratch: the
+         *  codec reads the request body and writes the reply in place. */
+        ByteBuffer scratchMeta;
         std::uint64_t onesIn = 0; ///< Per-connection running tallies.
         std::uint64_t onesOut = 0;
         /** `bxt.server.<spec>.ones_{in,out,removed}`, bound by entryFor. */
@@ -183,10 +188,13 @@ class Service
                     std::string &err);
 
     /** The adaptive announcement (`spec;epoch=N`) for a reply's spec
-     *  field, valid until the next call; refreshes the per-stream
-     *  choice/switch telemetry. A reply takes it before its body. */
-    std::string_view announceAdaptive(Entry &entry,
-                                      std::uint16_t stream_id);
+     *  field, valid until the next call. A reply takes it before its
+     *  body, so an encode evaluates the controller first. */
+    std::string_view announceAdaptive(Entry &entry);
+
+    /** Refresh @p stream_id's adaptive choice/switch/sensor telemetry
+     *  once the request's batch has been served. */
+    void exportAdaptive(Entry &entry, std::uint16_t stream_id);
 
     telemetry::Registry &reg_;
     telemetry::Counter &requests_;

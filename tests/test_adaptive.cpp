@@ -195,13 +195,13 @@ TEST(AdaptiveController, PicksMeasuredWinnerPerFamily)
         adaptive::Controller::make(twoCandidateConfig(0.0), err);
     ASSERT_NE(controller, nullptr) << err;
 
-    controller->observe(xor_family);
+    controller->observe(xor_family.view());
     controller->maybeEvaluate();
     EXPECT_EQ(controller->activeSpec(), "xor2+zdr");
     EXPECT_EQ(controller->epoch(), 0u);
 
     // Migrate the stream; the next due evaluation must follow it.
-    controller->observe(base_family);
+    controller->observe(base_family.view());
     EXPECT_TRUE(controller->maybeEvaluate());
     EXPECT_EQ(controller->activeSpec(), "baseline");
     EXPECT_EQ(controller->epoch(), 1u);
@@ -223,14 +223,14 @@ TEST(AdaptiveController, HysteresisHoldsNearTiedSpecs)
     std::string err;
     auto held = adaptive::Controller::make(twoCandidateConfig(60.0), err);
     ASSERT_NE(held, nullptr) << err;
-    held->observe(xor_family);
+    held->observe(xor_family.view());
     held->maybeEvaluate();
     ASSERT_EQ(held->activeSpec(), "xor2+zdr");
 
     // Baseline is better on the marginal family, but not by enough:
     // the incumbent must hold through repeated evaluations (no flap).
     for (int round = 0; round < 10; ++round) {
-        held->observe(marginal);
+        held->observe(marginal.view());
         EXPECT_FALSE(held->maybeEvaluate()) << "round " << round;
         EXPECT_EQ(held->activeSpec(), "xor2+zdr");
     }
@@ -239,10 +239,10 @@ TEST(AdaptiveController, HysteresisHoldsNearTiedSpecs)
     // Control: with hysteresis off the same stream does switch.
     auto eager = adaptive::Controller::make(twoCandidateConfig(0.0), err);
     ASSERT_NE(eager, nullptr) << err;
-    eager->observe(xor_family);
+    eager->observe(xor_family.view());
     eager->maybeEvaluate();
     ASSERT_EQ(eager->activeSpec(), "xor2+zdr");
-    eager->observe(marginal);
+    eager->observe(marginal.view());
     EXPECT_TRUE(eager->maybeEvaluate());
     EXPECT_EQ(eager->activeSpec(), "baseline");
 }
@@ -263,7 +263,7 @@ TEST(AdaptiveController, SensorsMatchConstructedWindow)
     auto controller =
         adaptive::Controller::make(twoCandidateConfig(10.0), err);
     ASSERT_NE(controller, nullptr) << err;
-    controller->observe(batch);
+    controller->observe(batch.view());
 
     const adaptive::Sensors sensors = controller->sensors();
     EXPECT_EQ(sensors.samples, 8u);
@@ -279,9 +279,9 @@ TEST(AdaptiveController, ResetDropsHistoryAndChoice)
     auto controller =
         adaptive::Controller::make(twoCandidateConfig(0.0), err);
     ASSERT_NE(controller, nullptr) << err;
-    controller->observe(alternatingBatch(16));
+    controller->observe(alternatingBatch(16).view());
     controller->maybeEvaluate();
-    controller->observe(alternatingBatch(16));
+    controller->observe(alternatingBatch(16).view());
     controller->maybeEvaluate();
     ASSERT_EQ(controller->activeSpec(), "baseline");
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/bus.h"
@@ -17,6 +18,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/codec_factory.h"
+#include "core/simd/simd.h"
 #include "verify/batch_check.h"
 #include "verify/generators.h"
 #include "verify/golden.h"
@@ -212,6 +214,117 @@ TEST(Batch, PushRejectsMismatchedSize)
     TxBatch empty;
     EncodedBatch enc;
     EXPECT_THROW(codec->encodeBatch(empty, enc), CodecSizeError);
+}
+
+/**
+ * The aliasing rule of the plane views (core/codec.h): every codec
+ * encodes and decodes out of place, and each one whose allowsInPlace()
+ * says yes also in place (output plane == input plane), byte-identical
+ * to the owning-batch path. The table pins the rule each codec states,
+ * so changing one is deliberate. The in-place pass runs in two calls on
+ * a fresh codec, so bd's repositories still see the transactions in
+ * stream order across the split.
+ */
+TEST(Batch, CodecsHonourTheirAliasingRuleAtEveryLevel)
+{
+    struct Rule
+    {
+        const char *spec;
+        bool inPlace;
+    };
+    const Rule rules[] = {
+        {"baseline", true},
+        {"xor4+zdr", false},
+        {"xor2", false},
+        {"xor4+fixed", true},
+        {"xor8+zdr+fixed", true},
+        {"universal3+zdr", true},
+        {"universal4", true},
+        {"dbi4", true},
+        {"dbi-ac4", true},
+        {"bd", true},
+        {"universal3+zdr|dbi4", true},
+        {"bd|dbi4", true},
+        {"xor4+zdr|universal3|dbi1", true},
+        {"adaptive", false},
+    };
+    const simd::Level entry_level = simd::activeLevel();
+    for (simd::Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        ASSERT_EQ(simd::setActiveLevel(level), level);
+        for (const Rule &rule : rules) {
+            for (std::size_t tx_bytes : {std::size_t{32}, std::size_t{64}}) {
+                SCOPED_TRACE(std::string(rule.spec) + " tx=" +
+                             std::to_string(tx_bytes));
+                constexpr std::size_t count = 37;
+                constexpr std::size_t split = 13;
+                TxBatch batch(tx_bytes);
+                for (const Transaction &tx : makeStream(count, tx_bytes, 41))
+                    batch.push(tx);
+                const std::size_t bytes = batch.planeBytes();
+
+                CodecPtr reference = makeCodec(rule.spec, 4);
+                EncodedBatch want;
+                reference->encodeBatch(batch, want);
+                const std::vector<std::uint8_t> want_payload(
+                    want.payloadData(), want.payloadData() + bytes);
+                const std::vector<std::uint8_t> want_meta(
+                    want.metaData(),
+                    want.metaData() + count * want.metaBitsPerTx());
+                const std::vector<std::uint8_t> plain(batch.data(),
+                                                      batch.data() + bytes);
+
+                // Out of place, through the views into caller planes.
+                CodecPtr codec = makeCodec(rule.spec, 4);
+                EXPECT_EQ(codec->allowsInPlace(), rule.inPlace);
+                ASSERT_EQ(codec->metaBitsPerTx(tx_bytes),
+                          want.metaBitsPerTx());
+                std::vector<std::uint8_t> payload(bytes);
+                std::vector<std::uint8_t> meta(want_meta.size());
+                codec->encodeBatch(batch.view(), payload.data(),
+                                   meta.data());
+                EXPECT_EQ(payload, want_payload);
+                EXPECT_EQ(meta, want_meta);
+                std::vector<std::uint8_t> decoded(bytes);
+                codec->decodeBatch(
+                    EncodedView{payload.data(), meta.data(), count,
+                                tx_bytes},
+                    decoded.data());
+                EXPECT_EQ(decoded, plain);
+                if (!rule.inPlace)
+                    continue;
+
+                // In place: one plane is input and output, in two calls.
+                CodecPtr in_place = makeCodec(rule.spec, 4);
+                std::vector<std::uint8_t> plane = plain;
+                std::vector<std::uint8_t> plane_meta(want_meta.size());
+                const std::size_t split_meta = split * want.metaBitsPerTx();
+                for (const auto &[first, n] :
+                     {std::pair{std::size_t{0}, split},
+                      std::pair{split, count - split}}) {
+                    std::uint8_t *at = plane.data() + first * tx_bytes;
+                    in_place->encodeBatch(
+                        TxView{at, n, tx_bytes}, at,
+                        plane_meta.data() + (first == 0 ? 0 : split_meta));
+                }
+                EXPECT_EQ(plane, want_payload);
+                EXPECT_EQ(plane_meta, want_meta);
+                for (const auto &[first, n] :
+                     {std::pair{std::size_t{0}, split},
+                      std::pair{split, count - split}}) {
+                    std::uint8_t *at = plane.data() + first * tx_bytes;
+                    in_place->decodeBatch(
+                        EncodedView{at,
+                                    plane_meta.data() +
+                                        (first == 0 ? 0 : split_meta),
+                                    n, tx_bytes},
+                        at);
+                }
+                EXPECT_EQ(plane, plain);
+            }
+        }
+    }
+    simd::setActiveLevel(entry_level);
 }
 
 } // namespace

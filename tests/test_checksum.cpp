@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -144,6 +145,87 @@ TEST(Crc32, ChunkedUpdatesMatchOneShot)
             }
             ASSERT_EQ(crc32Final(running), crc32(bytes))
                 << "round " << round << ", length " << n;
+        }
+    }
+}
+
+/** CRC32 of @p bytes computed at the Word level (slicing-by-8). */
+std::uint32_t
+wordLevelCrc32(std::span<const std::uint8_t> bytes)
+{
+    ScopedLevel guard;
+    EXPECT_EQ(simd::setActiveLevel(Level::Word), Level::Word);
+    return crc32(bytes);
+}
+
+TEST(Crc32, LongInputsMatchWordLevel)
+{
+    // Random lengths up to 64 KiB + 15 from random offsets 0-15, past
+    // the 4096-byte sweep above: the wide folds' main loops run for many
+    // steps and every block and tail path after them is reached.
+    constexpr std::size_t maxLen = 64 * 1024 + 15;
+    constexpr std::size_t offsets = 16;
+    ScopedLevel guard;
+    const std::vector<std::uint8_t> bytes = randomBytes(maxLen + offsets, 3);
+    struct Case
+    {
+        std::size_t offset;
+        std::size_t len;
+        std::uint32_t want;
+    };
+    std::vector<Case> cases;
+    Rng rng(11);
+    for (int i = 0; i < 400; ++i) {
+        Case c{rng.nextBounded(offsets), rng.nextBounded(maxLen + 1), 0};
+        c.want = wordLevelCrc32({bytes.data() + c.offset, c.len});
+        cases.push_back(c);
+    }
+    for (Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        ASSERT_EQ(simd::setActiveLevel(level), level);
+        for (const Case &c : cases)
+            ASSERT_EQ(crc32({bytes.data() + c.offset, c.len}), c.want)
+                << "offset " << c.offset << ", length " << c.len;
+    }
+}
+
+TEST(Crc32, ChunkSplitsAtEveryResidueMod256MatchWordLevel)
+{
+    // The Avx512 fold takes 256 bytes per step, so a running CRC must
+    // survive a chunk boundary at every residue mod 256. Each input is
+    // cut twice: first at 256k + r, then at a random point after it.
+    ScopedLevel guard;
+    const std::vector<std::uint8_t> bytes = randomBytes(16 * 1024, 5);
+    struct Case
+    {
+        std::size_t len;
+        std::size_t first;
+        std::size_t second;
+        std::uint32_t want;
+    };
+    std::vector<Case> cases;
+    Rng rng(13);
+    for (std::size_t r = 0; r < 256; ++r) {
+        Case c{};
+        c.first = 256 * rng.nextBounded(24) + r;
+        c.len = c.first + rng.nextBounded(bytes.size() - c.first + 1);
+        c.second = c.first + rng.nextBounded(c.len - c.first + 1);
+        c.want = wordLevelCrc32({bytes.data(), c.len});
+        cases.push_back(c);
+    }
+    for (Level level : simd::supportedLevels()) {
+        SCOPED_TRACE(simd::levelName(level));
+        ASSERT_EQ(simd::setActiveLevel(level), level);
+        for (const Case &c : cases) {
+            std::uint32_t running = crc32Update(crc32Init, {bytes.data(),
+                                                            c.first});
+            running = crc32Update(running, {bytes.data() + c.first,
+                                            c.second - c.first});
+            running = crc32Update(running, {bytes.data() + c.second,
+                                            c.len - c.second});
+            ASSERT_EQ(crc32Final(running), c.want)
+                << "length " << c.len << ", cuts at " << c.first << " and "
+                << c.second;
         }
     }
 }

@@ -226,16 +226,17 @@ class BuggyCodec : public Codec
     }
 
   protected:
-    void encodeBatchKernel(const TxBatch &in, EncodedBatch &out) override
+    void encodeBatchKernel(const TxView &in, std::uint8_t *payload,
+                           std::uint8_t *meta) override
     {
-        inner_->encodeBatch(in, out);
-        for (std::size_t i = 0; i < out.size(); ++i) {
-            std::uint8_t *payload = out.payload(i).data();
-            if (out.txBytes() > 5 && payload[5] == 0x40)
-                payload[5] = 0x41; // The injected bug.
+        inner_->encodeBatch(in, payload, meta);
+        for (std::size_t i = 0; i < in.count; ++i) {
+            std::uint8_t *tx = payload + i * in.txBytes;
+            if (in.txBytes > 5 && tx[5] == 0x40)
+                tx[5] = 0x41; // The injected bug.
         }
     }
-    void decodeBatchKernel(const EncodedBatch &in, TxBatch &out) override
+    void decodeBatchKernel(const EncodedView &in, std::uint8_t *out) override
     {
         inner_->decodeBatch(in, out);
     }

@@ -42,8 +42,8 @@ class ScopedLevel
 
 TEST(SimdDispatch, ParseLevelRecognizesEveryNameCaseInsensitively)
 {
-    for (Level level : {Level::Scalar, Level::Word, Level::Neon,
-                        Level::Avx2, Level::Avx512}) {
+    for (Level level :
+         {Level::Scalar, Level::Word, Level::Avx2, Level::Avx512}) {
         const std::string name = simd::levelName(level);
         EXPECT_EQ(simd::parseLevel(name), level);
         std::string upper = name;
@@ -99,7 +99,7 @@ TEST(SimdDispatch, UnsupportedRequestClampsDownWithWarning)
     // A valid name the host cannot run clamps to the best level at or
     // below it and warns. On hosts that support everything there is
     // nothing to clamp; the contract still holds vacuously.
-    for (Level level : {Level::Neon, Level::Avx2, Level::Avx512}) {
+    for (Level level : {Level::Avx2, Level::Avx512}) {
         if (simd::levelSupported(level))
             continue;
         const Level got = simd::resolveRequestedLevel(
