@@ -46,7 +46,10 @@
 #            within BXT_TRACE_OVERHEAD_PCT (default 2) percent of the
 #            untraced one, upload the Chrome span trace bxtd
 #            writes at exit (BXT_TRACE) and a schema-2 Snapshot-opcode
-#            document, then SIGTERM it and assert a clean drain (exit 0)
+#            document, then SIGTERM it and assert a clean drain (exit 0);
+#            last, a 1 s traced zipf-roundtrip run of perfbench/run.py,
+#            the only CI step that builds the benchmark's replay of the
+#            library's Frame API (skipped below 4 cores)
 #   scenario Release build + scenario-labeled ctest + multi-tenant traffic
 #            smoke: boot a metrics-enabled bxtd, replay the zipf-0.99 and
 #            hot-flood presets unpaced over 4 connections (asserting
@@ -353,6 +356,18 @@ run_serve() {
     # 4000 requests, so it cannot be empty).
     ./build-ci-release/tools/bxt_report --validate-trace \
         "${out}/server_spans.json"
+
+    # Frozen-benchmark guard: perfbench's in-process replay still calls
+    # FrameParser::feed/next(Frame &), Service::handle(const Frame &) and
+    # serializeFrame, and nothing else in CI builds it. One traced second
+    # builds and runs it; its output checks fail the run.
+    if [ "$(nproc)" -ge 4 ]; then
+        python3 perfbench/run.py --workload zipf-roundtrip --seed 1 \
+            --seconds 1 --trace 1 > "${out}/perfbench_smoke.txt"
+    else
+        echo "serve: <4 cores, perfbench smoke skipped (zipf-roundtrip's" \
+            "2 shards and 2 client threads need a CPU each)"
+    fi
     echo "serve: clean drain; BENCH_server_loadgen.json, trace-overhead" \
         "gate, server_spans.json + server_snapshot.json written"
 }

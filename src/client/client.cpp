@@ -6,26 +6,66 @@ namespace bxt::client {
 
 namespace {
 
+/** Most bytes one read takes from the socket into the parser. */
+constexpr std::size_t readChunkBytes = 64 * 1024;
+
 /**
  * Split a reply's spec field into the announced concrete spec and the
  * switch epoch. Concrete-spec replies echo the request spec with no
  * ';' marker — announced = the whole field, epoch = 0.
  */
 void
-parseAnnouncement(const std::string &reply_spec, std::string &announced,
+parseAnnouncement(std::string_view reply_spec, std::string &announced,
                   std::uint64_t &epoch)
 {
     epoch = 0;
     const std::size_t semi = reply_spec.find(';');
     announced = reply_spec.substr(0, semi);
-    if (semi == std::string::npos)
+    if (semi == std::string_view::npos)
         return;
-    const std::string tail = reply_spec.substr(semi + 1);
+    const std::string tail(reply_spec.substr(semi + 1));
     if (tail.rfind("epoch=", 0) == 0)
         epoch = std::strtoull(tail.c_str() + 6, nullptr, 10);
 }
 
 } // namespace
+
+bool
+readReply(int fd, wire::FrameParser &parser, wire::FrameView &reply,
+          wire::ErrorCode &code, std::string &err)
+{
+    code = wire::ErrorCode::None;
+    for (;;) {
+        wire::WireError parse_err;
+        const wire::FrameParser::Status st = parser.next(reply, parse_err);
+        if (st == wire::FrameParser::Status::Bad) {
+            err = "response stream corrupt (" +
+                  wire::errorCodeName(parse_err.code) +
+                  "): " + parse_err.detail;
+            return false;
+        }
+        if (st == wire::FrameParser::Status::Ready)
+            break;
+        const long n = net::readSome(fd, parser.prepareRead(readChunkBytes),
+                                     readChunkBytes, err);
+        if (n < 0)
+            return false;
+        if (n == 0) {
+            err = "server closed the connection";
+            return false;
+        }
+        parser.commitRead(static_cast<std::size_t>(n));
+    }
+    if (reply.opcode != wire::Opcode::Error)
+        return true;
+    std::string message;
+    if (!wire::parseErrorFrame(reply, code, message)) {
+        err = "malformed error frame from server";
+        return false;
+    }
+    err = wire::errorCodeName(code) + ": " + message;
+    return false;
+}
 
 Client
 Client::connectTcp(const std::string &host, int port, std::string &err)
@@ -43,58 +83,30 @@ Client::connectUnix(const std::string &path, std::string &err)
     return client;
 }
 
+wire::BodyWriter
+Client::beginRequest(wire::Opcode opcode, std::string_view spec,
+                     std::size_t body_bytes)
+{
+    head_.opcode = opcode;
+    head_.spec = spec; // Copied by beginFrame, then never read.
+    request_.clear();
+    wire::beginFrame(request_, head_, body_bytes);
+    return wire::BodyWriter(request_, request_.size(), body_bytes);
+}
+
 bool
-Client::roundTrip(wire::Frame &request, wire::Frame &response,
-                  std::string &err)
+Client::roundTrip(wire::FrameView &reply, std::string &err)
 {
     last_error_ = wire::ErrorCode::None;
     if (!connected()) {
         err = "not connected";
         return false;
     }
-    request.streamId = stream_id_;
-    request.traceId = trace_id_;
-    request.spanId = span_id_;
-    request.traceSampled = trace_id_ != 0 && trace_sampled_;
-    const std::vector<std::uint8_t> bytes = wire::serializeFrame(request);
-    if (!net::writeAll(fd_.get(), bytes.data(), bytes.size(), err))
+    wire::finishFrame(request_, 0);
+    if (!net::writeAll(fd_.get(), request_.data(), request_.size(), err) ||
+        !readReply(fd_.get(), parser_, reply, last_error_, err))
         return false;
-
-    std::uint8_t buf[64 * 1024];
-    for (;;) {
-        wire::WireError parse_err;
-        const wire::FrameParser::Status st =
-            parser_.next(response, parse_err);
-        if (st == wire::FrameParser::Status::Bad) {
-            err = "response stream corrupt (" +
-                  wire::errorCodeName(parse_err.code) +
-                  "): " + parse_err.detail;
-            return false;
-        }
-        if (st == wire::FrameParser::Status::Ready)
-            break;
-        const long n = net::readSome(fd_.get(), buf, sizeof(buf), err);
-        if (n < 0)
-            return false;
-        if (n == 0) {
-            err = "server closed the connection";
-            return false;
-        }
-        parser_.feed(buf, static_cast<std::size_t>(n));
-    }
-
-    if (response.opcode == wire::Opcode::Error) {
-        std::string message;
-        wire::ErrorCode code = wire::ErrorCode::None;
-        if (!wire::parseErrorFrame(response, code, message)) {
-            err = "malformed error frame from server";
-            return false;
-        }
-        last_error_ = code;
-        err = wire::errorCodeName(code) + ": " + message;
-        return false;
-    }
-    if (response.opcode != request.opcode) {
+    if (reply.opcode != head_.opcode) {
         err = "response opcode does not match request";
         return false;
     }
@@ -104,10 +116,9 @@ Client::roundTrip(wire::Frame &request, wire::Frame &response,
 bool
 Client::ping(std::string &err)
 {
-    wire::Frame request;
-    request.opcode = wire::Opcode::Ping;
-    wire::Frame response;
-    return roundTrip(request, response, err);
+    beginRequest(wire::Opcode::Ping, {}, 0);
+    wire::FrameView reply;
+    return roundTrip(reply, err);
 }
 
 bool
@@ -129,20 +140,18 @@ Client::encode(const std::string &spec, std::uint32_t tx_bytes,
         return false;
     }
 
-    wire::Frame request;
-    request.opcode = wire::Opcode::Encode;
-    request.spec = spec;
-    wire::BodyWriter body(request.body);
+    wire::BodyWriter body =
+        beginRequest(wire::Opcode::Encode, spec, 16 + raw.size());
     body.u32(tx_bytes);
     body.u32(bus_bits);
     body.u64(count);
     body.bytes(raw.data(), raw.size());
 
-    wire::Frame response;
-    if (!roundTrip(request, response, err))
+    wire::FrameView reply;
+    if (!roundTrip(reply, err))
         return false;
 
-    wire::BodyReader reader(response.body);
+    wire::BodyReader reader(reply.body.data(), reply.body.size());
     if (!reader.u32(out.txBytes) || !reader.u32(out.busBits) ||
         !reader.u32(out.metaWiresPerBeat) ||
         !reader.u32(out.metaBytesPerTx) || !reader.u64(out.count) ||
@@ -161,7 +170,7 @@ Client::encode(const std::string &spec, std::uint32_t tx_bytes,
     out.meta.resize(meta_bytes);
     reader.bytes(out.payloads.data(), payload_bytes);
     reader.bytes(out.meta.data(), meta_bytes);
-    parseAnnouncement(response.spec, out.announcedSpec, out.switchEpoch);
+    parseAnnouncement(reply.spec, out.announcedSpec, out.switchEpoch);
     return true;
 }
 
@@ -169,10 +178,9 @@ bool
 Client::decode(const std::string &spec, const EncodeResult &enc,
                DecodeResult &out, std::string &err)
 {
-    wire::Frame request;
-    request.opcode = wire::Opcode::Decode;
-    request.spec = spec;
-    wire::BodyWriter body(request.body);
+    wire::BodyWriter body =
+        beginRequest(wire::Opcode::Decode, spec,
+                     24 + enc.payloads.size() + enc.meta.size());
     body.u32(enc.txBytes);
     body.u32(enc.busBits);
     body.u32(enc.metaWiresPerBeat);
@@ -181,11 +189,11 @@ Client::decode(const std::string &spec, const EncodeResult &enc,
     body.bytes(enc.payloads.data(), enc.payloads.size());
     body.bytes(enc.meta.data(), enc.meta.size());
 
-    wire::Frame response;
-    if (!roundTrip(request, response, err))
+    wire::FrameView reply;
+    if (!roundTrip(reply, err))
         return false;
 
-    wire::BodyReader reader(response.body);
+    wire::BodyReader reader(reply.body.data(), reply.body.size());
     std::uint64_t count = 0;
     if (!reader.u32(out.txBytes) || !reader.u64(count)) {
         err = "truncated decode response header";
@@ -197,32 +205,32 @@ Client::decode(const std::string &spec, const EncodeResult &enc,
     }
     out.raw.resize(count * out.txBytes);
     reader.bytes(out.raw.data(), out.raw.size());
-    parseAnnouncement(response.spec, out.announcedSpec, out.switchEpoch);
+    parseAnnouncement(reply.spec, out.announcedSpec, out.switchEpoch);
+    return true;
+}
+
+bool
+Client::fetchText(wire::Opcode opcode, std::string &text, std::string &err)
+{
+    beginRequest(opcode, {}, 0);
+    wire::FrameView reply;
+    if (!roundTrip(reply, err))
+        return false;
+    text.assign(reinterpret_cast<const char *>(reply.body.data()),
+                reply.body.size());
     return true;
 }
 
 bool
 Client::stats(std::string &json, std::string &err)
 {
-    wire::Frame request;
-    request.opcode = wire::Opcode::Stats;
-    wire::Frame response;
-    if (!roundTrip(request, response, err))
-        return false;
-    json.assign(response.body.begin(), response.body.end());
-    return true;
+    return fetchText(wire::Opcode::Stats, json, err);
 }
 
 bool
 Client::snapshot(std::string &json, std::string &err)
 {
-    wire::Frame request;
-    request.opcode = wire::Opcode::Snapshot;
-    wire::Frame response;
-    if (!roundTrip(request, response, err))
-        return false;
-    json.assign(response.body.begin(), response.body.end());
-    return true;
+    return fetchText(wire::Opcode::Snapshot, json, err);
 }
 
 } // namespace bxt::client

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "server/net.h"
@@ -69,6 +70,16 @@ struct DecodeResult
     std::uint64_t switchEpoch = 0;
 };
 
+/**
+ * Block until the next reply on @p fd is complete in @p parser, reading
+ * straight into the parser's buffer, and view it in @p reply (valid
+ * until the next call). An Error frame fails with @p code set and err =
+ * "<code-name>: <message>"; every other failure (closed peer, corrupt
+ * stream, Error body too short for a code) leaves @p code None.
+ */
+bool readReply(int fd, wire::FrameParser &parser, wire::FrameView &reply,
+               wire::ErrorCode &code, std::string &err);
+
 /** A blocking connection to a bxtd server. */
 class Client
 {
@@ -89,10 +100,7 @@ class Client
      * identity; 0 reverts to untagged). The server echoes the tag and
      * keys its per-tenant telemetry (`bxt.server.stream.<id>.*`) by it.
      */
-    void setStreamId(std::uint16_t stream_id) { stream_id_ = stream_id; }
-
-    /** The stream tag applied to outgoing requests (0 = untagged). */
-    std::uint16_t streamId() const { return stream_id_; }
+    void setStreamId(std::uint16_t stream_id) { head_.streamId = stream_id; }
 
     /**
      * Attach a trace context to every subsequent request: the frame goes
@@ -104,9 +112,9 @@ class Client
     void setTrace(std::uint64_t trace_id, std::uint64_t span_id,
                   bool sampled)
     {
-        trace_id_ = trace_id;
-        span_id_ = span_id;
-        trace_sampled_ = sampled;
+        head_.traceId = trace_id;
+        head_.spanId = span_id;
+        head_.traceSampled = sampled;
     }
 
     /** Drop the trace context (subsequent requests are untraced v1). */
@@ -149,22 +157,23 @@ class Client
     int rawFd() const { return fd_.get(); }
 
   private:
-    /**
-     * Tag @p request with the stream id, send it, and block for one
-     * response frame. Error frames are surfaced as failures (false,
-     * err = "<code-name>: <message>", lastErrorCode() set); @p response
-     * is only filled on success.
-     */
-    bool roundTrip(wire::Frame &request, wire::Frame &response,
-                   std::string &err);
+    /** Start a request in request_, tagged with the stream id and trace
+     *  context; returns the writer for its @p body_bytes body. */
+    wire::BodyWriter beginRequest(wire::Opcode opcode, std::string_view spec,
+                                  std::size_t body_bytes);
+
+    /** Finish and send the request beginRequest started, then
+     *  readReply() its reply (valid until the next request). */
+    bool roundTrip(wire::FrameView &reply, std::string &err);
+
+    /** roundTrip an empty @p opcode request whose reply is text. */
+    bool fetchText(wire::Opcode opcode, std::string &text, std::string &err);
 
     net::UniqueFd fd_;
     wire::FrameParser parser_;
+    std::vector<std::uint8_t> request_; ///< One request frame, reused.
+    wire::FrameView head_; ///< Stream tag, trace context, last opcode.
     wire::ErrorCode last_error_ = wire::ErrorCode::None;
-    std::uint16_t stream_id_ = 0;
-    std::uint64_t trace_id_ = 0;
-    std::uint64_t span_id_ = 0;
-    bool trace_sampled_ = false;
 };
 
 } // namespace bxt::client

@@ -190,10 +190,9 @@ Server::acceptLoop()
                     break;
                 }
                 if (stopping_.load(std::memory_order_relaxed)) {
-                    sendFrameBestEffort(
-                        conn.get(),
-                        wire::makeErrorFrame(wire::ErrorCode::ShuttingDown,
-                                             "server is draining"));
+                    sendErrorBestEffort(conn.get(),
+                                        wire::ErrorCode::ShuttingDown,
+                                        "server is draining");
                     continue;
                 }
                 // Round-robin handoff: the acceptor never serves, so a

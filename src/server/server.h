@@ -105,16 +105,8 @@ class Server
      */
     void requestStop();
 
-    /** True once requestStop() was called. */
-    bool stopping() const
-    {
-        return stopping_.load(std::memory_order_relaxed);
-    }
-
     /** Resolved TCP port after start() (-1 when TCP is disabled). */
     int tcpPort() const { return resolved_tcp_port_; }
-
-    const ServerOptions &options() const { return options_; }
 
     /** Shards actually running (resolved from options after start()). */
     std::size_t shardCount() const { return shards_.size(); }

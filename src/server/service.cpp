@@ -41,13 +41,10 @@ constexpr std::size_t decodeReplyHeaderBytes = 4 + 8;
 class Service::Reply
 {
   public:
-    /** Fill @p frame's opcode, spec and body. */
-    explicit Reply(wire::Frame &frame) : frame_(&frame) {}
-
     /** Append one frame to @p out that echoes @p request's stream tag
      *  and trace context. */
     Reply(std::vector<std::uint8_t> &out, const wire::FrameView &request)
-        : out_(&out), request_(&request), start_(out.size())
+        : out_(out), head_(request), start_(out.size())
     {
     }
 
@@ -59,32 +56,30 @@ class Service::Reply
     wire::BodyWriter begin(wire::Opcode opcode, std::string_view spec,
                            std::size_t body_bytes)
     {
-        if (frame_ != nullptr) {
-            frame_->opcode = opcode;
-            frame_->spec.assign(spec);
-            return wire::BodyWriter(frame_->body, 0, body_bytes);
-        }
-        out_->resize(start_);
-        wire::FrameView head = *request_;
-        head.opcode = opcode;
-        head.spec = spec;
-        wire::beginFrame(*out_, head, body_bytes);
-        return wire::BodyWriter(*out_, out_->size(), body_bytes);
+        out_.resize(start_);
+        head_.opcode = opcode;
+        head_.spec = spec;
+        wire::beginFrame(out_, head_, body_bytes);
+        body_start_ = out_.size();
+        return wire::BodyWriter(out_, body_start_, body_bytes);
     }
 
-    /** Close the reply begun last: in a wire buffer, patch its length
-     *  and CRC32. */
-    void finish()
+    /** Patch the length and CRC32 of the reply begun last. */
+    void finish() { wire::finishFrame(out_, start_); }
+
+    /** The reply begun last, unfinished; valid until the next reply. */
+    wire::FrameView view() const
     {
-        if (out_ != nullptr && out_->size() > start_)
-            wire::finishFrame(*out_, start_);
+        wire::FrameView view = head_;
+        view.body = {out_.data() + body_start_, out_.size() - body_start_};
+        return view;
     }
 
   private:
-    wire::Frame *frame_ = nullptr;
-    std::vector<std::uint8_t> *out_ = nullptr;
-    const wire::FrameView *request_ = nullptr;
-    std::size_t start_ = 0;
+    std::vector<std::uint8_t> &out_;
+    wire::FrameView head_; ///< The request's, with the reply's opcode.
+    std::size_t start_;
+    std::size_t body_start_ = 0;
 };
 
 Service::Service(telemetry::Registry *registry)
@@ -455,35 +450,26 @@ Service::handleDecode(const wire::FrameView &request, Reply &reply)
 }
 
 void
-Service::handleStats(Reply &reply)
+Service::handleStats(wire::Opcode opcode, Reply &reply)
 {
     // The provider is the fleet-wide merged view when sharded; a bare
     // Service answers from its own registry.
-    const std::string snapshot = stats_provider_
-                                     ? stats_provider_()
-                                     : telemetry::snapshotJson(reg_, false);
-    reply.begin(wire::Opcode::Stats, {}, snapshot.size())
-        .bytes(reinterpret_cast<const std::uint8_t *>(snapshot.data()),
-               snapshot.size());
-}
-
-void
-Service::handleSnapshot(Reply &reply)
-{
-    // The live-introspection op (bxt_top): the full schema-2 telemetry
-    // document plus the server clock, so pollers can compute rates from
-    // counter deltas without trusting their own timestamps.
-    JsonWriter w(false);
-    w.beginObject();
-    w.kv("uptime_us", telemetry::nowMicros());
-    w.kvRaw("metrics", stats_provider_
-                           ? stats_provider_()
-                           : telemetry::snapshotJson(reg_, false));
-    w.endObject();
-    const std::string body = w.str();
-    reply.begin(wire::Opcode::Snapshot, {}, body.size())
-        .bytes(reinterpret_cast<const std::uint8_t *>(body.data()),
-               body.size());
+    std::string doc = stats_provider_ ? stats_provider_()
+                                      : telemetry::snapshotJson(reg_, false);
+    if (opcode == wire::Opcode::Snapshot) {
+        // The live-introspection op (bxt_top): the same document plus
+        // the server clock, so pollers can compute rates from counter
+        // deltas without trusting their own timestamps.
+        JsonWriter w(false);
+        w.beginObject();
+        w.kv("uptime_us", telemetry::nowMicros());
+        w.kvRaw("metrics", doc);
+        w.endObject();
+        doc = w.str();
+    }
+    reply.begin(opcode, {}, doc.size())
+        .bytes(reinterpret_cast<const std::uint8_t *>(doc.data()),
+               doc.size());
 }
 
 void
@@ -511,10 +497,8 @@ Service::serve(const wire::FrameView &request, Reply &reply)
             handleDecode(request, reply);
             break;
         case wire::Opcode::Stats:
-            handleStats(reply);
-            break;
         case wire::Opcode::Snapshot:
-            handleSnapshot(reply);
+            handleStats(request.opcode, reply);
             break;
         case wire::Opcode::Error:
             errorResponse(wire::ErrorCode::Malformed,
@@ -538,7 +522,6 @@ Service::serve(const wire::FrameView &request, Reply &reply)
         errorResponse(wire::ErrorCode::Internal, "unknown exception",
                       reply);
     }
-    reply.finish();
 }
 
 void
@@ -547,28 +530,18 @@ Service::handle(const wire::FrameView &request,
 {
     Reply reply(out, request);
     serve(request, reply);
-}
-
-void
-Service::handle(const wire::Frame &request, wire::Frame &response)
-{
-    Reply reply(response);
-    serve(request.view(), reply);
-    // Echo the stream tag so pipelining clients can demux responses,
-    // and the trace context so traced clients can stitch client-side
-    // spans onto the same trace. (The in-place form echoes them in the
-    // header it writes.)
-    response.streamId = request.streamId;
-    response.traceId = request.traceId;
-    response.spanId = request.spanId;
-    response.traceSampled = request.traceSampled;
+    reply.finish();
 }
 
 wire::Frame
 Service::handle(const wire::Frame &request)
 {
+    const wire::FrameView view = request.view();
+    wrapped_reply_.clear();
+    Reply reply(wrapped_reply_, view);
+    serve(view, reply);
     wire::Frame response;
-    handle(request, response);
+    response.assign(reply.view());
     return response;
 }
 

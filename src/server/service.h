@@ -1,11 +1,12 @@
 /**
  * @file
  * The bxtd request service: maps one parsed wire frame to one response
- * frame, independent of any socket, so the loopback tests and the frame
- * fuzzer can drive the full dispatch path in-process. A shard hands it
- * the parser's view of each request and has the reply written in place
- * into the connection's output buffer; the Frame form serves callers
- * that own their frames.
+ * frame, independent of any socket, so the tests can drive the full
+ * dispatch path in-process. It has one reply path: a shard hands it the
+ * parser's view of each request and has the reply written in place into
+ * the connection's output buffer. The Frame form is a wrapper over that
+ * path, kept for the benchmark's in-process replay
+ * (perfbench/layers.cpp) and the tests.
  *
  * A Service instance is per-shard state (DESIGN.md §14): it caches one
  * codec (plus a reused metadata scratch plane) per (spec, txBytes,
@@ -68,15 +69,10 @@ class Service
                 std::vector<std::uint8_t> &out);
 
     /**
-     * Process one request frame into @p response (a different frame),
-     * overwriting every field. The body and spec reuse @p response's
-     * capacity, so a caller
-     * that keeps one response frame serves concrete-spec Encode/Decode
-     * requests without heap allocation once its buffers have grown.
+     * Serve @p request in place into a reused buffer and return a copy
+     * of the reply's fields; the unsent reply gets no length or CRC32.
+     * For the benchmark's in-process replay and the tests only.
      */
-    void handle(const wire::Frame &request, wire::Frame &response);
-
-    /** Process one request frame; returns the response frame. */
     wire::Frame handle(const wire::Frame &request);
 
     /** Codec instances cached so far (test/diagnostic hook). */
@@ -160,19 +156,19 @@ class Service
         StreamCounters(telemetry::Registry &reg, const std::string &base);
     };
 
-    /** Where a handler writes its reply: a Frame's fields, or one
-     *  whole frame in place at the end of a wire buffer. */
+    /** Where a handler writes its reply: one frame in place at the end
+     *  of a wire buffer. */
     class Reply;
 
-    /** Dispatch @p request and finish its reply (both handle forms). */
+    /** Dispatch @p request and write its reply, unfinished. */
     void serve(const wire::FrameView &request, Reply &reply);
     /** @p stream is the request's per-tenant counters, resolved once
      *  by serve() (null when untagged or metrics are off). */
     void handleEncode(const wire::FrameView &request, Reply &reply,
                       StreamCounters *stream);
     void handleDecode(const wire::FrameView &request, Reply &reply);
-    void handleStats(Reply &reply);
-    void handleSnapshot(Reply &reply);
+    /** Stats: the metrics document; Snapshot: it plus uptime. */
+    void handleStats(wire::Opcode opcode, Reply &reply);
     void errorResponse(wire::ErrorCode code, const std::string &detail,
                        Reply &reply);
     StreamCounters &streamCounters(std::uint16_t stream_id);
@@ -208,6 +204,7 @@ class Service
     std::map<std::uint16_t, std::unique_ptr<StreamCounters>> streams_;
     std::function<std::string()> stats_provider_;
     std::string announced_; ///< announceAdaptive's buffer, reused.
+    std::vector<std::uint8_t> wrapped_reply_; ///< The Frame form's, reused.
 };
 
 /**

@@ -41,9 +41,10 @@ readIntoParser(int fd, wire::FrameParser &parser, bool &would_block)
 } // namespace
 
 void
-sendFrameBestEffort(int fd, const wire::Frame &frame)
+sendErrorBestEffort(int fd, wire::ErrorCode code, std::string_view message)
 {
-    const std::vector<std::uint8_t> bytes = wire::serializeFrame(frame);
+    std::vector<std::uint8_t> bytes;
+    wire::appendErrorFrame(bytes, code, message);
     std::string err;
     net::writeAll(fd, bytes.data(), bytes.size(), err);
 }
@@ -168,10 +169,8 @@ Shard::adoptConnection(net::UniqueFd fd)
         const std::uint64_t t_reject =
             metrics_on ? telemetry::nowMicros() : 0;
         rejectedBusy_.add(1);
-        sendFrameBestEffort(
-            fd.get(),
-            wire::makeErrorFrame(wire::ErrorCode::Busy,
-                                 "shard connection limit; retry later"));
+        sendErrorBestEffort(fd.get(), wire::ErrorCode::Busy,
+                            "shard connection limit; retry later");
         // Busy rejections are requests too: charge the reply write to
         // request_us so overload latency is visible, even though no
         // frame (hence no trace context) ever existed.
@@ -206,10 +205,8 @@ Shard::drainInbox(bool shutting_down)
         if (shutting_down) {
             // Accepted but never served: tell the peer we are going
             // away rather than silently dropping the connection.
-            sendFrameBestEffort(
-                fd.get(),
-                wire::makeErrorFrame(wire::ErrorCode::ShuttingDown,
-                                     "server is draining"));
+            sendErrorBestEffort(fd.get(), wire::ErrorCode::ShuttingDown,
+                                "server is draining");
             continue;
         }
         adoptConnection(std::move(fd));
@@ -268,9 +265,8 @@ Shard::processFrames(Conn &conn)
                 // answer with the typed error, then drop the stream.
                 // The reply still charges request_us (an unparseable
                 // frame has no trace context, so no phase spans).
-                wire::appendFrame(conn.out,
-                                  wire::makeErrorFrame(parse_err.code,
-                                                       parse_err.detail));
+                wire::appendErrorFrame(conn.out, parse_err.code,
+                                       parse_err.detail);
                 conn.closeAfterFlush = true;
                 bad_stream = true;
                 if (metrics_on) {

@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "server/net.h"
@@ -56,8 +57,10 @@ struct ServerOptions;
  */
 inline constexpr std::size_t kOutHighWaterBytes = std::size_t{4} << 20;
 
-/** Best-effort: send one frame and ignore failures (peer may be gone). */
-void sendFrameBestEffort(int fd, const wire::Frame &frame);
+/** Best-effort: send one Error frame (wire::appendErrorFrame) and ignore
+ *  failures (the peer may be gone). */
+void sendErrorBestEffort(int fd, wire::ErrorCode code,
+                         std::string_view message);
 
 /**
  * One worker shard. Lifecycle: construct, start() (wake pipe), then

@@ -111,26 +111,43 @@ serializeFrame(const Frame &frame)
     return out;
 }
 
-Frame
-makeErrorFrame(ErrorCode code, const std::string &message)
+void
+appendErrorFrame(std::vector<std::uint8_t> &out, ErrorCode code,
+                 std::string_view message)
 {
-    Frame frame;
-    frame.opcode = Opcode::Error;
-    BodyWriter body(frame.body, 4 + message.size());
+    FrameView head;
+    head.opcode = Opcode::Error;
+    const std::size_t body_bytes = 4 + message.size();
+    const std::size_t start = beginFrame(out, head, body_bytes);
+    BodyWriter body(out, out.size(), body_bytes);
     body.u32(static_cast<std::uint32_t>(code));
     body.bytes(reinterpret_cast<const std::uint8_t *>(message.data()),
                message.size());
-    return frame;
+    finishFrame(out, start);
 }
 
 bool
-parseErrorFrame(const Frame &frame, ErrorCode &code, std::string &message)
+parseErrorFrame(const FrameView &frame, ErrorCode &code,
+                std::string &message)
 {
     if (frame.opcode != Opcode::Error || frame.body.size() < 4)
         return false;
     code = static_cast<ErrorCode>(loadWord32(frame.body.data()));
-    message.assign(frame.body.begin() + 4, frame.body.end());
+    message.assign(reinterpret_cast<const char *>(frame.body.data()) + 4,
+                   frame.body.size() - 4);
     return true;
+}
+
+void
+Frame::assign(const FrameView &view)
+{
+    opcode = view.opcode;
+    streamId = view.streamId;
+    traceId = view.traceId;
+    spanId = view.spanId;
+    traceSampled = view.traceSampled;
+    spec.assign(view.spec);
+    body.assign(view.body.begin(), view.body.end());
 }
 
 std::uint8_t *
@@ -261,21 +278,9 @@ FrameParser::next(Frame &out, WireError &err)
 {
     FrameView view;
     const Status status = next(view, err);
-    if (status != Status::Ready)
-        return status;
-    out.opcode = view.opcode;
-    out.streamId = view.streamId;
-    out.traceId = view.traceId;
-    out.spanId = view.spanId;
-    out.traceSampled = view.traceSampled;
-    out.spec.assign(view.spec);
-    out.body.assign(view.body.begin(), view.body.end());
-    return Status::Ready;
-}
-
-BodyWriter::BodyWriter(std::vector<std::uint8_t> &body, std::size_t size)
-    : BodyWriter(body, 0, size)
-{
+    if (status == Status::Ready)
+        out.assign(view);
+    return status;
 }
 
 BodyWriter::BodyWriter(std::vector<std::uint8_t> &buffer, std::size_t offset,

@@ -166,7 +166,14 @@ struct FrameView
     bool traced() const { return traceId != 0; }
 };
 
-/** One parsed (or to-be-serialized) frame. */
+/**
+ * A frame that owns its spec and body. Nothing that serves or sends
+ * requests builds one: shards, the client library and bxt_loadgen write
+ * frames in place (beginFrame, BodyWriter, finishFrame) and read them as
+ * FrameViews. Frame, appendFrame/serializeFrame, FrameParser::feed and
+ * next(Frame &) are kept for the benchmark's in-process replay
+ * (perfbench/layers.cpp), the frame fuzzer and the tests.
+ */
 struct Frame
 {
     Opcode opcode = Opcode::Ping;
@@ -185,6 +192,9 @@ struct Frame
     {
         return {opcode, streamId, traceId, spanId, traceSampled, spec, body};
     }
+
+    /** Copy every field of @p view in; spec and body reuse capacity. */
+    void assign(const FrameView &view);
 
     bool operator==(const Frame &other) const = default;
 };
@@ -215,27 +225,32 @@ void finishFrame(std::vector<std::uint8_t> &out, std::size_t start);
 
 /**
  * Append @p frame (header + spec + body + CRC32) to @p out: beginFrame,
- * one body copy, finishFrame. Reusing @p out makes this allocation-free.
+ * one body copy, finishFrame. Replay and tests only (see Frame).
  */
 void appendFrame(std::vector<std::uint8_t> &out, const Frame &frame);
 
 /** Serialize @p frame into a fresh buffer (appendFrame on an empty one). */
 std::vector<std::uint8_t> serializeFrame(const Frame &frame);
 
-/** Build an Error response frame for @p code. */
-Frame makeErrorFrame(ErrorCode code, const std::string &message);
+/**
+ * Append one untagged, untraced Error frame to @p out, in place: body
+ * `u32 code | message`. The connection layer answers what no request
+ * reached the service for (a parse error, Busy, ShuttingDown) with it.
+ */
+void appendErrorFrame(std::vector<std::uint8_t> &out, ErrorCode code,
+                      std::string_view message);
 
 /**
  * Interpret an Error frame's body. Returns false when @p frame is not an
  * Error frame or its body is shorter than the code field.
  */
-bool parseErrorFrame(const Frame &frame, ErrorCode &code,
+bool parseErrorFrame(const FrameView &frame, ErrorCode &code,
                      std::string &message);
 
 /**
- * Incremental frame parser: stream bytes go into its buffer — read there
- * directly (prepareRead, then commitRead) or copied in with feed() — and
- * next() drains complete frames. Structural failures (bad magic,
+ * Incremental frame parser: stream bytes are read straight into its
+ * buffer (prepareRead, then commitRead) and next() drains complete
+ * frames as views of it. Structural failures (bad magic,
  * version, oversized lengths, unknown opcode, CRC mismatch) are sticky —
  * framing is untrustworthy after corruption, so the connection must be
  * torn down after sending the typed error.
@@ -262,7 +277,8 @@ class FrameParser
     /** Take @p n bytes (at most the last prepareRead's) as read. */
     void commitRead(std::size_t n);
 
-    /** Copy in @p n raw stream bytes (prepareRead + commitRead). */
+    /** Copy in @p n raw stream bytes (prepareRead + commitRead).
+     *  Replay and tests only (see Frame). */
     void feed(const std::uint8_t *data, std::size_t n);
 
     /**
@@ -274,12 +290,8 @@ class FrameParser
      */
     Status next(FrameView &out, WireError &err);
 
-    /**
-     * next() into an owning Frame: the view, then one copy of its spec
-     * and body. Every field of @p out is assigned, and spec/body reuse
-     * its capacity, so a caller that passes the same Frame each time
-     * parses without allocating.
-     */
+    /** next() into an owning Frame: the view, then Frame::assign.
+     *  Replay and tests only (see Frame). */
     Status next(Frame &out, WireError &err);
 
     /** Bytes buffered but not yet consumed by next(). */
@@ -310,8 +322,6 @@ class FrameParser
 class BodyWriter
 {
   public:
-    explicit BodyWriter(std::vector<std::uint8_t> &body,
-                        std::size_t size = 0);
     BodyWriter(std::vector<std::uint8_t> &buffer, std::size_t offset,
                std::size_t size);
 
@@ -334,10 +344,6 @@ class BodyReader
   public:
     BodyReader(const std::uint8_t *data, std::size_t n)
         : data_(data), size_(n)
-    {
-    }
-    explicit BodyReader(const std::vector<std::uint8_t> &body)
-        : BodyReader(body.data(), body.size())
     {
     }
 

@@ -11,6 +11,7 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/ioctl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -51,6 +52,16 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Frame parser
+
+std::vector<std::uint8_t>
+fromHex(std::string_view hex)
+{
+    std::vector<std::uint8_t> bytes(hex.size() / 2);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(
+            std::stoi(std::string(hex.substr(2 * i, 2)), nullptr, 16));
+    return bytes;
+}
 
 wire::Frame
 pingFrame()
@@ -277,7 +288,7 @@ TEST(FrameParser, TracedEncodeFrameBytesArePinned)
     frame.spanId = 0x1112131415161718ull;
     frame.traceSampled = true;
     frame.spec = "xor4+zdr";
-    wire::BodyWriter body(frame.body);
+    wire::BodyWriter body(frame.body, 0, 0);
     body.u32(8);
     body.u32(32);
     body.u64(2);
@@ -433,14 +444,204 @@ TEST(FrameParser, SelfCheckingFuzzPasses)
 
 TEST(ErrorFrames, RoundTripCodeAndMessage)
 {
-    const wire::Frame frame =
-        wire::makeErrorFrame(wire::ErrorCode::Busy, "try later");
+    // The Error frames the connection layer sends for a Busy rejection,
+    // a drain and a bad-CRC parse error, pinned: untagged, untraced
+    // version-1 frames with body `u32 code | message`.
+    const struct
+    {
+        wire::ErrorCode code;
+        std::string_view message;
+        std::string_view hex;
+    } cases[] = {
+        {wire::ErrorCode::Busy, "shard connection limit; retry later",
+         "42585450017f0000000000002700000008000000736861726420636f6e6e65"
+         "6374696f6e206c696d69743b207265747279206c6174657237a0d81d"},
+        {wire::ErrorCode::ShuttingDown, "server is draining",
+         "42585450017f00000000000016000000090000007365727665722069732064"
+         "7261696e696e677dc74fb6"},
+        {wire::ErrorCode::BadCrc, "frame CRC32 mismatch",
+         "42585450017f00000000000018000000030000006672616d65204352433332"
+         "206d69736d617463683efdfe82"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(wire::errorCodeName(c.code));
+        const std::vector<std::uint8_t> pinned = fromHex(c.hex);
+        // Written after whatever the buffer already holds.
+        std::vector<std::uint8_t> out = {0xaa, 0xbb};
+        wire::appendErrorFrame(out, c.code, c.message);
+        ASSERT_EQ(out.size(), 2 + pinned.size());
+        EXPECT_TRUE(out[0] == 0xaa && out[1] == 0xbb);
+        EXPECT_TRUE(std::equal(pinned.begin(), pinned.end(),
+                               out.begin() + 2));
+
+        wire::FrameParser parser;
+        parser.feed(pinned.data(), pinned.size());
+        wire::FrameView view;
+        wire::WireError err;
+        ASSERT_EQ(parser.next(view, err), wire::FrameParser::Status::Ready);
+        wire::ErrorCode code = wire::ErrorCode::None;
+        std::string message;
+        ASSERT_TRUE(wire::parseErrorFrame(view, code, message));
+        EXPECT_EQ(code, c.code);
+        EXPECT_EQ(message, c.message);
+    }
+    EXPECT_EQ(wire::errorCodeName(wire::ErrorCode::Busy), "busy");
+
+    // Not an Error frame, or an Error body too short for its code.
     wire::ErrorCode code = wire::ErrorCode::None;
     std::string message;
-    ASSERT_TRUE(wire::parseErrorFrame(frame, code, message));
+    EXPECT_FALSE(wire::parseErrorFrame(pingFrame().view(), code, message));
+    wire::Frame short_error;
+    short_error.opcode = wire::Opcode::Error;
+    short_error.body = {8, 0, 0};
+    EXPECT_FALSE(wire::parseErrorFrame(short_error.view(), code, message));
+}
+
+// ---------------------------------------------------------------------
+// Client reply reader (socketpair)
+
+/** A connected Unix stream pair: the client's end and the server's. */
+struct SocketPair
+{
+    net::UniqueFd client;
+    net::UniqueFd server;
+
+    SocketPair()
+    {
+        int fds[2];
+        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        client = net::UniqueFd(fds[0]);
+        server = net::UniqueFd(fds[1]);
+    }
+
+    void send(const std::uint8_t *data, std::size_t n)
+    {
+        std::string err;
+        EXPECT_TRUE(net::writeAll(server.get(), data, n, err)) << err;
+    }
+    void send(const std::vector<std::uint8_t> &bytes)
+    {
+        send(bytes.data(), bytes.size());
+    }
+
+    /** Bytes sent to the client that it has not read yet. */
+    int unread() const
+    {
+        int n = 0;
+        ::ioctl(client.get(), FIONREAD, &n);
+        return n;
+    }
+};
+
+TEST(ReplyReader, ReplySplitAtEveryByteBoundary)
+{
+    wire::Frame frame = encodeFrameWithSpec("xor4+zdr");
+    frame.streamId = 3;
+    frame.traceId = 0x77;
+    frame.spanId = 0x55;
+    const std::vector<std::uint8_t> bytes = wire::serializeFrame(frame);
+    for (std::size_t cut = 1; cut < bytes.size(); ++cut) {
+        SCOPED_TRACE("cut at byte " + std::to_string(cut));
+        SocketPair pair;
+        // The rest goes out only once the reader has taken the first
+        // part, so the reply arrives over at least two reads.
+        std::thread writer([&] {
+            pair.send(bytes.data(), cut);
+            while (pair.unread() > 0)
+                std::this_thread::yield();
+            pair.send(bytes.data() + cut, bytes.size() - cut);
+        });
+        wire::FrameParser parser;
+        wire::FrameView reply;
+        wire::ErrorCode code = wire::ErrorCode::Internal;
+        std::string err;
+        const bool ok =
+            client::readReply(pair.client.get(), parser, reply, code, err);
+        writer.join();
+        ASSERT_TRUE(ok) << err;
+        EXPECT_EQ(code, wire::ErrorCode::None);
+        wire::Frame got;
+        got.assign(reply);
+        EXPECT_EQ(got, frame);
+    }
+}
+
+TEST(ReplyReader, TwoRepliesInOneRead)
+{
+    SocketPair pair;
+    std::vector<std::uint8_t> bytes = wire::serializeFrame(pingFrame());
+    wire::appendFrame(bytes, encodeFrameWithSpec("dbi4"));
+    pair.send(bytes);
+    ::shutdown(pair.server.get(), SHUT_WR);
+
+    // The second reply is served from the first read's bytes; a third
+    // call reads, and finds the peer gone.
+    wire::FrameParser parser;
+    wire::FrameView reply;
+    wire::ErrorCode code = wire::ErrorCode::None;
+    std::string err;
+    ASSERT_TRUE(
+        client::readReply(pair.client.get(), parser, reply, code, err))
+        << err;
+    EXPECT_EQ(reply.opcode, wire::Opcode::Ping);
+    ASSERT_TRUE(
+        client::readReply(pair.client.get(), parser, reply, code, err))
+        << err;
+    EXPECT_EQ(reply.opcode, wire::Opcode::Encode);
+    EXPECT_EQ(reply.spec, "dbi4");
+    EXPECT_FALSE(
+        client::readReply(pair.client.get(), parser, reply, code, err));
+    EXPECT_EQ(err, "server closed the connection");
+    EXPECT_EQ(code, wire::ErrorCode::None);
+}
+
+TEST(ReplyReader, ErrorReplySetsCodeAndMessage)
+{
+    SocketPair pair;
+    std::vector<std::uint8_t> bytes;
+    wire::appendErrorFrame(bytes, wire::ErrorCode::Busy, "try later");
+    pair.send(bytes);
+    wire::FrameParser parser;
+    wire::FrameView reply;
+    wire::ErrorCode code = wire::ErrorCode::None;
+    std::string err;
+    EXPECT_FALSE(
+        client::readReply(pair.client.get(), parser, reply, code, err));
     EXPECT_EQ(code, wire::ErrorCode::Busy);
-    EXPECT_EQ(message, "try later");
-    EXPECT_EQ(wire::errorCodeName(code), "busy");
+    EXPECT_EQ(err, "busy: try later");
+}
+
+TEST(ReplyReader, ShortErrorBodyIsMalformed)
+{
+    SocketPair pair;
+    wire::Frame frame;
+    frame.opcode = wire::Opcode::Error;
+    frame.body = {8, 0, 0};
+    pair.send(wire::serializeFrame(frame));
+    wire::FrameParser parser;
+    wire::FrameView reply;
+    wire::ErrorCode code = wire::ErrorCode::None;
+    std::string err;
+    EXPECT_FALSE(
+        client::readReply(pair.client.get(), parser, reply, code, err));
+    EXPECT_EQ(code, wire::ErrorCode::None);
+    EXPECT_EQ(err, "malformed error frame from server");
+}
+
+TEST(ReplyReader, CorruptReplyIsReported)
+{
+    SocketPair pair;
+    std::vector<std::uint8_t> bytes = wire::serializeFrame(pingFrame());
+    bytes.back() ^= 0x01;
+    pair.send(bytes);
+    wire::FrameParser parser;
+    wire::FrameView reply;
+    wire::ErrorCode code = wire::ErrorCode::None;
+    std::string err;
+    EXPECT_FALSE(
+        client::readReply(pair.client.get(), parser, reply, code, err));
+    EXPECT_EQ(code, wire::ErrorCode::None);
+    EXPECT_EQ(err.rfind("response stream corrupt (bad-crc)", 0), 0u) << err;
 }
 
 // ---------------------------------------------------------------------
@@ -451,7 +652,7 @@ errorCodeOf(const wire::Frame &frame)
 {
     wire::ErrorCode code = wire::ErrorCode::None;
     std::string message;
-    EXPECT_TRUE(wire::parseErrorFrame(frame, code, message))
+    EXPECT_TRUE(wire::parseErrorFrame(frame.view(), code, message))
         << "expected an Error frame";
     return code;
 }
@@ -464,7 +665,7 @@ makeEncodeRequest(const std::string &spec, std::uint32_t tx_bytes,
     wire::Frame request;
     request.opcode = wire::Opcode::Encode;
     request.spec = spec;
-    wire::BodyWriter body(request.body);
+    wire::BodyWriter body(request.body, 0, 0);
     body.u32(tx_bytes);
     body.u32(bus_bits);
     body.u64(raw.size() / tx_bytes);
@@ -483,9 +684,12 @@ TEST(Service, PingEchoes)
 TEST(Service, ErrorOpcodeAsRequestIsMalformed)
 {
     server::Service service;
-    const wire::Frame reply = service.handle(
-        wire::makeErrorFrame(wire::ErrorCode::Internal, "not a request"));
-    EXPECT_EQ(errorCodeOf(reply), wire::ErrorCode::Malformed);
+    wire::Frame request;
+    request.opcode = wire::Opcode::Error;
+    wire::BodyWriter body(request.body, 0, 0);
+    body.u32(static_cast<std::uint32_t>(wire::ErrorCode::Internal));
+    EXPECT_EQ(errorCodeOf(service.handle(request)),
+              wire::ErrorCode::Malformed);
 }
 
 TEST(Service, BadSpecIsTyped)
@@ -529,7 +733,7 @@ TEST(Service, OversizedCountIsMalformed)
     wire::Frame request;
     request.opcode = wire::Opcode::Encode;
     request.spec = "baseline";
-    wire::BodyWriter body(request.body);
+    wire::BodyWriter body(request.body, 0, 0);
     body.u32(32);
     body.u32(32);
     body.u64(wire::maxTxPerRequest + 1);
@@ -544,7 +748,7 @@ TEST(Service, DecodeGeometryMismatchIsMalformed)
     wire::Frame request;
     request.opcode = wire::Opcode::Decode;
     request.spec = "dbi1";
-    wire::BodyWriter body(request.body);
+    wire::BodyWriter body(request.body, 0, 0);
     body.u32(32);
     body.u32(32);
     body.u32(1); // Wrong metaWiresPerBeat.
@@ -569,7 +773,7 @@ TEST(Service, EncodeMatchesDirectCodecAndCachesIt)
     ASSERT_EQ(reply.opcode, wire::Opcode::Encode);
     EXPECT_EQ(service.cachedCodecs(), 1u);
 
-    wire::BodyReader reader(reply.body);
+    wire::BodyReader reader(reply.body.data(), reply.body.size());
     std::uint32_t tx_bytes = 0, bus_bits = 0, meta_wires = 0,
                   meta_bytes = 0;
     std::uint64_t count = 0, in_ones = 0, payload_ones = 0, meta_ones = 0;
@@ -649,16 +853,6 @@ constexpr std::string_view kAdaptiveEncodeReply =
     "e8bd589b387850f00a95b0d05051dcb070d09823b0f04bff95ba94fb6af43867"
     "2845d828ae38b43f70b0f0fb86d0b07042cd5050f089eb10355a14b4fcb4f8ef"
     "68d8586836f8d070b0a53050d0d0ec77f0505033be70764185a7";
-
-std::vector<std::uint8_t>
-fromHex(std::string_view hex)
-{
-    std::vector<std::uint8_t> bytes(hex.size() / 2);
-    for (std::size_t i = 0; i < bytes.size(); ++i)
-        bytes[i] = static_cast<std::uint8_t>(
-            std::stoi(std::string(hex.substr(2 * i, 2)), nullptr, 16));
-    return bytes;
-}
 
 /** The pinned requests' raw plane: every fifth byte 0xff, so DBI
  *  inverts some groups and not others. */
@@ -792,18 +986,38 @@ TEST(Service, TraceContextIsEchoedOnReplies)
     EXPECT_EQ(reply.spanId, 0x5678u);
     EXPECT_TRUE(reply.traceSampled);
 
-    // Error replies carry the context too, so a traced client can stitch
-    // failures onto the same trace.
+    // Error replies carry the stream tag and context too, so a traced
+    // client can stitch failures onto the same trace.
     wire::Frame bad = makeEncodeRequest("no-such-codec", 32, 32,
                                         std::vector<std::uint8_t>(32, 0));
+    bad.streamId = 9;
     bad.traceId = 0x1234;
     bad.spanId = 0x9999;
     bad.traceSampled = true;
     const wire::Frame error = service.handle(bad);
     EXPECT_EQ(errorCodeOf(error), wire::ErrorCode::BadSpec);
+    EXPECT_EQ(error.streamId, 9u);
     EXPECT_EQ(error.traceId, 0x1234u);
     EXPECT_EQ(error.spanId, 0x9999u);
     EXPECT_TRUE(error.traceSampled);
+
+    // In place, the Error reply is a version-2 frame whose header and
+    // trace block echo the request's, and it parses to the same fields.
+    std::vector<std::uint8_t> out;
+    service.handle(bad.view(), out);
+    ASSERT_GT(out.size(), wire::headerBytes + wire::traceBlockBytes);
+    EXPECT_EQ(out[4], wire::wireVersionTraced);
+    EXPECT_EQ(out[6] | (out[7] << 8), 9);
+    EXPECT_EQ(loadWord64(out.data() + 16), 0x1234u);
+    EXPECT_EQ(loadWord64(out.data() + 24), 0x9999u);
+    EXPECT_EQ(loadWord32(out.data() + 32), wire::traceFlagSampled);
+    wire::FrameParser parser;
+    parser.feed(out.data(), out.size());
+    wire::Frame parsed;
+    wire::WireError err;
+    ASSERT_EQ(parser.next(parsed, err), wire::FrameParser::Status::Ready);
+    EXPECT_EQ(parser.buffered(), 0u);
+    EXPECT_EQ(parsed, error);
 }
 
 TEST(Service, SnapshotReturnsUptimeAndMetrics)
@@ -842,7 +1056,7 @@ TEST(Service, RequestTxCountReadsBodyHeaders)
     wire::Frame absurd;
     absurd.opcode = wire::Opcode::Encode;
     absurd.spec = "baseline";
-    wire::BodyWriter body(absurd.body);
+    wire::BodyWriter body(absurd.body, 0, 0);
     body.u32(32);
     body.u32(32);
     body.u64(~std::uint64_t{0});
@@ -1717,25 +1931,15 @@ TEST(Sharded, GracefulDrainAnswersInFlightFramesOnEveryShard)
     // before its connection closed: read each socket to EOF and count.
     for (std::size_t c = 0; c < kConns; ++c) {
         wire::FrameParser parser;
-        std::uint8_t buf[4096];
-        for (;;) {
-            const long n = net::readSome(clients[c].rawFd(), buf,
-                                         sizeof(buf), err);
-            ASSERT_GE(n, 0) << "conn " << c << ": " << err;
-            if (n == 0)
-                break;
-            parser.feed(buf, static_cast<std::size_t>(n));
-        }
+        wire::FrameView reply;
+        wire::ErrorCode code = wire::ErrorCode::None;
         std::size_t replies = 0;
-        for (;;) {
-            wire::Frame frame;
-            wire::WireError wire_err;
-            if (parser.next(frame, wire_err) !=
-                wire::FrameParser::Status::Ready)
-                break;
-            EXPECT_EQ(frame.opcode, wire::Opcode::Ping);
+        while (client::readReply(clients[c].rawFd(), parser, reply, code,
+                                 err)) {
+            EXPECT_EQ(reply.opcode, wire::Opcode::Ping);
             ++replies;
         }
+        EXPECT_EQ(err, "server closed the connection") << "conn " << c;
         EXPECT_EQ(replies, kBurst) << "conn " << c;
     }
 }

@@ -2,14 +2,12 @@
  * @file
  * Steady-state allocation test for the bxtd request path. A shard serves
  * each request as a FrameParser view handed to Service::handle, which
- * writes the reply in place into the connection's output buffer; the
- * Frame API (FrameParser::next into a Frame -> Service::handle ->
- * appendFrame) serves in-process callers. Once the buffers involved have
- * grown to the largest request, serving a concrete-spec Encode or Decode
- * either way must not touch the heap, metadata packing included. The
- * global operator new below counts every allocation, which is why this
- * test is its own executable.
- */
+ * writes the reply in place into the connection's output buffer, and a
+ * client builds its requests in place and reads replies as views. Once
+ * the buffers involved have grown to the largest request, serving a
+ * concrete-spec Encode or Decode this way must not touch the heap,
+ * metadata packing included. The global operator new below counts every
+ * allocation, which is why this test is its own executable. */
 
 #include <gtest/gtest.h>
 
@@ -88,7 +86,7 @@ constexpr std::uint32_t kBusBits = 32;
 struct EncodeRequest
 {
     std::vector<std::uint8_t> raw;
-    std::vector<std::uint8_t> bytes; ///< Serialized frame.
+    std::vector<std::uint8_t> bytes; ///< The request frame.
 };
 
 EncodeRequest
@@ -107,16 +105,18 @@ makeEncodeRequest(Rng &rng, const char *spec, std::uint64_t count,
                 : base ^ static_cast<std::uint32_t>(rng.nextBounded(256));
         std::memcpy(req.raw.data() + w * 4, &word, 4);
     }
-    wire::Frame frame;
-    frame.opcode = wire::Opcode::Encode;
-    frame.streamId = stream;
-    frame.spec = spec;
-    wire::BodyWriter body(frame.body);
+    wire::FrameView head;
+    head.opcode = wire::Opcode::Encode;
+    head.streamId = stream;
+    head.spec = spec;
+    const std::size_t body_bytes = 16 + req.raw.size();
+    wire::beginFrame(req.bytes, head, body_bytes);
+    wire::BodyWriter body(req.bytes, req.bytes.size(), body_bytes);
     body.u32(kTxBytes);
     body.u32(kBusBits);
     body.u64(count);
     body.bytes(req.raw.data(), req.raw.size());
-    req.bytes = wire::serializeFrame(frame);
+    wire::finishFrame(req.bytes, 0);
     return req;
 }
 
@@ -132,47 +132,39 @@ struct Buffers
 {
     wire::FrameParser serverParser;
     wire::FrameParser clientParser;
-    wire::Frame request, response, reply, decode;
-    std::vector<std::uint8_t> wireBytes, out;
+    std::vector<std::uint8_t> decodeRequest, out;
 };
 
 /**
- * Serve the serialized request @p bytes and parse its reply into
- * buf.reply: in place (@p in_place; the shard's path) or through the
- * Frame API. False when either side fails to parse.
+ * Serve the request frame @p bytes in place and view its reply in
+ * @p reply, which borrows buf.clientParser until its next read. False
+ * when either side fails to parse.
  */
 bool
 serveOne(const std::vector<std::uint8_t> &bytes, server::Service &service,
-         Buffers &buf, bool in_place)
+         Buffers &buf, wire::FrameView &reply)
 {
     wire::WireError err;
     buf.serverParser.feed(bytes.data(), bytes.size());
+    wire::FrameView request;
+    if (buf.serverParser.next(request, err) !=
+        wire::FrameParser::Status::Ready)
+        return false;
     buf.out.clear();
-    if (in_place) {
-        wire::FrameView view;
-        if (buf.serverParser.next(view, err) !=
-            wire::FrameParser::Status::Ready)
-            return false;
-        service.handle(view, buf.out);
-    } else {
-        if (buf.serverParser.next(buf.request, err) !=
-            wire::FrameParser::Status::Ready)
-            return false;
-        service.handle(buf.request, buf.response);
-        wire::appendFrame(buf.out, buf.response);
-    }
+    service.handle(request, buf.out);
     buf.clientParser.feed(buf.out.data(), buf.out.size());
-    return buf.clientParser.next(buf.reply, err) ==
+    return buf.clientParser.next(reply, err) ==
            wire::FrameParser::Status::Ready;
 }
 
 /** Serve one Encode, then a Decode of its reply, through reused buffers
- *  only, the way a shard connection does. */
+ *  only, the way a shard connection and a client do. */
 void
 serveRoundTrip(const EncodeRequest &req, server::Service &service,
-               Buffers &buf, bool in_place, Served &served)
+               Buffers &buf, Served &served)
 {
-    if (!serveOne(req.bytes, service, buf, in_place)) {
+    wire::FrameView reply;
+    if (!serveOne(req.bytes, service, buf, reply)) {
         ++served.wrong;
         return;
     }
@@ -182,31 +174,36 @@ serveRoundTrip(const EncodeRequest &req, server::Service &service,
     // without the tallies.
     constexpr std::size_t kGeometry = 4 * 4 + 8;
     constexpr std::size_t kTallies = 3 * 8;
-    const wire::Frame &reply = buf.reply;
     if (reply.opcode != wire::Opcode::Encode ||
         reply.body.size() < kGeometry + kTallies) {
         ++served.wrong;
         return;
     }
 
-    buf.decode.opcode = wire::Opcode::Decode;
-    buf.decode.streamId = reply.streamId;
-    buf.decode.spec = reply.spec;
-    wire::BodyWriter body(buf.decode.body, reply.body.size() - kTallies);
+    // Built in place from the reply's view, as the client builds its
+    // requests.
+    wire::FrameView head;
+    head.opcode = wire::Opcode::Decode;
+    head.streamId = reply.streamId;
+    head.spec = reply.spec;
+    const std::size_t body_bytes = reply.body.size() - kTallies;
+    buf.decodeRequest.clear();
+    wire::beginFrame(buf.decodeRequest, head, body_bytes);
+    wire::BodyWriter body(buf.decodeRequest, buf.decodeRequest.size(),
+                          body_bytes);
     body.bytes(reply.body.data(), kGeometry);
     body.bytes(reply.body.data() + kGeometry + kTallies,
                reply.body.size() - kGeometry - kTallies);
-    buf.wireBytes.clear();
-    wire::appendFrame(buf.wireBytes, buf.decode);
-    if (!serveOne(buf.wireBytes, service, buf, in_place)) {
+    wire::finishFrame(buf.decodeRequest, 0);
+    if (!serveOne(buf.decodeRequest, service, buf, reply)) {
         ++served.wrong;
         return;
     }
     ++served.requests;
     constexpr std::size_t kDecodeHeader = 4 + 8;
-    if (buf.reply.opcode != wire::Opcode::Decode ||
-        buf.reply.body.size() != kDecodeHeader + req.raw.size() ||
-        std::memcmp(buf.reply.body.data() + kDecodeHeader, req.raw.data(),
+    if (reply.opcode != wire::Opcode::Decode ||
+        reply.body.size() != kDecodeHeader + req.raw.size() ||
+        std::memcmp(reply.body.data() + kDecodeHeader, req.raw.data(),
                     req.raw.size()) != 0)
         ++served.wrong;
 }
@@ -231,30 +228,26 @@ TEST(ServerAllocs, SteadyStateEncodeDecodeIsAllocationFree)
             static_cast<std::uint16_t>(1 + i % 3)));
     }
 
-    for (const bool in_place : {true, false}) {
-        SCOPED_TRACE(in_place ? "in place" : "Frame API");
-        server::Service service;
-        Buffers buf;
-        Served warm;
-        for (const EncodeRequest &req : requests)
-            serveRoundTrip(req, service, buf, in_place, warm);
-        ASSERT_EQ(warm.wrong, 0u);
+    server::Service service;
+    Buffers buf;
+    Served warm;
+    for (const EncodeRequest &req : requests)
+        serveRoundTrip(req, service, buf, warm);
+    ASSERT_EQ(warm.wrong, 0u);
 
-        Served served;
-        const std::uint64_t before = g_allocs.load();
-        for (std::size_t i = 0; served.requests < 1200; ++i) {
-            serveRoundTrip(requests[i % requests.size()], service, buf,
-                           in_place, served);
-            if (served.wrong != 0)
-                break;
-        }
-        const std::uint64_t allocs = g_allocs.load() - before;
-
-        EXPECT_EQ(served.wrong, 0u);
-        EXPECT_EQ(served.requests, 1200u);
-        EXPECT_EQ(allocs, 0u) << "heap allocations over " << served.requests
-                              << " steady-state requests";
+    Served served;
+    const std::uint64_t before = g_allocs.load();
+    for (std::size_t i = 0; served.requests < 1200; ++i) {
+        serveRoundTrip(requests[i % requests.size()], service, buf, served);
+        if (served.wrong != 0)
+            break;
     }
+    const std::uint64_t allocs = g_allocs.load() - before;
+
+    EXPECT_EQ(served.wrong, 0u);
+    EXPECT_EQ(served.requests, 1200u);
+    EXPECT_EQ(allocs, 0u) << "heap allocations over " << served.requests
+                          << " steady-state requests";
     telemetry::setMetricsEnabled(false);
 }
 

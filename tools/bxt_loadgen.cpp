@@ -245,8 +245,8 @@ runClosedLoopConn(const Args &args, std::size_t conn, std::size_t requests,
 }
 
 /**
- * Open loop over the raw wire: keep up to --depth serialized request
- * frames in flight, reading responses as they arrive.
+ * Open loop over the raw wire: keep up to --depth request frames in
+ * flight, reading replies as they arrive.
  */
 bool
 runOpenLoop(const Args &args, int fd, ConnResult &out, std::string &err)
@@ -254,19 +254,26 @@ runOpenLoop(const Args &args, int fd, ConnResult &out, std::string &err)
     bxt::Rng rng(args.seed);
     const std::vector<std::uint8_t> raw = randomPayload(args, rng);
 
-    bxt::wire::Frame request;
-    request.opcode = bxt::wire::Opcode::Encode;
-    request.spec = args.spec;
-    bxt::wire::BodyWriter body(request.body);
-    body.u32(args.txBytes);
-    body.u32(args.wires);
-    body.u64(args.batch);
-    body.bytes(raw.data(), raw.size());
-    const std::vector<std::uint8_t> frame_bytes =
-        bxt::wire::serializeFrame(request);
+    // Requests are built in place. Untraced ones reuse one canned frame;
+    // a traced one is rebuilt with fresh ids in a reused buffer.
+    bxt::wire::FrameView head;
+    head.opcode = bxt::wire::Opcode::Encode;
+    head.spec = args.spec;
+    const auto build = [&](std::vector<std::uint8_t> &frame) {
+        const std::size_t body_bytes = 16 + raw.size();
+        frame.clear();
+        bxt::wire::beginFrame(frame, head, body_bytes);
+        bxt::wire::BodyWriter body(frame, frame.size(), body_bytes);
+        body.u32(args.txBytes);
+        body.u32(args.wires);
+        body.u64(args.batch);
+        body.bytes(raw.data(), raw.size());
+        bxt::wire::finishFrame(frame, 0);
+    };
+    std::vector<std::uint8_t> canned, traced;
+    build(canned);
 
     bxt::wire::FrameParser parser;
-    std::uint8_t buf[64 * 1024];
     std::deque<std::uint64_t> send_times;
     std::size_t sent = 0;
     std::size_t received = 0;
@@ -275,52 +282,25 @@ runOpenLoop(const Args &args, int fd, ConnResult &out, std::string &err)
 
     while (received < args.requests) {
         while (sent < args.requests && send_times.size() < args.depth) {
-            const std::uint8_t *bytes = frame_bytes.data();
-            std::size_t size = frame_bytes.size();
-            std::vector<std::uint8_t> traced_bytes;
+            const std::vector<std::uint8_t> *frame = &canned;
             if (args.traceSample > 0.0 &&
                 rng.nextDouble() < args.traceSample) {
-                // Traced frames re-serialize (fresh ids per request);
-                // the untraced fast path reuses the canned frame.
-                request.traceId = rng.next64() | 1;
-                request.spanId = rng.next64();
-                request.traceSampled = true;
-                traced_bytes = bxt::wire::serializeFrame(request);
-                bytes = traced_bytes.data();
-                size = traced_bytes.size();
+                head.traceId = rng.next64() | 1;
+                head.spanId = rng.next64();
+                head.traceSampled = true;
+                build(traced);
+                frame = &traced;
             }
-            if (!bxt::net::writeAll(fd, bytes, size, err))
+            if (!bxt::net::writeAll(fd, frame->data(), frame->size(), err))
                 return false;
             send_times.push_back(bxt::telemetry::nowMicros());
             ++sent;
         }
 
-        bxt::wire::Frame response;
-        bxt::wire::WireError parse_err;
-        const bxt::wire::FrameParser::Status st =
-            parser.next(response, parse_err);
-        if (st == bxt::wire::FrameParser::Status::Bad) {
-            err = "response stream corrupt: " + parse_err.detail;
+        bxt::wire::FrameView reply;
+        bxt::wire::ErrorCode code = bxt::wire::ErrorCode::None;
+        if (!bxt::client::readReply(fd, parser, reply, code, err))
             return false;
-        }
-        if (st == bxt::wire::FrameParser::Status::NeedMore) {
-            const long n = bxt::net::readSome(fd, buf, sizeof(buf), err);
-            if (n < 0)
-                return false;
-            if (n == 0) {
-                err = "server closed the connection";
-                return false;
-            }
-            parser.feed(buf, static_cast<std::size_t>(n));
-            continue;
-        }
-        if (response.opcode == bxt::wire::Opcode::Error) {
-            bxt::wire::ErrorCode code = bxt::wire::ErrorCode::None;
-            std::string message;
-            bxt::wire::parseErrorFrame(response, code, message);
-            err = bxt::wire::errorCodeName(code) + ": " + message;
-            return false;
-        }
         if (received >= steady_from)
             out.latencyUs.record(bxt::telemetry::nowMicros() -
                                  send_times.front());
