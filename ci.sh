@@ -49,7 +49,9 @@
 #            document, then SIGTERM it and assert a clean drain (exit 0);
 #            last, a 1 s traced zipf-roundtrip run of perfbench/run.py,
 #            the only CI step that builds the benchmark's replay of the
-#            library's Frame API (skipped below 4 cores)
+#            library's Frame API, and a 1 s untraced hot-flood run, which
+#            checks every reply bxtd serves over TCP (both skipped below
+#            4 cores)
 #   scenario Release build + scenario-labeled ctest + multi-tenant traffic
 #            smoke: boot a metrics-enabled bxtd, replay the zipf-0.99 and
 #            hot-flood presets unpaced over 4 connections (asserting
@@ -360,10 +362,14 @@ run_serve() {
     # Frozen-benchmark guard: perfbench's in-process replay still calls
     # FrameParser::feed/next(Frame &), Service::handle(const Frame &) and
     # serializeFrame, and nothing else in CI builds it. One traced second
-    # builds and runs it; its output checks fail the run.
+    # builds and runs it; its output checks fail the run. One untraced
+    # hot-flood second then drives the other half of the benchmark,
+    # three TCP connections into one shard, and checks every reply.
     if [ "$(nproc)" -ge 4 ]; then
         python3 perfbench/run.py --workload zipf-roundtrip --seed 1 \
             --seconds 1 --trace 1 > "${out}/perfbench_smoke.txt"
+        python3 perfbench/run.py --workload hot-flood --seed 1 \
+            --seconds 1 --trace 0 > "${out}/perfbench_hot_flood.txt"
     else
         echo "serve: <4 cores, perfbench smoke skipped (zipf-roundtrip's" \
             "2 shards and 2 client threads need a CPU each)"

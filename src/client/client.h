@@ -171,7 +171,7 @@ class Client
 
     net::UniqueFd fd_;
     wire::FrameParser parser_;
-    std::vector<std::uint8_t> request_; ///< One request frame, reused.
+    ByteBuffer request_; ///< One request frame, reused.
     wire::FrameView head_; ///< Stream tag, trace context, last opcode.
     wire::ErrorCode last_error_ = wire::ErrorCode::None;
 };

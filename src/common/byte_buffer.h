@@ -97,16 +97,24 @@ class ByteBuffer
         size_ = n;
     }
 
-    /** Append @p n bytes from @p src (amortized growth). */
-    void append(const std::uint8_t *src, std::size_t n)
+    /**
+     * Grow by @p n unspecified bytes (amortized growth) and return
+     * them, for the caller to fill in place.
+     */
+    std::uint8_t *extendForOverwrite(std::size_t n)
     {
-        if (n == 0)
-            return;
         const std::size_t old = size_;
         if (old + n > capacity_)
             grow(growCapacity(old + n), /*preserve=*/old);
-        std::memcpy(bytes_.get() + old, src, n);
         size_ = old + n;
+        return bytes_.get() + old;
+    }
+
+    /** Append @p n bytes from @p src (amortized growth). */
+    void append(const std::uint8_t *src, std::size_t n)
+    {
+        if (n != 0)
+            std::memcpy(extendForOverwrite(n), src, n);
     }
 
     bool operator==(const ByteBuffer &other) const

@@ -36,6 +36,18 @@ constexpr std::size_t encodeReplyHeaderBytes = 4 * 4 + 4 * 8;
 /** Decode reply body bytes before the raw plane (wire.h table). */
 constexpr std::size_t decodeReplyHeaderBytes = 4 + 8;
 
+/** Put @p item (an entry or a stream's counters, with pending counts)
+ *  on @p dirty, once until publish() clears it. */
+template <typename T>
+void
+markDirty(T &item, std::vector<T *> &dirty)
+{
+    if (!item.dirty) {
+        item.dirty = true;
+        dirty.push_back(&item);
+    }
+}
+
 } // namespace
 
 class Service::Reply
@@ -43,7 +55,7 @@ class Service::Reply
   public:
     /** Append one frame to @p out that echoes @p request's stream tag
      *  and trace context. */
-    Reply(std::vector<std::uint8_t> &out, const wire::FrameView &request)
+    Reply(ByteBuffer &out, const wire::FrameView &request)
         : out_(out), head_(request), start_(out.size())
     {
     }
@@ -76,7 +88,7 @@ class Service::Reply
     }
 
   private:
-    std::vector<std::uint8_t> &out_;
+    ByteBuffer &out_;
     wire::FrameView head_; ///< The request's, with the reply's opcode.
     std::size_t start_;
     std::size_t body_start_ = 0;
@@ -84,19 +96,19 @@ class Service::Reply
 
 Service::Service(telemetry::Registry *registry)
     : reg_(registry != nullptr ? *registry : telemetry::currentRegistry()),
-      requests_(reg_.counter("bxt.server.requests")),
-      errors_(reg_.counter("bxt.server.errors")),
-      txEncoded_(reg_.counter("bxt.server.tx_encoded")),
-      txDecoded_(reg_.counter("bxt.server.tx_decoded"))
+      requests_{&reg_.counter("bxt.server.requests")},
+      errors_{&reg_.counter("bxt.server.errors")},
+      txEncoded_{&reg_.counter("bxt.server.tx_encoded")},
+      txDecoded_{&reg_.counter("bxt.server.tx_decoded")}
 {
 }
 
 Service::StreamCounters::StreamCounters(telemetry::Registry &reg,
                                         const std::string &base)
-    : requests(reg.counter(base + ".requests")),
-      txEncoded(reg.counter(base + ".tx_encoded")),
-      onesIn(reg.counter(base + ".ones_in")),
-      onesOut(reg.counter(base + ".ones_out"))
+    : requests{&reg.counter(base + ".requests")},
+      txEncoded{&reg.counter(base + ".tx_encoded")},
+      onesIn{&reg.counter(base + ".ones_in")},
+      onesOut{&reg.counter(base + ".ones_out")}
 {
 }
 
@@ -115,11 +127,47 @@ Service::streamCounters(std::uint16_t stream_id)
     return *it->second;
 }
 
+Service::StreamMemo &
+Service::memoFor(std::uint16_t stream_id)
+{
+    StreamMemo &memo = memo_[stream_id & (kMemoSlots - 1)];
+    if (memo.streamId != stream_id) {
+        memo = StreamMemo();
+        memo.streamId = stream_id;
+    }
+    return memo;
+}
+
+void
+Service::publish()
+{
+    requests_.publish();
+    errors_.publish();
+    txEncoded_.publish();
+    txDecoded_.publish();
+    for (Entry *entry : dirtyEntries_) {
+        entry->onesIn.publish();
+        entry->onesOut.publish();
+        entry->onesRemoved.publish();
+        entry->dirty = false;
+    }
+    dirtyEntries_.clear();
+    for (StreamCounters *stream : dirtyStreams_) {
+        stream->requests.publish();
+        stream->txEncoded.publish();
+        stream->onesIn.publish();
+        stream->onesOut.publish();
+        stream->dirty = false;
+    }
+    dirtyStreams_.clear();
+}
+
 void
 Service::errorResponse(wire::ErrorCode code, const std::string &detail,
                        Reply &reply)
 {
-    errors_.add(1);
+    if (telemetry::metricsEnabled())
+        ++errors_.pending;
     wire::BodyWriter writer =
         reply.begin(wire::Opcode::Error, {}, 4 + detail.size());
     writer.u32(static_cast<std::uint32_t>(code));
@@ -150,32 +198,61 @@ validateGeometry(std::uint32_t tx_bytes, std::uint32_t bus_bits)
 
 Service::Entry *
 Service::entryFor(std::string_view spec, std::uint32_t tx_bytes,
-                  std::uint32_t bus_bits, std::uint16_t stream_id,
+                  std::uint32_t bus_bits, StreamMemo &memo,
                   std::string &err)
 {
+    if (memo.entry != nullptr && memo.txBytes == tx_bytes &&
+        memo.busBits == bus_bits && memo.spec == spec)
+        return memo.entry;
+
     // Concrete codecs are shared across streams; adaptive entries are
     // keyed per stream so each stream runs its own controller.
+    const std::uint16_t stream_id = memo.streamId;
     const bool is_adaptive = adaptive::isAdaptiveSpec(spec);
     const std::uint16_t key_stream = is_adaptive ? stream_id : 0;
     auto it = codecs_.find(KeyView{spec, tx_bytes, bus_bits, key_stream});
-    if (it != codecs_.end())
-        return &it->second;
+    if (it == codecs_.end()) {
+        Entry entry;
+        if (!makeEntry(entry, spec, tx_bytes, bus_bits, is_adaptive,
+                       stream_id, err))
+            return nullptr;
+        it = codecs_
+                 .emplace(Key{std::string(spec), tx_bytes, bus_bits,
+                              key_stream},
+                          std::move(entry))
+                 .first;
+    }
+    memo.entry = &it->second;
+    memo.spec = std::get<0>(it->first);
+    memo.txBytes = tx_bytes;
+    memo.busBits = bus_bits;
+    return memo.entry;
+}
 
+bool
+Service::makeEntry(Entry &entry, std::string_view spec,
+                   std::uint32_t tx_bytes, std::uint32_t bus_bits,
+                   bool is_adaptive, std::uint16_t stream_id,
+                   std::string &err)
+{
     const std::string spec_name(spec);
-    CodecPtr codec = tryMakeCodec(spec_name, bus_bits / 8u, err);
-    if (!codec)
-        return nullptr;
-    Entry entry;
-    entry.codec = std::move(codec);
+    entry.codec = tryMakeCodec(spec_name, bus_bits / 8u, err);
+    if (!entry.codec)
+        return false;
     // Every instrument a request on this entry records is resolved here,
     // once, so the request path never builds a metric name or takes the
     // registry mutex.
     const std::string base =
         "bxt.server." + telemetry::sanitizeMetricName(spec_name);
-    entry.onesInCounter = &reg_.counter(base + ".ones_in");
-    entry.onesOutCounter = &reg_.counter(base + ".ones_out");
-    entry.onesRemovedCounter = &reg_.counter(base + ".ones_removed");
-    if (is_adaptive) {
+    entry.onesIn.counter = &reg_.counter(base + ".ones_in");
+    entry.onesOut.counter = &reg_.counter(base + ".ones_out");
+    entry.onesRemoved.counter = &reg_.counter(base + ".ones_removed");
+    if (!is_adaptive) {
+        // May throw CodecSizeError (a transaction size the codec
+        // rejects); serve() answers it, and nothing is cached.
+        entry.metaWires = entry.codec->metaWiresPerBeat();
+        entry.metaBits = entry.codec->metaBitsPerTx(tx_bytes);
+    } else {
         entry.adaptive =
             dynamic_cast<adaptive::AdaptiveCodec *>(entry.codec.get());
         if (stream_id != 0) {
@@ -188,10 +265,7 @@ Service::entryFor(std::string_view spec, std::uint32_t tx_bytes,
             entry.xorWeightGauge = &reg_.gauge(stream_base + ".xor_weight");
         }
     }
-    return &codecs_
-                .emplace(Key{spec_name, tx_bytes, bus_bits, key_stream},
-                         std::move(entry))
-                .first->second;
+    return true;
 }
 
 std::string_view
@@ -245,7 +319,7 @@ Service::exportAdaptive(Entry &entry, std::uint16_t stream_id)
 
 void
 Service::handleEncode(const wire::FrameView &request, Reply &reply,
-                      StreamCounters *stream)
+                      StreamMemo &memo)
 {
     wire::BodyReader reader(request.body.data(), request.body.size());
     std::uint32_t tx_bytes = 0;
@@ -275,16 +349,15 @@ Service::handleEncode(const wire::FrameView &request, Reply &reply,
     }
 
     std::string err;
-    Entry *entry =
-        entryFor(request.spec, tx_bytes, bus_bits, request.streamId, err);
+    Entry *entry = entryFor(request.spec, tx_bytes, bus_bits, memo, err);
     if (entry == nullptr)
         return errorResponse(wire::ErrorCode::BadSpec, err, reply);
 
-    const unsigned meta_wires = entry->codec->metaWiresPerBeat();
+    const unsigned meta_wires = entry->wiresPerBeat();
     const std::size_t meta_bits =
         metaBitsPerTx(tx_bytes, bus_bits, meta_wires);
     const std::size_t meta_bytes = (meta_bits + 7) / 8;
-    const std::size_t codec_meta_bits = entry->codec->metaBitsPerTx(tx_bytes);
+    const std::size_t codec_meta_bits = entry->bitsPerTx(tx_bytes);
     if (codec_meta_bits != meta_bits) {
         return errorResponse(wire::ErrorCode::Internal,
                              "encode: codec produces " +
@@ -325,13 +398,15 @@ Service::handleEncode(const wire::FrameView &request, Reply &reply,
     }
 
     // The ones tallies travel in the response so clients can print
-    // ones-on-bus deltas without re-popcounting payloads. Metadata bytes
-    // are 0/1, so their popcount is their sum.
+    // ones-on-bus deltas without re-popcounting payloads. The codec's
+    // metadata bytes are 0/1 and packBits zeroes every padding bit, so
+    // the packed rows hold exactly the plane's ones in an eighth of its
+    // bytes.
     const std::uint64_t input_ones = ops.popcountRange(raw, plane_bytes);
     const std::uint64_t payload_ones =
         ops.popcountRange(payload, plane_bytes);
     const std::uint64_t meta_ones =
-        ops.popcountRange(meta, count * meta_bits);
+        ops.popcountRange(payload + plane_bytes, count * meta_bytes);
     const std::uint64_t ones_out = payload_ones + meta_ones;
     storeWord32(body, tx_bytes);
     storeWord32(body + 4, bus_bits);
@@ -345,26 +420,26 @@ Service::handleEncode(const wire::FrameView &request, Reply &reply,
         exportAdaptive(*entry, request.streamId);
 
     if (telemetry::metricsEnabled()) {
-        txEncoded_.add(count);
-        entry->onesInCounter->add(input_ones);
-        entry->onesOutCounter->add(ones_out);
-        entry->onesRemovedCounter->add(
-            input_ones > ones_out ? input_ones - ones_out : 0);
+        txEncoded_.pending += count;
+        entry->onesIn.pending += input_ones;
+        entry->onesOut.pending += ones_out;
+        entry->onesRemoved.pending +=
+            input_ones > ones_out ? input_ones - ones_out : 0;
+        markDirty(*entry, dirtyEntries_);
         // Per-tenant accounting: stream-tagged encodes telescope to the
         // aggregate counters (sum over streams == bxt.server.tx_encoded
         // when every request carries a tag).
-        if (stream != nullptr) {
-            stream->txEncoded.add(count);
-            stream->onesIn.add(input_ones);
-            stream->onesOut.add(ones_out);
+        if (StreamCounters *stream = memo.counters) {
+            stream->txEncoded.pending += count;
+            stream->onesIn.pending += input_ones;
+            stream->onesOut.pending += ones_out;
         }
     }
-    entry->onesIn += input_ones;
-    entry->onesOut += ones_out;
 }
 
 void
-Service::handleDecode(const wire::FrameView &request, Reply &reply)
+Service::handleDecode(const wire::FrameView &request, Reply &reply,
+                      StreamMemo &memo)
 {
     wire::BodyReader reader(request.body.data(), request.body.size());
     std::uint32_t tx_bytes = 0;
@@ -392,12 +467,11 @@ Service::handleDecode(const wire::FrameView &request, Reply &reply)
     }
 
     std::string err;
-    Entry *entry =
-        entryFor(request.spec, tx_bytes, bus_bits, request.streamId, err);
+    Entry *entry = entryFor(request.spec, tx_bytes, bus_bits, memo, err);
     if (entry == nullptr)
         return errorResponse(wire::ErrorCode::BadSpec, err, reply);
 
-    const unsigned codec_meta_wires = entry->codec->metaWiresPerBeat();
+    const unsigned codec_meta_wires = entry->wiresPerBeat();
     const std::size_t meta_bits =
         metaBitsPerTx(tx_bytes, bus_bits, codec_meta_wires);
     const std::size_t expected_meta_bytes = (meta_bits + 7) / 8;
@@ -405,7 +479,7 @@ Service::handleDecode(const wire::FrameView &request, Reply &reply)
     // sized below, so that must be the geometry's count too.
     if (meta_wires != codec_meta_wires ||
         meta_bytes != expected_meta_bytes ||
-        entry->codec->metaBitsPerTx(tx_bytes) != meta_bits) {
+        entry->bitsPerTx(tx_bytes) != meta_bits) {
         return errorResponse(
             wire::ErrorCode::Malformed,
             "decode: metadata geometry does not match codec '" +
@@ -446,14 +520,16 @@ Service::handleDecode(const wire::FrameView &request, Reply &reply)
         exportAdaptive(*entry, request.streamId);
 
     if (telemetry::metricsEnabled())
-        txDecoded_.add(count);
+        txDecoded_.pending += count;
 }
 
 void
 Service::handleStats(wire::Opcode opcode, Reply &reply)
 {
     // The provider is the fleet-wide merged view when sharded; a bare
-    // Service answers from its own registry.
+    // Service answers from its own registry. Either way this shard's
+    // requests so far, this one included, count in it.
+    publish();
     std::string doc = stats_provider_ ? stats_provider_()
                                       : telemetry::snapshotJson(reg_, false);
     if (opcode == wire::Opcode::Snapshot) {
@@ -475,15 +551,18 @@ Service::handleStats(wire::Opcode opcode, Reply &reply)
 void
 Service::serve(const wire::FrameView &request, Reply &reply)
 {
-    requests_.add(1);
-    // The request's tenant counters, looked up once for the whole
-    // request.
-    StreamCounters *stream =
-        telemetry::metricsEnabled() && request.streamId != 0
-            ? &streamCounters(request.streamId)
-            : nullptr;
-    if (stream != nullptr)
-        stream->requests.add(1);
+    // The request's stream slot: its tenant counters, resolved once per
+    // stream, and the entry its codec requests resolve.
+    StreamMemo &memo = memoFor(request.streamId);
+    if (telemetry::metricsEnabled()) {
+        ++requests_.pending;
+        if (request.streamId != 0) {
+            if (memo.counters == nullptr)
+                memo.counters = &streamCounters(request.streamId);
+            ++memo.counters->requests.pending;
+            markDirty(*memo.counters, dirtyStreams_);
+        }
+    }
 
     try {
         switch (request.opcode) {
@@ -491,10 +570,10 @@ Service::serve(const wire::FrameView &request, Reply &reply)
             reply.begin(wire::Opcode::Ping, {}, 0);
             break;
         case wire::Opcode::Encode:
-            handleEncode(request, reply, stream);
+            handleEncode(request, reply, memo);
             break;
         case wire::Opcode::Decode:
-            handleDecode(request, reply);
+            handleDecode(request, reply, memo);
             break;
         case wire::Opcode::Stats:
         case wire::Opcode::Snapshot:
@@ -525,8 +604,7 @@ Service::serve(const wire::FrameView &request, Reply &reply)
 }
 
 void
-Service::handle(const wire::FrameView &request,
-                std::vector<std::uint8_t> &out)
+Service::handle(const wire::FrameView &request, ByteBuffer &out)
 {
     Reply reply(out, request);
     serve(request, reply);
@@ -540,6 +618,7 @@ Service::handle(const wire::Frame &request)
     wrapped_reply_.clear();
     Reply reply(wrapped_reply_, view);
     serve(view, reply);
+    publish();
     wire::Frame response;
     response.assign(reply.view());
     return response;

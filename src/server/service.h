@@ -15,18 +15,23 @@
  * path — one encodeBatch/decodeBatch call that reads the frame's
  * transactions where they lie and writes the reply's payload plane in
  * place (core/batch.h views). Adaptive specs key their entry by
- * streamId as well, so every stream runs its own controller. A Service
- * is single-threaded: one shard event loop (or one test) drives it.
+ * streamId as well, so every stream runs its own controller. A
+ * fixed-size memo remembers the entry and the counters each stream used
+ * last, so a stream that keeps its spec finds both without a map walk.
+ * A Service is single-threaded: one shard event loop (or one test)
+ * drives it.
  *
  * All instruments resolve against the registry bound at construction —
  * a shard passes its private registry; the default constructor binds
  * the calling thread's current registry, so socket-free tests see the
- * process-wide instruments unchanged.
+ * process-wide instruments unchanged. Requests add their counts to plain
+ * fields; publish() folds them into the registry's counters.
  */
 
 #ifndef BXT_SERVER_SERVICE_H
 #define BXT_SERVER_SERVICE_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -63,17 +68,27 @@ class Service
      * out: the codec reads the request body and writes the reply body.
      * The request must therefore not lie inside @p out. Once @p out has
      * grown, concrete-spec Encode/Decode requests are served without
-     * heap allocation.
+     * heap allocation. The request's counts wait for publish().
      */
-    void handle(const wire::FrameView &request,
-                std::vector<std::uint8_t> &out);
+    void handle(const wire::FrameView &request, ByteBuffer &out);
 
     /**
-     * Serve @p request in place into a reused buffer and return a copy
-     * of the reply's fields; the unsent reply gets no length or CRC32.
-     * For the benchmark's in-process replay and the tests only.
+     * Serve @p request in place into a reused buffer, publish, and
+     * return a copy of the reply's fields; the unsent reply gets no
+     * length or CRC32. For the benchmark's in-process replay and the
+     * tests only.
      */
     wire::Frame handle(const wire::Frame &request);
+
+    /**
+     * Add the counts of every request served since the last call to
+     * the registry's counters (bxt.server.requests, the per-spec ones
+     * counters, the per-stream counters, ...). A shard calls it once
+     * per batch, before it flushes the batch's replies, and a Stats or
+     * Snapshot request calls it before it builds its document, so a
+     * reply a client holds is always counted. Allocation-free.
+     */
+    void publish();
 
     /** Codec instances cached so far (test/diagnostic hook). */
     std::size_t cachedCodecs() const { return codecs_.size(); }
@@ -92,6 +107,21 @@ class Service
     }
 
   private:
+    /** A counter plus the increments not yet published to it. */
+    struct PendingCounter
+    {
+        telemetry::Counter *counter = nullptr;
+        std::uint64_t pending = 0;
+
+        void publish()
+        {
+            if (pending != 0) {
+                counter->add(pending);
+                pending = 0;
+            }
+        }
+    };
+
     struct Entry
     {
         CodecPtr codec;
@@ -103,15 +133,18 @@ class Service
          *  packBits / unpackBits, reused. Payloads need no scratch: the
          *  codec reads the request body and writes the reply in place. */
         ByteBuffer scratchMeta;
-        std::uint64_t onesIn = 0; ///< Per-connection running tallies.
-        std::uint64_t onesOut = 0;
-        /** `bxt.server.<spec>.ones_{in,out,removed}`, bound by entryFor. */
-        telemetry::Counter *onesInCounter = nullptr;
-        telemetry::Counter *onesOutCounter = nullptr;
-        telemetry::Counter *onesRemovedCounter = nullptr;
+        /** A concrete codec's metaWiresPerBeat() and metaBitsPerTx(txBytes),
+         *  stored by makeEntry: both depend only on the key. */
+        unsigned metaWires = 0;
+        std::size_t metaBits = 0;
+        /** `bxt.server.<spec>.ones_{in,out,removed}`, bound by makeEntry. */
+        PendingCounter onesIn;
+        PendingCounter onesOut;
+        PendingCounter onesRemoved;
+        bool dirty = false; ///< On dirtyEntries_ (has pending counts).
         /** Adaptive entries of a tagged stream: the stream's
          *  `.adaptive.epoch` gauge and `.adaptive.switches` counter,
-         *  bound by entryFor (null otherwise). */
+         *  bound by makeEntry (null otherwise). */
         telemetry::Gauge *epochGauge = nullptr;
         telemetry::Counter *switchesCounter = nullptr;
         std::uint64_t lastEpoch = 0; ///< Last exported switch count.
@@ -125,6 +158,19 @@ class Service
          *  and the concrete spec it names. */
         telemetry::Gauge *choiceGauge = nullptr;
         std::string choiceSpec;
+
+        /** This request's metadata geometry: the stored values, or the
+         *  codec's answer for an adaptive entry, whose choice moves. */
+        unsigned wiresPerBeat() const
+        {
+            return adaptive != nullptr ? codec->metaWiresPerBeat()
+                                       : metaWires;
+        }
+        std::size_t bitsPerTx(std::uint32_t tx_bytes) const
+        {
+            return adaptive != nullptr ? codec->metaBitsPerTx(tx_bytes)
+                                       : metaBits;
+        }
     };
 
     /**
@@ -148,13 +194,36 @@ class Service
      */
     struct StreamCounters
     {
-        telemetry::Counter &requests;
-        telemetry::Counter &txEncoded;
-        telemetry::Counter &onesIn;
-        telemetry::Counter &onesOut;
+        PendingCounter requests;
+        PendingCounter txEncoded;
+        PendingCounter onesIn;
+        PendingCounter onesOut;
+        bool dirty = false; ///< On dirtyStreams_ (has pending counts).
 
         StreamCounters(telemetry::Registry &reg, const std::string &base);
     };
+
+    /**
+     * One slot of the stream memo: a stream's counters and the entry
+     * its last Encode/Decode resolved, with that entry's key fields. A
+     * hit must match the request's spec, txBytes and busBits as well as
+     * its stream id (adaptive entries are per stream, so the stream id
+     * is part of every entry's identity here).
+     */
+    struct StreamMemo
+    {
+        std::uint16_t streamId = 0;
+        /** Null until a request of the stream resolves them. */
+        StreamCounters *counters = nullptr;
+        Entry *entry = nullptr;
+        std::string_view spec; ///< The entry's key spec, in codecs_.
+        std::uint32_t txBytes = 0;
+        std::uint32_t busBits = 0;
+    };
+
+    /** Memo slots, direct-mapped by stream id (a power of two): the
+     *  memo never grows, whatever stream ids a peer sends. */
+    static constexpr std::size_t kMemoSlots = 64;
 
     /** Where a handler writes its reply: one frame in place at the end
      *  of a wire buffer. */
@@ -162,26 +231,38 @@ class Service
 
     /** Dispatch @p request and write its reply, unfinished. */
     void serve(const wire::FrameView &request, Reply &reply);
-    /** @p stream is the request's per-tenant counters, resolved once
-     *  by serve() (null when untagged or metrics are off). */
+    /** @p memo is the request's stream slot, claimed by serve(); its
+     *  counters are null when untagged or metrics are off. */
     void handleEncode(const wire::FrameView &request, Reply &reply,
-                      StreamCounters *stream);
-    void handleDecode(const wire::FrameView &request, Reply &reply);
+                      StreamMemo &memo);
+    void handleDecode(const wire::FrameView &request, Reply &reply,
+                      StreamMemo &memo);
     /** Stats: the metrics document; Snapshot: it plus uptime. */
     void handleStats(wire::Opcode opcode, Reply &reply);
     void errorResponse(wire::ErrorCode code, const std::string &detail,
                        Reply &reply);
     StreamCounters &streamCounters(std::uint16_t stream_id);
 
+    /** @p stream_id's memo slot, emptied first when another stream
+     *  held it. */
+    StreamMemo &memoFor(std::uint16_t stream_id);
+
     /**
-     * Look up / build the codec for (spec, txBytes, busBits) — plus
-     * @p stream_id when the spec is adaptive. Returns nullptr with
-     * @p err filled (BadSpec detail) when the spec or the geometry is
-     * invalid.
+     * Look up / build the codec for (spec, txBytes, busBits) — plus the
+     * stream id when the spec is adaptive — trying @p memo's entry
+     * first and leaving the result there. Returns nullptr with @p err
+     * filled (BadSpec detail) when the spec or the geometry is invalid.
      */
     Entry *entryFor(std::string_view spec, std::uint32_t tx_bytes,
-                    std::uint32_t bus_bits, std::uint16_t stream_id,
+                    std::uint32_t bus_bits, StreamMemo &memo,
                     std::string &err);
+
+    /** Build @p entry's codec and bind its instruments; false with
+     *  @p err filled when the spec is invalid. */
+    bool makeEntry(Entry &entry, std::string_view spec,
+                   std::uint32_t tx_bytes, std::uint32_t bus_bits,
+                   bool is_adaptive, std::uint16_t stream_id,
+                   std::string &err);
 
     /** The adaptive announcement (`spec;epoch=N`) for a reply's spec
      *  field, valid until the next call. A reply takes it before its
@@ -193,18 +274,22 @@ class Service
     void exportAdaptive(Entry &entry, std::uint16_t stream_id);
 
     telemetry::Registry &reg_;
-    telemetry::Counter &requests_;
-    telemetry::Counter &errors_;
-    telemetry::Counter &txEncoded_;
-    telemetry::Counter &txDecoded_;
+    PendingCounter requests_;
+    PendingCounter errors_;
+    PendingCounter txEncoded_;
+    PendingCounter txDecoded_;
     // Note: bxt.server.request_us lives in the connection layer
     // (shard.cpp) so its samples cover the whole lifecycle — feed to
     // reply write — and include busy/parse-error responses.
     std::map<Key, Entry, std::less<>> codecs_;
     std::map<std::uint16_t, std::unique_ptr<StreamCounters>> streams_;
+    std::array<StreamMemo, kMemoSlots> memo_;
+    /** Entries and streams with pending counts, for publish(). */
+    std::vector<Entry *> dirtyEntries_;
+    std::vector<StreamCounters *> dirtyStreams_;
     std::function<std::string()> stats_provider_;
     std::string announced_; ///< announceAdaptive's buffer, reused.
-    std::vector<std::uint8_t> wrapped_reply_; ///< The Frame form's, reused.
+    ByteBuffer wrapped_reply_; ///< The Frame form's, reused.
 };
 
 /**

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstring>
 
 #include "server/server.h"
 #include "telemetry/spanring.h"
@@ -43,7 +44,7 @@ readIntoParser(int fd, wire::FrameParser &parser, bool &would_block)
 void
 sendErrorBestEffort(int fd, wire::ErrorCode code, std::string_view message)
 {
-    std::vector<std::uint8_t> bytes;
+    ByteBuffer bytes;
     wire::appendErrorFrame(bytes, code, message);
     std::string err;
     net::writeAll(fd, bytes.data(), bytes.size(), err);
@@ -53,9 +54,12 @@ sendErrorBestEffort(int fd, wire::ErrorCode code, std::string_view message)
  * One nonblocking connection: socket, frame parser, and the output
  * buffer that decouples response production from a slow peer.
  *
- * Per-frame phase timestamps held until the batch flush lands, so
- * every phase span — and the request_us total they telescope to —
- * ends at the same write instant (DESIGN.md §9):
+ * Every request of a batch shares one feed instant (tFeed, read when
+ * the read that fed the parser returned) and one write instant (read
+ * once the batch's flush returns), so request_us records the batch as
+ * one weighted sample. A sampled traced request also keeps its own
+ * phase timestamps until that flush, so its phase spans and its
+ * request span end at the same write instant (DESIGN.md §9):
  *   queue_wait = tParseStart − tFeed   (buffered, awaiting service)
  *   parse      = tParseEnd − tParseStart
  *   codec      = tHandleEnd − tParseEnd (service dispatch)
@@ -74,7 +78,6 @@ struct Shard::Conn
         std::uint8_t opcode = 0;
         std::uint16_t streamId = 0;
         std::uint32_t txCount = 0;
-        bool sampled = false;
     };
 
     net::UniqueFd fd;
@@ -82,13 +85,14 @@ struct Shard::Conn
      *  into it. */
     wire::FrameParser parser;
     /** Response bytes not yet accepted by the socket; replies are
-     *  written in place onto its end. */
-    std::vector<std::uint8_t> out;
+     *  written in place onto its end, never zero-filled first. */
+    ByteBuffer out;
     std::size_t outPos = 0;
     bool closeAfterFlush = false;
     std::uint64_t lastActivityUs = 0;
     /** Request clock: set by the read that fed the parser. */
     std::uint64_t tFeed = 0;
+    /** The batch's sampled traced requests. */
     std::vector<PendingSpan> batchSpans;
 
     std::size_t pendingOut() const { return out.size() - outPos; }
@@ -234,9 +238,10 @@ Shard::flushOut(Conn &conn)
         // would otherwise keep the sent prefix forever: reclaim it, so
         // the buffer stays within twice the mark plus one read's
         // replies.
-        conn.out.erase(conn.out.begin(),
-                       conn.out.begin() +
-                           static_cast<std::ptrdiff_t>(conn.outPos));
+        const std::size_t unsent = conn.pendingOut();
+        std::memmove(conn.out.data(), conn.out.data() + conn.outPos,
+                     unsent);
+        conn.out.resizeForOverwrite(unsent);
         conn.outPos = 0;
     }
     return true;
@@ -245,6 +250,9 @@ Shard::flushOut(Conn &conn)
 bool
 Shard::processFrames(Conn &conn)
 {
+    // The clock is read once per batch, after its flush, plus three
+    // times for each sampled traced request; tFeed was read by the read
+    // that fed the parser.
     const bool metrics_on = telemetry::metricsEnabled();
     for (;;) {
         std::size_t batch = 0;
@@ -252,8 +260,9 @@ Shard::processFrames(Conn &conn)
         conn.batchSpans.clear();
         const std::size_t out_before = conn.out.size();
         while (batch < options_.maxBatch) {
+            const bool sampled = metrics_on && conn.parser.nextSampled();
             const std::uint64_t t_parse_start =
-                metrics_on ? telemetry::nowMicros() : 0;
+                sampled ? telemetry::nowMicros() : 0;
             wire::WireError parse_err;
             wire::FrameView request;
             const wire::FrameParser::Status st =
@@ -269,54 +278,45 @@ Shard::processFrames(Conn &conn)
                                        parse_err.detail);
                 conn.closeAfterFlush = true;
                 bad_stream = true;
-                if (metrics_on) {
-                    Conn::PendingSpan pending;
-                    pending.tParseStart = t_parse_start;
-                    pending.tParseEnd = pending.tHandleEnd =
-                        telemetry::nowMicros();
-                    conn.batchSpans.push_back(pending);
-                }
                 break;
             }
             const std::uint64_t t_parse_end =
-                metrics_on ? telemetry::nowMicros() : 0;
+                sampled ? telemetry::nowMicros() : 0;
             service_.handle(request, conn.out);
-            const std::uint64_t t_handle_end =
-                metrics_on ? telemetry::nowMicros() : 0;
             ++batch;
-            if (metrics_on) {
+            if (sampled) {
                 Conn::PendingSpan pending;
                 pending.traceId = request.traceId;
                 pending.spanId = request.spanId;
                 pending.tParseStart = t_parse_start;
                 pending.tParseEnd = t_parse_end;
-                pending.tHandleEnd = t_handle_end;
+                pending.tHandleEnd = telemetry::nowMicros();
                 pending.opcode =
                     static_cast<std::uint8_t>(request.opcode);
                 pending.streamId = request.streamId;
                 pending.txCount = requestTxCount(request);
-                pending.sampled = request.traceSampled;
                 conn.batchSpans.push_back(pending);
             }
         }
         if (batch > 0)
             batchSize_.record(batch);
+        // Every reply of the batch is counted before the peer can hold
+        // it (and before any Stats a later batch answers).
+        service_.publish();
         // Push the batch at the socket right away; whatever the peer
         // does not take waits in the out-buffer under POLLOUT, so a
         // slow client costs memory, not shard time.
         if (conn.out.size() > out_before && !flushOut(conn))
             return false;
-        if (metrics_on && !conn.batchSpans.empty()) {
+        const std::size_t answered = batch + (bad_stream ? 1 : 0);
+        if (metrics_on && answered > 0) {
             const std::uint64_t t_write_end = telemetry::nowMicros();
+            requestUs_.record(t_write_end - conn.tFeed, answered);
             const std::uint32_t tid = telemetry::currentThreadId();
             for (const Conn::PendingSpan &pending : conn.batchSpans) {
-                requestUs_.record(t_write_end - conn.tFeed);
-                if (!pending.sampled || pending.traceId == 0)
-                    continue;
                 telemetry::ServerSpan span;
                 span.traceId = pending.traceId;
                 span.spanId = pending.spanId;
-                span.phase = telemetry::ServerPhase::Request;
                 span.opcode = pending.opcode;
                 span.streamId = pending.streamId;
                 span.tid = tid;

@@ -44,63 +44,91 @@ errorCodeName(ErrorCode code)
            std::to_string(static_cast<std::uint32_t>(code));
 }
 
+namespace {
+
+/** Bytes a frame with @p head's header fields puts before its body. */
 std::size_t
-beginFrame(std::vector<std::uint8_t> &out, const FrameView &head,
-           std::size_t body_bytes)
+prefixBytes(const FrameView &head)
 {
-    const std::size_t spec_len = head.spec.size();
     // Untraced frames stay byte-identical version-1 frames, so a client
     // that never sets a trace context interoperates with pre-trace
     // servers (and vice versa).
-    const std::size_t trace_len = head.traced() ? traceBlockBytes : 0;
-    const std::size_t start = out.size();
-    const std::size_t prefix = headerBytes + trace_len + spec_len;
-    // Room for the whole frame at once; doubling keeps a buffer that
-    // collects many frames from reallocating for each.
-    const std::size_t need = start + prefix + body_bytes + crcBytes;
-    if (need > out.capacity())
-        out.reserve(std::max(need, 2 * out.capacity()));
-    out.resize(start + prefix);
-    std::uint8_t *p = out.data() + start;
+    return headerBytes + (head.traced() ? traceBlockBytes : 0) +
+           head.spec.size();
+}
 
+/** Write @p head's header, trace block and spec at @p p (prefixBytes
+ *  of them), with a zero body length for sealFrame to patch. */
+void
+writePrefix(std::uint8_t *p, const FrameView &head)
+{
+    const std::size_t spec_len = head.spec.size();
     storeWord32(p, frameMagic);
     p[4] = head.traced() ? wireVersionTraced : wireVersion;
     p[5] = static_cast<std::uint8_t>(head.opcode);
     p[6] = static_cast<std::uint8_t>(head.streamId & 0xff);
     p[7] = static_cast<std::uint8_t>(head.streamId >> 8);
     storeWord32(p + 8, static_cast<std::uint32_t>(spec_len));
-    storeWord32(p + 12, 0); // Body length: patched by finishFrame.
+    storeWord32(p + 12, 0);
+    std::size_t spec_at = headerBytes;
     if (head.traced()) {
         storeWord64(p + 16, head.traceId);
         storeWord64(p + 24, head.spanId);
         storeWord32(p + 32, head.traceSampled ? traceFlagSampled : 0u);
+        spec_at += traceBlockBytes;
     }
     if (spec_len > 0)
-        std::memcpy(p + headerBytes + trace_len, head.spec.data(), spec_len);
+        std::memcpy(p + spec_at, head.spec.data(), spec_len);
+}
+
+/** Patch the body length of the frame at @p p, whose body ends
+ *  @p crc_off bytes in, and store its CRC32 there. */
+void
+sealFrame(std::uint8_t *p, std::size_t crc_off)
+{
+    const std::size_t trace_len =
+        p[4] == wireVersionTraced ? traceBlockBytes : 0;
+    const std::size_t body_off = headerBytes + trace_len + loadWord32(p + 8);
+    storeWord32(p + 12, static_cast<std::uint32_t>(crc_off - body_off));
+    storeWord32(p + crc_off, crc32({p, crc_off}));
+}
+
+} // namespace
+
+std::size_t
+beginFrame(ByteBuffer &out, const FrameView &head, std::size_t body_bytes)
+{
+    const std::size_t start = out.size();
+    const std::size_t prefix = prefixBytes(head);
+    // Room for the whole frame at once; doubling keeps a buffer that
+    // collects many frames from reallocating for each.
+    const std::size_t need = start + prefix + body_bytes + crcBytes;
+    if (need > out.capacity())
+        out.reserve(std::max(need, 2 * out.capacity()));
+    writePrefix(out.extendForOverwrite(prefix), head);
     return start;
 }
 
 void
-finishFrame(std::vector<std::uint8_t> &out, std::size_t start)
+finishFrame(ByteBuffer &out, std::size_t start)
 {
-    std::uint8_t *p = out.data() + start;
-    const std::size_t trace_len =
-        p[4] == wireVersionTraced ? traceBlockBytes : 0;
-    const std::size_t body_off = headerBytes + trace_len + loadWord32(p + 8);
     const std::size_t crc_off = out.size() - start;
-    storeWord32(p + 12, static_cast<std::uint32_t>(crc_off - body_off));
-    const std::uint32_t crc = crc32({p, crc_off});
-    out.resize(out.size() + crcBytes);
-    storeWord32(out.data() + start + crc_off, crc);
+    out.extendForOverwrite(crcBytes);
+    sealFrame(out.data() + start, crc_off);
 }
 
 void
 appendFrame(std::vector<std::uint8_t> &out, const Frame &frame)
 {
-    const std::size_t start =
-        beginFrame(out, frame.view(), frame.body.size());
-    out.insert(out.end(), frame.body.begin(), frame.body.end());
-    finishFrame(out, start);
+    const FrameView head = frame.view();
+    const std::size_t start = out.size();
+    const std::size_t prefix = prefixBytes(head);
+    out.resize(start + prefix + frame.body.size() + crcBytes);
+    std::uint8_t *p = out.data() + start;
+    writePrefix(p, head);
+    if (!frame.body.empty())
+        std::memcpy(p + prefix, frame.body.data(), frame.body.size());
+    sealFrame(p, prefix + frame.body.size());
 }
 
 std::vector<std::uint8_t>
@@ -112,7 +140,7 @@ serializeFrame(const Frame &frame)
 }
 
 void
-appendErrorFrame(std::vector<std::uint8_t> &out, ErrorCode code,
+appendErrorFrame(ByteBuffer &out, ErrorCode code,
                  std::string_view message)
 {
     FrameView head;
@@ -184,6 +212,16 @@ FrameParser::feed(const std::uint8_t *data, std::size_t n)
         return;
     std::memcpy(prepareRead(n), data, n);
     commitRead(n);
+}
+
+bool
+FrameParser::nextSampled() const
+{
+    if (failed() || buffered() < headerBytes + traceBlockBytes)
+        return false;
+    const std::uint8_t *base = buffer_.data() + consumed_;
+    return base[4] == wireVersionTraced && loadWord64(base + 16) != 0 &&
+           (loadWord32(base + 32) & traceFlagSampled) != 0;
 }
 
 FrameParser::Status
@@ -283,7 +321,7 @@ FrameParser::next(Frame &out, WireError &err)
     return status;
 }
 
-BodyWriter::BodyWriter(std::vector<std::uint8_t> &buffer, std::size_t offset,
+BodyWriter::BodyWriter(ByteBuffer &buffer, std::size_t offset,
                        std::size_t size)
     : body_(buffer)
 {
@@ -294,9 +332,7 @@ BodyWriter::BodyWriter(std::vector<std::uint8_t> &buffer, std::size_t offset,
 std::uint8_t *
 BodyWriter::claim(std::size_t n)
 {
-    const std::size_t at = body_.size();
-    body_.resize(at + n);
-    return body_.data() + at;
+    return body_.extendForOverwrite(n);
 }
 
 void
@@ -314,7 +350,7 @@ BodyWriter::u64(std::uint64_t v)
 void
 BodyWriter::bytes(const std::uint8_t *data, std::size_t n)
 {
-    body_.insert(body_.end(), data, data + n);
+    body_.append(data, n);
 }
 
 bool

@@ -214,18 +214,19 @@ struct WireError
  * patches the body length and appends the CRC32. A connection builds its
  * replies this way straight in its output buffer.
  */
-std::size_t beginFrame(std::vector<std::uint8_t> &out, const FrameView &head,
+std::size_t beginFrame(ByteBuffer &out, const FrameView &head,
                        std::size_t body_bytes);
 
 /**
  * Finish the frame beginFrame started at @p start: every byte after its
  * spec is the body. Patches the body length and appends the CRC32.
  */
-void finishFrame(std::vector<std::uint8_t> &out, std::size_t start);
+void finishFrame(ByteBuffer &out, std::size_t start);
 
 /**
- * Append @p frame (header + spec + body + CRC32) to @p out: beginFrame,
- * one body copy, finishFrame. Replay and tests only (see Frame).
+ * Append @p frame (header + spec + body + CRC32) to @p out: the bytes
+ * beginFrame, one body copy and finishFrame would write. Replay and
+ * tests only (see Frame).
  */
 void appendFrame(std::vector<std::uint8_t> &out, const Frame &frame);
 
@@ -237,7 +238,7 @@ std::vector<std::uint8_t> serializeFrame(const Frame &frame);
  * `u32 code | message`. The connection layer answers what no request
  * reached the service for (a parse error, Busy, ShuttingDown) with it.
  */
-void appendErrorFrame(std::vector<std::uint8_t> &out, ErrorCode code,
+void appendErrorFrame(ByteBuffer &out, ErrorCode code,
                       std::string_view message);
 
 /**
@@ -294,6 +295,14 @@ class FrameParser
      *  Replay and tests only (see Frame). */
     Status next(Frame &out, WireError &err);
 
+    /**
+     * True when the next buffered frame's header is all here and marks
+     * it traced and sampled: version 2, a nonzero traceId and the
+     * sampled flag. Whether that frame is whole and valid is next()'s
+     * to say. A shard reads its span clocks only for such requests.
+     */
+    bool nextSampled() const;
+
     /** Bytes buffered but not yet consumed by next(). */
     std::size_t buffered() const { return buffer_.size() - consumed_; }
 
@@ -312,27 +321,27 @@ class FrameParser
  * Little-endian body serializer (u32/u64/raw bytes), shared by the
  * service, the client library, and the tests.
  *
- * The body starts at @p offset of @p buffer (0 for a Frame's body; after
- * the header for a frame built in place by beginFrame) and the bytes
- * before it are left alone. The buffer is cut at @p offset, room for
- * @p size bytes is reserved, and every write appends, so a raw copy lands
- * without first zero-filling its bytes. A reused buffer keeps its
- * capacity.
+ * The body starts at @p offset of @p buffer (after the header for a
+ * frame built in place by beginFrame) and the bytes before it are left
+ * alone. The buffer is cut at @p offset, room for @p size bytes is
+ * reserved, and every write appends. No byte is zero-filled first: a
+ * raw copy lands as is, and claim() hands out bytes the caller must
+ * overwrite. A reused buffer keeps its capacity.
  */
 class BodyWriter
 {
   public:
-    BodyWriter(std::vector<std::uint8_t> &buffer, std::size_t offset,
-               std::size_t size);
+    BodyWriter(ByteBuffer &buffer, std::size_t offset, std::size_t size);
 
     void u32(std::uint32_t v);
     void u64(std::uint64_t v);
     void bytes(const std::uint8_t *data, std::size_t n);
-    /** The next @p n bytes, for the caller to fill in place. */
+    /** The next @p n bytes, unspecified, for the caller to fill in
+     *  place. */
     std::uint8_t *claim(std::size_t n);
 
   private:
-    std::vector<std::uint8_t> &body_;
+    ByteBuffer &body_;
 };
 
 /**

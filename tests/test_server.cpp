@@ -63,6 +63,24 @@ fromHex(std::string_view hex)
     return bytes;
 }
 
+/** The bytes of @p buffer, for comparing with a std::vector. */
+std::vector<std::uint8_t>
+bytesOf(const ByteBuffer &buffer)
+{
+    return {buffer.data(), buffer.data() + buffer.size()};
+}
+
+/** Set @p frame's body to what @p fill writes through a BodyWriter. */
+template <typename Fill>
+void
+writeBody(wire::Frame &frame, Fill fill)
+{
+    ByteBuffer body;
+    wire::BodyWriter writer(body, 0, 0);
+    fill(writer);
+    frame.body = bytesOf(body);
+}
+
 wire::Frame
 pingFrame()
 {
@@ -288,12 +306,13 @@ TEST(FrameParser, TracedEncodeFrameBytesArePinned)
     frame.spanId = 0x1112131415161718ull;
     frame.traceSampled = true;
     frame.spec = "xor4+zdr";
-    wire::BodyWriter body(frame.body, 0, 0);
-    body.u32(8);
-    body.u32(32);
-    body.u64(2);
-    for (std::uint8_t b = 0x20; b < 0x30; ++b)
-        body.bytes(&b, 1);
+    writeBody(frame, [](wire::BodyWriter &body) {
+        body.u32(8);
+        body.u32(32);
+        body.u64(2);
+        for (std::uint8_t b = 0x20; b < 0x30; ++b)
+            body.bytes(&b, 1);
+    });
 
     EXPECT_EQ(wire::serializeFrame(frame), pinned);
     EXPECT_EQ(crc32({pinned.data(), pinned.size() - wire::crcBytes}),
@@ -467,12 +486,14 @@ TEST(ErrorFrames, RoundTripCodeAndMessage)
         SCOPED_TRACE(wire::errorCodeName(c.code));
         const std::vector<std::uint8_t> pinned = fromHex(c.hex);
         // Written after whatever the buffer already holds.
-        std::vector<std::uint8_t> out = {0xaa, 0xbb};
+        const std::uint8_t held[] = {0xaa, 0xbb};
+        ByteBuffer out;
+        out.append(held, 2);
         wire::appendErrorFrame(out, c.code, c.message);
         ASSERT_EQ(out.size(), 2 + pinned.size());
-        EXPECT_TRUE(out[0] == 0xaa && out[1] == 0xbb);
+        EXPECT_TRUE(out.data()[0] == 0xaa && out.data()[1] == 0xbb);
         EXPECT_TRUE(std::equal(pinned.begin(), pinned.end(),
-                               out.begin() + 2));
+                               out.data() + 2));
 
         wire::FrameParser parser;
         parser.feed(pinned.data(), pinned.size());
@@ -598,9 +619,9 @@ TEST(ReplyReader, TwoRepliesInOneRead)
 TEST(ReplyReader, ErrorReplySetsCodeAndMessage)
 {
     SocketPair pair;
-    std::vector<std::uint8_t> bytes;
+    ByteBuffer bytes;
     wire::appendErrorFrame(bytes, wire::ErrorCode::Busy, "try later");
-    pair.send(bytes);
+    pair.send(bytes.data(), bytes.size());
     wire::FrameParser parser;
     wire::FrameView reply;
     wire::ErrorCode code = wire::ErrorCode::None;
@@ -665,11 +686,12 @@ makeEncodeRequest(const std::string &spec, std::uint32_t tx_bytes,
     wire::Frame request;
     request.opcode = wire::Opcode::Encode;
     request.spec = spec;
-    wire::BodyWriter body(request.body, 0, 0);
-    body.u32(tx_bytes);
-    body.u32(bus_bits);
-    body.u64(raw.size() / tx_bytes);
-    body.bytes(raw.data(), raw.size());
+    writeBody(request, [&](wire::BodyWriter &body) {
+        body.u32(tx_bytes);
+        body.u32(bus_bits);
+        body.u64(raw.size() / tx_bytes);
+        body.bytes(raw.data(), raw.size());
+    });
     return request;
 }
 
@@ -686,8 +708,9 @@ TEST(Service, ErrorOpcodeAsRequestIsMalformed)
     server::Service service;
     wire::Frame request;
     request.opcode = wire::Opcode::Error;
-    wire::BodyWriter body(request.body, 0, 0);
-    body.u32(static_cast<std::uint32_t>(wire::ErrorCode::Internal));
+    writeBody(request, [](wire::BodyWriter &body) {
+        body.u32(static_cast<std::uint32_t>(wire::ErrorCode::Internal));
+    });
     EXPECT_EQ(errorCodeOf(service.handle(request)),
               wire::ErrorCode::Malformed);
 }
@@ -733,10 +756,11 @@ TEST(Service, OversizedCountIsMalformed)
     wire::Frame request;
     request.opcode = wire::Opcode::Encode;
     request.spec = "baseline";
-    wire::BodyWriter body(request.body, 0, 0);
-    body.u32(32);
-    body.u32(32);
-    body.u64(wire::maxTxPerRequest + 1);
+    writeBody(request, [](wire::BodyWriter &body) {
+        body.u32(32);
+        body.u32(32);
+        body.u64(wire::maxTxPerRequest + 1);
+    });
     EXPECT_EQ(errorCodeOf(service.handle(request)),
               wire::ErrorCode::Malformed);
 }
@@ -748,14 +772,15 @@ TEST(Service, DecodeGeometryMismatchIsMalformed)
     wire::Frame request;
     request.opcode = wire::Opcode::Decode;
     request.spec = "dbi1";
-    wire::BodyWriter body(request.body, 0, 0);
-    body.u32(32);
-    body.u32(32);
-    body.u32(1); // Wrong metaWiresPerBeat.
-    body.u32(1);
-    body.u64(1);
-    const std::vector<std::uint8_t> payload(33, 0);
-    body.bytes(payload.data(), payload.size());
+    writeBody(request, [](wire::BodyWriter &body) {
+        body.u32(32);
+        body.u32(32);
+        body.u32(1); // Wrong metaWiresPerBeat.
+        body.u32(1);
+        body.u64(1);
+        const std::vector<std::uint8_t> payload(33, 0);
+        body.bytes(payload.data(), payload.size());
+    });
     EXPECT_EQ(errorCodeOf(service.handle(request)),
               wire::ErrorCode::Malformed);
 }
@@ -897,11 +922,13 @@ expectPinnedReply(server::Service &frame_service,
     const wire::Frame reply = frame_service.handle(request);
     EXPECT_EQ(wire::serializeFrame(reply), pinned);
 
-    std::vector<std::uint8_t> out = {0xaa, 0xbb};
+    const std::uint8_t held[] = {0xaa, 0xbb};
+    ByteBuffer out;
+    out.append(held, 2);
     wire_service.handle(request.view(), out);
     EXPECT_EQ(out.size(), 2 + pinned.size());
     EXPECT_TRUE(out.size() == 2 + pinned.size() &&
-                std::equal(pinned.begin(), pinned.end(), out.begin() + 2))
+                std::equal(pinned.begin(), pinned.end(), out.data() + 2))
         << "in-place reply differs from the pinned frame";
     return reply;
 }
@@ -960,6 +987,179 @@ TEST(Service, AdaptiveEncodeReplyIsPinned)
     EXPECT_EQ(reply.streamId, 7u);
 }
 
+/**
+ * Serve @p request in place after whatever @p out held (its stale bytes
+ * stay behind the cleared size) and parse the one reply frame written.
+ */
+wire::Frame
+serveInPlace(server::Service &service, ByteBuffer &out,
+             const wire::Frame &request)
+{
+    out.clear();
+    service.handle(request.view(), out);
+    wire::FrameParser parser;
+    parser.feed(out.data(), out.size());
+    wire::Frame reply;
+    wire::WireError err;
+    EXPECT_EQ(parser.next(reply, err), wire::FrameParser::Status::Ready)
+        << err.detail;
+    EXPECT_EQ(parser.buffered(), 0u);
+    return reply;
+}
+
+/** Expect @p reply to be what the codec @p spec on a @p bus_bits bus
+ *  makes of @p raw, one transaction at a time: payloads, packed
+ *  metadata rows and all three ones tallies. */
+void
+expectDirectEncode(const wire::Frame &reply, const std::string &spec,
+                   std::uint32_t bus_bits,
+                   const std::vector<std::uint8_t> &raw)
+{
+    ASSERT_EQ(reply.opcode, wire::Opcode::Encode) << spec;
+    wire::BodyReader reader(reply.body.data(), reply.body.size());
+    std::uint32_t tx_bytes = 0, bus = 0, meta_wires = 0, meta_bytes = 0;
+    std::uint64_t count = 0, in_ones = 0, payload_ones = 0, meta_ones = 0;
+    ASSERT_TRUE(reader.u32(tx_bytes) && reader.u32(bus) &&
+                reader.u32(meta_wires) && reader.u32(meta_bytes) &&
+                reader.u64(count) && reader.u64(in_ones) &&
+                reader.u64(payload_ones) && reader.u64(meta_ones));
+    ASSERT_EQ(bus, bus_bits);
+    ASSERT_EQ(count * tx_bytes, raw.size());
+    const std::uint8_t *payloads = nullptr;
+    const std::uint8_t *metas = nullptr;
+    ASSERT_TRUE(reader.view(payloads, raw.size()));
+    ASSERT_TRUE(reader.view(metas, count * meta_bytes));
+    ASSERT_EQ(reader.remaining(), 0u);
+
+    CodecPtr codec = makeCodec(spec, bus_bits / 8);
+    EXPECT_EQ(meta_wires, codec->metaWiresPerBeat()) << spec;
+    std::uint64_t want_in = 0, want_payload = 0, want_meta = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        const Transaction tx(std::span<const std::uint8_t>(
+            raw.data() + i * tx_bytes, tx_bytes));
+        const Encoded enc = codec->encode(tx);
+        want_in += tx.ones();
+        want_payload += enc.payload.ones();
+        EXPECT_TRUE(std::equal(enc.payload.bytes().begin(),
+                               enc.payload.bytes().end(),
+                               payloads + i * tx_bytes))
+            << spec << " payload " << i;
+        std::vector<std::uint8_t> packed(meta_bytes, 0);
+        for (std::size_t j = 0; j < enc.meta.size(); ++j) {
+            packed[j / 8] |= static_cast<std::uint8_t>(enc.meta[j] << (j % 8));
+            want_meta += enc.meta[j];
+        }
+        EXPECT_TRUE(std::equal(packed.begin(), packed.end(),
+                               metas + i * meta_bytes))
+            << spec << " metadata " << i;
+    }
+    EXPECT_EQ(in_ones, want_in) << spec;
+    EXPECT_EQ(payload_ones, want_payload) << spec;
+    EXPECT_EQ(meta_ones, want_meta) << spec;
+}
+
+TEST(Service, StreamMemoKeepsEveryReplyExact)
+{
+    // The memo is direct-mapped on the stream id's low bits: streams 5
+    // and 69 share a slot, and so do the adaptive streams 7 and 71.
+    // Streams 5 and 69 each cycle through three (spec, bus) keys, two of
+    // them with the same geometry, so their slot's entry moves on every
+    // request, and the slot changes hands between them. The out-buffer
+    // starts full of 0xff, and replies are written over stale bytes, so
+    // a byte the in-place path leaves unwritten would show.
+    telemetry::resetForTest();
+    telemetry::setMetricsEnabled(true);
+    server::Service service;
+    ByteBuffer out;
+    out.resize(std::size_t{1} << 16);
+    std::memset(out.data(), 0xff, out.size());
+
+    struct Key
+    {
+        const char *spec;
+        std::uint32_t busBits;
+    };
+    const Key keys[] = {{"xor4+zdr", 32}, {"dbi4", 32}, {"xor4+zdr", 64}};
+    const std::string adaptive_spec = "adaptive:xor2+zdr,baseline,w=8,p=8,h=0";
+    // Each adaptive stream's replies must be those of a service that
+    // serves that stream alone: one controller per stream. They count
+    // into their own registry.
+    telemetry::Registry alone_registry;
+    server::Service alone7(&alone_registry), alone71(&alone_registry);
+    Rng rng(0x3e30);
+    wire::Frame last7, last71;
+    for (std::uint32_t round = 0; round < 4; ++round) {
+        for (std::uint32_t step = 0; step < 6; ++step) {
+            const std::uint16_t stream = step < 3 ? 5 : 69;
+            const Key &key = keys[(round + step) % 3];
+            std::vector<std::uint8_t> raw(4 * 32);
+            for (std::size_t i = 0; i < raw.size(); i += 4) {
+                const std::uint32_t word =
+                    rng.nextBounded(4) == 0
+                        ? 0
+                        : 0x3f800000u ^ static_cast<std::uint32_t>(
+                                            rng.nextBounded(1024));
+                storeWord32(raw.data() + i, word);
+            }
+            wire::Frame request =
+                makeEncodeRequest(key.spec, 32, key.busBits, raw);
+            request.streamId = stream;
+            const wire::Frame reply = serveInPlace(service, out, request);
+            EXPECT_EQ(reply.streamId, stream);
+            expectDirectEncode(reply, key.spec, key.busBits, raw);
+
+            const wire::Frame decoded =
+                serveInPlace(service, out, decodeRequestFor(reply));
+            constexpr std::size_t kDecodeHeader = 4 + 8;
+            ASSERT_EQ(decoded.opcode, wire::Opcode::Decode) << key.spec;
+            ASSERT_EQ(decoded.body.size(), kDecodeHeader + raw.size());
+            EXPECT_TRUE(std::equal(raw.begin(), raw.end(),
+                                   decoded.body.begin() + kDecodeHeader))
+                << key.spec << " on stream " << stream;
+        }
+        // Stream 7 sends Base+XOR territory, stream 71 data only
+        // baseline wins on, so a shared controller could not announce
+        // both streams' choices.
+        std::vector<std::uint8_t> same(16 * 32, 0xff);
+        std::vector<std::uint8_t> flipping(16 * 32);
+        for (std::size_t i = 0; i < flipping.size(); ++i)
+            flipping[i] = (i / 2) % 2 == 0 ? 0x00 : 0xff;
+        const auto adaptive_step = [&](std::uint16_t stream,
+                                       const std::vector<std::uint8_t> &raw,
+                                       server::Service &alone,
+                                       wire::Frame &last) {
+            wire::Frame request =
+                makeEncodeRequest(adaptive_spec, 32, 32, raw);
+            request.streamId = stream;
+            last = serveInPlace(service, out, request);
+            EXPECT_EQ(last, alone.handle(request))
+                << "adaptive stream " << stream << ", round " << round;
+        };
+        for (int rep = 0; rep < 3; ++rep) {
+            adaptive_step(7, same, alone7, last7);
+            adaptive_step(71, flipping, alone71, last71);
+        }
+    }
+    EXPECT_EQ(last7.spec.substr(0, last7.spec.find(';')), "xor2+zdr");
+    EXPECT_EQ(last71.spec.substr(0, last71.spec.find(';')), "baseline");
+    // Three concrete keys, shared by streams 5 and 69, plus one adaptive
+    // entry per adaptive stream.
+    EXPECT_EQ(service.cachedCodecs(), 5u);
+
+    // Each stream's counters survived its slot changing hands.
+    service.publish();
+    for (const char *stream : {"5", "69"}) {
+        EXPECT_EQ(telemetry::counter(std::string("bxt.server.stream.") +
+                                     stream + ".requests")
+                      .value(),
+                  24u)
+            << stream;
+    }
+    EXPECT_EQ(telemetry::counter("bxt.server.stream.71.tx_encoded").value(),
+              12u * 16u);
+    telemetry::setMetricsEnabled(false);
+}
+
 TEST(Service, StatsReturnsSnapshotJson)
 {
     server::Service service;
@@ -1003,11 +1203,11 @@ TEST(Service, TraceContextIsEchoedOnReplies)
 
     // In place, the Error reply is a version-2 frame whose header and
     // trace block echo the request's, and it parses to the same fields.
-    std::vector<std::uint8_t> out;
+    ByteBuffer out;
     service.handle(bad.view(), out);
     ASSERT_GT(out.size(), wire::headerBytes + wire::traceBlockBytes);
-    EXPECT_EQ(out[4], wire::wireVersionTraced);
-    EXPECT_EQ(out[6] | (out[7] << 8), 9);
+    EXPECT_EQ(out.data()[4], wire::wireVersionTraced);
+    EXPECT_EQ(out.data()[6] | (out.data()[7] << 8), 9);
     EXPECT_EQ(loadWord64(out.data() + 16), 0x1234u);
     EXPECT_EQ(loadWord64(out.data() + 24), 0x9999u);
     EXPECT_EQ(loadWord32(out.data() + 32), wire::traceFlagSampled);
@@ -1056,10 +1256,11 @@ TEST(Service, RequestTxCountReadsBodyHeaders)
     wire::Frame absurd;
     absurd.opcode = wire::Opcode::Encode;
     absurd.spec = "baseline";
-    wire::BodyWriter body(absurd.body, 0, 0);
-    body.u32(32);
-    body.u32(32);
-    body.u64(~std::uint64_t{0});
+    writeBody(absurd, [](wire::BodyWriter &body) {
+        body.u32(32);
+        body.u32(32);
+        body.u64(~std::uint64_t{0});
+    });
     EXPECT_EQ(server::requestTxCount(absurd.view()),
               wire::maxTxPerRequest);
 }
@@ -1107,6 +1308,7 @@ class LiveServer
 
     bool started() const { return started_; }
     int tcpPort() const { return server_.tcpPort(); }
+    const server::Server &server() const { return server_; }
 
   private:
     server::Server server_;
@@ -1444,6 +1646,108 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     EXPECT_NE(trace.find("0102030405060709"), std::string::npos);
     EXPECT_NE(trace.find("\"droppedSpans\""), std::string::npos);
     std::filesystem::remove(path);
+    telemetry::setMetricsEnabled(false);
+}
+
+TEST(Loopback, OneWriteOfFramesCountsEveryRequestAndSpansOnlySampled)
+{
+    // Six untraced Encodes with a sampled traced one in fourth place,
+    // then a frame with a broken CRC, all in one write: the shard
+    // answers them as one batch, records request_us once per request
+    // (eight samples), and records phase spans for the traced request
+    // only, with the same exact telescoping as a request served alone.
+    telemetry::resetForTest();
+    telemetry::setMetricsEnabled(true);
+    telemetry::clearServerSpans();
+    server::ServerOptions options = ephemeralTcpOptions();
+    options.shards = 1;
+    LiveServer live(options);
+    ASSERT_TRUE(live.started());
+    const auto request_us_total = [&live]() -> std::uint64_t {
+        JsonValue doc;
+        std::string err;
+        EXPECT_TRUE(parseJson(live.server().mergedSnapshotJson(), doc, &err))
+            << err;
+        const JsonValue *histos = doc.find("histograms");
+        const JsonValue *histo =
+            histos != nullptr ? histos->find("bxt.server.request_us")
+                              : nullptr;
+        const JsonValue *total =
+            histo != nullptr ? histo->find("total") : nullptr;
+        return total != nullptr ? static_cast<std::uint64_t>(total->number)
+                                : 0;
+    };
+    const std::uint64_t before = request_us_total();
+
+    constexpr std::uint64_t kTraceId = 0x0b47c4000000000dull;
+    const std::vector<std::uint8_t> raw(4 * 32, 0x5a);
+    std::vector<std::uint8_t> burst;
+    for (int i = 0; i < 7; ++i) {
+        wire::Frame frame = makeEncodeRequest("xor4+zdr", 32, 32, raw);
+        if (i == 3) {
+            frame.traceId = kTraceId;
+            frame.spanId = 33;
+            frame.traceSampled = true;
+        }
+        wire::appendFrame(burst, frame);
+    }
+    std::vector<std::uint8_t> bad = wire::serializeFrame(pingFrame());
+    bad.back() ^= 0x01;
+    burst.insert(burst.end(), bad.begin(), bad.end());
+
+    std::string err;
+    client::Client client =
+        client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(client.connected()) << err;
+    const int fd = client.rawFd();
+    ASSERT_TRUE(net::writeAll(fd, burst.data(), burst.size(), err)) << err;
+
+    wire::FrameParser parser;
+    wire::FrameView reply;
+    wire::ErrorCode code = wire::ErrorCode::None;
+    for (int i = 0; i < 7; ++i) {
+        ASSERT_TRUE(client::readReply(fd, parser, reply, code, err))
+            << "reply " << i << ": " << err;
+        EXPECT_EQ(reply.opcode, wire::Opcode::Encode);
+        EXPECT_EQ(reply.traceId, i == 3 ? kTraceId : 0u);
+    }
+    EXPECT_FALSE(client::readReply(fd, parser, reply, code, err));
+    EXPECT_EQ(code, wire::ErrorCode::BadCrc);
+    // The shard closes the connection after it has recorded the batch,
+    // so at EOF the samples and spans are all in.
+    pollfd pfd{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::read(fd, &byte, 1), 0);
+
+    EXPECT_EQ(request_us_total() - before, 8u);
+
+    const std::vector<telemetry::ServerSpan> spans =
+        telemetry::collectServerSpans();
+    std::map<telemetry::ServerPhase, telemetry::ServerSpan> by_phase;
+    for (const telemetry::ServerSpan &span : spans) {
+        EXPECT_EQ(span.traceId, kTraceId) << "an unsampled request left a span";
+        EXPECT_EQ(by_phase.count(span.phase), 0u)
+            << "duplicate phase " << telemetry::serverPhaseName(span.phase);
+        by_phase[span.phase] = span;
+    }
+    ASSERT_EQ(spans.size(), 5u);
+    ASSERT_EQ(by_phase.size(), 5u);
+    const telemetry::ServerSpan &request =
+        by_phase.at(telemetry::ServerPhase::Request);
+    EXPECT_EQ(request.spanId, 33u);
+    EXPECT_EQ(request.txCount, 4u);
+    // Each phase starts where the one before it ends, and the last ends
+    // where the request does: zero tolerance.
+    std::uint64_t at = request.startUs;
+    for (const telemetry::ServerPhase phase :
+         {telemetry::ServerPhase::QueueWait, telemetry::ServerPhase::Parse,
+          telemetry::ServerPhase::Codec, telemetry::ServerPhase::Reply}) {
+        const telemetry::ServerSpan &span = by_phase.at(phase);
+        EXPECT_EQ(span.startUs, at) << telemetry::serverPhaseName(phase);
+        at = span.startUs + span.durUs;
+    }
+    EXPECT_EQ(at, request.startUs + request.durUs);
     telemetry::setMetricsEnabled(false);
 }
 
@@ -1888,6 +2192,68 @@ TEST(Sharded, FleetTotalsTelescopeToShardBreakdown)
                   share)
             << "shard " << s;
     }
+}
+
+TEST(Sharded, StatsOnAnotherShardCountsEveryHeldReply)
+{
+    // A shard publishes its counts once per batch, before it flushes
+    // the batch's replies: once a client holds an Encode reply from
+    // shard 0, a Stats answered by shard 1 already counts it, on the
+    // first try.
+    telemetry::resetForTest();
+    telemetry::setMetricsEnabled(true);
+    server::ServerOptions options;
+    options.tcpPort = 0;
+    options.shards = 2;
+    LiveServer live(options);
+    ASSERT_TRUE(live.started());
+
+    // Round-robin placement: the first connection lands on shard 0, the
+    // second on shard 1.
+    std::string err;
+    client::Client worker =
+        client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(worker.connected()) << err;
+    ASSERT_TRUE(worker.ping(err)) << err;
+    client::Client stats =
+        client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(stats.connected()) << err;
+    ASSERT_TRUE(stats.ping(err)) << err;
+
+    worker.setStreamId(3);
+    Rng rng(0x9ab1);
+    TenantLedger ledger;
+    for (int i = 0; i < 20; ++i) {
+        std::vector<std::uint8_t> raw((1 + i % 4) * 32);
+        for (std::uint8_t &b : raw)
+            b = static_cast<std::uint8_t>(rng.nextBounded(256));
+        client::EncodeResult enc;
+        ASSERT_TRUE(worker.encode("xor4+zdr", 32, 32, raw, enc, err)) << err;
+        ledger.requests += 1;
+        ledger.txs += enc.count;
+        ledger.onesIn += enc.inputOnes;
+        ledger.onesOut += enc.payloadOnes + enc.metaOnes;
+
+        const std::map<std::string, std::uint64_t> counters =
+            fetchCounters(stats);
+        const auto value = [&counters](const std::string &name) {
+            const auto it = counters.find(name);
+            return it != counters.end() ? it->second : ~std::uint64_t{0};
+        };
+        EXPECT_EQ(value("bxt.server.tx_encoded"), ledger.txs) << i;
+        EXPECT_EQ(value("bxt.server.xor4-zdr.ones_in"), ledger.onesIn) << i;
+        EXPECT_EQ(value("bxt.server.xor4-zdr.ones_out"), ledger.onesOut)
+            << i;
+        EXPECT_EQ(value(streamCounterName(2, "requests")), ledger.requests)
+            << i;
+        EXPECT_EQ(value(streamCounterName(2, "tx_encoded")), ledger.txs)
+            << i;
+        EXPECT_EQ(value(streamCounterName(2, "ones_in")), ledger.onesIn)
+            << i;
+        EXPECT_EQ(value(streamCounterName(2, "ones_out")), ledger.onesOut)
+            << i;
+    }
+    telemetry::setMetricsEnabled(false);
 }
 
 TEST(Sharded, GracefulDrainAnswersInFlightFramesOnEveryShard)

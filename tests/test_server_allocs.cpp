@@ -6,7 +6,8 @@
  * client builds its requests in place and reads replies as views. Once
  * the buffers involved have grown to the largest request, serving a
  * concrete-spec Encode or Decode this way must not touch the heap,
- * metadata packing included. The global operator new below counts every
+ * metadata packing and the once-per-batch counter publication included.
+ * The global operator new below counts every
  * allocation, which is why this test is its own executable. */
 
 #include <gtest/gtest.h>
@@ -86,7 +87,7 @@ constexpr std::uint32_t kBusBits = 32;
 struct EncodeRequest
 {
     std::vector<std::uint8_t> raw;
-    std::vector<std::uint8_t> bytes; ///< The request frame.
+    ByteBuffer bytes; ///< The request frame.
 };
 
 EncodeRequest
@@ -132,7 +133,7 @@ struct Buffers
 {
     wire::FrameParser serverParser;
     wire::FrameParser clientParser;
-    std::vector<std::uint8_t> decodeRequest, out;
+    ByteBuffer decodeRequest, out;
 };
 
 /**
@@ -141,8 +142,8 @@ struct Buffers
  * when either side fails to parse.
  */
 bool
-serveOne(const std::vector<std::uint8_t> &bytes, server::Service &service,
-         Buffers &buf, wire::FrameView &reply)
+serveOne(const ByteBuffer &bytes, server::Service &service, Buffers &buf,
+         wire::FrameView &reply)
 {
     wire::WireError err;
     buf.serverParser.feed(bytes.data(), bytes.size());
@@ -234,13 +235,20 @@ TEST(ServerAllocs, SteadyStateEncodeDecodeIsAllocationFree)
     for (const EncodeRequest &req : requests)
         serveRoundTrip(req, service, buf, warm);
     ASSERT_EQ(warm.wrong, 0u);
+    service.publish();
 
+    // A shard publishes the counts once per batch; here a batch is eight
+    // requests (four round trips).
+    telemetry::Counter &published = telemetry::counter("bxt.server.requests");
+    const std::uint64_t published_before = published.value();
     Served served;
     const std::uint64_t before = g_allocs.load();
     for (std::size_t i = 0; served.requests < 1200; ++i) {
         serveRoundTrip(requests[i % requests.size()], service, buf, served);
         if (served.wrong != 0)
             break;
+        if (i % 4 == 3)
+            service.publish();
     }
     const std::uint64_t allocs = g_allocs.load() - before;
 
@@ -248,6 +256,7 @@ TEST(ServerAllocs, SteadyStateEncodeDecodeIsAllocationFree)
     EXPECT_EQ(served.requests, 1200u);
     EXPECT_EQ(allocs, 0u) << "heap allocations over " << served.requests
                           << " steady-state requests";
+    EXPECT_EQ(published.value() - published_before, 1200u);
     telemetry::setMetricsEnabled(false);
 }
 

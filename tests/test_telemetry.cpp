@@ -789,6 +789,46 @@ TEST_F(TelemetryTest, HistogramMergeMatchesSingleRegistryOracle)
     }
 }
 
+TEST_F(TelemetryTest, WeightedRecordMatchesRepeatedRecords)
+{
+    // A bxtd batch records its requests' shared latency as one weighted
+    // sample; that must be indistinguishable from n single records.
+    tm::Registry reg;
+    tm::Histo &weighted = reg.histogram("bxt.test.weighted");
+    tm::Histo &repeated = reg.histogram("bxt.test.repeated");
+    Rng rng(0xb47c);
+    for (std::size_t i = 0; i < 400; ++i) {
+        // Values across the exact and the octave buckets, weights up to
+        // a full 64-frame batch, zero included.
+        const std::uint64_t v = rng.nextBounded(1u << (1 + i % 20));
+        const std::uint64_t n = rng.nextBounded(65);
+        weighted.record(v, n);
+        for (std::uint64_t k = 0; k < n; ++k)
+            repeated.record(v);
+    }
+    ASSERT_GT(repeated.total(), 0u);
+    EXPECT_EQ(weighted.total(), repeated.total());
+    EXPECT_DOUBLE_EQ(weighted.sum(), repeated.sum());
+    EXPECT_EQ(weighted.min(), repeated.min());
+    EXPECT_EQ(weighted.max(), repeated.max());
+    for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0})
+        EXPECT_DOUBLE_EQ(weighted.quantile(q), repeated.quantile(q))
+            << "q=" << q;
+    for (std::size_t b = 0; b < tm::Histo::numBuckets; ++b)
+        ASSERT_EQ(weighted.bucketCount(b), repeated.bucketCount(b))
+            << "bucket " << b;
+
+    // A weight of zero records nothing, min and max included.
+    tm::Histo &empty = reg.histogram("bxt.test.weight_zero");
+    empty.record(12345, 0);
+    EXPECT_EQ(empty.total(), 0u);
+    EXPECT_EQ(empty.sum(), 0.0);
+    EXPECT_EQ(empty.min(), 0u);
+    EXPECT_EQ(empty.max(), 0u);
+    for (std::size_t b = 0; b < tm::Histo::numBuckets; ++b)
+        ASSERT_EQ(empty.bucketCount(b), 0u) << "bucket " << b;
+}
+
 TEST_F(TelemetryTest, SnapshotJsonOfExplicitRegistry)
 {
     tm::Registry reg;

@@ -259,7 +259,7 @@ runOpenLoop(const Args &args, int fd, ConnResult &out, std::string &err)
     bxt::wire::FrameView head;
     head.opcode = bxt::wire::Opcode::Encode;
     head.spec = args.spec;
-    const auto build = [&](std::vector<std::uint8_t> &frame) {
+    const auto build = [&](bxt::ByteBuffer &frame) {
         const std::size_t body_bytes = 16 + raw.size();
         frame.clear();
         bxt::wire::beginFrame(frame, head, body_bytes);
@@ -270,7 +270,7 @@ runOpenLoop(const Args &args, int fd, ConnResult &out, std::string &err)
         body.bytes(raw.data(), raw.size());
         bxt::wire::finishFrame(frame, 0);
     };
-    std::vector<std::uint8_t> canned, traced;
+    bxt::ByteBuffer canned, traced;
     build(canned);
 
     bxt::wire::FrameParser parser;
@@ -282,7 +282,7 @@ runOpenLoop(const Args &args, int fd, ConnResult &out, std::string &err)
 
     while (received < args.requests) {
         while (sent < args.requests && send_times.size() < args.depth) {
-            const std::vector<std::uint8_t> *frame = &canned;
+            const bxt::ByteBuffer *frame = &canned;
             if (args.traceSample > 0.0 &&
                 rng.nextDouble() < args.traceSample) {
                 head.traceId = rng.next64() | 1;
