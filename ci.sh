@@ -46,7 +46,9 @@
 #            within BXT_TRACE_OVERHEAD_PCT (default 2) percent of the
 #            untraced one, upload the Chrome span trace bxtd
 #            writes at exit (BXT_TRACE) and a schema-2 Snapshot-opcode
-#            document, then SIGTERM it and assert a clean drain (exit 0);
+#            document, then SIGTERM it with five never-reading peers
+#            connected (a python3 helper) and assert a clean drain (exit
+#            0, "drained, exiting", within 8 s);
 #            last, a 1 s traced zipf-roundtrip run of perfbench/run.py,
 #            the only CI step that builds the benchmark's replay of the
 #            library's Frame API, and a 1 s untraced hot-flood run, which
@@ -344,16 +346,60 @@ run_serve() {
     ./build-ci-release/tools/bxt_report --validate \
         "${out}/server_snapshot.json"
 
-    # Graceful drain: SIGTERM must produce a clean exit 0, not 143.
+    # Peers that never read: five connections each pipeline twelve
+    # 256 KiB baseline Encodes, then hold ~3 MB of replies unread.
+    # Round-robin puts two of them on one shard.
+    python3 - "${sock}" > "${out}/stuck_peers.log" 2>&1 <<'PY' &
+import socket, struct, sys, time, zlib
+spec = b"baseline"
+body = struct.pack("<IIQ", 64, 32, 4096) + bytes(range(256)) * 1024
+head = b"BXTP" + struct.pack("<BBHII", 1, 2, 0, len(spec), len(body))
+head += spec + body
+frame = head + struct.pack("<I", zlib.crc32(head))
+peers = []
+for _ in range(5):
+    peer = socket.socket(socket.AF_UNIX)
+    peer.connect(sys.argv[1])
+    peer.sendall(frame * 12)
+    peers.append(peer)
+print("stuck peers connected", flush=True)
+time.sleep(120)
+PY
+    local stuck_pid=$!
+    for i in $(seq 1 100); do
+        grep -q "stuck peers connected" "${out}/stuck_peers.log" && break
+        sleep 0.1
+    done
+    if ! grep -q "stuck peers connected" "${out}/stuck_peers.log"; then
+        echo "stuck-peer helper never connected" >&2
+        cat "${out}/stuck_peers.log" >&2
+        kill "${stuck_pid}" "${bxtd_pid}" 2>/dev/null || true
+        return 1
+    fi
+
+    # Graceful drain: SIGTERM must produce a clean exit 0, not 143, and
+    # the stuck peers share each shard's one 5 s flush deadline, so the
+    # drain ends within 8 s.
+    local t0
+    t0=$(date +%s%N)
     kill -TERM "${bxtd_pid}"
     local status=0
     wait "${bxtd_pid}" || status=$?
+    local drain_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+    kill "${stuck_pid}" 2>/dev/null || true
+    wait "${stuck_pid}" 2>/dev/null || true
     if [ "${status}" -ne 0 ]; then
         echo "bxtd did not drain cleanly (exit ${status})" >&2
         cat "${out}/bxtd.log" >&2
         return 1
     fi
     grep -q "drained, exiting" "${out}/bxtd.log"
+    if [ "${drain_ms}" -gt 8000 ]; then
+        echo "bxtd took ${drain_ms} ms to drain with five peers that" \
+            "never read (limit 8000)" >&2
+        return 1
+    fi
+    echo "serve: drained in ${drain_ms} ms with five never-reading peers"
     # The exit wrote the span trace (the traced burst sampled ~1 % of
     # 4000 requests, so it cannot be empty).
     ./build-ci-release/tools/bxt_report --validate-trace \

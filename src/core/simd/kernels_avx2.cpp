@@ -160,53 +160,6 @@ zdrEncode64Avx2(std::uint8_t *out, const std::uint8_t *in,
 }
 
 void
-zdrDecode16Avx2(std::uint8_t *out, const std::uint8_t *in,
-                const std::uint8_t *base, std::size_t n)
-{
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i c = _mm256_set1_epi16(
-        static_cast<short>(zdrConst16));
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i v = load256(in + i);
-        const __m256i b = load256(base + i);
-        const __m256i x = _mm256_xor_si256(v, b);
-        const __m256i is_c = _mm256_cmpeq_epi16(v, c);
-        const __m256i is_b = _mm256_cmpeq_epi16(v, b);
-        __m256i r = _mm256_blendv_epi8(x, _mm256_xor_si256(b, c), is_b);
-        r = _mm256_blendv_epi8(r, zero, is_c);
-        store256(out + i, r);
-    }
-    zdrDecode16WordRange(out + i, in + i, base + i, n - i);
-}
-
-void
-zdrDecode32Avx2(std::uint8_t *out, const std::uint8_t *in,
-                const std::uint8_t *base, std::size_t n)
-{
-    const __m256i c =
-        _mm256_set1_epi32(static_cast<int>(zdrConst32));
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32)
-        store256(out + i,
-                 zdrDecode32Vec(load256(in + i), load256(base + i), c));
-    zdrDecode32WordRange(out + i, in + i, base + i, n - i);
-}
-
-void
-zdrDecode64Avx2(std::uint8_t *out, const std::uint8_t *in,
-                const std::uint8_t *base, std::size_t n)
-{
-    const __m256i c = _mm256_set1_epi64x(
-        static_cast<long long>(zdrConst64));
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32)
-        store256(out + i,
-                 zdrDecode64Vec(load256(in + i), load256(base + i), c));
-    zdrDecode64WordRange(out + i, in + i, base + i, n - i);
-}
-
-void
 dbiEncodePlaneAvx2(std::uint8_t *data, std::uint8_t *meta,
                    std::size_t groups, std::size_t group_bytes)
 {
@@ -557,9 +510,6 @@ avx2TableOrNull()
         zdrEncode16Avx2,
         zdrEncode32Avx2,
         zdrEncode64Avx2,
-        zdrDecode16Avx2,
-        zdrDecode32Avx2,
-        zdrDecode64Avx2,
         dbiEncodePlaneAvx2,
         dbiDecodePlaneAvx2,
         popcountRangeAvx2,

@@ -205,86 +205,6 @@ zdrEncode64Avx512(std::uint8_t *out, const std::uint8_t *in,
                           static_cast<__mmask8>((1u << lanes) - 1u), c);
 }
 
-inline void
-zdrDecode16Masked(std::uint8_t *out, const std::uint8_t *in,
-                  const std::uint8_t *base, __mmask32 k, __m512i c)
-{
-    const __m512i v = _mm512_maskz_loadu_epi16(k, in);
-    const __m512i b = _mm512_maskz_loadu_epi16(k, base);
-    const __m512i x = _mm512_xor_si512(v, b);
-    const __mmask32 mc = _mm512_cmpeq_epi16_mask(v, c);
-    const __mmask32 mb = _mm512_cmpeq_epi16_mask(v, b);
-    __m512i r = _mm512_mask_blend_epi16(mb, x, _mm512_xor_si512(b, c));
-    r = _mm512_mask_blend_epi16(mc, r, _mm512_setzero_si512());
-    _mm512_mask_storeu_epi16(out, k, r);
-}
-
-void
-zdrDecode16Avx512(std::uint8_t *out, const std::uint8_t *in,
-                  const std::uint8_t *base, std::size_t n)
-{
-    const __m512i c = _mm512_set1_epi16(static_cast<short>(zdrConst16));
-    std::size_t i = 0;
-    for (; i + 64 <= n; i += 64)
-        zdrDecode16Masked(out + i, in + i, base + i,
-                          static_cast<__mmask32>(~0u), c);
-    const std::size_t lanes = (n - i) / 2;
-    if (lanes != 0)
-        zdrDecode16Masked(out + i, in + i, base + i,
-                          static_cast<__mmask32>((1u << lanes) - 1u), c);
-}
-
-inline void
-zdrDecode32Masked(std::uint8_t *out, const std::uint8_t *in,
-                  const std::uint8_t *base, __mmask16 k, __m512i c)
-{
-    _mm512_mask_storeu_epi32(
-        out, k,
-        zdrDecode32Vec(_mm512_maskz_loadu_epi32(k, in),
-                       _mm512_maskz_loadu_epi32(k, base), c));
-}
-
-void
-zdrDecode32Avx512(std::uint8_t *out, const std::uint8_t *in,
-                  const std::uint8_t *base, std::size_t n)
-{
-    const __m512i c = _mm512_set1_epi32(static_cast<int>(zdrConst32));
-    std::size_t i = 0;
-    for (; i + 64 <= n; i += 64)
-        zdrDecode32Masked(out + i, in + i, base + i,
-                          static_cast<__mmask16>(0xffffu), c);
-    const std::size_t lanes = (n - i) / 4;
-    if (lanes != 0)
-        zdrDecode32Masked(out + i, in + i, base + i,
-                          static_cast<__mmask16>((1u << lanes) - 1u), c);
-}
-
-inline void
-zdrDecode64Masked(std::uint8_t *out, const std::uint8_t *in,
-                  const std::uint8_t *base, __mmask8 k, __m512i c)
-{
-    _mm512_mask_storeu_epi64(
-        out, k,
-        zdrDecode64Vec(_mm512_maskz_loadu_epi64(k, in),
-                       _mm512_maskz_loadu_epi64(k, base), c));
-}
-
-void
-zdrDecode64Avx512(std::uint8_t *out, const std::uint8_t *in,
-                  const std::uint8_t *base, std::size_t n)
-{
-    const __m512i c =
-        _mm512_set1_epi64(static_cast<long long>(zdrConst64));
-    std::size_t i = 0;
-    for (; i + 64 <= n; i += 64)
-        zdrDecode64Masked(out + i, in + i, base + i,
-                          static_cast<__mmask8>(0xffu), c);
-    const std::size_t lanes = (n - i) / 8;
-    if (lanes != 0)
-        zdrDecode64Masked(out + i, in + i, base + i,
-                          static_cast<__mmask8>((1u << lanes) - 1u), c);
-}
-
 void
 dbiEncodePlaneAvx512(std::uint8_t *data, std::uint8_t *meta,
                      std::size_t groups, std::size_t group_bytes)
@@ -764,9 +684,6 @@ avx512TableOrNull()
         zdrEncode16Avx512,
         zdrEncode32Avx512,
         zdrEncode64Avx512,
-        zdrDecode16Avx512,
-        zdrDecode32Avx512,
-        zdrDecode64Avx512,
         dbiEncodePlaneAvx512,
         dbiDecodePlaneAvx512,
         popcountRangeAvx512,

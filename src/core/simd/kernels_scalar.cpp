@@ -261,9 +261,6 @@ scalarTable()
         zdrEncodeScalar<2>,
         zdrEncodeScalar<4>,
         zdrEncodeScalar<8>,
-        zdrDecodeScalar<2>,
-        zdrDecodeScalar<4>,
-        zdrDecodeScalar<8>,
         dbiEncodePlaneScalar,
         dbiDecodePlaneScalar,
         popcountRangeScalar,

@@ -20,9 +20,6 @@ wordTable()
         zdrEncode16WordRange,
         zdrEncode32WordRange,
         zdrEncode64WordRange,
-        zdrDecode16WordRange,
-        zdrDecode32WordRange,
-        zdrDecode64WordRange,
         dbiEncodePlaneWord,
         dbiDecodePlaneWord,
         popcountWordRange,

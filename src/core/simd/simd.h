@@ -102,14 +102,6 @@ struct KernelTable
     void (*zdrEncode64)(std::uint8_t *out, const std::uint8_t *in,
                         const std::uint8_t *base, std::size_t n);
 
-    /** Inverse of the matching zdrEncode given the same @p base. */
-    void (*zdrDecode16)(std::uint8_t *out, const std::uint8_t *in,
-                        const std::uint8_t *base, std::size_t n);
-    void (*zdrDecode32)(std::uint8_t *out, const std::uint8_t *in,
-                        const std::uint8_t *base, std::size_t n);
-    void (*zdrDecode64)(std::uint8_t *out, const std::uint8_t *in,
-                        const std::uint8_t *base, std::size_t n);
-
     /**
      * DBI-DC over a contiguous plane of @p groups groups of
      * @p group_bytes (1/2/4/8) bytes each: invert a group in place when

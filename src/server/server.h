@@ -23,8 +23,9 @@
  *    so a SIGTERM handler may call it directly. Shutdown drains
  *    gracefully on every shard: the acceptor stops first, queued-but-
  *    unserved connections get a ShuttingDown error, in-flight
- *    connections have their already-sent frames answered and flushed,
- *    then serve() joins all shards and returns — the drain barrier.
+ *    connections have their already-sent frames answered and flushed
+ *    within one shard-wide deadline, then serve() joins all shards and
+ *    returns — the drain barrier.
  */
 
 #ifndef BXT_SERVER_SERVER_H
@@ -57,9 +58,6 @@ struct ServerOptions
 
     /** Worker shards (0 = defaultThreadCount()). */
     unsigned shards = 0;
-
-    /** Max frames coalesced per connection read pass. */
-    std::size_t maxBatch = 64;
 
     /** Per-connection idle timeout; < 0 waits forever. */
     int idleTimeoutMs = 30000;

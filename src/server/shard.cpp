@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
 #include "server/server.h"
 #include "telemetry/spanring.h"
@@ -16,9 +17,6 @@ namespace {
 
 /** Cap on the final read sweep during drain (per connection). */
 constexpr std::size_t drainSweepReads = 256;
-
-/** Cap on waiting for a slow peer to take its drain flush, ms. */
-constexpr int drainFlushTimeoutMs = 5000;
 
 /** Most bytes one read takes from a socket into its parser. */
 constexpr std::size_t readChunkBytes = 64 * 1024;
@@ -88,7 +86,11 @@ struct Shard::Conn
      *  written in place onto its end, never zero-filled first. */
     ByteBuffer out;
     std::size_t outPos = 0;
-    bool closeAfterFlush = false;
+    /** No more requests are read (EOF, a framing error, the stop, or a
+     *  failed socket, which also drops the replies): the connection
+     *  closes once out is flushed. */
+    bool inputClosed = false;
+    /** Last read, or last flush that made progress. */
     std::uint64_t lastActivityUs = 0;
     /** Request clock: set by the read that fed the parser. */
     std::uint64_t tFeed = 0;
@@ -96,6 +98,14 @@ struct Shard::Conn
     std::vector<PendingSpan> batchSpans;
 
     std::size_t pendingOut() const { return out.size() - outPos; }
+
+    /** The socket failed: nothing more can reach the peer. */
+    void fail()
+    {
+        inputClosed = true;
+        out.clear();
+        outPos = 0;
+    }
 };
 
 Shard::Shard(std::size_t index, const ServerOptions &options)
@@ -153,16 +163,6 @@ Shard::enqueue(net::UniqueFd fd)
 }
 
 void
-Shard::refreshGauges()
-{
-    activeConns_.set(static_cast<double>(conns_.size()));
-    std::size_t backlog = 0;
-    for (const auto &conn : conns_)
-        backlog += conn->pendingOut() > 0 ? 1 : 0;
-    queueDepth_.set(static_cast<double>(backlog));
-}
-
-void
 Shard::adoptConnection(net::UniqueFd fd)
 {
     // maxPending is the per-shard concurrent-connection bound; at the
@@ -191,7 +191,6 @@ Shard::adoptConnection(net::UniqueFd fd)
     conn->tFeed = conn->lastActivityUs;
     conns_.push_back(std::move(conn));
     connections_.add(1);
-    refreshGauges();
 }
 
 void
@@ -217,18 +216,20 @@ Shard::drainInbox(bool shutting_down)
     }
 }
 
-bool
+long
 Shard::flushOut(Conn &conn)
 {
     if (conn.pendingOut() == 0)
-        return true;
+        return 0;
     bool would_block = false;
     std::string err;
     const long n =
         net::tryWrite(conn.fd.get(), conn.out.data() + conn.outPos,
                       conn.pendingOut(), would_block, err);
-    if (n < 0)
-        return false; // Peer vanished mid-response.
+    if (n < 0) {
+        conn.fail(); // Peer vanished mid-response.
+        return n;
+    }
     conn.outPos += static_cast<std::size_t>(n);
     if (conn.outPos == conn.out.size()) {
         conn.out.clear();
@@ -244,107 +245,99 @@ Shard::flushOut(Conn &conn)
         conn.out.resizeForOverwrite(unsent);
         conn.outPos = 0;
     }
-    return true;
+    return n;
 }
 
-bool
+void
 Shard::processFrames(Conn &conn)
 {
-    // The clock is read once per batch, after its flush, plus three
-    // times for each sampled traced request; tFeed was read by the read
-    // that fed the parser.
+    // Every complete frame the read brought is one batch, answered and
+    // flushed before the next read. The clock is read once per batch,
+    // after its flush, plus three times for each sampled traced request;
+    // tFeed was read by the read that fed the parser.
     const bool metrics_on = telemetry::metricsEnabled();
+    std::size_t batch = 0;
+    bool bad_stream = false;
+    conn.batchSpans.clear();
+    const std::size_t out_before = conn.out.size();
     for (;;) {
-        std::size_t batch = 0;
-        bool bad_stream = false;
-        conn.batchSpans.clear();
-        const std::size_t out_before = conn.out.size();
-        while (batch < options_.maxBatch) {
-            const bool sampled = metrics_on && conn.parser.nextSampled();
-            const std::uint64_t t_parse_start =
-                sampled ? telemetry::nowMicros() : 0;
-            wire::WireError parse_err;
-            wire::FrameView request;
-            const wire::FrameParser::Status st =
-                conn.parser.next(request, parse_err);
-            if (st == wire::FrameParser::Status::NeedMore)
-                break;
-            if (st == wire::FrameParser::Status::Bad) {
-                // Framing is untrustworthy after a structural error:
-                // answer with the typed error, then drop the stream.
-                // The reply still charges request_us (an unparseable
-                // frame has no trace context, so no phase spans).
-                wire::appendErrorFrame(conn.out, parse_err.code,
-                                       parse_err.detail);
-                conn.closeAfterFlush = true;
-                bad_stream = true;
-                break;
-            }
-            const std::uint64_t t_parse_end =
-                sampled ? telemetry::nowMicros() : 0;
-            service_.handle(request, conn.out);
-            ++batch;
-            if (sampled) {
-                Conn::PendingSpan pending;
-                pending.traceId = request.traceId;
-                pending.spanId = request.spanId;
-                pending.tParseStart = t_parse_start;
-                pending.tParseEnd = t_parse_end;
-                pending.tHandleEnd = telemetry::nowMicros();
-                pending.opcode =
-                    static_cast<std::uint8_t>(request.opcode);
-                pending.streamId = request.streamId;
-                pending.txCount = requestTxCount(request);
-                conn.batchSpans.push_back(pending);
-            }
+        const bool sampled = metrics_on && conn.parser.nextSampled();
+        const std::uint64_t t_parse_start =
+            sampled ? telemetry::nowMicros() : 0;
+        wire::WireError parse_err;
+        wire::FrameView request;
+        const wire::FrameParser::Status st =
+            conn.parser.next(request, parse_err);
+        if (st == wire::FrameParser::Status::NeedMore)
+            break;
+        if (st == wire::FrameParser::Status::Bad) {
+            // Framing is untrustworthy after a structural error: answer
+            // with the typed error, then read no more. The reply still
+            // charges request_us (an unparseable frame has no trace
+            // context, so no phase spans).
+            wire::appendErrorFrame(conn.out, parse_err.code,
+                                   parse_err.detail);
+            conn.inputClosed = true;
+            bad_stream = true;
+            break;
         }
-        if (batch > 0)
-            batchSize_.record(batch);
-        // Every reply of the batch is counted before the peer can hold
-        // it (and before any Stats a later batch answers).
-        service_.publish();
-        // Push the batch at the socket right away; whatever the peer
-        // does not take waits in the out-buffer under POLLOUT, so a
-        // slow client costs memory, not shard time.
-        if (conn.out.size() > out_before && !flushOut(conn))
-            return false;
-        const std::size_t answered = batch + (bad_stream ? 1 : 0);
-        if (metrics_on && answered > 0) {
-            const std::uint64_t t_write_end = telemetry::nowMicros();
-            requestUs_.record(t_write_end - conn.tFeed, answered);
-            const std::uint32_t tid = telemetry::currentThreadId();
-            for (const Conn::PendingSpan &pending : conn.batchSpans) {
-                telemetry::ServerSpan span;
-                span.traceId = pending.traceId;
-                span.spanId = pending.spanId;
-                span.opcode = pending.opcode;
-                span.streamId = pending.streamId;
-                span.tid = tid;
-                span.txCount = pending.txCount;
-                const auto emit = [&span](telemetry::ServerPhase phase,
-                                          std::uint64_t start,
-                                          std::uint64_t end) {
-                    span.phase = phase;
-                    span.startUs = start;
-                    span.durUs = end - start;
-                    telemetry::recordServerSpan(span);
-                };
-                emit(telemetry::ServerPhase::Request, conn.tFeed,
-                     t_write_end);
-                emit(telemetry::ServerPhase::QueueWait, conn.tFeed,
-                     pending.tParseStart);
-                emit(telemetry::ServerPhase::Parse, pending.tParseStart,
-                     pending.tParseEnd);
-                emit(telemetry::ServerPhase::Codec, pending.tParseEnd,
-                     pending.tHandleEnd);
-                emit(telemetry::ServerPhase::Reply, pending.tHandleEnd,
-                     t_write_end);
-            }
+        const std::uint64_t t_parse_end =
+            sampled ? telemetry::nowMicros() : 0;
+        service_.handle(request, conn.out);
+        ++batch;
+        if (sampled) {
+            Conn::PendingSpan pending;
+            pending.traceId = request.traceId;
+            pending.spanId = request.spanId;
+            pending.tParseStart = t_parse_start;
+            pending.tParseEnd = t_parse_end;
+            pending.tHandleEnd = telemetry::nowMicros();
+            pending.opcode = static_cast<std::uint8_t>(request.opcode);
+            pending.streamId = request.streamId;
+            pending.txCount = requestTxCount(request);
+            conn.batchSpans.push_back(pending);
         }
-        if (bad_stream)
-            return conn.pendingOut() == 0 ? false : true;
-        if (batch < options_.maxBatch)
-            return true; // Parser exhausted.
+    }
+    if (batch > 0)
+        batchSize_.record(batch);
+    // Every reply of the batch is counted before the peer can hold it
+    // (and before any Stats a later batch answers).
+    service_.publish();
+    // Push the batch at the socket right away; whatever the peer does
+    // not take waits in the out-buffer under POLLOUT, so a slow client
+    // costs memory, not shard time.
+    if (conn.out.size() > out_before && flushOut(conn) < 0)
+        return;
+    const std::size_t answered = batch + (bad_stream ? 1 : 0);
+    if (!metrics_on || answered == 0)
+        return;
+    const std::uint64_t t_write_end = telemetry::nowMicros();
+    requestUs_.record(t_write_end - conn.tFeed, answered);
+    const std::uint32_t tid = telemetry::currentThreadId();
+    for (const Conn::PendingSpan &pending : conn.batchSpans) {
+        telemetry::ServerSpan span;
+        span.traceId = pending.traceId;
+        span.spanId = pending.spanId;
+        span.opcode = pending.opcode;
+        span.streamId = pending.streamId;
+        span.tid = tid;
+        span.txCount = pending.txCount;
+        const auto emit = [&span](telemetry::ServerPhase phase,
+                                  std::uint64_t start, std::uint64_t end) {
+            span.phase = phase;
+            span.startUs = start;
+            span.durUs = end - start;
+            telemetry::recordServerSpan(span);
+        };
+        emit(telemetry::ServerPhase::Request, conn.tFeed, t_write_end);
+        emit(telemetry::ServerPhase::QueueWait, conn.tFeed,
+             pending.tParseStart);
+        emit(telemetry::ServerPhase::Parse, pending.tParseStart,
+             pending.tParseEnd);
+        emit(telemetry::ServerPhase::Codec, pending.tParseEnd,
+             pending.tHandleEnd);
+        emit(telemetry::ServerPhase::Reply, pending.tHandleEnd,
+             t_write_end);
     }
 }
 
@@ -356,56 +349,20 @@ Shard::readReady(Conn &conn)
     // its shard-mates still interleave.
     bool would_block = false;
     const long n = readIntoParser(conn.fd.get(), conn.parser, would_block);
-    if (would_block)
+    if (n > 0) {
+        conn.tFeed = telemetry::nowMicros(); // Request clock starts here.
+        conn.lastActivityUs = conn.tFeed;
+        processFrames(conn);
         return true;
-    if (n <= 0)
-        return false; // EOF or socket error.
-    conn.tFeed = telemetry::nowMicros(); // Request clock starts here.
-    conn.lastActivityUs = conn.tFeed;
-    return processFrames(conn);
-}
-
-void
-Shard::drainAndClose(Conn &conn)
-{
-    // Final read sweep: every frame the peer already put on the wire
-    // deserves an answer. Bounded so an endless producer cannot wedge
-    // the drain barrier.
-    for (std::size_t pass = 0; pass < drainSweepReads; ++pass) {
-        bool would_block = false;
-        if (readIntoParser(conn.fd.get(), conn.parser, would_block) <= 0)
-            break;
-        conn.tFeed = telemetry::nowMicros();
     }
-    if (!processFrames(conn))
-        return;
-    // Flush synchronously, bounded: the drain barrier must not hang on
-    // a peer that stopped reading.
-    const std::uint64_t deadline =
-        telemetry::nowMicros() +
-        static_cast<std::uint64_t>(drainFlushTimeoutMs) * 1000;
-    while (conn.pendingOut() > 0) {
-        pollfd pfd{conn.fd.get(), POLLOUT, 0};
-        const std::uint64_t now = telemetry::nowMicros();
-        if (now >= deadline)
-            break;
-        const int r = ::poll(
-            &pfd, 1,
-            static_cast<int>((deadline - now) / 1000) + 1);
-        if (r < 0 && errno == EINTR)
-            continue;
-        if (r <= 0)
-            break;
-        if (!flushOut(conn))
-            break;
+    if (!would_block) {
+        // Every complete frame was answered at its read, so EOF leaves
+        // only replies to flush; a socket error leaves nothing.
+        conn.inputClosed = true;
+        if (n < 0)
+            conn.fail();
     }
-}
-
-void
-Shard::closeConn(std::size_t at)
-{
-    conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(at));
-    refreshGauges();
+    return false;
 }
 
 void
@@ -417,52 +374,64 @@ Shard::run()
     telemetry::ScopedRegistry scoped(registry_);
     threads_.set(1.0);
 
+    constexpr std::uint64_t never = std::numeric_limits<std::uint64_t>::max();
+    const bool idle_on = options_.idleTimeoutMs >= 0;
+    const std::uint64_t idle_us =
+        static_cast<std::uint64_t>(std::max(options_.idleTimeoutMs, 0)) *
+        1000;
+    const auto idleAt = [&](const Conn &conn) {
+        return idle_on ? conn.lastActivityUs + idle_us : never;
+    };
+    bool draining = false;
+    std::uint64_t drain_deadline = never;
     std::vector<pollfd> fds;
-    std::vector<std::size_t> conn_slots;
     for (;;) {
-        if (stopping_.load(std::memory_order_relaxed))
+        // One clock read per pass. Close every connection that is done:
+        // flushed after its input closed (a failed one has nothing left
+        // to flush), idle too long, or unflushed at the drain deadline.
+        // Deadlines are compared with the clock, never subtracted from
+        // it: a read stamps activity after it.
+        const std::uint64_t now = telemetry::nowMicros();
+        std::erase_if(conns_, [&](const std::unique_ptr<Conn> &conn) {
+            return (conn->inputClosed && conn->pendingOut() == 0) ||
+                   idleAt(*conn) <= now || drain_deadline <= now;
+        });
+        if (draining && conns_.empty())
             break;
 
+        // The survivors give the poll set, the next wake-up and the
+        // gauges.
+        std::uint64_t wake_at = drain_deadline;
+        std::size_t backlog = 0;
         fds.clear();
-        conn_slots.clear();
         fds.push_back({wake_read_.get(), POLLIN, 0});
-        for (std::size_t i = 0; i < conns_.size(); ++i) {
+        for (const auto &conn : conns_) {
             // A peer that sends but does not read stops being read at
             // the high-water mark, so its replies cannot grow the
             // out-buffer without bound; the socket buffers then fill
             // and the peer's writes block.
-            const std::size_t pending = conns_[i]->pendingOut();
-            short events = pending < kOutHighWaterBytes ? POLLIN : 0;
-            if (pending > 0)
-                events |= POLLOUT;
-            conn_slots.push_back(fds.size());
-            fds.push_back({conns_[i]->fd.get(), events, 0});
+            const std::size_t pending = conn->pendingOut();
+            short events = pending > 0 ? POLLOUT : 0;
+            if (!conn->inputClosed && pending < kOutHighWaterBytes)
+                events |= POLLIN;
+            backlog += pending > 0 ? 1 : 0;
+            wake_at = std::min(wake_at, idleAt(*conn));
+            fds.push_back({conn->fd.get(), events, 0});
         }
+        activeConns_.set(static_cast<double>(conns_.size()));
+        queueDepth_.set(static_cast<double>(backlog));
 
-        // Poll timeout tracks the nearest idle deadline.
-        int timeout_ms = -1;
-        if (options_.idleTimeoutMs >= 0 && !conns_.empty()) {
-            const std::uint64_t now = telemetry::nowMicros();
-            std::uint64_t oldest = now;
-            for (const auto &conn : conns_)
-                oldest = std::min(oldest, conn->lastActivityUs);
-            const std::uint64_t idle_us = now - oldest;
-            const std::uint64_t limit_us =
-                static_cast<std::uint64_t>(options_.idleTimeoutMs) *
-                1000;
-            timeout_ms =
-                idle_us >= limit_us
-                    ? 0
-                    : static_cast<int>((limit_us - idle_us) / 1000) + 1;
-        }
-
-        const int r =
-            ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                   timeout_ms);
-        if (r < 0) {
+        const int timeout_ms =
+            wake_at == never
+                ? -1
+                : static_cast<int>(std::min<std::uint64_t>(
+                      (wake_at - now) / 1000 + 1,
+                      std::numeric_limits<int>::max()));
+        if (::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                   timeout_ms) < 0) {
             if (errno == EINTR)
                 continue;
-            break; // Pathological poll failure; drain and exit.
+            break; // Pathological poll failure: close everything.
         }
 
         if ((fds[0].revents & POLLIN) != 0) {
@@ -471,60 +440,50 @@ Shard::run()
             std::string err;
             net::tryRead(wake_read_.get(), scratch, sizeof(scratch),
                          would_block, err);
-            if (stopping_.load(std::memory_order_relaxed))
-                break;
-            drainInbox(/*shutting_down=*/false);
+            const bool stop = stopping_.load(std::memory_order_relaxed);
+            drainInbox(/*shutting_down=*/stop);
+            if (stop && !draining) {
+                // Graceful drain: every frame a peer already sent
+                // deserves an answer, so each connection gets a final
+                // read sweep (bounded, so an endless producer cannot
+                // wedge the drain), then reads no more. The loop flushes
+                // the replies until each is taken or the one shard-wide
+                // deadline passes; serve() joining every shard is the
+                // cross-shard drain barrier.
+                draining = true;
+                for (const auto &conn : conns_) {
+                    for (std::size_t pass = 0;
+                         pass < drainSweepReads && !conn->inputClosed &&
+                         readReady(*conn);
+                         ++pass) {
+                    }
+                    conn->inputClosed = true;
+                }
+                drain_deadline =
+                    telemetry::nowMicros() +
+                    static_cast<std::uint64_t>(kDrainFlushTimeoutMs) * 1000;
+            }
         }
 
-        // Serve readiness back-to-front so closes keep earlier indices
-        // valid.
-        for (std::size_t i = conn_slots.size(); i-- > 0;) {
-            const pollfd &pfd = fds[conn_slots[i]];
-            if (pfd.revents == 0)
+        // Adopted connections were appended after the polled ones, so
+        // fds[i + 1] is still conns_[i].
+        for (std::size_t i = 0; i + 1 < fds.size(); ++i) {
+            const short revents = fds[i + 1].revents;
+            if (revents == 0)
                 continue;
             Conn &conn = *conns_[i];
-            bool alive = true;
-            if ((pfd.revents & POLLOUT) != 0)
-                alive = flushOut(conn);
-            if (alive && (pfd.revents &
-                          (POLLIN | POLLERR | POLLHUP)) != 0) {
-                alive = readReady(conn);
-                if (!alive && conn.pendingOut() > 0) {
-                    // EOF with queued replies (client sent its burst
-                    // and shut down its write side): push the backlog
-                    // out before closing.
-                    drainAndClose(conn);
-                }
-            }
-            if (alive && conn.closeAfterFlush && conn.pendingOut() == 0)
-                alive = false;
-            if (!alive)
-                closeConn(i);
-        }
-        refreshGauges();
-
-        // Idle sweep.
-        if (options_.idleTimeoutMs >= 0 && !conns_.empty()) {
-            const std::uint64_t now = telemetry::nowMicros();
-            const std::uint64_t limit_us =
-                static_cast<std::uint64_t>(options_.idleTimeoutMs) *
-                1000;
-            for (std::size_t i = conns_.size(); i-- > 0;) {
-                if (now - conns_[i]->lastActivityUs >= limit_us)
-                    closeConn(i);
-            }
+            // An input-closed connection polls only for POLLOUT: any
+            // event it reports is a flush, or an error the flush sees.
+            // A flush that makes progress is activity.
+            if (((revents & POLLOUT) != 0 || conn.inputClosed) &&
+                flushOut(conn) > 0)
+                conn.lastActivityUs = telemetry::nowMicros();
+            if (!conn.inputClosed &&
+                (revents & (POLLIN | POLLERR | POLLHUP)) != 0)
+                readReady(conn);
         }
     }
-
-    // Graceful drain: turn away queued handoffs (no new work), then
-    // give every live connection one final read sweep and answer
-    // everything complete before closing. The Server's serve() joins
-    // every shard, forming the cross-shard drain barrier.
-    drainInbox(/*shutting_down=*/true);
-    for (const auto &conn : conns_)
-        drainAndClose(*conn);
-    conns_.clear();
-    refreshGauges();
+    conns_.clear(); // Left only by a failed poll.
 }
 
 } // namespace bxt::server

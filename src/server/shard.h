@@ -57,6 +57,10 @@ struct ServerOptions;
  */
 inline constexpr std::size_t kOutHighWaterBytes = std::size_t{4} << 20;
 
+/** How long a shard's drain keeps flushing replies after the stop, ms;
+ *  connections whose peers have not taken theirs by then are closed. */
+inline constexpr int kDrainFlushTimeoutMs = 5000;
+
 /** Best-effort: send one Error frame (wire::appendErrorFrame) and ignore
  *  failures (the peer may be gone). */
 void sendErrorBestEffort(int fd, wire::ErrorCode code,
@@ -83,9 +87,9 @@ class Shard
     /**
      * The event loop: adopts handed-off connections, reads, serves, and
      * flushes until requestStop(), then drains — queued handoffs are
-     * turned away first, in-flight connections get one final read
-     * sweep, every complete buffered frame is answered and flushed,
-     * then everything closes.
+     * turned away, in-flight connections get one final read sweep and
+     * every complete frame is answered; the loop then flushes replies
+     * until each connection is done or kDrainFlushTimeoutMs has passed.
      */
     void run();
 
@@ -109,15 +113,13 @@ class Shard
 
     void adoptConnection(net::UniqueFd fd);
     void drainInbox(bool shutting_down);
-    /** Read until EAGAIN/EOF; false = connection is gone. */
+    /** One read, then serve what it completed; false = nothing read
+     *  (EAGAIN, or the input closed). */
     bool readReady(Conn &conn);
-    /** Serve every complete buffered frame; false = close conn. */
-    bool processFrames(Conn &conn);
-    /** Nonblocking flush pass; false = connection is gone. */
-    bool flushOut(Conn &conn);
-    void closeConn(std::size_t at);
-    void drainAndClose(Conn &conn);
-    void refreshGauges();
+    /** Serve every complete buffered frame as one batch and flush. */
+    void processFrames(Conn &conn);
+    /** Nonblocking flush pass: bytes sent, or -1 (the conn failed). */
+    long flushOut(Conn &conn);
 
     const std::size_t index_;
     const ServerOptions &options_;

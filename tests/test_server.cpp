@@ -39,6 +39,7 @@
 #include "server/net.h"
 #include "server/server.h"
 #include "server/service.h"
+#include "server/shard.h"
 #include "server/wire.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
@@ -2098,6 +2099,159 @@ TEST(Loopback, GracefulDrainClosesIdleConnections)
     // must not block shutdown.
     live.stop();
     EXPECT_FALSE(client.ping(err));
+}
+
+/**
+ * Connect to @p path and pipeline @p encodes baseline Encodes of
+ * @p tx_count 64-byte transactions, tagged 1, 2, ... as streamId, with
+ * blocking writes; read nothing.
+ */
+net::UniqueFd
+connectPipelinedPeer(const std::string &path, std::size_t encodes,
+                     std::size_t tx_count)
+{
+    std::string err;
+    net::UniqueFd fd = net::connectUnix(path, err);
+    EXPECT_TRUE(fd.valid()) << err;
+    Rng rng(11);
+    std::vector<std::uint8_t> raw(tx_count * 64);
+    for (std::uint8_t &b : raw)
+        b = static_cast<std::uint8_t>(rng.nextBounded(256));
+    wire::Frame request = makeEncodeRequest("baseline", 64, 32, raw);
+    for (std::size_t i = 0; i < encodes; ++i) {
+        request.streamId = static_cast<std::uint16_t>(i + 1);
+        const std::vector<std::uint8_t> bytes =
+            wire::serializeFrame(request);
+        EXPECT_TRUE(net::writeAll(fd.get(), bytes.data(), bytes.size(), err))
+            << err;
+    }
+    return fd;
+}
+
+/**
+ * Read @p fd to EOF, at most @p chunk bytes per read and @p pause
+ * between reads. Returns how many replies were Encodes tagged 1, 2, ...
+ * in order before any that was not.
+ */
+std::size_t
+readTaggedRepliesToEof(int fd, std::size_t chunk,
+                       std::chrono::milliseconds pause)
+{
+    wire::FrameParser parser;
+    std::vector<std::uint8_t> buf(chunk);
+    std::size_t in_order = 0;
+    bool broken = false;
+    long n = 0;
+    while ((n = ::read(fd, buf.data(), buf.size())) > 0) {
+        parser.feed(buf.data(), static_cast<std::size_t>(n));
+        wire::Frame reply;
+        wire::WireError wire_err;
+        while (parser.next(reply, wire_err) ==
+               wire::FrameParser::Status::Ready) {
+            broken |= reply.opcode != wire::Opcode::Encode ||
+                      reply.streamId != in_order + 1;
+            in_order += broken ? 0 : 1;
+        }
+        std::this_thread::sleep_for(pause);
+    }
+    EXPECT_EQ(n, 0) << "read failed: " << std::strerror(errno);
+    EXPECT_EQ(parser.buffered(), 0u);
+    return in_order;
+}
+
+/** One shard on a Unix socket, so every peer shares its event loop. */
+server::ServerOptions
+oneShardUnixOptions(const char *tag)
+{
+    server::ServerOptions options;
+    options.unixPath = uniqueSocketPath(tag);
+    options.shards = 1;
+    return options;
+}
+
+// Twelve Encodes of 4096 x 64 B queue about 3 MB of replies: more than
+// the socket buffers hold, less than the out-buffer high-water mark, so
+// the shard reads every request while the replies wait on the peer.
+constexpr std::size_t kStuckEncodes = 12;
+constexpr std::size_t kStuckTx = 4096;
+static_assert(kStuckEncodes * kStuckTx * 64 < server::kOutHighWaterBytes);
+
+TEST(Loopback, HalfClosedPeerThatNeverReadsDoesNotStallItsShard)
+{
+    const server::ServerOptions options = oneShardUnixOptions("halfclose");
+    LiveServer live(options);
+    ASSERT_TRUE(live.started());
+
+    net::UniqueFd stuck =
+        connectPipelinedPeer(options.unixPath, kStuckEncodes, kStuckTx);
+    ASSERT_EQ(::shutdown(stuck.get(), SHUT_WR), 0);
+    // Let the shard read the EOF before the second peer arrives.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    // The half-closed peer's unsent replies wait under POLLOUT; they do
+    // not hold the shard, so a second peer is answered at once.
+    std::string err;
+    client::Client client =
+        client::Client::connectUnix(options.unixPath, err);
+    ASSERT_TRUE(client.connected()) << err;
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.ping(err)) << err;
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(500));
+
+    // The first peer then reads every reply, in order, then EOF.
+    EXPECT_EQ(readTaggedRepliesToEof(stuck.get(), 64 * 1024,
+                                     std::chrono::milliseconds(0)),
+              kStuckEncodes);
+}
+
+TEST(Loopback, DrainWithStuckPeersEndsAtOneDeadline)
+{
+    const server::ServerOptions options = oneShardUnixOptions("stuck");
+    LiveServer live(options);
+    ASSERT_TRUE(live.started());
+
+    std::vector<net::UniqueFd> stuck;
+    for (int i = 0; i < 3; ++i)
+        stuck.push_back(
+            connectPipelinedPeer(options.unixPath, kStuckEncodes, kStuckTx));
+    constexpr std::size_t kPipelined = 50;
+    net::UniqueFd reader =
+        connectPipelinedPeer(options.unixPath, kPipelined, 64);
+    std::size_t replies = 0;
+    std::thread reading([&] {
+        replies = readTaggedRepliesToEof(reader.get(), 64 * 1024,
+                                         std::chrono::milliseconds(0));
+    });
+
+    // The peers that never read share one drain deadline; they are not
+    // waited for one after another.
+    const auto t0 = std::chrono::steady_clock::now();
+    live.stop();
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    reading.join();
+    EXPECT_LT(elapsed,
+              std::chrono::milliseconds(2 * server::kDrainFlushTimeoutMs));
+    EXPECT_EQ(replies, kPipelined);
+}
+
+TEST(Loopback, SlowReaderAfterHalfCloseIsNotIdledOut)
+{
+    server::ServerOptions options = oneShardUnixOptions("slowread");
+    options.idleTimeoutMs = 300;
+    LiveServer live(options);
+    ASSERT_TRUE(live.started());
+
+    // About 2 MB of replies taken 64 KiB every 50 ms: the flush outlasts
+    // the idle timeout several times over, and only its progress keeps
+    // the connection open.
+    constexpr std::size_t kEncodes = 8;
+    net::UniqueFd peer =
+        connectPipelinedPeer(options.unixPath, kEncodes, kStuckTx);
+    ASSERT_EQ(::shutdown(peer.get(), SHUT_WR), 0);
+    EXPECT_EQ(readTaggedRepliesToEof(peer.get(), 64 * 1024,
+                                     std::chrono::milliseconds(50)),
+              kEncodes);
 }
 
 // ---------------------------------------------------------------------

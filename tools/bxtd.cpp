@@ -6,7 +6,7 @@
  *
  * Usage:
  *   bxtd [--listen HOST:PORT] [--unix PATH] [--shards N]
- *        [--max-batch K] [--idle-timeout MS] [--max-pending N]
+ *        [--idle-timeout MS] [--max-pending N]
  *
  * With BXT_TRACE=PATH set (`%p` expands to the pid), the exit-time
  * trace flush runs after the drain and writes the sampled request
@@ -73,11 +73,6 @@ main(int argc, char **argv)
                 options.shards = static_cast<unsigned>(
                     std::strtoul(v.c_str(), nullptr, 0));
             });
-    cli.add("--max-batch", "K",
-            "max frames coalesced per connection pass (default 64)",
-            [&](const std::string &v) {
-                options.maxBatch = std::strtoul(v.c_str(), nullptr, 0);
-            });
     cli.add("--idle-timeout", "MS",
             "per-connection idle timeout, -1 = forever (default 30000)",
             [&](const std::string &v) {
@@ -103,8 +98,6 @@ main(int argc, char **argv)
                      "bxtd: nothing to serve (need --listen or --unix)\n");
         return 2;
     }
-    if (options.maxBatch == 0)
-        options.maxBatch = 1;
 
     // A server without telemetry is blind: the Stats opcode and
     // bxt_report both read the live snapshot, so enable recording even
@@ -130,10 +123,8 @@ main(int argc, char **argv)
     if (!options.unixPath.empty())
         std::printf("bxtd: listening on unix://%s\n",
                     options.unixPath.c_str());
-    std::printf("bxtd: serving (%zu shards, max-batch %zu, "
-                "max-pending %zu)\n",
-                server.shardCount(), options.maxBatch,
-                options.maxPending);
+    std::printf("bxtd: serving (%zu shards, max-pending %zu)\n",
+                server.shardCount(), options.maxPending);
     std::fflush(stdout); // Scripts parse the resolved port from stdout.
 
     server.serve();
