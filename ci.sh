@@ -254,6 +254,57 @@ run_metrics() {
     return 1
 }
 
+# start_bxtd LOG SOCK ARGS...: boot the Release bxtd on the Unix socket
+# SOCK with ARGS, output in LOG, and wait up to 10 s for the socket and,
+# when ARGS has --listen, for its "listening on tcp://" line (the
+# address is kept in bxtd_tcp). A plain background command (no
+# subshell), so bxtd_pid is bxtd itself and stop_bxtd's SIGTERM reaches
+# the daemon, not a wrapper.
+start_bxtd() {
+    bxtd_log="$1"
+    local sock="$2"
+    shift 2
+    local want_tcp=""
+    [[ " $* " == *" --listen "* ]] && want_tcp=1
+    rm -f "${sock}"
+    ./build-ci-release/tools/bxtd --unix "${sock}" "$@" \
+        > "${bxtd_log}" 2>&1 &
+    bxtd_pid=$!
+    bxtd_tcp=""
+    local i
+    for i in $(seq 1 100); do
+        if [ -n "${want_tcp}" ]; then
+            bxtd_tcp=$(sed -n 's|^bxtd: listening on tcp://||p' \
+                "${bxtd_log}" 2>/dev/null)
+            [ -S "${sock}" ] && [ -n "${bxtd_tcp}" ] && return 0
+        else
+            [ -S "${sock}" ] && return 0
+        fi
+        sleep 0.1
+    done
+    local missing="${sock}"
+    [ -n "${want_tcp}" ] && missing+=" or never printed its TCP port"
+    echo "bxtd $* never created ${missing}" >&2
+    cat "${bxtd_log}" >&2
+    kill "${bxtd_pid}" 2>/dev/null || true
+    return 1
+}
+
+# stop_bxtd: SIGTERM the bxtd start_bxtd booted and require a clean
+# drain (exit 0, not 143); the drain time is kept in bxtd_drain_ms.
+stop_bxtd() {
+    local t0 status=0
+    t0=$(date +%s%N)
+    kill -TERM "${bxtd_pid}"
+    wait "${bxtd_pid}" || status=$?
+    bxtd_drain_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+    if [ "${status}" -ne 0 ]; then
+        echo "bxtd did not drain cleanly (exit ${status})" >&2
+        cat "${bxtd_log}" >&2
+        return 1
+    fi
+}
+
 run_serve() {
     echo "=== CI job: bxtd loopback smoke + loadgen burst ==="
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
@@ -266,29 +317,13 @@ run_serve() {
     local out=build-ci-release/serve
     mkdir -p "${out}"
     local sock="${out}/bxtd.sock"
-    rm -f "${sock}"
 
-    # Plain background command (no subshell) so $! is bxtd itself and the
-    # SIGTERM below reaches the daemon, not a wrapper. BXT_TRACE makes
-    # the exit after the drain write the Chrome span trace artifact.
-    # Both listeners are up, so the drain below covers the acceptor
-    # with TCP and Unix connections behind it.
-    BXT_TRACE="${out}/server_spans.json" \
-        ./build-ci-release/tools/bxtd --listen 127.0.0.1:0 \
-        --unix "${sock}" --shards 4 > "${out}/bxtd.log" 2>&1 &
-    local bxtd_pid=$!
-    local i tcp=""
-    for i in $(seq 1 100); do
-        tcp=$(sed -n 's|^bxtd: listening on tcp://||p' "${out}/bxtd.log")
-        [ -S "${sock}" ] && [ -n "${tcp}" ] && break
-        sleep 0.1
-    done
-    if ! [ -S "${sock}" ] || [ -z "${tcp}" ]; then
-        echo "bxtd never created ${sock} or never printed its TCP port" >&2
-        cat "${out}/bxtd.log" >&2
-        kill "${bxtd_pid}" 2>/dev/null || true
-        return 1
-    fi
+    # BXT_TRACE makes the exit after the drain write the Chrome span
+    # trace artifact. Both listeners are up, so the drain below covers
+    # the acceptor with TCP and Unix connections behind it.
+    BXT_TRACE="${out}/server_spans.json" start_bxtd "${out}/bxtd.log" \
+        "${sock}" --listen 127.0.0.1:0 --shards 4
+    local tcp="${bxtd_tcp}"
 
     # Loopback smoke over both socket families: ping, then round-trip a
     # captured workload trace through a paper-representative pipeline
@@ -365,7 +400,7 @@ for _ in range(5):
 print("stuck peers connected", flush=True)
 time.sleep(120)
 PY
-    local stuck_pid=$!
+    local stuck_pid=$! i
     for i in $(seq 1 100); do
         grep -q "stuck peers connected" "${out}/stuck_peers.log" && break
         sleep 0.1
@@ -377,29 +412,21 @@ PY
         return 1
     fi
 
-    # Graceful drain: SIGTERM must produce a clean exit 0, not 143, and
-    # the stuck peers share each shard's one 5 s flush deadline, so the
-    # drain ends within 8 s.
-    local t0
-    t0=$(date +%s%N)
-    kill -TERM "${bxtd_pid}"
+    # Graceful drain: a clean exit 0, and the stuck peers share each
+    # shard's one 5 s flush deadline, so the drain ends within 8 s.
     local status=0
-    wait "${bxtd_pid}" || status=$?
-    local drain_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+    stop_bxtd || status=$?
     kill "${stuck_pid}" 2>/dev/null || true
     wait "${stuck_pid}" 2>/dev/null || true
-    if [ "${status}" -ne 0 ]; then
-        echo "bxtd did not drain cleanly (exit ${status})" >&2
-        cat "${out}/bxtd.log" >&2
-        return 1
-    fi
+    [ "${status}" -eq 0 ] || return 1
     grep -q "drained, exiting" "${out}/bxtd.log"
-    if [ "${drain_ms}" -gt 8000 ]; then
-        echo "bxtd took ${drain_ms} ms to drain with five peers that" \
-            "never read (limit 8000)" >&2
+    if [ "${bxtd_drain_ms}" -gt 8000 ]; then
+        echo "bxtd took ${bxtd_drain_ms} ms to drain with five peers" \
+            "that never read (limit 8000)" >&2
         return 1
     fi
-    echo "serve: drained in ${drain_ms} ms with five never-reading peers"
+    echo "serve: drained in ${bxtd_drain_ms} ms with five never-reading" \
+        "peers"
     # The exit wrote the span trace (the traced burst sampled ~1 % of
     # 4000 requests, so it cannot be empty).
     ./build-ci-release/tools/bxt_report --validate-trace \
@@ -436,24 +463,10 @@ run_scenario() {
     local out=build-ci-release/scenario
     mkdir -p "${out}"
     local sock="${out}/bxtd.sock"
-    rm -f "${sock}"
 
     # Metrics on, so the per-tenant stream counters are live and land in
     # the bench documents' embedded snapshots.
-    BXT_METRICS=1 ./build-ci-release/tools/bxtd --unix "${sock}" \
-        --shards 4 > "${out}/bxtd.log" 2>&1 &
-    local bxtd_pid=$!
-    local i
-    for i in $(seq 1 100); do
-        [ -S "${sock}" ] && break
-        sleep 0.1
-    done
-    if ! [ -S "${sock}" ]; then
-        echo "bxtd never created ${sock}" >&2
-        cat "${out}/bxtd.log" >&2
-        kill "${bxtd_pid}" 2>/dev/null || true
-        return 1
-    fi
+    BXT_METRICS=1 start_bxtd "${out}/bxtd.log" "${sock}" --shards 4
 
     # Unpaced replays so the floor measures server capacity, not the
     # scenario's arrival schedule. Fixed seed: the request stream (and
@@ -469,15 +482,7 @@ run_scenario() {
         --assert-min-tx-rate "${floor}"
     ./build-ci-release/tools/bxt_report --scenario \
         BENCH_server_scenarios.json BENCH_server_scenarios.hot-flood.json
-
-    kill -TERM "${bxtd_pid}"
-    local status=0
-    wait "${bxtd_pid}" || status=$?
-    if [ "${status}" -ne 0 ]; then
-        echo "bxtd did not drain cleanly (exit ${status})" >&2
-        cat "${out}/bxtd.log" >&2
-        return 1
-    fi
+    stop_bxtd
 
     # Shard-scaling gate: the same unpaced hot-flood replay against a
     # single-shard and a 4-shard bxtd. Shared-nothing sharding must buy
@@ -486,21 +491,8 @@ run_scenario() {
     # artifacts so a failed gate can be diagnosed from the load balance.
     local shards
     for shards in 1 4; do
-        rm -f "${sock}"
-        BXT_METRICS=1 ./build-ci-release/tools/bxtd --unix "${sock}" \
-            --shards "${shards}" \
-            > "${out}/bxtd.shards${shards}.log" 2>&1 &
-        bxtd_pid=$!
-        for i in $(seq 1 100); do
-            [ -S "${sock}" ] && break
-            sleep 0.1
-        done
-        if ! [ -S "${sock}" ]; then
-            echo "bxtd --shards ${shards} never created ${sock}" >&2
-            cat "${out}/bxtd.shards${shards}.log" >&2
-            kill "${bxtd_pid}" 2>/dev/null || true
-            return 1
-        fi
+        BXT_METRICS=1 start_bxtd "${out}/bxtd.shards${shards}.log" \
+            "${sock}" --shards "${shards}"
         ./build-ci-release/tools/bxt_loadgen --unix "${sock}" \
             --scenario hot-flood --no-pace --connections 8 --seed 1 \
             --json "${out}/hot-flood.shards${shards}.json"
@@ -508,15 +500,7 @@ run_scenario() {
             --mode snapshot > "${out}/server_snapshot.shards${shards}.json"
         ./build-ci-release/tools/bxt_report --validate \
             "${out}/server_snapshot.shards${shards}.json"
-        kill -TERM "${bxtd_pid}"
-        status=0
-        wait "${bxtd_pid}" || status=$?
-        if [ "${status}" -ne 0 ]; then
-            echo "bxtd --shards ${shards} did not drain cleanly" \
-                "(exit ${status})" >&2
-            cat "${out}/bxtd.shards${shards}.log" >&2
-            return 1
-        fi
+        stop_bxtd
     done
     if [ "$(nproc)" -ge 4 ]; then
         ./build-ci-release/tools/bxt_report --assert-shard-scaling \
@@ -548,22 +532,7 @@ run_adaptive() {
     local out=build-ci-release/adaptive
     mkdir -p "${out}"
     local sock="${out}/bxtd.sock"
-    rm -f "${sock}"
-
-    BXT_METRICS=1 ./build-ci-release/tools/bxtd --unix "${sock}" \
-        --shards 4 > "${out}/bxtd.log" 2>&1 &
-    local bxtd_pid=$!
-    local i
-    for i in $(seq 1 100); do
-        [ -S "${sock}" ] && break
-        sleep 0.1
-    done
-    if ! [ -S "${sock}" ]; then
-        echo "bxtd never created ${sock}" >&2
-        cat "${out}/bxtd.log" >&2
-        kill "${bxtd_pid}" 2>/dev/null || true
-        return 1
-    fi
+    BXT_METRICS=1 start_bxtd "${out}/bxtd.log" "${sock}" --shards 4
 
     # The win gate: replay each preset once under --spec adaptive and
     # once per fixed candidate over the identical request stream (fresh
@@ -572,7 +541,7 @@ run_adaptive() {
     # than every fixed spec. The candidate list mirrors
     # adaptive::defaultConfig().
     local candidates="universal3+zdr,xor2+zdr,xor4+zdr,xor8+zdr,baseline"
-    local preset status=0
+    local preset
     for preset in zipf-0.99 burst; do
         local json="BENCH_server_scenarios.json"
         [ "${preset}" = burst ] && json="BENCH_server_scenarios.burst.json"
@@ -583,14 +552,7 @@ run_adaptive() {
         ./build-ci-release/tools/bxt_report --scenario \
             --assert-adaptive-wins "${json}"
     done
-
-    kill -TERM "${bxtd_pid}"
-    wait "${bxtd_pid}" || status=$?
-    if [ "${status}" -ne 0 ]; then
-        echo "bxtd did not drain cleanly (exit ${status})" >&2
-        cat "${out}/bxtd.log" >&2
-        return 1
-    fi
+    stop_bxtd
     echo "adaptive: win gate passed on zipf-0.99 + burst;" \
         "BENCH_server_scenarios.json + burst variant written"
 }

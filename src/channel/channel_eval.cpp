@@ -11,20 +11,24 @@ namespace bxt {
 
 namespace {
 
-/** Stream-level eval counters (all codecs/streams aggregate). */
+/**
+ * Stream-level eval counters (all codecs/streams aggregate). Pinned to
+ * the default registry: the statics bind on the first recorded stream,
+ * and a thread-scoped registry must not capture them.
+ */
 void
 recordEvalStream(const ChannelEvalResult &result, std::size_t bytes)
 {
     static telemetry::Counter &streams =
-        telemetry::counter("bxt.channel.eval.streams");
+        telemetry::defaultRegistry().counter("bxt.channel.eval.streams");
     static telemetry::Counter &transactions =
-        telemetry::counter("bxt.channel.eval.transactions");
+        telemetry::defaultRegistry().counter("bxt.channel.eval.transactions");
     static telemetry::Counter &raw_ones =
-        telemetry::counter("bxt.channel.eval.raw_ones");
+        telemetry::defaultRegistry().counter("bxt.channel.eval.raw_ones");
     static telemetry::Counter &encoded_ones =
-        telemetry::counter("bxt.channel.eval.encoded_ones");
+        telemetry::defaultRegistry().counter("bxt.channel.eval.encoded_ones");
     static telemetry::Counter &byte_count =
-        telemetry::counter("bxt.channel.eval.bytes");
+        telemetry::defaultRegistry().counter("bxt.channel.eval.bytes");
     streams.add(1);
     transactions.add(result.stats.transactions);
     raw_ones.add(result.rawOnes);

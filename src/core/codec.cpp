@@ -5,7 +5,6 @@
 
 #include "common/bitops.h"
 #include "common/error.h"
-#include "telemetry/metrics.h"
 
 namespace bxt {
 
@@ -103,14 +102,6 @@ Codec::encodeBatch(const TxView &in, std::uint8_t *payload,
     BXT_ASSERT(!overlaps(in.data, payload, in.bytes()) ||
                (in.data == payload && allowsInPlace()));
     encodeBatchKernel(in, payload, meta);
-    if (telemetry::metricsEnabled()) {
-        if (batch_size_histo_ == nullptr) {
-            batch_size_histo_ = &telemetry::histogram(
-                "bxt.codec." + telemetry::sanitizeMetricName(name()) +
-                ".batch_size");
-        }
-        batch_size_histo_->record(in.count);
-    }
 }
 
 void

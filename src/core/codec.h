@@ -18,10 +18,6 @@
 
 namespace bxt {
 
-namespace telemetry {
-class Histo;
-} // namespace telemetry
-
 /**
  * The result of encoding one transaction: the (same-sized) payload that
  * travels on the data wires plus any metadata bits that travel on dedicated
@@ -113,9 +109,7 @@ class Codec
      * receives in.bytes() bytes and @p meta in.count *
      * metaBitsPerTx(in.txBytes) 0/1 bytes (it may be null when that is
      * zero). Validates the geometry and the aliasing rule (see the class
-     * comment), records the `bxt.codec.<spec>.batch_size` histogram
-     * (looked up in the calling thread's registry on the first batch
-     * recorded, then cached), and dispatches to encodeBatchKernel().
+     * comment) and dispatches to encodeBatchKernel().
      */
     void encodeBatch(const TxView &in, std::uint8_t *payload,
                      std::uint8_t *meta);
@@ -192,10 +186,6 @@ class Codec
      *  transaction is what this codec decodes. */
     void requireEncodedGeometry(std::size_t tx_bytes, unsigned wires,
                                 std::size_t meta_bits) const;
-
-    /** `bxt.codec.<spec>.batch_size`, bound by the first encodeBatch
-     *  that records it (null until then). */
-    telemetry::Histo *batch_size_histo_ = nullptr;
 };
 
 /** Owning codec handle. */

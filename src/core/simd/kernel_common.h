@@ -3,7 +3,8 @@
  * Shared scalar/word building blocks for the SIMD kernel tiers.
  *
  * Every vector translation unit falls back to these for range tails
- * (the final bytes that do not fill a vector register), and the Word
+ * (the final bytes that do not fill a vector register) and installs
+ * them for the slots and shapes it has no vector code for, and the Word
  * tier's table is built entirely from them. They are the single source
  * of truth for the ZDR lane algebra at word width — the vector code
  * must match them bit for bit.
@@ -459,13 +460,21 @@ makeFoldLanes(std::size_t tx_bytes, unsigned stages)
 
 /** True when the vector levels hold this Universal geometry in
  *  registers: 32- or 64-byte transactions, an effective base of at least
- *  one 32-bit lane, and ZDR lane 4 or plain XOR. */
+ *  one 32-bit lane, and ZDR lane 4 (universal3+zdr). */
 constexpr bool
 foldInRegisters(std::size_t tx_bytes, unsigned stages, std::size_t zdr_lane)
 {
     return (tx_bytes == 32 || tx_bytes == 64) && stages >= 1 &&
-           stages <= 5 && (tx_bytes >> stages) >= 4 &&
-           (zdr_lane == 0 || zdr_lane == 4);
+           stages <= 5 && (tx_bytes >> stages) >= 4 && zdr_lane == 4;
+}
+
+/** True when the vector levels run this adjacent-base Base+XOR decode
+ *  one transaction per lane: 32- or 64-byte transactions and 4-byte
+ *  bases under ZDR (xor4+zdr). */
+constexpr bool
+decodeInLanes(std::size_t tx_bytes, std::size_t base_bytes, bool zdr)
+{
+    return (tx_bytes == 32 || tx_bytes == 64) && base_bytes == 4 && zdr;
 }
 
 /** FoldLanes for a geometry foldInRegisters accepts. */

@@ -70,53 +70,6 @@ reduceAdd64(__m512i acc)
            lanes[5] + lanes[6] + lanes[7];
 }
 
-void
-xorRangeAvx512(std::uint8_t *out, const std::uint8_t *in,
-               const std::uint8_t *base, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 64 <= n; i += 64)
-        store512(out + i,
-                 _mm512_xor_si512(load512(in + i), load512(base + i)));
-    const std::size_t rem = n - i;
-    if (rem != 0) {
-        const __mmask64 k = (~std::uint64_t{0}) >> (64 - rem);
-        const __m512i v = _mm512_maskz_loadu_epi8(k, in + i);
-        const __m512i b = _mm512_maskz_loadu_epi8(k, base + i);
-        _mm512_mask_storeu_epi8(out + i, k, _mm512_xor_si512(v, b));
-    }
-}
-
-/** One masked ZDR-encode step over up to 32 16-bit lanes. */
-inline void
-zdrEncode16Masked(std::uint8_t *out, const std::uint8_t *in,
-                  const std::uint8_t *base, __mmask32 k, __m512i c)
-{
-    const __m512i v = _mm512_maskz_loadu_epi16(k, in);
-    const __m512i b = _mm512_maskz_loadu_epi16(k, base);
-    const __m512i x = _mm512_xor_si512(v, b);
-    const __mmask32 mz = _mm512_cmpeq_epi16_mask(v, _mm512_setzero_si512());
-    const __mmask32 mc = _mm512_cmpeq_epi16_mask(x, c);
-    __m512i r = _mm512_mask_blend_epi16(mc, x, b);
-    r = _mm512_mask_blend_epi16(mz, r, c);
-    _mm512_mask_storeu_epi16(out, k, r);
-}
-
-void
-zdrEncode16Avx512(std::uint8_t *out, const std::uint8_t *in,
-                  const std::uint8_t *base, std::size_t n)
-{
-    const __m512i c = _mm512_set1_epi16(static_cast<short>(zdrConst16));
-    std::size_t i = 0;
-    for (; i + 64 <= n; i += 64)
-        zdrEncode16Masked(out + i, in + i, base + i,
-                          static_cast<__mmask32>(~0u), c);
-    const std::size_t lanes = (n - i) / 2;
-    if (lanes != 0)
-        zdrEncode16Masked(out + i, in + i, base + i,
-                          static_cast<__mmask32>((1u << lanes) - 1u), c);
-}
-
 /** zdrEncodeWord over every 32-bit lane of @p v against @p b. */
 inline __m512i
 zdrEncode32Vec(__m512i v, __m512i b, __m512i c)
@@ -137,17 +90,6 @@ zdrDecode32Vec(__m512i v, __m512i b, __m512i c)
     const __m512i r = _mm512_mask_blend_epi32(mb, _mm512_xor_si512(v, b),
                                               _mm512_xor_si512(b, c));
     return _mm512_mask_blend_epi32(mc, r, _mm512_setzero_si512());
-}
-
-/** zdrDecodeWord over every 64-bit lane of @p v against @p b. */
-inline __m512i
-zdrDecode64Vec(__m512i v, __m512i b, __m512i c)
-{
-    const __mmask8 mc = _mm512_cmpeq_epi64_mask(v, c);
-    const __mmask8 mb = _mm512_cmpeq_epi64_mask(v, b);
-    const __m512i r = _mm512_mask_blend_epi64(mb, _mm512_xor_si512(v, b),
-                                              _mm512_xor_si512(b, c));
-    return _mm512_mask_blend_epi64(mc, r, _mm512_setzero_si512());
 }
 
 inline void
@@ -173,36 +115,6 @@ zdrEncode32Avx512(std::uint8_t *out, const std::uint8_t *in,
     if (lanes != 0)
         zdrEncode32Masked(out + i, in + i, base + i,
                           static_cast<__mmask16>((1u << lanes) - 1u), c);
-}
-
-inline void
-zdrEncode64Masked(std::uint8_t *out, const std::uint8_t *in,
-                  const std::uint8_t *base, __mmask8 k, __m512i c)
-{
-    const __m512i v = _mm512_maskz_loadu_epi64(k, in);
-    const __m512i b = _mm512_maskz_loadu_epi64(k, base);
-    const __m512i x = _mm512_xor_si512(v, b);
-    const __mmask8 mz = _mm512_cmpeq_epi64_mask(v, _mm512_setzero_si512());
-    const __mmask8 mc = _mm512_cmpeq_epi64_mask(x, c);
-    __m512i r = _mm512_mask_blend_epi64(mc, x, b);
-    r = _mm512_mask_blend_epi64(mz, r, c);
-    _mm512_mask_storeu_epi64(out, k, r);
-}
-
-void
-zdrEncode64Avx512(std::uint8_t *out, const std::uint8_t *in,
-                  const std::uint8_t *base, std::size_t n)
-{
-    const __m512i c =
-        _mm512_set1_epi64(static_cast<long long>(zdrConst64));
-    std::size_t i = 0;
-    for (; i + 64 <= n; i += 64)
-        zdrEncode64Masked(out + i, in + i, base + i,
-                          static_cast<__mmask8>(0xffu), c);
-    const std::size_t lanes = (n - i) / 8;
-    if (lanes != 0)
-        zdrEncode64Masked(out + i, in + i, base + i,
-                          static_cast<__mmask8>((1u << lanes) - 1u), c);
 }
 
 void
@@ -303,30 +215,11 @@ popcountRangeAvx512(const std::uint8_t *src, std::size_t n)
     return reduceAdd64(acc);
 }
 
-std::uint64_t
-popcountXorRangeAvx512(const std::uint8_t *a, const std::uint8_t *b,
-                       std::size_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; i + 64 <= n; i += 64)
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(
-                     _mm512_xor_si512(load512(a + i), load512(b + i))));
-    const std::size_t rem = n - i;
-    if (rem != 0) {
-        const __mmask64 k = (~std::uint64_t{0}) >> (64 - rem);
-        const __m512i x =
-            _mm512_xor_si512(_mm512_maskz_loadu_epi8(k, a + i),
-                             _mm512_maskz_loadu_epi8(k, b + i));
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
-    }
-    return reduceAdd64(acc);
-}
-
 // ---- Codec-level kernels: each transaction held in registers ----
 
-template <bool Zdr, bool Encode>
+/** Universal fold (@p Encode) or unfold at ZDR lane 4 of the
+ *  transactions in @p v. */
+template <bool Encode>
 inline __m512i
 foldRegister512(__m512i v, const FoldLanes &plan, __m512i idx,
                 unsigned stages, __m512i c)
@@ -335,17 +228,15 @@ foldRegister512(__m512i v, const FoldLanes &plan, __m512i idx,
         // Every base is an original lane: one remap against the permuted
         // register, keeping the effective-base lanes.
         const __m512i b = _mm512_permutexvar_epi32(idx, v);
-        const __m512i r =
-            Zdr ? zdrEncode32Vec(v, b, c) : _mm512_xor_si512(v, b);
-        return _mm512_mask_blend_epi32(plan.rewrite, v, r);
+        return _mm512_mask_blend_epi32(plan.rewrite, v,
+                                       zdrEncode32Vec(v, b, c));
     } else {
         // Innermost stage first: each restores its right half from the
         // prefix the stages before it restored.
         for (unsigned s = stages; s-- > 0;) {
             const __m512i b = _mm512_permutexvar_epi32(idx, v);
-            const __m512i r =
-                Zdr ? zdrDecode32Vec(v, b, c) : _mm512_xor_si512(v, b);
-            v = _mm512_mask_blend_epi32(plan.stage[s], v, r);
+            v = _mm512_mask_blend_epi32(plan.stage[s], v,
+                                        zdrDecode32Vec(v, b, c));
         }
         return v;
     }
@@ -353,7 +244,7 @@ foldRegister512(__m512i v, const FoldLanes &plan, __m512i idx,
 
 /** Universal fold/unfold with one 64-byte transaction, or two 32-byte
  *  ones, per register. */
-template <bool Zdr, bool Encode>
+template <bool Encode>
 void
 universalLanes512(std::uint8_t *out, const std::uint8_t *in,
                   std::size_t count, std::size_t tx_bytes, unsigned stages)
@@ -364,15 +255,15 @@ universalLanes512(std::uint8_t *out, const std::uint8_t *in,
     const std::size_t bytes = count * tx_bytes;
     std::size_t i = 0;
     for (; i + 64 <= bytes; i += 64)
-        store512(out + i, foldRegister512<Zdr, Encode>(load512(in + i), plan,
-                                                       idx, stages, c));
+        store512(out + i, foldRegister512<Encode>(load512(in + i), plan, idx,
+                                                  stages, c));
     if (i < bytes) {
         // An odd 32-byte transaction: the low half of one register.
         const __mmask16 k = 0x00ff;
         _mm512_mask_storeu_epi32(
             out + i, k,
-            foldRegister512<Zdr, Encode>(_mm512_maskz_loadu_epi32(k, in + i),
-                                         plan, idx, stages, c));
+            foldRegister512<Encode>(_mm512_maskz_loadu_epi32(k, in + i),
+                                    plan, idx, stages, c));
     }
 }
 
@@ -381,12 +272,10 @@ universalFoldAvx512(std::uint8_t *out, const std::uint8_t *in,
                     std::size_t count, std::size_t tx_bytes, unsigned stages,
                     std::size_t zdr_lane)
 {
-    if (!foldInRegisters(tx_bytes, stages, zdr_lane))
-        universalFoldWord(out, in, count, tx_bytes, stages, zdr_lane);
-    else if (zdr_lane != 0)
-        universalLanes512<true, true>(out, in, count, tx_bytes, stages);
+    if (foldInRegisters(tx_bytes, stages, zdr_lane))
+        universalLanes512<true>(out, in, count, tx_bytes, stages);
     else
-        universalLanes512<false, true>(out, in, count, tx_bytes, stages);
+        universalFoldWord(out, in, count, tx_bytes, stages, zdr_lane);
 }
 
 void
@@ -394,12 +283,10 @@ universalUnfoldAvx512(std::uint8_t *out, const std::uint8_t *in,
                       std::size_t count, std::size_t tx_bytes,
                       unsigned stages, std::size_t zdr_lane)
 {
-    if (!foldInRegisters(tx_bytes, stages, zdr_lane))
-        universalUnfoldWord(out, in, count, tx_bytes, stages, zdr_lane);
-    else if (zdr_lane != 0)
-        universalLanes512<true, false>(out, in, count, tx_bytes, stages);
+    if (foldInRegisters(tx_bytes, stages, zdr_lane))
+        universalLanes512<false>(out, in, count, tx_bytes, stages);
     else
-        universalLanes512<false, false>(out, in, count, tx_bytes, stages);
+        universalUnfoldWord(out, in, count, tx_bytes, stages, zdr_lane);
 }
 
 // GCC 12 spells the plain unpack intrinsics, and the 256/512-bit casts,
@@ -459,102 +346,57 @@ pairHalves512(__m512i a, __m512i b)
     return _mm512_permutex2var_epi64(a, idx, b);
 }
 
-/** Base+XOR decode chain over W-byte elements: rows of 32-byte chunks,
- *  each register holding the same chunk of two transactions. */
-template <std::size_t W>
-struct Chain512;
-
-template <>
-struct Chain512<4>
+/** Transposes the 8x8 32-bit matrix in each 256-bit half of r[0..7]
+ *  (an involution: the same call transposes back). */
+inline void
+transpose8x32(__m512i *r)
 {
-    static __m512i constant()
-    {
-        return _mm512_set1_epi32(static_cast<int>(zdrConst32));
+    __m512i t[8];
+    for (int k = 0; k < 8; k += 2) {
+        t[k] = unpackLo32(r[k], r[k + 1]);
+        t[k + 1] = unpackHi32(r[k], r[k + 1]);
     }
-    static __m512i decode(__m512i v, __m512i b, __m512i c)
-    {
-        return zdrDecode32Vec(v, b, c);
+    __m512i u[8];
+    for (int k = 0; k < 8; k += 4) {
+        u[k] = unpackLo64(t[k], t[k + 2]);
+        u[k + 1] = unpackHi64(t[k], t[k + 2]);
+        u[k + 2] = unpackLo64(t[k + 1], t[k + 3]);
+        u[k + 3] = unpackHi64(t[k + 1], t[k + 3]);
     }
-    /** Transposes the 8x8 32-bit matrix in each 256-bit half of r[0..7]
-     *  (an involution: the same call transposes back). */
-    static void transpose(__m512i *r)
-    {
-        __m512i t[8];
-        for (int k = 0; k < 8; k += 2) {
-            t[k] = unpackLo32(r[k], r[k + 1]);
-            t[k + 1] = unpackHi32(r[k], r[k + 1]);
-        }
-        __m512i u[8];
-        for (int k = 0; k < 8; k += 4) {
-            u[k] = unpackLo64(t[k], t[k + 2]);
-            u[k + 1] = unpackHi64(t[k], t[k + 2]);
-            u[k + 2] = unpackLo64(t[k + 1], t[k + 3]);
-            u[k + 3] = unpackHi64(t[k + 1], t[k + 3]);
-        }
-        // u[k] (k < 4) holds columns k and k+4 of rows 0-3; u[k+4] the
-        // same columns of rows 4-7.
-        for (int k = 0; k < 4; ++k) {
-            r[k] = pairHalves512<false>(u[k], u[k + 4]);
-            r[k + 4] = pairHalves512<true>(u[k], u[k + 4]);
-        }
+    // u[k] (k < 4) holds columns k and k+4 of rows 0-3; u[k+4] the same
+    // columns of rows 4-7.
+    for (int k = 0; k < 4; ++k) {
+        r[k] = pairHalves512<false>(u[k], u[k + 4]);
+        r[k + 4] = pairHalves512<true>(u[k], u[k + 4]);
     }
-};
-
-template <>
-struct Chain512<8>
-{
-    static __m512i constant()
-    {
-        return _mm512_set1_epi64(static_cast<long long>(zdrConst64));
-    }
-    static __m512i decode(__m512i v, __m512i b, __m512i c)
-    {
-        return zdrDecode64Vec(v, b, c);
-    }
-    /** Transposes the 4x4 64-bit matrix in each 256-bit half of r[0..3]. */
-    static void transpose(__m512i *r)
-    {
-        const __m512i t0 = unpackLo64(r[0], r[1]);
-        const __m512i t1 = unpackHi64(r[0], r[1]);
-        const __m512i t2 = unpackLo64(r[2], r[3]);
-        const __m512i t3 = unpackHi64(r[2], r[3]);
-        r[0] = pairHalves512<false>(t0, t2);
-        r[1] = pairHalves512<false>(t1, t3);
-        r[2] = pairHalves512<true>(t0, t2);
-        r[3] = pairHalves512<true>(t1, t3);
-    }
-};
+}
 
 /**
- * Decodes 64 / W transactions of Tx bytes (32 or 64): per 32-byte chunk,
+ * 4-byte-base ZDR decode of 16 transactions of Tx bytes (32 or 64): per
+ * 32-byte chunk, each register holds that chunk of two transactions and
  * the transpose puts element e of every transaction in one register, so
  * the serial e-1 -> e chain runs as whole-register steps; a chunk's last
  * element carries into the next chunk.
  */
-template <std::size_t W, bool Zdr, std::size_t Tx>
+template <std::size_t Tx>
 void
 baseXorDecodeBlock512(std::uint8_t *out, const std::uint8_t *in)
 {
-    using Chain = Chain512<W>;
-    constexpr std::size_t rows = 32 / W;
-    const __m512i c = Chain::constant();
+    const __m512i c = _mm512_set1_epi32(static_cast<int>(zdrConst32));
     __m512i carry = _mm512_setzero_si512();
     for (std::size_t off = 0; off < Tx; off += 32) {
-        __m512i r[rows];
+        __m512i r[8];
         // Two 32-byte transactions are one contiguous register.
-        for (std::size_t k = 0; k < rows; ++k)
+        for (std::size_t k = 0; k < 8; ++k)
             r[k] = Tx == 32 ? load512(in + 64 * k)
                             : loadPair512(in + 2 * k * Tx + off,
                                           in + (2 * k + 1) * Tx + off);
-        Chain::transpose(r);
-        for (std::size_t e = off == 0 ? 1 : 0; e < rows; ++e) {
-            const __m512i base = e == 0 ? carry : r[e - 1];
-            r[e] = Zdr ? Chain::decode(r[e], base, c)
-                       : _mm512_xor_si512(r[e], base);
-        }
-        carry = r[rows - 1];
-        Chain::transpose(r);
-        for (std::size_t k = 0; k < rows; ++k) {
+        transpose8x32(r);
+        for (std::size_t e = off == 0 ? 1 : 0; e < 8; ++e)
+            r[e] = zdrDecode32Vec(r[e], e == 0 ? carry : r[e - 1], c);
+        carry = r[7];
+        transpose8x32(r);
+        for (std::size_t k = 0; k < 8; ++k) {
             if (Tx == 32)
                 store512(out + 64 * k, r[k]);
             else
@@ -564,35 +406,23 @@ baseXorDecodeBlock512(std::uint8_t *out, const std::uint8_t *in)
     }
 }
 
-template <std::size_t W, bool Zdr, std::size_t Tx>
+template <std::size_t Tx>
 void
 baseXorDecodeLanes512(std::uint8_t *out, const std::uint8_t *in,
                       std::size_t count)
 {
-    constexpr std::size_t block = 64 / W;
     std::size_t t = 0;
-    for (; t + block <= count; t += block)
-        baseXorDecodeBlock512<W, Zdr, Tx>(out + t * Tx, in + t * Tx);
+    for (; t + 16 <= count; t += 16)
+        baseXorDecodeBlock512<Tx>(out + t * Tx, in + t * Tx);
     if (t == count)
         return;
     // The last partial block runs through a zero-padded tile.
-    alignas(64) std::uint8_t tile[block * Tx];
+    alignas(64) std::uint8_t tile[16 * Tx];
     const std::size_t bytes = (count - t) * Tx;
     std::memcpy(tile, in + t * Tx, bytes);
     std::memset(tile + bytes, 0, sizeof(tile) - bytes);
-    baseXorDecodeBlock512<W, Zdr, Tx>(tile, tile);
+    baseXorDecodeBlock512<Tx>(tile, tile);
     std::memcpy(out + t * Tx, tile, bytes);
-}
-
-template <std::size_t W, bool Zdr>
-void
-baseXorDecodeLanes512(std::uint8_t *out, const std::uint8_t *in,
-                      std::size_t count, std::size_t tx_bytes)
-{
-    if (tx_bytes == 32)
-        baseXorDecodeLanes512<W, Zdr, 32>(out, in, count);
-    else
-        baseXorDecodeLanes512<W, Zdr, 64>(out, in, count);
 }
 
 void
@@ -600,17 +430,12 @@ baseXorDecodeAvx512(std::uint8_t *out, const std::uint8_t *in,
                     std::size_t count, std::size_t tx_bytes,
                     std::size_t base_bytes, bool zdr)
 {
-    const bool lanes = tx_bytes == 32 || tx_bytes == 64;
-    if (lanes && base_bytes == 4 && zdr)
-        baseXorDecodeLanes512<4, true>(out, in, count, tx_bytes);
-    else if (lanes && base_bytes == 4)
-        baseXorDecodeLanes512<4, false>(out, in, count, tx_bytes);
-    else if (lanes && base_bytes == 8 && zdr)
-        baseXorDecodeLanes512<8, true>(out, in, count, tx_bytes);
-    else if (lanes && base_bytes == 8)
-        baseXorDecodeLanes512<8, false>(out, in, count, tx_bytes);
-    else
+    if (!decodeInLanes(tx_bytes, base_bytes, zdr))
         baseXorDecodeWord(out, in, count, tx_bytes, base_bytes, zdr);
+    else if (tx_bytes == 32)
+        baseXorDecodeLanes512<32>(out, in, count);
+    else
+        baseXorDecodeLanes512<64>(out, in, count);
 }
 
 // ---- Frame CRC32: the PCLMULQDQ fold four 512-bit registers wide ----
@@ -680,14 +505,14 @@ avx512TableOrNull()
 {
     static const KernelTable table = {
         Level::Avx512,
-        xorRangeAvx512,
-        zdrEncode16Avx512,
+        xorWordRange,
+        zdrEncode16WordRange,
         zdrEncode32Avx512,
-        zdrEncode64Avx512,
+        zdrEncode64WordRange,
         dbiEncodePlaneAvx512,
         dbiDecodePlaneAvx512,
         popcountRangeAvx512,
-        popcountXorRangeAvx512,
+        popcountXorWordRange,
         universalFoldAvx512,
         universalUnfoldAvx512,
         baseXorDecodeAvx512,

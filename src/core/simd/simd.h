@@ -6,7 +6,7 @@
  * The batch kernels and the bus and reply ones/toggle accounting reduce
  * to a small set of primitives:
  *
- *   plane level    xor, ZDR encode/decode per lane width, DBI plane
+ *   plane level    xor, ZDR encode per lane width, DBI plane
  *                  encode/decode, popcount, xor-popcount
  *   codec level    Universal fold/unfold and adjacent-base Base+XOR
  *                  decode over whole batches, where the vector levels
@@ -28,19 +28,27 @@
  *                  eight values per multiply/shift step. The portable
  *                  tier: non-x86 builds (aarch64 included) dispatch it
  *   Level::Avx2    256-bit AVX2 (x86-64, detected via CPUID + XGETBV);
- *                  CRC32 by a 4x128-bit PCLMULQDQ fold; bit planes by
- *                  the Word steps
+ *                  CRC32 by a 4x128-bit PCLMULQDQ fold
  *   Level::Avx512  512-bit AVX-512 F+BW+VL+VPOPCNTDQ plus VPCLMULQDQ;
  *                  CRC32 by a 4x512-bit VPCLMULQDQ fold (inputs under
- *                  256 bytes by the Avx2 fold); bit planes by the Word
- *                  steps
+ *                  256 bytes by the Avx2 fold)
  *
- * The x86 vector levels cover the codec-level shapes the serving traffic
- * uses (32- and 64-byte transactions, 4- and 8-byte bases, ZDR lane 4 or
- * plain XOR) and hand any other shape to the Word entry. Both x86 levels
- * also require PCLMULQDQ and SSE4.1 (CPUID leaf 1); Avx512 also requires
- * VPCLMULQDQ (CPUID leaf 7, ECX bit 10), which every CPU with VPOPCNTDQ
- * has.
+ * The x86 vector levels keep vector code only for the shapes the serving
+ * traffic sends: the spec mix of src/workloads/scenario.cpp:20-24
+ * (defaultSpecMix: xor4+zdr, universal3+zdr, dbi4, universal3+zdr|dbi4,
+ * baseline) on 32- and 64-byte transactions. That is zdrEncode32, the
+ * DBI planes, popcountRange and crc32Update; baseXorDecode with 4-byte
+ * bases under ZDR; and universalFold/universalUnfold at ZDR lane 4.
+ * Every other slot or shape runs the Word entry at both x86 levels:
+ * xorRange, zdrEncode16, zdrEncode64, popcountXorRange, packBits and
+ * unpackBits are the Word functions, and the codec-level entries hand
+ * plain XOR and every other base or lane width to their Word forms. A
+ * vector kernel comes back only with a BENCHMARK.json workload that
+ * reaches it and an end-to-end win there (DESIGN.md section 7b).
+ *
+ * Both x86 levels also require PCLMULQDQ and SSE4.1 (CPUID leaf 1);
+ * Avx512 also requires VPCLMULQDQ (CPUID leaf 7, ECX bit 10), which
+ * every CPU with VPOPCNTDQ has.
  * One binary carries every level its compiler could build (the vector
  * translation units get per-file -m flags; see src/core/CMakeLists.txt)
  * and picks the best one the running CPU supports. The `BXT_SIMD`

@@ -10,19 +10,24 @@ namespace bxt {
 
 namespace {
 
-/** Per-request DRAM counters (all controllers/channels aggregate). */
+/**
+ * Per-request DRAM counters (all controllers/channels aggregate). Pinned
+ * to the default registry: the process-lifetime instance binds on the
+ * first recorded request, and a thread-scoped registry must not capture
+ * it.
+ */
 struct MemCtrlMetrics
 {
     telemetry::Counter &reads =
-        telemetry::counter("bxt.gpusim.memctrl.reads");
+        telemetry::defaultRegistry().counter("bxt.gpusim.memctrl.reads");
     telemetry::Counter &writes =
-        telemetry::counter("bxt.gpusim.memctrl.writes");
+        telemetry::defaultRegistry().counter("bxt.gpusim.memctrl.writes");
     telemetry::Counter &activates =
-        telemetry::counter("bxt.gpusim.memctrl.activates");
+        telemetry::defaultRegistry().counter("bxt.gpusim.memctrl.activates");
     telemetry::Counter &rowHits =
-        telemetry::counter("bxt.gpusim.memctrl.row_hits");
+        telemetry::defaultRegistry().counter("bxt.gpusim.memctrl.row_hits");
     telemetry::Counter &bytes =
-        telemetry::counter("bxt.gpusim.memctrl.bytes");
+        telemetry::defaultRegistry().counter("bxt.gpusim.memctrl.bytes");
 };
 
 MemCtrlMetrics &

@@ -247,12 +247,13 @@ Service::makeEntry(Entry &entry, std::string_view spec,
     entry.onesIn.counter = &reg_.counter(base + ".ones_in");
     entry.onesOut.counter = &reg_.counter(base + ".ones_out");
     entry.onesRemoved.counter = &reg_.counter(base + ".ones_removed");
-    if (!is_adaptive) {
-        // May throw CodecSizeError (a transaction size the codec
-        // rejects); serve() answers it, and nothing is cached.
-        entry.metaWires = entry.codec->metaWiresPerBeat();
-        entry.metaBits = entry.codec->metaBitsPerTx(tx_bytes);
-    } else {
+    // May throw CodecSizeError (a transaction size the codec rejects);
+    // serve() answers it, and nothing is cached. Controller::make makes
+    // every adaptive candidate agree on metaWiresPerBeat, so an adaptive
+    // entry's geometry is fixed too.
+    entry.metaWires = entry.codec->metaWiresPerBeat();
+    entry.metaBits = entry.codec->metaBitsPerTx(tx_bytes);
+    if (is_adaptive) {
         entry.adaptive =
             dynamic_cast<adaptive::AdaptiveCodec *>(entry.codec.get());
         if (stream_id != 0) {
@@ -353,11 +354,11 @@ Service::handleEncode(const wire::FrameView &request, Reply &reply,
     if (entry == nullptr)
         return errorResponse(wire::ErrorCode::BadSpec, err, reply);
 
-    const unsigned meta_wires = entry->wiresPerBeat();
+    const unsigned meta_wires = entry->metaWires;
     const std::size_t meta_bits =
         metaBitsPerTx(tx_bytes, bus_bits, meta_wires);
     const std::size_t meta_bytes = (meta_bits + 7) / 8;
-    const std::size_t codec_meta_bits = entry->bitsPerTx(tx_bytes);
+    const std::size_t codec_meta_bits = entry->metaBits;
     if (codec_meta_bits != meta_bits) {
         return errorResponse(wire::ErrorCode::Internal,
                              "encode: codec produces " +
@@ -471,7 +472,7 @@ Service::handleDecode(const wire::FrameView &request, Reply &reply,
     if (entry == nullptr)
         return errorResponse(wire::ErrorCode::BadSpec, err, reply);
 
-    const unsigned codec_meta_wires = entry->wiresPerBeat();
+    const unsigned codec_meta_wires = entry->metaWires;
     const std::size_t meta_bits =
         metaBitsPerTx(tx_bytes, bus_bits, codec_meta_wires);
     const std::size_t expected_meta_bytes = (meta_bits + 7) / 8;
@@ -479,7 +480,7 @@ Service::handleDecode(const wire::FrameView &request, Reply &reply,
     // sized below, so that must be the geometry's count too.
     if (meta_wires != codec_meta_wires ||
         meta_bytes != expected_meta_bytes ||
-        entry->bitsPerTx(tx_bytes) != meta_bits) {
+        entry->metaBits != meta_bits) {
         return errorResponse(
             wire::ErrorCode::Malformed,
             "decode: metadata geometry does not match codec '" +

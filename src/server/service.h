@@ -133,8 +133,9 @@ class Service
          *  packBits / unpackBits, reused. Payloads need no scratch: the
          *  codec reads the request body and writes the reply in place. */
         ByteBuffer scratchMeta;
-        /** A concrete codec's metaWiresPerBeat() and metaBitsPerTx(txBytes),
-         *  stored by makeEntry: both depend only on the key. */
+        /** The codec's metaWiresPerBeat() and metaBitsPerTx(txBytes),
+         *  stored by makeEntry: both depend only on the key (an adaptive
+         *  codec's candidates all agree on them). */
         unsigned metaWires = 0;
         std::size_t metaBits = 0;
         /** `bxt.server.<spec>.ones_{in,out,removed}`, bound by makeEntry. */
@@ -158,19 +159,6 @@ class Service
          *  and the concrete spec it names. */
         telemetry::Gauge *choiceGauge = nullptr;
         std::string choiceSpec;
-
-        /** This request's metadata geometry: the stored values, or the
-         *  codec's answer for an adaptive entry, whose choice moves. */
-        unsigned wiresPerBeat() const
-        {
-            return adaptive != nullptr ? codec->metaWiresPerBeat()
-                                       : metaWires;
-        }
-        std::size_t bitsPerTx(std::uint32_t tx_bytes) const
-        {
-            return adaptive != nullptr ? codec->metaBitsPerTx(tx_bytes)
-                                       : metaBits;
-        }
     };
 
     /**

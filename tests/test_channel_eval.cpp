@@ -7,6 +7,7 @@
 
 #include "channel/channel_eval.h"
 #include "core/codec_factory.h"
+#include "telemetry/metrics.h"
 
 namespace bxt {
 namespace {
@@ -23,6 +24,26 @@ similarStream(std::size_t count)
         stream.push_back(tx);
     }
     return stream;
+}
+
+// First in the file: the eval counters bind on the first stream
+// recorded in the process, and here that stream runs under a scoped
+// registry that is then destroyed.
+TEST(ChannelEval, CountersBindToDefaultRegistryUnderScopedFirstUse)
+{
+    telemetry::setMetricsEnabled(true);
+    telemetry::Counter &streams =
+        telemetry::defaultRegistry().counter("bxt.channel.eval.streams");
+    const std::uint64_t before = streams.value();
+    CodecPtr codec = makeCodec("baseline");
+    {
+        telemetry::Registry shard;
+        telemetry::ScopedRegistry scoped(shard);
+        evalCodecOnStream(*codec, similarStream(8), 32);
+    }
+    evalCodecOnStream(*codec, similarStream(8), 32);
+    telemetry::setMetricsEnabled(false);
+    EXPECT_EQ(streams.value(), before + 2);
 }
 
 TEST(ChannelEval, BaselineNormalizedOnesIsOne)

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "gpusim/memctrl.h"
+#include "telemetry/metrics.h"
 
 namespace bxt {
 namespace {
@@ -28,6 +29,27 @@ pattern(std::uint32_t tag)
     for (std::size_t off = 0; off < 32; off += 4)
         tx.setWord32(off, tag ^ (static_cast<std::uint32_t>(off) << 8));
     return tx;
+}
+
+// First in the file: the memctrl counters bind on the first request
+// recorded in the process, and here that request runs under a scoped
+// registry that is then destroyed.
+TEST(MemCtrl, CountersBindToDefaultRegistryUnderScopedFirstUse)
+{
+    telemetry::setMetricsEnabled(true);
+    telemetry::Counter &writes =
+        telemetry::defaultRegistry().counter("bxt.gpusim.memctrl.writes");
+    const std::uint64_t before = writes.value();
+    {
+        telemetry::Registry shard;
+        telemetry::ScopedRegistry scoped(shard);
+        MemoryController mc(smallConfig("baseline"));
+        mc.writeSector(0, pattern(0xaaaa0001));
+    }
+    MemoryController mc(smallConfig("baseline"));
+    mc.writeSector(0, pattern(0xbbbb0002));
+    telemetry::setMetricsEnabled(false);
+    EXPECT_EQ(writes.value(), before + 2);
 }
 
 TEST(MemCtrl, WriteThenReadReturnsData)
