@@ -32,7 +32,8 @@
 #            + per-level bench JSONs for
 #            bxt_report --diff
 #   metrics  Release build + telemetry-enabled run: validates the metrics
-#            snapshot and trace with bxt_report, then asserts the
+#            snapshot and the fig15 and ablation traces with bxt_report,
+#            checks that neither trace dropped a span, then asserts the
 #            compiled-in-but-disabled telemetry costs under
 #            BXT_METRICS_OVERHEAD_PCT (default 2) percent versus a
 #            -DBXT_TELEMETRY=OFF baseline build of the same sources
@@ -206,20 +207,32 @@ run_metrics() {
     echo "=== CI job: telemetry snapshot + overhead gate ==="
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-ci-release -j "${jobs}" \
-        --target bench_codec_throughput bench_fig15_comparison bxt_report \
-        test_telemetry
+        --target bench_codec_throughput bench_fig15_comparison \
+        bench_ablation bxt_report test_telemetry
     local out=build-ci-release/metrics
     mkdir -p "${out}"
 
-    # Telemetry-labeled tests, then a telemetry-on figure run: validate
-    # the emitted snapshot and trace with bxt_report.
+    # Telemetry-labeled tests, then a telemetry-on figure run and a traced
+    # ablation run (the CI-built bench that records the most spans on one
+    # thread): validate the emitted snapshot and traces with bxt_report,
+    # and require every span recorded to reach its trace.
     ctest --test-dir build-ci-release --output-on-failure -L telemetry
     BXT_METRICS=1 BXT_TRACE="${out}/fig15_trace.json" \
         ./build-ci-release/bench/bench_fig15_comparison \
         --json "${out}/fig15.json" > /dev/null
     ./build-ci-release/tools/bxt_report --validate "${out}/fig15.json"
-    ./build-ci-release/tools/bxt_report --validate-trace \
-        "${out}/fig15_trace.json"
+    BXT_TRACE="${out}/ablation_trace.json" \
+        ./build-ci-release/bench/bench_ablation > /dev/null
+    local trace
+    for trace in "${out}/fig15_trace.json" "${out}/ablation_trace.json"; do
+        ./build-ci-release/tools/bxt_report --validate-trace "${trace}"
+        python3 - "${trace}" <<'PY'
+import json, sys
+dropped = json.load(open(sys.argv[1]))["otherData"]["droppedSpans"]
+if dropped != 0:
+    sys.exit(f"{sys.argv[1]}: {dropped} spans dropped")
+PY
+    done
 
     # Overhead gate for the zero-cost-when-off contract: the metrics-off
     # suite sweep must stay within the budget of the same sweep built

@@ -367,6 +367,22 @@ Service::handleEncode(const wire::FrameView &request, Reply &reply,
                                  std::to_string(meta_bits),
                              reply);
     }
+    // The reply must fit back into one Decode request: 24 fixed bytes
+    // plus a row of payload and packed metadata per transaction, under
+    // the bound a server's parser enforces. A spec that packs more than
+    // maxMetaBytesPerTx onto a 64-byte transaction fits fewer rows.
+    const std::size_t decode_body = 24 + count * (tx_bytes + meta_bytes);
+    const std::size_t decode_bound =
+        wire::maxRequestBodyLen(wire::Opcode::Decode);
+    if (decode_body > decode_bound) {
+        return errorResponse(wire::ErrorCode::Malformed,
+                             "encode: " + std::to_string(count) +
+                                 " rows of " +
+                                 std::to_string(tx_bytes + meta_bytes) +
+                                 " bytes would not fit one decode request (" +
+                                 std::to_string(decode_bound) + " bytes)",
+                             reply);
+    }
 
     // An adaptive codec picks the candidate for this batch before it
     // encodes it; evaluating here first lets the reply announce that

@@ -9,7 +9,6 @@
 #include <limits>
 
 #include "server/server.h"
-#include "telemetry/spanring.h"
 #include "telemetry/trace.h"
 
 namespace bxt::server {
@@ -80,8 +79,10 @@ struct Shard::Conn
 
     net::UniqueFd fd;
     /** Socket reads land in its buffer; requests are served as views
-     *  into it. */
-    wire::FrameParser parser;
+     *  into it. A body longer than its opcode's bound is refused from
+     *  the header, so a connection never buffers more than one read
+     *  past the largest legal request. */
+    wire::FrameParser parser{wire::FrameParser::Bound::Request};
     /** Response bytes not yet accepted by the socket; replies are
      *  written in place onto its end, never zero-filled first. */
     ByteBuffer out;
@@ -322,21 +323,21 @@ Shard::processFrames(Conn &conn)
         span.streamId = pending.streamId;
         span.tid = tid;
         span.txCount = pending.txCount;
-        const auto emit = [&span](telemetry::ServerPhase phase,
+        const auto emit = [&span](telemetry::SpanName phase,
                                   std::uint64_t start, std::uint64_t end) {
-            span.phase = phase;
+            span.name = phase;
             span.startUs = start;
             span.durUs = end - start;
-            telemetry::recordServerSpan(span);
+            telemetry::recordSpan(span);
         };
-        emit(telemetry::ServerPhase::Request, conn.tFeed, t_write_end);
-        emit(telemetry::ServerPhase::QueueWait, conn.tFeed,
+        emit(telemetry::SpanName::Request, conn.tFeed, t_write_end);
+        emit(telemetry::SpanName::QueueWait, conn.tFeed,
              pending.tParseStart);
-        emit(telemetry::ServerPhase::Parse, pending.tParseStart,
+        emit(telemetry::SpanName::Parse, pending.tParseStart,
              pending.tParseEnd);
-        emit(telemetry::ServerPhase::Codec, pending.tParseEnd,
+        emit(telemetry::SpanName::Codec, pending.tParseEnd,
              pending.tHandleEnd);
-        emit(telemetry::ServerPhase::Reply, pending.tHandleEnd,
+        emit(telemetry::SpanName::Reply, pending.tHandleEnd,
              t_write_end);
     }
 }

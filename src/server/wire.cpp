@@ -6,6 +6,7 @@
 #include "common/bitops.h"
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "core/transaction.h"
 
 namespace bxt::wire {
 
@@ -22,6 +23,21 @@ opcodeKnown(std::uint8_t op)
         return true;
     }
     return false;
+}
+
+std::size_t
+maxRequestBodyLen(Opcode op)
+{
+    // Fixed fields, then the planes (body tables in wire.h).
+    switch (op) {
+    case Opcode::Encode:
+        return 16 + maxTxPerRequest * Transaction::maxBytes;
+    case Opcode::Decode:
+        return 24 + maxTxPerRequest *
+                        (Transaction::maxBytes + maxMetaBytesPerTx);
+    default:
+        return 0;
+    }
 }
 
 std::string
@@ -265,10 +281,14 @@ FrameParser::next(FrameView &out, WireError &err)
                         " exceeds " + std::to_string(maxSpecLen),
                     err);
     }
-    if (body_len > maxBodyLen) {
+    const std::size_t max_body =
+        bound_ == Bound::Request
+            ? maxRequestBodyLen(static_cast<Opcode>(base[5]))
+            : maxBodyLen;
+    if (body_len > max_body) {
         return fail(ErrorCode::FrameTooLarge,
                     "body length " + std::to_string(body_len) +
-                        " exceeds " + std::to_string(maxBodyLen),
+                        " exceeds " + std::to_string(max_body),
                     err);
     }
 

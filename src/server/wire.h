@@ -10,7 +10,8 @@
  *        5     1  opcode
  *        6     2  streamId  (little-endian; 0 = untagged)
  *        8     4  specLen   (little-endian, <= maxSpecLen)
- *       12     4  bodyLen   (little-endian, <= maxBodyLen)
+ *       12     4  bodyLen   (little-endian, <= maxBodyLen; a server
+ *                           takes requests up to maxRequestBodyLen)
  *     [ 16     8  traceId   — version 2 frames only            ]
  *     [ 24     8  spanId    — version 2 frames only            ]
  *     [ 32     4  traceFlags — version 2 only; bit0 = sampled,  ]
@@ -117,6 +118,12 @@ constexpr std::size_t maxBodyLen = 16u << 20;
 /** Upper bound on transactions per Encode/Decode request. */
 constexpr std::size_t maxTxPerRequest = 4096;
 
+/** Metadata bytes per transaction that a full Decode request has room
+ *  for: the most any canonical spec packs onto a 64-byte transaction.
+ *  A wider pipeline fits fewer rows, and the service refuses an Encode
+ *  whose reply would not fit back into one Decode. */
+constexpr std::size_t maxMetaBytesPerTx = 8;
+
 /** Message opcodes. Responses echo the request opcode (or Error). */
 enum class Opcode : std::uint8_t {
     Ping = 1,   ///< Liveness probe; empty body both ways.
@@ -129,6 +136,13 @@ enum class Opcode : std::uint8_t {
 
 /** True when @p op is a value the protocol defines. */
 bool opcodeKnown(std::uint8_t op);
+
+/**
+ * Largest body a well-formed request of @p op can have: an Encode or a
+ * Decode of maxTxPerRequest 64-byte transactions, and 0 for the
+ * bodiless opcodes (an Error is never a request).
+ */
+std::size_t maxRequestBodyLen(Opcode op);
 
 /** Typed protocol/request failures (Error-frame body code). */
 enum class ErrorCode : std::uint32_t {
@@ -265,6 +279,14 @@ class FrameParser
         Bad,      ///< Typed error; parser is now stuck (failed()).
     };
 
+    /** The body lengths a parser accepts: up to maxBodyLen (replies,
+     *  whose Stats JSON can be large), or up to maxRequestBodyLen of
+     *  the frame's opcode (a server's requests). Either is checked
+     *  from the header, before any body byte is waited for. */
+    enum class Bound { Reply, Request };
+
+    explicit FrameParser(Bound bound = Bound::Reply) : bound_(bound) {}
+
     /**
      * Room for up to @p n more stream bytes at the returned pointer, for
      * the caller to read into; commitRead() then says how many arrived.
@@ -315,6 +337,7 @@ class FrameParser
     ByteBuffer buffer_;
     std::size_t consumed_ = 0; ///< Prefix of buffer_ already parsed.
     WireError error_;
+    Bound bound_;
 };
 
 /**

@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 
-#include "telemetry/spanring.h"
 #include "telemetry/trace.h"
 
 namespace bxt::telemetry {
@@ -324,8 +323,7 @@ void
 resetForTest()
 {
     defaultRegistry().reset();
-    clearTraceBuffer();
-    clearServerSpans();
+    clearSpans();
 }
 
 } // namespace bxt::telemetry

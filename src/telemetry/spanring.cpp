@@ -1,44 +1,27 @@
 #include "telemetry/spanring.h"
 
-#include <memory>
-#include <mutex>
-
-#include "telemetry/metrics.h"
-
 namespace bxt::telemetry {
-
-const char *
-serverPhaseName(ServerPhase phase)
-{
-    switch (phase) {
-    case ServerPhase::Request: return "request";
-    case ServerPhase::Parse: return "parse";
-    case ServerPhase::QueueWait: return "queue_wait";
-    case ServerPhase::Codec: return "codec";
-    case ServerPhase::Reply: return "reply";
-    }
-    return "unknown";
-}
 
 namespace {
 
-/** Pack the non-u64 span fields into one word (word[4]). */
+/** Pack opcode, stream and tid into one word (word[4]). */
 std::uint64_t
 packMisc(const ServerSpan &span)
 {
-    return static_cast<std::uint64_t>(span.phase) |
-           (static_cast<std::uint64_t>(span.opcode) << 8) |
+    return static_cast<std::uint64_t>(span.opcode) |
            (static_cast<std::uint64_t>(span.streamId) << 16) |
            (static_cast<std::uint64_t>(span.tid) << 32);
 }
 
+/** Unpack word[4] and word[5] (name id << 32 | txCount). */
 void
-unpackMisc(std::uint64_t misc, ServerSpan &span)
+unpack(std::uint64_t misc, std::uint64_t name_count, ServerSpan &span)
 {
-    span.phase = static_cast<ServerPhase>(misc & 0xff);
-    span.opcode = static_cast<std::uint8_t>((misc >> 8) & 0xff);
+    span.opcode = static_cast<std::uint8_t>(misc & 0xff);
     span.streamId = static_cast<std::uint16_t>((misc >> 16) & 0xffff);
     span.tid = static_cast<std::uint32_t>(misc >> 32);
+    span.name = static_cast<SpanName>(name_count >> 32);
+    span.txCount = static_cast<std::uint32_t>(name_count);
 }
 
 } // namespace
@@ -66,7 +49,9 @@ SpanRing::push(const ServerSpan &span)
     slot.word[2].store(span.startUs, std::memory_order_release);
     slot.word[3].store(span.durUs, std::memory_order_release);
     slot.word[4].store(packMisc(span), std::memory_order_release);
-    slot.word[5].store(span.txCount, std::memory_order_release);
+    slot.word[5].store(
+        (static_cast<std::uint64_t>(span.name) << 32) | span.txCount,
+        std::memory_order_release);
     slot.seq.store(2 * h + 2, std::memory_order_release);
     head_.store(h + 1, std::memory_order_release);
 }
@@ -95,9 +80,8 @@ SpanRing::drainInto(std::vector<ServerSpan> &out)
         span.spanId = slot.word[1].load(std::memory_order_acquire);
         span.startUs = slot.word[2].load(std::memory_order_acquire);
         span.durUs = slot.word[3].load(std::memory_order_acquire);
-        unpackMisc(slot.word[4].load(std::memory_order_acquire), span);
-        span.txCount = static_cast<std::uint32_t>(
-            slot.word[5].load(std::memory_order_acquire));
+        unpack(slot.word[4].load(std::memory_order_acquire),
+               slot.word[5].load(std::memory_order_acquire), span);
         // Claim the span by marking the slot consumed (2i+3). A failed
         // CAS means the producer started overwriting it mid-read — it
         // saw the published value in its exchange and counted the drop,
@@ -121,102 +105,6 @@ SpanRing::reset()
     dropped_.store(0, std::memory_order_relaxed);
     for (Slot &slot : slots_)
         slot.seq.store(0, std::memory_order_relaxed);
-}
-
-namespace {
-
-/** All rings ever registered; rings outlive their producer threads. */
-struct RingRegistry
-{
-    std::mutex mutex;
-    std::vector<std::unique_ptr<SpanRing>> rings;
-};
-
-RingRegistry &
-ringRegistry()
-{
-    // Never destroyed: worker threads may still push while static
-    // destructors run.
-    static RingRegistry *instance = new RingRegistry();
-    return *instance;
-}
-
-SpanRing &
-threadRing()
-{
-    thread_local SpanRing *ring = nullptr;
-    if (ring == nullptr) {
-        auto owned = std::make_unique<SpanRing>();
-        ring = owned.get();
-        RingRegistry &reg = ringRegistry();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        reg.rings.push_back(std::move(owned));
-    }
-    return *ring;
-}
-
-} // namespace
-
-void
-recordServerSpan(const ServerSpan &span)
-{
-    // Pinned to the default registry: the function-local statics bind
-    // on the first record, which may happen on a shard thread whose
-    // private registry dies with its Server — the default registry is
-    // the only one guaranteed to outlive every recording thread.
-    static Counter &recorded =
-        defaultRegistry().counter("bxt.server.spans_recorded");
-    static Counter &dropped =
-        defaultRegistry().counter("bxt.server.spans_dropped");
-    SpanRing &ring = threadRing();
-    const std::uint64_t drops_before = ring.dropped();
-    ring.push(span);
-    recorded.add(1);
-    const std::uint64_t evicted = ring.dropped() - drops_before;
-    if (evicted > 0)
-        dropped.add(evicted);
-}
-
-std::vector<ServerSpan>
-collectServerSpans()
-{
-    std::vector<ServerSpan> spans;
-    RingRegistry &reg = ringRegistry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const auto &ring : reg.rings)
-        ring->drainInto(spans);
-    return spans;
-}
-
-std::uint64_t
-serverSpansRecorded()
-{
-    std::uint64_t total = 0;
-    RingRegistry &reg = ringRegistry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const auto &ring : reg.rings)
-        total += ring->pushed();
-    return total;
-}
-
-std::uint64_t
-serverSpansDropped()
-{
-    std::uint64_t total = 0;
-    RingRegistry &reg = ringRegistry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const auto &ring : reg.rings)
-        total += ring->dropped();
-    return total;
-}
-
-void
-clearServerSpans()
-{
-    RingRegistry &reg = ringRegistry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const auto &ring : reg.rings)
-        ring->reset();
 }
 
 } // namespace bxt::telemetry

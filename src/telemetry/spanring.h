@@ -1,23 +1,20 @@
 /**
  * @file
- * Lock-free per-worker span rings for server-side request tracing
- * (DESIGN.md §9). Each worker thread records the lifecycle phases of a
- * sampled request — parse, queue wait, codec, reply — into its own
- * fixed-capacity single-producer ring. Rings overwrite their oldest
- * entry when full (drop-oldest) and count every overwritten-uncollected
- * span, so a slow exporter degrades visibility, never the serving path.
+ * The lock-free per-thread span ring, the one place a span is recorded
+ * (DESIGN.md §9). Every recording thread (a bxtd shard stamping the
+ * phases of a sampled request, or any thread closing a ScopedSpan)
+ * pushes into its own fixed-capacity single-producer ring. A full ring
+ * overwrites its oldest entry (drop-oldest) and counts every
+ * overwritten-uncollected span, so a slow exporter degrades visibility,
+ * never the serving path.
  *
  * The producer side is wait-free: one relaxed head bump plus a
  * seqlock-versioned slot write, all on atomics (ThreadSanitizer-clean).
- * Collection (`collectServerSpans`) merges every ring on demand under a
- * registry mutex, validating each slot's sequence number so a span being
- * overwritten mid-read is discarded and counted, never torn. The rings
- * are only the producer stage: telemetry::writeTrace drains them into
- * the one trace buffer and exports server spans next to the ScopedSpan
- * events (trace.h).
- *
- * Spans are recorded only for requests whose wire trace context carries
- * the sampled bit, so an untraced workload pays nothing on this path.
+ * Collection drains a ring under the registry mutex (trace.h),
+ * validating each slot's sequence number so a span being overwritten
+ * mid-read is discarded and counted, never torn. While tracing is on,
+ * the recorder moves a ring's spans to the export list before a push
+ * could evict one (trace.h, recordSpan).
  */
 
 #ifndef BXT_TELEMETRY_SPANRING_H
@@ -25,13 +22,16 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace bxt::telemetry {
 
-/** Lifecycle phase of a server-side request span. */
-enum class ServerPhase : std::uint8_t {
+/**
+ * Interned span name: an index into the append-only name table
+ * (internSpanName, trace.h). The five server request phases are
+ * registered first, so their ids are fixed.
+ */
+enum class SpanName : std::uint32_t {
     Request = 0,   ///< Whole request: first byte fed to reply written.
     Parse = 1,     ///< Frame extraction + validation.
     QueueWait = 2, ///< Buffered bytes waiting for the worker loop.
@@ -39,17 +39,14 @@ enum class ServerPhase : std::uint8_t {
     Reply = 4,     ///< Serialization + socket write of the response.
 };
 
-/** Stable lower-case phase token (Chrome-trace event name). */
-const char *serverPhaseName(ServerPhase phase);
-
-/** One recorded server-side span of a sampled request. */
+/** One recorded span: a server request phase or a ScopedSpan. */
 struct ServerSpan
 {
-    std::uint64_t traceId = 0; ///< Wire trace context id.
+    std::uint64_t traceId = 0; ///< Wire trace context id (0 = none).
     std::uint64_t spanId = 0;  ///< Client span id (trace-block spanId).
-    std::uint64_t startUs = 0; ///< telemetry::nowMicros() at phase start.
-    std::uint64_t durUs = 0;   ///< Phase duration, microseconds.
-    ServerPhase phase = ServerPhase::Request;
+    std::uint64_t startUs = 0; ///< telemetry::nowMicros() at span start.
+    std::uint64_t durUs = 0;   ///< Span duration, microseconds.
+    SpanName name = SpanName::Request;
     std::uint8_t opcode = 0;       ///< Wire opcode of the request.
     std::uint16_t streamId = 0;    ///< Tenant/stream tag (0 = none).
     std::uint32_t tid = 0;         ///< telemetry::currentThreadId().
@@ -92,7 +89,7 @@ class SpanRing
      * appended. Safe against a concurrently pushing producer: slots
      * overwritten mid-read are skipped (their loss shows up in
      * dropped()). Collectors must serialize among themselves — the
-     * registry-level collectServerSpans() does.
+     * registry-level collectSpans() does.
      */
     std::size_t drainInto(std::vector<ServerSpan> &out);
 
@@ -118,26 +115,6 @@ class SpanRing
     /** First push index not yet collected (collector-side cursor). */
     std::atomic<std::uint64_t> tail_{0};
 };
-
-/**
- * Record @p span into the calling thread's ring, registering the ring on
- * first use. Also bumps the `bxt.server.spans_recorded` counter (and
- * `bxt.server.spans_dropped` when the push evicts an uncollected span).
- */
-void recordServerSpan(const ServerSpan &span);
-
-/**
- * Merge-drain every registered ring (push order per ring) into one
- * vector. Each span is returned exactly once across calls.
- */
-std::vector<ServerSpan> collectServerSpans();
-
-/** Total spans recorded / dropped across all rings since process start. */
-std::uint64_t serverSpansRecorded();
-std::uint64_t serverSpansDropped();
-
-/** Test-only: drop all buffered spans and zero the counters. */
-void clearServerSpans();
 
 } // namespace bxt::telemetry
 

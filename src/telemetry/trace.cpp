@@ -1,16 +1,19 @@
 #include "telemetry/trace.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <memory>
 #include <mutex>
+#include <unordered_map>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 #include "common/json.h"
+#include "telemetry/metrics.h"
 
 namespace bxt::telemetry {
 
@@ -20,21 +23,85 @@ namespace {
 const std::chrono::steady_clock::time_point traceEpoch =
     std::chrono::steady_clock::now();
 
-struct TraceState
+/** The span store; every member is guarded by its mutex. */
+struct SpanStore
 {
     std::mutex mutex;
     std::string path;
-    std::vector<TraceEvent> events;
-    std::atomic<std::uint64_t> dropped{0};
+    /** Every ring ever registered; rings outlive their producer threads. */
+    std::vector<std::unique_ptr<SpanRing>> rings;
+    /** Spans moved out of the rings, in spill/collect order. */
+    std::vector<ServerSpan> exported;
+    /** exported[0, returned) already went out through collectSpans. */
+    std::size_t returned = 0;
+    /** Spans lost because exported was full. */
+    std::uint64_t overflow = 0;
+    /** Interned labels by id (a deque: entries never move) and ids by
+     *  "category\0name". */
+    std::deque<SpanLabel> labels;
+    std::unordered_map<std::string, SpanName> ids;
 };
 
-TraceState &
-state()
+SpanName
+internLocked(SpanStore &st, std::string_view name, std::string_view category)
+{
+    std::string key(category);
+    key += '\0';
+    key += name;
+    const auto [it, added] = st.ids.try_emplace(
+        std::move(key), static_cast<SpanName>(st.labels.size()));
+    if (added)
+        st.labels.push_back({std::string(name), std::string(category)});
+    return it->second;
+}
+
+SpanStore &
+store()
 {
     // Never destroyed: spans may be recorded from static destructors
-    // racing the atexit flush.
-    static TraceState *instance = new TraceState();
+    // racing the atexit flush. The phases take ids 0-4 (SpanName).
+    static SpanStore *instance = [] {
+        auto *st = new SpanStore();
+        for (const char *phase :
+             {"request", "parse", "queue_wait", "codec", "reply"})
+            internLocked(*st, phase, "bxt.server");
+        return st;
+    }();
     return *instance;
+}
+
+/** Move @p ring's uncollected spans to the export list, up to its cap. */
+void
+exportLocked(SpanStore &st, SpanRing &ring)
+{
+    std::vector<ServerSpan> drained;
+    ring.drainInto(drained);
+    const std::size_t kept =
+        std::min(drained.size(), exportListCap - st.exported.size());
+    st.exported.insert(st.exported.end(), drained.begin(),
+                       drained.begin() + static_cast<long>(kept));
+    st.overflow += drained.size() - kept;
+}
+
+void
+exportAllLocked(SpanStore &st)
+{
+    for (const auto &ring : st.rings)
+        exportLocked(st, *ring);
+}
+
+SpanRing &
+threadRing()
+{
+    thread_local SpanRing *ring = nullptr;
+    if (ring == nullptr) {
+        auto owned = std::make_unique<SpanRing>();
+        ring = owned.get();
+        SpanStore &st = store();
+        std::lock_guard<std::mutex> lock(st.mutex);
+        st.rings.push_back(std::move(owned));
+    }
+    return *ring;
 }
 
 /** Expand "%p" in a BXT_TRACE path to the pid (one expansion). */
@@ -42,15 +109,8 @@ std::string
 expandPath(std::string path)
 {
     const std::size_t pos = path.find("%p");
-    if (pos != std::string::npos) {
-        path.replace(pos, 2, std::to_string(
-#ifdef _WIN32
-                                 0
-#else
-                                 static_cast<long>(::getpid())
-#endif
-                                 ));
-    }
+    if (pos != std::string::npos)
+        path.replace(pos, 2, std::to_string(::getpid()));
     return path;
 }
 
@@ -69,7 +129,7 @@ initFromEnv()
     const char *env = std::getenv("BXT_TRACE");
     if (env == nullptr || *env == '\0')
         return false;
-    state().path = expandPath(env);
+    store().path = expandPath(env);
     std::atexit(flushAtExit);
     return true;
 }
@@ -89,18 +149,18 @@ setTraceEnabled(bool on)
 std::string
 tracePath()
 {
-    TraceState &ts = state();
-    std::lock_guard<std::mutex> lock(ts.mutex);
-    return ts.path;
+    SpanStore &st = store();
+    std::lock_guard<std::mutex> lock(st.mutex);
+    return st.path;
 }
 
 void
 setTracePath(const std::string &path)
 {
     {
-        TraceState &ts = state();
-        std::lock_guard<std::mutex> lock(ts.mutex);
-        ts.path = expandPath(path);
+        SpanStore &st = store();
+        std::lock_guard<std::mutex> lock(st.mutex);
+        st.path = expandPath(path);
     }
     if (!path.empty())
         setTraceEnabled(true);
@@ -124,44 +184,100 @@ currentThreadId()
     return id;
 }
 
-void
-recordSpan(const std::string &name, const std::string &category,
-           std::uint64_t start_us, std::uint64_t duration_us)
+SpanName
+internSpanName(std::string_view name, std::string_view category)
 {
-    if (!traceEnabled())
-        return;
-    TraceState &ts = state();
-    std::lock_guard<std::mutex> lock(ts.mutex);
-    if (ts.events.size() >= traceBufferCap) {
-        ts.dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
+    SpanStore &st = store();
+    std::lock_guard<std::mutex> lock(st.mutex);
+    return internLocked(st, name, category);
+}
+
+const SpanLabel &
+spanLabel(SpanName id)
+{
+    SpanStore &st = store();
+    std::lock_guard<std::mutex> lock(st.mutex);
+    return st.labels.at(static_cast<std::size_t>(id));
+}
+
+void
+recordSpan(const ServerSpan &span)
+{
+    // Pinned to the default registry: the function-local statics bind
+    // on the first record, which may happen on a shard thread whose
+    // private registry dies with its Server — the default registry is
+    // the only one guaranteed to outlive every recording thread.
+    static Counter &recorded =
+        defaultRegistry().counter("bxt.server.spans_recorded");
+    static Counter &dropped =
+        defaultRegistry().counter("bxt.server.spans_dropped");
+    SpanRing &ring = threadRing();
+    // The spill: this push would overwrite the span pushed one capacity
+    // ago, so first move everything the ring still holds to the export
+    // list. Untraced, the ring stays a bounded drop-oldest window.
+    const std::uint64_t pushed = ring.pushed();
+    if (traceEnabled() && pushed != 0 && pushed % SpanRing::capacity == 0) {
+        SpanStore &st = store();
+        std::lock_guard<std::mutex> lock(st.mutex);
+        exportLocked(st, ring);
     }
-    ts.events.push_back(
-        {name, category, currentThreadId(), start_us, duration_us, {}});
+    const std::uint64_t drops_before = ring.dropped();
+    ring.push(span);
+    // The bxt.server counters count request phases only; a ScopedSpan
+    // of an offline binary is not a server span.
+    if (span.name > SpanName::Reply)
+        return;
+    recorded.add(1);
+    const std::uint64_t evicted = ring.dropped() - drops_before;
+    if (evicted > 0)
+        dropped.add(evicted);
+}
+
+std::vector<ServerSpan>
+collectSpans()
+{
+    SpanStore &st = store();
+    std::lock_guard<std::mutex> lock(st.mutex);
+    exportAllLocked(st);
+    std::vector<ServerSpan> fresh(
+        st.exported.begin() + static_cast<long>(st.returned),
+        st.exported.end());
+    st.returned = st.exported.size();
+    return fresh;
+}
+
+std::uint64_t
+spansRecorded()
+{
+    SpanStore &st = store();
+    std::lock_guard<std::mutex> lock(st.mutex);
+    std::uint64_t total = 0;
+    for (const auto &ring : st.rings)
+        total += ring->pushed();
+    return total;
 }
 
 std::uint64_t
 droppedSpans()
 {
-    return state().dropped.load(std::memory_order_relaxed) +
-           serverSpansDropped();
-}
-
-std::vector<TraceEvent>
-traceEvents()
-{
-    TraceState &ts = state();
-    std::lock_guard<std::mutex> lock(ts.mutex);
-    return ts.events;
+    SpanStore &st = store();
+    std::lock_guard<std::mutex> lock(st.mutex);
+    std::uint64_t total = st.overflow;
+    for (const auto &ring : st.rings)
+        total += ring->dropped();
+    return total;
 }
 
 void
-clearTraceBuffer()
+clearSpans()
 {
-    TraceState &ts = state();
-    std::lock_guard<std::mutex> lock(ts.mutex);
-    ts.events.clear();
-    ts.dropped.store(0, std::memory_order_relaxed);
+    SpanStore &st = store();
+    std::lock_guard<std::mutex> lock(st.mutex);
+    for (const auto &ring : st.rings)
+        ring->reset();
+    st.exported.clear();
+    st.returned = 0;
+    st.overflow = 0;
 }
 
 bool
@@ -170,37 +286,32 @@ writeTrace(const std::string &path)
     if (!traceEnabled() || path.empty())
         return false;
 
-    const std::vector<ServerSpan> spans = collectServerSpans();
-    TraceState &ts = state();
-    std::vector<TraceEvent> events;
+    // Copy the spans and resolve the labels under the mutex, then format
+    // outside it, so recording threads do not wait on the JSON.
+    std::vector<ServerSpan> spans;
+    std::vector<SpanLabel> labels;
     {
-        std::lock_guard<std::mutex> lock(ts.mutex);
-        for (const ServerSpan &span : spans) {
-            if (ts.events.size() >= traceBufferCap) {
-                ts.dropped.fetch_add(1, std::memory_order_relaxed);
-                continue;
-            }
-            ts.events.push_back({serverPhaseName(span.phase), "bxt.server",
-                                 span.tid, span.startUs, span.durUs,
-                                 span});
-        }
-        events = ts.events;
+        SpanStore &st = store();
+        std::lock_guard<std::mutex> lock(st.mutex);
+        exportAllLocked(st);
+        spans = st.exported;
+        labels.assign(st.labels.begin(), st.labels.end());
     }
 
     JsonWriter w(/*pretty=*/false);
     w.beginObject();
     w.beginArray("traceEvents");
-    for (const TraceEvent &event : events) {
+    for (const ServerSpan &span : spans) {
+        const SpanLabel &label = labels[static_cast<std::size_t>(span.name)];
         w.beginObject();
-        w.kv("name", event.name);
-        w.kv("cat", event.category);
+        w.kv("name", label.name);
+        w.kv("cat", label.category);
         w.kv("ph", "X");
-        w.kv("ts", event.startUs);
-        w.kv("dur", event.durationUs);
+        w.kv("ts", span.startUs);
+        w.kv("dur", span.durUs);
         w.kv("pid", 1);
-        w.kv("tid", static_cast<std::uint64_t>(event.tid));
-        if (event.server) {
-            const ServerSpan &span = *event.server;
+        w.kv("tid", static_cast<std::uint64_t>(span.tid));
+        if (span.name <= SpanName::Reply) {
             char trace_hex[20];
             std::snprintf(trace_hex, sizeof(trace_hex), "%016llx",
                           static_cast<unsigned long long>(span.traceId));

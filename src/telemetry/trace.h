@@ -1,11 +1,14 @@
 /**
  * @file
- * Scoped-timer spans and the Chrome trace-event exporter. Spans are
- * recorded into a bounded, mutex-guarded process-wide buffer and written
- * as a `chrome://tracing` / Perfetto-loadable `trace.json` (complete "X"
- * events, microsecond timestamps anchored at process start). The
- * writer also drains the server's per-thread span rings (spanring.h)
- * into the same buffer, so one file holds both kinds of span.
+ * The one span store and its Chrome trace-event exporter. Every span —
+ * a ScopedSpan, or a bxtd request phase — is one ServerSpan pushed by
+ * recordSpan into the calling thread's SpanRing (spanring.h); names and
+ * categories are interned once into an append-only table, so a span
+ * stores no string. While tracing is on, a push that could evict an
+ * uncollected span first moves its ring's spans to a bounded export
+ * list, and writeTrace drains every ring into that list and writes it as
+ * a `chrome://tracing` / Perfetto-loadable `trace.json` (complete "X"
+ * events, microsecond timestamps anchored at process start).
  *
  * Gating mirrors the metrics registry: tracing is off unless the
  * `BXT_TRACE=<path>` environment variable is set (which also installs an
@@ -20,8 +23,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/spanring.h"
@@ -58,77 +61,74 @@ std::uint64_t nowMicros();
 /** Small dense id for the calling thread (chrome trace `tid`). */
 std::uint32_t currentThreadId();
 
-/** One completed span. */
-struct TraceEvent
+/** The strings behind one interned SpanName. */
+struct SpanLabel
 {
     std::string name;
     std::string category;
-    std::uint32_t tid = 0;
-    std::uint64_t startUs = 0;
-    std::uint64_t durationUs = 0;
-    /** Set on server spans drained from the span rings; exported as the
-     *  event's args (trace_id, span_id, stream, op, txs). */
-    std::optional<ServerSpan> server;
 };
 
+/** The id of (@p name, @p category), registering the pair on first use. */
+SpanName internSpanName(std::string_view name, std::string_view category);
+
+/** The label of an interned id (stays valid: the table only grows). The
+ *  five phases are labelled `bxt.server`. */
+const SpanLabel &spanLabel(SpanName id);
+
 /**
- * Append a completed span to the buffer (no-op when tracing is off).
- * The buffer is bounded (traceBufferCap); overflow increments the
- * dropped-span count instead of silently growing without bound.
+ * Record @p span into the calling thread's ring (wait-free unless it
+ * spills), registering the ring on first use. A request phase bumps
+ * the `bxt.server.spans_recorded` counter, and `bxt.server.spans_dropped`
+ * when its push evicts an uncollected span. While tracing is on, every
+ * SpanRing::capacity-th push first moves the ring's spans to the export
+ * list under the registry mutex, so no push evicts an uncollected span.
  */
-void recordSpan(const std::string &name, const std::string &category,
-                std::uint64_t start_us, std::uint64_t duration_us);
+void recordSpan(const ServerSpan &span);
 
-/** Span buffer capacity. */
-constexpr std::size_t traceBufferCap = 1u << 20;
+/** Export-list capacity; spans beyond it count in droppedSpans(). */
+constexpr std::size_t exportListCap = 1u << 20;
 
-/** Spans lost before export: those discarded because the buffer was
- *  full plus server spans their ring overwrote before a drain. */
+/**
+ * Drain every ring into the export list and return the spans no earlier
+ * call returned (push order within a ring). The export list keeps them,
+ * so a later writeTrace still holds them.
+ */
+std::vector<ServerSpan> collectSpans();
+
+/** Spans pushed into any ring since process start (or clearSpans). */
+std::uint64_t spansRecorded();
+
+/** Spans lost before export: evicted from a ring uncollected, or beyond
+ *  the export list's capacity. */
 std::uint64_t droppedSpans();
 
-/** Copy of the buffered spans (tests / custom exporters). Server spans
- *  appear once writeTrace has drained them from the rings. */
-std::vector<TraceEvent> traceEvents();
-
-/** Drop every buffered span and zero the buffer-overflow count (ring
- *  drops reset with clearServerSpans). */
-void clearTraceBuffer();
+/** Test-only: drop every span and zero the counts (no concurrent
+ *  producer allowed). Interned names stay. */
+void clearSpans();
 
 /**
- * Drain the server span rings into the buffer (category `bxt.server`,
- * named after the phase), then write every buffered span as a Chrome
- * trace-event JSON object (`{"traceEvents": [...], ...}`). The buffer
- * keeps what it exported, so each write holds every span so far. The
- * file is published atomically (`.tmp` + rename). Returns false
- * (writing nothing) when tracing is disabled or the write fails.
+ * Drain every ring into the export list, then write the whole list as a
+ * Chrome trace-event JSON object (`{"traceEvents": [...], ...}`), so
+ * each write holds every span so far. The five server phases carry
+ * `trace_id`/`span_id`/`stream`/`op`/`txs` as args. The file is
+ * published atomically (`.tmp` + rename). Returns false (writing
+ * nothing) when tracing is disabled or the write fails.
  */
 bool writeTrace(const std::string &path);
 
 /**
  * RAII span: samples the clock on construction and records on
  * destruction. Construction with tracing disabled is a no-op (no clock
- * sample, no allocation).
+ * sample, no interning).
  */
 class ScopedSpan
 {
   public:
-    explicit ScopedSpan(const char *name, const char *category = "bxt")
+    explicit ScopedSpan(std::string_view name,
+                        std::string_view category = "bxt")
     {
         if (traceEnabled()) {
-            name_ = name;
-            category_ = category;
-            start_ = nowMicros();
-            active_ = true;
-        }
-    }
-
-    /** Dynamic-name overload for per-spec / per-unit spans. */
-    ScopedSpan(std::string name, const char *category)
-    {
-        if (traceEnabled()) {
-            dynamic_name_ = std::move(name);
-            name_ = dynamic_name_.c_str();
-            category_ = category;
+            name_ = internSpanName(name, category);
             start_ = nowMicros();
             active_ = true;
         }
@@ -136,8 +136,14 @@ class ScopedSpan
 
     ~ScopedSpan()
     {
-        if (active_)
-            recordSpan(name_, category_, start_, nowMicros() - start_);
+        if (!active_)
+            return;
+        ServerSpan span;
+        span.startUs = start_;
+        span.durUs = nowMicros() - start_;
+        span.name = name_;
+        span.tid = currentThreadId();
+        recordSpan(span);
     }
 
     ScopedSpan(const ScopedSpan &) = delete;
@@ -150,9 +156,7 @@ class ScopedSpan
     }
 
   private:
-    const char *name_ = nullptr;
-    const char *category_ = nullptr;
-    std::string dynamic_name_;
+    SpanName name_ = SpanName::Request;
     std::uint64_t start_ = 0;
     bool active_ = false;
 };

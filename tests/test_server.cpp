@@ -45,6 +45,7 @@
 #include "telemetry/snapshot.h"
 #include "telemetry/spanring.h"
 #include "telemetry/trace.h"
+#include "verify/differential.h"
 #include "verify/golden.h"
 #include "workloads/scenario.h"
 
@@ -429,6 +430,68 @@ TEST(FrameParser, OversizedBodyIsTyped)
     std::vector<std::uint8_t> bytes = wire::serializeFrame(pingFrame());
     storeLen(bytes, 12, wire::maxBodyLen + 1);
     EXPECT_EQ(parseExpectingError(bytes), wire::ErrorCode::FrameTooLarge);
+}
+
+TEST(FrameParser, RequestBoundCoversEveryCanonicalSpecAt64ByteTx)
+{
+    // The Decode bound gives 4096 rows the widest metadata any canonical
+    // spec packs onto a 64-byte transaction, on either bus width the
+    // service takes; the serving mix's pipeline counts too. A wider
+    // pipeline fits fewer rows (EveryEncodeReplyFitsOneDecodeRequest).
+    std::vector<std::string> specs = verify::canonicalSpecs();
+    specs.emplace_back("universal3+zdr|dbi4");
+    std::size_t widest = 0;
+    for (const std::string &spec : specs) {
+        for (const std::size_t bus_bits : {32u, 64u}) {
+            std::string err;
+            const CodecPtr codec = tryMakeCodec(spec, bus_bits / 8, err);
+            ASSERT_TRUE(codec) << spec << ": " << err;
+            const std::size_t meta_bits =
+                64 * 8 / bus_bits * codec->metaWiresPerBeat();
+            widest = std::max(widest, (meta_bits + 7) / 8);
+        }
+    }
+    EXPECT_EQ(widest, wire::maxMetaBytesPerTx);
+    EXPECT_EQ(wire::maxRequestBodyLen(wire::Opcode::Decode),
+              24 + wire::maxTxPerRequest * (64 + widest));
+    EXPECT_EQ(wire::maxRequestBodyLen(wire::Opcode::Encode),
+              16 + wire::maxTxPerRequest * Transaction::maxBytes);
+    for (const wire::Opcode op :
+         {wire::Opcode::Ping, wire::Opcode::Stats, wire::Opcode::Snapshot,
+          wire::Opcode::Error})
+        EXPECT_EQ(wire::maxRequestBodyLen(op), 0u);
+}
+
+TEST(FrameParser, RequestBoundIsCheckedFromTheHeader)
+{
+    // A server's parser refuses a body over its opcode's bound from the
+    // 16 header bytes alone; a client's accepts it up to maxBodyLen.
+    for (const wire::Opcode op :
+         {wire::Opcode::Ping, wire::Opcode::Encode, wire::Opcode::Decode}) {
+        const std::size_t bound = wire::maxRequestBodyLen(op);
+        for (const std::size_t body_len : {bound, bound + 1}) {
+            wire::Frame frame;
+            frame.opcode = op;
+            std::vector<std::uint8_t> bytes = wire::serializeFrame(frame);
+            bytes.resize(wire::headerBytes);
+            storeLen(bytes, 12, static_cast<std::uint32_t>(body_len));
+            wire::FrameParser server(wire::FrameParser::Bound::Request);
+            wire::FrameParser client;
+            server.feed(bytes.data(), bytes.size());
+            client.feed(bytes.data(), bytes.size());
+            wire::FrameView view;
+            wire::WireError err;
+            EXPECT_EQ(client.next(view, err),
+                      wire::FrameParser::Status::NeedMore);
+            if (body_len == bound) {
+                EXPECT_EQ(server.next(view, err),
+                          wire::FrameParser::Status::NeedMore);
+                continue;
+            }
+            ASSERT_EQ(server.next(view, err), wire::FrameParser::Status::Bad);
+            EXPECT_EQ(err.code, wire::ErrorCode::FrameTooLarge);
+        }
+    }
 }
 
 TEST(FrameParser, BadCrcIsTypedAndSticky)
@@ -1556,7 +1619,7 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
 {
     telemetry::resetForTest();
     telemetry::setMetricsEnabled(true);
-    telemetry::clearServerSpans();
+    telemetry::clearSpans();
     LiveServer live(ephemeralTcpOptions());
     ASSERT_TRUE(live.started());
 
@@ -1569,7 +1632,7 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     client::EncodeResult enc;
     const std::vector<std::uint8_t> raw(4 * 32, 0xa5);
     ASSERT_TRUE(client.encode("xor4+zdr", 32, 32, raw, enc, err)) << err;
-    EXPECT_TRUE(telemetry::collectServerSpans().empty());
+    EXPECT_TRUE(telemetry::collectSpans().empty());
 
     // …a traced one records all five lifecycle phases. The server stamps
     // the spans just after the reply write, so poll briefly: the client
@@ -1579,17 +1642,17 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     ASSERT_TRUE(client.encode("xor4+zdr", 32, 32, raw, enc, err)) << err;
     client.clearTrace();
 
-    std::map<telemetry::ServerPhase, telemetry::ServerSpan> by_phase;
+    std::map<telemetry::SpanName, telemetry::ServerSpan> by_phase;
     for (int attempt = 0; attempt < 500 && by_phase.size() < 5;
          ++attempt) {
         for (const telemetry::ServerSpan &span :
-             telemetry::collectServerSpans()) {
+             telemetry::collectSpans()) {
             if (span.traceId != trace_id)
                 continue;
-            EXPECT_EQ(by_phase.count(span.phase), 0u)
+            EXPECT_EQ(by_phase.count(span.name), 0u)
                 << "duplicate phase "
-                << telemetry::serverPhaseName(span.phase);
-            by_phase[span.phase] = span;
+                << telemetry::spanLabel(span.name).name;
+            by_phase[span.name] = span;
         }
         if (by_phase.size() < 5)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -1598,7 +1661,7 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
         << "expected request/parse/queue_wait/codec/reply spans";
 
     const telemetry::ServerSpan &request =
-        by_phase.at(telemetry::ServerPhase::Request);
+        by_phase.at(telemetry::SpanName::Request);
     EXPECT_EQ(request.spanId, 77u);
     EXPECT_EQ(request.opcode,
               static_cast<std::uint8_t>(wire::Opcode::Encode));
@@ -1609,7 +1672,7 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     // of every boundary, so the identity holds with zero tolerance.
     std::uint64_t phase_sum = 0;
     for (const auto &[phase, span] : by_phase) {
-        if (phase == telemetry::ServerPhase::Request)
+        if (phase == telemetry::SpanName::Request)
             continue;
         EXPECT_GE(span.startUs, request.startUs);
         EXPECT_LE(span.startUs + span.durUs,
@@ -1617,8 +1680,8 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
         phase_sum += span.durUs;
     }
     EXPECT_EQ(phase_sum, request.durUs);
-    EXPECT_GE(telemetry::serverSpansRecorded(), 5u);
-    EXPECT_EQ(telemetry::serverSpansDropped(), 0u);
+    EXPECT_GE(telemetry::spansRecorded(), 5u);
+    EXPECT_EQ(telemetry::droppedSpans(), 0u);
 
     // A second traced request feeds the Chrome-trace export.
     // Wait for its five spans to be pushed (pushes are counted at
@@ -1627,7 +1690,7 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     ASSERT_TRUE(client.encode("xor4+zdr", 32, 32, raw, enc, err)) << err;
     client.clearTrace();
     for (int attempt = 0;
-         attempt < 500 && telemetry::serverSpansRecorded() < 10;
+         attempt < 500 && telemetry::spansRecorded() < 10;
          ++attempt)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     const std::string path =
@@ -1659,7 +1722,7 @@ TEST(Loopback, OneWriteOfFramesCountsEveryRequestAndSpansOnlySampled)
     // only, with the same exact telescoping as a request served alone.
     telemetry::resetForTest();
     telemetry::setMetricsEnabled(true);
-    telemetry::clearServerSpans();
+    telemetry::clearSpans();
     server::ServerOptions options = ephemeralTcpOptions();
     options.shards = 1;
     LiveServer live(options);
@@ -1724,28 +1787,28 @@ TEST(Loopback, OneWriteOfFramesCountsEveryRequestAndSpansOnlySampled)
     EXPECT_EQ(request_us_total() - before, 8u);
 
     const std::vector<telemetry::ServerSpan> spans =
-        telemetry::collectServerSpans();
-    std::map<telemetry::ServerPhase, telemetry::ServerSpan> by_phase;
+        telemetry::collectSpans();
+    std::map<telemetry::SpanName, telemetry::ServerSpan> by_phase;
     for (const telemetry::ServerSpan &span : spans) {
         EXPECT_EQ(span.traceId, kTraceId) << "an unsampled request left a span";
-        EXPECT_EQ(by_phase.count(span.phase), 0u)
-            << "duplicate phase " << telemetry::serverPhaseName(span.phase);
-        by_phase[span.phase] = span;
+        EXPECT_EQ(by_phase.count(span.name), 0u)
+            << "duplicate phase " << telemetry::spanLabel(span.name).name;
+        by_phase[span.name] = span;
     }
     ASSERT_EQ(spans.size(), 5u);
     ASSERT_EQ(by_phase.size(), 5u);
     const telemetry::ServerSpan &request =
-        by_phase.at(telemetry::ServerPhase::Request);
+        by_phase.at(telemetry::SpanName::Request);
     EXPECT_EQ(request.spanId, 33u);
     EXPECT_EQ(request.txCount, 4u);
     // Each phase starts where the one before it ends, and the last ends
     // where the request does: zero tolerance.
     std::uint64_t at = request.startUs;
-    for (const telemetry::ServerPhase phase :
-         {telemetry::ServerPhase::QueueWait, telemetry::ServerPhase::Parse,
-          telemetry::ServerPhase::Codec, telemetry::ServerPhase::Reply}) {
+    for (const telemetry::SpanName phase :
+         {telemetry::SpanName::QueueWait, telemetry::SpanName::Parse,
+          telemetry::SpanName::Codec, telemetry::SpanName::Reply}) {
         const telemetry::ServerSpan &span = by_phase.at(phase);
-        EXPECT_EQ(span.startUs, at) << telemetry::serverPhaseName(phase);
+        EXPECT_EQ(span.startUs, at) << telemetry::spanLabel(phase).name;
         at = span.startUs + span.durUs;
     }
     EXPECT_EQ(at, request.startUs + request.durUs);
@@ -2102,17 +2165,14 @@ TEST(Loopback, GracefulDrainClosesIdleConnections)
 }
 
 /**
- * Connect to @p path and pipeline @p encodes baseline Encodes of
- * @p tx_count 64-byte transactions, tagged 1, 2, ... as streamId, with
- * blocking writes; read nothing.
+ * Pipeline @p encodes baseline Encodes of @p tx_count 64-byte
+ * transactions on @p fd, tagged 1, 2, ... as streamId, with blocking
+ * writes; read nothing.
  */
-net::UniqueFd
-connectPipelinedPeer(const std::string &path, std::size_t encodes,
-                     std::size_t tx_count)
+void
+pipelineEncodes(int fd, std::size_t encodes, std::size_t tx_count)
 {
     std::string err;
-    net::UniqueFd fd = net::connectUnix(path, err);
-    EXPECT_TRUE(fd.valid()) << err;
     Rng rng(11);
     std::vector<std::uint8_t> raw(tx_count * 64);
     for (std::uint8_t &b : raw)
@@ -2122,9 +2182,20 @@ connectPipelinedPeer(const std::string &path, std::size_t encodes,
         request.streamId = static_cast<std::uint16_t>(i + 1);
         const std::vector<std::uint8_t> bytes =
             wire::serializeFrame(request);
-        EXPECT_TRUE(net::writeAll(fd.get(), bytes.data(), bytes.size(), err))
+        EXPECT_TRUE(net::writeAll(fd, bytes.data(), bytes.size(), err))
             << err;
     }
+}
+
+/** Connect to @p path, then pipelineEncodes. */
+net::UniqueFd
+connectPipelinedPeer(const std::string &path, std::size_t encodes,
+                     std::size_t tx_count)
+{
+    std::string err;
+    net::UniqueFd fd = net::connectUnix(path, err);
+    EXPECT_TRUE(fd.valid()) << err;
+    pipelineEncodes(fd.get(), encodes, tx_count);
     return fd;
 }
 
@@ -2254,9 +2325,6 @@ TEST(Loopback, SlowReaderAfterHalfCloseIsNotIdledOut)
               kEncodes);
 }
 
-// ---------------------------------------------------------------------
-// Sharded serving end-to-end (DESIGN.md §14)
-
 /** Fetch a named gauge from the server's Stats document (0 if absent). */
 double
 fetchGauge(client::Client &client, const std::string &name)
@@ -2271,6 +2339,141 @@ fetchGauge(client::Client &client, const std::string &name)
     const JsonValue *value = object->find(name);
     return value != nullptr && value->isNumber() ? value->number : 0.0;
 }
+
+/** Abort @p fd: SO_LINGER {1, 0} makes the close send a reset. */
+void
+resetOnClose(int fd)
+{
+    const linger abort_on_close{1, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort_on_close,
+                           sizeof(abort_on_close)),
+              0);
+}
+
+TEST(Loopback, PeersThatResetAreDroppedAndTheShardServesOn)
+{
+    telemetry::resetForTest();
+    telemetry::setMetricsEnabled(true);
+    server::ServerOptions options = ephemeralTcpOptions();
+    options.shards = 1;
+    LiveServer live(options);
+    ASSERT_TRUE(live.started());
+    std::string err;
+
+    // One peer queues more replies than the socket buffers hold and
+    // reads none; another has none pending. Both then reset, so the
+    // shard's next write to the first and read from the second fail.
+    net::UniqueFd stuck = net::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(stuck.valid()) << err;
+    pipelineEncodes(stuck.get(), kStuckEncodes, kStuckTx);
+    {
+        client::Client idle =
+            client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+        ASSERT_TRUE(idle.ping(err)) << err;
+        resetOnClose(idle.rawFd());
+    }
+    resetOnClose(stuck.get());
+    stuck.reset();
+
+    client::Client client =
+        client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(client.connected()) << err;
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.ping(err)) << err;
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(500));
+
+    // The failed connections are closed: only this client is left.
+    double active = 0.0;
+    for (int attempt = 0; attempt < 200; ++attempt) {
+        active = fetchGauge(client, "bxt.server.active_connections");
+        if (active == 1.0)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(active, 1.0);
+    telemetry::setMetricsEnabled(false);
+}
+
+TEST(Loopback, OversizedRequestHeaderIsRefusedBeforeItsBody)
+{
+    // A peer announces a 1 MiB Encode body and sends nothing more. The
+    // shard answers FrameTooLarge from the header alone and closes; it
+    // does not wait to buffer the body.
+    LiveServer live(ephemeralTcpOptions());
+    ASSERT_TRUE(live.started());
+    std::string err;
+    client::Client peer =
+        client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(peer.connected()) << err;
+    std::vector<std::uint8_t> header =
+        wire::serializeFrame(makeEncodeRequest("baseline", 64, 32, {}));
+    header.resize(wire::headerBytes);
+    storeLen(header, 8, 0);
+    storeLen(header, 12, std::size_t{1} << 20);
+    const int fd = peer.rawFd();
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(net::writeAll(fd, header.data(), header.size(), err)) << err;
+
+    pollfd pfd{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 500), 1) << "no reply to the header";
+    wire::FrameParser parser;
+    wire::FrameView reply;
+    wire::ErrorCode code = wire::ErrorCode::None;
+    EXPECT_FALSE(client::readReply(fd, parser, reply, code, err));
+    EXPECT_EQ(code, wire::ErrorCode::FrameTooLarge);
+    ASSERT_EQ(::poll(&pfd, 1, 500), 1) << "connection left open";
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::read(fd, &byte, 1), 0);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(500));
+}
+
+TEST(Loopback, EveryEncodeReplyFitsOneDecodeRequest)
+{
+    // 'bd|dbi4' packs 10 metadata bytes onto a 64-byte transaction, more
+    // than maxMetaBytesPerTx. As many rows as one Decode request holds
+    // round-trip; one row more is refused before it is encoded, so the
+    // server never hands out a reply it cannot take back.
+    LiveServer live(ephemeralTcpOptions());
+    ASSERT_TRUE(live.started());
+    std::string err;
+    client::Client client =
+        client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(client.connected()) << err;
+
+    constexpr std::size_t kRow = 64 + 10;
+    const std::size_t rows =
+        (wire::maxRequestBodyLen(wire::Opcode::Decode) - 24) / kRow;
+    ASSERT_LT(rows, wire::maxTxPerRequest);
+    Rng rng(0x7e1a);
+    std::vector<std::uint8_t> raw((rows + 1) * 64);
+    for (std::uint8_t &byte : raw)
+        byte = static_cast<std::uint8_t>(rng.next32());
+    const std::span<const std::uint8_t> fits(raw.data(), rows * 64);
+
+    client::EncodeResult enc;
+    ASSERT_TRUE(client.encode("bd|dbi4", 64, 64, fits, enc, err)) << err;
+    EXPECT_EQ(enc.metaBytesPerTx, 10u);
+    client::DecodeResult dec;
+    ASSERT_TRUE(client.decode("bd|dbi4", enc, dec, err)) << err;
+    EXPECT_TRUE(std::equal(dec.raw.begin(), dec.raw.end(), fits.begin(),
+                           fits.end()));
+
+    EXPECT_FALSE(client.encode("bd|dbi4", 64, 64, raw, enc, err));
+    EXPECT_EQ(client.lastErrorCode(), wire::ErrorCode::Malformed);
+    EXPECT_TRUE(client.ping(err)) << err;
+
+    // The widest canonical row still takes a full request both ways.
+    raw.resize(wire::maxTxPerRequest * 64);
+    ASSERT_TRUE(client.encode("dbi1", 64, 64, raw, enc, err)) << err;
+    EXPECT_EQ(enc.metaBytesPerTx, wire::maxMetaBytesPerTx);
+    ASSERT_TRUE(client.decode("dbi1", enc, dec, err)) << err;
+    EXPECT_EQ(dec.raw, raw);
+}
+
+// ---------------------------------------------------------------------
+// Sharded serving end-to-end (DESIGN.md §14)
 
 TEST(Sharded, FleetTotalsTelescopeToShardBreakdown)
 {

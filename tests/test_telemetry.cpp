@@ -322,17 +322,17 @@ TEST_F(TelemetryTest, DisabledMetricsAreZeroCostNoops)
 TEST_F(TelemetryTest, ScopedSpansExportAsChromeTrace)
 {
     tm::setTraceEnabled(true);
-    tm::clearTraceBuffer();
+    tm::clearSpans();
     {
         tm::ScopedSpan outer("outer", "test");
         tm::ScopedSpan inner(std::string("inner.dynamic"), "test");
     }
-    const std::vector<tm::TraceEvent> events = tm::traceEvents();
+    const std::vector<tm::ServerSpan> events = tm::collectSpans();
     ASSERT_EQ(events.size(), 2u);
     // Destruction order: inner records first.
-    EXPECT_EQ(events[0].name, "inner.dynamic");
-    EXPECT_EQ(events[1].name, "outer");
-    EXPECT_EQ(events[1].category, "test");
+    EXPECT_EQ(tm::spanLabel(events[0].name).name, "inner.dynamic");
+    EXPECT_EQ(tm::spanLabel(events[1].name).name, "outer");
+    EXPECT_EQ(tm::spanLabel(events[1].name).category, "test");
 
     const std::string path =
         (std::filesystem::temp_directory_path() / "bxt_trace_test.json")
@@ -358,12 +358,12 @@ TEST_F(TelemetryTest, ScopedSpansExportAsChromeTrace)
 
 TEST_F(TelemetryTest, DisabledSpansRecordNothing)
 {
-    tm::clearTraceBuffer();
+    tm::clearSpans();
     {
         tm::ScopedSpan span("ignored", "test");
         EXPECT_EQ(span.elapsedUs(), 0u);
     }
-    EXPECT_TRUE(tm::traceEvents().empty());
+    EXPECT_TRUE(tm::collectSpans().empty());
     EXPECT_FALSE(tm::writeTrace(
         (std::filesystem::temp_directory_path() / "bxt_trace_off.json")
             .string()));
@@ -377,7 +377,7 @@ makeSpan(std::uint64_t i)
     span.spanId = 2 * i + 1;
     span.startUs = 1000 + i;
     span.durUs = i % 977;
-    span.phase = static_cast<tm::ServerPhase>(i % 5);
+    span.name = static_cast<tm::SpanName>(i % 5);
     span.opcode = 2;
     span.streamId = static_cast<std::uint16_t>(i % 5);
     span.tid = 7;
@@ -453,24 +453,24 @@ TEST_F(TelemetryTest, SpanRingConcurrentDrainLosesNothing)
 TEST_F(TelemetryTest, RecordServerSpanFeedsRegistryAndCounters)
 {
     for (std::uint64_t i = 0; i < 10; ++i)
-        tm::recordServerSpan(makeSpan(i));
+        tm::recordSpan(makeSpan(i));
     EXPECT_EQ(tm::counter("bxt.server.spans_recorded").value(), 10u);
     EXPECT_EQ(tm::counter("bxt.server.spans_dropped").value(), 0u);
-    EXPECT_GE(tm::serverSpansRecorded(), 10u);
+    EXPECT_GE(tm::spansRecorded(), 10u);
 
-    const std::vector<tm::ServerSpan> spans = tm::collectServerSpans();
+    const std::vector<tm::ServerSpan> spans = tm::collectSpans();
     ASSERT_EQ(spans.size(), 10u);
     for (std::uint64_t i = 0; i < 10; ++i)
         EXPECT_EQ(spans[i], makeSpan(i));
     // Exactly-once delivery across collects.
-    EXPECT_TRUE(tm::collectServerSpans().empty());
+    EXPECT_TRUE(tm::collectSpans().empty());
 }
 
 TEST_F(TelemetryTest, ServerSpanTraceExportsChromeJson)
 {
     tm::setTraceEnabled(true);
-    tm::recordServerSpan(makeSpan(3));
-    tm::recordServerSpan(makeSpan(4));
+    tm::recordSpan(makeSpan(3));
+    tm::recordSpan(makeSpan(4));
     const std::string path =
         (std::filesystem::temp_directory_path() / "bxt_spans_test.json")
             .string();
@@ -502,8 +502,8 @@ TEST_F(TelemetryTest, ServerSpanTraceExportsChromeJson)
 
     // The export accumulates already-drained spans: a second write after
     // new records contains all four.
-    tm::recordServerSpan(makeSpan(5));
-    tm::recordServerSpan(makeSpan(6));
+    tm::recordSpan(makeSpan(5));
+    tm::recordSpan(makeSpan(6));
     ASSERT_TRUE(tm::writeTrace(path));
     std::ifstream again(path);
     const std::string text2((std::istreambuf_iterator<char>(again)),
@@ -519,7 +519,7 @@ TEST_F(TelemetryTest, OneTraceFileHoldsScopedAndServerSpans)
     {
         tm::ScopedSpan span("offline.run", "test");
     }
-    tm::recordServerSpan(makeSpan(8));
+    tm::recordSpan(makeSpan(8));
     const std::string path =
         (std::filesystem::temp_directory_path() / "bxt_mixed_trace.json")
             .string();
@@ -556,6 +556,84 @@ TEST_F(TelemetryTest, OneTraceFileHoldsScopedAndServerSpans)
     std::filesystem::remove(path);
 }
 
+TEST_F(TelemetryTest, PhaseNamesArePreRegisteredAndInterningIsStable)
+{
+    EXPECT_EQ(tm::internSpanName("codec", "bxt.server"), tm::SpanName::Codec);
+    EXPECT_EQ(tm::spanLabel(tm::SpanName::QueueWait).name, "queue_wait");
+    const tm::SpanName id = tm::internSpanName("intern.me", "test");
+    EXPECT_GT(id, tm::SpanName::Reply);
+    EXPECT_EQ(tm::internSpanName(std::string("intern.me"), "test"), id);
+    EXPECT_NE(tm::internSpanName("intern.me", "other"), id);
+    EXPECT_EQ(tm::spanLabel(id).category, "test");
+}
+
+TEST_F(TelemetryTest, ScopedSpansLeaveTheServerSpanCountersAlone)
+{
+    // Both kinds land in the one store, but bxt.server.spans_recorded
+    // counts request phases only.
+    tm::setTraceEnabled(true);
+    {
+        tm::ScopedSpan span("offline.work", "test");
+    }
+    tm::recordSpan(makeSpan(0));
+    EXPECT_EQ(tm::collectSpans().size(), 2u);
+    EXPECT_EQ(tm::spansRecorded(), 2u);
+    EXPECT_EQ(tm::counter("bxt.server.spans_recorded").value(), 1u);
+}
+
+TEST_F(TelemetryTest, FullRingsSpillSoOneTraceKeepsEverySpan)
+{
+    // Two threads each record three rings' worth of spans, one through
+    // ScopedSpan and one server phases, and nothing is collected until
+    // writeTrace: each ring must move its spans to the export list
+    // before a push could evict one.
+    constexpr std::uint64_t perThread = 3 * tm::SpanRing::capacity;
+    tm::setTraceEnabled(true);
+    std::thread scoped([] {
+        for (std::uint64_t i = 0; i < perThread; ++i)
+            tm::ScopedSpan span("spill.scoped", "test");
+    });
+    std::thread server([] {
+        for (std::uint64_t i = 0; i < perThread; ++i)
+            tm::recordSpan(makeSpan(i));
+    });
+    scoped.join();
+    server.join();
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "bxt_spill_trace.json")
+            .string();
+    ASSERT_TRUE(tm::writeTrace(path));
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(text, doc, &error)) << error;
+    std::uint64_t scoped_seen = 0;
+    std::uint64_t server_seen = 0;
+    std::uint64_t out_of_order = 0;
+    for (const JsonValue &event : member(doc, "traceEvents").array) {
+        if (member(event, "name").string == "spill.scoped") {
+            ++scoped_seen;
+            continue;
+        }
+        // Server spans keep push order: makeSpan(i) has traceId i + 1.
+        char want[20];
+        std::snprintf(want, sizeof(want), "%016llx",
+                      static_cast<unsigned long long>(++server_seen));
+        if (member(member(event, "args"), "trace_id").string != want)
+            ++out_of_order;
+    }
+    EXPECT_EQ(scoped_seen, perThread);
+    EXPECT_EQ(server_seen, perThread);
+    EXPECT_EQ(out_of_order, 0u);
+    EXPECT_EQ(member(member(doc, "otherData"), "droppedSpans").number,
+              0.0);
+    EXPECT_EQ(tm::droppedSpans(), 0u);
+    std::filesystem::remove(path);
+}
+
 /**
  * Concurrency acceptance (ISSUE 8 satellite): snapshotJson must stay
  * parseable and self-consistent while writer threads hammer every
@@ -584,7 +662,7 @@ TEST_F(TelemetryTest, SnapshotWhileWritersActive)
                 gauge.set(static_cast<double>(i));
                 histo.record(i);
                 if (i % 64 == 0)
-                    tm::recordServerSpan(makeSpan(t * perWriter + i));
+                    tm::recordSpan(makeSpan(t * perWriter + i));
             }
             running.fetch_sub(1, std::memory_order_release);
         });
@@ -605,7 +683,7 @@ TEST_F(TelemetryTest, SnapshotWhileWritersActive)
             bucket_sum += pair.array[1].number;
         EXPECT_GE(bucket_sum + 0.5, member(histo, "total").number);
         ++parses;
-        (void)tm::collectServerSpans(); // Concurrent drain, too.
+        (void)tm::collectSpans(); // Concurrent drain, too.
     }
     for (std::thread &thread : threads)
         thread.join();
