@@ -6,9 +6,10 @@
  *  1. google-benchmark microbenches: one-transaction encode/decode
  *     round-trips on 32-byte transactions, on patterned and random data.
  *  2. An end-to-end suite sweep (the workload every figure bench runs):
- *     full GPU population x paper scheme set, executed serially and then
- *     on the parallel engine. Reports GB/s for both, asserts that the
- *     parallel BusStats are bit-identical to the serial run, and emits
+ *     full GPU population x paper scheme set, executed on the parallel
+ *     engine and then serially, timed as the fastest of five serial
+ *     runs. Reports GB/s for both, asserts that every serial run's
+ *     BusStats are bit-identical to the parallel run, and emits
  *     `BENCH_codec_throughput.json` for CI tracking.
  *  3. A batch-size sweep: encode+decode throughput of the batch path
  *     (encodeBatch / decodeBatch) at batch sizes 1/8/64/512/4096, after
@@ -86,6 +87,13 @@ BM_RoundTrip(benchmark::State &state, const std::string &spec,
 
 /** Transactions per app in the end-to-end sweep (kept short for CI). */
 constexpr std::size_t sweepTxPerApp = 512;
+
+/**
+ * Serial sweeps per run; the fastest is reported. One sweep is ~0.15 s,
+ * so a single wall-clock reading swings by more than the 2 % telemetry
+ * overhead gate (`ci.sh metrics`) that compares two of them.
+ */
+constexpr int serialSweepRuns = 5;
 
 struct SweepRun
 {
@@ -506,22 +514,28 @@ runSuiteSweep(const std::string &json_path, double batch_min_speedup,
                 specs.size(), sweepTxPerApp);
 
     std::size_t bytes = 0;
-    const SweepRun serial = runSweep(1, specs, &bytes);
-    std::printf("serial   (1 thread)  : %6.2f s  %6.3f GB/s\n",
-                serial.seconds, serial.gbPerSecond);
-
-    const SweepRun parallel = runSweep(parallel_threads, specs, nullptr);
+    const SweepRun parallel = runSweep(parallel_threads, specs, &bytes);
+    SweepRun serial;
+    bool identical = true;
+    for (int run = 0; run < serialSweepRuns; ++run) {
+        SweepRun next = runSweep(1, specs, nullptr);
+        identical =
+            identical && identicalResults(next.results, parallel.results);
+        if (run == 0 || next.seconds < serial.seconds)
+            serial = std::move(next);
+    }
+    std::printf("serial   (1 thread)  : %6.2f s  %6.3f GB/s  "
+                "(fastest of %d)\n",
+                serial.seconds, serial.gbPerSecond, serialSweepRuns);
     std::printf("parallel (%u threads): %6.2f s  %6.3f GB/s\n",
                 parallel_threads, parallel.seconds,
                 parallel.gbPerSecond);
 
-    const bool identical =
-        identicalResults(serial.results, parallel.results);
     const double speedup = serial.seconds / parallel.seconds;
     std::printf("speedup: %.2fx   BusStats bit-identical: %s\n", speedup,
                 identical ? "yes" : "NO");
     if (!identical)
-        panic("parallel evalSuite diverged from the serial run");
+        panic("a serial evalSuite run diverged from the parallel run");
 
     double best_batch_speedup = 0.0;
     const std::vector<BatchRow> batch_rows =

@@ -7,8 +7,12 @@
 # Usage: ./ci.sh [release|asan|tsan|fuzz|batch|metrics|serve|scenario|
 #                 adaptive|all]
 # (default: all)
-#   release  Release build + `ctest -L tier1`
-#   asan     ASan/UBSan build + `ctest -L tier1` (oversubscribed pool)
+#   release  Release build + `ctest -L tier1` + a readelf check that
+#            bxtd is a static PIE (ELF type DYN, a GNU_RELRO segment, no
+#            INTERP segment, no NEEDED entry)
+#   asan     ASan/UBSan build + `ctest -L tier1` (oversubscribed pool) +
+#            the sanitized bxtd (dynamically linked) answers a Ping and
+#            exits 0 on SIGTERM
 #   tsan     ThreadSanitizer build + telemetry/server-labeled ctest: the
 #            lock-free instrument paths, span rings, and the threaded
 #            server under the race detector
@@ -37,10 +41,11 @@
 #            compiled-in-but-disabled telemetry costs under
 #            BXT_METRICS_OVERHEAD_PCT (default 2) percent versus a
 #            -DBXT_TELEMETRY=OFF baseline build of the same sources
-#   serve    Release build + server-labeled ctest + live bxtd smoke: boot
-#            a 4-shard bxtd on a Unix socket and a TCP port, ping it and
-#            round-trip a captured trace through it over each, drive a
-#            closed-loop bxt_loadgen burst (asserting >=
+#   serve    Release build + server-labeled ctest + bad option values
+#            (each must exit 2 within 1 s with no socket) + live bxtd
+#            smoke: boot a 4-shard bxtd on a Unix socket and a TCP
+#            port, ping it and round-trip a captured trace through it
+#            over each, drive a closed-loop bxt_loadgen burst (asserting >=
 #            BXT_SERVE_MIN_TX_RATE encoded tx/s, default 100000, into
 #            BENCH_server_loadgen.json), re-run the burst with
 #            --trace-sample 0.01 and assert the traced tx rate stays
@@ -89,12 +94,35 @@ configure_asan() {
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 }
 
+# check_static_pie BIN: fail, naming the property, unless BIN is a
+# static PIE: ELF type DYN (so ASLR still moves it), a GNU_RELRO segment,
+# and no INTERP segment or NEEDED entry (so a start runs no dynamic
+# loader). tools/CMakeLists.txt links bxtd this way when its probe runs.
+check_static_pie() {
+    local bin="$1" elf missing=""
+    elf="$(readelf --file-header --program-headers --dynamic "${bin}")"
+    grep -q '^ *Type: *DYN ' <<<"${elf}" || missing+=" ELF type is not DYN;"
+    grep -q ' GNU_RELRO ' <<<"${elf}" || missing+=" no GNU_RELRO segment;"
+    if grep -q '^ *INTERP ' <<<"${elf}"; then
+        missing+=" has an INTERP segment;"
+    fi
+    if grep -q '(NEEDED)' <<<"${elf}"; then
+        missing+=" has NEEDED entries;"
+    fi
+    if [ -n "${missing}" ]; then
+        echo "${bin} is not a static PIE:${missing}" >&2
+        return 1
+    fi
+    echo "${bin}: static PIE (DYN, GNU_RELRO, no INTERP, no NEEDED)"
+}
+
 run_release() {
     echo "=== CI job: Release build + tier-1 ctest ==="
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-ci-release -j "${jobs}"
     ctest --test-dir build-ci-release --output-on-failure -j "${jobs}" \
         -L tier1
+    check_static_pie build-ci-release/tools/bxtd
 }
 
 run_asan() {
@@ -105,6 +133,15 @@ run_asan() {
     # oversubscribed pool to shake out data races on a small host.
     BXT_THREADS=8 ctest --test-dir build-ci-asan --output-on-failure \
         -j "${jobs}" -L tier1
+    # The sanitized bxtd links dynamically (a -static-pie link with ASan
+    # crashes at start, and tools/CMakeLists.txt's run probe catches
+    # that); a fallback that went wrong shows here as a dead daemon.
+    local out=build-ci-asan/serve
+    mkdir -p "${out}"
+    bxtd_bin=build-ci-asan/tools/bxtd start_bxtd "${out}/bxtd.log" \
+        "${out}/bxtd.sock" --shards 2
+    ./build-ci-asan/tools/bxt_client --unix "${out}/bxtd.sock" --mode ping
+    stop_bxtd
 }
 
 run_tsan() {
@@ -267,10 +304,10 @@ PY
     return 1
 }
 
-# start_bxtd LOG SOCK ARGS...: boot the Release bxtd on the Unix socket
-# SOCK with ARGS, output in LOG, and wait up to 10 s for the socket and,
-# when ARGS has --listen, for its "listening on tcp://" line (the
-# address is kept in bxtd_tcp). A plain background command (no
+# start_bxtd LOG SOCK ARGS...: boot the Release bxtd (or bxtd_bin, when
+# set) on the Unix socket SOCK with ARGS, output in LOG, and wait up to
+# 10 s for the socket and, when ARGS has --listen, for its "listening on
+# tcp://" line (the address is kept in bxtd_tcp). A plain background command (no
 # subshell), so bxtd_pid is bxtd itself and stop_bxtd's SIGTERM reaches
 # the daemon, not a wrapper.
 start_bxtd() {
@@ -280,7 +317,7 @@ start_bxtd() {
     local want_tcp=""
     [[ " $* " == *" --listen "* ]] && want_tcp=1
     rm -f "${sock}"
-    ./build-ci-release/tools/bxtd --unix "${sock}" "$@" \
+    "${bxtd_bin:-./build-ci-release/tools/bxtd}" --unix "${sock}" "$@" \
         > "${bxtd_log}" 2>&1 &
     bxtd_pid=$!
     bxtd_tcp=""
@@ -330,6 +367,24 @@ run_serve() {
     local out=build-ci-release/serve
     mkdir -p "${out}"
     local sock="${out}/bxtd.sock"
+
+    # Option values that are not whole decimal numbers in range are
+    # refused: exit 2 within 1 s, naming the flag, with no socket made.
+    local bad
+    for bad in --shards=2x --shards=0 --shards=257 --idle-timeout=abc \
+        --idle-timeout=-2 --max-pending=abc --max-pending=0; do
+        local status=0
+        rm -f "${sock}"
+        timeout 1 ./build-ci-release/tools/bxtd --unix "${sock}" "${bad}" \
+            2> "${out}/bad_option.log" || status=$?
+        if [ "${status}" -ne 2 ] || [ -e "${sock}" ] ||
+            ! grep -q -- "bad ${bad%%=*} " "${out}/bad_option.log"; then
+            echo "bxtd ${bad}: exit ${status}; want exit 2 within 1 s," \
+                "naming ${bad%%=*}, and no socket" >&2
+            cat "${out}/bad_option.log" >&2
+            return 1
+        fi
+    done
 
     # BXT_TRACE makes the exit after the drain write the Chrome span
     # trace artifact. Both listeners are up, so the drain below covers

@@ -26,6 +26,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <map>
@@ -1828,6 +1829,73 @@ TEST(Loopback, FullAcceptQueueAnswersBusy)
     ASSERT_TRUE(client.connected()) << err;
     EXPECT_FALSE(client.ping(err));
     EXPECT_EQ(client.lastErrorCode(), wire::ErrorCode::Busy);
+}
+
+TEST(Loopback, BusyRejectionWithMetricsOnIsCountedAndTimed)
+{
+    // One shard already holding maxPending = 1 connection turns the next
+    // peer away with a Busy frame and EOF; with metrics on the rejection
+    // is counted in rejected_busy and timed as a request_us sample.
+    telemetry::resetForTest();
+    telemetry::setMetricsEnabled(true);
+    server::ServerOptions options = ephemeralTcpOptions();
+    options.shards = 1;
+    options.maxPending = 1;
+    LiveServer live(options);
+    ASSERT_TRUE(live.started());
+
+    // (rejected_busy, request_us sample count) from one Stats reply.
+    const auto busy_and_samples =
+        [](client::Client &peer) -> std::pair<std::uint64_t, std::uint64_t> {
+        std::string json, err;
+        EXPECT_TRUE(peer.stats(json, err)) << err;
+        JsonValue doc;
+        EXPECT_TRUE(parseJson(json, doc, &err)) << err;
+        const JsonValue *counters = doc.find("counters");
+        const JsonValue *busy =
+            counters != nullptr ? counters->find("bxt.server.rejected_busy")
+                                : nullptr;
+        const JsonValue *histos = doc.find("histograms");
+        const JsonValue *histo =
+            histos != nullptr ? histos->find("bxt.server.request_us")
+                              : nullptr;
+        const JsonValue *total =
+            histo != nullptr ? histo->find("total") : nullptr;
+        return {busy != nullptr ? static_cast<std::uint64_t>(busy->number)
+                                : 0,
+                total != nullptr ? static_cast<std::uint64_t>(total->number)
+                                 : 0};
+    };
+
+    std::string err;
+    client::Client a =
+        client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(a.connected()) << err;
+    ASSERT_TRUE(a.ping(err)) << err;
+    const auto [busy_before, samples_before] = busy_and_samples(a);
+    EXPECT_EQ(busy_before, 0u);
+
+    client::Client b =
+        client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(b.connected()) << err;
+    const int fd = b.rawFd();
+    wire::FrameParser parser;
+    wire::FrameView reply;
+    wire::ErrorCode code = wire::ErrorCode::None;
+    EXPECT_FALSE(client::readReply(fd, parser, reply, code, err));
+    EXPECT_EQ(code, wire::ErrorCode::Busy);
+    pollfd pfd{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::read(fd, &byte, 1), 0);
+
+    // The shard thread serves A and turned B away in turn, so this Stats
+    // sees the rejection. Two samples were added since the first Stats:
+    // that Stats request itself and B's rejection.
+    const auto [busy_after, samples_after] = busy_and_samples(a);
+    EXPECT_EQ(busy_after, 1u);
+    EXPECT_EQ(samples_after - samples_before, 2u);
+    telemetry::setMetricsEnabled(false);
 }
 
 // ---------------------------------------------------------------------

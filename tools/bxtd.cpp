@@ -15,12 +15,14 @@
  * binary's trace.
  */
 
+#include <charconv>
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/cli.h"
+#include "common/parallel.h"
 #include "server/server.h"
 #include "telemetry/metrics.h"
 
@@ -36,17 +38,30 @@ onSignal(int)
         g_server->requestStop();
 }
 
+/**
+ * Parse @p text as a whole decimal number (an optional '-', then digits
+ * and nothing else) in [@p lo, @p hi]; false otherwise.
+ */
+bool
+parseDecimal(const std::string &text, long long lo, long long hi,
+             long long &value)
+{
+    const char *first = text.data();
+    const char *last = first + text.size();
+    const auto [end, ec] = std::from_chars(first, last, value);
+    return ec == std::errc() && end == last && value >= lo && value <= hi;
+}
+
 /** Split "HOST:PORT"; false on a missing/invalid port. */
 bool
 parseListen(const std::string &text, std::string &host, int &port)
 {
     const std::size_t colon = text.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= text.size())
+    if (colon == std::string::npos)
         return false;
     host = text.substr(0, colon);
-    char *end = nullptr;
-    const long value = std::strtol(text.c_str() + colon + 1, &end, 10);
-    if (*end != '\0' || value < 0 || value > 65535)
+    long long value = 0;
+    if (!parseDecimal(text.substr(colon + 1), 0, 65535, value))
         return false;
     port = static_cast<int>(value);
     return !host.empty();
@@ -67,25 +82,46 @@ main(int argc, char **argv)
             [&](const std::string &v) { listen_spec = v; });
     cli.add("--unix", "PATH", "Unix-domain socket path",
             [&](const std::string &v) { options.unixPath = v; });
+    // The first rejected option value, reported after parsing.
+    std::string bad_value;
+    const auto reject = [&](const char *flag, const std::string &v,
+                            const std::string &want) {
+        if (bad_value.empty())
+            bad_value = std::string(flag) + " '" + v + "' (want " + want +
+                        ")";
+    };
     cli.add("--shards", "N",
             "shared-nothing worker shards (default: hardware count)",
             [&](const std::string &v) {
-                options.shards = static_cast<unsigned>(
-                    std::strtoul(v.c_str(), nullptr, 0));
+                options.shards = bxt::parseThreadCount(v.c_str());
+                if (options.shards == 0)
+                    reject("--shards", v,
+                           "1.." + std::to_string(bxt::maxThreads));
             });
     cli.add("--idle-timeout", "MS",
             "per-connection idle timeout, -1 = forever (default 30000)",
             [&](const std::string &v) {
-                options.idleTimeoutMs =
-                    static_cast<int>(std::strtol(v.c_str(), nullptr, 0));
+                long long ms = 0;
+                if (parseDecimal(v, -1, INT_MAX, ms))
+                    options.idleTimeoutMs = static_cast<int>(ms);
+                else
+                    reject("--idle-timeout", v, "-1 or a whole number of ms");
             });
     cli.add("--max-pending", "N",
             "accepted-but-unserved connection bound (default 64)",
             [&](const std::string &v) {
-                options.maxPending = std::strtoul(v.c_str(), nullptr, 0);
+                long long n = 0;
+                if (parseDecimal(v, 1, LLONG_MAX, n))
+                    options.maxPending = static_cast<std::size_t>(n);
+                else
+                    reject("--max-pending", v, "a whole number >= 1");
             });
     if (!cli.parse(argc, argv))
         return cli.exitCode();
+    if (!bad_value.empty()) {
+        std::fprintf(stderr, "bxtd: bad %s\n", bad_value.c_str());
+        return 2;
+    }
 
     if (!listen_spec.empty() &&
         !parseListen(listen_spec, options.tcpHost, options.tcpPort)) {
