@@ -9,7 +9,10 @@
 # (default: all)
 #   release  Release build + `ctest -L tier1` + a readelf check that
 #            bxtd is a static PIE (ELF type DYN, a GNU_RELRO segment, no
-#            INTERP segment, no NEEDED entry)
+#            INTERP segment, no NEEDED entry) + an nm check that bxtd
+#            links no iostream/locale symbol and one CRC table (prints
+#            its `size` line) + malformed tool option values (`bxt_fuzz
+#            --iters 10O`, `bxt_loadgen --depth 4x`) must exit 2
 #   asan     ASan/UBSan build + `ctest -L tier1` (oversubscribed pool) +
 #            the sanitized bxtd (dynamically linked) answers a Ping and
 #            exits 0 on SIGTERM
@@ -25,7 +28,8 @@
 #            every level vs a bitwise reference, the allocation-free
 #            in-place reply path with its metadata packing) + a check
 #            that no kernels_*.o exports a weak bxt::simd::detail
-#            symbol (kernel_common.h has internal linkage) + an
+#            symbol but the shared crc32Tables data (kernel_common.h's
+#            functions have internal linkage) + an
 #            ASan/UBSan pass of the same tests forced through every
 #            dispatch level (BXT_SIMD=scalar/word/avx2/avx512) + the
 #            bench_codec_throughput sweep with its speedup gates
@@ -116,6 +120,45 @@ check_static_pie() {
     echo "${bin}: static PIE (DYN, GNU_RELRO, no INTERP, no NEEDED)"
 }
 
+# check_daemon_text BIN: fail, naming the first offending symbol, if BIN
+# links iostreams. One <fstream> in a server-linked file maps
+# libstdc++'s locale machinery back into bxtd, about 0.4 MB of
+# resident text (DESIGN.md §10 "What bxtd maps"). Also fail unless the
+# kernels' CRC tables are one copy, then print BIN's `size` line.
+check_daemon_text() {
+    local bin="$1" symbols leak copies
+    symbols="$(nm -C "${bin}")"
+    leak="$(grep -m1 -E 'std::basic_filebuf|std::basic_ios<|std::ios_base::Init|std::locale::_Impl' \
+        <<<"${symbols}" || true)"
+    if [ -n "${leak}" ]; then
+        echo "${bin} links iostreams: ${leak}" >&2
+        return 1
+    fi
+    copies="$(grep -c ' bxt::simd::detail::crc32Tables$' <<<"${symbols}" ||
+        true)"
+    if [ "${copies}" -ne 1 ]; then
+        echo "${bin} holds ${copies} copies of crc32Tables; want 1" >&2
+        return 1
+    fi
+    size "${bin}" | tail -n 1
+}
+
+# expect_bad_value FLAG CMD...: CMD must refuse its malformed FLAG value
+# with exit 2 within 5 s, naming the flag, instead of reading the
+# value's numeric prefix (`bxt_fuzz --iters 10O` once ran 10
+# transactions and exited 0).
+expect_bad_value() {
+    local flag="$1" status=0 log
+    shift
+    log="$(dirname "$1")/bad_value.log"
+    timeout 5 "$@" 2> "${log}" || status=$?
+    if [ "${status}" -ne 2 ] || ! grep -q -- "bad ${flag} " "${log}"; then
+        echo "$*: exit ${status}; want exit 2 naming ${flag}" >&2
+        cat "${log}" >&2
+        return 1
+    fi
+}
+
 run_release() {
     echo "=== CI job: Release build + tier-1 ctest ==="
     cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release
@@ -123,6 +166,10 @@ run_release() {
     ctest --test-dir build-ci-release --output-on-failure -j "${jobs}" \
         -L tier1
     check_static_pie build-ci-release/tools/bxtd
+    check_daemon_text build-ci-release/tools/bxtd
+    expect_bad_value --iters build-ci-release/tools/bxt_fuzz --iters 10O
+    expect_bad_value --depth build-ci-release/tools/bxt_loadgen \
+        --unix none --depth 4x
 }
 
 run_asan() {
@@ -189,9 +236,12 @@ run_batch() {
     # The kernel_common.h helpers have internal linkage. A weak
     # bxt::simd::detail symbol in a kernels_*.o would let the linker keep
     # one TU's copy (maybe built with -mavx2/-mavx512*) for every tier.
+    # The one exception is crc32Tables: constant data, the same bytes
+    # under every -m flag, shared on purpose so a binary holds one copy.
     local weak
     weak="$(nm -C build-ci-release/src/core/CMakeFiles/bxt_core.dir/simd/kernels_*.o |
-        grep -E ' [WVu] .*bxt::simd::detail' || true)"
+        grep -E ' [WVu] .*bxt::simd::detail' |
+        grep -v ' u bxt::simd::detail::crc32Tables$' || true)"
     if [[ -n "${weak}" ]]; then
         echo "weak bxt::simd::detail symbols in kernel objects:" >&2
         echo "${weak}" >&2

@@ -9,13 +9,14 @@
  * of truth for the ZDR lane algebra at word width — the vector code
  * must match them bit for bit.
  *
- * Everything here has internal linkage (an unnamed namespace). The
+ * Every function here has internal linkage (an unnamed namespace). The
  * header is included by translation units built with different -m
  * flags, so an inline function with external linkage would leave one
  * weak copy per TU, some compiled with AVX instructions, and the linker
  * would keep whichever came first: the Word table could run an AVX
  * copy. With internal linkage each TU calls its own. `ci.sh batch`
- * fails if a kernels_*.o exports a weak bxt::simd::detail symbol.
+ * fails if a kernels_*.o exports a weak bxt::simd::detail symbol other
+ * than crc32Tables, the one shared table.
  */
 
 #ifndef BXT_CORE_SIMD_KERNEL_COMMON_H
@@ -492,6 +493,8 @@ foldLanes(std::size_t tx_bytes, unsigned stages)
     return plans[tx_bytes == 64 ? 1 : 0][stages - 1];
 }
 
+} // namespace
+
 using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
 
 /**
@@ -500,8 +503,13 @@ using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
  * contribution of byte i followed by k zero bytes, so eight table
  * lookups advance the CRC over eight bytes at once. Built at compile
  * time, so there is no init-order dependency.
+ *
+ * Unlike the functions, the table lives outside the unnamed namespace:
+ * it is data, identical under every -m flag, and an inline variable
+ * with external linkage is one 8 KiB copy per binary instead of one per
+ * kernel TU. consteval keeps the builder from emitting code at all.
  */
-constexpr Crc32Tables
+consteval Crc32Tables
 makeCrc32Tables()
 {
     Crc32Tables tables{};
@@ -521,6 +529,8 @@ makeCrc32Tables()
 }
 
 inline constexpr Crc32Tables crc32Tables = makeCrc32Tables();
+
+namespace {
 
 /** One byte per step through tables[0]. */
 inline std::uint32_t

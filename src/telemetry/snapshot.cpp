@@ -1,8 +1,5 @@
 #include "telemetry/snapshot.h"
 
-#include <cstdio>
-#include <fstream>
-
 #include "common/json.h"
 #include "telemetry/metrics.h"
 
@@ -64,29 +61,6 @@ snapshotJson(const Registry &registry, bool pretty)
 
     w.endObject();
     return w.str();
-}
-
-bool
-writeSnapshot(const std::string &path)
-{
-    if (!metricsEnabled())
-        return false;
-    // Write-then-rename so a SIGTERM mid-dump (the bxtd drain path)
-    // cannot leave a truncated document at the published path.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return false;
-        out << snapshotJson() << '\n';
-        if (!out.good())
-            return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
 }
 
 } // namespace bxt::telemetry

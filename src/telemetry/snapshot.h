@@ -55,16 +55,6 @@ std::string snapshotJson(bool pretty = true);
  */
 std::string snapshotJson(const Registry &registry, bool pretty);
 
-/**
- * Write the snapshot to @p path, atomically: the document lands in
- * `path + ".tmp"` first and is renamed into place, so a signal or crash
- * mid-dump can never leave a truncated snapshot at @p path. A disabled
- * registry is not exported: returns false without creating the file
- * (the exporter no-op guarantee tested by tests/test_telemetry.cpp).
- * Also false on I/O failure.
- */
-bool writeSnapshot(const std::string &path);
-
 } // namespace bxt::telemetry
 
 #endif // BXT_TELEMETRY_SNAPSHOT_H

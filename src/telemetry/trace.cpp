@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -334,12 +333,19 @@ writeTrace(const std::string &path)
     w.endObject();
 
     // Atomic publish: an exit-time flush interrupted mid-write must not
-    // leave a truncated trace behind the final rename.
+    // leave a truncated trace behind the final rename. stdio, not
+    // <fstream>: bxtd links this file, and iostreams would map the whole
+    // locale machinery into the daemon (DESIGN.md §10 "What bxtd maps").
     const std::string tmp = path + ".tmp";
-    std::ofstream out(tmp, std::ios::trunc);
-    out << w.str() << '\n';
-    out.close();
-    if (out.fail() || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::FILE *out = std::fopen(tmp.c_str(), "w");
+    if (out == nullptr)
+        return false;
+    std::string text = w.str();
+    text += '\n';
+    const bool written =
+        std::fwrite(text.data(), 1, text.size(), out) == text.size();
+    if (std::fclose(out) != 0 || !written ||
+        std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         return false;
     }

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -264,26 +265,6 @@ TEST_F(TelemetryTest, SnapshotRoundTripsThroughParser)
     }
 }
 
-TEST_F(TelemetryTest, WriteSnapshotCreatesValidFile)
-{
-    tm::counter("bxt.test.file").add(3);
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "bxt_snapshot_test.json")
-            .string();
-    ASSERT_TRUE(tm::writeSnapshot(path));
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    JsonValue doc;
-    std::string error;
-    EXPECT_TRUE(parseJson(text, doc, &error)) << error;
-    EXPECT_EQ(member(member(doc, "counters"), "bxt.test.file").number,
-              3.0);
-    std::filesystem::remove(path);
-}
-
 TEST_F(TelemetryTest, DisabledMetricsAreZeroCostNoops)
 {
     tm::setMetricsEnabled(false);
@@ -304,15 +285,7 @@ TEST_F(TelemetryTest, DisabledMetricsAreZeroCostNoops)
     EXPECT_EQ(tm::counter("bxt.bus.transactions").value(), 0u);
     EXPECT_EQ(tm::counter("bxt.channel.eval.streams").value(), 0u);
 
-    // The snapshot exporter refuses to write a disabled registry...
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "bxt_snapshot_off.json")
-            .string();
-    std::filesystem::remove(path);
-    EXPECT_FALSE(tm::writeSnapshot(path));
-    EXPECT_FALSE(std::filesystem::exists(path));
-
-    // ...but snapshotJson still returns a valid "enabled": false doc.
+    // snapshotJson still returns a valid "enabled": false doc.
     JsonValue doc;
     std::string error;
     ASSERT_TRUE(parseJson(tm::snapshotJson(), doc, &error)) << error;
@@ -354,6 +327,43 @@ TEST_F(TelemetryTest, ScopedSpansExportAsChromeTrace)
         EXPECT_TRUE(member(event, "dur").isNumber());
     }
     std::filesystem::remove(path);
+}
+
+TEST_F(TelemetryTest, TraceWriterPublishesACompleteFileOrNothing)
+{
+    namespace fs = std::filesystem;
+    tm::setTraceEnabled(true);
+    tm::clearSpans();
+    { tm::ScopedSpan span("written", "test"); }
+
+    // The .tmp cannot be created in a directory that does not exist.
+    const fs::path dir = fs::temp_directory_path() / "bxt_trace_no_dir";
+    fs::remove_all(dir);
+    const std::string missing = (dir / "trace.json").string();
+    EXPECT_FALSE(tm::writeTrace(missing));
+    EXPECT_FALSE(fs::exists(missing));
+    EXPECT_FALSE(fs::exists(missing + ".tmp"));
+
+    // The rename onto a directory fails after the write: the .tmp goes.
+    const fs::path occupied = fs::temp_directory_path() / "bxt_trace_dir";
+    fs::create_directories(occupied);
+    EXPECT_FALSE(tm::writeTrace(occupied.string()));
+    EXPECT_FALSE(fs::exists(occupied.string() + ".tmp"));
+    fs::remove_all(occupied);
+
+    const std::string path =
+        (fs::temp_directory_path() / "bxt_trace_stdio.json").string();
+    ASSERT_TRUE(tm::writeTrace(path));
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    ASSERT_FALSE(text.empty());
+    EXPECT_EQ(text.back(), '\n');
+    const std::string validate = std::string(BXT_REPORT_BIN) +
+                                 " --validate-trace " + path + " > /dev/null";
+    EXPECT_EQ(std::system(validate.c_str()), 0);
+    fs::remove(path);
 }
 
 TEST_F(TelemetryTest, DisabledSpansRecordNothing)

@@ -16,7 +16,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -43,16 +42,13 @@ connect(const Args &args, std::string &err)
 {
     if (!args.unixPath.empty())
         return bxt::client::Client::connectUnix(args.unixPath, err);
-    const std::size_t colon = args.tcp.rfind(':');
-    if (colon == std::string::npos) {
+    std::string host;
+    int port = 0;
+    if (!bxt::parseHostPort(args.tcp, host, port)) {
         err = "bad --tcp '" + args.tcp + "' (want HOST:PORT)";
         return {};
     }
-    const int port =
-        static_cast<int>(std::strtol(args.tcp.c_str() + colon + 1,
-                                     nullptr, 10));
-    return bxt::client::Client::connectTcp(args.tcp.substr(0, colon), port,
-                                           err);
+    return bxt::client::Client::connectTcp(host, port, err);
 }
 
 /** Flatten trace transactions into one contiguous byte buffer. */
@@ -175,15 +171,10 @@ main(int argc, char **argv)
             [&](const std::string &v) { args.unixPath = v; });
     cli.add("--spec", "S", "codec spec (default baseline)",
             [&](const std::string &v) { args.spec = v; });
-    cli.add("--wires", "W", "bus width in bits, 32 or 64 (default 32)",
-            [&](const std::string &v) {
-                args.wires = static_cast<unsigned>(
-                    std::strtoul(v.c_str(), nullptr, 0));
-            });
-    cli.add("--batch", "N", "transactions per request (default 64)",
-            [&](const std::string &v) {
-                args.batch = std::strtoul(v.c_str(), nullptr, 0);
-            });
+    cli.addInt("--wires", "W", "bus width in bits, 32 or 64 (default 32)",
+               args.wires);
+    cli.addInt("--batch", "N", "transactions per request (default 64)",
+               args.batch, 1, bxt::wire::maxTxPerRequest);
     cli.add("--mode", "M", "ping | encode | roundtrip | stats | snapshot",
             [&](const std::string &v) { args.mode = v; });
     cli.addPositional("TRACE", ".bxtrace file (encode/roundtrip modes)",

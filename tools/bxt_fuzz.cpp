@@ -10,8 +10,8 @@
  *            [--batch [--batch-streams N] [--batch-tx N]] [--frames N]
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -30,20 +30,16 @@ main(int argc, char **argv)
     bxt::Cli cli("bxt_fuzz",
                  "differential fuzzer: sweep codec specs over structured "
                  "generators and check every invariant");
-    cli.add("--iters", "N",
-            "transactions per (spec, wires) unit (default 20000)",
-            [&](const std::string &v) {
-                options.iterationsPerSpec =
-                    std::strtoull(v.c_str(), nullptr, 0);
-            });
-    cli.add("--seconds", "S",
-            "wall-clock budget; overrides --iters when > 0",
-            [&](const std::string &v) {
-                options.secondsBudget = std::strtod(v.c_str(), nullptr);
-            });
+    cli.addInt("--iters", "N",
+               "transactions per (spec, wires) unit (default 20000)",
+               options.iterationsPerSpec);
+    cli.addReal("--seconds", "S",
+                "wall-clock budget; overrides --iters when > 0",
+                options.secondsBudget);
     cli.add("--seed", "X", "campaign seed (hex or decimal)",
             [&](const std::string &v) {
-                options.seed = std::strtoull(v.c_str(), nullptr, 0);
+                if (!bxt::parseUnsigned(v, /*allow_hex=*/true, options.seed))
+                    cli.reject("--seed", v, "0x-prefixed hex or decimal");
             });
     cli.add("--spec", "S",
             "spec to fuzz; repeatable (default: canonical set)",
@@ -51,41 +47,34 @@ main(int argc, char **argv)
     cli.add("--wires", "W",
             "channel width in bits; repeatable (default: 32 64)",
             [&](const std::string &v) {
-                wires.push_back(static_cast<unsigned>(
-                    std::strtoul(v.c_str(), nullptr, 0)));
+                long long bits = 0;
+                if (bxt::parseDecimal(v, 1, UINT_MAX, bits))
+                    wires.push_back(static_cast<unsigned>(bits));
+                else
+                    cli.reject("--wires", v, "a whole number of bits");
             });
     cli.add("--corpus", "DIR",
             "write shrunken repros here (default: off)",
             [&](const std::string &v) { options.corpusDir = v; });
-    cli.add("--idle", "F", "bus idle-gap fraction (default 0.3)",
-            [&](const std::string &v) {
-                options.idleFraction = std::strtod(v.c_str(), nullptr);
-            });
+    cli.addReal("--idle", "F", "bus idle-gap fraction (default 0.3)",
+                options.idleFraction, 0.0, 1.0);
     cli.addFlag("--no-shrink", "keep failing inputs unminimized",
                 [&] { options.shrinkFailures = false; });
     std::uint64_t frame_iters = 0;
-    cli.add("--frames", "N",
-            "also fuzz the bxtd wire-frame parser for N iterations",
-            [&](const std::string &v) {
-                frame_iters = std::strtoull(v.c_str(), nullptr, 0);
-            });
+    cli.addInt("--frames", "N",
+               "also fuzz the bxtd wire-frame parser for N iterations",
+               frame_iters);
     bool batch_mode = false;
     BatchFuzzOptions batch_options;
     cli.addFlag("--batch",
                 "also fuzz batched encoding against per-transaction encoding",
                 [&] { batch_mode = true; });
-    cli.add("--batch-streams", "N",
-            "generator streams per (spec, wires, batch) unit (default 12)",
-            [&](const std::string &v) {
-                batch_options.streamsPerSpec =
-                    std::strtoull(v.c_str(), nullptr, 0);
-            });
-    cli.add("--batch-tx", "N",
-            "transactions per batch-mode stream (default 96)",
-            [&](const std::string &v) {
-                batch_options.txPerStream =
-                    std::strtoull(v.c_str(), nullptr, 0);
-            });
+    cli.addInt("--batch-streams", "N",
+               "generator streams per (spec, wires, batch) unit (default 12)",
+               batch_options.streamsPerSpec);
+    cli.addInt("--batch-tx", "N",
+               "transactions per batch-mode stream (default 96)",
+               batch_options.txPerStream);
     if (!cli.parse(argc, argv))
         return cli.exitCode();
 

@@ -47,8 +47,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <numeric>
 #include <string>
@@ -152,16 +152,13 @@ connectOnce(const Args &args, std::string &err)
 {
     if (!args.unixPath.empty())
         return bxt::client::Client::connectUnix(args.unixPath, err);
-    const std::size_t colon = args.tcp.rfind(':');
-    if (colon == std::string::npos) {
-        err = "bad --tcp '" + args.tcp + "'";
+    std::string host;
+    int port = 0;
+    if (!bxt::parseHostPort(args.tcp, host, port)) {
+        err = "bad --tcp '" + args.tcp + "' (want HOST:PORT)";
         return {};
     }
-    return bxt::client::Client::connectTcp(
-        args.tcp.substr(0, colon),
-        static_cast<int>(
-            std::strtol(args.tcp.c_str() + colon + 1, nullptr, 10)),
-        err);
+    return bxt::client::Client::connectTcp(host, port, err);
 }
 
 /**
@@ -686,45 +683,36 @@ main(int argc, char **argv)
             [&](const std::string &v) { args.unixPath = v; });
     cli.add("--spec", "S", "codec spec (default baseline)",
             [&](const std::string &v) { args.spec = v; });
-    cli.add("--wires", "W", "bus width in bits (default 32)",
-            [&](const std::string &v) {
-                args.wires = static_cast<unsigned>(
-                    std::strtoul(v.c_str(), nullptr, 0));
-            });
-    cli.add("--tx-bytes", "B", "transaction size (default 32)",
-            [&](const std::string &v) {
-                args.txBytes = static_cast<std::uint32_t>(
-                    std::strtoul(v.c_str(), nullptr, 0));
-            });
-    cli.add("--batch", "N", "transactions per request frame (default 64)",
-            [&](const std::string &v) {
-                args.batch = std::strtoul(v.c_str(), nullptr, 0);
-            });
+    cli.addInt("--wires", "W", "bus width in bits (default 32)",
+               args.wires);
+    cli.addInt("--tx-bytes", "B", "transaction size (default 32)",
+               args.txBytes);
+    cli.addInt("--batch", "N", "transactions per request frame (default 64)",
+               args.batch, 1, bxt::wire::maxTxPerRequest);
     cli.add("--requests", "N",
             "request frames to send (default 2000, or the scenario's)",
             [&](const std::string &v) {
-                args.requests = std::strtoul(v.c_str(), nullptr, 0);
+                long long n = 0;
+                if (!bxt::parseDecimal(v, 1, LLONG_MAX, n)) {
+                    cli.reject("--requests", v, "a whole number >= 1");
+                    return;
+                }
+                args.requests = static_cast<std::size_t>(n);
                 args.requestsSet = true;
             });
-    cli.add("--depth", "D", "open-loop frames in flight (default 16)",
-            [&](const std::string &v) {
-                args.depth = std::strtoul(v.c_str(), nullptr, 0);
-            });
+    cli.addInt("--depth", "D", "open-loop frames in flight (default 16)",
+               args.depth, 1);
     cli.addFlag("--open-loop", "pipeline up to --depth requests",
                 [&] { args.openLoop = true; });
     cli.addFlag("--closed-loop", "one request in flight (default)",
                 [&] { args.openLoop = false; });
-    cli.add("--connections", "M",
-            "parallel connections (default 1; 4 for --scenario)",
-            [&](const std::string &v) {
-                args.connections = std::strtoul(v.c_str(), nullptr, 0);
-            });
-    cli.add("--warmup", "K",
-            "per-connection samples excluded from latency quantiles "
-            "(default 32)",
-            [&](const std::string &v) {
-                args.warmup = std::strtoul(v.c_str(), nullptr, 0);
-            });
+    cli.addInt("--connections", "M",
+               "parallel connections (default 1; 4 for --scenario)",
+               args.connections);
+    cli.addInt("--warmup", "K",
+               "per-connection samples excluded from latency quantiles "
+               "(default 32)",
+               args.warmup);
     cli.add("--scenario", "NAME|PATH",
             "replay a multi-tenant scenario preset or spec file",
             [&](const std::string &v) { args.scenarioName = v; });
@@ -733,30 +721,25 @@ main(int argc, char **argv)
             "each listed fixed spec, emitting scope:\"spec\" ones-on-bus "
             "rows (the adaptive-vs-fixed CI gate)",
             [&](const std::string &v) { args.adaptiveCompare = v; });
-    cli.add("--alpha", "A", "override the scenario's Zipf exponent",
-            [&](const std::string &v) {
-                args.alphaOverride = std::strtod(v.c_str(), nullptr);
-            });
+    cli.addReal("--alpha", "A", "override the scenario's Zipf exponent",
+                args.alphaOverride);
     cli.addFlag("--no-pace",
                 "send scenario requests back-to-back (ignore arrivals)",
                 [&] { args.noPace = true; });
     cli.add("--seed", "X", "payload/scenario RNG seed (default 1)",
             [&](const std::string &v) {
-                args.seed = std::strtoull(v.c_str(), nullptr, 0);
+                if (!bxt::parseUnsigned(v, /*allow_hex=*/false, args.seed))
+                    cli.reject("--seed", v, "a whole decimal number");
             });
     cli.add("--json", "PATH", "write bench JSON here",
             [&](const std::string &v) { args.jsonPath = v; });
-    cli.add("--assert-min-tx-rate", "R",
-            "exit 1 unless the tx/s rate reaches R (CI gate)",
-            [&](const std::string &v) {
-                args.assertMinTxRate = std::strtod(v.c_str(), nullptr);
-            });
-    cli.add("--trace-sample", "P",
-            "probability in [0,1] that a request carries a sampled "
-            "trace context (default 0 = untraced)",
-            [&](const std::string &v) {
-                args.traceSample = std::strtod(v.c_str(), nullptr);
-            });
+    cli.addReal("--assert-min-tx-rate", "R",
+                "exit 1 unless the tx/s rate reaches R (CI gate)",
+                args.assertMinTxRate);
+    cli.addReal("--trace-sample", "P",
+                "probability in [0,1] that a request carries a sampled "
+                "trace context (default 0 = untraced)",
+                args.traceSample, 0.0, 1.0);
     if (!cli.parse(argc, argv))
         return cli.exitCode();
     // Histo::record only counts while metrics are on.
@@ -766,18 +749,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "bxt_loadgen: need --tcp or --unix\n");
         return 2;
     }
-    if (args.batch == 0 || args.batch > bxt::wire::maxTxPerRequest ||
-        args.requests == 0 || args.depth == 0) {
-        std::fprintf(stderr,
-                     "bxt_loadgen: bad --batch/--requests/--depth\n");
-        return 2;
-    }
-    if (args.traceSample < 0.0 || args.traceSample > 1.0) {
-        std::fprintf(stderr,
-                     "bxt_loadgen: --trace-sample wants [0,1]\n");
-        return 2;
-    }
-
     if (!args.adaptiveCompare.empty() && args.scenarioName.empty()) {
         std::fprintf(stderr,
                      "bxt_loadgen: --adaptive-compare needs --scenario\n");

@@ -55,6 +55,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -947,6 +948,7 @@ main(int argc, char **argv)
     double overhead_limit = 0.0;
     double tx_overhead_limit = 0.0;
     double shard_scaling_floor = 0.0;
+    constexpr double noLimit = std::numeric_limits<double>::max();
     std::vector<std::string> files;
 
     bxt::Cli cli("bxt_report",
@@ -972,21 +974,24 @@ main(int argc, char **argv)
             "slower than OFF.json's (two bench files expected)",
             [&](const std::string &v) {
                 overhead = true;
-                overhead_limit = std::strtod(v.c_str(), nullptr);
+                if (!bxt::parseReal(v, 0.0, noLimit, overhead_limit))
+                    cli.reject("--assert-overhead", v, "a number >= 0");
             });
     cli.add("--assert-tx-overhead", "PCT",
             "fail when TRACED.json's aggregate tx rate is more than PCT "
             "percent below UNTRACED.json's (two loadgen files expected)",
             [&](const std::string &v) {
                 tx_overhead = true;
-                tx_overhead_limit = std::strtod(v.c_str(), nullptr);
+                if (!bxt::parseReal(v, 0.0, noLimit, tx_overhead_limit))
+                    cli.reject("--assert-tx-overhead", v, "a number >= 0");
             });
     cli.add("--assert-shard-scaling", "RATIO",
             "fail when SHARDED.json's aggregate tx rate is below RATIO "
             "times BASE.json's (two loadgen files expected)",
             [&](const std::string &v) {
                 shard_scaling = true;
-                shard_scaling_floor = std::strtod(v.c_str(), nullptr);
+                if (!bxt::parseReal(v, 0.0, noLimit, shard_scaling_floor))
+                    cli.reject("--assert-shard-scaling", v, "a number >= 0");
             });
     cli.addPositional("FILE", "snapshot / bench / trace JSON file(s)",
                       [&](const std::string &v) { files.push_back(v); });

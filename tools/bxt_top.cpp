@@ -450,17 +450,13 @@ main(int argc, char **argv)
             [&](const std::string &v) { args.tcp = v; });
     cli.add("--unix", "PATH", "connect over a Unix-domain socket",
             [&](const std::string &v) { args.unixPath = v; });
-    cli.add("--interval-ms", "N", "poll interval (default 1000)",
-            [&](const std::string &v) {
-                args.intervalMs = std::strtol(v.c_str(), nullptr, 0);
-            });
+    cli.addInt("--interval-ms", "N", "poll interval (default 1000)",
+               args.intervalMs, 1);
     cli.addFlag("--once",
                 "print one snapshot (cumulative rates) and exit",
                 [&] { args.once = true; });
-    cli.add("--count", "N", "exit after N refreshes (default: run on)",
-            [&](const std::string &v) {
-                args.count = std::strtoul(v.c_str(), nullptr, 0);
-            });
+    cli.addInt("--count", "N", "exit after N refreshes (default: run on)",
+               args.count);
     cli.addFlag("--no-clear", "append refreshes instead of ANSI-clearing",
                 [&] { args.noClear = true; });
     cli.addFlag("--no-shards",
@@ -473,25 +469,19 @@ main(int argc, char **argv)
         std::fprintf(stderr, "bxt_top: need --tcp or --unix\n");
         return 2;
     }
-    if (args.intervalMs <= 0)
-        args.intervalMs = 1000;
-
     std::string err;
     bxt::client::Client client;
     if (!args.unixPath.empty()) {
         client = bxt::client::Client::connectUnix(args.unixPath, err);
     } else {
-        const std::size_t colon = args.tcp.rfind(':');
-        if (colon == std::string::npos) {
-            std::fprintf(stderr, "bxt_top: bad --tcp '%s'\n",
+        std::string host;
+        int port = 0;
+        if (!bxt::parseHostPort(args.tcp, host, port)) {
+            std::fprintf(stderr, "bxt_top: bad --tcp '%s' (want HOST:PORT)\n",
                          args.tcp.c_str());
             return 2;
         }
-        client = bxt::client::Client::connectTcp(
-            args.tcp.substr(0, colon),
-            static_cast<int>(std::strtol(args.tcp.c_str() + colon + 1,
-                                         nullptr, 10)),
-            err);
+        client = bxt::client::Client::connectTcp(host, port, err);
     }
     if (!client.connected()) {
         std::fprintf(stderr, "bxt_top: %s\n", err.c_str());
