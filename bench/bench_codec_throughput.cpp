@@ -2,22 +2,21 @@
  * @file
  * Software throughput of the codec layer and the batch-evaluation engine.
  *
- * Two parts:
- *  1. google-benchmark microbenches: one-transaction encode/decode
- *     round-trips on 32-byte transactions, on patterned and random data.
- *  2. An end-to-end suite sweep (the workload every figure bench runs):
- *     full GPU population x paper scheme set, executed on the parallel
- *     engine and then serially, timed as the fastest of five serial
- *     runs. Reports GB/s for both, asserts that every serial run's
- *     BusStats are bit-identical to the parallel run, and emits
- *     `BENCH_codec_throughput.json` for CI tracking.
- *  3. A batch-size sweep: encode+decode throughput of the batch path
+ * Three parts, all written to one `BENCH_codec_throughput.json` (`--json
+ * PATH` moves it) for CI tracking:
+ *  1. An end-to-end suite sweep (the workload every figure bench runs):
+ *     full GPU population x paper scheme set, run five times on the
+ *     parallel engine and five times serially, alternating. Reports
+ *     each mode's fastest run in GB/s and asserts that every run's
+ *     BusStats are bit-identical to the first.
+ *  2. A batch-size sweep: encode+decode throughput of the batch path
  *     (encodeBatch / decodeBatch) at batch sizes 1/8/64/512/4096, after
  *     asserting every size produces BusStats field-identical to batch 1
- *     (the per-transaction path) through the full eval pipeline.
+ *     (the per-transaction path) through the full eval pipeline; the
+ *     batch-1 rows time the one-transaction round trip.
  *     `--batch-min-speedup F` turns the best batch>=512 speedup over
  *     batch 1 into a CI gate.
- *  4. A SIMD dispatch-level sweep: per spec and batch size, encode-only
+ *  3. A SIMD dispatch-level sweep: per spec and batch size, encode-only
  *     and decode-only throughput at every available kernel level (word
  *     and up; a forced BXT_SIMD pins the sweep to that single level).
  *     `--simd-min-speedup F` gates the xor4+zdr encode and decode
@@ -28,8 +27,6 @@
  * sit in a simulator's memory-controller path.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -37,6 +34,7 @@
 #include <vector>
 
 #include "channel/channel_eval.h"
+#include "common/cli.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "core/batch.h"
@@ -50,12 +48,11 @@ namespace {
 
 using namespace bxt;
 
+/** @p count patterned 32-byte transactions (the same stream every run). */
 std::vector<Transaction>
-makeInput(bool random_data, std::size_t count)
+makeInput(std::size_t count)
 {
-    PatternPtr pattern =
-        random_data ? makeRandomPattern(7)
-                    : makeSoaFloatPattern(1.0e3, 1.0e-3, 7);
+    PatternPtr pattern = makeSoaFloatPattern(1.0e3, 1.0e-3, 7);
     Rng rng(11);
     std::vector<Transaction> txs;
     txs.reserve(count);
@@ -67,33 +64,23 @@ makeInput(bool random_data, std::size_t count)
     return txs;
 }
 
+/** Keep the compiler from dropping the stores a timed loop makes. */
 void
-BM_RoundTrip(benchmark::State &state, const std::string &spec,
-             bool random_data)
+keepAlive(const void *p)
 {
-    CodecPtr codec = makeCodec(spec);
-    const std::vector<Transaction> input = makeInput(random_data, 256);
-
-    std::size_t i = 0;
-    for (auto _ : state) {
-        const Encoded enc = codec->encode(input[i % input.size()]);
-        const Transaction back = codec->decode(enc);
-        benchmark::DoNotOptimize(back.data());
-        ++i;
-    }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            32);
+    asm volatile("" : : "g"(p) : "memory");
 }
 
 /** Transactions per app in the end-to-end sweep (kept short for CI). */
 constexpr std::size_t sweepTxPerApp = 512;
 
 /**
- * Serial sweeps per run; the fastest is reported. One sweep is ~0.15 s,
- * so a single wall-clock reading swings by more than the 2 % telemetry
- * overhead gate (`ci.sh metrics`) that compares two of them.
+ * Suite sweeps per mode (serial, parallel); the fastest of each is
+ * reported. One sweep is ~0.15 s, so a single wall-clock reading swings
+ * by more than the 2 % telemetry overhead gate (`ci.sh metrics`) that
+ * compares two of them.
  */
-constexpr int serialSweepRuns = 5;
+constexpr int sweepRuns = 5;
 
 struct SweepRun
 {
@@ -104,7 +91,7 @@ struct SweepRun
 
 SweepRun
 runSweep(unsigned threads, const std::vector<std::string> &specs,
-         std::size_t *bytes_out)
+         std::size_t &bytes_out)
 {
     // Rebuild the population each run: equal seeds give bit-identical
     // traces, which is what makes serial-vs-parallel comparable.
@@ -113,8 +100,7 @@ runSweep(unsigned threads, const std::vector<std::string> &specs,
     std::size_t bytes = 0;
     for (const App &app : apps)
         bytes += app.txBytes * sweepTxPerApp * specs.size();
-    if (bytes_out != nullptr)
-        *bytes_out = bytes;
+    bytes_out = bytes;
 
     const auto start = std::chrono::steady_clock::now();
     SweepRun run;
@@ -197,7 +183,7 @@ timeBatchRoundTrips(const std::string &spec,
             batch.append(plane.data() + i * tx_bytes, chunk);
             codec->encodeBatch(batch, enc);
             codec->decodeBatch(enc, decoded);
-            benchmark::DoNotOptimize(decoded.data());
+            keepAlive(decoded.data());
             i += chunk;
         }
         const auto stop = std::chrono::steady_clock::now();
@@ -274,7 +260,7 @@ timeBatchEncode(const std::string &spec,
         for (int pass = 0; pass < simdTimerPasses; ++pass) {
             for (const TxBatch &batch : tiles) {
                 codec->encodeBatch(batch, enc);
-                benchmark::DoNotOptimize(enc.payloadData());
+                keepAlive(enc.payloadData());
             }
         }
         const auto stop = std::chrono::steady_clock::now();
@@ -315,7 +301,7 @@ timeBatchDecode(const std::string &spec,
         for (int pass = 0; pass < simdTimerPasses; ++pass) {
             for (const EncodedBatch &enc : tiles) {
                 codec->decodeBatch(enc, decoded);
-                benchmark::DoNotOptimize(decoded.data());
+                keepAlive(decoded.data());
             }
         }
         const auto stop = std::chrono::steady_clock::now();
@@ -335,7 +321,7 @@ timeBatchDecode(const std::string &spec,
 std::vector<BatchRow>
 runBatchSweep(double *best_out)
 {
-    const std::vector<Transaction> stream = makeInput(false, batchSweepTx);
+    const std::vector<Transaction> stream = makeInput(batchSweepTx);
     std::vector<BatchRow> rows;
     double best = 0.0;
 
@@ -432,7 +418,7 @@ runSimdSweep(SimdGate *gate_out)
 {
     const simd::Level saved = simd::activeLevel();
     const std::vector<simd::Level> levels = simdSweepLevels();
-    const std::vector<Transaction> stream = makeInput(false, simdSweepTx);
+    const std::vector<Transaction> stream = makeInput(simdSweepTx);
     std::vector<SimdRow> rows;
     SimdGate gate;
 
@@ -513,29 +499,39 @@ runSuiteSweep(const std::string &json_path, double batch_min_speedup,
                 "population, %zu tx/app ---\n",
                 specs.size(), sweepTxPerApp);
 
+    // The two modes alternate so drift in the host's load reaches both
+    // alike, and each keeps its fastest run.
     std::size_t bytes = 0;
-    const SweepRun parallel = runSweep(parallel_threads, specs, &bytes);
+    SweepRun parallel;
     SweepRun serial;
+    std::vector<AppResult> first;
     bool identical = true;
-    for (int run = 0; run < serialSweepRuns; ++run) {
-        SweepRun next = runSweep(1, specs, nullptr);
-        identical =
-            identical && identicalResults(next.results, parallel.results);
-        if (run == 0 || next.seconds < serial.seconds)
-            serial = std::move(next);
+    for (int run = 0; run < sweepRuns; ++run) {
+        for (SweepRun *mode : {&parallel, &serial}) {
+            SweepRun next = runSweep(
+                mode == &serial ? 1 : parallel_threads, specs, bytes);
+            if (run == 0 && mode == &parallel)
+                first = next.results;
+            else
+                identical =
+                    identical && identicalResults(next.results, first);
+            if (run == 0 || next.seconds < mode->seconds)
+                *mode = std::move(next);
+        }
     }
     std::printf("serial   (1 thread)  : %6.2f s  %6.3f GB/s  "
                 "(fastest of %d)\n",
-                serial.seconds, serial.gbPerSecond, serialSweepRuns);
-    std::printf("parallel (%u threads): %6.2f s  %6.3f GB/s\n",
-                parallel_threads, parallel.seconds,
-                parallel.gbPerSecond);
+                serial.seconds, serial.gbPerSecond, sweepRuns);
+    std::printf("parallel (%u threads): %6.2f s  %6.3f GB/s  "
+                "(fastest of %d)\n",
+                parallel_threads, parallel.seconds, parallel.gbPerSecond,
+                sweepRuns);
 
     const double speedup = serial.seconds / parallel.seconds;
     std::printf("speedup: %.2fx   BusStats bit-identical: %s\n", speedup,
                 identical ? "yes" : "NO");
     if (!identical)
-        panic("a serial evalSuite run diverged from the parallel run");
+        panic("an evalSuite run diverged from the first run");
 
     double best_batch_speedup = 0.0;
     const std::vector<BatchRow> batch_rows =
@@ -636,57 +632,28 @@ runSuiteSweep(const std::string &json_path, double batch_min_speedup,
 
 } // namespace
 
-BENCHMARK_CAPTURE(BM_RoundTrip, xor4_zdr_patterned, "xor4+zdr", false);
-BENCHMARK_CAPTURE(BM_RoundTrip, xor4_zdr_random, "xor4+zdr", true);
-BENCHMARK_CAPTURE(BM_RoundTrip, universal_zdr_patterned, "universal3+zdr",
-                  false);
-BENCHMARK_CAPTURE(BM_RoundTrip, universal_zdr_random, "universal3+zdr",
-                  true);
-BENCHMARK_CAPTURE(BM_RoundTrip, dbi1_patterned, "dbi1", false);
-BENCHMARK_CAPTURE(BM_RoundTrip, universal_dbi1_patterned,
-                  "universal3+zdr|dbi1", false);
-BENCHMARK_CAPTURE(BM_RoundTrip, bd_patterned, "bd", false);
-
 int
 main(int argc, char **argv)
 {
-    // Strip this bench's own flags before google-benchmark parses the
-    // rest. --sweep-only skips the microbenches (the overhead gate in
-    // `ci.sh metrics` only needs the sweep); --json redirects the sweep
-    // document (default BENCH_codec_throughput.json, unified schema);
-    // --batch-min-speedup F fails the run when the best batch>=512
-    // codec speedup over batch 1 falls below F (the `ci.sh batch` gate);
-    // --simd-min-speedup F fails the run when the best SIMD level's
-    // xor4+zdr encode or decode batch-512 speedup over word falls below
-    // F (skips with a note on hosts without a vector level).
-    bool sweep_only = false;
     std::string json_path = "BENCH_codec_throughput.json";
     double batch_min_speedup = 0.0;
     double simd_min_speedup = 0.0;
-    std::vector<char *> passthrough = {argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--sweep-only") == 0) {
-            sweep_only = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--batch-min-speedup") == 0 &&
-                   i + 1 < argc) {
-            batch_min_speedup = std::strtod(argv[++i], nullptr);
-        } else if (std::strcmp(argv[i], "--simd-min-speedup") == 0 &&
-                   i + 1 < argc) {
-            simd_min_speedup = std::strtod(argv[++i], nullptr);
-        } else {
-            passthrough.push_back(argv[i]);
-        }
-    }
-    int pass_argc = static_cast<int>(passthrough.size());
-
-    benchmark::Initialize(&pass_argc, passthrough.data());
-    if (benchmark::ReportUnrecognizedArguments(pass_argc,
-                                               passthrough.data()))
-        return 1;
-    if (!sweep_only)
-        benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    Cli cli("bench_codec_throughput",
+            "codec and evaluation-engine throughput sweeps");
+    cli.add("--json", "PATH",
+            "write the sweep document to PATH (default "
+            "BENCH_codec_throughput.json)",
+            [&](const std::string &v) { json_path = v; });
+    cli.addReal("--batch-min-speedup", "F",
+                "fail unless the best batch>=512 round trip beats batch 1 "
+                "by F (0 = no gate)",
+                batch_min_speedup);
+    cli.addReal("--simd-min-speedup", "F",
+                "fail unless the best SIMD level's xor4+zdr batch-512 "
+                "encode and decode beat word by F (0 = no gate; skipped "
+                "without a vector level)",
+                simd_min_speedup);
+    if (!cli.parse(argc, argv))
+        return cli.exitCode();
     return runSuiteSweep(json_path, batch_min_speedup, simd_min_speedup);
 }

@@ -45,11 +45,6 @@ evalSuite(std::vector<App> &apps, const std::vector<std::string> &specs,
     const std::size_t n_apps = apps.size();
     const std::size_t n_specs = specs.size();
 
-    // The work is fanned over a pool in two deterministic stages; every
-    // job writes only its own index's slot, so the merged output is
-    // bit-identical to a serial run regardless of thread count.
-    ThreadPool pool(threads);
-
     if (telemetry::metricsEnabled()) {
         telemetry::counter("bxt.suite.evals").add(1);
         telemetry::gauge("bxt.suite.apps").set(
@@ -58,6 +53,10 @@ evalSuite(std::vector<App> &apps, const std::vector<std::string> &specs,
             static_cast<double>(n_specs));
     }
 
+    // The work is fanned out in two deterministic stages; every job
+    // writes only its own index's slot, so the merged output is
+    // bit-identical to a serial run regardless of thread count.
+    //
     // Stage 1: materialize each app's trace (apps own independent
     // seeded pattern state) and fill the per-app metadata once —
     // rawOnes is a property of the *unencoded* trace, not of any spec.
@@ -65,7 +64,7 @@ evalSuite(std::vector<App> &apps, const std::vector<std::string> &specs,
     std::vector<AppResult> results(n_apps);
     {
         telemetry::ScopedSpan span("suite.trace-gen", "suite");
-        pool.run(n_apps, [&](std::size_t a) {
+        parallelFor(n_apps, threads, [&](std::size_t a) {
             traces[a] = generateTrace(apps[a], tx_per_app);
             AppResult &result = results[a];
             result.app = apps[a].name;
@@ -84,7 +83,7 @@ evalSuite(std::vector<App> &apps, const std::vector<std::string> &specs,
     std::vector<BusStats> job_stats(n_apps * n_specs);
     {
         telemetry::ScopedSpan span("suite.sweep", "suite");
-        pool.run(n_apps * n_specs, [&](std::size_t j) {
+        parallelFor(n_apps * n_specs, threads, [&](std::size_t j) {
             const std::size_t a = j / n_specs;
             const std::size_t s = j % n_specs;
             const auto bus_width =

@@ -43,7 +43,7 @@ struct AppResult
  * app (32-bit for 32-byte GPU sectors, 64-bit for 64-byte CPU lines).
  *
  * Execution is batch-parallel: traces are materialized per app, then one
- * (app, spec) job per pair is fanned across a thread pool. Each job owns
+ * (app, spec) job per pair is fanned out with parallelFor. Each job owns
  * its codec and Bus, and results are merged into the per-app slots by
  * index, so the output is bit-identical for any thread count (including
  * a serial run) — parallelism never changes a figure.

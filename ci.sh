@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI driver: tier-1 verify in Release, plus an ASan/UBSan job so the
-# concurrency code (ThreadPool / parallel evalSuite) is sanitizer-checked
-# on every PR, plus a fuzz job that runs the differential verifier
-# (tools/bxt_fuzz) under the sanitizers on a wall-clock budget.
+# CI script: tier-1 verify in Release, plus ASan/UBSan and TSan jobs so
+# the concurrency code (parallelFor / parallel evalSuite) is
+# sanitizer-checked on every change, plus a fuzz job that runs the
+# differential verifier (tools/bxt_fuzz) under the sanitizers on a
+# wall-clock budget.
 #
 # Usage: ./ci.sh [release|asan|tsan|fuzz|batch|metrics|serve|scenario|
 #                 adaptive|all]
@@ -12,13 +13,17 @@
 #            INTERP segment, no NEEDED entry) + an nm check that bxtd
 #            links no iostream/locale symbol and one CRC table (prints
 #            its `size` line) + malformed tool option values (`bxt_fuzz
-#            --iters 10O`, `bxt_loadgen --depth 4x`) must exit 2
-#   asan     ASan/UBSan build + `ctest -L tier1` (oversubscribed pool) +
+#            --iters 10O`, `bxt_loadgen --depth 4x`,
+#            `bench_codec_throughput --batch-min-speedup 1OOO`) must
+#            exit 2
+#   asan     ASan/UBSan build + `ctest -L tier1` (BXT_THREADS=8, more
+#            threads than cores) +
 #            the sanitized bxtd (dynamically linked) answers a Ping and
 #            exits 0 on SIGTERM
-#   tsan     ThreadSanitizer build + telemetry/server-labeled ctest: the
-#            lock-free instrument paths, span rings, and the threaded
-#            server under the race detector
+#   tsan     ThreadSanitizer build + telemetry/server/adaptive/parallel-
+#            labeled ctest: the lock-free instrument paths, span rings,
+#            the threaded server and the parallelFor fan-out under the
+#            race detector
 #   fuzz     ASan/UBSan build + bxt_fuzz campaign + fuzz/golden-labeled
 #            ctest; BXT_FUZZ_SECONDS scales the budget (default 60) and
 #            BXT_FUZZ_FRAMES the wire-frame parser pass (default 100000)
@@ -170,14 +175,17 @@ run_release() {
     expect_bad_value --iters build-ci-release/tools/bxt_fuzz --iters 10O
     expect_bad_value --depth build-ci-release/tools/bxt_loadgen \
         --unix none --depth 4x
+    expect_bad_value --batch-min-speedup \
+        build-ci-release/bench/bench_codec_throughput \
+        --batch-min-speedup 1OOO
 }
 
 run_asan() {
     echo "=== CI job: ASan+UBSan build + tier-1 ctest ==="
     configure_asan
     cmake --build build-ci-asan -j "${jobs}"
-    # Exercise the parallel engine under the sanitizers with an
-    # oversubscribed pool to shake out data races on a small host.
+    # Exercise the parallel engine under the sanitizers with more
+    # threads than a small host has cores.
     BXT_THREADS=8 ctest --test-dir build-ci-asan --output-on-failure \
         -j "${jobs}" -L tier1
     # The sanitized bxtd links dynamically (a -static-pie link with ASan
@@ -192,17 +200,18 @@ run_asan() {
 }
 
 run_tsan() {
-    echo "=== CI job: TSan build + telemetry/server ctest ==="
+    echo "=== CI job: TSan build + telemetry/server/adaptive/parallel ctest ==="
     cmake -B build-ci-tsan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
     cmake --build build-ci-tsan -j "${jobs}" \
-        --target test_telemetry test_server test_adaptive
+        --target test_telemetry test_server test_adaptive test_parallel
     # The span rings, HDR histograms, and snapshot exporter are
     # lock-free; the server tests drive them from real worker threads,
-    # and the adaptive loopback test runs per-stream controllers on them.
+    # the adaptive loopback test runs per-stream controllers on them, and
+    # the parallel tests run the evaluation engine's parallelFor fan-out.
     ctest --test-dir build-ci-tsan --output-on-failure -j "${jobs}" \
-        -L 'telemetry|server|adaptive'
+        -L 'telemetry|server|adaptive|parallel'
 }
 
 run_fuzz() {
@@ -277,7 +286,7 @@ run_batch() {
     else
         echo "no AVX2 on this runner; skipping the SIMD speedup floor"
     fi
-    ./build-ci-release/bench/bench_codec_throughput --sweep-only \
+    ./build-ci-release/bench/bench_codec_throughput \
         --batch-min-speedup "${BXT_BATCH_MIN_SPEEDUP:-1.5}" \
         "${simd_gate[@]}" \
         --json build-ci-release/BENCH_codec_throughput.json
@@ -285,7 +294,7 @@ run_batch() {
     # renders the cross-level speedup tables from any pair of them).
     for level in word avx2 avx512; do
         BXT_SIMD="${level}" \
-            ./build-ci-release/bench/bench_codec_throughput --sweep-only \
+            ./build-ci-release/bench/bench_codec_throughput \
             --json "build-ci-release/BENCH_codec_throughput.${level}.json"
     done
 }
@@ -333,15 +342,15 @@ PY
     local limit="${BXT_METRICS_OVERHEAD_PCT:-2}"
     # Untimed warmup of both binaries so attempt 1 is not measuring cold
     # page caches / frequency ramp.
-    ./build-ci-notelemetry/bench/bench_codec_throughput --sweep-only \
+    ./build-ci-notelemetry/bench/bench_codec_throughput \
         --json "${out}/sweep_baseline.json" > /dev/null
-    ./build-ci-release/bench/bench_codec_throughput --sweep-only \
+    ./build-ci-release/bench/bench_codec_throughput \
         --json "${out}/sweep_off.json" > /dev/null
     local attempt
     for attempt in 1 2 3; do
-        ./build-ci-notelemetry/bench/bench_codec_throughput --sweep-only \
+        ./build-ci-notelemetry/bench/bench_codec_throughput \
             --json "${out}/sweep_baseline.json" > /dev/null
-        ./build-ci-release/bench/bench_codec_throughput --sweep-only \
+        ./build-ci-release/bench/bench_codec_throughput \
             --json "${out}/sweep_off.json" > /dev/null
         if ./build-ci-release/tools/bxt_report \
             --assert-overhead "${limit}" \

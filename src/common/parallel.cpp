@@ -4,247 +4,66 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <thread>
+#include <vector>
 
-#include "telemetry/metrics.h"
-#include "telemetry/trace.h"
+#include "common/cli.h"
 
 namespace bxt {
-
-namespace {
-
-/**
- * Pool instruments (DESIGN.md §9). Registered lazily on first enabled
- * dispatch; the references are cached for the process lifetime so the
- * hot path never takes the registry lock.
- */
-/**
- * Process-wide pool instruments, pinned to the default registry: the
- * lazy singleton binds on the first dispatch, which must not capture a
- * caller's thread-scoped registry.
- */
-struct PoolMetrics
-{
-    telemetry::Registry &reg = telemetry::defaultRegistry();
-    telemetry::Counter &jobs = reg.counter("bxt.pool.jobs");
-    telemetry::Counter &indices = reg.counter("bxt.pool.indices");
-    telemetry::Counter &chunksClaimed =
-        reg.counter("bxt.pool.chunks_claimed");
-    telemetry::Gauge &threads = reg.gauge("bxt.pool.threads");
-    telemetry::Gauge &queueDepth = reg.gauge("bxt.pool.queue_depth");
-    /** Per-chunk body latency, microseconds. */
-    telemetry::Histo &taskUs = reg.histogram("bxt.pool.task_us");
-    /** Whole-dispatch latency, microseconds. */
-    telemetry::Histo &jobUs = reg.histogram("bxt.pool.job_us");
-};
-
-PoolMetrics &
-poolMetrics()
-{
-    static PoolMetrics *metrics = new PoolMetrics();
-    return *metrics;
-}
-
-} // namespace
-
-unsigned
-parseThreadCount(const char *text)
-{
-    if (text == nullptr || *text == '\0')
-        return 0;
-    unsigned long value = 0;
-    for (const char *p = text; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return 0;
-        value = value * 10 + static_cast<unsigned long>(*p - '0');
-        if (value > maxThreads)
-            return 0;
-    }
-    return static_cast<unsigned>(value);
-}
 
 unsigned
 defaultThreadCount()
 {
-    if (const unsigned env = parseThreadCount(std::getenv("BXT_THREADS")))
-        return env;
+    long long env = 0;
+    const char *text = std::getenv("BXT_THREADS");
+    if (text != nullptr && parseDecimal(text, 1, maxThreads, env))
+        return static_cast<unsigned>(env);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }
 
-/**
- * One parallelFor dispatch. Indices are handed out in contiguous chunks
- * from `next`; a worker is "active" between grabbing the job pointer and
- * leaving drain(), and run() only returns once no worker is active and
- * every index has been handed out, so the stack-allocated Job can never
- * be touched after run() returns.
- */
-struct ThreadPool::Job
-{
-    std::atomic<std::size_t> next{0};
-    std::size_t count = 0;
-    std::size_t chunk = 1;
-    const std::function<void(std::size_t)> *body = nullptr;
-    std::atomic<unsigned> active{0};
-    std::atomic<bool> failed{false};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-};
-
-ThreadPool::ThreadPool(unsigned threads)
+void
+parallelFor(std::size_t count, unsigned threads,
+            const std::function<void(std::size_t)> &body)
 {
     if (threads == 0)
         threads = defaultThreadCount();
-    threads = std::min(threads, maxThreads);
-    workers_.reserve(threads - 1);
-    for (unsigned t = 1; t < threads; ++t)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
+    threads = static_cast<unsigned>(
+        std::min<std::size_t>({threads, maxThreads, count}));
+    if (threads <= 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            body(i);
+        return;
     }
-    wake_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-}
 
-void
-ThreadPool::drain(Job &job)
-{
-    // One span per worker per job; chunk latencies feed the histogram.
-    telemetry::ScopedSpan span("pool.drain", "pool");
-    const bool metrics_on = telemetry::metricsEnabled();
-    for (;;) {
-        const std::size_t begin =
-            job.next.fetch_add(job.chunk, std::memory_order_relaxed);
-        if (begin >= job.count)
-            break;
-        if (job.failed.load(std::memory_order_relaxed))
-            continue; // Keep handing out indices so the loop terminates.
-        const std::size_t end = std::min(begin + job.chunk, job.count);
-        const std::uint64_t chunk_start =
-            metrics_on ? telemetry::nowMicros() : 0;
-        for (std::size_t i = begin; i < end; ++i) {
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::exception_ptr error; // Written once, by the first thrower.
+    const auto work = [&] {
+        while (!failed.load(std::memory_order_relaxed)) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count)
+                return;
             try {
-                (*job.body)(i);
+                body(i);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(job.error_mutex);
-                if (!job.error)
-                    job.error = std::current_exception();
-                job.failed.store(true, std::memory_order_relaxed);
-                break;
+                if (!failed.exchange(true))
+                    error = std::current_exception();
             }
         }
-        if (metrics_on) {
-            PoolMetrics &pm = poolMetrics();
-            pm.chunksClaimed.add(1);
-            pm.taskUs.add(static_cast<double>(telemetry::nowMicros() -
-                                              chunk_start));
-        }
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_)
-            return;
-        seen = generation_;
-        Job *job = job_;
-        if (job == nullptr)
-            continue;
-        job->active.fetch_add(1, std::memory_order_relaxed);
-        lock.unlock();
-        drain(*job);
-        lock.lock();
-        if (job->active.fetch_sub(1, std::memory_order_relaxed) == 1)
-            done_.notify_all();
-    }
-}
-
-void
-ThreadPool::run(std::size_t count,
-                const std::function<void(std::size_t)> &body)
-{
-    if (count == 0)
-        return;
-
-    telemetry::ScopedSpan run_span("pool.run", "pool");
-    const bool metrics_on = telemetry::metricsEnabled();
-    const std::uint64_t run_start =
-        metrics_on ? telemetry::nowMicros() : 0;
-    if (metrics_on) {
-        PoolMetrics &pm = poolMetrics();
-        pm.jobs.add(1);
-        pm.indices.add(count);
-        pm.threads.set(threadCount());
-        // Pending work at dispatch — the closest analogue of a queue
-        // depth for a chunked index pool.
-        pm.queueDepth.set(static_cast<double>(count));
-    }
-
-    if (workers_.empty()) {
-        for (std::size_t i = 0; i < count; ++i)
-            body(i); // Serial pool: propagate exceptions directly.
-        if (metrics_on) {
-            poolMetrics().jobUs.add(static_cast<double>(
-                telemetry::nowMicros() - run_start));
-        }
-        return;
-    }
-
-    Job job;
-    job.count = count;
-    job.body = &body;
-    // Chunks small enough to balance, large enough to amortize the
-    // atomic fetch; determinism is unaffected (results go to slot i).
-    job.chunk = std::max<std::size_t>(1, count / (threadCount() * 4u));
-
+    };
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job_ = &job;
-        ++generation_;
+        // jthreads join on every exit from this scope, including a
+        // failed thread start, so no joinable thread is left behind.
+        std::vector<std::jthread> workers;
+        workers.reserve(threads - 1);
+        for (unsigned t = 1; t < threads; ++t)
+            workers.emplace_back(work);
+        work(); // The calling thread is a worker too.
     }
-    wake_.notify_all();
-
-    drain(job); // The calling thread is a worker too.
-
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_.wait(lock, [&] {
-            return job.active.load(std::memory_order_relaxed) == 0;
-        });
-        job_ = nullptr;
-    }
-
-    if (metrics_on) {
-        poolMetrics().jobUs.add(
-            static_cast<double>(telemetry::nowMicros() - run_start));
-    }
-
-    if (job.error)
-        std::rethrow_exception(job.error);
-}
-
-ThreadPool &
-globalThreadPool()
-{
-    static ThreadPool pool;
-    return pool;
-}
-
-void
-parallelFor(std::size_t count,
-            const std::function<void(std::size_t)> &body)
-{
-    globalThreadPool().run(count, body);
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace bxt

@@ -1,118 +1,44 @@
 /**
  * @file
- * Minimal data-parallel execution support for the evaluation engine: a
- * fixed-size, work-stealing-free ThreadPool plus a chunked parallelFor.
+ * Data-parallel fan-out for the evaluation engine: one parallelFor that
+ * starts its workers for the call and joins them before it returns.
  *
- * Design constraints (bench/suite_eval.cpp is the primary customer):
- *  - Determinism: parallelFor only distributes *indices*; callers write
- *    results into per-index slots, so output is bit-identical regardless
- *    of thread count or scheduling order.
- *  - No work stealing, no task graph: one job at a time, indices handed
- *    out from a single atomic counter in contiguous chunks. This is all
- *    the suite sweep needs and keeps the concurrency surface auditable.
- *  - The calling thread participates in the loop, so a pool of N threads
- *    applies N+1 workers and `ThreadPool(0)` degrades to a serial loop.
+ * Determinism: parallelFor only distributes *indices*; callers write
+ * results into per-index slots, so output is bit-identical regardless of
+ * thread count or scheduling order (bench/suite_eval.cpp relies on it).
  */
 
 #ifndef BXT_COMMON_PARALLEL_H
 #define BXT_COMMON_PARALLEL_H
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace bxt {
-
-/**
- * Number of worker threads to use by default: the `BXT_THREADS`
- * environment variable when set to a positive integer (clamped to
- * maxThreads), otherwise std::thread::hardware_concurrency(), with a
- * floor of 1.
- */
-unsigned defaultThreadCount();
-
-/**
- * Parse a BXT_THREADS-style override. Returns 0 when @p text is null,
- * empty, non-numeric, zero, or out of range — callers fall back to the
- * hardware count. Exposed for testing.
- */
-unsigned parseThreadCount(const char *text);
 
 /** Upper bound on accepted thread counts (sanity clamp for overrides). */
 constexpr unsigned maxThreads = 256;
 
 /**
- * A fixed pool of worker threads executing one parallelFor at a time.
- *
- * The pool is intentionally minimal: run() is the only dispatch
- * primitive, and it blocks the caller until every index has been
- * processed. Exceptions thrown by the body are captured; the first one
- * is rethrown on the calling thread after the loop drains.
+ * Number of threads to use by default: the `BXT_THREADS` environment
+ * variable when it is a whole decimal number in 1..maxThreads, otherwise
+ * std::thread::hardware_concurrency(), with a floor of 1.
  */
-class ThreadPool
-{
-  public:
-    /**
-     * @param threads Total worker count this pool represents, including
-     *        the calling thread: the pool spawns `threads - 1` helper
-     *        threads. 0 means defaultThreadCount(). A count of 1 spawns
-     *        nothing and run() executes inline.
-     */
-    explicit ThreadPool(unsigned threads = 0);
-
-    /** Joins all helper threads. Must not be called during run(). */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Total worker count (helper threads + the calling thread). */
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(workers_.size()) + 1;
-    }
-
-    /**
-     * Invoke `body(i)` for every i in [0, count), distributing indices
-     * across the pool in contiguous chunks. Blocks until all indices
-     * completed. The body must be safe to call concurrently for distinct
-     * indices; result ordering is the caller's job (write by index).
-     */
-    void run(std::size_t count,
-             const std::function<void(std::size_t)> &body);
-
-  private:
-    struct Job;
-
-    void workerLoop();
-    static void drain(Job &job);
-
-    std::vector<std::thread> workers_;
-    std::mutex mutex_;
-    std::condition_variable wake_;   ///< Workers wait for a job here.
-    std::condition_variable done_;   ///< run() waits for completion here.
-    Job *job_ = nullptr;             ///< Currently dispatched job.
-    std::uint64_t generation_ = 0;   ///< Bumped per job; wakes workers.
-    bool stop_ = false;
-};
+unsigned defaultThreadCount();
 
 /**
- * Run `body(i)` for every i in [0, count) on a process-wide shared pool
- * sized by defaultThreadCount() (so `BXT_THREADS=1` forces every
- * parallelFor in the process to run serially). The shared pool is
- * created on first use and lives for the process lifetime.
+ * Invoke `body(i)` for every i in [0, count) on @p threads threads (0
+ * means defaultThreadCount(); clamped to maxThreads and to @p count).
+ * The calling thread is one of them, and the other `threads - 1` are
+ * started for this call and joined before it returns; with one thread
+ * the loop runs inline. Indices come from one atomic counter, so the
+ * body must be safe to call concurrently for distinct indices.
  *
- * Not reentrant: do not call parallelFor from inside a parallelFor body.
+ * Once a body throws, no further index starts; the first exception is
+ * rethrown after every worker has joined.
  */
-void parallelFor(std::size_t count,
+void parallelFor(std::size_t count, unsigned threads,
                  const std::function<void(std::size_t)> &body);
-
-/** The process-wide pool used by the free parallelFor(). */
-ThreadPool &globalThreadPool();
 
 } // namespace bxt
 

@@ -7,8 +7,8 @@
  *     "schema": 2,
  *     "enabled": true,
  *     "counters":   {"bxt.bus.data_ones": 123, ...},
- *     "gauges":     {"bxt.pool.threads": 8, ...},
- *     "histograms": {"bxt.pool.task_us":
+ *     "gauges":     {"bxt.suite.apps": 187, ...},
+ *     "histograms": {"bxt.server.request_us":
  *                      {"kind": "hdr", "sub_bucket_bits": 5,
  *                       "total": 42, "sum": 99, "mean": 2.37,
  *                       "min": 1, "max": 17,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the ThreadPool / parallelFor primitives and the
+ * Unit tests for the parallelFor fan-out, BXT_THREADS resolution and the
  * determinism guarantee of the batch-parallel suite evaluation engine:
  * a parallel evalSuite run must be bit-identical to a 1-thread run.
  */
@@ -9,8 +9,9 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -20,99 +21,107 @@
 namespace bxt {
 namespace {
 
-TEST(ParseThreadCount, AcceptsPositiveIntegers)
+/**
+ * defaultThreadCount() with BXT_THREADS set to @p value, or unset when
+ * @p value is null; the caller's BXT_THREADS is restored afterwards.
+ */
+unsigned
+threadCountWithEnv(const char *value)
 {
-    EXPECT_EQ(parseThreadCount("1"), 1u);
-    EXPECT_EQ(parseThreadCount("8"), 8u);
-    EXPECT_EQ(parseThreadCount("256"), 256u);
+    const char *saved = std::getenv("BXT_THREADS");
+    const std::string restore = saved != nullptr ? saved : "";
+    if (value != nullptr)
+        ::setenv("BXT_THREADS", value, 1);
+    else
+        ::unsetenv("BXT_THREADS");
+    const unsigned threads = defaultThreadCount();
+    if (saved != nullptr)
+        ::setenv("BXT_THREADS", restore.c_str(), 1);
+    else
+        ::unsetenv("BXT_THREADS");
+    return threads;
 }
 
-TEST(ParseThreadCount, RejectsGarbageZeroAndOutOfRange)
+TEST(ParseThreadCount, AcceptsPositiveIntegers)
 {
-    EXPECT_EQ(parseThreadCount(nullptr), 0u);
-    EXPECT_EQ(parseThreadCount(""), 0u);
-    EXPECT_EQ(parseThreadCount("0"), 0u);
-    EXPECT_EQ(parseThreadCount("-4"), 0u);
-    EXPECT_EQ(parseThreadCount("4x"), 0u);
-    EXPECT_EQ(parseThreadCount("257"), 0u);
-    EXPECT_EQ(parseThreadCount("999999999999"), 0u);
+    EXPECT_EQ(threadCountWithEnv("1"), 1u);
+    EXPECT_EQ(threadCountWithEnv("8"), 8u);
+    EXPECT_EQ(threadCountWithEnv("256"), 256u);
 }
 
 TEST(DefaultThreadCount, HonorsEnvironmentOverride)
 {
-    ::setenv("BXT_THREADS", "3", 1);
-    EXPECT_EQ(defaultThreadCount(), 3u);
-    ::setenv("BXT_THREADS", "not-a-number", 1);
-    EXPECT_GE(defaultThreadCount(), 1u); // Falls back to hardware count.
-    ::unsetenv("BXT_THREADS");
-    EXPECT_GE(defaultThreadCount(), 1u);
+    EXPECT_EQ(threadCountWithEnv("3"), 3u);
+    EXPECT_GE(threadCountWithEnv(nullptr), 1u);
+}
+
+TEST(DefaultThreadCount, FallsBackToHardwareOnGarbageZeroAndOutOfRange)
+{
+    const unsigned hw = threadCountWithEnv(nullptr);
+    for (const char *bad : {"4x", "0", "-4", "257", "", "not-a-number",
+                            "999999999999"})
+        EXPECT_EQ(threadCountWithEnv(bad), hw) << "BXT_THREADS=" << bad;
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce)
 {
     for (unsigned threads : {1u, 2u, 4u, 7u}) {
-        ThreadPool pool(threads);
-        EXPECT_EQ(pool.threadCount(), threads);
-
-        constexpr std::size_t count = 10007;
-        std::vector<std::atomic<int>> hits(count);
-        pool.run(count, [&](std::size_t i) {
-            hits[i].fetch_add(1, std::memory_order_relaxed);
-        });
-        for (std::size_t i = 0; i < count; ++i)
-            ASSERT_EQ(hits[i].load(), 1) << "index " << i << " threads "
-                                         << threads;
+        for (std::size_t count : {0u, 1u, 2u, 3u, 10007u}) {
+            std::vector<std::atomic<int>> hits(count);
+            parallelFor(count, threads, [&](std::size_t i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+            });
+            for (std::size_t i = 0; i < count; ++i)
+                ASSERT_EQ(hits[i].load(), 1)
+                    << "index " << i << " of " << count << ", threads "
+                    << threads;
+        }
     }
 }
 
 TEST(ThreadPool, HandlesZeroAndTinyCounts)
 {
-    ThreadPool pool(4);
     std::atomic<int> calls{0};
-    pool.run(0, [&](std::size_t) { calls.fetch_add(1); });
+    parallelFor(0, 4, [&](std::size_t) { calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 0);
-    pool.run(1, [&](std::size_t) { calls.fetch_add(1); });
+    parallelFor(1, 4, [&](std::size_t) { calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 1);
-    pool.run(2, [&](std::size_t) { calls.fetch_add(1); });
+    parallelFor(2, 4, [&](std::size_t) { calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 3);
+    parallelFor(5, 0, [&](std::size_t) { calls.fetch_add(1); });
+    EXPECT_EQ(calls.load(), 8);
 }
 
-TEST(ThreadPool, IsReusableAcrossJobs)
+TEST(ParallelFor, OneThreadRunsEveryBodyOnTheCallingThread)
 {
-    ThreadPool pool(3);
-    std::atomic<std::uint64_t> sum{0};
-    for (int round = 0; round < 20; ++round) {
-        pool.run(100, [&](std::size_t i) {
-            sum.fetch_add(i, std::memory_order_relaxed);
-        });
-    }
-    EXPECT_EQ(sum.load(), 20ull * (99ull * 100ull / 2ull));
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(64);
+    parallelFor(ran_on.size(), 1,
+                [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    for (const std::thread::id id : ran_on)
+        EXPECT_EQ(id, caller);
 }
 
 TEST(ThreadPool, PropagatesTheFirstException)
 {
     for (unsigned threads : {1u, 4u}) {
-        ThreadPool pool(threads);
-        EXPECT_THROW(pool.run(64,
-                              [&](std::size_t i) {
-                                  if (i == 13)
-                                      throw std::runtime_error("boom");
-                              }),
+        std::atomic<int> started{0};
+        EXPECT_THROW(parallelFor(64, threads,
+                                 [&](std::size_t i) {
+                                     started.fetch_add(1);
+                                     if (i == 13)
+                                         throw std::runtime_error("boom");
+                                 }),
                      std::runtime_error);
-        // The pool must stay usable after a failed job.
+        if (threads == 1)
+            EXPECT_EQ(started.load(), 14); // No index starts after 13.
+        else
+            EXPECT_GE(started.load(), 14);
+        // A later call runs normally after a failed one.
         std::atomic<int> calls{0};
-        pool.run(8, [&](std::size_t) { calls.fetch_add(1); });
+        parallelFor(8, threads, [&](std::size_t) { calls.fetch_add(1); });
         EXPECT_EQ(calls.load(), 8);
     }
-}
-
-TEST(ParallelFor, GlobalPoolCoversAllIndices)
-{
-    constexpr std::size_t count = 4096;
-    std::vector<int> hits(count, 0);
-    parallelFor(count, [&](std::size_t i) { hits[i] += 1; });
-    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
-              static_cast<int>(count));
 }
 
 /** Small app sample spanning both suites (GPU 32 B and CPU 64 B). */

@@ -203,8 +203,7 @@ TEST_F(TelemetryTest, CountersExactUnderContention)
     constexpr std::size_t iterations = 20000;
     tm::Counter &counter = tm::counter("bxt.test.contended");
     tm::Histo &histo = tm::histogram("bxt.test.contended_histo");
-    ThreadPool pool(4);
-    pool.run(iterations, [&](std::size_t i) {
+    parallelFor(iterations, 4, [&](std::size_t i) {
         counter.add(1);
         histo.add(static_cast<double>(i));
     });
@@ -214,15 +213,6 @@ TEST_F(TelemetryTest, CountersExactUnderContention)
     for (std::size_t b = 0; b < histo.buckets(); ++b)
         bucket_sum += histo.bucketCount(b);
     EXPECT_EQ(bucket_sum, iterations);
-}
-
-TEST_F(TelemetryTest, PoolMetricsRecorded)
-{
-    ThreadPool pool(2);
-    pool.run(100, [](std::size_t) {});
-    EXPECT_GE(tm::counter("bxt.pool.jobs").value(), 1u);
-    EXPECT_GE(tm::counter("bxt.pool.indices").value(), 100u);
-    EXPECT_EQ(tm::gauge("bxt.pool.threads").value(), 2.0);
 }
 
 TEST_F(TelemetryTest, SnapshotRoundTripsThroughParser)
