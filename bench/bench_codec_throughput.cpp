@@ -391,19 +391,14 @@ struct SimdGate
 /**
  * Dispatch levels the SIMD sweep visits. A forced BXT_SIMD pins the
  * sweep to the single level it resolved to; otherwise every supported
- * level from word upward (scalar is a correctness reference, not a
- * throughput contender).
+ * level.
  */
 std::vector<simd::Level>
 simdSweepLevels()
 {
     if (simd::envForcedLevel().has_value())
         return {simd::activeLevel()};
-    std::vector<simd::Level> levels;
-    for (simd::Level level : simd::supportedLevels())
-        if (level != simd::Level::Scalar)
-            levels.push_back(level);
-    return levels;
+    return simd::supportedLevels();
 }
 
 /**

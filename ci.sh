@@ -27,8 +27,8 @@
 #   fuzz     ASan/UBSan build + bxt_fuzz campaign + fuzz/golden-labeled
 #            ctest; BXT_FUZZ_SECONDS scales the budget (default 60) and
 #            BXT_FUZZ_FRAMES the wire-frame parser pass (default 100000)
-#   batch    Release build + batch/simd-labeled ctest (batch kernels vs
-#            the reference codecs, SIMD tables vs the scalar table, the
+#   batch    Release build + batch/simd-labeled ctest (batch kernels and
+#            every level's SIMD tables vs the reference codecs, the
 #            Base+XOR/Universal/pipeline codec suites, the wire CRC32 at
 #            every level vs a bitwise reference, the allocation-free
 #            in-place reply path with its metadata packing) + a check
@@ -36,7 +36,7 @@
 #            symbol but the shared crc32Tables data (kernel_common.h's
 #            functions have internal linkage) + an
 #            ASan/UBSan pass of the same tests forced through every
-#            dispatch level (BXT_SIMD=scalar/word/avx2/avx512) + the
+#            dispatch level (BXT_SIMD=word/avx2/avx512) + the
 #            bench_codec_throughput sweep with its speedup gates
 #            (BXT_BATCH_MIN_SPEEDUP, default 1.5, best batch >= 512
 #            over batch 1; BXT_SIMD_MIN_SPEEDUP, default 2.0, best SIMD
@@ -266,7 +266,7 @@ run_batch() {
         --target test_batch test_simd test_checksum test_base_xor \
         test_universal test_pipeline test_server_allocs
     local level
-    for level in scalar word avx2 avx512; do
+    for level in word avx2 avx512; do
         echo "--- batch/simd ctest (ASan, BXT_SIMD=${level}) ---"
         BXT_SIMD="${level}" ctest --test-dir build-ci-asan \
             --output-on-failure -j "${jobs}" -L 'batch|simd'

@@ -4,9 +4,8 @@
  * check frames on the bxtd wire protocol. crc32Update runs the
  * `crc32Update` primitive of the active SIMD kernel table
  * (core/simd/simd.h): a 4x512-bit VPCLMULQDQ fold on Avx512, a 4x128-bit
- * PCLMULQDQ fold on Avx2, slicing-by-8 on Word, the bytewise table loop
- * on Scalar. Every level gives
- * the standard CRC-32 for every input and every split into updates.
+ * PCLMULQDQ fold on Avx2, slicing-by-8 on Word. Every level gives the
+ * standard CRC-32 for every input and every split into updates.
  *
  * crc32Update is defined in bxt_core (core/checksum.cpp), next to the
  * dispatcher, so this library carries no CPU detection of its own.

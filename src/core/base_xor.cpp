@@ -24,8 +24,8 @@ fixedBaseRemap(std::uint8_t *plane, std::size_t count, std::size_t tx_bytes,
     for (std::size_t i = 0; i < count; ++i) {
         std::uint8_t *tx = plane + i * tx_bytes;
         for (std::size_t off = base_size; off < tx_bytes; off += base_size)
-            simd::detail::WordLanes::remap(tx + off, tx + off, tx,
-                                           base_size, lane, encode);
+            simd::detail::remapWordLanes(tx + off, tx + off, tx, base_size,
+                                         lane, encode);
     }
 }
 
@@ -99,9 +99,9 @@ BaseXorCodec::encodeBatchKernel(const TxView &in, std::uint8_t *payload,
     else if (base_size_ == 8)
         ops.zdrEncode64(dst + base_size_, src + base_size_, src, shifted);
     else
-        simd::detail::WordLanes::remap(dst + base_size_, src + base_size_,
-                                       src, shifted, base_size_,
-                                       /*encode=*/true);
+        simd::detail::remapWordLanes(dst + base_size_, src + base_size_,
+                                     src, shifted, base_size_,
+                                     /*encode=*/true);
     // Fixed-width word copies: a variable-length memcpy per transaction
     // would cost a libc call for every 32-byte row.
     if (base_size_ == 2) {

@@ -90,8 +90,6 @@ const KernelTable *
 tableFor(Level level)
 {
     switch (level) {
-    case Level::Scalar:
-        return &scalarTable();
     case Level::Word:
         return &wordTable();
     case Level::Avx2:
@@ -103,14 +101,13 @@ tableFor(Level level)
 }
 
 /** Every level, lowest rank first. */
-constexpr Level allLevels[] = {Level::Scalar, Level::Word, Level::Avx2,
-                               Level::Avx512};
+constexpr Level allLevels[] = {Level::Word, Level::Avx2, Level::Avx512};
 
 /** The best supported level ranked at or below @p level. */
 Level
 clampToSupported(Level level)
 {
-    Level best = Level::Scalar;
+    Level best = Level::Word;
     for (Level candidate : allLevels)
         if (static_cast<int>(candidate) <= static_cast<int>(level) &&
             tableFor(candidate) != nullptr)
@@ -177,8 +174,12 @@ ops()
 {
     const KernelTable *table =
         detail::active_table.load(std::memory_order_acquire);
-    if (table == nullptr)
-        table = detail::initialize();
+    if (table == nullptr) {
+        // Resolve BXT_SIMD once, however many threads make the first
+        // call together: each would print the warning.
+        static const KernelTable *const initial = detail::initialize();
+        table = initial;
+    }
     return *table;
 }
 
@@ -224,8 +225,6 @@ const char *
 levelName(Level level)
 {
     switch (level) {
-    case Level::Scalar:
-        return "scalar";
     case Level::Word:
         return "word";
     case Level::Avx2:
@@ -261,9 +260,9 @@ resolveRequestedLevel(const char *value, std::string *warning)
         if (warning != nullptr)
             *warning = std::string("BXT_SIMD=") + value +
                        " is not a recognized level "
-                       "(scalar/word/avx2/avx512); "
-                       "falling back to scalar";
-        return Level::Scalar;
+                       "(word/avx2/avx512); "
+                       "falling back to word";
+        return Level::Word;
     }
     const Level level = detail::clampToSupported(*requested);
     if (level != *requested && warning != nullptr)

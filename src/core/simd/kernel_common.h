@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared scalar/word building blocks for the SIMD kernel tiers.
+ * Shared word-width building blocks for the SIMD kernel tiers.
  *
  * Every vector translation unit falls back to these for range tails
  * (the final bytes that do not fill a vector register) and installs
@@ -308,51 +308,49 @@ unpackRows(std::uint8_t *bits, const std::uint8_t *packed,
 }
 
 /**
- * Word-width lane remaps for the shape-generic codec-level kernels
- * below: @p lane is the ZDR lane width in bytes (2/4/8/16), or 0 for
- * plain XOR. @p out may alias @p in but not @p base.
+ * Word-width lane remap of @p n bytes, the step the codec-level kernels
+ * below are built from: @p lane is the ZDR lane width in bytes
+ * (2/4/8/16), or 0 for plain XOR. @p out may alias @p in but not
+ * @p base.
  */
-struct WordLanes
+inline void
+remapWordLanes(std::uint8_t *out, const std::uint8_t *in,
+               const std::uint8_t *base, std::size_t n, std::size_t lane,
+               bool encode)
 {
-    static void remap(std::uint8_t *out, const std::uint8_t *in,
-                      const std::uint8_t *base, std::size_t n,
-                      std::size_t lane, bool encode)
-    {
-        switch (lane) {
-        case 0:
-            xorWordRange(out, in, base, n);
-            return;
-        case 2:
-            (encode ? zdrEncode16WordRange : zdrDecode16WordRange)(
-                out, in, base, n);
-            return;
-        case 4:
-            (encode ? zdrEncode32WordRange : zdrDecode32WordRange)(
-                out, in, base, n);
-            return;
-        case 8:
-            (encode ? zdrEncode64WordRange : zdrDecode64WordRange)(
-                out, in, base, n);
-            return;
-        default:
-            for (std::size_t off = 0; off < n; off += lane)
-                (encode ? zdrLaneEncode : zdrLaneDecode)(
-                    out + off, in + off, base + off, lane);
-        }
+    switch (lane) {
+    case 0:
+        xorWordRange(out, in, base, n);
+        return;
+    case 2:
+        (encode ? zdrEncode16WordRange : zdrDecode16WordRange)(out, in,
+                                                               base, n);
+        return;
+    case 4:
+        (encode ? zdrEncode32WordRange : zdrDecode32WordRange)(out, in,
+                                                               base, n);
+        return;
+    case 8:
+        (encode ? zdrEncode64WordRange : zdrDecode64WordRange)(out, in,
+                                                               base, n);
+        return;
+    default:
+        for (std::size_t off = 0; off < n; off += lane)
+            (encode ? zdrLaneEncode : zdrLaneDecode)(out + off, in + off,
+                                                     base + off, lane);
     }
-};
+}
 
 /**
  * Universal fold (@p encode) or unfold of any geometry, one transaction
- * and one stage at a time over Lanes::remap. The stage-by-stage form of
- * KernelTable::universalFold; the vector levels reach it for the shapes
- * they do not hold in registers.
+ * and one stage at a time over remapWordLanes. The stage-by-stage form
+ * of KernelTable::universalFold; the vector levels reach it for the
+ * shapes they do not hold in registers.
  */
-template <typename Lanes>
-void
-universalFoldGeneric(std::uint8_t *out, const std::uint8_t *in,
-                     std::size_t count, std::size_t tx_bytes,
-                     unsigned stages, std::size_t zdr_lane, bool encode)
+inline void
+universalFoldStages(std::uint8_t *out, const std::uint8_t *in,
+                    std::size_t count, std::size_t tx_bytes,
+                    unsigned stages, std::size_t zdr_lane, bool encode)
 {
     if (count == 0)
         return;
@@ -368,19 +366,36 @@ universalFoldGeneric(std::uint8_t *out, const std::uint8_t *in,
             const std::size_t half = tx_bytes >> (s + 1);
             const std::size_t lane =
                 zdr_lane == 0 ? 0 : std::min(zdr_lane, half);
-            Lanes::remap(slice + half, slice + half, slice, half, lane,
-                         encode);
+            remapWordLanes(slice + half, slice + half, slice, half, lane,
+                           encode);
         }
     }
 }
 
+inline void
+universalFoldWord(std::uint8_t *out, const std::uint8_t *in,
+                  std::size_t count, std::size_t tx_bytes, unsigned stages,
+                  std::size_t zdr_lane)
+{
+    universalFoldStages(out, in, count, tx_bytes, stages, zdr_lane,
+                        /*encode=*/true);
+}
+
+inline void
+universalUnfoldWord(std::uint8_t *out, const std::uint8_t *in,
+                    std::size_t count, std::size_t tx_bytes,
+                    unsigned stages, std::size_t zdr_lane)
+{
+    universalFoldStages(out, in, count, tx_bytes, stages, zdr_lane,
+                        /*encode=*/false);
+}
+
 /** Adjacent-base Base+XOR decode, one element at a time per
  *  transaction (the serial form of KernelTable::baseXorDecode). */
-template <typename Lanes>
-void
-baseXorDecodeGeneric(std::uint8_t *out, const std::uint8_t *in,
-                     std::size_t count, std::size_t tx_bytes,
-                     std::size_t base_bytes, bool zdr)
+inline void
+baseXorDecodeWord(std::uint8_t *out, const std::uint8_t *in,
+                  std::size_t count, std::size_t tx_bytes,
+                  std::size_t base_bytes, bool zdr)
 {
     if (count == 0)
         return;
@@ -390,36 +405,9 @@ baseXorDecodeGeneric(std::uint8_t *out, const std::uint8_t *in,
     for (std::size_t i = 0; i < count; ++i) {
         std::uint8_t *tx = out + i * tx_bytes;
         for (std::size_t off = base_bytes; off < tx_bytes; off += base_bytes)
-            Lanes::remap(tx + off, tx + off, tx + off - base_bytes,
-                         base_bytes, lane, /*encode=*/false);
+            remapWordLanes(tx + off, tx + off, tx + off - base_bytes,
+                           base_bytes, lane, /*encode=*/false);
     }
-}
-
-inline void
-universalFoldWord(std::uint8_t *out, const std::uint8_t *in,
-                  std::size_t count, std::size_t tx_bytes, unsigned stages,
-                  std::size_t zdr_lane)
-{
-    universalFoldGeneric<WordLanes>(out, in, count, tx_bytes, stages,
-                                    zdr_lane, /*encode=*/true);
-}
-
-inline void
-universalUnfoldWord(std::uint8_t *out, const std::uint8_t *in,
-                    std::size_t count, std::size_t tx_bytes,
-                    unsigned stages, std::size_t zdr_lane)
-{
-    universalFoldGeneric<WordLanes>(out, in, count, tx_bytes, stages,
-                                    zdr_lane, /*encode=*/false);
-}
-
-inline void
-baseXorDecodeWord(std::uint8_t *out, const std::uint8_t *in,
-                  std::size_t count, std::size_t tx_bytes,
-                  std::size_t base_bytes, bool zdr)
-{
-    baseXorDecodeGeneric<WordLanes>(out, in, count, tx_bytes, base_bytes,
-                                    zdr);
 }
 
 /**

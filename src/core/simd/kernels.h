@@ -2,11 +2,14 @@
  * @file
  * Internal: per-tier kernel table accessors for the dispatcher.
  *
- * The vector translation units are always part of the build; when the
- * toolchain or target architecture cannot produce a tier (no -mavx2
- * support, non-x86 target), the TU compiles to a stub whose accessor
- * returns nullptr. The dispatcher combines these link-time nulls with
- * runtime CPUID checks to decide what is actually installable.
+ * The Word table is always available and is the floor of the dispatch
+ * ladder; the byte-at-a-time references every table is tested against
+ * live in src/verify, outside the dispatch layer. The vector translation
+ * units are always part of the build; when the toolchain or target
+ * architecture cannot produce a tier (no -mavx2 support, non-x86
+ * target), the TU compiles to a stub whose accessor returns nullptr.
+ * The dispatcher combines these link-time nulls with runtime CPUID
+ * checks to decide what is actually installable.
  */
 
 #ifndef BXT_CORE_SIMD_KERNELS_H
@@ -16,8 +19,7 @@
 
 namespace bxt::simd::detail {
 
-/** Always available. */
-const KernelTable &scalarTable();
+/** Always available: the fallback for every unsupported request. */
 const KernelTable &wordTable();
 
 /** Null when the binary was built without the tier's instructions. */

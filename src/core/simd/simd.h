@@ -20,13 +20,12 @@
  * This module provides them behind a function-pointer table selected
  * once at runtime:
  *
- *   Level::Scalar  byte-at-a-time loops (the differential reference);
- *                  the codec-level primitives run per transaction and
- *                  stage over them; CRC32 by the bytewise table loop;
- *                  bit planes one bit per step
- *   Level::Word    64-bit word loops; CRC32 by slicing-by-8; bit planes
- *                  eight values per multiply/shift step. The portable
- *                  tier: non-x86 builds (aarch64 included) dispatch it
+ *   Level::Word    64-bit word loops; the codec-level primitives run
+ *                  per transaction and stage over them; CRC32 by
+ *                  slicing-by-8; bit planes eight values per
+ *                  multiply/shift step. Always available, and the
+ *                  portable tier: non-x86 builds (aarch64 included)
+ *                  dispatch it
  *   Level::Avx2    256-bit AVX2 (x86-64, detected via CPUID + XGETBV);
  *                  CRC32 by a 4x128-bit PCLMULQDQ fold
  *   Level::Avx512  512-bit AVX-512 F+BW+VL+VPOPCNTDQ plus VPCLMULQDQ;
@@ -52,14 +51,15 @@
  * One binary carries every level its compiler could build (the vector
  * translation units get per-file -m flags; see src/core/CMakeLists.txt)
  * and picks the best one the running CPU supports. The `BXT_SIMD`
- * environment variable forces a level by name ("scalar", "word", "avx2",
+ * environment variable forces a level by name ("word", "avx2",
  * "avx512"); an unsupported request clamps down to the best
  * supported level at or below it, and an unrecognized value falls back
- * to Scalar — both with a one-line warning on stderr, never an abort.
+ * to Word — both with a one-line warning on stderr, never an abort.
  *
- * Every level is bit-identical to Scalar by contract; tests/test_simd.cpp
- * checks the primitives directly and replays the golden corpus plus the
- * batch differential fuzzer at every supported level.
+ * Every level is bit-identical to the byte-at-a-time reference codecs of
+ * src/verify by contract; tests/test_simd.cpp diffs the primitives
+ * against them directly and replays the golden corpus plus the batch
+ * differential fuzzer at every supported level.
  */
 
 #ifndef BXT_CORE_SIMD_SIMD_H
@@ -76,12 +76,12 @@ namespace bxt::simd {
 
 /**
  * Kernel implementation tiers, in dispatch-preference order. The values
- * are what the `bxt.simd.level` gauge reports, so they stay fixed: 2 was
- * the retired 128-bit NEON tier and is never installed.
+ * are what the `bxt.simd.level` gauge reports, so they stay fixed: 0 was
+ * the retired byte-loop Scalar tier and 2 the retired 128-bit NEON tier;
+ * neither is ever installed.
  */
 enum class Level : int
 {
-    Scalar = 0, ///< Byte loops; always available, the reference tier.
     Word = 1,   ///< 64-bit word loops; always available.
     Avx2 = 3,   ///< 256-bit AVX2.
     Avx512 = 4, ///< 512-bit AVX-512 (F+BW+VL+VPOPCNTDQ+VPCLMULQDQ).
@@ -95,7 +95,7 @@ enum class Level : int
  */
 struct KernelTable
 {
-    Level level = Level::Scalar;
+    Level level = Level::Word;
 
     /** out[i] = in[i] ^ base[i]. */
     void (*xorRange)(std::uint8_t *out, const std::uint8_t *in,
@@ -215,10 +215,10 @@ Level bestLevel();
 /** True when this binary can run @p level on this CPU. */
 bool levelSupported(Level level);
 
-/** Every supported level, Scalar first. */
+/** Every supported level, Word first. */
 std::vector<Level> supportedLevels();
 
-/** Lower-case level name ("scalar", "word", "avx2", "avx512"). */
+/** Lower-case level name ("word", "avx2", "avx512"). */
 const char *levelName(Level level);
 
 /** Parse a level name (case-insensitive); nullopt when unrecognized. */
@@ -227,7 +227,7 @@ std::optional<Level> parseLevel(std::string_view name);
 /**
  * Resolve a `BXT_SIMD` request to an installable level: nullptr/empty
  * means bestLevel(); an unsupported-but-valid name clamps down; an
- * unrecognized value yields Level::Scalar. When the request could not be
+ * unrecognized value yields Level::Word. When the request could not be
  * honored exactly, @p warning (if non-null) receives a one-line
  * explanation, otherwise it is left empty.
  */

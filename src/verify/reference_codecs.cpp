@@ -3,11 +3,7 @@
 #include "common/error.h"
 
 namespace bxt::verify {
-namespace {
 
-using Bytes = std::vector<std::uint8_t>;
-
-/** Set-bit count of one byte, one bit at a time. */
 std::size_t
 refPopcountByte(std::uint8_t value)
 {
@@ -18,6 +14,10 @@ refPopcountByte(std::uint8_t value)
     }
     return count;
 }
+
+namespace {
+
+using Bytes = std::vector<std::uint8_t>;
 
 bool
 refAllZero(const Bytes &bytes)

@@ -140,8 +140,13 @@ RefCodecPtr makeRefCodec(const std::string &spec, std::size_t bus_bytes = 4);
 /*
  * Naive lane primitives, exposed so the invariant checker can state the
  * ZDR bijectivity property (the 0 ↔ base⊕C output swap) independently of
- * src/core. All operate on @p n byte lanes, most-significant byte last.
+ * src/core, and so tests/test_simd.cpp can diff the SIMD primitives
+ * against them. All operate on @p n byte lanes, most-significant byte
+ * last.
  */
+
+/** Set-bit count of one byte, one bit at a time. */
+std::size_t refPopcountByte(std::uint8_t value);
 
 /** Reference plain XOR lane: out = in ⊕ base, byte by byte. */
 std::vector<std::uint8_t> refXorLane(const std::vector<std::uint8_t> &in,

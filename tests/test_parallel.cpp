@@ -63,9 +63,10 @@ TEST(DefaultThreadCount, FallsBackToHardwareOnGarbageZeroAndOutOfRange)
         EXPECT_EQ(threadCountWithEnv(bad), hw) << "BXT_THREADS=" << bad;
 }
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
-    for (unsigned threads : {1u, 2u, 4u, 7u}) {
+    // threads 0 resolves to defaultThreadCount().
+    for (unsigned threads : {0u, 1u, 2u, 4u, 7u}) {
         for (std::size_t count : {0u, 1u, 2u, 3u, 10007u}) {
             std::vector<std::atomic<int>> hits(count);
             parallelFor(count, threads, [&](std::size_t i) {
@@ -79,19 +80,6 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce)
     }
 }
 
-TEST(ThreadPool, HandlesZeroAndTinyCounts)
-{
-    std::atomic<int> calls{0};
-    parallelFor(0, 4, [&](std::size_t) { calls.fetch_add(1); });
-    EXPECT_EQ(calls.load(), 0);
-    parallelFor(1, 4, [&](std::size_t) { calls.fetch_add(1); });
-    EXPECT_EQ(calls.load(), 1);
-    parallelFor(2, 4, [&](std::size_t) { calls.fetch_add(1); });
-    EXPECT_EQ(calls.load(), 3);
-    parallelFor(5, 0, [&](std::size_t) { calls.fetch_add(1); });
-    EXPECT_EQ(calls.load(), 8);
-}
-
 TEST(ParallelFor, OneThreadRunsEveryBodyOnTheCallingThread)
 {
     const std::thread::id caller = std::this_thread::get_id();
@@ -102,7 +90,7 @@ TEST(ParallelFor, OneThreadRunsEveryBodyOnTheCallingThread)
         EXPECT_EQ(id, caller);
 }
 
-TEST(ThreadPool, PropagatesTheFirstException)
+TEST(ParallelFor, PropagatesTheFirstException)
 {
     for (unsigned threads : {1u, 4u}) {
         std::atomic<int> started{0};

@@ -16,6 +16,8 @@
 
 #include "workloads/scenario.h"
 
+#include "temp_path.h"
+
 namespace bxt::scenario {
 namespace {
 
@@ -296,8 +298,7 @@ TEST(Load, ResolvesPresetNameOrFile)
     std::string err;
     ASSERT_TRUE(load("burst", from_name, err)) << err;
 
-    const std::filesystem::path path =
-        std::filesystem::temp_directory_path() / "bxt_scenario_test.conf";
+    const std::filesystem::path path = uniqueTempPath("scenario.conf");
     {
         std::ofstream out(path);
         out << format(from_name);

@@ -1,11 +1,11 @@
 /**
  * @file
  * SIMD dispatch-layer suite: level parsing and BXT_SIMD resolution
- * semantics (invalid names fall back to scalar with a warning, never an
+ * semantics (invalid names fall back to word with a warning, never an
  * abort), per-primitive differential checks of every available kernel
- * table against the strict byte-loop scalar reference, and the golden
- * corpus plus the batch differential fuzzer replayed at every dispatch
- * level the host supports.
+ * table against the byte-at-a-time reference codecs of src/verify (which
+ * share no code with src/core), and the golden corpus plus the batch
+ * differential fuzzer replayed at every dispatch level the host supports.
  */
 
 #include <gtest/gtest.h>
@@ -18,11 +18,10 @@
 #include "common/bitops.h"
 #include "common/rng.h"
 #include "core/batch.h"
-#include "core/simd/kernels.h"
 #include "core/simd/simd.h"
-#include "core/zdr.h"
 #include "verify/batch_check.h"
 #include "verify/golden.h"
+#include "verify/reference_codecs.h"
 
 namespace bxt {
 namespace {
@@ -42,8 +41,7 @@ class ScopedLevel
 
 TEST(SimdDispatch, ParseLevelRecognizesEveryNameCaseInsensitively)
 {
-    for (Level level :
-         {Level::Scalar, Level::Word, Level::Avx2, Level::Avx512}) {
+    for (Level level : {Level::Word, Level::Avx2, Level::Avx512}) {
         const std::string name = simd::levelName(level);
         EXPECT_EQ(simd::parseLevel(name), level);
         std::string upper = name;
@@ -55,22 +53,26 @@ TEST(SimdDispatch, ParseLevelRecognizesEveryNameCaseInsensitively)
     EXPECT_FALSE(simd::parseLevel("").has_value());
     EXPECT_FALSE(simd::parseLevel("avx1024").has_value());
     EXPECT_FALSE(simd::parseLevel("sse").has_value());
+    EXPECT_FALSE(simd::parseLevel("scalar").has_value());
 }
 
-TEST(SimdDispatch, UnrecognizedEnvValueFallsBackToScalarWithWarning)
+TEST(SimdDispatch, UnrecognizedEnvValueFallsBackToWordWithWarning)
 {
     // The BXT_SIMD contract: garbage must not abort the process — it
-    // resolves to the scalar reference and says so on stderr.
-    ASSERT_EQ(setenv("BXT_SIMD", "definitely-not-a-level", 1), 0);
-    std::string warning;
-    const Level level = simd::resolveRequestedLevel(
-        std::getenv("BXT_SIMD"), &warning);
-    EXPECT_EQ(level, Level::Scalar);
-    EXPECT_FALSE(warning.empty());
-    EXPECT_NE(warning.find("definitely-not-a-level"), std::string::npos);
-    // And it is not treated as a forced level elsewhere (the bench sweep
-    // keys off envForcedLevel to pin its level list).
-    EXPECT_FALSE(simd::envForcedLevel().has_value());
+    // resolves to the always-available Word tier and says so on stderr.
+    // "scalar" named a retired tier and is garbage now too.
+    for (const char *value : {"definitely-not-a-level", "scalar"}) {
+        SCOPED_TRACE(value);
+        ASSERT_EQ(setenv("BXT_SIMD", value, 1), 0);
+        std::string warning;
+        const Level level = simd::resolveRequestedLevel(
+            std::getenv("BXT_SIMD"), &warning);
+        EXPECT_EQ(level, Level::Word);
+        EXPECT_NE(warning.find(value), std::string::npos) << warning;
+        // And it is not treated as a forced level elsewhere (the bench
+        // sweep keys off envForcedLevel to pin its level list).
+        EXPECT_FALSE(simd::envForcedLevel().has_value());
+    }
     ASSERT_EQ(unsetenv("BXT_SIMD"), 0);
 }
 
@@ -87,12 +89,9 @@ TEST(SimdDispatch, EmptyEnvPicksBestLevelWithoutWarning)
 
 TEST(SimdDispatch, UnsupportedRequestClampsDownWithWarning)
 {
-    // Scalar and word are always installable, so a supported request
-    // resolves verbatim and silently.
+    // Word is always installable, so a request for it resolves verbatim
+    // and silently.
     std::string warning;
-    EXPECT_EQ(simd::resolveRequestedLevel("scalar", &warning),
-              Level::Scalar);
-    EXPECT_TRUE(warning.empty());
     EXPECT_EQ(simd::resolveRequestedLevel("word", &warning), Level::Word);
     EXPECT_TRUE(warning.empty());
 
@@ -117,8 +116,24 @@ TEST(SimdDispatch, SetActiveLevelInstallsEverySupportedLevel)
         EXPECT_EQ(simd::setActiveLevel(level), level);
         EXPECT_EQ(simd::activeLevel(), level);
     }
-    EXPECT_TRUE(simd::levelSupported(Level::Scalar));
-    EXPECT_TRUE(simd::levelSupported(Level::Word));
+    EXPECT_EQ(simd::supportedLevels().front(), Level::Word);
+}
+
+/**
+ * The kernel table of every supported level. Installs each level in
+ * turn, so the caller holds a ScopedLevel; the tables themselves are
+ * static and are called directly.
+ */
+std::vector<const simd::KernelTable *>
+supportedTables()
+{
+    std::vector<const simd::KernelTable *> tables;
+    for (Level level : simd::supportedLevels()) {
+        EXPECT_EQ(simd::setActiveLevel(level), level);
+        tables.push_back(&simd::ops());
+        EXPECT_EQ(tables.back()->level, level);
+    }
+    return tables;
 }
 
 /**
@@ -167,96 +182,107 @@ const std::vector<std::size_t> rangeSizes = {8,   16,  24,  32,  40,
                                              64,  72,  96,  128, 136,
                                              192, 256, 264, 512, 1024};
 
-TEST(SimdKernels, RangePrimitivesMatchScalarAtEveryLevel)
+/** Byte-at-a-time set-bit count of @p bytes. */
+std::uint64_t
+refPopcount(const std::vector<std::uint8_t> &bytes)
 {
-    const simd::KernelTable &ref = simd::detail::scalarTable();
-    for (Level level : simd::supportedLevels()) {
-        SCOPED_TRACE(simd::levelName(level));
-        ASSERT_EQ(simd::setActiveLevel(level), level);
-        const simd::KernelTable &ops = simd::ops();
-        EXPECT_EQ(ops.level, level);
+    std::uint64_t count = 0;
+    for (std::uint8_t byte : bytes)
+        count += verify::refPopcountByte(byte);
+    return count;
+}
 
-        std::uint64_t seed = 0x51D0 + static_cast<std::uint64_t>(level);
-        for (std::size_t n : rangeSizes) {
-            const std::vector<std::uint8_t> base = randomBytes(n, seed++);
-            const std::vector<std::uint8_t> in = randomBytes(n, seed++);
+/** verify::refZdrLaneEncode over each @p lane-byte lane of @p in. */
+std::vector<std::uint8_t>
+refZdrEncode(const std::vector<std::uint8_t> &in,
+             const std::vector<std::uint8_t> &base, std::size_t lane)
+{
+    std::vector<std::uint8_t> out;
+    out.reserve(in.size());
+    for (std::size_t off = 0; off < in.size(); off += lane) {
+        const std::vector<std::uint8_t> encoded = verify::refZdrLaneEncode(
+            {in.begin() + off, in.begin() + off + lane},
+            {base.begin() + off, base.begin() + off + lane});
+        out.insert(out.end(), encoded.begin(), encoded.end());
+    }
+    return out;
+}
 
-            std::vector<std::uint8_t> got(n), want(n);
-            ops.xorRange(got.data(), in.data(), base.data(), n);
-            ref.xorRange(want.data(), in.data(), base.data(), n);
-            EXPECT_EQ(got, want) << "xorRange n=" << n;
+TEST(SimdKernels, RangePrimitivesMatchReferenceAtEveryLevel)
+{
+    ScopedLevel guard;
+    const auto tables = supportedTables();
+    std::uint64_t seed = 0x51D0;
+    for (std::size_t n : rangeSizes) {
+        const std::vector<std::uint8_t> base = randomBytes(n, seed++);
+        const std::vector<std::uint8_t> in = randomBytes(n, seed++);
+        const std::vector<std::uint8_t> xored = verify::refXorLane(in, base);
+        const std::uint64_t ones = refPopcount(in);
+        const std::uint64_t toggles = refPopcount(xored);
 
-            EXPECT_EQ(ops.popcountRange(in.data(), n),
-                      ref.popcountRange(in.data(), n))
+        for (const simd::KernelTable *ops : tables) {
+            SCOPED_TRACE(simd::levelName(ops->level));
+            std::vector<std::uint8_t> got(n);
+            ops->xorRange(got.data(), in.data(), base.data(), n);
+            EXPECT_EQ(got, xored) << "xorRange n=" << n;
+            EXPECT_EQ(ops->popcountRange(in.data(), n), ones)
                 << "popcountRange n=" << n;
-            EXPECT_EQ(ops.popcountXorRange(in.data(), base.data(), n),
-                      ref.popcountXorRange(in.data(), base.data(), n))
+            EXPECT_EQ(ops->popcountXorRange(in.data(), base.data(), n),
+                      toggles)
                 << "popcountXorRange n=" << n;
+        }
 
-            struct ZdrCase
-            {
-                std::size_t lane;
-                void (*enc)(std::uint8_t *, const std::uint8_t *,
-                            const std::uint8_t *, std::size_t);
-                void (*ref_enc)(std::uint8_t *, const std::uint8_t *,
-                                const std::uint8_t *, std::size_t);
-            };
-            const ZdrCase cases[] = {
-                {2, ops.zdrEncode16, ref.zdrEncode16},
-                {4, ops.zdrEncode32, ref.zdrEncode32},
-                {8, ops.zdrEncode64, ref.zdrEncode64},
-            };
-            for (const ZdrCase &zc : cases) {
-                if (n % zc.lane != 0)
-                    continue;
-                const std::vector<std::uint8_t> lanes =
-                    makeZdrPlane(n, zc.lane, base, seed++);
-                zc.enc(got.data(), lanes.data(), base.data(), n);
-                zc.ref_enc(want.data(), lanes.data(), base.data(), n);
-                EXPECT_EQ(got, want)
-                    << "zdrEncode lane=" << zc.lane << " n=" << n;
+        for (std::size_t lane : {2, 4, 8}) {
+            if (n % lane != 0)
+                continue;
+            const std::vector<std::uint8_t> lanes =
+                makeZdrPlane(n, lane, base, seed++);
+            const std::vector<std::uint8_t> want =
+                refZdrEncode(lanes, base, lane);
+            for (const simd::KernelTable *ops : tables) {
+                SCOPED_TRACE(simd::levelName(ops->level));
+                const auto encode = lane == 2   ? ops->zdrEncode16
+                                    : lane == 4 ? ops->zdrEncode32
+                                                : ops->zdrEncode64;
+                std::vector<std::uint8_t> got(n);
+                encode(got.data(), lanes.data(), base.data(), n);
+                EXPECT_EQ(got, want) << "zdrEncode lane=" << lane
+                                     << " n=" << n;
             }
         }
     }
 }
 
-TEST(SimdKernels, DbiPlanePrimitivesMatchScalarAtEveryLevel)
+TEST(SimdKernels, DbiPlanePrimitivesMatchReferenceAtEveryLevel)
 {
-    const simd::KernelTable &ref = simd::detail::scalarTable();
-    for (Level level : simd::supportedLevels()) {
-        SCOPED_TRACE(simd::levelName(level));
-        ASSERT_EQ(simd::setActiveLevel(level), level);
-        const simd::KernelTable &ops = simd::ops();
+    ScopedLevel guard;
+    const auto tables = supportedTables();
+    std::uint64_t seed = 0xDB1;
+    for (std::size_t group_bytes : {1, 2, 4, 8}) {
+        for (std::size_t groups : {1, 3, 8, 31, 64, 129, 512}) {
+            const std::size_t n = groups * group_bytes;
+            const std::vector<std::uint8_t> plane = randomBytes(n, seed++);
+            // One group per beat, so the reference's beat-major meta is
+            // the plane layout: one 0/1 byte per group.
+            const verify::RefEncoded want =
+                verify::RefDbiCodec(group_bytes, group_bytes).encode(plane);
 
-        std::uint64_t seed = 0xDB1 + static_cast<std::uint64_t>(level);
-        for (std::size_t group_bytes : {std::size_t{1}, std::size_t{2},
-                                        std::size_t{4}, std::size_t{8}}) {
-            for (std::size_t groups :
-                 {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                  std::size_t{31}, std::size_t{64}, std::size_t{129},
-                  std::size_t{512}}) {
-                const std::size_t n = groups * group_bytes;
-                const std::vector<std::uint8_t> plane =
-                    randomBytes(n, seed++);
-
-                std::vector<std::uint8_t> got = plane, want = plane;
+            for (const simd::KernelTable *ops : tables) {
+                SCOPED_TRACE(simd::levelName(ops->level));
+                std::vector<std::uint8_t> got = plane;
                 std::vector<std::uint8_t> got_meta(groups, 0xcc);
-                std::vector<std::uint8_t> want_meta(groups, 0xcc);
-                ops.dbiEncodePlane(got.data(), got_meta.data(), groups,
-                                   group_bytes);
-                ref.dbiEncodePlane(want.data(), want_meta.data(), groups,
-                                   group_bytes);
-                EXPECT_EQ(got, want) << "dbiEncodePlane gb=" << group_bytes
-                                     << " groups=" << groups;
-                EXPECT_EQ(got_meta, want_meta)
-                    << "dbi meta gb=" << group_bytes
-                    << " groups=" << groups;
+                ops->dbiEncodePlane(got.data(), got_meta.data(), groups,
+                                    group_bytes);
+                EXPECT_EQ(got, want.payload) << "dbiEncodePlane gb="
+                                             << group_bytes
+                                             << " groups=" << groups;
+                EXPECT_EQ(got_meta, want.meta)
+                    << "dbi meta gb=" << group_bytes << " groups=" << groups;
 
-                ops.dbiDecodePlane(got.data(), got_meta.data(), groups,
-                                   group_bytes);
-                EXPECT_EQ(got, plane)
-                    << "dbi round-trip gb=" << group_bytes
-                    << " groups=" << groups;
+                ops->dbiDecodePlane(got.data(), got_meta.data(), groups,
+                                    group_bytes);
+                EXPECT_EQ(got, plane) << "dbi round-trip gb=" << group_bytes
+                                      << " groups=" << groups;
             }
         }
     }
@@ -308,19 +334,22 @@ makeCodecPlane(std::size_t count, std::size_t tx_bytes, std::size_t unit,
     return plane;
 }
 
-/** Adjacent-base Base+XOR encode through core/zdr.h's lane helpers: the
- *  input the chain decoders are diffed on. */
+/**
+ * @p code applied to each @p tx_bytes transaction of @p plane in turn,
+ * its results back to back: the reference codecs take one transaction
+ * at a time.
+ */
+template <typename Code>
 std::vector<std::uint8_t>
-encodeAdjacent(const std::vector<std::uint8_t> &plane, std::size_t tx_bytes,
-               std::size_t base_bytes, bool zdr)
+perTransaction(const std::vector<std::uint8_t> &plane, std::size_t tx_bytes,
+               Code code)
 {
-    std::vector<std::uint8_t> out = plane;
-    for (std::size_t t = 0; t * tx_bytes < plane.size(); ++t) {
-        const std::uint8_t *src = plane.data() + t * tx_bytes;
-        std::uint8_t *dst = out.data() + t * tx_bytes;
-        for (std::size_t off = base_bytes; off < tx_bytes; off += base_bytes)
-            (zdr ? zdrLaneEncode : xorLaneEncode)(
-                dst + off, src + off, src + off - base_bytes, base_bytes);
+    std::vector<std::uint8_t> out;
+    out.reserve(plane.size());
+    for (std::size_t off = 0; off < plane.size(); off += tx_bytes) {
+        const std::vector<std::uint8_t> tx = code(std::vector<std::uint8_t>(
+            plane.begin() + off, plane.begin() + off + tx_bytes));
+        out.insert(out.end(), tx.begin(), tx.end());
     }
     return out;
 }
@@ -346,64 +375,64 @@ expectBothPlacements(const std::vector<std::uint8_t> &in,
     EXPECT_EQ(inplace, want) << what << " (in place)";
 }
 
-TEST(SimdKernels, UniversalFoldMatchesScalarAtEveryLevel)
+TEST(SimdKernels, UniversalFoldMatchesReferenceAtEveryLevel)
 {
     ScopedLevel guard;
-    const simd::KernelTable &ref = simd::detail::scalarTable();
-    for (Level level : simd::supportedLevels()) {
-        SCOPED_TRACE(simd::levelName(level));
-        ASSERT_EQ(simd::setActiveLevel(level), level);
-        const simd::KernelTable &ops = simd::ops();
-        std::uint64_t seed = 0xF01D + static_cast<std::uint64_t>(level);
-        for (std::size_t tx_bytes : codecTxSizes) {
-            for (unsigned stages = 1; (tx_bytes >> stages) >= 2; ++stages) {
-                if (stages > 5)
-                    break;
-                for (std::size_t lane : {std::size_t{0}, std::size_t{2},
-                                         std::size_t{4}, std::size_t{8},
-                                         std::size_t{16}}) {
-                    for (std::size_t count = 0; count <= codecMaxCount;
-                         ++count) {
-                        const std::string what =
-                            "tx=" + std::to_string(tx_bytes) +
-                            " stages=" + std::to_string(stages) +
-                            " lane=" + std::to_string(lane) +
-                            " count=" + std::to_string(count);
-                        const std::size_t unit = std::max<std::size_t>(
-                            lane == 0 ? 4 : lane, tx_bytes >> stages);
-                        const std::vector<std::uint8_t> plane =
-                            makeCodecPlane(count, tx_bytes,
-                                           std::min(unit, tx_bytes / 2),
-                                           seed++);
+    const auto tables = supportedTables();
+    std::uint64_t seed = 0xF01D;
+    for (std::size_t tx_bytes : codecTxSizes) {
+        for (unsigned stages = 1; (tx_bytes >> stages) >= 2; ++stages) {
+            if (stages > 5)
+                break;
+            for (std::size_t lane : {0, 2, 4, 8, 16}) {
+                verify::RefUniversalXorCodec ref(stages, lane != 0,
+                                                 lane != 0 ? lane : 4);
+                for (std::size_t count = 0; count <= codecMaxCount;
+                     ++count) {
+                    const std::string what =
+                        "tx=" + std::to_string(tx_bytes) +
+                        " stages=" + std::to_string(stages) +
+                        " lane=" + std::to_string(lane) +
+                        " count=" + std::to_string(count);
+                    const std::size_t unit = std::max<std::size_t>(
+                        lane == 0 ? 4 : lane, tx_bytes >> stages);
+                    const std::vector<std::uint8_t> plane = makeCodecPlane(
+                        count, tx_bytes, std::min(unit, tx_bytes / 2),
+                        seed++);
+                    const std::vector<std::uint8_t> enc = perTransaction(
+                        plane, tx_bytes,
+                        [&](const std::vector<std::uint8_t> &tx) {
+                            return ref.encode(tx).payload;
+                        });
+                    // Arbitrary words decode exactly as the reference
+                    // does too, not only the encoder's outputs.
+                    const std::vector<std::uint8_t> dec = perTransaction(
+                        plane, tx_bytes,
+                        [&](const std::vector<std::uint8_t> &tx) {
+                            return ref.decode({tx, {}, 0});
+                        });
 
-                        std::vector<std::uint8_t> enc(plane.size());
-                        ref.universalFold(enc.data(), plane.data(), count,
-                                          tx_bytes, stages, lane);
+                    for (const simd::KernelTable *ops : tables) {
+                        SCOPED_TRACE(simd::levelName(ops->level));
                         expectBothPlacements(
                             plane, enc,
                             [&](std::uint8_t *o, const std::uint8_t *i) {
-                                ops.universalFold(o, i, count, tx_bytes,
-                                                  stages, lane);
+                                ops->universalFold(o, i, count, tx_bytes,
+                                                   stages, lane);
                             },
                             "fold " + what);
                         expectBothPlacements(
                             enc, plane,
                             [&](std::uint8_t *o, const std::uint8_t *i) {
-                                ops.universalUnfold(o, i, count, tx_bytes,
-                                                    stages, lane);
+                                ops->universalUnfold(o, i, count, tx_bytes,
+                                                     stages, lane);
                             },
                             "unfold round trip " + what);
-
-                        // Arbitrary words decode exactly as the reference
-                        // does too, not only the encoder's outputs.
-                        std::vector<std::uint8_t> dec(plane.size());
-                        ref.universalUnfold(dec.data(), plane.data(), count,
-                                            tx_bytes, stages, lane);
                         expectBothPlacements(
                             plane, dec,
                             [&](std::uint8_t *o, const std::uint8_t *i) {
-                                ops.universalUnfold(o, i, count, tx_bytes,
-                                                    stages, lane);
+                                ops->universalUnfold(o, i, count, tx_bytes,
+                                                     stages, lane);
                             },
                             "unfold " + what);
                     }
@@ -413,50 +442,49 @@ TEST(SimdKernels, UniversalFoldMatchesScalarAtEveryLevel)
     }
 }
 
-TEST(SimdKernels, BaseXorDecodeMatchesScalarAtEveryLevel)
+TEST(SimdKernels, BaseXorDecodeMatchesReferenceAtEveryLevel)
 {
     ScopedLevel guard;
-    const simd::KernelTable &ref = simd::detail::scalarTable();
-    for (Level level : simd::supportedLevels()) {
-        SCOPED_TRACE(simd::levelName(level));
-        ASSERT_EQ(simd::setActiveLevel(level), level);
-        const simd::KernelTable &ops = simd::ops();
-        std::uint64_t seed = 0xBA5E + static_cast<std::uint64_t>(level);
-        for (std::size_t tx_bytes : codecTxSizes) {
-            for (std::size_t base : {std::size_t{2}, std::size_t{4},
-                                     std::size_t{8}, std::size_t{16}}) {
-                if (base >= tx_bytes)
-                    continue;
-                for (bool zdr : {false, true}) {
-                    for (std::size_t count = 0; count <= codecMaxCount;
-                         ++count) {
-                        const std::string what =
-                            "tx=" + std::to_string(tx_bytes) +
-                            " base=" + std::to_string(base) +
-                            " zdr=" + std::to_string(zdr) +
-                            " count=" + std::to_string(count);
-                        const std::vector<std::uint8_t> plane =
-                            makeCodecPlane(count, tx_bytes, base, seed++);
-                        const std::vector<std::uint8_t> enc =
-                            encodeAdjacent(plane, tx_bytes, base, zdr);
-                        expectBothPlacements(
-                            enc, plane,
-                            [&](std::uint8_t *o, const std::uint8_t *i) {
-                                ops.baseXorDecode(o, i, count, tx_bytes,
-                                                  base, zdr);
-                            },
-                            "round trip " + what);
+    const auto tables = supportedTables();
+    std::uint64_t seed = 0xBA5E;
+    for (std::size_t tx_bytes : codecTxSizes) {
+        for (std::size_t base : {2, 4, 8, 16}) {
+            if (base >= tx_bytes)
+                continue;
+            for (bool zdr : {false, true}) {
+                verify::RefBaseXorCodec ref(base, zdr,
+                                            /*adjacent_base=*/true);
+                for (std::size_t count = 0; count <= codecMaxCount;
+                     ++count) {
+                    const std::string what =
+                        "tx=" + std::to_string(tx_bytes) +
+                        " base=" + std::to_string(base) +
+                        " zdr=" + std::to_string(zdr) +
+                        " count=" + std::to_string(count);
+                    const std::vector<std::uint8_t> plane =
+                        makeCodecPlane(count, tx_bytes, base, seed++);
+                    const std::vector<std::uint8_t> enc = perTransaction(
+                        plane, tx_bytes,
+                        [&](const std::vector<std::uint8_t> &tx) {
+                            return ref.encode(tx).payload;
+                        });
+                    const std::vector<std::uint8_t> dec = perTransaction(
+                        plane, tx_bytes,
+                        [&](const std::vector<std::uint8_t> &tx) {
+                            return ref.decode({tx, {}, 0});
+                        });
 
-                        std::vector<std::uint8_t> dec(plane.size());
-                        ref.baseXorDecode(dec.data(), plane.data(), count,
-                                          tx_bytes, base, zdr);
-                        expectBothPlacements(
-                            plane, dec,
-                            [&](std::uint8_t *o, const std::uint8_t *i) {
-                                ops.baseXorDecode(o, i, count, tx_bytes,
-                                                  base, zdr);
-                            },
-                            "decode " + what);
+                    for (const simd::KernelTable *ops : tables) {
+                        SCOPED_TRACE(simd::levelName(ops->level));
+                        const auto decode = [&](std::uint8_t *o,
+                                                const std::uint8_t *i) {
+                            ops->baseXorDecode(o, i, count, tx_bytes, base,
+                                               zdr);
+                        };
+                        expectBothPlacements(enc, plane, decode,
+                                             "round trip " + what);
+                        expectBothPlacements(plane, dec, decode,
+                                             "decode " + what);
                     }
                 }
             }
@@ -478,7 +506,7 @@ TEST(SimdKernels, BatchTalliesMatchPopcountBytesAtEveryLevel)
                 randomBytes(count * 32, seed++);
             TxBatch batch(32, count);
             batch.append(plane.data(), count);
-            EXPECT_EQ(batch.ones(), popcountBytes(plane))
+            EXPECT_EQ(batch.ones(), refPopcount(plane))
                 << "count=" << count;
 
             // Meta bits of 0/1 bytes on a 3-wire, 5-beat geometry so the
@@ -494,9 +522,9 @@ TEST(SimdKernels, BatchTalliesMatchPopcountBytesAtEveryLevel)
             for (std::uint8_t &bit : meta)
                 bit = static_cast<std::uint8_t>(rng.nextBounded(2));
             std::copy(meta.begin(), meta.end(), enc.metaData());
-            EXPECT_EQ(enc.payloadOnes(), popcountBytes(payload))
+            EXPECT_EQ(enc.payloadOnes(), refPopcount(payload))
                 << "count=" << count;
-            EXPECT_EQ(enc.metaOnes(), popcountBytes(meta))
+            EXPECT_EQ(enc.metaOnes(), refPopcount(meta))
                 << "count=" << count;
         }
     }
@@ -533,96 +561,100 @@ metaValues(std::size_t n, std::uint64_t seed)
     return values;
 }
 
-TEST(SimdKernels, PackBitsMatchesScalarAtEveryLevel)
+/**
+ * packBits by its definition, into a plane of @p count rows of
+ * @p row_bytes followed by kGuardBytes of kGuard: value j of row r in
+ * bit j % 8 of byte r * row_bytes + j / 8, padding bits and bytes zero,
+ * the guard untouched.
+ */
+std::vector<std::uint8_t>
+definedPack(const std::vector<std::uint8_t> &values, std::size_t count,
+            std::size_t bits, std::size_t row_bytes)
+{
+    std::vector<std::uint8_t> packed(count * row_bytes + kGuardBytes,
+                                     kGuard);
+    std::fill_n(packed.begin(), count * row_bytes, std::uint8_t{0});
+    for (std::size_t r = 0; r < count; ++r)
+        for (std::size_t j = 0; j < bits; ++j)
+            if (values[r * bits + j] != 0)
+                packed[r * row_bytes + j / 8] |=
+                    static_cast<std::uint8_t>(1u << (j % 8));
+    return packed;
+}
+
+/** unpackBits by its definition: value j of row r is bit j % 8 of byte
+ *  r * row_bytes + j / 8, then kGuardBytes of kGuard. */
+std::vector<std::uint8_t>
+definedUnpack(const std::vector<std::uint8_t> &packed, std::size_t count,
+              std::size_t bits, std::size_t row_bytes)
+{
+    std::vector<std::uint8_t> values(count * bits + kGuardBytes, kGuard);
+    for (std::size_t r = 0; r < count; ++r)
+        for (std::size_t j = 0; j < bits; ++j)
+            values[r * bits + j] = static_cast<std::uint8_t>(
+                (packed[r * row_bytes + j / 8] >> (j % 8)) & 1u);
+    return values;
+}
+
+TEST(SimdKernels, PackBitsMatchesReferenceAtEveryLevel)
 {
     ScopedLevel guard;
-    const simd::KernelTable &ref = simd::detail::scalarTable();
-    for (Level level : simd::supportedLevels()) {
-        SCOPED_TRACE(simd::levelName(level));
-        ASSERT_EQ(simd::setActiveLevel(level), level);
-        const simd::KernelTable &ops = simd::ops();
-        std::uint64_t seed = 0xB175 + static_cast<std::uint64_t>(level);
-        for (std::size_t bits = 1; bits <= 64; ++bits) {
-            for (std::size_t row_bytes : bitRowBytes(bits)) {
-                for (std::size_t count = 0; count <= 40; ++count) {
-                    const std::vector<std::uint8_t> values =
-                        metaValues(count * bits, seed++);
-                    const std::size_t plane = count * row_bytes;
-                    std::vector<std::uint8_t> got(plane + kGuardBytes,
-                                                  kGuard);
-                    std::vector<std::uint8_t> want = got;
-                    ops.packBits(got.data(), values.data(), count, bits,
-                                 row_bytes);
-                    ref.packBits(want.data(), values.data(), count, bits,
-                                 row_bytes);
+    const auto tables = supportedTables();
+    std::uint64_t seed = 0xB175;
+    for (std::size_t bits = 1; bits <= 64; ++bits) {
+        for (std::size_t row_bytes : bitRowBytes(bits)) {
+            for (std::size_t count = 0; count <= 40; ++count) {
+                const std::vector<std::uint8_t> values =
+                    metaValues(count * bits, seed++);
+                const std::vector<std::uint8_t> want =
+                    definedPack(values, count, bits, row_bytes);
+                for (const simd::KernelTable *ops : tables) {
+                    SCOPED_TRACE(simd::levelName(ops->level));
+                    std::vector<std::uint8_t> got(want.size(), kGuard);
+                    ops->packBits(got.data(), values.data(), count, bits,
+                                  row_bytes);
                     ASSERT_EQ(got, want)
                         << "bits=" << bits << " row_bytes=" << row_bytes
                         << " count=" << count;
-                    // The reference itself (checked once): value j of row
-                    // r in bit j % 8 of byte j / 8, padding zero, the
-                    // guard untouched.
-                    if (level != Level::Scalar)
-                        continue;
-                    for (std::size_t r = 0; r < count; ++r) {
-                        for (std::size_t j = 0; j < row_bytes * 8; ++j) {
-                            const bool set =
-                                (want[r * row_bytes + j / 8] >> (j % 8)) & 1u;
-                            const bool value =
-                                j < bits && values[r * bits + j] != 0;
-                            ASSERT_EQ(set, value)
-                                << "bits=" << bits << " row=" << r
-                                << " bit=" << j;
-                        }
-                    }
-                    for (std::size_t g = plane; g < want.size(); ++g)
-                        ASSERT_EQ(want[g], kGuard);
                 }
             }
         }
     }
 }
 
-TEST(SimdKernels, UnpackBitsMatchesScalarAtEveryLevel)
+TEST(SimdKernels, UnpackBitsMatchesReferenceAtEveryLevel)
 {
     ScopedLevel guard;
-    const simd::KernelTable &ref = simd::detail::scalarTable();
-    for (Level level : simd::supportedLevels()) {
-        SCOPED_TRACE(simd::levelName(level));
-        ASSERT_EQ(simd::setActiveLevel(level), level);
-        const simd::KernelTable &ops = simd::ops();
-        std::uint64_t seed = 0x0B17 + static_cast<std::uint64_t>(level);
-        for (std::size_t bits = 1; bits <= 64; ++bits) {
-            for (std::size_t row_bytes : bitRowBytes(bits)) {
-                for (std::size_t count = 0; count <= 40; ++count) {
-                    // Random packed rows, padding bits included: unpack
-                    // must ignore them.
-                    const std::vector<std::uint8_t> packed =
-                        randomBytes(count * row_bytes, seed++);
-                    const std::size_t plane = count * bits;
-                    std::vector<std::uint8_t> got(plane + kGuardBytes,
-                                                  kGuard);
-                    std::vector<std::uint8_t> want = got;
-                    ops.unpackBits(got.data(), packed.data(), count, bits,
-                                   row_bytes);
-                    ref.unpackBits(want.data(), packed.data(), count, bits,
-                                   row_bytes);
+    const auto tables = supportedTables();
+    std::uint64_t seed = 0x0B17;
+    for (std::size_t bits = 1; bits <= 64; ++bits) {
+        for (std::size_t row_bytes : bitRowBytes(bits)) {
+            for (std::size_t count = 0; count <= 40; ++count) {
+                // Random packed rows, padding bits included: unpack
+                // must ignore them.
+                const std::vector<std::uint8_t> packed =
+                    randomBytes(count * row_bytes, seed++);
+                const std::vector<std::uint8_t> want =
+                    definedUnpack(packed, count, bits, row_bytes);
+                const std::size_t plane = count * bits;
+                const std::vector<std::uint8_t> values =
+                    metaValues(plane, seed++);
+                for (const simd::KernelTable *ops : tables) {
+                    SCOPED_TRACE(simd::levelName(ops->level));
+                    std::vector<std::uint8_t> got(want.size(), kGuard);
+                    ops->unpackBits(got.data(), packed.data(), count, bits,
+                                    row_bytes);
                     ASSERT_EQ(got, want)
                         << "bits=" << bits << " row_bytes=" << row_bytes
                         << " count=" << count;
-                    for (std::size_t i = 0; i < plane; ++i)
-                        ASSERT_LE(got[i], 1u) << "value " << i;
-                    for (std::size_t g = plane; g < got.size(); ++g)
-                        ASSERT_EQ(got[g], kGuard) << "wrote past the plane";
 
                     // Round trip: unpack(pack(v)) is v != 0.
-                    const std::vector<std::uint8_t> values =
-                        metaValues(plane, seed++);
                     std::vector<std::uint8_t> rows(count * row_bytes);
                     std::vector<std::uint8_t> back(plane);
-                    ops.packBits(rows.data(), values.data(), count, bits,
-                                 row_bytes);
-                    ops.unpackBits(back.data(), rows.data(), count, bits,
-                                   row_bytes);
+                    ops->packBits(rows.data(), values.data(), count, bits,
+                                  row_bytes);
+                    ops->unpackBits(back.data(), rows.data(), count, bits,
+                                    row_bytes);
                     for (std::size_t i = 0; i < plane; ++i)
                         ASSERT_EQ(back[i], values[i] != 0 ? 1u : 0u)
                             << "round trip value " << i;

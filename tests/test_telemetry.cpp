@@ -32,6 +32,8 @@
 #include "verify/reference_bus.h"
 #include "workloads/patterns.h"
 
+#include "temp_path.h"
+
 namespace bxt {
 namespace {
 
@@ -297,9 +299,7 @@ TEST_F(TelemetryTest, ScopedSpansExportAsChromeTrace)
     EXPECT_EQ(tm::spanLabel(events[1].name).name, "outer");
     EXPECT_EQ(tm::spanLabel(events[1].name).category, "test");
 
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "bxt_trace_test.json")
-            .string();
+    const std::string path = uniqueTempPath("trace_test.json").string();
     ASSERT_TRUE(tm::writeTrace(path));
 
     std::ifstream in(path);
@@ -327,7 +327,7 @@ TEST_F(TelemetryTest, TraceWriterPublishesACompleteFileOrNothing)
     { tm::ScopedSpan span("written", "test"); }
 
     // The .tmp cannot be created in a directory that does not exist.
-    const fs::path dir = fs::temp_directory_path() / "bxt_trace_no_dir";
+    const fs::path dir = uniqueTempPath("trace_no_dir");
     fs::remove_all(dir);
     const std::string missing = (dir / "trace.json").string();
     EXPECT_FALSE(tm::writeTrace(missing));
@@ -335,14 +335,13 @@ TEST_F(TelemetryTest, TraceWriterPublishesACompleteFileOrNothing)
     EXPECT_FALSE(fs::exists(missing + ".tmp"));
 
     // The rename onto a directory fails after the write: the .tmp goes.
-    const fs::path occupied = fs::temp_directory_path() / "bxt_trace_dir";
+    const fs::path occupied = uniqueTempPath("trace_dir");
     fs::create_directories(occupied);
     EXPECT_FALSE(tm::writeTrace(occupied.string()));
     EXPECT_FALSE(fs::exists(occupied.string() + ".tmp"));
     fs::remove_all(occupied);
 
-    const std::string path =
-        (fs::temp_directory_path() / "bxt_trace_stdio.json").string();
+    const std::string path = uniqueTempPath("trace_stdio.json").string();
     ASSERT_TRUE(tm::writeTrace(path));
     EXPECT_FALSE(fs::exists(path + ".tmp"));
     std::ifstream in(path);
@@ -364,9 +363,7 @@ TEST_F(TelemetryTest, DisabledSpansRecordNothing)
         EXPECT_EQ(span.elapsedUs(), 0u);
     }
     EXPECT_TRUE(tm::collectSpans().empty());
-    EXPECT_FALSE(tm::writeTrace(
-        (std::filesystem::temp_directory_path() / "bxt_trace_off.json")
-            .string()));
+    EXPECT_FALSE(tm::writeTrace(uniqueTempPath("trace_off.json").string()));
 }
 
 tm::ServerSpan
@@ -471,9 +468,7 @@ TEST_F(TelemetryTest, ServerSpanTraceExportsChromeJson)
     tm::setTraceEnabled(true);
     tm::recordSpan(makeSpan(3));
     tm::recordSpan(makeSpan(4));
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "bxt_spans_test.json")
-            .string();
+    const std::string path = uniqueTempPath("spans_test.json").string();
     ASSERT_TRUE(tm::writeTrace(path));
 
     std::ifstream in(path);
@@ -520,9 +515,7 @@ TEST_F(TelemetryTest, OneTraceFileHoldsScopedAndServerSpans)
         tm::ScopedSpan span("offline.run", "test");
     }
     tm::recordSpan(makeSpan(8));
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "bxt_mixed_trace.json")
-            .string();
+    const std::string path = uniqueTempPath("mixed_trace.json").string();
     ASSERT_TRUE(tm::writeTrace(path));
     // Published by rename: the temporary never outlives the write.
     EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
@@ -600,9 +593,7 @@ TEST_F(TelemetryTest, FullRingsSpillSoOneTraceKeepsEverySpan)
     scoped.join();
     server.join();
 
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "bxt_spill_trace.json")
-            .string();
+    const std::string path = uniqueTempPath("spill_trace.json").string();
     ASSERT_TRUE(tm::writeTrace(path));
     std::ifstream in(path);
     const std::string text((std::istreambuf_iterator<char>(in)),

@@ -13,13 +13,15 @@
 #include "common/rng.h"
 #include "workloads/trace.h"
 
+#include "temp_path.h"
+
 namespace bxt {
 namespace {
 
 std::string
 tempPath(const char *name)
 {
-    return std::string(::testing::TempDir()) + "/" + name;
+    return uniqueTempPath(name).string();
 }
 
 Trace
