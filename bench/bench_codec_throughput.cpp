@@ -21,7 +21,9 @@
  *     and up; a forced BXT_SIMD pins the sweep to that single level).
  *     `--simd-min-speedup F` gates the xor4+zdr encode and decode
  *     batch-512 speedups of the best SIMD level over the word baseline,
- *     and skips with a note on hosts with no vector level.
+ *     and skips with a note on hosts with no vector level. With a
+ *     forced BXT_SIMD the gate has nothing to compare, so the bench
+ *     refuses the flag (exit 2) before any sweep.
  *
  * Not a paper artifact — it documents that the library is fast enough to
  * sit in a simulator's memory-controller path.
@@ -29,6 +31,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -417,11 +420,13 @@ runSimdSweep(SimdGate *gate_out)
     std::vector<SimdRow> rows;
     SimdGate gate;
 
+    const bool forced = simd::envForcedLevel().has_value();
     std::printf("\n--- SIMD dispatch levels: ");
     for (std::size_t i = 0; i < levels.size(); ++i)
         std::printf("%s%s", i == 0 ? "" : ", ",
                     simd::levelName(levels[i]));
-    std::printf(" (%zu tx/run) ---\n", simdSweepTx);
+    std::printf("%s (%zu tx/run) ---\n", forced ? ", forced by BXT_SIMD" : "",
+                simdSweepTx);
 
     for (const std::string &spec : batchSweepSpecs) {
         // word-baseline seconds per batch size, for the speedup columns.
@@ -475,6 +480,10 @@ runSimdSweep(SimdGate *gate_out)
         std::printf("xor4+zdr batch-512 SIMD-over-word speedup: "
                     "encode %.2fx, decode %.2fx\n",
                     gate.encode, gate.decode);
+    else if (forced)
+        std::printf("BXT_SIMD forces %s alone: no SIMD-over-word "
+                    "speedup to report\n",
+                    simd::levelName(levels.front()));
     else
         std::printf("no vector dispatch level available; SIMD speedup "
                     "gate not applicable on this host\n");
@@ -646,9 +655,17 @@ main(int argc, char **argv)
     cli.addReal("--simd-min-speedup", "F",
                 "fail unless the best SIMD level's xor4+zdr batch-512 "
                 "encode and decode beat word by F (0 = no gate; skipped "
-                "without a vector level)",
+                "without a vector level; refused with BXT_SIMD set)",
                 simd_min_speedup);
     if (!cli.parse(argc, argv))
         return cli.exitCode();
+    if (simd_min_speedup > 0.0 && simd::envForcedLevel().has_value()) {
+        std::fprintf(stderr,
+                     "bench_codec_throughput: bad --simd-min-speedup with "
+                     "BXT_SIMD=%s (a forced level leaves no word baseline "
+                     "to gate against; unset BXT_SIMD)\n",
+                     std::getenv("BXT_SIMD"));
+        return 2;
+    }
     return runSuiteSweep(json_path, batch_min_speedup, simd_min_speedup);
 }

@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
@@ -26,9 +27,13 @@ uniqueTempPath(const std::string &name)
 {
     const ::testing::TestInfo *test =
         ::testing::UnitTest::GetInstance()->current_test_info();
-    return std::filesystem::temp_directory_path() /
-           ("bxt_" + std::to_string(::getpid()) + "_" +
-            test->test_suite_name() + "." + test->name() + "_" + name);
+    std::string file = "bxt_" + std::to_string(::getpid()) + "_" +
+                       test->test_suite_name() + "." + test->name() + "_" +
+                       name;
+    // A parameterised test's names hold '/' ("Tools/BadOptionValue",
+    // "ExitsTwoNamingTheFlag/3"); keep the file in the temp directory.
+    std::replace(file.begin(), file.end(), '/', '_');
+    return std::filesystem::temp_directory_path() / file;
 }
 
 } // namespace bxt

@@ -11,9 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -32,6 +32,7 @@
 #include "verify/reference_bus.h"
 #include "workloads/patterns.h"
 
+#include "run_process.h"
 #include "temp_path.h"
 
 namespace bxt {
@@ -349,9 +350,9 @@ TEST_F(TelemetryTest, TraceWriterPublishesACompleteFileOrNothing)
                            std::istreambuf_iterator<char>());
     ASSERT_FALSE(text.empty());
     EXPECT_EQ(text.back(), '\n');
-    const std::string validate = std::string(BXT_REPORT_BIN) +
-                                 " --validate-trace " + path + " > /dev/null";
-    EXPECT_EQ(std::system(validate.c_str()), 0);
+    const ProcessResult validate = runProcess(
+        {BXT_REPORT_BIN, "--validate-trace", path}, std::chrono::seconds(30));
+    EXPECT_EQ(validate.status, 0) << validate.err;
     fs::remove(path);
 }
 

@@ -171,8 +171,14 @@ main(int argc, char **argv)
             [&](const std::string &v) { args.unixPath = v; });
     cli.add("--spec", "S", "codec spec (default baseline)",
             [&](const std::string &v) { args.spec = v; });
-    cli.addInt("--wires", "W", "bus width in bits, 32 or 64 (default 32)",
-               args.wires);
+    // The only widths the server's geometry check accepts.
+    cli.add("--wires", "W", "bus width in bits, 32 or 64 (default 32)",
+            [&](const std::string &v) {
+                if (v == "32" || v == "64")
+                    args.wires = v == "32" ? 32 : 64;
+                else
+                    cli.reject("--wires", v, "32 or 64");
+            });
     cli.addInt("--batch", "N", "transactions per request (default 64)",
                args.batch, 1, bxt::wire::maxTxPerRequest);
     cli.add("--mode", "M", "ping | encode | roundtrip | stats | snapshot",
