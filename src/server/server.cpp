@@ -144,6 +144,7 @@ Server::mergedSnapshotJson() const
     // Process-wide instruments first (span ring, bus, pool, codec-layer
     // counters pinned to the default registry).
     merged.mergeFrom(telemetry::defaultRegistry());
+    double cpu_us = 0.0;
     for (const auto &shard : shards_) {
         // Fleet totals: every shard instrument summed verbatim...
         merged.mergeFrom(shard->registry());
@@ -154,7 +155,15 @@ Server::mergedSnapshotJson() const
                          [index](const std::string &name) {
                              return shardRename(index, name);
                          });
+        // Each shard thread's CPU time, and below their sum: the cost
+        // the CI gates compare (bxt_report --assert-cost-ratio).
+        const double shard_us = shard->cpuMicros();
+        merged.gauge("bxt.server.shard." + std::to_string(index) +
+                     ".cpu_us")
+            .set(shard_us);
+        cpu_us += shard_us;
     }
+    merged.gauge("bxt.server.cpu_us").set(cpu_us);
     return telemetry::snapshotJson(merged, false);
 }
 

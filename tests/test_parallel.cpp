@@ -42,7 +42,7 @@ threadCountWithEnv(const char *value)
     return threads;
 }
 
-TEST(ParseThreadCount, AcceptsPositiveIntegers)
+TEST(DefaultThreadCount, AcceptsPositiveIntegers)
 {
     EXPECT_EQ(threadCountWithEnv("1"), 1u);
     EXPECT_EQ(threadCountWithEnv("8"), 8u);

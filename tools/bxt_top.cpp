@@ -7,7 +7,9 @@
  *
  *  - aggregate request/error rates, queue depth, worker shards;
  *  - per-shard rows (active connections, request/transaction rates,
- *    output backlog, busy rejects) from the `bxt.server.shard.<i>.*`
+ *    output backlog, busy rejects, CPU utilisation — the `cpu_us` delta
+ *    over the `uptime_us` delta — and transactions per CPU-second) from
+ *    the `bxt.server.shard.<i>.*`
  *    breakdown the sharded server publishes — the acceptor's
  *    round-robin placement made visible (--no-shards collapses the
  *    table back to the aggregate line);
@@ -344,20 +346,27 @@ render(const Args &args, const Sample &cur, const Sample &prev,
                 shard_ids.insert(id);
         }
         if (shard_ids.size() > 1) {
-            std::printf("\n%-6s %6s %8s %8s %9s %6s %7s\n", "shard",
-                        "conns", "conn/s", "req/s", "tx/s", "queue",
-                        "busy/s");
+            std::printf("\n%-6s %6s %8s %8s %9s %6s %7s %6s %11s\n",
+                        "shard", "conns", "conn/s", "req/s", "tx/s",
+                        "queue", "busy/s", "cpu%", "tx/cpu-s");
             for (long id : shard_ids) {
                 const std::string b =
                     "bxt.server.shard." + std::to_string(id);
+                const double tx_rate =
+                    rateOf(cur, prev, b + ".tx_encoded", dt_s);
+                const double cpu_s = (gaugeOf(cur, b + ".cpu_us") -
+                                      gaugeOf(prev, b + ".cpu_us")) /
+                                     1.0e6;
                 std::printf(
-                    "%-6ld %6.0f %8.1f %8.1f %9.1f %6.0f %7.1f\n", id,
-                    gaugeOf(cur, b + ".active_connections"),
+                    "%-6ld %6.0f %8.1f %8.1f %9.1f %6.0f %7.1f %6.1f "
+                    "%11.0f\n",
+                    id, gaugeOf(cur, b + ".active_connections"),
                     rateOf(cur, prev, b + ".connections", dt_s),
                     rateOf(cur, prev, b + ".requests", dt_s),
-                    rateOf(cur, prev, b + ".tx_encoded", dt_s),
-                    gaugeOf(cur, b + ".queue_depth"),
-                    rateOf(cur, prev, b + ".rejected_busy", dt_s));
+                    tx_rate, gaugeOf(cur, b + ".queue_depth"),
+                    rateOf(cur, prev, b + ".rejected_busy", dt_s),
+                    dt_s > 0.0 ? 100.0 * cpu_s / dt_s : 0.0,
+                    cpu_s > 0.0 ? tx_rate * dt_s / cpu_s : 0.0);
             }
         }
     }
