@@ -38,9 +38,10 @@
 #            cost 2 % more CPU per transaction than with
 #            -DBXT_TELEMETRY=OFF, both builds on one CPU at once
 #   serve    server/tools-labelled ctest + a 4-shard bxtd for a
-#            closed-loop bxt_loadgen burst (>= BXT_SERVE_MIN_TX_RATE
-#            encoded tx/s, default 100000, into BENCH_server_loadgen.json)
-#            + the cost gate: a 1-shard bxtd's CPU per transaction with
+#            bxt_loadgen burst at the default depth 1 (>=
+#            BXT_SERVE_MIN_TX_RATE encoded tx/s, default 100000, into
+#            BENCH_server_loadgen.json) + the cost gate: a 1-shard
+#            bxtd's CPU per transaction under --depth 16 bursts with
 #            --trace-sample 0.01 at most 2 % above an untraced one's, the
 #            two daemons on one CPU at once; the traced one's span trace
 #            (BXT_TRACE) is kept; last, 1 s
@@ -52,7 +53,7 @@
 #            tx/s each, default 50000) into BENCH_server_scenarios.json
 #            and the hot-flood variant; then the shard cost gate: server
 #            CPU per transaction of a 4-shard bxtd at most 1.75 times a
-#            1-shard one's under the same closed-loop load (skipped
+#            1-shard one's under the same depth-1 load (skipped
 #            below 4 cores), with both merged snapshots kept
 #   adaptive Release build + adaptive-labelled ctest, again under
 #            ASan/UBSan + the live win gate: the zipf-0.99 and burst
@@ -281,10 +282,11 @@ run_serve() {
     local sock="${out}/bxtd.sock"
     start_bxtd "${out}/bxtd.log" "${sock}" --shards 4
 
-    # Closed-loop load: every request is one batch of 32-byte encodes;
-    # the tx-rate floor is the acceptance bar for a 4-shard server.
+    # One request in flight: every request is one batch of 32-byte
+    # encodes; the tx-rate floor is the acceptance bar for a 4-shard
+    # server.
     ./build-ci-release/tools/bxt_loadgen --unix "${sock}" \
-        --closed-loop --spec baseline --tx-bytes 32 --batch 64 \
+        --spec baseline --tx-bytes 32 --batch 64 \
         --requests 4000 --json BENCH_server_loadgen.json \
         --assert-min-tx-rate "${BXT_SERVE_MIN_TX_RATE:-100000}"
     stop_bxtd
@@ -305,7 +307,7 @@ run_serve() {
     taskset -a -p -c "${cpu}" "${bxtd_pid}" > /dev/null
     burst() {
         ./build-ci-release/tools/bxt_loadgen --unix "$1" \
-            --open-loop --depth 16 --spec baseline --tx-bytes 32 \
+            --depth 16 --spec baseline --tx-bytes 32 \
             --batch 64 --requests 400000 --json "$2" "${@:3}" > /dev/null
     }
     burst_untraced() { burst "${sock2}" "$1"; }
@@ -368,7 +370,7 @@ run_scenario() {
         BENCH_server_scenarios.json BENCH_server_scenarios.hot-flood.json
     stop_bxtd
 
-    # Shard-scaling gate: server CPU per transaction of closed-loop
+    # Shard-scaling gate: server CPU per transaction of depth-1
     # xor4+zdr bursts over 8 connections (~1 s each) on a 4-shard bxtd
     # may be 1.75 times a 1-shard one's. Each burst has the machine to
     # itself: run at once, the two daemons' 21 busy threads on 4 CPUs
@@ -385,7 +387,7 @@ run_scenario() {
     BXT_METRICS=1 start_bxtd "${out}/bxtd.shards4.log" "${sock}" --shards 4 ||
         { stop_bxtd "${pid1}" "${log1}"; return 1; }
     burst() {
-        ./build-ci-release/tools/bxt_loadgen --unix "$1" --closed-loop \
+        ./build-ci-release/tools/bxt_loadgen --unix "$1" \
             --connections 8 --spec xor4+zdr --tx-bytes 32 --batch 64 \
             --requests 250000 --json "$2" > /dev/null
     }

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "common/cli.h"
+
 namespace bxt::client {
 
 namespace {
@@ -95,7 +97,7 @@ Client::beginRequest(wire::Opcode opcode, std::string_view spec,
 }
 
 bool
-Client::roundTrip(wire::FrameView &reply, std::string &err)
+Client::send(std::string &err)
 {
     last_error_ = wire::ErrorCode::None;
     if (!connected()) {
@@ -103,14 +105,26 @@ Client::roundTrip(wire::FrameView &reply, std::string &err)
         return false;
     }
     wire::finishFrame(request_, 0);
-    if (!net::writeAll(fd_.get(), request_.data(), request_.size(), err) ||
-        !readReply(fd_.get(), parser_, reply, last_error_, err))
+    return net::writeAll(fd_.get(), request_.data(), request_.size(), err);
+}
+
+bool
+Client::receive(wire::Opcode opcode, wire::FrameView &reply,
+                std::string &err)
+{
+    if (!readReply(fd_.get(), parser_, reply, last_error_, err))
         return false;
-    if (reply.opcode != head_.opcode) {
+    if (reply.opcode != opcode) {
         err = "response opcode does not match request";
         return false;
     }
     return true;
+}
+
+bool
+Client::roundTrip(wire::FrameView &reply, std::string &err)
+{
+    return send(err) && receive(head_.opcode, reply, err);
 }
 
 bool
@@ -125,6 +139,15 @@ bool
 Client::encode(const std::string &spec, std::uint32_t tx_bytes,
                std::uint32_t bus_bits, std::span<const std::uint8_t> raw,
                EncodeResult &out, std::string &err)
+{
+    return sendEncode(spec, tx_bytes, bus_bits, raw, err) &&
+           readEncode(out, err);
+}
+
+bool
+Client::sendEncode(std::string_view spec, std::uint32_t tx_bytes,
+                   std::uint32_t bus_bits, std::span<const std::uint8_t> raw,
+                   std::string &err)
 {
     if (tx_bytes == 0 || raw.size() % tx_bytes != 0) {
         err = "raw size " + std::to_string(raw.size()) +
@@ -146,9 +169,14 @@ Client::encode(const std::string &spec, std::uint32_t tx_bytes,
     body.u32(bus_bits);
     body.u64(count);
     body.bytes(raw.data(), raw.size());
+    return send(err);
+}
 
+bool
+Client::readEncode(EncodeResult &out, std::string &err)
+{
     wire::FrameView reply;
-    if (!roundTrip(reply, err))
+    if (!receive(wire::Opcode::Encode, reply, err))
         return false;
 
     wire::BodyReader reader(reply.body.data(), reply.body.size());
@@ -231,6 +259,26 @@ bool
 Client::snapshot(std::string &json, std::string &err)
 {
     return fetchText(wire::Opcode::Snapshot, json, err);
+}
+
+void
+addEndpointOptions(Cli &cli, Endpoint &endpoint)
+{
+    cli.add("--tcp", "HOST:PORT", "connect over TCP",
+            [&cli, &endpoint](const std::string &v) {
+                if (!parseHostPort(v, endpoint.host, endpoint.port))
+                    cli.reject("--tcp", v, "HOST:PORT");
+            });
+    cli.add("--unix", "PATH", "connect over a Unix-domain socket",
+            [&endpoint](const std::string &v) { endpoint.unixPath = v; });
+}
+
+Client
+connect(const Endpoint &endpoint, std::string &err)
+{
+    if (!endpoint.unixPath.empty())
+        return Client::connectUnix(endpoint.unixPath, err);
+    return Client::connectTcp(endpoint.host, endpoint.port, err);
 }
 
 } // namespace bxt::client

@@ -23,6 +23,10 @@
 #include "server/net.h"
 #include "server/wire.h"
 
+namespace bxt {
+class Cli;
+}
+
 namespace bxt::client {
 
 /** One Encode response, decoded from the wire body. */
@@ -50,6 +54,8 @@ struct EncodeResult
      */
     std::string announcedSpec;
     std::uint64_t switchEpoch = 0;
+
+    bool operator==(const EncodeResult &) const = default;
 
     /** Ones saved versus sending the inputs unencoded (may be negative). */
     std::int64_t onesDelta() const
@@ -125,11 +131,24 @@ class Client
 
     /**
      * Encode @p raw (a whole number of @p tx_bytes-sized transactions, at
-     * most wire::maxTxPerRequest of them) under @p spec.
+     * most wire::maxTxPerRequest of them) under @p spec: sendEncode()
+     * then readEncode().
      */
     bool encode(const std::string &spec, std::uint32_t tx_bytes,
                 std::uint32_t bus_bits, std::span<const std::uint8_t> raw,
                 EncodeResult &out, std::string &err);
+
+    /**
+     * The send half of encode(): write the Encode request and return
+     * without waiting for its reply. Sends may run ahead of their
+     * replies (pipelining); the server answers a connection in order.
+     */
+    bool sendEncode(std::string_view spec, std::uint32_t tx_bytes,
+                    std::uint32_t bus_bits,
+                    std::span<const std::uint8_t> raw, std::string &err);
+
+    /** The reply half of encode(): read the oldest unread reply. */
+    bool readEncode(EncodeResult &out, std::string &err);
 
     /** Decode a previous EncodeResult back to raw transactions. */
     bool decode(const std::string &spec, const EncodeResult &enc,
@@ -150,9 +169,9 @@ class Client
     wire::ErrorCode lastErrorCode() const { return last_error_; }
 
     /**
-     * The underlying socket, for callers that need to pipeline raw
-     * frames (bxt_loadgen's open loop). Mixing raw I/O with the
-     * request/response methods on the same Client is undefined.
+     * The underlying socket, for callers that speak the raw wire (the
+     * server tests). Mixing raw I/O with the request/response methods
+     * on the same Client is undefined.
      */
     int rawFd() const { return fd_.get(); }
 
@@ -162,8 +181,15 @@ class Client
     wire::BodyWriter beginRequest(wire::Opcode opcode, std::string_view spec,
                                   std::size_t body_bytes);
 
-    /** Finish and send the request beginRequest started, then
-     *  readReply() its reply (valid until the next request). */
+    /** Finish and send the request beginRequest started. */
+    bool send(std::string &err);
+
+    /** readReply() the next reply, which must answer @p opcode (valid
+     *  until the next read). */
+    bool receive(wire::Opcode opcode, wire::FrameView &reply,
+                 std::string &err);
+
+    /** send() the request, then receive() its reply. */
     bool roundTrip(wire::FrameView &reply, std::string &err);
 
     /** roundTrip an empty @p opcode request whose reply is text. */
@@ -175,6 +201,29 @@ class Client
     wire::FrameView head_; ///< Stream tag, trace context, last opcode.
     wire::ErrorCode last_error_ = wire::ErrorCode::None;
 };
+
+/**
+ * A tool's server address: --unix PATH, or --tcp HOST:PORT when no
+ * Unix path is given.
+ */
+struct Endpoint
+{
+    std::string unixPath;
+    std::string host; ///< Empty without --tcp.
+    int port = 0;
+
+    bool set() const { return !unixPath.empty() || !host.empty(); }
+};
+
+/**
+ * Register --tcp HOST:PORT and --unix PATH on @p cli, filling
+ * @p endpoint. A --tcp value that is not HOST:PORT is refused at parse
+ * time (exit 2, naming the flag).
+ */
+void addEndpointOptions(Cli &cli, Endpoint &endpoint);
+
+/** Connect to @p endpoint (invalid client and @p err on failure). */
+Client connect(const Endpoint &endpoint, std::string &err);
 
 } // namespace bxt::client
 

@@ -1565,6 +1565,62 @@ TEST(Loopback, ServerErrorsAreTypedNotFatal)
     EXPECT_EQ(enc.inputOnes, 256u);
 }
 
+/**
+ * sendEncode/readEncode pipeline: a burst of Encodes written before any
+ * reply is read comes back in order, each reply equal to the one a
+ * one-at-a-time encode() of the same request gets on another connection.
+ */
+TEST(Loopback, PipelinedEncodesReplyInOrderLikeOneAtATime)
+{
+    LiveServer live(ephemeralTcpOptions());
+    ASSERT_TRUE(live.started());
+
+    std::string err;
+    client::Client piped =
+        client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(piped.connected()) << err;
+    client::Client serial =
+        client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
+    ASSERT_TRUE(serial.connected()) << err;
+
+    // Eight requests whose replies all differ: three specs, two widths,
+    // growing batches, and zero bytes for zdr to find.
+    struct Request
+    {
+        std::string spec;
+        std::uint32_t wires;
+        std::vector<std::uint8_t> raw;
+    };
+    const char *const specs[] = {"baseline", "xor4+zdr", "universal3+zdr"};
+    std::vector<Request> requests;
+    Rng rng(34);
+    for (std::size_t i = 0; i < 8; ++i) {
+        Request req{specs[i % 3], i % 2 == 0 ? 32u : 64u, {}};
+        req.raw.resize((i + 1) * 16 * req.wires);
+        for (std::uint8_t &byte : req.raw)
+            byte = rng.nextBounded(4) == 0
+                       ? 0
+                       : static_cast<std::uint8_t>(rng.nextBounded(256));
+        requests.push_back(std::move(req));
+    }
+
+    for (const Request &req : requests)
+        ASSERT_TRUE(piped.sendEncode(req.spec, req.wires, req.wires,
+                                     req.raw, err))
+            << err;
+    for (const Request &req : requests) {
+        SCOPED_TRACE(req.spec + " x" + std::to_string(req.raw.size()));
+        client::EncodeResult got;
+        client::EncodeResult want;
+        ASSERT_TRUE(piped.readEncode(got, err)) << err;
+        ASSERT_TRUE(serial.encode(req.spec, req.wires, req.wires, req.raw,
+                                  want, err))
+            << err;
+        EXPECT_EQ(got.count, req.raw.size() / req.wires);
+        EXPECT_TRUE(got == want);
+    }
+}
+
 TEST(Loopback, StatsOpcodeServesLiveTelemetry)
 {
     telemetry::setMetricsEnabled(true);

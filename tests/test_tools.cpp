@@ -83,10 +83,14 @@ const BadValue kBadValues[] = {
      "--depth"},
     {"LoadgenWires48", BXT_LOADGEN_BIN, {"--unix", "none", "--wires", "48"},
      "--wires"},
+    {"LoadgenTcpNoPort", BXT_LOADGEN_BIN, {"--tcp", "127.0.0.1"}, "--tcp"},
     {"ClientWires3x", BXT_CLIENT_BIN,
      {"--unix", "none", "--wires", "3x", "--mode", "ping"}, "--wires"},
     {"ClientWires48", BXT_CLIENT_BIN,
      {"--unix", "none", "--wires", "48", "--mode", "ping"}, "--wires"},
+    {"ClientTcpNoPort", BXT_CLIENT_BIN,
+     {"--tcp", "127.0.0.1", "--mode", "ping"}, "--tcp"},
+    {"TopTcpNoPort", BXT_TOP_BIN, {"--tcp", "127.0.0.1", "--once"}, "--tcp"},
     {"TopIntervalMs1O", BXT_TOP_BIN, {"--unix", "none", "--interval-ms", "1O"},
      "--interval-ms"},
     {"ReportAssertCostRatio1O2", BXT_REPORT_BIN,
@@ -321,6 +325,91 @@ TEST(Bxtd, ReportsPerShardCpuThatSumsAndGrowsUnderLoad)
     std::filesystem::remove(doc);
 }
 
+/** The @p keys of every @p scope row of a bench document, in order. */
+std::vector<std::vector<double>>
+rowsOf(const JsonValue &doc, const std::string &scope,
+       const std::vector<std::string> &keys)
+{
+    std::vector<std::vector<double>> rows;
+    const JsonValue *results = doc.find("results");
+    if (results == nullptr)
+        return rows;
+    for (const JsonValue &row : results->array) {
+        const JsonValue *row_scope = row.find("scope");
+        if (row_scope == nullptr || row_scope->string != scope)
+            continue;
+        std::vector<double> values;
+        for (const std::string &key : keys) {
+            const JsonValue *value = row.find(key);
+            values.push_back(value != nullptr ? value->number : -1.0);
+        }
+        rows.push_back(std::move(values));
+    }
+    return rows;
+}
+
+TEST(Bxtd, ScenarioReplaysRepeatPerSeedAndAdaptiveCompareSharesTheStream)
+{
+    LiveBxtd bxtd;
+    ASSERT_TRUE(bxtd.up()) << bxtd.log();
+    std::vector<std::filesystem::path> docs;
+    const auto replay = [&](const std::vector<std::string> &args) {
+        docs.push_back(
+            uniqueTempPath("replay" + std::to_string(docs.size()) + ".json"));
+        std::vector<std::string> argv{BXT_LOADGEN_BIN, "--unix",
+                                      bxtd.sock(),     "--no-pace",
+                                      "--seed",        "1",
+                                      "--requests",    "200",
+                                      "--connections", "4",
+                                      "--json",        docs.back().string()};
+        argv.insert(argv.end(), args.begin(), args.end());
+        runOk(argv);
+        JsonValue doc;
+        EXPECT_TRUE(parseJson(readText(docs.back()), doc));
+        return doc;
+    };
+
+    // Four connections four deep: the tenant rows repeat per seed, match
+    // a one-deep replay's and add up to the aggregate row.
+    const std::vector<std::string> hot{"--scenario", "hot-flood"};
+    std::vector<std::string> deep = hot;
+    deep.insert(deep.end(), {"--depth", "4"});
+    const JsonValue first = replay(deep);
+    const JsonValue second = replay(deep);
+    const JsonValue shallow = replay(hot);
+    const std::vector<std::string> keys{"requests", "txs", "ones_in",
+                                        "ones_out"};
+    const std::vector<std::vector<double>> tenants =
+        rowsOf(first, "tenant", keys);
+    ASSERT_FALSE(tenants.empty());
+    EXPECT_EQ(tenants, rowsOf(second, "tenant", keys));
+    EXPECT_EQ(tenants, rowsOf(shallow, "tenant", keys));
+    std::vector<double> sum(keys.size(), 0.0);
+    for (const std::vector<double> &row : tenants)
+        for (std::size_t k = 0; k < keys.size(); ++k)
+            sum[k] += row[k];
+    const std::vector<std::vector<double>> aggregate =
+        rowsOf(first, "aggregate", keys);
+    ASSERT_EQ(aggregate.size(), 1u);
+    EXPECT_EQ(aggregate[0], sum);
+    EXPECT_EQ(aggregate[0][0], 200.0);
+    runOk({BXT_REPORT_BIN, "--scenario", docs.front().string()});
+
+    // Every --adaptive-compare pass replays the identical stream.
+    const JsonValue compare =
+        replay({"--scenario", "zipf-0.99", "--spec", "adaptive",
+                "--adaptive-compare", "xor4+zdr,baseline"});
+    const std::vector<std::vector<double>> specs =
+        rowsOf(compare, "spec", {"txs", "ones_in"});
+    ASSERT_EQ(specs.size(), 3u);
+    EXPECT_GT(specs[0][0], 0.0);
+    for (const std::vector<double> &row : specs)
+        EXPECT_EQ(row, specs[0]);
+    bxtd.stop();
+    for (const std::filesystem::path &doc : docs)
+        std::filesystem::remove(doc);
+}
+
 /**
  * A connection that pipelines twelve 4096 x 64 B baseline Encodes and
  * never reads: about 3 MB of replies wait on it, under the shard's
@@ -359,9 +448,9 @@ TEST(Bxtd, DrainsNeverReadingPeersAtOneDeadlineAndWritesItsSpanTrace)
     ASSERT_TRUE(bxtd.up()) << bxtd.log();
 
     // Every request sampled, so the exit-time span trace is not empty.
-    runOk({BXT_LOADGEN_BIN, "--unix", bxtd.sock(), "--closed-loop",
-           "--spec", "baseline", "--tx-bytes", "32", "--batch", "64",
-           "--requests", "64", "--trace-sample", "1"});
+    runOk({BXT_LOADGEN_BIN, "--unix", bxtd.sock(), "--spec", "baseline",
+           "--tx-bytes", "32", "--batch", "64", "--requests", "64",
+           "--trace-sample", "1"});
 
     // Five peers that never read; round-robin puts two on one shard.
     // They share each shard's one flush deadline (5 s), so the drain

@@ -28,28 +28,13 @@ namespace {
 
 struct Args
 {
-    std::string tcp;
-    std::string unixPath;
+    bxt::client::Endpoint endpoint;
     std::string spec = "baseline";
     unsigned wires = 32;
     std::size_t batch = 64;
     std::string mode = "roundtrip";
     std::string tracePath;
 };
-
-bxt::client::Client
-connect(const Args &args, std::string &err)
-{
-    if (!args.unixPath.empty())
-        return bxt::client::Client::connectUnix(args.unixPath, err);
-    std::string host;
-    int port = 0;
-    if (!bxt::parseHostPort(args.tcp, host, port)) {
-        err = "bad --tcp '" + args.tcp + "' (want HOST:PORT)";
-        return {};
-    }
-    return bxt::client::Client::connectTcp(host, port, err);
-}
 
 /** Flatten trace transactions into one contiguous byte buffer. */
 std::vector<std::uint8_t>
@@ -83,7 +68,7 @@ runTrace(const Args &args, bool roundtrip)
         static_cast<std::uint32_t>(trace.txBytes());
     const std::vector<std::uint8_t> raw = flatten(trace);
 
-    bxt::client::Client client = connect(args, err);
+    bxt::client::Client client = bxt::client::connect(args.endpoint, err);
     if (!client.connected()) {
         std::fprintf(stderr, "bxt_client: %s\n", err.c_str());
         return 1;
@@ -165,10 +150,7 @@ main(int argc, char **argv)
     bxt::Cli cli("bxt_client",
                  "run a .bxtrace through a live bxtd server and report "
                  "ones-on-bus deltas");
-    cli.add("--tcp", "HOST:PORT", "connect over TCP",
-            [&](const std::string &v) { args.tcp = v; });
-    cli.add("--unix", "PATH", "connect over a Unix-domain socket",
-            [&](const std::string &v) { args.unixPath = v; });
+    bxt::client::addEndpointOptions(cli, args.endpoint);
     cli.add("--spec", "S", "codec spec (default baseline)",
             [&](const std::string &v) { args.spec = v; });
     // The only widths the server's geometry check accepts.
@@ -188,19 +170,14 @@ main(int argc, char **argv)
     if (!cli.parse(argc, argv))
         return cli.exitCode();
 
-    if (args.tcp.empty() && args.unixPath.empty()) {
+    if (!args.endpoint.set()) {
         std::fprintf(stderr, "bxt_client: need --tcp or --unix\n");
-        return 2;
-    }
-    if (args.batch == 0 || args.batch > bxt::wire::maxTxPerRequest) {
-        std::fprintf(stderr, "bxt_client: --batch out of range (1..%zu)\n",
-                     bxt::wire::maxTxPerRequest);
         return 2;
     }
 
     std::string err;
     if (args.mode == "ping") {
-        bxt::client::Client client = connect(args, err);
+        bxt::client::Client client = bxt::client::connect(args.endpoint, err);
         if (!client.connected() || !client.ping(err)) {
             std::fprintf(stderr, "bxt_client: ping failed: %s\n",
                          err.c_str());
@@ -210,7 +187,7 @@ main(int argc, char **argv)
         return 0;
     }
     if (args.mode == "stats" || args.mode == "snapshot") {
-        bxt::client::Client client = connect(args, err);
+        bxt::client::Client client = bxt::client::connect(args.endpoint, err);
         std::string json;
         const bool ok = client.connected() &&
                         (args.mode == "stats" ? client.stats(json, err)

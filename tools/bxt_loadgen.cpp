@@ -1,51 +1,48 @@
 /**
  * @file
  * bxt_loadgen: drive a running bxtd with encode traffic and report
- * latency percentiles and throughput.
+ * throughput, latency percentiles and the ones removed from the bus.
  *
- * Three modes:
- *  - closed-loop (default): --connections independent connections, each
- *    with one request in flight; each request waits for its response, so
- *    the latency distribution is pure service + round-trip time. The
- *    first --warmup samples per connection are excluded from the latency
- *    quantiles (they are dominated by codec construction and cold
- *    caches), but still count toward throughput.
- *  - open-loop: keep up to --depth request frames in flight on one
- *    connection (pipelined); latencies then include queueing delay.
- *  - scenario (--scenario): replay a seeded multi-tenant traffic
- *    scenario (workloads/scenario.h) across --connections connections,
- *    tagging each request with its tenant's stream id so the server's
- *    per-tenant telemetry lights up. Reports per-tenant and aggregate
- *    latency quantiles plus ones-on-bus deltas. By default arrivals are
- *    paced to the scenario's open-loop schedule; --no-pace sends
- *    back-to-back (the CI throughput-floor configuration).
+ * Every run sends one request stream. Request i is stream[i % size] and
+ * goes out on connection i % --connections. Each connection keeps up to
+ * --depth requests in flight (default 1: a request waits for the reply
+ * before it) and matches replies in order, so a latency runs from a
+ * request's send to its reply and, past depth 1, includes queueing. The
+ * first --warmup replies per connection are left out of the latency
+ * quantiles (codec construction and cold caches dominate them) but
+ * count toward throughput. The stream is either
+ *  - fixed: one untagged request of --batch random --tx-bytes
+ *    transactions under --spec, sent --requests times; or
+ *  - a scenario (--scenario): a seeded multi-tenant stream
+ *    (workloads/scenario.h), generated before the timer starts, whose
+ *    requests carry their tenant's stream id so the server's per-tenant
+ *    telemetry lights up. Arrivals are paced to the scenario's open-loop
+ *    schedule (no request leaves before its arrival time); --no-pace
+ *    sends as fast as the depth allows.
  *
- * Every request frame carries --batch transactions (closed/open loop)
- * or the scenario's per-request count, so the transaction rate is the
- * request rate times the batch size. Results go to stdout and, with
- * --json, into the unified bench JSON schema (BENCH_server_loadgen.json
- * / BENCH_server_scenarios.json in CI). Latencies are recorded into
- * telemetry::Histo (per connection and per tenant, merged bucket-wise),
- * so every reported quantile carries its <= 1/32 relative bucket error.
- * With --json the document also holds the run's "cost": the server CPU
- * time (Snapshot before and after the measured requests) and the
- * transactions served, which `bxt_report --assert-cost-ratio` compares.
+ * --adaptive-compare S1,S2,... grades the adaptive spec: the identical
+ * stream is replayed once under --spec (normally `adaptive[:...]`) and
+ * once per listed fixed spec, on fresh connections per pass so
+ * per-stream controllers start cold.
+ *
+ * Results go to stdout and, with --json, into the unified bench JSON
+ * schema: an aggregate row, one row per tenant and, with
+ * --adaptive-compare, one scope:"spec" row per pass, which
+ * `bxt_report --scenario` renders and `--assert-adaptive-wins` gates.
+ * Latencies are recorded into telemetry::Histo (per connection and
+ * tenant, merged bucket-wise), so every quantile carries its <= 1/32
+ * relative bucket error. The document also holds the run's "cost": the
+ * server CPU time (Snapshot before and after the measured requests) and
+ * the transactions served, which `bxt_report --assert-cost-ratio`
+ * compares.
  *
  * Usage:
  *   bxt_loadgen (--tcp HOST:PORT | --unix PATH) [--spec S] [--wires W]
  *               [--tx-bytes B] [--batch N] [--requests N] [--depth D]
- *               [--open-loop | --closed-loop] [--connections M]
- *               [--warmup K] [--scenario NAME|PATH] [--alpha A]
- *               [--adaptive-compare S1,S2,...] [--no-pace] [--seed X]
- *               [--json PATH] [--assert-min-tx-rate R]
+ *               [--connections M] [--warmup K] [--scenario NAME|PATH]
+ *               [--alpha A] [--adaptive-compare S1,S2,...] [--no-pace]
+ *               [--seed X] [--json PATH] [--assert-min-tx-rate R]
  *               [--trace-sample P]
- *
- * --adaptive-compare (scenario mode) grades the adaptive spec: the
- * identical request stream is replayed once under --spec (normally
- * `adaptive[:...]`) and once per listed fixed spec — fresh connections
- * per pass, so per-stream controllers start cold — and each pass's
- * total ones-on-bus is printed and written as a scope:"spec" JSON row
- * for `bxt_report --scenario --assert-adaptive-wins`.
  */
 
 #include <algorithm>
@@ -53,9 +50,9 @@
 #include <climits>
 #include <cstdio>
 #include <deque>
-#include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "client/client.h"
@@ -70,29 +67,27 @@
 namespace {
 
 using bxt::telemetry::Histo;
+using bxt::scenario::Request;
 
 struct Args
 {
-    std::string tcp;
-    std::string unixPath;
+    bxt::client::Endpoint endpoint;
     std::string spec = "baseline";
     unsigned wires = 32;
     std::uint32_t txBytes = 32;
     std::size_t batch = 64;
     std::size_t requests = 2000;
     bool requestsSet = false;
-    std::size_t depth = 16;
-    bool openLoop = false;
+    std::size_t depth = 1;
     std::size_t connections = 0; ///< 0 = auto (1; 4 for scenarios).
     std::size_t warmup = 32;
     std::string scenarioName;
     /**
      * Comma-separated fixed specs to race against --spec on the same
-     * scenario stream (scenario mode): the identical request stream is
-     * replayed once under --spec (normally `adaptive[:...]`) and once
-     * per listed spec, and every pass's total ones-on-bus lands in a
-     * scope:"spec" JSON row. Empty = plain single-pass scenario replay
-     * under each tenant's own spec.
+     * stream: the identical stream is replayed once under --spec
+     * (normally `adaptive[:...]`) and once per listed spec, and every
+     * pass's total ones-on-bus lands in a scope:"spec" JSON row. Empty =
+     * one pass under each request's own spec.
      */
     std::string adaptiveCompare;
     double alphaOverride = -1.0; ///< < 0 = keep the scenario's alpha.
@@ -103,6 +98,123 @@ struct Args
     /** Probability a request carries a sampled trace context (0 = off). */
     double traceSample = 0.0;
 };
+
+/** A tenant of the stream, as its JSON row describes it. */
+struct Tenant
+{
+    std::string spec;
+    std::uint32_t txBytes = 0;
+    double weight = 1.0;
+};
+
+/** The request stream a run sends (see the file comment). */
+struct Stream
+{
+    std::string name; ///< The scenario's, or "fixed:<spec>".
+    double alpha = 0.0;
+    std::vector<Tenant> tenants;
+    std::vector<Request> requests;
+    std::size_t sends = 0; ///< Requests per pass.
+    bool tagged = false;   ///< Requests carry their tenant's stream id.
+    bool paced = false;
+
+    /** The request the pass's @p i-th send carries. */
+    const Request &at(std::size_t i) const
+    {
+        return requests[i % requests.size()];
+    }
+
+    /** The wire stream id of tenant @p t's requests (0 = untagged). */
+    std::uint16_t streamId(std::uint32_t t) const
+    {
+        return tagged ? static_cast<std::uint16_t>((t % 0xffffu) + 1) : 0;
+    }
+};
+
+/** Per-tenant results, merged across connections. */
+struct Tally
+{
+    std::uint64_t requests = 0;
+    std::uint64_t txs = 0;
+    std::uint64_t onesIn = 0;
+    std::uint64_t onesOut = 0; ///< Encoded payload + metadata ones.
+    Histo latencyUs{"latency_us"}; ///< Post-warm-up samples only.
+
+    void add(const Tally &other)
+    {
+        requests += other.requests;
+        txs += other.txs;
+        onesIn += other.onesIn;
+        onesOut += other.onesOut;
+        latencyUs.mergeFrom(other.latencyUs);
+    }
+};
+
+/** One connection's share of a pass. */
+struct ConnResult
+{
+    std::vector<Tally> tenants;
+    bool ok = true;
+    std::string err;
+};
+
+/** One replay of the stream on fresh connections. */
+struct Pass
+{
+    std::string spec; ///< Every request's spec; empty = each its own.
+    std::vector<Tally> tenants;
+    Tally total;
+    double seconds = 0.0;
+};
+
+/**
+ * Build the stream the options describe. The fixed stream's payload
+ * comes from --seed; a scenario's is the Engine's, all of it generated
+ * here, before any timer starts.
+ */
+bool
+buildStream(const Args &args, Stream &stream, std::string &err)
+{
+    if (args.scenarioName.empty()) {
+        Request req;
+        req.spec = args.spec;
+        req.txBytes = args.txBytes;
+        req.busBits = args.wires;
+        req.count = static_cast<std::uint32_t>(args.batch);
+        req.payload.resize(args.batch * args.txBytes);
+        bxt::Rng rng(args.seed);
+        for (std::uint8_t &byte : req.payload)
+            byte = static_cast<std::uint8_t>(rng.nextBounded(256));
+        stream.name = "fixed:" + args.spec;
+        stream.tenants.push_back({args.spec, args.txBytes, 1.0});
+        stream.requests.push_back(std::move(req));
+        stream.sends = args.requests;
+        return true;
+    }
+
+    bxt::scenario::Config config;
+    if (!bxt::scenario::load(args.scenarioName, config, err))
+        return false;
+    if (args.alphaOverride >= 0.0)
+        config.alpha = args.alphaOverride;
+    if (args.requestsSet)
+        config.requests = static_cast<std::uint32_t>(args.requests);
+    bxt::scenario::Engine engine(config, args.seed);
+    for (std::uint32_t t = 0; t < config.tenants; ++t)
+        stream.tenants.push_back({engine.tenantSpec(t),
+                                  engine.tenantTxBytes(t),
+                                  engine.tenantWeight(t)});
+    stream.requests.reserve(config.requests);
+    Request req;
+    while (engine.next(req))
+        stream.requests.push_back(std::move(req));
+    stream.name = config.name;
+    stream.alpha = config.alpha;
+    stream.sends = stream.requests.size();
+    stream.tagged = true;
+    stream.paced = !args.noPace && config.ratePerSec > 0.0;
+    return true;
+}
 
 /**
  * Roll the per-request trace dice: with probability --trace-sample the
@@ -119,50 +231,6 @@ applyTraceSampling(bxt::client::Client &client, const Args &args,
         client.setTrace(rng.next64() | 1, rng.next64(), true);
     else
         client.clearTrace();
-}
-
-/** Per-connection closed/open-loop result. */
-struct ConnResult
-{
-    std::size_t requests = 0;
-    Histo latencyUs{"latency_us"}; ///< Post-warm-up samples only.
-    bool ok = true;
-    std::string err;
-};
-
-/** Per-tenant scenario accumulation (mergeable across workers). */
-struct TenantStats
-{
-    std::uint64_t requests = 0;
-    std::uint64_t txs = 0;
-    std::uint64_t onesIn = 0;
-    std::uint64_t onesOut = 0; ///< Encoded payload + metadata ones.
-    Histo latencyUs{"latency_us"};
-};
-
-/**
- * Index of a connection's first recorded latency among its @p n: the
- * first min(--warmup, n-1) are dropped so codec-construction and
- * cold-cache spikes do not blend into steady-state p99.
- */
-std::size_t
-firstSteadySample(std::size_t warmup, std::size_t n)
-{
-    return n == 0 ? 0 : std::min(warmup, n - 1);
-}
-
-bxt::client::Client
-connectOnce(const Args &args, std::string &err)
-{
-    if (!args.unixPath.empty())
-        return bxt::client::Client::connectUnix(args.unixPath, err);
-    std::string host;
-    int port = 0;
-    if (!bxt::parseHostPort(args.tcp, host, port)) {
-        err = "bad --tcp '" + args.tcp + "' (want HOST:PORT)";
-        return {};
-    }
-    return bxt::client::Client::connectTcp(host, port, err);
 }
 
 /**
@@ -193,7 +261,8 @@ connectClient(const Args &args, std::string &err)
     const std::uint64_t start = bxt::telemetry::nowMicros();
     for (;;) {
         err.clear();
-        bxt::client::Client client = connectOnce(args, err);
+        bxt::client::Client client =
+            bxt::client::connect(args.endpoint, err);
         if (client.connected())
             return client;
         if (!isTransientConnectError(err) ||
@@ -235,19 +304,16 @@ serverCpuSeconds(const Args &args)
     return -1.0;
 }
 
-std::vector<std::uint8_t>
-randomPayload(const Args &args, bxt::Rng &rng)
-{
-    std::vector<std::uint8_t> raw(args.batch * args.txBytes);
-    for (std::uint8_t &byte : raw)
-        byte = static_cast<std::uint8_t>(rng.nextBounded(256));
-    return raw;
-}
-
-/** One closed-loop connection: one request in flight at a time. */
+/**
+ * Connection @p conn of @p conns: send stream request i for every
+ * i % conns == conn, keeping up to --depth in flight, and tally each
+ * reply under its request's tenant. With @p spec set, every request is
+ * encoded under it instead of its own spec.
+ */
 void
-runClosedLoopConn(const Args &args, std::size_t conn, std::size_t requests,
-                  ConnResult &out)
+runConn(const Args &args, const Stream &stream, const std::string &spec,
+        std::size_t conn, std::size_t conns, std::uint64_t start_us,
+        ConnResult &out)
 {
     std::string err;
     bxt::client::Client client = connectClient(args, err);
@@ -256,149 +322,95 @@ runClosedLoopConn(const Args &args, std::size_t conn, std::size_t requests,
         out.err = err;
         return;
     }
-    bxt::Rng rng(args.seed + conn);
-    const std::vector<std::uint8_t> raw = randomPayload(args, rng);
-    const std::size_t steady_from = firstSteadySample(args.warmup, requests);
-    for (std::size_t i = 0; i < requests; ++i) {
-        applyTraceSampling(client, args, rng);
-        bxt::client::EncodeResult enc;
-        const std::uint64_t t0 = bxt::telemetry::nowMicros();
-        if (!client.encode(args.spec, args.txBytes, args.wires, raw, enc,
-                           err)) {
-            out.ok = false;
-            out.err = err;
-            return;
-        }
-        if (i >= steady_from)
-            out.latencyUs.record(bxt::telemetry::nowMicros() - t0);
-        ++out.requests;
-    }
-}
-
-/**
- * Open loop over the raw wire: keep up to --depth request frames in
- * flight, reading replies as they arrive.
- */
-bool
-runOpenLoop(const Args &args, int fd, ConnResult &out, std::string &err)
-{
-    bxt::Rng rng(args.seed);
-    const std::vector<std::uint8_t> raw = randomPayload(args, rng);
-
-    // Requests are built in place. Untraced ones reuse one canned frame;
-    // a traced one is rebuilt with fresh ids in a reused buffer.
-    bxt::wire::FrameView head;
-    head.opcode = bxt::wire::Opcode::Encode;
-    head.spec = args.spec;
-    const auto build = [&](bxt::ByteBuffer &frame) {
-        const std::size_t body_bytes = 16 + raw.size();
-        frame.clear();
-        bxt::wire::beginFrame(frame, head, body_bytes);
-        bxt::wire::BodyWriter body(frame, frame.size(), body_bytes);
-        body.u32(args.txBytes);
-        body.u32(args.wires);
-        body.u64(args.batch);
-        body.bytes(raw.data(), raw.size());
-        bxt::wire::finishFrame(frame, 0);
+    const auto fail = [&](std::size_t i) {
+        const Request &req = stream.at(i);
+        out.ok = false;
+        out.err = "request " + std::to_string(i) + " (tenant " +
+                  std::to_string(req.tenant) + ", " +
+                  (spec.empty() ? req.spec : spec) + "): " + err;
     };
-    bxt::ByteBuffer canned, traced;
-    build(canned);
-
-    bxt::wire::FrameParser parser;
-    std::deque<std::uint64_t> send_times;
-    std::size_t sent = 0;
-    std::size_t received = 0;
+    bxt::Rng rng(args.seed ^ (0x9e3779b97f4a7c15ull + conn));
+    const std::size_t mine =
+        stream.sends / conns + (conn < stream.sends % conns ? 1 : 0);
     const std::size_t steady_from =
-        firstSteadySample(args.warmup, args.requests);
-
-    while (received < args.requests) {
-        while (sent < args.requests && send_times.size() < args.depth) {
-            const bxt::ByteBuffer *frame = &canned;
-            if (args.traceSample > 0.0 &&
-                rng.nextDouble() < args.traceSample) {
-                head.traceId = rng.next64() | 1;
-                head.spanId = rng.next64();
-                head.traceSampled = true;
-                build(traced);
-                frame = &traced;
+        mine == 0 ? 0 : std::min(args.warmup, mine - 1);
+    // Send time and stream index of each request in flight, oldest first.
+    std::deque<std::pair<std::uint64_t, std::size_t>> in_flight;
+    std::size_t sent = 0;
+    bxt::client::EncodeResult enc;
+    for (std::size_t done = 0; done < mine; ++done) {
+        while (sent < mine && in_flight.size() < args.depth) {
+            const std::size_t i = conn + sent * conns;
+            const Request &req = stream.at(i);
+            if (stream.paced) {
+                const double wait_us =
+                    static_cast<double>(start_us) + req.arrivalUs -
+                    static_cast<double>(bxt::telemetry::nowMicros());
+                if (wait_us > 0.0) {
+                    if (!in_flight.empty())
+                        break; // Take a reply while this one is not due.
+                    std::this_thread::sleep_for(std::chrono::microseconds(
+                        static_cast<std::int64_t>(wait_us)));
+                }
             }
-            if (!bxt::net::writeAll(fd, frame->data(), frame->size(), err))
-                return false;
-            send_times.push_back(bxt::telemetry::nowMicros());
+            applyTraceSampling(client, args, rng);
+            client.setStreamId(stream.streamId(req.tenant));
+            const std::uint64_t sent_us = bxt::telemetry::nowMicros();
+            if (!client.sendEncode(spec.empty() ? req.spec : spec,
+                                   req.txBytes, req.busBits, req.payload,
+                                   err))
+                return fail(i);
+            in_flight.emplace_back(sent_us, i);
             ++sent;
         }
-
-        bxt::wire::FrameView reply;
-        bxt::wire::ErrorCode code = bxt::wire::ErrorCode::None;
-        if (!bxt::client::readReply(fd, parser, reply, code, err))
-            return false;
-        if (received >= steady_from)
-            out.latencyUs.record(bxt::telemetry::nowMicros() -
-                                 send_times.front());
-        send_times.pop_front();
-        out.requests = ++received;
-    }
-    return true;
-}
-
-/** One scenario worker: replays its round-robin share of the stream. */
-struct ScenarioWorker
-{
-    std::vector<TenantStats> tenants;
-    bool ok = true;
-    std::string err;
-};
-
-void
-runScenarioConn(const Args &args,
-                const std::vector<bxt::scenario::Request> &stream,
-                const std::string &spec_override, std::size_t conn,
-                std::size_t stride, std::uint64_t start_us, bool pace,
-                ScenarioWorker &out)
-{
-    std::string err;
-    bxt::client::Client client = connectClient(args, err);
-    if (!client.connected()) {
-        out.ok = false;
-        out.err = err;
-        return;
-    }
-    bxt::Rng rng(args.seed ^ (0x9e3779b97f4a7c15ull + conn));
-    for (std::size_t i = conn; i < stream.size(); i += stride) {
-        const bxt::scenario::Request &req = stream[i];
-        const std::string &spec =
-            spec_override.empty() ? req.spec : spec_override;
-        applyTraceSampling(client, args, rng);
-        if (pace) {
-            const double target =
-                static_cast<double>(start_us) + req.arrivalUs;
-            const double now =
-                static_cast<double>(bxt::telemetry::nowMicros());
-            if (target > now) {
-                std::this_thread::sleep_for(std::chrono::microseconds(
-                    static_cast<std::int64_t>(target - now)));
-            }
-        }
-        client.setStreamId(
-            static_cast<std::uint16_t>((req.tenant % 0xffffu) + 1));
-        bxt::client::EncodeResult enc;
-        const std::uint64_t t0 = bxt::telemetry::nowMicros();
-        if (!client.encode(spec, req.txBytes, req.busBits, req.payload,
-                           enc, err)) {
-            out.ok = false;
-            out.err = "request " + std::to_string(req.index) + " (tenant " +
-                      std::to_string(req.tenant) + ", " + spec +
-                      "): " + err;
-            return;
-        }
-        const std::uint64_t lat_us = bxt::telemetry::nowMicros() - t0;
-        TenantStats &slot = out.tenants[req.tenant];
+        const auto [sent_us, i] = in_flight.front();
+        in_flight.pop_front();
+        if (!client.readEncode(enc, err))
+            return fail(i);
+        const std::uint64_t latency_us =
+            bxt::telemetry::nowMicros() - sent_us;
+        Tally &slot = out.tenants[stream.at(i).tenant];
         slot.requests += 1;
         slot.txs += enc.count;
         slot.onesIn += enc.inputOnes;
         slot.onesOut += enc.payloadOnes + enc.metaOnes;
-        slot.latencyUs.record(lat_us);
+        if (done >= steady_from)
+            slot.latencyUs.record(latency_us);
     }
+}
+
+/** Replay the stream once over @p conns fresh connections into @p pass. */
+bool
+replay(const Args &args, const Stream &stream, std::size_t conns,
+       Pass &pass, std::string &err)
+{
+    std::vector<ConnResult> results(conns);
+    for (ConnResult &r : results)
+        r.tenants = std::vector<Tally>(stream.tenants.size());
+    const std::uint64_t start_us = bxt::telemetry::nowMicros();
+    std::vector<std::thread> threads;
+    threads.reserve(conns);
+    for (std::size_t c = 0; c < conns; ++c)
+        threads.emplace_back(runConn, std::cref(args), std::cref(stream),
+                             std::cref(pass.spec), c, conns, start_us,
+                             std::ref(results[c]));
+    for (std::thread &t : threads)
+        t.join();
+    pass.seconds =
+        static_cast<double>(bxt::telemetry::nowMicros() - start_us) / 1.0e6;
+
+    pass.tenants = std::vector<Tally>(stream.tenants.size());
+    for (const ConnResult &r : results) {
+        if (!r.ok) {
+            err = r.err;
+            return false;
+        }
+        for (std::size_t t = 0; t < r.tenants.size(); ++t)
+            pass.tenants[t].add(r.tenants[t]);
+    }
+    for (const Tally &t : pass.tenants)
+        pass.total.add(t);
+    return true;
 }
 
 double
@@ -411,309 +423,18 @@ removedPct(std::uint64_t ones_in, std::uint64_t ones_out)
                       static_cast<double>(ones_in));
 }
 
-int
-runScenario(const Args &args)
+/** A row's counts, latency quantiles and ones removed. */
+void
+writeTally(bxt::JsonWriter &w, const Tally &tally)
 {
-    std::string err;
-    bxt::scenario::Config config;
-    if (!bxt::scenario::load(args.scenarioName, config, err)) {
-        std::fprintf(stderr, "bxt_loadgen: %s\n", err.c_str());
-        return 2;
-    }
-    if (args.alphaOverride >= 0.0)
-        config.alpha = args.alphaOverride;
-    if (args.requestsSet)
-        config.requests = static_cast<std::uint32_t>(args.requests);
-
-    bxt::scenario::Engine engine(config, args.seed);
-    std::vector<bxt::scenario::Request> stream;
-    stream.reserve(config.requests);
-    bxt::scenario::Request req;
-    while (engine.next(req))
-        stream.push_back(std::move(req));
-
-    const std::size_t conns =
-        args.connections > 0 ? args.connections : 4;
-    const bool pace = !args.noPace && config.ratePerSec > 0.0;
-
-    // One full replay of the stream (fresh connections, so adaptive
-    // controllers start cold) under an optional all-requests spec
-    // override; fills the per-tenant table and the wall-clock time.
-    const auto replay = [&](const std::string &spec_override,
-                            std::vector<TenantStats> &tenants,
-                            double &seconds, std::string &replay_err) {
-        std::vector<ScenarioWorker> workers(conns);
-        for (ScenarioWorker &w : workers)
-            w.tenants = std::vector<TenantStats>(config.tenants);
-        const std::uint64_t start_us = bxt::telemetry::nowMicros();
-        std::vector<std::thread> threads;
-        threads.reserve(conns);
-        for (std::size_t c = 0; c < conns; ++c) {
-            threads.emplace_back(runScenarioConn, std::cref(args),
-                                 std::cref(stream),
-                                 std::cref(spec_override), c, conns,
-                                 start_us, pace, std::ref(workers[c]));
-        }
-        for (std::thread &t : threads)
-            t.join();
-        seconds =
-            static_cast<double>(bxt::telemetry::nowMicros() - start_us) /
-            1.0e6;
-        for (const ScenarioWorker &w : workers) {
-            if (!w.ok) {
-                replay_err = w.err;
-                return false;
-            }
-        }
-        tenants = std::vector<TenantStats>(config.tenants);
-        for (const ScenarioWorker &w : workers) {
-            for (std::uint32_t t = 0; t < config.tenants; ++t) {
-                const TenantStats &src = w.tenants[t];
-                TenantStats &dst = tenants[t];
-                dst.requests += src.requests;
-                dst.txs += src.txs;
-                dst.onesIn += src.onesIn;
-                dst.onesOut += src.onesOut;
-                dst.latencyUs.mergeFrom(src.latencyUs);
-            }
-        }
-        return true;
-    };
-
-    const double cpu_start = serverCpuSeconds(args);
-    if (cpu_start < 0.0)
-        return 1;
-    const bool comparing = !args.adaptiveCompare.empty();
-    // The primary pass: each tenant's own spec, or — when racing specs
-    // with --adaptive-compare — everything under --spec (the adaptive
-    // spec whose choices we are grading).
-    const std::string primary_override = comparing ? args.spec : "";
-    std::vector<TenantStats> tenants;
-    double seconds = 0.0;
-    if (!replay(primary_override, tenants, seconds, err)) {
-        std::fprintf(stderr, "bxt_loadgen: %s\n", err.c_str());
-        return 1;
-    }
-
-    Histo all_lat("latency_us");
-    std::uint64_t total_req = 0, total_tx = 0, total_in = 0, total_out = 0;
-    for (const TenantStats &t : tenants) {
-        total_req += t.requests;
-        total_tx += t.txs;
-        total_in += t.onesIn;
-        total_out += t.onesOut;
-        all_lat.mergeFrom(t.latencyUs);
-    }
-
-    /** One spec's totals over the identical stream (scope:"spec" row). */
-    struct SpecPass
-    {
-        std::string spec;
-        std::uint64_t onesIn = 0;
-        std::uint64_t onesOut = 0;
-        std::uint64_t txs = 0;
-        double seconds = 0.0;
-    };
-    std::vector<SpecPass> spec_passes;
-    if (comparing) {
-        spec_passes.push_back(
-            {args.spec, total_in, total_out, total_tx, seconds});
-        std::size_t start = 0;
-        const std::string &list = args.adaptiveCompare;
-        while (start <= list.size()) {
-            std::size_t end = list.find(',', start);
-            if (end == std::string::npos)
-                end = list.size();
-            const std::string fixed = list.substr(start, end - start);
-            start = end + 1;
-            if (fixed.empty()) {
-                if (end == list.size())
-                    break;
-                continue;
-            }
-            std::vector<TenantStats> pass_tenants;
-            double pass_seconds = 0.0;
-            if (!replay(fixed, pass_tenants, pass_seconds, err)) {
-                std::fprintf(stderr, "bxt_loadgen: spec '%s': %s\n",
-                             fixed.c_str(), err.c_str());
-                return 1;
-            }
-            SpecPass pass;
-            pass.spec = fixed;
-            pass.seconds = pass_seconds;
-            for (const TenantStats &t : pass_tenants) {
-                pass.onesIn += t.onesIn;
-                pass.onesOut += t.onesOut;
-                pass.txs += t.txs;
-            }
-            // Every pass replays the identical prebuilt payloads, so a
-            // differing ones_in means the comparison is not apples to
-            // apples — refuse to report it.
-            if (pass.onesIn != total_in || pass.txs != total_tx) {
-                std::fprintf(stderr,
-                             "bxt_loadgen: spec '%s' saw ones_in %llu / "
-                             "txs %llu, expected %llu / %llu\n",
-                             fixed.c_str(),
-                             static_cast<unsigned long long>(pass.onesIn),
-                             static_cast<unsigned long long>(pass.txs),
-                             static_cast<unsigned long long>(total_in),
-                             static_cast<unsigned long long>(total_tx));
-                return 1;
-            }
-            spec_passes.push_back(std::move(pass));
-            if (end == list.size())
-                break;
-        }
-    }
-
-    const double cpu_end = serverCpuSeconds(args);
-    if (cpu_end < 0.0)
-        return 1;
-    // Every --adaptive-compare pass served the same stream (checked).
-    const bxt::BenchCost cost{
-        cpu_end - cpu_start,
-        static_cast<double>(total_tx *
-                            std::max<std::size_t>(1, spec_passes.size())),
-        "tx"};
-
-    const double req_rate =
-        seconds > 0.0 ? static_cast<double>(total_req) / seconds : 0.0;
-    const double tx_rate =
-        seconds > 0.0 ? static_cast<double>(total_tx) / seconds : 0.0;
-    const double p50 = all_lat.quantile(0.50);
-    const double p95 = all_lat.quantile(0.95);
-    const double p99 = all_lat.quantile(0.99);
-
-    std::printf("scenario: %s  seed: %llu  tenants: %u  alpha: %.2f  "
-                "connections: %zu  paced: %s\n",
-                config.name.c_str(),
-                static_cast<unsigned long long>(args.seed), config.tenants,
-                config.alpha, conns, pace ? "yes" : "no");
-    std::printf("requests: %llu  elapsed: %.3f s  throughput: %.0f req/s  "
-                "%.0f tx/s\n",
-                static_cast<unsigned long long>(total_req), seconds,
-                req_rate, tx_rate);
-    std::printf("latency us: p50 %.1f  p95 %.1f  p99 %.1f\n", p50, p95,
-                p99);
-    std::printf("ones on bus: in %llu  out %llu  removed %.2f%%\n",
-                static_cast<unsigned long long>(total_in),
-                static_cast<unsigned long long>(total_out),
-                removedPct(total_in, total_out));
-
-    // Per-tenant table, busiest first.
-    std::vector<std::uint32_t> order(config.tenants);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  if (tenants[a].requests != tenants[b].requests)
-                      return tenants[a].requests > tenants[b].requests;
-                  return a < b;
-              });
-    const std::size_t shown = std::min<std::size_t>(order.size(), 10);
-    std::printf("%-7s %-22s %5s %7s %8s %8s %8s %8s %8s\n", "tenant",
-                "spec", "txB", "reqs", "txs", "p50us", "p95us", "p99us",
-                "rm%");
-    for (std::size_t i = 0; i < shown; ++i) {
-        const std::uint32_t t = order[i];
-        const TenantStats &s = tenants[t];
-        std::printf("%-7u %-22s %5u %7llu %8llu %8.1f %8.1f %8.1f %8.2f\n",
-                    t, engine.tenantSpec(t).c_str(),
-                    engine.tenantTxBytes(t),
-                    static_cast<unsigned long long>(s.requests),
-                    static_cast<unsigned long long>(s.txs),
-                    s.latencyUs.quantile(0.50), s.latencyUs.quantile(0.95),
-                    s.latencyUs.quantile(0.99),
-                    removedPct(s.onesIn, s.onesOut));
-    }
-    if (shown < order.size())
-        std::printf("(%zu of %zu tenants shown)\n", shown, order.size());
-
-    if (comparing) {
-        std::printf("\nspec comparison over the identical stream "
-                    "(%llu tx, ones_in %llu):\n",
-                    static_cast<unsigned long long>(total_tx),
-                    static_cast<unsigned long long>(total_in));
-        std::printf("%-44s %14s %8s\n", "spec", "ones_out", "rm%");
-        for (const SpecPass &pass : spec_passes) {
-            std::printf("%-44s %14llu %8.2f\n", pass.spec.c_str(),
-                        static_cast<unsigned long long>(pass.onesOut),
-                        removedPct(pass.onesIn, pass.onesOut));
-        }
-    }
-
-    if (!args.jsonPath.empty() &&
-        !bxt::writeBenchJson(
-            args.jsonPath, "server_scenarios",
-            [&](bxt::JsonWriter &w) {
-                w.beginObject();
-                w.kv("scope", "aggregate");
-                w.kv("scenario", config.name);
-                w.kv("seed", static_cast<std::uint64_t>(args.seed));
-                w.kv("tenants",
-                     static_cast<std::uint64_t>(config.tenants));
-                w.kv("alpha", config.alpha);
-                w.kv("connections", static_cast<std::uint64_t>(conns));
-                w.kv("paced", pace);
-                if (comparing)
-                    w.kv("spec_override", args.spec);
-                w.kv("requests", total_req);
-                w.kv("txs", total_tx);
-                w.kv("seconds", seconds);
-                w.kv("req_per_s", req_rate);
-                w.kv("tx_per_s", tx_rate);
-                w.kv("p50_us", p50);
-                w.kv("p95_us", p95);
-                w.kv("p99_us", p99);
-                w.kv("ones_in", total_in);
-                w.kv("ones_out", total_out);
-                w.kv("ones_removed_pct", removedPct(total_in, total_out));
-                w.endObject();
-                for (std::uint32_t t = 0; t < config.tenants; ++t) {
-                    const TenantStats &s = tenants[t];
-                    w.beginObject();
-                    w.kv("scope", "tenant");
-                    w.kv("tenant", static_cast<std::uint64_t>(t));
-                    w.kv("stream_id", static_cast<std::uint64_t>(
-                                          (t % 0xffffu) + 1));
-                    w.kv("spec", engine.tenantSpec(t));
-                    w.kv("tx_bytes", static_cast<std::uint64_t>(
-                                         engine.tenantTxBytes(t)));
-                    w.kv("weight", engine.tenantWeight(t));
-                    w.kv("requests", s.requests);
-                    w.kv("txs", s.txs);
-                    w.kv("p50_us", s.latencyUs.quantile(0.50));
-                    w.kv("p95_us", s.latencyUs.quantile(0.95));
-                    w.kv("p99_us", s.latencyUs.quantile(0.99));
-                    w.kv("ones_in", s.onesIn);
-                    w.kv("ones_out", s.onesOut);
-                    w.kv("ones_removed_pct",
-                         removedPct(s.onesIn, s.onesOut));
-                    w.endObject();
-                }
-                for (const SpecPass &pass : spec_passes) {
-                    w.beginObject();
-                    w.kv("scope", "spec");
-                    w.kv("scenario", config.name);
-                    w.kv("spec", pass.spec);
-                    w.kv("txs", pass.txs);
-                    w.kv("seconds", pass.seconds);
-                    w.kv("ones_in", pass.onesIn);
-                    w.kv("ones_out", pass.onesOut);
-                    w.kv("ones_removed_pct",
-                         removedPct(pass.onesIn, pass.onesOut));
-                    w.endObject();
-                }
-            },
-            &cost))
-        return 1;
-
-    if (args.assertMinTxRate > 0.0 && tx_rate < args.assertMinTxRate) {
-        std::fprintf(stderr,
-                     "bxt_loadgen: tx rate %.0f/s below required %.0f/s\n",
-                     tx_rate, args.assertMinTxRate);
-        return 1;
-    }
-    return 0;
+    w.kv("requests", tally.requests);
+    w.kv("txs", tally.txs);
+    w.kv("p50_us", tally.latencyUs.quantile(0.50));
+    w.kv("p95_us", tally.latencyUs.quantile(0.95));
+    w.kv("p99_us", tally.latencyUs.quantile(0.99));
+    w.kv("ones_in", tally.onesIn);
+    w.kv("ones_out", tally.onesOut);
+    w.kv("ones_removed_pct", removedPct(tally.onesIn, tally.onesOut));
 }
 
 } // namespace
@@ -724,11 +445,8 @@ main(int argc, char **argv)
     Args args;
     bxt::Cli cli("bxt_loadgen",
                  "load generator for bxtd: encode traffic, latency "
-                 "percentiles, throughput");
-    cli.add("--tcp", "HOST:PORT", "connect over TCP",
-            [&](const std::string &v) { args.tcp = v; });
-    cli.add("--unix", "PATH", "connect over a Unix-domain socket",
-            [&](const std::string &v) { args.unixPath = v; });
+                 "percentiles, throughput, ones removed");
+    bxt::client::addEndpointOptions(cli, args.endpoint);
     cli.add("--spec", "S", "codec spec (default baseline)",
             [&](const std::string &v) { args.spec = v; });
     // The only widths the server's geometry check accepts.
@@ -754,12 +472,9 @@ main(int argc, char **argv)
                 args.requests = static_cast<std::size_t>(n);
                 args.requestsSet = true;
             });
-    cli.addInt("--depth", "D", "open-loop frames in flight (default 16)",
-               args.depth, 1);
-    cli.addFlag("--open-loop", "pipeline up to --depth requests",
-                [&] { args.openLoop = true; });
-    cli.addFlag("--closed-loop", "one request in flight (default)",
-                [&] { args.openLoop = false; });
+    cli.addInt("--depth", "D",
+               "requests in flight per connection (default 1)", args.depth,
+               1);
     cli.addInt("--connections", "M",
                "parallel connections (default 1; 4 for --scenario)",
                args.connections);
@@ -771,9 +486,9 @@ main(int argc, char **argv)
             "replay a multi-tenant scenario preset or spec file",
             [&](const std::string &v) { args.scenarioName = v; });
     cli.add("--adaptive-compare", "S1,S2,...",
-            "scenario mode: replay the identical stream under --spec and "
-            "each listed fixed spec, emitting scope:\"spec\" ones-on-bus "
-            "rows (the adaptive-vs-fixed CI gate)",
+            "replay the identical stream under --spec and each listed "
+            "fixed spec, emitting scope:\"spec\" ones-on-bus rows (the "
+            "adaptive-vs-fixed CI gate)",
             [&](const std::string &v) { args.adaptiveCompare = v; });
     cli.addReal("--alpha", "A", "override the scenario's Zipf exponent",
                 args.alphaOverride);
@@ -799,152 +514,139 @@ main(int argc, char **argv)
     // Histo::record only counts while metrics are on.
     bxt::telemetry::setMetricsEnabled(true);
 
-    if (args.tcp.empty() && args.unixPath.empty()) {
+    if (!args.endpoint.set()) {
         std::fprintf(stderr, "bxt_loadgen: need --tcp or --unix\n");
         return 2;
     }
-    if (!args.adaptiveCompare.empty() && args.scenarioName.empty()) {
-        std::fprintf(stderr,
-                     "bxt_loadgen: --adaptive-compare needs --scenario\n");
+    Stream stream;
+    std::string err;
+    if (!buildStream(args, stream, err)) {
+        std::fprintf(stderr, "bxt_loadgen: %s\n", err.c_str());
         return 2;
     }
-    if (!args.scenarioName.empty())
-        return runScenario(args);
-
     const std::size_t conns =
-        args.connections > 0 ? args.connections : 1;
-    if (args.openLoop && conns != 1) {
-        std::fprintf(stderr,
-                     "bxt_loadgen: --open-loop uses one connection\n");
-        return 2;
+        args.connections > 0 ? args.connections : stream.tagged ? 4 : 1;
+
+    // The first pass sends each request under its own spec or, when
+    // racing specs, everything under --spec (the adaptive spec being
+    // graded); then one pass per listed fixed spec.
+    std::vector<std::string> specs{args.adaptiveCompare.empty() ? ""
+                                                                : args.spec};
+    const std::string &list = args.adaptiveCompare;
+    for (std::size_t from = 0; from < list.size();) {
+        const std::size_t comma = std::min(list.find(',', from), list.size());
+        if (comma > from)
+            specs.push_back(list.substr(from, comma - from));
+        from = comma + 1;
     }
+    std::vector<Pass> passes(specs.size());
 
     const double cpu_start = serverCpuSeconds(args);
     if (cpu_start < 0.0)
         return 1;
-    std::vector<ConnResult> results(conns);
-    double seconds = 0.0;
-    std::string err;
-    if (args.openLoop) {
-        // The open loop speaks the raw wire to pipeline frames, which
-        // the strictly request-response client API cannot express.
-        bxt::client::Client client = connectClient(args, err);
-        if (!client.connected()) {
+    for (std::size_t p = 0; p < passes.size(); ++p) {
+        Pass &pass = passes[p];
+        pass.spec = specs[p];
+        if (!replay(args, stream, conns, pass, err)) {
             std::fprintf(stderr, "bxt_loadgen: %s\n", err.c_str());
             return 1;
         }
-        const std::uint64_t start = bxt::telemetry::nowMicros();
-        if (!runOpenLoop(args, client.rawFd(), results[0], err)) {
-            std::fprintf(stderr, "bxt_loadgen: %s\n", err.c_str());
+        // Every pass sends the identical payloads, so a differing
+        // ones_in means the comparison is not apples to apples.
+        const Tally &first = passes.front().total;
+        if (pass.total.onesIn != first.onesIn || pass.total.txs != first.txs) {
+            std::fprintf(stderr,
+                         "bxt_loadgen: spec '%s' saw ones_in %llu / "
+                         "txs %llu, expected %llu / %llu\n",
+                         pass.spec.c_str(),
+                         static_cast<unsigned long long>(pass.total.onesIn),
+                         static_cast<unsigned long long>(pass.total.txs),
+                         static_cast<unsigned long long>(first.onesIn),
+                         static_cast<unsigned long long>(first.txs));
             return 1;
         }
-        seconds =
-            static_cast<double>(bxt::telemetry::nowMicros() - start) /
-            1.0e6;
-    } else {
-        // Closed loop: split --requests across the connections; each
-        // connection measures its own samples so one connection's
-        // warm-up cannot pollute another's quantiles.
-        const std::uint64_t start = bxt::telemetry::nowMicros();
-        std::vector<std::thread> threads;
-        threads.reserve(conns);
-        for (std::size_t c = 0; c < conns; ++c) {
-            const std::size_t share =
-                args.requests / conns +
-                (c < args.requests % conns ? 1 : 0);
-            threads.emplace_back(runClosedLoopConn, std::cref(args), c,
-                                 share, std::ref(results[c]));
-        }
-        for (std::thread &t : threads)
-            t.join();
-        seconds =
-            static_cast<double>(bxt::telemetry::nowMicros() - start) /
-            1.0e6;
-        for (const ConnResult &r : results) {
-            if (!r.ok) {
-                std::fprintf(stderr, "bxt_loadgen: %s\n", r.err.c_str());
-                return 1;
-            }
-        }
     }
-
-    std::size_t total_requests = 0;
-    Histo steady("latency_us");
-    for (const ConnResult &r : results) {
-        total_requests += r.requests;
-        steady.mergeFrom(r.latencyUs);
-    }
-
     const double cpu_end = serverCpuSeconds(args);
     if (cpu_end < 0.0)
         return 1;
+
+    const Pass &primary = passes.front();
+    const bool comparing = !primary.spec.empty();
+    const Tally &total = primary.total;
     const bxt::BenchCost cost{
         cpu_end - cpu_start,
-        static_cast<double>(total_requests * args.batch), "tx"};
-
+        static_cast<double>(total.txs * passes.size()), "tx"};
+    const double seconds = primary.seconds;
     const double req_rate =
-        seconds > 0.0 ? static_cast<double>(total_requests) / seconds
-                      : 0.0;
-    const double tx_rate = req_rate * static_cast<double>(args.batch);
-    const double p50 = steady.quantile(0.50);
-    const double p95 = steady.quantile(0.95);
-    const double p99 = steady.quantile(0.99);
+        seconds > 0.0 ? static_cast<double>(total.requests) / seconds : 0.0;
+    const double tx_rate =
+        seconds > 0.0 ? static_cast<double>(total.txs) / seconds : 0.0;
 
-    std::printf("mode: %s  spec: %s  tx: %u B  batch: %zu  requests: %zu"
-                "  connections: %zu\n",
-                args.openLoop ? "open-loop" : "closed-loop",
-                args.spec.c_str(), args.txBytes, args.batch,
-                total_requests, conns);
-    std::printf("elapsed: %.3f s  throughput: %.0f req/s  %.0f tx/s\n",
-                seconds, req_rate, tx_rate);
+    std::printf("stream: %s  seed: %llu  tenants: %zu  connections: %zu  "
+                "depth: %zu  paced: %s\n",
+                stream.name.c_str(),
+                static_cast<unsigned long long>(args.seed),
+                stream.tenants.size(), conns, args.depth,
+                stream.paced ? "yes" : "no");
+    std::printf("requests: %llu  elapsed: %.3f s  throughput: %.0f req/s  "
+                "%.0f tx/s\n",
+                static_cast<unsigned long long>(total.requests), seconds,
+                req_rate, tx_rate);
     std::printf("latency us (post-warmup): p50 %.1f  p95 %.1f  p99 %.1f\n",
-                p50, p95, p99);
-    if (conns > 1) {
-        for (std::size_t c = 0; c < conns; ++c) {
-            const Histo &lat = results[c].latencyUs;
-            std::printf("  conn %zu: p50 %.1f  p95 %.1f  p99 %.1f\n", c,
-                        lat.quantile(0.50), lat.quantile(0.95),
-                        lat.quantile(0.99));
-        }
-    }
+                total.latencyUs.quantile(0.50),
+                total.latencyUs.quantile(0.95),
+                total.latencyUs.quantile(0.99));
+    std::printf("ones on bus: in %llu  out %llu  removed %.2f%%\n",
+                static_cast<unsigned long long>(total.onesIn),
+                static_cast<unsigned long long>(total.onesOut),
+                removedPct(total.onesIn, total.onesOut));
 
     if (!args.jsonPath.empty() &&
         !bxt::writeBenchJson(
-            args.jsonPath, "server_loadgen",
+            args.jsonPath,
+            stream.tagged ? "server_scenarios" : "server_loadgen",
             [&](bxt::JsonWriter &w) {
                 w.beginObject();
                 w.kv("scope", "aggregate");
-                w.kv("mode",
-                     args.openLoop ? "open-loop" : "closed-loop");
-                w.kv("spec", args.spec);
-                w.kv("tx_bytes",
-                     static_cast<std::uint64_t>(args.txBytes));
-                w.kv("batch", static_cast<std::uint64_t>(args.batch));
-                w.kv("requests",
-                     static_cast<std::uint64_t>(total_requests));
+                w.kv("scenario", stream.name);
+                w.kv("seed", static_cast<std::uint64_t>(args.seed));
+                w.kv("tenants",
+                     static_cast<std::uint64_t>(stream.tenants.size()));
+                w.kv("alpha", stream.alpha);
                 w.kv("connections", static_cast<std::uint64_t>(conns));
+                w.kv("depth", static_cast<std::uint64_t>(args.depth));
                 w.kv("warmup", static_cast<std::uint64_t>(args.warmup));
+                w.kv("paced", stream.paced);
+                if (comparing)
+                    w.kv("spec_override", primary.spec);
                 w.kv("seconds", seconds);
                 w.kv("req_per_s", req_rate);
                 w.kv("tx_per_s", tx_rate);
-                w.kv("p50_us", p50);
-                w.kv("p95_us", p95);
-                w.kv("p99_us", p99);
+                writeTally(w, total);
                 w.endObject();
-                if (conns > 1) {
-                    for (std::size_t c = 0; c < conns; ++c) {
-                        const Histo &lat = results[c].latencyUs;
-                        w.beginObject();
-                        w.kv("scope", "connection");
-                        w.kv("connection",
-                             static_cast<std::uint64_t>(c));
-                        w.kv("requests", static_cast<std::uint64_t>(
-                                             results[c].requests));
-                        w.kv("p50_us", lat.quantile(0.50));
-                        w.kv("p95_us", lat.quantile(0.95));
-                        w.kv("p99_us", lat.quantile(0.99));
-                        w.endObject();
-                    }
+                for (std::uint32_t t = 0; t < stream.tenants.size(); ++t) {
+                    const Tenant &tenant = stream.tenants[t];
+                    w.beginObject();
+                    w.kv("scope", "tenant");
+                    w.kv("tenant", static_cast<std::uint64_t>(t));
+                    w.kv("stream_id",
+                         static_cast<std::uint64_t>(stream.streamId(t)));
+                    w.kv("spec", tenant.spec);
+                    w.kv("tx_bytes",
+                         static_cast<std::uint64_t>(tenant.txBytes));
+                    w.kv("weight", tenant.weight);
+                    writeTally(w, primary.tenants[t]);
+                    w.endObject();
+                }
+                for (std::size_t p = comparing ? 0 : 1; p < passes.size();
+                     ++p) {
+                    w.beginObject();
+                    w.kv("scope", "spec");
+                    w.kv("scenario", stream.name);
+                    w.kv("spec", passes[p].spec);
+                    w.kv("seconds", passes[p].seconds);
+                    writeTally(w, passes[p].total);
+                    w.endObject();
                 }
             },
             &cost))

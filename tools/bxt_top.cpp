@@ -51,8 +51,7 @@ namespace {
 
 struct Args
 {
-    std::string tcp;
-    std::string unixPath;
+    bxt::client::Endpoint endpoint;
     long intervalMs = 1000;
     bool once = false;
     std::size_t count = 0; ///< 0 = run until interrupted.
@@ -296,9 +295,11 @@ render(const Args &args, const Sample &cur, const Sample &prev,
     if (clear)
         std::printf("\x1b[2J\x1b[H");
 
+    const bxt::client::Endpoint &at = args.endpoint;
     const std::string target =
-        args.unixPath.empty() ? "tcp://" + args.tcp
-                              : "unix://" + args.unixPath;
+        at.unixPath.empty()
+            ? "tcp://" + at.host + ":" + std::to_string(at.port)
+            : "unix://" + at.unixPath;
     std::printf("bxt_top — %s   uptime %.1f s   window %.2f s\n",
                 target.c_str(), cur.uptimeUs / 1.0e6,
                 dt_s > 0.0 ? dt_s : 0.0);
@@ -455,10 +456,7 @@ main(int argc, char **argv)
     bxt::Cli cli("bxt_top",
                  "live dashboard for a running bxtd (Snapshot opcode "
                  "poller)");
-    cli.add("--tcp", "HOST:PORT", "connect over TCP",
-            [&](const std::string &v) { args.tcp = v; });
-    cli.add("--unix", "PATH", "connect over a Unix-domain socket",
-            [&](const std::string &v) { args.unixPath = v; });
+    bxt::client::addEndpointOptions(cli, args.endpoint);
     cli.addInt("--interval-ms", "N", "poll interval (default 1000)",
                args.intervalMs, 1);
     cli.addFlag("--once",
@@ -474,24 +472,12 @@ main(int argc, char **argv)
     if (!cli.parse(argc, argv))
         return cli.exitCode();
 
-    if (args.tcp.empty() && args.unixPath.empty()) {
+    if (!args.endpoint.set()) {
         std::fprintf(stderr, "bxt_top: need --tcp or --unix\n");
         return 2;
     }
     std::string err;
-    bxt::client::Client client;
-    if (!args.unixPath.empty()) {
-        client = bxt::client::Client::connectUnix(args.unixPath, err);
-    } else {
-        std::string host;
-        int port = 0;
-        if (!bxt::parseHostPort(args.tcp, host, port)) {
-            std::fprintf(stderr, "bxt_top: bad --tcp '%s' (want HOST:PORT)\n",
-                         args.tcp.c_str());
-            return 2;
-        }
-        client = bxt::client::Client::connectTcp(host, port, err);
-    }
+    bxt::client::Client client = bxt::client::connect(args.endpoint, err);
     if (!client.connected()) {
         std::fprintf(stderr, "bxt_top: %s\n", err.c_str());
         return 1;
