@@ -9,9 +9,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/parse.h"
 #include "gpusim/gpu_system.h"
 
 int
@@ -19,13 +19,13 @@ main(int argc, char **argv)
 {
     using namespace bxt;
 
-    const std::size_t kernel_index =
-        argc >= 2 ? static_cast<std::size_t>(std::atoi(argv[1])) : 0;
     const std::string codec =
         argc >= 3 ? argv[2] : "universal3+zdr";
 
     std::vector<GpuKernel> kernels = makeReferenceKernels(42);
-    if (kernel_index >= kernels.size()) {
+    std::size_t kernel_index = 0;
+    if (argc >= 2 && !parseUnsigned(argv[1], /*allow_hex=*/false,
+                                    kernel_index, kernels.size() - 1)) {
         std::fprintf(stderr, "kernel index must be 0..%zu\n",
                      kernels.size() - 1);
         return 1;

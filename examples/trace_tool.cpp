@@ -11,11 +11,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "channel/channel_eval.h"
+#include "common/parse.h"
 #include "common/table.h"
 #include "core/codec_factory.h"
 #include "workloads/apps.h"
@@ -123,12 +123,11 @@ main(int argc, char **argv)
 {
     if (argc >= 2 && std::strcmp(argv[1], "list") == 0)
         return listApps();
-    if (argc >= 4 && std::strcmp(argv[1], "gen") == 0) {
-        const std::size_t count =
-            argc >= 5 ? static_cast<std::size_t>(std::atoll(argv[4]))
-                      : bxt::defaultTraceLength;
+    std::size_t count = bxt::defaultTraceLength;
+    if (argc >= 4 && std::strcmp(argv[1], "gen") == 0 &&
+        (argc < 5 ||
+         bxt::parseUnsigned(argv[4], /*allow_hex=*/false, count)))
         return generate(argv[2], argv[3], count);
-    }
     if (argc >= 3 && std::strcmp(argv[1], "stats") == 0)
         return stats(argv[2]);
 

@@ -8,41 +8,15 @@
 
 #include "common/bitops.h"
 #include "common/error.h"
+#include "common/parse.h"
 #include "core/codec_factory.h"
 
 namespace bxt::adaptive {
 
 namespace {
 
-bool
-parseSizeKnob(const std::string &value, std::size_t &out)
-{
-    if (value.empty())
-        return false;
-    std::size_t parsed = 0;
-    for (const char c : value) {
-        if (c < '0' || c > '9')
-            return false;
-        parsed = parsed * 10 + static_cast<std::size_t>(c - '0');
-        if (parsed > 1'000'000'000)
-            return false;
-    }
-    out = parsed;
-    return true;
-}
-
-bool
-parsePctKnob(const std::string &value, double &out)
-{
-    if (value.empty())
-        return false;
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end != value.c_str() + value.size() || !std::isfinite(parsed))
-        return false;
-    out = parsed;
-    return true;
-}
+/** The largest window or period a spec may ask for. */
+constexpr std::uint64_t maxSizeKnob = 1'000'000'000;
 
 /** Format a percentage without trailing zeros ("10", "7.5"). */
 std::string
@@ -108,22 +82,24 @@ parseAdaptiveSpec(const std::string &spec, std::size_t bus_bytes,
             return false;
         }
         if (item.rfind("w=", 0) == 0) {
-            if (!parseSizeKnob(item.substr(2), out.window) ||
+            if (!parseUnsigned(item.substr(2), /*allow_hex=*/false,
+                               out.window, maxSizeKnob) ||
                 out.window < 2) {
                 err = "adaptive window knob '" + item +
                       "' wants w=N with N >= 2";
                 return false;
             }
         } else if (item.rfind("p=", 0) == 0) {
-            if (!parseSizeKnob(item.substr(2), out.period) ||
+            if (!parseUnsigned(item.substr(2), /*allow_hex=*/false,
+                               out.period, maxSizeKnob) ||
                 out.period == 0) {
                 err = "adaptive period knob '" + item +
                       "' wants p=N with N >= 1";
                 return false;
             }
         } else if (item.rfind("h=", 0) == 0) {
-            if (!parsePctKnob(item.substr(2), out.hysteresisPct) ||
-                out.hysteresisPct < 0.0 || out.hysteresisPct >= 100.0) {
+            if (!parseReal(item.substr(2), 0.0, 100.0, out.hysteresisPct) ||
+                out.hysteresisPct >= 100.0) {
                 err = "adaptive hysteresis knob '" + item +
                       "' wants h=PCT with 0 <= PCT < 100";
                 return false;

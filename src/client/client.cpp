@@ -1,7 +1,5 @@
 #include "client/client.h"
 
-#include <cstdlib>
-
 #include "common/cli.h"
 
 namespace bxt::client {
@@ -14,20 +12,24 @@ constexpr std::size_t readChunkBytes = 64 * 1024;
 /**
  * Split a reply's spec field into the announced concrete spec and the
  * switch epoch. Concrete-spec replies echo the request spec with no
- * ';' marker — announced = the whole field, epoch = 0.
+ * ';' marker — announced = the whole field, epoch = 0. False when a
+ * ';' is not followed by "epoch=N".
  */
-void
+bool
 parseAnnouncement(std::string_view reply_spec, std::string &announced,
-                  std::uint64_t &epoch)
+                  std::uint64_t &epoch, std::string &err)
 {
     epoch = 0;
     const std::size_t semi = reply_spec.find(';');
     announced = reply_spec.substr(0, semi);
     if (semi == std::string_view::npos)
-        return;
-    const std::string tail(reply_spec.substr(semi + 1));
-    if (tail.rfind("epoch=", 0) == 0)
-        epoch = std::strtoull(tail.c_str() + 6, nullptr, 10);
+        return true;
+    const std::string_view tail = reply_spec.substr(semi + 1);
+    if (tail.starts_with("epoch=") &&
+        parseUnsigned(tail.substr(6), /*allow_hex=*/false, epoch))
+        return true;
+    err = "bad announced spec '" + std::string(reply_spec) + "'";
+    return false;
 }
 
 } // namespace
@@ -198,8 +200,8 @@ Client::readEncode(EncodeResult &out, std::string &err)
     out.meta.resize(meta_bytes);
     reader.bytes(out.payloads.data(), payload_bytes);
     reader.bytes(out.meta.data(), meta_bytes);
-    parseAnnouncement(reply.spec, out.announcedSpec, out.switchEpoch);
-    return true;
+    return parseAnnouncement(reply.spec, out.announcedSpec, out.switchEpoch,
+                             err);
 }
 
 bool
@@ -233,8 +235,8 @@ Client::decode(const std::string &spec, const EncodeResult &enc,
     }
     out.raw.resize(count * out.txBytes);
     reader.bytes(out.raw.data(), out.raw.size());
-    parseAnnouncement(reply.spec, out.announcedSpec, out.switchEpoch);
-    return true;
+    return parseAnnouncement(reply.spec, out.announcedSpec, out.switchEpoch,
+                             err);
 }
 
 bool

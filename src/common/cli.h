@@ -11,44 +11,17 @@
 #define BXT_COMMON_CLI_H
 
 #include <climits>
-#include <cstdint>
 #include <functional>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "common/parse.h"
 
 namespace bxt {
 
 /** Library version string reported by every tool's `--version`. */
 extern const char *const versionString;
-
-/**
- * Parse all of @p text as a whole decimal number (an optional '-', then
- * digits and nothing else) in [@p lo, @p hi]; false otherwise.
- */
-bool parseDecimal(std::string_view text, long long lo, long long hi,
-                  long long &value);
-
-/**
- * Parse all of @p text as an unsigned 64-bit number: decimal digits, or
- * with @p allow_hex also "0x"/"0X" followed by hex digits; false
- * otherwise.
- */
-bool parseUnsigned(std::string_view text, bool allow_hex,
-                   std::uint64_t &value);
-
-/**
- * Parse all of @p text as a finite decimal real number ("0.25", "1e6")
- * in [@p lo, @p hi]; false otherwise. Independent of the C locale.
- */
-bool parseReal(std::string_view text, double lo, double hi, double &value);
-
-/**
- * Split "HOST:PORT" at its last ':' into a non-empty @p host and a
- * decimal @p port in 0..65535; false otherwise.
- */
-bool parseHostPort(const std::string &text, std::string &host, int &port);
 
 /**
  * Declarative flag parser. Register options, then call parse(); the

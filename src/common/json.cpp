@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/error.h"
+#include "common/parse.h"
 
 namespace bxt {
 
@@ -431,25 +432,14 @@ class Parser
     bool parseNumber(JsonValue &out)
     {
         const std::size_t start = pos_;
-        if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
+        while (pos_ < text_.size() &&
+               std::string_view("0123456789.eE+-").find(text_[pos_]) !=
+                   std::string_view::npos)
             ++pos_;
-        bool digits = false;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                digits = true;
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '-' ||
-                       c == '+') {
-                ++pos_;
-            } else {
-                break;
-            }
-        }
-        if (!digits)
+        if (!parseReal(std::string_view(text_).substr(start, pos_ - start),
+                       out.number))
             return fail("invalid number");
         out.kind = JsonValue::Kind::Number;
-        out.number = std::strtod(text_.c_str() + start, nullptr);
         return true;
     }
 

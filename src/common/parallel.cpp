@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/cli.h"
+#include "common/parse.h"
 
 namespace bxt {
 

@@ -1,9 +1,8 @@
 #include "core/codec_factory.h"
 
-#include <cctype>
-
 #include "adaptive/adaptive_codec.h"
 #include "common/error.h"
+#include "common/parse.h"
 #include "core/base_xor.h"
 #include "core/bd_encoding.h"
 #include "core/dbi.h"
@@ -53,15 +52,13 @@ makeStage(const std::string &token, std::size_t bus_bytes, std::string &err)
 
     bool bad_suffix = false;
     auto numeric_suffix = [&](std::size_t prefix_len) -> long {
+        unsigned value = 0;
         if (head.size() == prefix_len)
             return -1;
-        long value = 0;
-        for (std::size_t i = prefix_len; i < head.size(); ++i) {
-            if (!std::isdigit(static_cast<unsigned char>(head[i]))) {
-                bad_suffix = true;
-                return -1;
-            }
-            value = value * 10 + (head[i] - '0');
+        if (!parseUnsigned(std::string_view(head).substr(prefix_len),
+                           /*allow_hex=*/false, value)) {
+            bad_suffix = true;
+            return -1;
         }
         return value;
     };

@@ -6,20 +6,13 @@
 #include <sstream>
 
 #include "common/bitops.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "core/codec_factory.h"
 #include "verify/generators.h"
 
 namespace bxt::verify {
 namespace {
-
-std::string
-compactHex(const Transaction &tx)
-{
-    std::string hex = tx.toHex();
-    hex.erase(std::remove(hex.begin(), hex.end(), ' '), hex.end());
-    return hex;
-}
 
 std::string
 bitsString(const std::vector<std::uint8_t> &bits)
@@ -31,23 +24,6 @@ bitsString(const std::vector<std::uint8_t> &bits)
     for (std::uint8_t b : bits)
         out += b ? '1' : '0';
     return out;
-}
-
-/** Parse a compact hex transaction; false on bad digits or size. */
-bool
-parseTx(const std::string &hex, Transaction &out)
-{
-    const std::size_t n = hex.size() / 2;
-    if (hex.size() % 2 != 0 || n < Transaction::minBytes ||
-        n > Transaction::maxBytes || (n & (n - 1)) != 0) {
-        return false;
-    }
-    for (char c : hex) {
-        if (!std::isxdigit(static_cast<unsigned char>(c)))
-            return false;
-    }
-    out = Transaction::fromHex(hex);
-    return true;
 }
 
 bool
@@ -85,16 +61,46 @@ goldenSpecs(unsigned data_wires)
 std::string
 goldenFileName(const std::string &spec, unsigned data_wires)
 {
-    std::string name;
+    return specFileStem(spec) + ".w" + std::to_string(data_wires) + ".txt";
+}
+
+std::string
+specFileStem(const std::string &spec)
+{
+    std::string stem;
     for (char c : spec) {
         if (std::isalnum(static_cast<unsigned char>(c)))
-            name += c;
+            stem += c;
         else if (c == '|')
-            name += "__";
+            stem += "__";
         else
-            name += '-';
+            stem += '-';
     }
-    return name + ".w" + std::to_string(data_wires) + ".txt";
+    return stem;
+}
+
+std::string
+compactHex(const Transaction &tx)
+{
+    std::string hex = tx.toHex();
+    hex.erase(std::remove(hex.begin(), hex.end(), ' '), hex.end());
+    return hex;
+}
+
+bool
+parseCompactHex(const std::string &hex, Transaction &out)
+{
+    const std::size_t n = hex.size() / 2;
+    if (hex.size() % 2 != 0 || n < Transaction::minBytes ||
+        n > Transaction::maxBytes || (n & (n - 1)) != 0) {
+        return false;
+    }
+    for (char c : hex) {
+        if (!std::isxdigit(static_cast<unsigned char>(c)))
+            return false;
+    }
+    out = Transaction::fromHex(hex);
+    return true;
 }
 
 GoldenFile
@@ -175,18 +181,19 @@ loadGoldenFile(const std::string &path, GoldenFile &out)
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream fields(line);
-        std::string key;
-        fields >> key;
+        std::string key, value;
+        fields >> key >> value;
         if (key == "spec") {
-            fields >> out.spec;
-        } else if (key == "wires") {
-            fields >> out.dataWires;
-        } else if (key == "seed") {
-            std::string value;
-            fields >> value;
-            out.seed = std::stoull(value, nullptr, 0);
+            out.spec = value;
         } else if (key == "count") {
             break;
+        } else if ((key == "wires" &&
+                    !parseUnsigned(value, /*allow_hex=*/false,
+                                   out.dataWires)) ||
+                   (key == "seed" &&
+                    !parseUnsigned(value, /*allow_hex=*/true, out.seed))) {
+            diffs.push_back(path + ": unparsable header line: " + line);
+            return diffs;
         }
     }
     if (out.spec.empty() || out.dataWires == 0 || out.dataWires % 8 != 0) {
@@ -214,22 +221,27 @@ loadGoldenFile(const std::string &path, GoldenFile &out)
         if (key == "vector") {
             flush();
             have_vector = true;
-            index = static_cast<std::size_t>(std::stoul(value));
+            if (!parseUnsigned(value, /*allow_hex=*/false, index)) {
+                diffs.push_back(path + ": unparsable vector line: " + line);
+                return diffs;
+            }
         } else if (key == "in") {
-            if (!parseTx(value, vec.input)) {
+            if (!parseCompactHex(value, vec.input)) {
                 diffs.push_back(where + ": unparsable input " + value);
                 return diffs;
             }
         } else if (key == "enc") {
-            if (!parseTx(value, vec.payload)) {
+            if (!parseCompactHex(value, vec.payload)) {
                 diffs.push_back(where + ": unparsable encoding " + value);
                 return diffs;
             }
         } else if (key == "meta") {
-            std::string wires_key;
-            fields >> wires_key >> vec.metaWiresPerBeat;
-            if (!parseBits(value, vec.meta)) {
-                diffs.push_back(where + ": unparsable meta " + value);
+            std::string wires_key, wires;
+            fields >> wires_key >> wires;
+            if (!parseBits(value, vec.meta) ||
+                !parseUnsigned(wires, /*allow_hex=*/false,
+                               vec.metaWiresPerBeat)) {
+                diffs.push_back(where + ": unparsable meta line: " + line);
                 return diffs;
             }
         } else if (key == "stat") {
@@ -245,8 +257,11 @@ loadGoldenFile(const std::string &path, GoldenFile &out)
                     break;
                 }
                 const std::string name = field.substr(0, eq);
-                const std::uint64_t v = std::stoull(field.substr(eq + 1));
-                if (name == "ones")
+                std::uint64_t v = 0;
+                if (!parseUnsigned(field.substr(eq + 1), /*allow_hex=*/false,
+                                   v))
+                    parsed = false;
+                else if (name == "ones")
                     vec.stats.dataOnes = v;
                 else if (name == "toggles")
                     vec.stats.dataToggles = v;
@@ -435,30 +450,36 @@ formatEndpointLine(const Endpoint &endpoint)
     return buffer;
 }
 
-std::vector<Endpoint>
-loadEndpoints(const std::string &path)
+std::vector<std::string>
+loadEndpoints(const std::string &path, std::vector<Endpoint> &out)
 {
-    std::vector<Endpoint> endpoints;
+    std::vector<std::string> errors;
+    out.clear();
     std::ifstream in(path);
+    if (!in) {
+        errors.push_back(path + ": cannot open");
+        return errors;
+    }
     std::string line;
-    while (std::getline(in, line)) {
+    for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream fields(line);
-        std::string tag;
+        std::string tag, tx_field, v_field, extra;
         Endpoint endpoint;
-        std::string tx_field, v_field;
         fields >> tag >> endpoint.fig >> endpoint.spec >> tx_field >> v_field;
-        if (tag != "endpoint" || tx_field.rfind("tx=", 0) != 0 ||
-            v_field.rfind("v=", 0) != 0) {
+        if (tag != "endpoint" || fields >> extra ||
+            tx_field.rfind("tx=", 0) != 0 || v_field.rfind("v=", 0) != 0 ||
+            !parseUnsigned(tx_field.substr(3), /*allow_hex=*/false,
+                           endpoint.txPerApp) ||
+            !parseReal(v_field.substr(2), endpoint.value)) {
+            errors.push_back(path + ":" + std::to_string(line_no) +
+                             ": unparsable endpoint line: " + line);
             continue;
         }
-        endpoint.txPerApp =
-            static_cast<std::size_t>(std::stoul(tx_field.substr(3)));
-        endpoint.value = std::stod(v_field.substr(2));
-        endpoints.push_back(std::move(endpoint));
+        out.push_back(std::move(endpoint));
     }
-    return endpoints;
+    return errors;
 }
 
 bool

@@ -46,6 +46,15 @@ std::vector<std::string> goldenSpecs(unsigned data_wires);
 /** Stable file name for (spec, wires), e.g. `universal3-zdr__dbi4.w32.txt`. */
 std::string goldenFileName(const std::string &spec, unsigned data_wires);
 
+/** @p spec in a file name: '|' as "__", other non-alphanumerics as '-'. */
+std::string specFileStem(const std::string &spec);
+
+/** @p tx as hex digits without spaces, as golden and repro files hold it. */
+std::string compactHex(const Transaction &tx);
+
+/** Parse compactHex() text; false on a bad digit or transaction size. */
+bool parseCompactHex(const std::string &hex, Transaction &out);
+
 /**
  * Generate the golden records for @p spec by running the *current* core
  * codec and Bus over the deterministic generator stream. Vectors are
@@ -96,8 +105,13 @@ struct Endpoint
 /** Format one endpoint line (`endpoint fig11 xor2+zdr tx=512 v=0.123456789`). */
 std::string formatEndpointLine(const Endpoint &endpoint);
 
-/** Parse endpoint lines from @p path (comments/blank lines skipped). */
-std::vector<Endpoint> loadEndpoints(const std::string &path);
+/**
+ * Parse the endpoint lines of @p path into @p out (comments and blank
+ * lines skipped). Returns one line per problem, naming the line that
+ * does not parse (empty == clean).
+ */
+std::vector<std::string> loadEndpoints(const std::string &path,
+                                       std::vector<Endpoint> &out);
 
 /** Append endpoint lines to @p path (creates it); false on I/O failure. */
 bool appendEndpoints(const std::string &path,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/parse.h"
 #include "core/codec_factory.h"
 
 namespace bxt::verify {
@@ -69,14 +70,11 @@ trailingDbiGroupBytes(const std::string &spec)
     const std::size_t bar = spec.rfind('|');
     const std::string tail =
         bar == std::string::npos ? spec : spec.substr(bar + 1);
-    if (tail.rfind("dbi", 0) != 0 || tail.rfind("dbi-ac", 0) == 0)
-        return 0;
     std::size_t group = 0;
-    for (std::size_t i = 3; i < tail.size(); ++i) {
-        if (tail[i] < '0' || tail[i] > '9')
-            return 0;
-        group = group * 10 + static_cast<std::size_t>(tail[i] - '0');
-    }
+    if (tail.rfind("dbi", 0) != 0 || tail.rfind("dbi-ac", 0) == 0 ||
+        !parseUnsigned(std::string_view(tail).substr(3),
+                       /*allow_hex=*/false, group))
+        return 0;
     return group;
 }
 

@@ -1,6 +1,7 @@
 #include "verify/reference_codecs.h"
 
 #include "common/error.h"
+#include "common/parse.h"
 
 namespace bxt::verify {
 
@@ -425,15 +426,13 @@ makeRefStage(const std::string &token, std::size_t bus_bytes)
     }
 
     auto suffix = [&](std::size_t prefix_len, long fallback) -> long {
+        unsigned value = 0;
         if (head.size() == prefix_len)
             return fallback;
-        long value = 0;
-        for (std::size_t i = prefix_len; i < head.size(); ++i) {
-            if (head[i] < '0' || head[i] > '9')
-                return -1;
-            value = value * 10 + (head[i] - '0');
-        }
-        return value;
+        return parseUnsigned(std::string_view(head).substr(prefix_len),
+                             /*allow_hex=*/false, value)
+                   ? value
+                   : -1;
     };
 
     if (head == "baseline" || head == "identity")

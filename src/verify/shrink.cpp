@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+
+#include "common/parse.h"
+#include "verify/golden.h"
 
 namespace bxt::verify {
 namespace {
@@ -20,21 +22,6 @@ zeroSpan(Transaction &tx, std::size_t offset, std::size_t n)
         tx.data()[i] = 0;
     }
     return changed;
-}
-
-std::string
-sanitizeSpec(const std::string &spec)
-{
-    std::string out;
-    for (char c : spec) {
-        if (std::isalnum(static_cast<unsigned char>(c)))
-            out += c;
-        else if (c == '|')
-            out += "__";
-        else
-            out += '-';
-    }
-    return out;
 }
 
 /** FNV-1a over the repro's identifying content, for stable file names. */
@@ -52,14 +39,6 @@ contentHash(const Repro &repro)
         mix(repro.tx.data()[i]);
     mix(static_cast<std::uint8_t>(repro.dataWires));
     return h;
-}
-
-std::string
-compactHex(const Transaction &tx)
-{
-    std::string hex = tx.toHex();
-    hex.erase(std::remove(hex.begin(), hex.end(), ' '), hex.end());
-    return hex;
 }
 
 } // namespace
@@ -111,7 +90,7 @@ writeRepro(const std::string &dir, const Repro &repro)
 
     char name[160];
     std::snprintf(name, sizeof(name), "repro-%s-%016llx.repro",
-                  sanitizeSpec(repro.spec).c_str(),
+                  specFileStem(repro.spec).c_str(),
                   static_cast<unsigned long long>(contentHash(repro)));
     const std::string path = dir + "/" + name;
 
@@ -152,30 +131,22 @@ loadRepro(const std::string &path)
             repro.spec = value;
             have_spec = true;
         } else if (key == "wires") {
-            repro.dataWires = static_cast<unsigned>(std::stoul(value));
+            if (!parseUnsigned(value, /*allow_hex=*/false, repro.dataWires))
+                return std::nullopt;
         } else if (key == "seed") {
-            repro.seed = std::stoull(value, nullptr, 0);
+            if (!parseUnsigned(value, /*allow_hex=*/true, repro.seed))
+                return std::nullopt;
         } else if (key == "invariant") {
             repro.invariant = value;
         } else if (key == "detail") {
             repro.detail = value;
         } else if (key == "tx") {
-            // Validate before Transaction::fromHex, which is fatal on bad
-            // input — a malformed corpus file must not kill the replayer.
-            std::string digits;
-            for (char c : value) {
-                if (std::isspace(static_cast<unsigned char>(c)))
-                    continue;
-                if (!std::isxdigit(static_cast<unsigned char>(c)))
-                    return std::nullopt;
-                digits += c;
-            }
-            const std::size_t n = digits.size() / 2;
-            if (digits.size() % 2 != 0 || n < Transaction::minBytes ||
-                n > Transaction::maxBytes || (n & (n - 1)) != 0) {
+            std::string digits = value;
+            std::erase_if(digits, [](unsigned char c) {
+                return std::isspace(c) != 0;
+            });
+            if (!parseCompactHex(digits, repro.tx))
                 return std::nullopt;
-            }
-            repro.tx = Transaction::fromHex(digits);
             have_tx = true;
         }
     }

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <set>
 #include <sstream>
 
 #include "common/json.h"
+#include "common/parse.h"
 
 namespace bxt::scenario {
 namespace {
@@ -96,25 +96,6 @@ trim(const std::string &text)
     return text.substr(begin, end - begin + 1);
 }
 
-bool
-parseDouble(const std::string &text, double &out)
-{
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end != text.c_str() && *end == '\0';
-}
-
-bool
-parseU32(const std::string &text, std::uint32_t &out)
-{
-    char *end = nullptr;
-    const unsigned long value = std::strtoul(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0')
-        return false;
-    out = static_cast<std::uint32_t>(value);
-    return true;
-}
-
 /** Split `item:weight,item:weight,...`; item may not contain ':'. */
 bool
 parsePairs(const std::string &text,
@@ -130,7 +111,7 @@ parsePairs(const std::string &text,
         if (colon == std::string::npos || colon == 0)
             return false;
         double weight = 0.0;
-        if (!parseDouble(trim(token.substr(colon + 1)), weight) ||
+        if (!parseReal(trim(token.substr(colon + 1)), weight) ||
             weight <= 0.0)
             return false;
         out.emplace_back(trim(token.substr(0, colon)), weight);
@@ -287,9 +268,10 @@ parse(const std::string &text, Config &out, std::string &err)
         if (key == "name") {
             config.name = value;
         } else if (key == "tenants") {
-            ok = parseU32(value, config.tenants);
+            ok = parseUnsigned(value, /*allow_hex=*/true,
+                               config.tenants, maxTenants);
         } else if (key == "alpha") {
-            ok = parseDouble(value, config.alpha);
+            ok = parseReal(value, config.alpha);
         } else if (key == "spec_mix") {
             std::vector<std::pair<std::string, double>> pairs;
             ok = parsePairs(value, pairs);
@@ -300,29 +282,29 @@ parse(const std::string &text, Config &out, std::string &err)
             ok = parsePairs(value, pairs);
             for (const auto &[size, weight] : pairs) {
                 std::uint32_t tx_bytes = 0;
-                ok = ok && parseU32(size, tx_bytes);
+                ok = ok && parseUnsigned(size, /*allow_hex=*/true, tx_bytes);
                 config.sizeMix.push_back({tx_bytes, weight});
             }
         } else if (key == "bus_bits") {
-            ok = parseU32(value, config.busBits);
+            ok = parseUnsigned(value, /*allow_hex=*/true, config.busBits);
         } else if (key == "min_tx") {
-            ok = parseU32(value, config.minTx);
+            ok = parseUnsigned(value, /*allow_hex=*/true, config.minTx);
         } else if (key == "max_tx") {
-            ok = parseU32(value, config.maxTx);
+            ok = parseUnsigned(value, /*allow_hex=*/true, config.maxTx);
         } else if (key == "rate_per_sec") {
-            ok = parseDouble(value, config.ratePerSec);
+            ok = parseReal(value, config.ratePerSec);
         } else if (key == "burst_prob") {
-            ok = parseDouble(value, config.burstProb);
+            ok = parseReal(value, config.burstProb);
         } else if (key == "burst_len") {
-            ok = parseU32(value, config.burstLen);
+            ok = parseUnsigned(value, /*allow_hex=*/true, config.burstLen);
         } else if (key == "burst_factor") {
-            ok = parseDouble(value, config.burstFactor);
+            ok = parseReal(value, config.burstFactor);
         } else if (key == "hot_fraction") {
-            ok = parseDouble(value, config.hotFraction);
+            ok = parseReal(value, config.hotFraction);
         } else if (key == "hot_spec") {
             config.hotSpec = value;
         } else if (key == "requests") {
-            ok = parseU32(value, config.requests);
+            ok = parseUnsigned(value, /*allow_hex=*/true, config.requests);
         } else {
             err = "line " + std::to_string(line_no) + ": unknown key '" +
                   key + "'";

@@ -53,6 +53,9 @@ struct SizeShare
     bool operator==(const SizeShare &) const = default;
 };
 
+/** Most tenants: bxt_loadgen tags tenant t with 16-bit stream id t + 1. */
+constexpr std::uint32_t maxTenants = 0xffff;
+
 /**
  * A tenant-population traffic model. All distributions are sampled with
  * the engine's seeded RNG only, so a (Config, seed) pair fully
@@ -62,7 +65,7 @@ struct Config
 {
     std::string name = "uniform";
 
-    /** Tenant population size. Tenant ids are 0..tenants-1. */
+    /** Tenant population size (<= maxTenants). Ids are 0..tenants-1. */
     std::uint32_t tenants = 16;
 
     /**

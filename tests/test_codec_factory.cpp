@@ -23,6 +23,7 @@ TEST(CodecFactory, ParsesXorVariants)
     EXPECT_EQ(makeCodec("xor8+zdr+fixed")->name(), "xor8+zdr(fixed)");
     EXPECT_EQ(makeCodec("xor2")->name(), "xor2");
     EXPECT_EQ(makeCodec("xor16")->name(), "xor16");
+    EXPECT_EQ(makeCodec("xor04")->name(), "xor4");
 }
 
 TEST(CodecFactory, ParsesUniversal)
@@ -87,6 +88,14 @@ TEST(CodecFactoryDeath, RejectsMalformedSpecs)
                 "unknown flag");
     EXPECT_EXIT(makeCodec("bd+zdr"), testing::ExitedWithCode(1),
                 "no flags");
+    // Suffixes past 2^64 that a wrapping accumulator read as 4, 3 and 1.
+    EXPECT_EXIT(makeCodec("xor18446744073709551620+zdr"),
+                testing::ExitedWithCode(1), "base size");
+    EXPECT_EXIT(makeCodec("universal18446744073709551619"),
+                testing::ExitedWithCode(1), "stages");
+    EXPECT_EXIT(makeCodec("dbi-ac18446744073709551617"),
+                testing::ExitedWithCode(1), "group");
+    EXPECT_EXIT(makeCodec("xor-4"), testing::ExitedWithCode(1), "base size");
 }
 
 } // namespace

@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "common/rng.h"
@@ -23,6 +25,8 @@
 #include "verify/generators.h"
 #include "verify/invariants.h"
 #include "verify/reference_codecs.h"
+
+#include "temp_path.h"
 
 namespace bxt {
 namespace {
@@ -208,6 +212,29 @@ TEST(Differential, CorpusReplayStaysClean)
 {
     const FuzzReport report = verify::replayCorpus(BXT_CORPUS_DIR);
     EXPECT_TRUE(report.ok()) << failureText(report);
+}
+
+/**
+ * A repro whose numbers do not parse is reported as corpus-malformed
+ * (`wires x` used to throw out of loadRepro, `seed 0xZZ` to read as 0).
+ */
+TEST(Differential, MalformedReproIsReportedNotThrown)
+{
+    const std::filesystem::path dir = uniqueTempPath("corpus");
+    std::filesystem::create_directories(dir);
+    const std::string tx = "tx " + std::string(64, '0') + "\n";
+    std::ofstream(dir / "wires.repro") << "spec xor4+zdr\nwires x\n" << tx;
+    std::ofstream(dir / "seed.repro")
+        << "spec xor4+zdr\nwires 32\nseed 0xZZ\n" << tx;
+    std::ofstream(dir / "ok.repro")
+        << "spec xor4+zdr\nwires 32\nseed 0x1\n" << tx;
+
+    const FuzzReport report = verify::replayCorpus(dir.string());
+    ASSERT_EQ(report.failures.size(), 2u) << failureText(report);
+    for (const auto &failure : report.failures)
+        EXPECT_EQ(failure.violation.invariant, "corpus-malformed");
+    EXPECT_EQ(report.transactionsChecked, 1u);
+    std::filesystem::remove_all(dir);
 }
 
 /**

@@ -290,6 +290,29 @@ TEST(Parse, RejectsBadValues)
     EXPECT_FALSE(parse("min_tx = 0\n", config, err));
     EXPECT_FALSE(parse("spec_mix = xor4+zdr\n", config, err));
     EXPECT_FALSE(parse("size_mix = 48:1\n", config, err));
+    // Each of these used to wrap, overflow or read as a non-finite value.
+    for (const char *text :
+         {"max_tx = -1\n", "tenants = 4294967297\n",
+          "requests = 99999999999\n", "alpha = nan\n",
+          "rate_per_sec = inf\n", "burst_factor = inf\n",
+          "size_mix = 32:nan\n", "tenants = 65536\n", "tenants = 70000\n",
+          "requests = 10x\n", "alpha = 0.5.5\n"}) {
+        EXPECT_FALSE(parse(text, config, err)) << text;
+        EXPECT_NE(err.find("line 1: bad value"), std::string::npos)
+            << text << err;
+    }
+}
+
+TEST(Parse, ReadsHexAndLeadingZerosAsDecimal)
+{
+    Config config;
+    std::string err;
+    ASSERT_TRUE(parse("tenants = 0x10\nrequests = 010\n", config, err))
+        << err;
+    EXPECT_EQ(config.tenants, 16u);
+    EXPECT_EQ(config.requests, 10u);
+    ASSERT_TRUE(parse("tenants = 65535\n", config, err)) << err;
+    EXPECT_EQ(config.tenants, 65535u);
 }
 
 TEST(Load, ResolvesPresetNameOrFile)

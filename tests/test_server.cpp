@@ -784,9 +784,15 @@ TEST(Service, BadSpecIsTyped)
 {
     server::Service service;
     const std::vector<std::uint8_t> raw(32, 0);
-    const wire::Frame reply =
-        service.handle(makeEncodeRequest("no-such-codec", 32, 32, raw));
-    EXPECT_EQ(errorCodeOf(reply), wire::ErrorCode::BadSpec);
+    for (const char *spec :
+         {"no-such-codec", "xor18446744073709551620+zdr",
+          "universal18446744073709551619", "dbi-ac18446744073709551617",
+          "adaptive:xor4+zdr,baseline,w=1000000001",
+          "adaptive:xor4+zdr,baseline,h=5x"}) {
+        const wire::Frame reply =
+            service.handle(makeEncodeRequest(spec, 32, 32, raw));
+        EXPECT_EQ(errorCodeOf(reply), wire::ErrorCode::BadSpec) << spec;
+    }
 }
 
 TEST(Service, BadGeometryIsMalformed)

@@ -258,6 +258,25 @@ TEST_F(TelemetryTest, SnapshotRoundTripsThroughParser)
     }
 }
 
+TEST_F(TelemetryTest, ParserTakesWholeNumberTokensOnly)
+{
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(R"({"a":-1.5e2,"b":0,"c":18446744073709551615})",
+                          doc, &error))
+        << error;
+    EXPECT_EQ(member(doc, "a").number, -150.0);
+    EXPECT_EQ(member(doc, "c").number, 18446744073709551615.0);
+    // Each used to read as its longest numeric prefix (1, 1.2, 1, 5).
+    for (const char *text : {R"({"a":1-2})", R"({"a":1.2.3})", R"({"a":1e})",
+                             R"({"a":+5})", R"({"a":1e400})", R"({"a":-})"}) {
+        error.clear();
+        EXPECT_FALSE(parseJson(text, doc, &error)) << text;
+        EXPECT_NE(error.find("invalid number"), std::string::npos)
+            << text << ": " << error;
+    }
+}
+
 TEST_F(TelemetryTest, DisabledMetricsAreZeroCostNoops)
 {
     tm::setMetricsEnabled(false);

@@ -35,7 +35,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -185,24 +184,18 @@ removedPct(double ones_in, double ones_out)
     return 100.0 * (1.0 - ones_out / ones_in);
 }
 
-/** "bxt.server.stream.<id>.<leaf>" -> id, or -1 when not a stream name. */
+/** "<prefix><id>.<leaf>" -> id, a decimal >= @p lo; -1 for other names. */
 long
-streamIdOf(const std::string &name, std::string &leaf)
+idOf(const std::string &name, const std::string &prefix, long lo)
 {
-    static const std::string prefix = "bxt.server.stream.";
-    if (name.rfind(prefix, 0) != 0)
-        return -1;
     const std::size_t dot = name.find('.', prefix.size());
-    if (dot == std::string::npos)
+    long long id = 0;
+    if (name.rfind(prefix, 0) != 0 || dot == std::string::npos ||
+        !bxt::parseDecimal(
+            std::string_view(name).substr(prefix.size(), dot - prefix.size()),
+            lo, LONG_MAX, id))
         return -1;
-    const std::string id_text = name.substr(prefix.size(),
-                                            dot - prefix.size());
-    char *end = nullptr;
-    const long id = std::strtol(id_text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || id <= 0)
-        return -1;
-    leaf = name.substr(dot + 1);
-    return id;
+    return static_cast<long>(id);
 }
 
 /** "bxt.server.<spec>.ones_in" -> spec, excluding the stream and shard
@@ -222,25 +215,6 @@ specOf(const std::string &name, std::string &spec)
                        name.size() - prefix.size() - suffix.size());
     return !spec.empty() && spec.rfind("stream.", 0) != 0 &&
            spec.rfind("shard.", 0) != 0;
-}
-
-/** "bxt.server.shard.<i>.<leaf>" -> i, or -1 when not a shard name. */
-long
-shardIdOf(const std::string &name)
-{
-    static const std::string prefix = "bxt.server.shard.";
-    if (name.rfind(prefix, 0) != 0)
-        return -1;
-    const std::size_t dot = name.find('.', prefix.size());
-    if (dot == std::string::npos || dot == prefix.size())
-        return -1;
-    const std::string id_text =
-        name.substr(prefix.size(), dot - prefix.size());
-    char *end = nullptr;
-    const long id = std::strtol(id_text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || id < 0)
-        return -1;
-    return id;
 }
 
 /**
@@ -337,12 +311,12 @@ render(const Args &args, const Sample &cur, const Sample &prev,
     if (!args.noShards) {
         std::set<long> shard_ids;
         for (const auto &[name, value] : cur.counters) {
-            const long id = shardIdOf(name);
+            const long id = idOf(name, "bxt.server.shard.", 0);
             if (id >= 0)
                 shard_ids.insert(id);
         }
         for (const auto &[name, value] : cur.gauges) {
-            const long id = shardIdOf(name);
+            const long id = idOf(name, "bxt.server.shard.", 0);
             if (id >= 0)
                 shard_ids.insert(id);
         }
@@ -374,9 +348,8 @@ render(const Args &args, const Sample &cur, const Sample &prev,
 
     // Per-stream (tenant) table, busiest first.
     std::set<long> stream_ids;
-    std::string leaf;
     for (const auto &[name, value] : cur.counters) {
-        const long id = streamIdOf(name, leaf);
+        const long id = idOf(name, "bxt.server.stream.", 1);
         if (id > 0)
             stream_ids.insert(id);
     }

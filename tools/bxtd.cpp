@@ -59,7 +59,7 @@ main(int argc, char **argv)
                "per-connection idle timeout, -1 = forever (default 30000)",
                options.idleTimeoutMs, -1, INT_MAX);
     cli.addInt("--max-pending", "N",
-               "accepted-but-unserved connection bound (default 64)",
+               "per-shard cap on open connections; more get Busy (default 64)",
                options.maxPending, 1);
     if (!cli.parse(argc, argv))
         return cli.exitCode();
