@@ -57,7 +57,8 @@
 #            below 4 cores), with both merged snapshots kept
 #   adaptive Release build + adaptive-labelled ctest, again under
 #            ASan/UBSan + the live win gate: the zipf-0.99 and burst
-#            presets replayed with --spec adaptive and --adaptive-compare
+#            presets, each on a fresh 4-shard bxtd, replayed with --spec
+#            adaptive and --adaptive-compare
 #            over the fixed candidates into BENCH_server_scenarios.json /
 #            .burst.json, failing via `bxt_report --scenario
 #            --assert-adaptive-wins` unless the adaptive controller puts
@@ -426,27 +427,30 @@ run_adaptive() {
     local out=build-ci-release/adaptive
     mkdir -p "${out}"
     local sock="${out}/bxtd.sock"
-    BXT_METRICS=1 start_bxtd "${out}/bxtd.log" "${sock}" --shards 4
 
     # The win gate: replay each preset once under --spec adaptive and
-    # once per fixed candidate over the identical request stream (fresh
-    # connections per pass, so per-stream controllers start cold), then
+    # once per fixed candidate over the identical request stream, then
     # require the adaptive pass to put strictly fewer ones on the bus
     # than every fixed spec. The candidate list mirrors
-    # adaptive::defaultConfig().
+    # adaptive::defaultConfig(). Controllers live in each shard's codec
+    # cache for the daemon's life, keyed by spec, geometry and stream
+    # id, not per connection: each preset gets a fresh bxtd, so its
+    # adaptive pass starts from cold controllers.
     local candidates="universal3+zdr,xor2+zdr,xor4+zdr,xor8+zdr,baseline"
     local preset
     for preset in zipf-0.99 burst; do
         local json="BENCH_server_scenarios.json"
         [ "${preset}" = burst ] && json="BENCH_server_scenarios.burst.json"
+        BXT_METRICS=1 start_bxtd "${out}/bxtd.${preset}.log" "${sock}" \
+            --shards 4
         ./build-ci-release/tools/bxt_loadgen --unix "${sock}" \
             --scenario "${preset}" --no-pace --connections 4 --seed 1 \
             --spec adaptive --adaptive-compare "${candidates}" \
-            --json "${json}"
+            --json "${json}" || { stop_bxtd; return 1; }
+        stop_bxtd
         ./build-ci-release/tools/bxt_report --scenario \
             --assert-adaptive-wins "${json}"
     done
-    stop_bxtd
     echo "adaptive: win gate passed on zipf-0.99 + burst;" \
         "BENCH_server_scenarios.json + burst variant written"
 }

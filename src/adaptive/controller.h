@@ -109,7 +109,10 @@ struct Sensors
 
 /**
  * The per-stream selection engine. Not thread-safe: one Controller per
- * stream per connection, exactly like the codec instances it manages.
+ * codec instance it manages. bxtd keeps one such instance per spec,
+ * geometry and stream id in each shard, shared by every connection the
+ * shard serves and kept after they close, so a controller's history
+ * spans all of them.
  *
  * Protocol (enforced by AdaptiveCodec): call maybeEvaluate() at a batch
  * boundary *before* encoding, encode the batch with activeCodec(), then

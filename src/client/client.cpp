@@ -87,6 +87,66 @@ Client::connectUnix(const std::string &path, std::string &err)
     return client;
 }
 
+bool
+writeEncodeFrame(ByteBuffer &out, wire::FrameView head,
+                 std::uint32_t tx_bytes, std::uint32_t bus_bits,
+                 std::span<const std::uint8_t> raw, std::string &err)
+{
+    if (tx_bytes == 0 || raw.size() % tx_bytes != 0 ||
+        raw.size() / tx_bytes > wire::maxTxPerRequest) {
+        err = "raw size " + std::to_string(raw.size()) +
+              " is not a whole number of " + std::to_string(tx_bytes) +
+              "-byte transactions, at most " +
+              std::to_string(wire::maxTxPerRequest);
+        return false;
+    }
+    head.opcode = wire::Opcode::Encode;
+    const std::size_t start = wire::beginFrame(out, head, 16 + raw.size());
+    wire::BodyWriter body(out, out.size(), 16 + raw.size());
+    body.u32(tx_bytes);
+    body.u32(bus_bits);
+    body.u64(raw.size() / tx_bytes);
+    body.bytes(raw.data(), raw.size());
+    wire::finishFrame(out, start);
+    return true;
+}
+
+bool
+readEncodeHead(const wire::FrameView &reply, EncodeResult &out,
+               std::string &err)
+{
+    wire::BodyReader reader(reply.body.data(), reply.body.size());
+    if (!reader.u32(out.txBytes) || !reader.u32(out.busBits) ||
+        !reader.u32(out.metaWiresPerBeat) ||
+        !reader.u32(out.metaBytesPerTx) || !reader.u64(out.count) ||
+        !reader.u64(out.inputOnes) || !reader.u64(out.payloadOnes) ||
+        !reader.u64(out.metaOnes)) {
+        err = "truncated encode response header";
+        return false;
+    }
+    if (out.count > wire::maxTxPerRequest ||
+        reader.remaining() !=
+            out.count * out.txBytes + out.count * out.metaBytesPerTx) {
+        err = "encode response body size mismatch";
+        return false;
+    }
+    return true;
+}
+
+bool
+readEncodeReply(const wire::FrameView &reply, EncodeResult &out,
+                std::string &err)
+{
+    if (!readEncodeHead(reply, out, err))
+        return false;
+    const std::uint8_t *end = reply.body.data() + reply.body.size();
+    const std::uint8_t *meta = end - out.count * out.metaBytesPerTx;
+    out.payloads.assign(meta - out.count * out.txBytes, meta);
+    out.meta.assign(meta, end);
+    return parseAnnouncement(reply.spec, out.announcedSpec, out.switchEpoch,
+                             err);
+}
+
 wire::BodyWriter
 Client::beginRequest(wire::Opcode opcode, std::string_view spec,
                      std::size_t body_bytes)
@@ -99,15 +159,14 @@ Client::beginRequest(wire::Opcode opcode, std::string_view spec,
 }
 
 bool
-Client::send(std::string &err)
+Client::send(std::span<const std::uint8_t> frame, std::string &err)
 {
     last_error_ = wire::ErrorCode::None;
     if (!connected()) {
         err = "not connected";
         return false;
     }
-    wire::finishFrame(request_, 0);
-    return net::writeAll(fd_.get(), request_.data(), request_.size(), err);
+    return net::writeAll(fd_.get(), frame.data(), frame.size(), err);
 }
 
 bool
@@ -126,7 +185,9 @@ Client::receive(wire::Opcode opcode, wire::FrameView &reply,
 bool
 Client::roundTrip(wire::FrameView &reply, std::string &err)
 {
-    return send(err) && receive(head_.opcode, reply, err);
+    wire::finishFrame(request_, 0);
+    return send({request_.data(), request_.size()}, err) &&
+           receive(head_.opcode, reply, err);
 }
 
 bool
@@ -142,66 +203,13 @@ Client::encode(const std::string &spec, std::uint32_t tx_bytes,
                std::uint32_t bus_bits, std::span<const std::uint8_t> raw,
                EncodeResult &out, std::string &err)
 {
-    return sendEncode(spec, tx_bytes, bus_bits, raw, err) &&
-           readEncode(out, err);
-}
-
-bool
-Client::sendEncode(std::string_view spec, std::uint32_t tx_bytes,
-                   std::uint32_t bus_bits, std::span<const std::uint8_t> raw,
-                   std::string &err)
-{
-    if (tx_bytes == 0 || raw.size() % tx_bytes != 0) {
-        err = "raw size " + std::to_string(raw.size()) +
-              " is not a whole number of " + std::to_string(tx_bytes) +
-              "-byte transactions";
-        return false;
-    }
-    const std::uint64_t count = raw.size() / tx_bytes;
-    if (count > wire::maxTxPerRequest) {
-        err = "count " + std::to_string(count) + " exceeds " +
-              std::to_string(wire::maxTxPerRequest) +
-              " transactions per request";
-        return false;
-    }
-
-    wire::BodyWriter body =
-        beginRequest(wire::Opcode::Encode, spec, 16 + raw.size());
-    body.u32(tx_bytes);
-    body.u32(bus_bits);
-    body.u64(count);
-    body.bytes(raw.data(), raw.size());
-    return send(err);
-}
-
-bool
-Client::readEncode(EncodeResult &out, std::string &err)
-{
+    head_.spec = spec; // Copied into the frame, then never read.
+    request_.clear();
     wire::FrameView reply;
-    if (!receive(wire::Opcode::Encode, reply, err))
-        return false;
-
-    wire::BodyReader reader(reply.body.data(), reply.body.size());
-    if (!reader.u32(out.txBytes) || !reader.u32(out.busBits) ||
-        !reader.u32(out.metaWiresPerBeat) ||
-        !reader.u32(out.metaBytesPerTx) || !reader.u64(out.count) ||
-        !reader.u64(out.inputOnes) || !reader.u64(out.payloadOnes) ||
-        !reader.u64(out.metaOnes)) {
-        err = "truncated encode response header";
-        return false;
-    }
-    const std::size_t payload_bytes = out.count * out.txBytes;
-    const std::size_t meta_bytes = out.count * out.metaBytesPerTx;
-    if (reader.remaining() != payload_bytes + meta_bytes) {
-        err = "encode response body size mismatch";
-        return false;
-    }
-    out.payloads.resize(payload_bytes);
-    out.meta.resize(meta_bytes);
-    reader.bytes(out.payloads.data(), payload_bytes);
-    reader.bytes(out.meta.data(), meta_bytes);
-    return parseAnnouncement(reply.spec, out.announcedSpec, out.switchEpoch,
-                             err);
+    return writeEncodeFrame(request_, head_, tx_bytes, bus_bits, raw, err) &&
+           send({request_.data(), request_.size()}, err) &&
+           receive(wire::Opcode::Encode, reply, err) &&
+           readEncodeReply(reply, out, err);
 }
 
 bool

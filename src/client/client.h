@@ -2,9 +2,13 @@
  * @file
  * The bxtd client library: a blocking, single-connection wrapper over the
  * framed wire protocol (server/wire.h). One Client is one connection; it
- * is not thread-safe (open one per thread — the server treats each
- * connection as an independent codec stream anyway, which is what makes
- * stateful codecs such as `bd` roundtrip correctly).
+ * is not thread-safe (open one per thread).
+ *
+ * Codec state is not per connection: a bxtd shard keeps one codec per
+ * spec, geometry and stream id for its whole life, shared by every
+ * connection it serves. A stateful codec such as `bd` round-trips only
+ * while one client uses that key on that shard; another client's
+ * encodes in between corrupt the first one's later decodes.
  *
  * All calls return false with a human-readable @p err on failure. Typed
  * server errors (Error frames) additionally set lastErrorCode(), so tools
@@ -56,13 +60,6 @@ struct EncodeResult
     std::uint64_t switchEpoch = 0;
 
     bool operator==(const EncodeResult &) const = default;
-
-    /** Ones saved versus sending the inputs unencoded (may be negative). */
-    std::int64_t onesDelta() const
-    {
-        return static_cast<std::int64_t>(inputOnes) -
-               static_cast<std::int64_t>(payloadOnes + metaOnes);
-    }
 };
 
 /** One Decode response. */
@@ -86,6 +83,29 @@ struct DecodeResult
 bool readReply(int fd, wire::FrameParser &parser, wire::FrameView &reply,
                wire::ErrorCode &code, std::string &err);
 
+/**
+ * Append one whole Encode request to @p out: @p raw (a whole number of
+ * @p tx_bytes-sized transactions, at most wire::maxTxPerRequest) under
+ * @p head's spec, stream id and trace context. False with @p err, and
+ * nothing written, when @p raw is not such a batch.
+ */
+bool writeEncodeFrame(ByteBuffer &out, wire::FrameView head,
+                      std::uint32_t tx_bytes, std::uint32_t bus_bits,
+                      std::span<const std::uint8_t> raw, std::string &err);
+
+/**
+ * Read an Encode @p reply's geometry, count and ones tallies into @p out
+ * and check its body's size, copying no payload: out's payloads, meta
+ * and announcement are left as they were.
+ */
+bool readEncodeHead(const wire::FrameView &reply, EncodeResult &out,
+                    std::string &err);
+
+/** readEncodeHead, then copy the payloads, metadata and announced spec
+ *  into @p out: the whole reply. */
+bool readEncodeReply(const wire::FrameView &reply, EncodeResult &out,
+                     std::string &err);
+
 /** A blocking connection to a bxtd server. */
 class Client
 {
@@ -108,47 +128,14 @@ class Client
      */
     void setStreamId(std::uint16_t stream_id) { head_.streamId = stream_id; }
 
-    /**
-     * Attach a trace context to every subsequent request: the frame goes
-     * out as wire version 2 with @p trace_id / @p span_id and, when
-     * @p sampled, the sampled flag that asks the server to record its
-     * per-phase lifecycle spans. trace_id 0 reverts to untraced v1
-     * frames. The server echoes the context on the response.
-     */
-    void setTrace(std::uint64_t trace_id, std::uint64_t span_id,
-                  bool sampled)
-    {
-        head_.traceId = trace_id;
-        head_.spanId = span_id;
-        head_.traceSampled = sampled;
-    }
-
-    /** Drop the trace context (subsequent requests are untraced v1). */
-    void clearTrace() { setTrace(0, 0, false); }
-
     /** Liveness probe. */
     bool ping(std::string &err);
 
-    /**
-     * Encode @p raw (a whole number of @p tx_bytes-sized transactions, at
-     * most wire::maxTxPerRequest of them) under @p spec: sendEncode()
-     * then readEncode().
-     */
+    /** Send the Encode request writeEncodeFrame builds from @p spec,
+     *  @p tx_bytes, @p bus_bits and @p raw, and read its whole reply. */
     bool encode(const std::string &spec, std::uint32_t tx_bytes,
                 std::uint32_t bus_bits, std::span<const std::uint8_t> raw,
                 EncodeResult &out, std::string &err);
-
-    /**
-     * The send half of encode(): write the Encode request and return
-     * without waiting for its reply. Sends may run ahead of their
-     * replies (pipelining); the server answers a connection in order.
-     */
-    bool sendEncode(std::string_view spec, std::uint32_t tx_bytes,
-                    std::uint32_t bus_bits,
-                    std::span<const std::uint8_t> raw, std::string &err);
-
-    /** The reply half of encode(): read the oldest unread reply. */
-    bool readEncode(EncodeResult &out, std::string &err);
 
     /** Decode a previous EncodeResult back to raw transactions. */
     bool decode(const std::string &spec, const EncodeResult &enc,
@@ -175,21 +162,23 @@ class Client
      */
     int rawFd() const { return fd_.get(); }
 
-  private:
-    /** Start a request in request_, tagged with the stream id and trace
-     *  context; returns the writer for its @p body_bytes body. */
-    wire::BodyWriter beginRequest(wire::Opcode opcode, std::string_view spec,
-                                  std::size_t body_bytes);
+    /** Write the whole request @p frame and return without waiting:
+     *  sends may run ahead of their replies, which come in order. */
+    bool send(std::span<const std::uint8_t> frame, std::string &err);
 
-    /** Finish and send the request beginRequest started. */
-    bool send(std::string &err);
-
-    /** readReply() the next reply, which must answer @p opcode (valid
-     *  until the next read). */
+    /** Read the oldest unread reply, which must answer @p opcode, into
+     *  @p reply: a view valid until the next receive. */
     bool receive(wire::Opcode opcode, wire::FrameView &reply,
                  std::string &err);
 
-    /** send() the request, then receive() its reply. */
+  private:
+    /** Start a request in request_, tagged with the stream id; returns
+     *  the writer for its @p body_bytes body. */
+    wire::BodyWriter beginRequest(wire::Opcode opcode, std::string_view spec,
+                                  std::size_t body_bytes);
+
+    /** Finish the request beginRequest started, send() it, then
+     *  receive() its reply. */
     bool roundTrip(wire::FrameView &reply, std::string &err);
 
     /** roundTrip an empty @p opcode request whose reply is text. */
@@ -198,7 +187,7 @@ class Client
     net::UniqueFd fd_;
     wire::FrameParser parser_;
     ByteBuffer request_; ///< One request frame, reused.
-    wire::FrameView head_; ///< Stream tag, trace context, last opcode.
+    wire::FrameView head_; ///< Stream tag and last opcode.
     wire::ErrorCode last_error_ = wire::ErrorCode::None;
 };
 

@@ -2,8 +2,8 @@
  * @file
  * Run a built binary from a test: its argv with no shell in between,
  * extra environment entries, stdout and stderr captured, and a time
- * bound after which the child is killed. Process also keeps a server
- * running while the test talks to it.
+ * bound after which the child is killed, and its peak resident set.
+ * Process also keeps a server running while the test talks to it.
  */
 
 #ifndef BXT_TESTS_RUN_PROCESS_H
@@ -13,6 +13,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <spawn.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -35,6 +36,7 @@ struct ProcessResult
     bool timedOut = false; ///< Killed at the time bound.
     std::string out;       ///< Everything written to stdout.
     std::string err;       ///< Everything written to stderr.
+    long maxRssKb = 0;     ///< Peak resident set, kB (wait4's ru_maxrss).
 };
 
 /**
@@ -148,9 +150,11 @@ class Process
         }
         closePipes();
         int status = 0;
-        if (pid_ > 0 && ::waitpid(pid_, &status, 0) == pid_) {
+        rusage usage{};
+        if (pid_ > 0 && ::wait4(pid_, &status, 0, &usage) == pid_) {
             result.status = WIFEXITED(status) ? WEXITSTATUS(status)
                                               : 128 + WTERMSIG(status);
+            result.maxRssKb = usage.ru_maxrss;
         }
         pid_ = -1;
         result.out = text_[0];

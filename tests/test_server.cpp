@@ -1572,9 +1572,11 @@ TEST(Loopback, ServerErrorsAreTypedNotFatal)
 }
 
 /**
- * sendEncode/readEncode pipeline: a burst of Encodes written before any
- * reply is read comes back in order, each reply equal to the one a
- * one-at-a-time encode() of the same request gets on another connection.
+ * The pipelined send path bxt_loadgen uses: a burst of Encode frames,
+ * each built once by writeEncodeFrame and written by send() before any
+ * reply is read, comes back in order through receive(), each reply
+ * equal to the one a one-at-a-time encode() of the same request gets on
+ * another connection.
  */
 TEST(Loopback, PipelinedEncodesReplyInOrderLikeOneAtATime)
 {
@@ -1610,15 +1612,22 @@ TEST(Loopback, PipelinedEncodesReplyInOrderLikeOneAtATime)
         requests.push_back(std::move(req));
     }
 
-    for (const Request &req : requests)
-        ASSERT_TRUE(piped.sendEncode(req.spec, req.wires, req.wires,
-                                     req.raw, err))
+    for (const Request &req : requests) {
+        wire::FrameView head;
+        head.spec = req.spec;
+        ByteBuffer frame;
+        ASSERT_TRUE(client::writeEncodeFrame(frame, head, req.wires,
+                                             req.wires, req.raw, err))
             << err;
+        ASSERT_TRUE(piped.send({frame.data(), frame.size()}, err)) << err;
+    }
     for (const Request &req : requests) {
         SCOPED_TRACE(req.spec + " x" + std::to_string(req.raw.size()));
         client::EncodeResult got;
         client::EncodeResult want;
-        ASSERT_TRUE(piped.readEncode(got, err)) << err;
+        wire::FrameView reply;
+        ASSERT_TRUE(piped.receive(wire::Opcode::Encode, reply, err)) << err;
+        ASSERT_TRUE(client::readEncodeReply(reply, got, err)) << err;
         ASSERT_TRUE(serial.encode(req.spec, req.wires, req.wires, req.raw,
                                   want, err))
             << err;
@@ -1696,14 +1705,28 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     const std::vector<std::uint8_t> raw(4 * 32, 0xa5);
     ASSERT_TRUE(client.encode("xor4+zdr", 32, 32, raw, enc, err)) << err;
     EXPECT_TRUE(telemetry::collectSpans().empty());
+    // A traced request is a v2 Encode frame with a sampled context.
+    const auto encodeTraced = [&](std::uint64_t trace_id,
+                                  std::uint64_t span_id) {
+        wire::FrameView head;
+        head.spec = "xor4+zdr";
+        head.traceId = trace_id;
+        head.spanId = span_id;
+        head.traceSampled = true;
+        ByteBuffer frame;
+        wire::FrameView reply;
+        ASSERT_TRUE(client::writeEncodeFrame(frame, head, 32, 32, raw, err) &&
+                    client.send({frame.data(), frame.size()}, err) &&
+                    client.receive(wire::Opcode::Encode, reply, err) &&
+                    client::readEncodeReply(reply, enc, err))
+            << err;
+    };
 
     // …a traced one records all five lifecycle phases. The server stamps
     // the spans just after the reply write, so poll briefly: the client
     // can hold the response before the worker reaches the record loop.
     const std::uint64_t trace_id = 0x0102030405060708ull;
-    client.setTrace(trace_id, /*span_id=*/77, /*sampled=*/true);
-    ASSERT_TRUE(client.encode("xor4+zdr", 32, 32, raw, enc, err)) << err;
-    client.clearTrace();
+    encodeTraced(trace_id, /*span_id=*/77);
 
     std::map<telemetry::SpanName, telemetry::ServerSpan> by_phase;
     for (int attempt = 0; attempt < 500 && by_phase.size() < 5;
@@ -1749,9 +1772,7 @@ TEST(Loopback, TracedRequestSpansTelescopeExactly)
     // A second traced request feeds the Chrome-trace export.
     // Wait for its five spans to be pushed (pushes are counted at
     // record time, independent of collection).
-    client.setTrace(trace_id + 1, /*span_id=*/78, /*sampled=*/true);
-    ASSERT_TRUE(client.encode("xor4+zdr", 32, 32, raw, enc, err)) << err;
-    client.clearTrace();
+    encodeTraced(trace_id + 1, /*span_id=*/78);
     for (int attempt = 0;
          attempt < 500 && telemetry::spansRecorded() < 10;
          ++attempt)

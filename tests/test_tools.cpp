@@ -410,6 +410,62 @@ TEST(Bxtd, ScenarioReplaysRepeatPerSeedAndAdaptiveCompareSharesTheStream)
         std::filesystem::remove(doc);
 }
 
+/** The per-tenant rows of a --no-pace hot-flood replay (seed 1, four
+ *  connections) of @p requests requests, and its peak RSS in kB. */
+std::vector<std::vector<double>>
+hotFloodTenants(const LiveBxtd &bxtd, const std::string &requests,
+                long &max_rss_kb)
+{
+    const std::filesystem::path doc =
+        uniqueTempPath("hot-flood-" + requests + ".json");
+    const ProcessResult run = runProcess(
+        {BXT_LOADGEN_BIN, "--unix", bxtd.sock(), "--scenario", "hot-flood",
+         "--no-pace", "--seed", "1", "--connections", "4", "--requests",
+         requests, "--json", doc.string()},
+        seconds(30));
+    EXPECT_EQ(run.status, 0) << run.out << run.err;
+    max_rss_kb = run.maxRssKb;
+    JsonValue parsed;
+    EXPECT_TRUE(parseJson(readText(doc), parsed));
+    std::filesystem::remove(doc);
+    return rowsOf(parsed, "tenant", {"requests", "txs", "ones_in", "ones_out"});
+}
+
+TEST(Bxtd, ScenarioReplayCyclesItsPrefixPastItsRequestCount)
+{
+    LiveBxtd bxtd;
+    ASSERT_TRUE(bxtd.up()) << bxtd.log();
+    long rss_kb = 0;
+    const auto part = hotFloodTenants(bxtd, "1000", rss_kb);
+    const auto prefix = hotFloodTenants(bxtd, "2000", rss_kb);
+    const auto cycled = hotFloodTenants(bxtd, "5000", rss_kb);
+    ASSERT_EQ(prefix.size(), 16u);
+    ASSERT_EQ(part.size(), prefix.size());
+    ASSERT_EQ(cycled.size(), prefix.size());
+    // 5000 sends are the 2000-request prefix twice, then its first 1000.
+    for (std::size_t t = 0; t < prefix.size(); ++t)
+        for (std::size_t k = 0; k < prefix[t].size(); ++k)
+            EXPECT_EQ(cycled[t][k], 2 * prefix[t][k] + part[t][k])
+                << "tenant " << t << " column " << k;
+    bxtd.stop();
+}
+
+TEST(Bxtd, LongScenarioReplayHoldsOnlyItsPrefix)
+{
+    LiveBxtd bxtd;
+    ASSERT_TRUE(bxtd.up()) << bxtd.log();
+    long rss_kb = 0;
+    const auto tenants = hotFloodTenants(bxtd, "20000", rss_kb);
+    ASSERT_EQ(tenants.size(), 16u);
+    double requests = 0;
+    for (const std::vector<double> &row : tenants)
+        requests += row[0];
+    EXPECT_EQ(requests, 20000.0);
+    EXPECT_GT(rss_kb, 0);
+    EXPECT_LT(rss_kb, 64 * 1024);
+    bxtd.stop();
+}
+
 /**
  * A connection that pipelines twelve 4096 x 64 B baseline Encodes and
  * never reads: about 3 MB of replies wait on it, under the shard's

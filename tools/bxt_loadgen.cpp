@@ -3,27 +3,32 @@
  * bxt_loadgen: drive a running bxtd with encode traffic and report
  * throughput, latency percentiles and the ones removed from the bus.
  *
- * Every run sends one request stream. Request i is stream[i % size] and
- * goes out on connection i % --connections. Each connection keeps up to
- * --depth requests in flight (default 1: a request waits for the reply
- * before it) and matches replies in order, so a latency runs from a
- * request's send to its reply and, past depth 1, includes queueing. The
- * first --warmup replies per connection are left out of the latency
- * quantiles (codec construction and cold caches dominate them) but
- * count toward throughput. The stream is either
+ * Every run sends one request stream. Before any timer starts, each of
+ * its distinct requests (its prefix) is built into a whole Encode frame;
+ * send i writes prefix[i % size] on connection i % --connections. Each
+ * connection keeps up to --depth requests in flight (default 1) and
+ * matches replies in order, reading their tallies in place, so a latency
+ * runs from a request's send to its reply and, past depth 1, includes
+ * queueing. The first --warmup replies per connection are left out of
+ * the latency quantiles (codec construction and cold caches dominate
+ * them) but count toward throughput. The stream is either
  *  - fixed: one untagged request of --batch random --tx-bytes
  *    transactions under --spec, sent --requests times; or
  *  - a scenario (--scenario): a seeded multi-tenant stream
- *    (workloads/scenario.h), generated before the timer starts, whose
- *    requests carry their tenant's stream id so the server's per-tenant
- *    telemetry lights up. Arrivals are paced to the scenario's open-loop
- *    schedule (no request leaves before its arrival time); --no-pace
- *    sends as fast as the depth allows.
+ *    (workloads/scenario.h) whose requests carry their tenant's stream
+ *    id, so the server's per-tenant telemetry lights up. Its prefix is
+ *    its first min(--requests, requests) requests; --requests (default:
+ *    the scenario's count) sets how many are sent, cycling the prefix.
+ *    Arrivals are paced to the open-loop schedule, each cycle offset by
+ *    the prefix's last arrival so the rate holds; --no-pace sends as
+ *    fast as the depth allows.
  *
  * --adaptive-compare S1,S2,... grades the adaptive spec: the identical
  * stream is replayed once under --spec (normally `adaptive[:...]`) and
- * once per listed fixed spec, on fresh connections per pass so
- * per-stream controllers start cold.
+ * once per listed fixed spec, each pass with its own frames and fresh
+ * connections. bxtd keeps controllers per shard, spec, geometry and
+ * stream id for its whole life, not per connection, so the adaptive
+ * row repeats per seed only from a fresh daemon.
  *
  * Results go to stdout and, with --json, into the unified bench JSON
  * schema: an aggregate row, one row per tenant and, with
@@ -35,20 +40,12 @@
  * server CPU time (Snapshot before and after the measured requests) and
  * the transactions served, which `bxt_report --assert-cost-ratio`
  * compares.
- *
- * Usage:
- *   bxt_loadgen (--tcp HOST:PORT | --unix PATH) [--spec S] [--wires W]
- *               [--tx-bytes B] [--batch N] [--requests N] [--depth D]
- *               [--connections M] [--warmup K] [--scenario NAME|PATH]
- *               [--alpha A] [--adaptive-compare S1,S2,...] [--no-pace]
- *               [--seed X] [--json PATH] [--assert-min-tx-rate R]
- *               [--trace-sample P]
  */
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <string>
 #include <thread>
@@ -67,7 +64,6 @@
 namespace {
 
 using bxt::telemetry::Histo;
-using bxt::scenario::Request;
 
 struct Args
 {
@@ -76,19 +72,13 @@ struct Args
     unsigned wires = 32;
     std::uint32_t txBytes = 32;
     std::size_t batch = 64;
-    std::size_t requests = 2000;
-    bool requestsSet = false;
+    std::size_t requests = 0; ///< 0 = 2000, or the scenario's count.
     std::size_t depth = 1;
     std::size_t connections = 0; ///< 0 = auto (1; 4 for scenarios).
     std::size_t warmup = 32;
     std::string scenarioName;
-    /**
-     * Comma-separated fixed specs to race against --spec on the same
-     * stream: the identical stream is replayed once under --spec
-     * (normally `adaptive[:...]`) and once per listed spec, and every
-     * pass's total ones-on-bus lands in a scope:"spec" JSON row. Empty =
-     * one pass under each request's own spec.
-     */
+    /** Fixed specs, comma-separated, to race against --spec (see the
+     *  file comment); empty = one pass under each request's own spec. */
     std::string adaptiveCompare;
     double alphaOverride = -1.0; ///< < 0 = keep the scenario's alpha.
     bool noPace = false;
@@ -107,21 +97,29 @@ struct Tenant
     double weight = 1.0;
 };
 
-/** The request stream a run sends (see the file comment). */
+/** One distinct request of the stream, as it goes on the wire. */
+struct Entry
+{
+    bxt::ByteBuffer frame; ///< Its whole Encode frame.
+    std::uint32_t tenant = 0;
+    double arrivalUs = 0.0; ///< Open-loop arrival in the first cycle.
+};
+
+/** The request stream a pass sends (see the file comment). */
 struct Stream
 {
     std::string name; ///< The scenario's, or "fixed:<spec>".
     double alpha = 0.0;
     std::vector<Tenant> tenants;
-    std::vector<Request> requests;
-    std::size_t sends = 0; ///< Requests per pass.
-    bool tagged = false;   ///< Requests carry their tenant's stream id.
+    std::vector<Entry> prefix; ///< The distinct requests, cycled.
+    std::size_t sends = 0;     ///< Requests per pass.
+    bool tagged = false;       ///< Requests carry their tenant's stream id.
     bool paced = false;
 
     /** The request the pass's @p i-th send carries. */
-    const Request &at(std::size_t i) const
+    const Entry &at(std::size_t i) const
     {
-        return requests[i % requests.size()];
+        return prefix[i % prefix.size()];
     }
 
     /** The wire stream id of tenant @p t's requests (0 = untagged). */
@@ -150,46 +148,40 @@ struct Tally
     }
 };
 
-/** One connection's share of a pass. */
-struct ConnResult
-{
-    std::vector<Tally> tenants;
-    bool ok = true;
-    std::string err;
-};
-
-/** One replay of the stream on fresh connections. */
+/** One replay of the stream on fresh connections, or one connection's
+ *  share of it. */
 struct Pass
 {
     std::string spec; ///< Every request's spec; empty = each its own.
     std::vector<Tally> tenants;
     Tally total;
     double seconds = 0.0;
+    std::string err; ///< Empty unless a connection failed.
 };
 
 /**
- * Build the stream the options describe. The fixed stream's payload
- * comes from --seed; a scenario's is the Engine's, all of it generated
- * here, before any timer starts.
+ * Build the stream the options describe, each frame under @p spec or,
+ * when it is empty, under its request's own. The fixed stream's payload
+ * comes from --seed; a scenario's prefix is the Engine's.
  */
 bool
-buildStream(const Args &args, Stream &stream, std::string &err)
+buildStream(const Args &args, const std::string &spec, Stream &stream,
+            std::string &err)
 {
+    stream = Stream{};
+    bxt::wire::FrameView head;
     if (args.scenarioName.empty()) {
-        Request req;
-        req.spec = args.spec;
-        req.txBytes = args.txBytes;
-        req.busBits = args.wires;
-        req.count = static_cast<std::uint32_t>(args.batch);
-        req.payload.resize(args.batch * args.txBytes);
+        std::vector<std::uint8_t> payload(args.batch * args.txBytes);
         bxt::Rng rng(args.seed);
-        for (std::uint8_t &byte : req.payload)
+        for (std::uint8_t &byte : payload)
             byte = static_cast<std::uint8_t>(rng.nextBounded(256));
+        head.spec = spec.empty() ? args.spec : spec;
         stream.name = "fixed:" + args.spec;
         stream.tenants.push_back({args.spec, args.txBytes, 1.0});
-        stream.requests.push_back(std::move(req));
-        stream.sends = args.requests;
-        return true;
+        stream.sends = args.requests > 0 ? args.requests : 2000;
+        return bxt::client::writeEncodeFrame(stream.prefix.emplace_back().frame,
+                                             head, args.txBytes, args.wires,
+                                             payload, err);
     }
 
     bxt::scenario::Config config;
@@ -197,61 +189,63 @@ buildStream(const Args &args, Stream &stream, std::string &err)
         return false;
     if (args.alphaOverride >= 0.0)
         config.alpha = args.alphaOverride;
-    if (args.requestsSet)
-        config.requests = static_cast<std::uint32_t>(args.requests);
     bxt::scenario::Engine engine(config, args.seed);
     for (std::uint32_t t = 0; t < config.tenants; ++t)
         stream.tenants.push_back({engine.tenantSpec(t),
                                   engine.tenantTxBytes(t),
                                   engine.tenantWeight(t)});
-    stream.requests.reserve(config.requests);
-    Request req;
-    while (engine.next(req))
-        stream.requests.push_back(std::move(req));
     stream.name = config.name;
     stream.alpha = config.alpha;
-    stream.sends = stream.requests.size();
+    stream.sends = args.requests > 0 ? args.requests : config.requests;
     stream.tagged = true;
     stream.paced = !args.noPace && config.ratePerSec > 0.0;
+    bxt::scenario::Request req;
+    while (stream.prefix.size() < stream.sends && engine.next(req)) {
+        Entry &entry = stream.prefix.emplace_back();
+        entry.tenant = req.tenant;
+        entry.arrivalUs = req.arrivalUs;
+        head.streamId = stream.streamId(req.tenant);
+        head.spec = spec.empty() ? req.spec : spec;
+        if (!bxt::client::writeEncodeFrame(entry.frame, head, req.txBytes,
+                                           req.busBits, req.payload, err))
+            return false;
+    }
     return true;
 }
 
 /**
- * Roll the per-request trace dice: with probability --trace-sample the
- * next request goes out as a v2 frame with a fresh sampled trace
- * context (the server records its lifecycle spans); otherwise untraced.
- */
-void
-applyTraceSampling(bxt::client::Client &client, const Args &args,
-                   bxt::Rng &rng)
-{
-    if (args.traceSample <= 0.0)
-        return;
-    if (rng.nextDouble() < args.traceSample)
-        client.setTrace(rng.next64() | 1, rng.next64(), true);
-    else
-        client.clearTrace();
-}
-
-/**
- * A connect failure worth retrying: the server is booting or its
- * acceptor momentarily lagged (ECONNREFUSED / EAGAIN strerror text). A bad
- * address or a missing Unix path fails fast.
+ * Copy the whole request @p frame into @p out (cleared first) as a v2
+ * frame with the sampled trace context @p trace_id / @p span_id. False
+ * when @p frame is not one valid frame.
  */
 bool
-isTransientConnectError(const std::string &err)
+traceFrame(const bxt::ByteBuffer &frame, std::uint64_t trace_id,
+           std::uint64_t span_id, bxt::ByteBuffer &out)
 {
-    return err.find("Connection refused") != std::string::npos ||
-           err.find("Resource temporarily unavailable") !=
-               std::string::npos ||
-           err.find("Try again") != std::string::npos;
+    bxt::wire::FrameParser parser;
+    std::memcpy(parser.prepareRead(frame.size()), frame.data(), frame.size());
+    parser.commitRead(frame.size());
+    bxt::wire::FrameView head;
+    bxt::wire::WireError parse_err;
+    if (parser.next(head, parse_err) != bxt::wire::FrameParser::Status::Ready)
+        return false;
+    head.traceId = trace_id;
+    head.spanId = span_id;
+    head.traceSampled = true;
+    out.clear();
+    bxt::wire::beginFrame(out, head, head.body.size());
+    out.append(head.body.data(), head.body.size());
+    bxt::wire::finishFrame(out, 0);
+    return true;
 }
 
 /**
  * Connect with bounded backoff: a fleet of worker connections arriving
  * while bxtd is still binding its listeners (or while the listen
  * backlog briefly fills) should ride through rather than fail the run.
- * Backoff doubles 5 ms → 80 ms within a ~2 s total budget.
+ * Only those failures are retried (ECONNREFUSED / EAGAIN strerror text);
+ * a bad address or a missing Unix path fails fast. Backoff doubles
+ * 5 ms → 80 ms within a ~2 s total budget.
  */
 bxt::client::Client
 connectClient(const Args &args, std::string &err)
@@ -265,8 +259,12 @@ connectClient(const Args &args, std::string &err)
             bxt::client::connect(args.endpoint, err);
         if (client.connected())
             return client;
-        if (!isTransientConnectError(err) ||
-            bxt::telemetry::nowMicros() - start >= budget_us)
+        const bool transient =
+            err.find("Connection refused") != std::string::npos ||
+            err.find("Resource temporarily unavailable") !=
+                std::string::npos ||
+            err.find("Try again") != std::string::npos;
+        if (!transient || bxt::telemetry::nowMicros() - start >= budget_us)
             return client;
         std::this_thread::sleep_for(
             std::chrono::milliseconds(delay_ms));
@@ -307,27 +305,27 @@ serverCpuSeconds(const Args &args)
 /**
  * Connection @p conn of @p conns: send stream request i for every
  * i % conns == conn, keeping up to --depth in flight, and tally each
- * reply under its request's tenant. With @p spec set, every request is
- * encoded under it instead of its own spec.
+ * reply under its request's tenant. With probability --trace-sample a
+ * send is a v2 copy of its frame with a fresh sampled trace context.
+ * @p spec is the pass's, for errors (empty = each request's own).
  */
 void
 runConn(const Args &args, const Stream &stream, const std::string &spec,
         std::size_t conn, std::size_t conns, std::uint64_t start_us,
-        ConnResult &out)
+        Pass &out)
 {
     std::string err;
     bxt::client::Client client = connectClient(args, err);
     if (!client.connected()) {
-        out.ok = false;
         out.err = err;
         return;
     }
     const auto fail = [&](std::size_t i) {
-        const Request &req = stream.at(i);
-        out.ok = false;
+        const std::uint32_t tenant = stream.at(i).tenant;
         out.err = "request " + std::to_string(i) + " (tenant " +
-                  std::to_string(req.tenant) + ", " +
-                  (spec.empty() ? req.spec : spec) + "): " + err;
+                  std::to_string(tenant) + ", " +
+                  (spec.empty() ? stream.tenants[tenant].spec : spec) +
+                  "): " + err;
     };
     bxt::Rng rng(args.seed ^ (0x9e3779b97f4a7c15ull + conn));
     const std::size_t mine =
@@ -337,14 +335,20 @@ runConn(const Args &args, const Stream &stream, const std::string &spec,
     // Send time and stream index of each request in flight, oldest first.
     std::deque<std::pair<std::uint64_t, std::size_t>> in_flight;
     std::size_t sent = 0;
+    bxt::ByteBuffer traced;
+    bxt::wire::FrameView reply;
     bxt::client::EncodeResult enc;
     for (std::size_t done = 0; done < mine; ++done) {
         while (sent < mine && in_flight.size() < args.depth) {
             const std::size_t i = conn + sent * conns;
-            const Request &req = stream.at(i);
             if (stream.paced) {
+                // Cycle k of the prefix is offset by k times its last
+                // arrival, so every cycle spans the prefix's gaps.
                 const double wait_us =
-                    static_cast<double>(start_us) + req.arrivalUs -
+                    static_cast<double>(start_us) +
+                    static_cast<double>(i / stream.prefix.size()) *
+                        stream.prefix.back().arrivalUs +
+                    stream.at(i).arrivalUs -
                     static_cast<double>(bxt::telemetry::nowMicros());
                 if (wait_us > 0.0) {
                     if (!in_flight.empty())
@@ -353,19 +357,21 @@ runConn(const Args &args, const Stream &stream, const std::string &spec,
                         static_cast<std::int64_t>(wait_us)));
                 }
             }
-            applyTraceSampling(client, args, rng);
-            client.setStreamId(stream.streamId(req.tenant));
+            const bxt::ByteBuffer *frame = &stream.at(i).frame;
+            if (args.traceSample > 0.0 &&
+                rng.nextDouble() < args.traceSample &&
+                traceFrame(*frame, rng.next64() | 1, rng.next64(), traced))
+                frame = &traced;
             const std::uint64_t sent_us = bxt::telemetry::nowMicros();
-            if (!client.sendEncode(spec.empty() ? req.spec : spec,
-                                   req.txBytes, req.busBits, req.payload,
-                                   err))
+            if (!client.send({frame->data(), frame->size()}, err))
                 return fail(i);
             in_flight.emplace_back(sent_us, i);
             ++sent;
         }
         const auto [sent_us, i] = in_flight.front();
         in_flight.pop_front();
-        if (!client.readEncode(enc, err))
+        if (!client.receive(bxt::wire::Opcode::Encode, reply, err) ||
+            !bxt::client::readEncodeHead(reply, enc, err))
             return fail(i);
         const std::uint64_t latency_us =
             bxt::telemetry::nowMicros() - sent_us;
@@ -384,12 +390,11 @@ bool
 replay(const Args &args, const Stream &stream, std::size_t conns,
        Pass &pass, std::string &err)
 {
-    std::vector<ConnResult> results(conns);
-    for (ConnResult &r : results)
+    std::vector<Pass> results(conns);
+    for (Pass &r : results)
         r.tenants = std::vector<Tally>(stream.tenants.size());
     const std::uint64_t start_us = bxt::telemetry::nowMicros();
     std::vector<std::thread> threads;
-    threads.reserve(conns);
     for (std::size_t c = 0; c < conns; ++c)
         threads.emplace_back(runConn, std::cref(args), std::cref(stream),
                              std::cref(pass.spec), c, conns, start_us,
@@ -400,16 +405,16 @@ replay(const Args &args, const Stream &stream, std::size_t conns,
         static_cast<double>(bxt::telemetry::nowMicros() - start_us) / 1.0e6;
 
     pass.tenants = std::vector<Tally>(stream.tenants.size());
-    for (const ConnResult &r : results) {
-        if (!r.ok) {
+    for (const Pass &r : results) {
+        if (!r.err.empty()) {
             err = r.err;
             return false;
         }
-        for (std::size_t t = 0; t < r.tenants.size(); ++t)
+        for (std::size_t t = 0; t < r.tenants.size(); ++t) {
             pass.tenants[t].add(r.tenants[t]);
+            pass.total.add(r.tenants[t]);
+        }
     }
-    for (const Tally &t : pass.tenants)
-        pass.total.add(t);
     return true;
 }
 
@@ -461,17 +466,10 @@ main(int argc, char **argv)
                args.txBytes);
     cli.addInt("--batch", "N", "transactions per request frame (default 64)",
                args.batch, 1, bxt::wire::maxTxPerRequest);
-    cli.add("--requests", "N",
-            "request frames to send (default 2000, or the scenario's)",
-            [&](const std::string &v) {
-                long long n = 0;
-                if (!bxt::parseDecimal(v, 1, LLONG_MAX, n)) {
-                    cli.reject("--requests", v, "a whole number >= 1");
-                    return;
-                }
-                args.requests = static_cast<std::size_t>(n);
-                args.requestsSet = true;
-            });
+    cli.addInt("--requests", "N",
+               "requests to send (default 2000, or the scenario's; a "
+               "scenario cycles its first N, or all it has if fewer)",
+               args.requests, 1);
     cli.addInt("--depth", "D",
                "requests in flight per connection (default 1)", args.depth,
                1);
@@ -518,15 +516,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "bxt_loadgen: need --tcp or --unix\n");
         return 2;
     }
-    Stream stream;
-    std::string err;
-    if (!buildStream(args, stream, err)) {
-        std::fprintf(stderr, "bxt_loadgen: %s\n", err.c_str());
-        return 2;
-    }
-    const std::size_t conns =
-        args.connections > 0 ? args.connections : stream.tagged ? 4 : 1;
-
     // The first pass sends each request under its own spec or, when
     // racing specs, everything under --spec (the adaptive spec being
     // graded); then one pass per listed fixed spec.
@@ -540,13 +529,22 @@ main(int argc, char **argv)
         from = comma + 1;
     }
     std::vector<Pass> passes(specs.size());
+    const std::size_t conns = args.connections > 0 ? args.connections
+                              : args.scenarioName.empty() ? 1
+                                                          : 4;
 
-    const double cpu_start = serverCpuSeconds(args);
-    if (cpu_start < 0.0)
-        return 1;
+    Stream stream;
+    std::string err;
+    double cpu_start = 0.0;
     for (std::size_t p = 0; p < passes.size(); ++p) {
         Pass &pass = passes[p];
         pass.spec = specs[p];
+        if (!buildStream(args, pass.spec, stream, err)) {
+            std::fprintf(stderr, "bxt_loadgen: %s\n", err.c_str());
+            return 2;
+        }
+        if (p == 0 && (cpu_start = serverCpuSeconds(args)) < 0.0)
+            return 1;
         if (!replay(args, stream, conns, pass, err)) {
             std::fprintf(stderr, "bxt_loadgen: %s\n", err.c_str());
             return 1;
