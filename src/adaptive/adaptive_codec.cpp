@@ -4,9 +4,8 @@
 
 namespace bxt::adaptive {
 
-AdaptiveCodec::AdaptiveCodec(std::unique_ptr<Controller> controller,
-                             std::string name)
-    : controller_(std::move(controller)), name_(std::move(name))
+AdaptiveCodec::AdaptiveCodec(std::unique_ptr<Controller> controller)
+    : controller_(std::move(controller))
 {
     meta_wires_ = controller_->activeCodec().metaWiresPerBeat();
 }
@@ -17,9 +16,8 @@ AdaptiveCodec::make(const Config &config, std::string &err)
     std::unique_ptr<Controller> controller = Controller::make(config, err);
     if (!controller)
         return nullptr;
-    std::string name = canonicalSpec(controller->config());
     return std::unique_ptr<AdaptiveCodec>(
-        new AdaptiveCodec(std::move(controller), std::move(name)));
+        new AdaptiveCodec(std::move(controller)));
 }
 
 void
@@ -40,16 +38,6 @@ void
 AdaptiveCodec::decodeBatchKernel(const EncodedView &in, std::uint8_t *out)
 {
     controller_->activeCodec().decodeBatch(in, out);
-}
-
-CodecPtr
-tryMakeAdaptiveCodec(const std::string &spec, std::size_t bus_bytes,
-                     std::string &err)
-{
-    Config config;
-    if (!parseAdaptiveSpec(spec, bus_bytes, config, err))
-        return nullptr;
-    return AdaptiveCodec::make(config, err);
 }
 
 } // namespace bxt::adaptive

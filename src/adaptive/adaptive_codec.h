@@ -8,6 +8,9 @@
  * evaluates: within one epoch, encode → decode round-trips through the
  * same concrete codec, and cross-epoch decodes go through the concrete
  * spec the server announced alongside the payload.
+ *
+ * The factory builds it for the spec `adaptive` from defaultConfig();
+ * make() with any other Config is the in-process seam tests use.
  */
 
 #ifndef BXT_ADAPTIVE_ADAPTIVE_CODEC_H
@@ -24,12 +27,13 @@ namespace bxt::adaptive {
 class AdaptiveCodec : public Codec
 {
   public:
-    /** Build from a parsed Config; nullptr + @p err on bad candidates. */
+    /** Build from @p config; nullptr + @p err when Controller::make
+     *  refuses it. */
     static std::unique_ptr<AdaptiveCodec> make(const Config &config,
                                                std::string &err);
 
-    /** The canonical adaptive spec (knobs included), not the choice. */
-    std::string name() const override { return name_; }
+    /** The spec, not the choice: activeSpec() names that. */
+    std::string name() const override { return "adaptive"; }
 
     /** Uniform across candidates — enforced at construction. */
     unsigned metaWiresPerBeat() const override { return meta_wires_; }
@@ -62,21 +66,11 @@ class AdaptiveCodec : public Codec
                            std::uint8_t *out) override;
 
   private:
-    AdaptiveCodec(std::unique_ptr<Controller> controller,
-                  std::string name);
+    explicit AdaptiveCodec(std::unique_ptr<Controller> controller);
 
     std::unique_ptr<Controller> controller_;
-    std::string name_;
     unsigned meta_wires_ = 0;
 };
-
-/**
- * Factory hook used by tryMakeCodec: build an AdaptiveCodec from a raw
- * `adaptive[:...]` spec string. Returns nullptr with @p err set on a
- * malformed spec or invalid candidate set.
- */
-CodecPtr tryMakeAdaptiveCodec(const std::string &spec,
-                              std::size_t bus_bytes, std::string &err);
 
 } // namespace bxt::adaptive
 

@@ -1,33 +1,14 @@
 #include "adaptive/controller.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 
 #include "common/bitops.h"
 #include "common/error.h"
-#include "common/parse.h"
 #include "core/codec_factory.h"
 
 namespace bxt::adaptive {
-
-namespace {
-
-/** The largest window or period a spec may ask for. */
-constexpr std::uint64_t maxSizeKnob = 1'000'000'000;
-
-/** Format a percentage without trailing zeros ("10", "7.5"). */
-std::string
-formatPct(double pct)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", pct);
-    return buf;
-}
-
-} // namespace
 
 Config
 defaultConfig(std::size_t bus_bytes)
@@ -43,104 +24,13 @@ defaultConfig(std::size_t bus_bytes)
     return config;
 }
 
-bool
-isAdaptiveSpec(std::string_view spec)
-{
-    return spec == "adaptive" || spec.starts_with("adaptive:");
-}
-
-bool
-parseAdaptiveSpec(const std::string &spec, std::size_t bus_bytes,
-                  Config &out, std::string &err)
-{
-    if (!isAdaptiveSpec(spec)) {
-        err = "not an adaptive spec: '" + spec + "'";
-        return false;
-    }
-    const Config defaults = defaultConfig(bus_bytes);
-    out = Config{};
-    out.busBytes = bus_bytes;
-    out.window = defaults.window;
-    out.period = defaults.period;
-    out.hysteresisPct = defaults.hysteresisPct;
-
-    if (spec == "adaptive") {
-        out.candidates = defaults.candidates;
-        return true;
-    }
-
-    const std::string body = spec.substr(std::string("adaptive:").size());
-    std::size_t start = 0;
-    while (start <= body.size()) {
-        std::size_t end = body.find(',', start);
-        if (end == std::string::npos)
-            end = body.size();
-        const std::string item = body.substr(start, end - start);
-        start = end + 1;
-        if (item.empty()) {
-            err = "adaptive spec has an empty item: '" + spec + "'";
-            return false;
-        }
-        if (item.rfind("w=", 0) == 0) {
-            if (!parseUnsigned(item.substr(2), /*allow_hex=*/false,
-                               out.window, maxSizeKnob) ||
-                out.window < 2) {
-                err = "adaptive window knob '" + item +
-                      "' wants w=N with N >= 2";
-                return false;
-            }
-        } else if (item.rfind("p=", 0) == 0) {
-            if (!parseUnsigned(item.substr(2), /*allow_hex=*/false,
-                               out.period, maxSizeKnob) ||
-                out.period == 0) {
-                err = "adaptive period knob '" + item +
-                      "' wants p=N with N >= 1";
-                return false;
-            }
-        } else if (item.rfind("h=", 0) == 0) {
-            if (!parseReal(item.substr(2), 0.0, 100.0, out.hysteresisPct) ||
-                out.hysteresisPct >= 100.0) {
-                err = "adaptive hysteresis knob '" + item +
-                      "' wants h=PCT with 0 <= PCT < 100";
-                return false;
-            }
-        } else if (item.find('=') != std::string::npos) {
-            err = "unknown adaptive knob '" + item +
-                  "' (knobs: w=N, p=N, h=PCT)";
-            return false;
-        } else {
-            out.candidates.push_back(item);
-        }
-        if (end == body.size())
-            break;
-    }
-    if (out.candidates.empty())
-        out.candidates = defaults.candidates;
-    return true;
-}
-
-std::string
-canonicalSpec(const Config &config)
-{
-    std::string spec = "adaptive:";
-    for (std::size_t i = 0; i < config.candidates.size(); ++i) {
-        if (i != 0)
-            spec += ',';
-        spec += config.candidates[i];
-    }
-    spec += ",w=" + std::to_string(config.window);
-    spec += ",p=" + std::to_string(config.period);
-    spec += ",h=" + formatPct(config.hysteresisPct);
-    return spec;
-}
-
 Controller::Controller(Config config) : config_(std::move(config)) {}
 
 std::unique_ptr<Controller>
 Controller::make(const Config &config, std::string &err)
 {
     if (config.candidates.size() < 2) {
-        err = "adaptive spec needs at least 2 candidates, got " +
+        err = "adaptive needs at least 2 candidates, got " +
               std::to_string(config.candidates.size());
         return nullptr;
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Online adaptive codec selection: the per-stream controller behind the
- * `adaptive[:...]` spec (DESIGN.md §13).
+ * `adaptive` spec (DESIGN.md §13).
  *
  * The paper fixes one encoding spec ahead of time, but no single spec
  * wins across data families: zero-heavy integer streams want ZDR, float
@@ -17,6 +17,11 @@
  * spec; re-evaluations run every `period` observed transactions and
  * only switch when the winner undercuts the incumbent by the hysteresis
  * margin, so bursty streams do not flap between near-tied specs.
+ *
+ * The spec `adaptive` takes no arguments: the factory and bxtd always
+ * build defaultConfig(), so no client sets the window, the period, the
+ * margin or the candidates. Other Configs are built in-process only
+ * (tests, Controller::make and AdaptiveCodec::make).
  *
  * Candidates must be stateless (measurement encodes must not disturb
  * channel history) and must agree on metaWiresPerBeat (a switch must
@@ -38,22 +43,22 @@
 
 namespace bxt::adaptive {
 
-/** Tuning knobs of one adaptive spec (the `adaptive[:...]` grammar). */
+/** The tuning of one controller; the `adaptive` spec uses the defaults. */
 struct Config
 {
     /** Concrete candidate specs (>= 2, stateless, uniform meta wires). */
     std::vector<std::string> candidates;
 
-    /** Transactions retained in the sampled window (`w=` knob). */
+    /** Transactions retained in the sampled window. */
     std::size_t window = 64;
 
-    /** Observed transactions between re-evaluations (`p=` knob). */
+    /** Observed transactions between re-evaluations. */
     std::size_t period = 256;
 
     /**
      * Switch only when the best candidate's measured cost is at least
-     * this many percent below the incumbent's (`h=` knob). The first
-     * evaluation is exempt: the initial choice is arbitrary, not earned.
+     * this many percent below the incumbent's. The first evaluation is
+     * exempt: the initial choice is arbitrary, not earned.
      */
     double hysteresisPct = 10.0;
 
@@ -61,28 +66,19 @@ struct Config
     std::size_t busBytes = 4;
 };
 
-/** The default candidate set: the paper's universal scheme plus the
+/** The `adaptive` spec's tuning: the paper's universal scheme plus the
  *  per-granularity Base+XOR ladder and the unencoded baseline, all
- *  metadata-free so a switch never resizes the bus. */
+ *  metadata-free so a switch never resizes the bus, with the default
+ *  window, period and margin. */
 Config defaultConfig(std::size_t bus_bytes = 4);
 
-/** True when @p spec names the adaptive meta-codec ("adaptive" or
- *  "adaptive:..."); such specs bypass the '|' pipeline grammar. */
-bool isAdaptiveSpec(std::string_view spec);
-
-/**
- * Parse `adaptive[:item,item,...]` where each item is a knob (`w=N`,
- * `p=N`, `h=PCT`) or a concrete candidate spec (pipelines with '|' are
- * fine; ',' separates items). Omitted candidates fall back to
- * defaultConfig(). Returns false with @p err set on a malformed spec;
- * candidate validation (existence, statelessness, uniform meta wires)
- * happens in Controller::make.
- */
-bool parseAdaptiveSpec(const std::string &spec, std::size_t bus_bytes,
-                       Config &out, std::string &err);
-
-/** The canonical round-trippable spec string for @p config. */
-std::string canonicalSpec(const Config &config);
+/** True when @p spec is `adaptive`, the one spec that names the
+ *  meta-codec; it bypasses the '|' pipeline grammar. */
+inline bool
+isAdaptiveSpec(std::string_view spec)
+{
+    return spec == "adaptive";
+}
 
 /** XOR toggle-weight granularities the sensors track (element bytes). */
 inline constexpr std::array<std::size_t, 4> kToggleGranularities{2, 4, 8,

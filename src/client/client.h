@@ -52,7 +52,7 @@ struct EncodeResult
     /**
      * The concrete spec the server announced on this reply. For a
      * concrete request spec this is that spec echoed back; for an
-     * `adaptive[:...]` request it is the per-stream controller's current
+     * `adaptive` request it is the per-stream controller's current
      * choice (the codec that actually produced the payloads — decode
      * with this spec), with switchEpoch counting choice switches so far.
      */

@@ -144,11 +144,9 @@ tryMakeCodec(const std::string &spec, std::size_t bus_bytes,
         err = "makeCodec: empty spec";
         return nullptr;
     }
-    // The adaptive meta-codec owns its own grammar (its candidate list
-    // may itself contain '|' pipelines), so intercept it before the
-    // pipeline split.
     if (adaptive::isAdaptiveSpec(spec))
-        return adaptive::tryMakeAdaptiveCodec(spec, bus_bytes, err);
+        return adaptive::AdaptiveCodec::make(
+            adaptive::defaultConfig(bus_bytes), err);
     std::vector<std::string> tokens = splitOn(spec, '|');
     if (tokens.size() == 1)
         return makeStage(tokens[0], bus_bytes, err);

@@ -15,13 +15,10 @@
  *
  * Examples: "universal3+zdr", "xor4+zdr", "universal3+zdr|dbi1", "bd".
  *
- * One spec escapes this grammar: "adaptive[:item,item,...]" builds the
- * online-selection meta-codec (src/adaptive/). Items are either knobs
- * (w=WINDOW, p=PERIOD, h=HYSTERESIS_PCT) or concrete candidate specs in
- * the grammar above ('|' pipelines allowed; ',' separates items; all
- * candidates must be stateless and agree on metaWiresPerBeat). Bare
- * "adaptive" uses the default metadata-free candidate ladder. Example:
- * "adaptive:xor4+zdr,universal3+zdr,baseline,w=64,p=256,h=10".
+ * One spec escapes this grammar: "adaptive" builds the online-selection
+ * meta-codec (src/adaptive/) with adaptive::defaultConfig(), its fixed
+ * metadata-free candidate ladder and tuning. It takes no arguments:
+ * "adaptive:..." is an unknown stage like any other.
  */
 
 #ifndef BXT_CORE_CODEC_FACTORY_H

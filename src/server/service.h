@@ -126,7 +126,7 @@ class Service
     {
         CodecPtr codec;
         /** Non-null when codec is the adaptive meta-codec (the spec
-         *  named `adaptive[:...]`); the view used to announce the
+         *  `adaptive`); the view used to announce the
          *  active concrete choice + epoch and export choice telemetry. */
         adaptive::AdaptiveCodec *adaptive = nullptr;
         /** Metadata plane (one 0/1 byte per bit) between the codec and

@@ -63,7 +63,7 @@
  *
  * Adaptive spec announcement: for a concrete spec the server echoes the
  * request's spec field verbatim on Encode/Decode replies. When the
- * request names the adaptive meta-codec (`adaptive[:...]`), the reply's
+ * request names the adaptive meta-codec (`adaptive`), the reply's
  * spec field instead carries stream metadata — the concrete spec the
  * per-stream controller currently selects plus its switch epoch, as
  * `<concrete-spec>;epoch=<N>` (';' cannot occur in the spec grammar).

@@ -1,12 +1,13 @@
 /**
  * @file
- * Adaptive codec selection tests: the `adaptive[:...]` spec grammar and
- * candidate validation, the controller's calibrated cost model (it must
- * pick whichever candidate measurably wins on the sampled window),
- * differential byte-identity against the chosen concrete codec across
- * forced switch points, hysteresis no-flap behaviour, sensor sanity,
- * and a loopback end-to-end run where the announced spec follows a
- * mid-stream data-family migration.
+ * Adaptive codec selection tests: the `adaptive` spec and the
+ * validation of other Configs, the controller's calibrated cost model
+ * (it must pick whichever candidate measurably wins on the sampled
+ * window), differential byte-identity against the chosen concrete codec
+ * across forced switch points, hysteresis no-flap behaviour, sensor
+ * sanity, a loopback end-to-end run where the announced spec follows a
+ * mid-stream data-family migration, and EXPERIMENTS.md's adaptive rows
+ * pinned in-process.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +21,12 @@
 #include "adaptive/adaptive_codec.h"
 #include "adaptive/controller.h"
 #include "client/client.h"
+#include "common/rng.h"
 #include "core/batch.h"
 #include "core/codec_factory.h"
 #include "server/server.h"
+#include "server/service.h"
+#include "workloads/scenario.h"
 
 namespace bxt {
 namespace {
@@ -82,6 +86,23 @@ marginalBatch(std::size_t count)
     return batch;
 }
 
+/** Bytes with exactly one random bit set each: every XOR delta of two
+ *  such elements has up to twice the ones, so baseline beats every
+ *  Base+XOR rung of the default ladder by far more than its margin. */
+TxBatch
+sparseBatch(std::size_t count, std::uint64_t seed)
+{
+    TxBatch batch;
+    batch.reset(kTxBytes);
+    batch.reserve(count);
+    batch.resizeForOverwrite(count);
+    Rng rng(seed);
+    std::uint8_t *bytes = batch.data();
+    for (std::size_t i = 0; i < count * kTxBytes; ++i)
+        bytes[i] = static_cast<std::uint8_t>(1u << rng.nextBounded(8));
+    return batch;
+}
+
 /** Measured ones-on-bus per transaction for @p spec over @p batch —
  *  the same cost the controller's model computes. */
 double
@@ -105,41 +126,36 @@ twoCandidateConfig(double hysteresis_pct)
     return config;
 }
 
+/** An AdaptiveCodec over twoCandidateConfig(0.0): the in-process seam
+ *  for a window and period short enough to switch within a few batches. */
+std::unique_ptr<adaptive::AdaptiveCodec>
+twoCandidateCodec()
+{
+    std::string err;
+    auto codec = adaptive::AdaptiveCodec::make(twoCandidateConfig(0.0), err);
+    EXPECT_NE(codec, nullptr) << err;
+    return codec;
+}
+
 // ---------------------------------------------------------------------
-// Spec grammar and candidate validation
+// The `adaptive` spec and Config validation
 
 TEST(AdaptiveSpec, BareSpecUsesDefaults)
 {
-    adaptive::Config config;
-    std::string err;
-    ASSERT_TRUE(adaptive::parseAdaptiveSpec("adaptive", 4, config, err))
-        << err;
-    EXPECT_EQ(config.candidates, adaptive::defaultConfig(4).candidates);
-    EXPECT_GE(config.candidates.size(), 2u);
-}
-
-TEST(AdaptiveSpec, ParsesCandidatesAndKnobs)
-{
-    adaptive::Config config;
-    std::string err;
-    ASSERT_TRUE(adaptive::parseAdaptiveSpec(
-        "adaptive:xor2+zdr,baseline,w=16,p=32,h=5", 4, config, err))
-        << err;
-    EXPECT_EQ(config.candidates,
-              (std::vector<std::string>{"xor2+zdr", "baseline"}));
-    EXPECT_EQ(config.window, 16u);
-    EXPECT_EQ(config.period, 32u);
-    EXPECT_DOUBLE_EQ(config.hysteresisPct, 5.0);
-
-    // The canonical form round-trips through the parser.
-    adaptive::Config again;
-    ASSERT_TRUE(adaptive::parseAdaptiveSpec(adaptive::canonicalSpec(config),
-                                            4, again, err))
-        << err;
-    EXPECT_EQ(again.candidates, config.candidates);
-    EXPECT_EQ(again.window, config.window);
-    EXPECT_EQ(again.period, config.period);
-    EXPECT_DOUBLE_EQ(again.hysteresisPct, config.hysteresisPct);
+    for (const std::size_t bus_bytes : {4u, 8u}) {
+        CodecPtr codec = makeCodec("adaptive", bus_bytes);
+        auto *adaptive_codec =
+            dynamic_cast<adaptive::AdaptiveCodec *>(codec.get());
+        ASSERT_NE(adaptive_codec, nullptr);
+        const adaptive::Config &config =
+            adaptive_codec->controller().config();
+        const adaptive::Config defaults = adaptive::defaultConfig(bus_bytes);
+        EXPECT_EQ(config.candidates, defaults.candidates);
+        EXPECT_EQ(config.window, 64u);
+        EXPECT_EQ(config.period, 256u);
+        EXPECT_DOUBLE_EQ(config.hysteresisPct, 10.0);
+        EXPECT_EQ(config.busBytes, bus_bytes);
+    }
 }
 
 TEST(AdaptiveSpec, FactoryBuildsAdaptiveCodec)
@@ -148,33 +164,57 @@ TEST(AdaptiveSpec, FactoryBuildsAdaptiveCodec)
     auto *adaptive_codec =
         dynamic_cast<adaptive::AdaptiveCodec *>(codec.get());
     ASSERT_NE(adaptive_codec, nullptr);
-    EXPECT_EQ(codec->name(),
-              adaptive::canonicalSpec(adaptive::defaultConfig(4)));
+    EXPECT_EQ(codec->name(), "adaptive");
     EXPECT_FALSE(codec->stateless());
     EXPECT_EQ(codec->metaWiresPerBeat(), 0u);
 }
 
 TEST(AdaptiveSpec, RejectsInvalidCandidateSets)
 {
+    // `adaptive` takes no arguments: every spec that tries to set the
+    // candidates or the tuning is refused, and builds nothing.
+    for (const char *spec :
+         {"adaptive:", "adaptive:xor4+zdr", "adaptive:xor2+zdr,baseline",
+          "adaptive:xor2+zdr,baseline,w=8,p=8,h=0", "adaptive:w=2000000",
+          "adaptive:p=1", "adaptive:h=0", "adaptive:q=3",
+          "adaptive:adaptive,baseline", "adaptive|dbi4"}) {
+        std::string err;
+        EXPECT_EQ(tryMakeCodec(spec, 4, err), nullptr) << spec;
+        EXPECT_FALSE(err.empty()) << spec;
+    }
+
+    // Other Configs are built in-process; Controller::make checks them.
+    const auto with = [](std::vector<std::string> candidates) {
+        adaptive::Config config = twoCandidateConfig(0.0);
+        config.candidates = std::move(candidates);
+        return config;
+    };
+    adaptive::Config short_window = twoCandidateConfig(0.0);
+    short_window.window = 1;
+    adaptive::Config no_period = twoCandidateConfig(0.0);
+    no_period.period = 0;
+    adaptive::Config full_margin = twoCandidateConfig(100.0);
     const struct {
-        const char *spec;
+        adaptive::Config config;
         const char *fragment;
     } cases[] = {
-        {"adaptive:xor4+zdr", "2"},
-        {"adaptive:bd,baseline", "stateful"},
-        {"adaptive:xor4+zdr,dbi4", "metaWiresPerBeat"},
-        {"adaptive:adaptive,baseline", "adaptive"},
-        {"adaptive:no-such-codec,baseline", "no-such-codec"},
-        {"adaptive:xor2+zdr,baseline,w=1", "w"},
-        {"adaptive:xor2+zdr,baseline,p=0", "p"},
-        {"adaptive:xor2+zdr,baseline,h=100", "h"},
-        {"adaptive:xor2+zdr,baseline,q=3", "q"},
+        {with({"xor4+zdr"}), "2"},
+        {with({"bd", "baseline"}), "stateful"},
+        {with({"xor4+zdr", "dbi4"}), "metaWiresPerBeat"},
+        {with({"adaptive", "baseline"}), "nest"},
+        {with({"no-such-codec", "baseline"}), "no-such-codec"},
+        {short_window, "window"},
+        {no_period, "period"},
+        {full_margin, "hysteresis"},
     };
     for (const auto &c : cases) {
         std::string err;
-        EXPECT_EQ(tryMakeCodec(c.spec, 4, err), nullptr) << c.spec;
+        EXPECT_EQ(adaptive::Controller::make(c.config, err), nullptr)
+            << c.fragment;
         EXPECT_NE(err.find(c.fragment), std::string::npos)
-            << c.spec << " -> " << err;
+            << c.fragment << " -> " << err;
+        EXPECT_EQ(adaptive::AdaptiveCodec::make(c.config, err), nullptr)
+            << c.fragment;
     }
 }
 
@@ -297,10 +337,9 @@ TEST(AdaptiveController, ResetDropsHistoryAndChoice)
 
 TEST(AdaptiveCodec, BatchOutputMatchesChosenConcreteCodecAcrossSwitches)
 {
-    CodecPtr codec = makeCodec("adaptive:xor2+zdr,baseline,w=8,p=8,h=0");
-    auto *adaptive_codec =
-        dynamic_cast<adaptive::AdaptiveCodec *>(codec.get());
-    ASSERT_NE(adaptive_codec, nullptr);
+    const std::unique_ptr<adaptive::AdaptiveCodec> codec =
+        twoCandidateCodec();
+    ASSERT_NE(codec, nullptr);
 
     std::vector<TxBatch> stream;
     for (int i = 0; i < 6; ++i)
@@ -319,8 +358,7 @@ TEST(AdaptiveCodec, BatchOutputMatchesChosenConcreteCodecAcrossSwitches)
         // The evaluation ran at the batch boundary, so the spec active
         // *after* the encode is the one that produced it: a fresh
         // instance of that concrete codec must emit identical bytes.
-        const std::string &chosen =
-            adaptive_codec->controller().activeSpec();
+        const std::string &chosen = codec->controller().activeSpec();
         EncodedBatch reference;
         makeCodec(chosen)->encodeBatch(stream[i], reference);
         EXPECT_EQ(out, reference) << "batch " << i << " via " << chosen;
@@ -331,7 +369,7 @@ TEST(AdaptiveCodec, BatchOutputMatchesChosenConcreteCodecAcrossSwitches)
         codec->decodeBatch(out, decoded);
         EXPECT_EQ(decoded, stream[i]) << "batch " << i;
 
-        const std::uint64_t epoch = adaptive_codec->controller().epoch();
+        const std::uint64_t epoch = codec->controller().epoch();
         switches += epoch - last_epoch;
         last_epoch = epoch;
     }
@@ -341,7 +379,9 @@ TEST(AdaptiveCodec, BatchOutputMatchesChosenConcreteCodecAcrossSwitches)
 
 TEST(AdaptiveCodec, ScalarPathRoundTripsWhileAdapting)
 {
-    CodecPtr codec = makeCodec("adaptive:xor2+zdr,baseline,w=8,p=8,h=0");
+    const std::unique_ptr<adaptive::AdaptiveCodec> codec =
+        twoCandidateCodec();
+    ASSERT_NE(codec, nullptr);
     const TxBatch families[] = {constantBatch(64, 0xff),
                                 alternatingBatch(64)};
     for (const TxBatch &family : families) {
@@ -404,12 +444,31 @@ TEST(AdaptiveLoopback, AnnouncedSpecFollowsDataFamilyMigration)
     ASSERT_TRUE(client.connected()) << err;
     client.setStreamId(3);
 
-    const std::string spec = "adaptive:xor2+zdr,baseline,w=8,p=8,h=0";
+    // The default ladder fills its 64-transaction window with the first
+    // batch and re-evaluates every 256 transactions.
+    constexpr std::size_t kBatch = 64;
+    const TxBatch xor_family = constantBatch(kBatch, 0xff);
+    const TxBatch base_family = sparseBatch(kBatch, 0x5a);
+    for (const std::string &candidate :
+         adaptive::defaultConfig(4).candidates) {
+        if (candidate != "xor2+zdr") {
+            ASSERT_LT(measuredCost("xor2+zdr", xor_family),
+                      measuredCost(candidate, xor_family))
+                << candidate;
+        }
+        // Baseline must clear the 10 % switch margin.
+        if (candidate != "baseline") {
+            ASSERT_LT(measuredCost("baseline", base_family),
+                      0.9 * measuredCost(candidate, base_family))
+                << candidate;
+        }
+    }
+
     const auto request = [&](const TxBatch &batch,
                              client::EncodeResult &enc) {
         const std::span<const std::uint8_t> raw(
             batch.data(), batch.size() * batch.txBytes());
-        ASSERT_TRUE(client.encode(spec, kTxBytes, 32, raw, enc, err))
+        ASSERT_TRUE(client.encode("adaptive", kTxBytes, 32, raw, enc, err))
             << err;
 
         // Decoding under the announced concrete spec recovers the raw
@@ -424,15 +483,15 @@ TEST(AdaptiveLoopback, AnnouncedSpecFollowsDataFamilyMigration)
 
     // Phase 1: Base+XOR territory. The first choice lands here.
     client::EncodeResult enc;
-    for (int i = 0; i < 4; ++i)
-        request(constantBatch(16, 0xff), enc);
+    for (int i = 0; i < 3; ++i)
+        request(xor_family, enc);
     EXPECT_EQ(enc.announcedSpec, "xor2+zdr");
     const std::uint64_t epoch_before = enc.switchEpoch;
 
     // Phase 2: migrate to a family where baseline measurably wins; the
     // announcement and epoch must follow within a few periods.
     for (int i = 0; i < 6; ++i)
-        request(alternatingBatch(16), enc);
+        request(base_family, enc);
     EXPECT_EQ(enc.announcedSpec, "baseline");
     EXPECT_GT(enc.switchEpoch, epoch_before);
 
@@ -446,6 +505,72 @@ TEST(AdaptiveLoopback, AnnouncedSpecFollowsDataFamilyMigration)
         << err;
     EXPECT_EQ(concrete.announcedSpec, "baseline");
     EXPECT_EQ(concrete.switchEpoch, 0u);
+}
+
+// ---------------------------------------------------------------------
+// EXPERIMENTS.md's adaptive rows, pinned in-process
+
+/** What a preset's adaptive pass puts on the bus. */
+struct Row
+{
+    std::uint64_t txs = 0;
+    std::uint64_t onesIn = 0;
+    std::uint64_t onesOut = 0; ///< Payload + metadata ones.
+};
+
+/**
+ * @p preset's seed-1 stream served under `adaptive` the way a fresh
+ * 4-shard bxtd serves `bxt_loadgen --scenario P --connections 4`: each
+ * connection holds one request in flight and lands on its own shard, so
+ * request i reaches shard i % 4, in order. Stream ids are tenant + 1.
+ */
+Row
+adaptiveRow(const std::string &preset)
+{
+    scenario::Config config;
+    std::string err;
+    EXPECT_TRUE(scenario::preset(preset, config, err)) << err;
+    scenario::Engine engine(config, 1);
+    server::Service shards[4];
+    Row row;
+    scenario::Request req;
+    while (engine.next(req)) {
+        wire::Frame request;
+        request.opcode = wire::Opcode::Encode;
+        request.streamId = static_cast<std::uint16_t>(req.tenant + 1);
+        request.spec = "adaptive";
+        ByteBuffer body;
+        wire::BodyWriter writer(body, 0, 0);
+        writer.u32(req.txBytes);
+        writer.u32(req.busBits);
+        writer.u64(req.count);
+        writer.bytes(req.payload.data(), req.payload.size());
+        request.body.assign(body.data(), body.data() + body.size());
+
+        const wire::Frame reply = shards[req.index % 4].handle(request);
+        client::EncodeResult enc;
+        EXPECT_TRUE(client::readEncodeHead(reply.view(), enc, err))
+            << preset << " request " << req.index << ": " << err;
+        row.txs += enc.count;
+        row.onesIn += enc.inputOnes;
+        row.onesOut += enc.payloadOnes + enc.metaOnes;
+    }
+    return row;
+}
+
+TEST(AdaptiveRows, PresetStreamsMatchTheExperimentsTable)
+{
+    // EXPERIMENTS.md, "Adaptive vs fixed specs": the tx counts, the
+    // baseline rows' ones (ones in) and the adaptive rows.
+    const Row zipf = adaptiveRow("zipf-0.99");
+    EXPECT_EQ(zipf.txs, 274'809u);
+    EXPECT_EQ(zipf.onesIn, 50'722'759u);
+    EXPECT_EQ(zipf.onesOut, 28'226'216u);
+
+    const Row burst = adaptiveRow("burst");
+    EXPECT_EQ(burst.txs, 272'601u);
+    EXPECT_EQ(burst.onesIn, 49'783'840u);
+    EXPECT_EQ(burst.onesOut, 28'087'181u);
 }
 
 } // namespace

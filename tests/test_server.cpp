@@ -30,6 +30,7 @@
 #include <vector>
 
 #include <map>
+#include <set>
 
 #include "client/client.h"
 #include "common/bitops.h"
@@ -784,14 +785,18 @@ TEST(Service, BadSpecIsTyped)
 {
     server::Service service;
     const std::vector<std::uint8_t> raw(32, 0);
+    // `adaptive` takes no arguments: no client sizes a shard's controller
+    // window or picks its candidates, and a refused spec caches nothing.
     for (const char *spec :
          {"no-such-codec", "xor18446744073709551620+zdr",
           "universal18446744073709551619", "dbi-ac18446744073709551617",
+          "adaptive:w=2000000", "adaptive:xor2+zdr,baseline", "adaptive:",
           "adaptive:xor4+zdr,baseline,w=1000000001",
           "adaptive:xor4+zdr,baseline,h=5x"}) {
         const wire::Frame reply =
             service.handle(makeEncodeRequest(spec, 32, 32, raw));
         EXPECT_EQ(errorCodeOf(reply), wire::ErrorCode::BadSpec) << spec;
+        EXPECT_EQ(service.cachedCodecs(), 0u) << spec;
     }
 }
 
@@ -1151,13 +1156,12 @@ TEST(Service, StreamMemoKeepsEveryReplyExact)
         std::uint32_t busBits;
     };
     const Key keys[] = {{"xor4+zdr", 32}, {"dbi4", 32}, {"xor4+zdr", 64}};
-    const std::string adaptive_spec = "adaptive:xor2+zdr,baseline,w=8,p=8,h=0";
     // Each adaptive stream's replies must be those of a service that
     // serves that stream alone: one controller per stream. They count
     // into their own registry.
     telemetry::Registry alone_registry;
     server::Service alone7(&alone_registry), alone71(&alone_registry);
-    Rng rng(0x3e30);
+    Rng rng(0x3e30), sparse_rng(0x71);
     wire::Frame last7, last71;
     for (std::uint32_t round = 0; round < 4; ++round) {
         for (std::uint32_t step = 0; step < 6; ++step) {
@@ -1189,18 +1193,19 @@ TEST(Service, StreamMemoKeepsEveryReplyExact)
                 << key.spec << " on stream " << stream;
         }
         // Stream 7 sends Base+XOR territory, stream 71 data only
-        // baseline wins on, so a shared controller could not announce
-        // both streams' choices.
+        // baseline wins on (one set bit per byte), so a shared controller
+        // could not announce both streams' choices. The first evaluation
+        // runs once 64 transactions fill the default window.
         std::vector<std::uint8_t> same(16 * 32, 0xff);
-        std::vector<std::uint8_t> flipping(16 * 32);
-        for (std::size_t i = 0; i < flipping.size(); ++i)
-            flipping[i] = (i / 2) % 2 == 0 ? 0x00 : 0xff;
+        std::vector<std::uint8_t> sparse(16 * 32);
+        for (std::uint8_t &byte : sparse)
+            byte = static_cast<std::uint8_t>(1u << sparse_rng.nextBounded(8));
         const auto adaptive_step = [&](std::uint16_t stream,
                                        const std::vector<std::uint8_t> &raw,
                                        server::Service &alone,
                                        wire::Frame &last) {
             wire::Frame request =
-                makeEncodeRequest(adaptive_spec, 32, 32, raw);
+                makeEncodeRequest("adaptive", 32, 32, raw);
             request.streamId = stream;
             last = serveInPlace(service, out, request);
             EXPECT_EQ(last, alone.handle(request))
@@ -1208,7 +1213,7 @@ TEST(Service, StreamMemoKeepsEveryReplyExact)
         };
         for (int rep = 0; rep < 3; ++rep) {
             adaptive_step(7, same, alone7, last7);
-            adaptive_step(71, flipping, alone71, last71);
+            adaptive_step(71, sparse, alone71, last71);
         }
     }
     EXPECT_EQ(last7.spec.substr(0, last7.spec.find(';')), "xor2+zdr");
@@ -2833,10 +2838,13 @@ TEST(Sharded, AdaptiveStreamSurvivesReconnectsAcrossShards)
     // shard-local controller serves it. The announcement contract must
     // hold on every shard — a concrete spec plus epoch that decodes the
     // payload — and the per-stream accounting must merge across shards.
-    const std::string spec = "adaptive:xor2+zdr,baseline,w=8,p=8,h=0";
+    // A 64-transaction encode fills the default window, so the next
+    // encode on that shard switches from the initial choice.
     constexpr std::size_t kReconnects = 6;
     constexpr std::size_t kEncodesPerConn = 4;
-    const std::vector<std::uint8_t> raw(16 * 32, 0xff);
+    constexpr std::size_t kTxPerEncode = 64;
+    const std::vector<std::uint8_t> raw(kTxPerEncode * 32, 0xff);
+    std::set<std::string> announced;
     std::string err;
     for (std::size_t c = 0; c < kReconnects; ++c) {
         client::Client client =
@@ -2845,9 +2853,10 @@ TEST(Sharded, AdaptiveStreamSurvivesReconnectsAcrossShards)
         client.setStreamId(5);
         for (std::size_t i = 0; i < kEncodesPerConn; ++i) {
             client::EncodeResult enc;
-            ASSERT_TRUE(client.encode(spec, 32, 32, raw, enc, err))
+            ASSERT_TRUE(client.encode("adaptive", 32, 32, raw, enc, err))
                 << err;
             ASSERT_FALSE(enc.announcedSpec.empty());
+            announced.insert(enc.announcedSpec);
             client::DecodeResult dec;
             ASSERT_TRUE(client.decode(enc.announcedSpec, enc, dec, err))
                 << err;
@@ -2856,6 +2865,9 @@ TEST(Sharded, AdaptiveStreamSurvivesReconnectsAcrossShards)
                 std::memcmp(dec.raw.data(), raw.data(), raw.size()), 0);
         }
     }
+    // Payloads of both sides of a switch decoded.
+    EXPECT_EQ(announced,
+              (std::set<std::string>{"universal3+zdr", "xor2+zdr"}));
 
     client::Client stats_client =
         client::Client::connectTcp("127.0.0.1", live.tcpPort(), err);
@@ -2869,7 +2881,7 @@ TEST(Sharded, AdaptiveStreamSurvivesReconnectsAcrossShards)
     EXPECT_EQ(counters.at("bxt.server.stream.5.requests"),
               kReconnects * kEncodesPerConn * 2);
     EXPECT_EQ(counters.at("bxt.server.stream.5.tx_encoded"),
-              kReconnects * kEncodesPerConn * 16);
+              kReconnects * kEncodesPerConn * kTxPerEncode);
     EXPECT_EQ(counters.at("bxt.server.errors"), 0u);
 }
 

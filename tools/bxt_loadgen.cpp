@@ -9,14 +9,15 @@
  * connection keeps up to --depth requests in flight (default 1) and
  * matches replies in order, reading their tallies in place, so a latency
  * runs from a request's send to its reply and, past depth 1, includes
- * queueing. The first --warmup replies per connection are left out of
- * the latency quantiles (codec construction and cold caches dominate
+ * queueing. The first 32 replies per connection (kWarmup) are left out
+ * of the latency quantiles (codec construction and cold caches dominate
  * them) but count toward throughput. The stream is either
  *  - fixed: one untagged request of --batch random --tx-bytes
  *    transactions under --spec, sent --requests times; or
  *  - a scenario (--scenario): a seeded multi-tenant stream
  *    (workloads/scenario.h) whose requests carry their tenant's stream
- *    id, so the server's per-tenant telemetry lights up. Its prefix is
+ *    id, so the server's per-tenant telemetry lights up (its Zipf
+ *    exponent and the rest come from the preset or file). Its prefix is
  *    its first min(--requests, requests) requests; --requests (default:
  *    the scenario's count) sets how many are sent, cycling the prefix.
  *    Arrivals are paced to the open-loop schedule, each cycle offset by
@@ -24,7 +25,7 @@
  *    fast as the depth allows.
  *
  * --adaptive-compare S1,S2,... grades the adaptive spec: the identical
- * stream is replayed once under --spec (normally `adaptive[:...]`) and
+ * stream is replayed once under --spec (normally `adaptive`) and
  * once per listed fixed spec, each pass with its own frames and fresh
  * connections. bxtd keeps controllers per shard, spec, geometry and
  * stream id for its whole life, not per connection, so the adaptive
@@ -65,6 +66,9 @@ namespace {
 
 using bxt::telemetry::Histo;
 
+/** Replies per connection left out of the latency quantiles. */
+constexpr std::size_t kWarmup = 32;
+
 struct Args
 {
     bxt::client::Endpoint endpoint;
@@ -75,12 +79,10 @@ struct Args
     std::size_t requests = 0; ///< 0 = 2000, or the scenario's count.
     std::size_t depth = 1;
     std::size_t connections = 0; ///< 0 = auto (1; 4 for scenarios).
-    std::size_t warmup = 32;
     std::string scenarioName;
     /** Fixed specs, comma-separated, to race against --spec (see the
      *  file comment); empty = one pass under each request's own spec. */
     std::string adaptiveCompare;
-    double alphaOverride = -1.0; ///< < 0 = keep the scenario's alpha.
     bool noPace = false;
     std::uint64_t seed = 1;
     std::string jsonPath;
@@ -187,8 +189,6 @@ buildStream(const Args &args, const std::string &spec, Stream &stream,
     bxt::scenario::Config config;
     if (!bxt::scenario::load(args.scenarioName, config, err))
         return false;
-    if (args.alphaOverride >= 0.0)
-        config.alpha = args.alphaOverride;
     bxt::scenario::Engine engine(config, args.seed);
     for (std::uint32_t t = 0; t < config.tenants; ++t)
         stream.tenants.push_back({engine.tenantSpec(t),
@@ -331,7 +331,7 @@ runConn(const Args &args, const Stream &stream, const std::string &spec,
     const std::size_t mine =
         stream.sends / conns + (conn < stream.sends % conns ? 1 : 0);
     const std::size_t steady_from =
-        mine == 0 ? 0 : std::min(args.warmup, mine - 1);
+        mine == 0 ? 0 : std::min(kWarmup, mine - 1);
     // Send time and stream index of each request in flight, oldest first.
     std::deque<std::pair<std::uint64_t, std::size_t>> in_flight;
     std::size_t sent = 0;
@@ -476,10 +476,6 @@ main(int argc, char **argv)
     cli.addInt("--connections", "M",
                "parallel connections (default 1; 4 for --scenario)",
                args.connections);
-    cli.addInt("--warmup", "K",
-               "per-connection samples excluded from latency quantiles "
-               "(default 32)",
-               args.warmup);
     cli.add("--scenario", "NAME|PATH",
             "replay a multi-tenant scenario preset or spec file",
             [&](const std::string &v) { args.scenarioName = v; });
@@ -488,8 +484,6 @@ main(int argc, char **argv)
             "fixed spec, emitting scope:\"spec\" ones-on-bus rows (the "
             "adaptive-vs-fixed CI gate)",
             [&](const std::string &v) { args.adaptiveCompare = v; });
-    cli.addReal("--alpha", "A", "override the scenario's Zipf exponent",
-                args.alphaOverride);
     cli.addFlag("--no-pace",
                 "send scenario requests back-to-back (ignore arrivals)",
                 [&] { args.noPace = true; });
@@ -613,7 +607,7 @@ main(int argc, char **argv)
                 w.kv("alpha", stream.alpha);
                 w.kv("connections", static_cast<std::uint64_t>(conns));
                 w.kv("depth", static_cast<std::uint64_t>(args.depth));
-                w.kv("warmup", static_cast<std::uint64_t>(args.warmup));
+                w.kv("warmup", static_cast<std::uint64_t>(kWarmup));
                 w.kv("paced", stream.paced);
                 if (comparing)
                     w.kv("spec_override", primary.spec);
